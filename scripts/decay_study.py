@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
 
 import poromix as pm
 from poromix import diagnostics as diag
@@ -27,14 +26,13 @@ def main() -> int:
     consts = pm.random_material(args.seed)
     problem, geom, traj, speed = _pulse_trajectory(consts, args.n, lam=1.0)
     r_grid = diag.default_r_grid(geom)
-    ctx = diag.RunContext(problem)
     length = problem.grid.extent()[0]
     print(f"c = {speed.c:.4f}, L = {geom.L:.4f}, T = {traj.times[-1]:.4f}")
     print(f"{'lambda':>10} {'slope':>10} {'-lam/c':>10} {'max ratio':>10} {'ok':>4}")
     all_ok = True
     for mult in (0.5, 1.0, 2.0):
         lam = mult * speed.c / length
-        sps = diag.surface_power(traj, geom, r_grid, lam=lam, ctx=ctx)
+        sps = diag.surface_power(traj, geom, r_grid, lam=lam)
         sp = pm.wave_speed(consts, speed.c**2 * speed.m_inertia, lam)
         rep = diag.decay_report(sps, sp, t=float(traj.times[-1]), tol_h=args.tol)
         print(f"{lam:10.4f} {rep.slope:10.4f} {-lam / speed.c:10.4f} "

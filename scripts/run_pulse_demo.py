@@ -17,15 +17,6 @@ from poromix import diagnostics as diag
 from poromix import io as pio
 
 
-def gaussian_vec(comp, center, width, amp):
-    def fn(x):
-        out = np.zeros((3,) + x.shape[1:])
-        out[comp] = amp * np.exp(-((x[0] - center) ** 2) / (2 * width**2))
-        return out
-
-    return fn
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
@@ -38,8 +29,8 @@ def main() -> int:
     grid = pm.Grid(dim=1, n=(args.n,), h=(1.0 / (args.n - 1),))
     boundary = pm.BoundaryPartition.uniform("natural", "natural", dim=1)
     initial = pm.InitialData(
-        u1=gaussian_vec(0, 0.5, args.width, 1.0),
-        v1=gaussian_vec(0, 0.5, args.width, 0.5),
+        u1=pm.gaussian_pulse([0.5], args.width, 1.0, component=0),
+        v1=pm.gaussian_pulse([0.5], args.width, 0.5, component=0),
     )
     probe = pm.ProblemSpec(grid=grid, consts=consts, boundary=boundary,
                            initial=initial, T=0.0)

@@ -3,7 +3,8 @@
 Layout:
     materials    constitutive constants, the 29×29 quadratic form, moduli, speed
     pointwise    per-point kinematics, stresses, tractions, power identities
-    fields       vectorized strain/stress evaluation on grids
+    fields       difference stencils and the jet form Q = Pᵀ𝒜P that gives every
+                 field stress, force and energy density
     solver       explicit leapfrog integration with mixed boundary conditions
     diagnostics  energy, surface power, decay/front reports, Cesàro means
     verify       theorem-verification suites
@@ -47,6 +48,7 @@ from .solver import (
     RigidDecomposition,
     SideCondition,
     StateField,
+    gaussian_pulse,
     initialize,
     rigid_decompose,
     simulate,

@@ -43,7 +43,9 @@ from .solver import (
     Grid,
     InitialData,
     ProblemSpec,
+    RigidMotion,
     SideCondition,
+    gaussian_pulse,
 )
 
 SUITES = ("constitutive", "identities", "decay", "influence", "equipartition", "uniqueness", "all")
@@ -379,19 +381,12 @@ def _profile_field(prof: InitProfile, x: np.ndarray, dim: int, vector: bool) -> 
     if prof.kind == "zero":
         return np.zeros((3,) + shape) if vector else np.zeros(shape)
     if prof.kind == "gaussian_pulse":
-        center = np.zeros(3)
         c = prof.get("center", (0.0,))
-        center[: len(c)] = c
-        width = prof.get("width", (0.1,))[0]
-        amp = prof.get("amplitude", (1.0,))[0]
-        r2 = sum((x[a] - center[a]) ** 2 for a in range(dim))
-        bump = amp * np.exp(-r2 / (2.0 * width**2))
-        if not vector:
-            return bump
-        comp = int(prof.get("component", (0.0,))[0])
-        out = np.zeros((3,) + shape)
-        out[comp] = bump
-        return out
+        center = (tuple(c) + (0.0,) * dim)[:dim]
+        comp = int(prof.get("component", (0.0,))[0]) if vector else None
+        pulse = gaussian_pulse(center, prof.get("width", (0.1,))[0],
+                               prof.get("amplitude", (1.0,))[0], component=comp)
+        return pulse(x)
     if prof.kind == "plane_wave":
         kvec = np.zeros(3)
         kv = prof.get("k", (np.pi,))
@@ -412,11 +407,7 @@ def _profile_field(prof: InitProfile, x: np.ndarray, dim: int, vector: bool) -> 
     rv = prof.get("rotation", ())
     tr[: len(tv)] = tv
     rot[: len(rv)] = rv
-    out = np.zeros((3,) + shape)
-    out[0] = tr[0] + rot[1] * x[2] - rot[2] * x[1]
-    out[1] = tr[1] + rot[2] * x[0] - rot[0] * x[2]
-    out[2] = tr[2] + rot[0] * x[1] - rot[1] * x[0]
-    return out
+    return RigidMotion(tr, rot).field(x)
 
 
 def build_initial_data(cfg: RunConfig) -> InitialData:

@@ -22,8 +22,15 @@ from .errors import (
     NoFront,
     UndefinedAtZero,
 )
-from .fields import StressEvaluator, energy_density_field, strain_fields
-from .solver import ProblemSpec, RigidDecomposition, StateField, Workspace, initialize
+from .fields import stored_energy
+from .solver import (
+    EnergySample,
+    ProblemSpec,
+    RigidDecomposition,
+    StateField,
+    Workspace,
+    initialize,
+)
 
 
 def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -34,75 +41,6 @@ def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     out = np.zeros(y.shape)
     out[..., 1:] = np.cumsum(inc, axis=-1)
     return out
-
-
-class RunContext:
-    """Cached grid/material context shared by the diagnostics."""
-
-    def __init__(self, problem: ProblemSpec):
-        self.problem = problem
-        self.grid = problem.grid
-        self.w = problem.grid.weights()
-        self.x = problem.grid.positions()
-        self.form = problem.quadratic_form()
-        self.stress = StressEvaluator(problem.consts)
-
-    def strain(self, state: StateField):
-        g = self.grid
-        return strain_fields(state.u1, state.u2, state.phi1, state.phi2, g.dim, g.h)
-
-    def energy_sample(self, state: StateField) -> "EnergySample":
-        k = self.problem.consts
-        w = self.w
-        kin_u = 0.5 * float(
-            np.sum(w * (k.rho1 * np.einsum("i...,i...->...", state.v1, state.v1)
-                        + k.rho2 * np.einsum("i...,i...->...", state.v2, state.v2)))
-        )
-        kin_phi = 0.5 * float(
-            np.sum(w * (k.rho1 * k.chi1 * state.psi1**2 + k.rho2 * k.chi2 * state.psi2**2))
-        )
-        strain = float(np.sum(w * energy_density_field(self.form, self.strain(state))))
-        return EnergySample(t=state.t, kinetic_u=kin_u, kinetic_phi=kin_phi, strain=strain)
-
-    def energy_density(self, state: StateField) -> np.ndarray:
-        """Nodal total energy density ½Σ_α(ρ|u̇|² + ρχφ̇²) + W."""
-        k = self.problem.consts
-        kin = 0.5 * (
-            k.rho1 * np.einsum("i...,i...->...", state.v1, state.v1)
-            + k.rho2 * np.einsum("i...,i...->...", state.v2, state.v2)
-            + k.rho1 * k.chi1 * state.psi1**2
-            + k.rho2 * k.chi2 * state.psi2**2
-        )
-        return kin + energy_density_field(self.form, self.strain(state))
-
-    def pair_product(self, state: StateField) -> float:
-        """Q(t) = ∫ Σ_α [ρ u·u̇ + ρχ φφ̇] dv (virial pairing)."""
-        k = self.problem.consts
-        val = (
-            k.rho1 * np.einsum("i...,i...->...", state.u1, state.v1)
-            + k.rho2 * np.einsum("i...,i...->...", state.u2, state.v2)
-            + k.rho1 * k.chi1 * state.phi1 * state.psi1
-            + k.rho2 * k.chi2 * state.phi2 * state.psi2
-        )
-        return float(np.sum(self.w * val))
-
-
-@dataclass(frozen=True)
-class EnergySample:
-    t: float
-    kinetic_u: float
-    kinetic_phi: float
-    strain: float
-
-    @property
-    def total(self) -> float:
-        return self.kinetic_u + self.kinetic_phi + self.strain
-
-
-def total_energy(state: StateField, problem: ProblemSpec, ctx: RunContext | None = None) -> EnergySample:
-    """ℰ at one state: kinetic (u and φ parts) plus stored energy."""
-    ctx = ctx or RunContext(problem)
-    return ctx.energy_sample(state)
 
 
 @dataclass
@@ -124,26 +62,30 @@ class EnergySeries:
             return float(np.max(np.abs(tot)))
         return float(np.max(np.abs(tot - tot[0])) / abs(tot[0]))
 
+    @staticmethod
+    def from_samples(samples: list[EnergySample]) -> "EnergySeries":
+        return EnergySeries(
+            t=np.array([s.t for s in samples]),
+            kinetic_u=np.array([s.kinetic_u for s in samples]),
+            kinetic_phi=np.array([s.kinetic_phi for s in samples]),
+            strain=np.array([s.strain for s in samples]),
+        )
+
 
 class EnergyRecorder:
     """Records the energy split every ``every`` steps."""
 
-    def __init__(self, ctx: RunContext, every: int = 1):
-        self.ctx = ctx
+    def __init__(self, ws: Workspace, every: int = 1):
+        self.ws = ws
         self.every = max(1, int(every))
         self.samples: list[EnergySample] = []
 
     def record(self, step: int, state: StateField) -> None:
         if step % self.every == 0:
-            self.samples.append(self.ctx.energy_sample(state))
+            self.samples.append(self.ws.energy_sample(state))
 
     def series(self) -> EnergySeries:
-        return EnergySeries(
-            t=np.array([s.t for s in self.samples]),
-            kinetic_u=np.array([s.kinetic_u for s in self.samples]),
-            kinetic_phi=np.array([s.kinetic_phi for s in self.samples]),
-            strain=np.array([s.strain for s in self.samples]),
-        )
+        return EnergySeries.from_samples(self.samples)
 
 
 class SnapshotRecorder:
@@ -196,7 +138,6 @@ def record_run(problem: ProblemSpec, energy_every: int | None = None,
 
     from .solver import simulate, stable_timestep
 
-    ctx = RunContext(problem)
     if snapshot_budget is not None:
         steps = n_steps
         if steps is None:
@@ -204,7 +145,7 @@ def record_run(problem: ProblemSpec, energy_every: int | None = None,
                 problem.grid, problem.speed(), problem.cfl)
             steps = max(1, math.ceil(problem.T / base - 1e-12))
         snapshot_every = snapshot_cadence_for_budget(problem, steps, snapshot_budget)
-    erec = EnergyRecorder(ctx, energy_every or problem.energy_every)
+    erec = EnergyRecorder(problem.workspace, energy_every or problem.energy_every)
     srec = SnapshotRecorder(snapshot_every or problem.snapshot_every)
     final = simulate(problem, recorders=(erec, srec), dt=dt, n_steps=n_steps)
     return final, erec.series(), Trajectory(problem=problem, states=srec.states)
@@ -241,28 +182,12 @@ def support_geometry(
     grid = problem.grid
     T = problem.T if T is None else T
     state0 = initialize(problem)
-    x = grid.positions()
-    mags = [
-        np.max(np.abs(state0.u1), axis=0),
-        np.max(np.abs(state0.u2), axis=0),
-        np.max(np.abs(state0.v1), axis=0),
-        np.max(np.abs(state0.v2), axis=0),
-        np.abs(state0.phi1),
-        np.abs(state0.phi2),
-        np.abs(state0.psi1),
-        np.abs(state0.psi2),
-    ]
+    ws = problem.workspace
+    x = ws.x
+    mags = [np.abs(state0.U), np.abs(state0.V)]
     if problem.f is not None or problem.ell is not None:
-        for t in np.linspace(0.0, T, time_samples):
-            if problem.f is not None:
-                f1, f2 = problem.f(x, t)
-                mags.append(np.max(np.abs(np.asarray(f1)), axis=0))
-                mags.append(np.max(np.abs(np.asarray(f2)), axis=0))
-            if problem.ell is not None:
-                l1, l2 = problem.ell(x, t)
-                mags.append(np.abs(np.asarray(l1)))
-                mags.append(np.abs(np.asarray(l2)))
-    data_mag = np.max(np.stack(mags), axis=0)
+        mags += [np.abs(ws.sources(t)) for t in np.linspace(0.0, T, time_samples)]
+    data_mag = np.max(np.concatenate(mags), axis=0)
     boundary_mag = np.zeros(grid.shape)
     side_ndim = grid.dim - 1
     for axis, end in grid.sides():
@@ -350,18 +275,18 @@ def surface_power(
     geom: SupportGeometry,
     r_grid: np.ndarray,
     lam: float,
-    ctx: RunContext | None = None,
 ) -> SurfacePowerSeries:
     """Time-weighted surface power on the staircase interfaces S_r.
 
     S_r is realized as the set of grid faces separating {dist ≤ r} from
-    {dist > r}; face fluxes average the two nodal stresses, the normal points
-    away from the data side, and P(r,t) = −∫₀ᵗ e^{−λs} Σ_faces Σ_α
-    [s^α·u̇^α + h^α φ̇^α] da ds by trapezoid in time.  The weighted volume
-    energy E(r, t) over {dist > r} is evaluated in the same pass.
+    {dist > r}; the face flux along axis j averages the two nodal values of
+    (QY)ⱼ·V = Σ_α [S^α[:, j]·u̇^α + h^α_j φ̇^α], the normal points away from
+    the data side, and P(r,t) = −∫₀ᵗ e^{−λs} Σ_faces flux da ds by trapezoid
+    in time.  The weighted volume energy E(r, t) over {dist > r} is
+    evaluated in the same pass.
     """
-    ctx = ctx or RunContext(traj.problem)
-    grid = ctx.grid
+    ws = traj.problem.workspace
+    grid = ws.grid
     times = traj.times
     r_grid = np.asarray(r_grid, dtype=float)
     nr, nt = len(r_grid), len(times)
@@ -381,26 +306,14 @@ def surface_power(
         face_sel.append(per_r)
 
     for j, state in enumerate(traj.states):
-        sb = ctx.strain(state)
-        s1, s2, _, _, _, h1, h2 = ctx.stress(sb)
-        eps = ctx.energy_density(state)
+        Y, QY = ws.stress(state.U)
+        eps = 0.5 * np.sum(ws.inertia * state.V**2, axis=0) + stored_energy(Y, QY)
         for i in range(nr):
-            e_inst[i, j] = float(np.sum(ctx.w[masks[i]] * eps[masks[i]]))
+            e_inst[i, j] = float(np.sum(ws.w[masks[i]] * eps[masks[i]]))
         for axis in range(grid.dim):
-            fs1_lo, fs1_hi = _axis_faces(s1[:, axis], 1 + axis)
-            fv1_lo, fv1_hi = _axis_faces(state.v1, 1 + axis)
-            fs2_lo, fs2_hi = _axis_faces(s2[:, axis], 1 + axis)
-            fv2_lo, fv2_hi = _axis_faces(state.v2, 1 + axis)
-            flux = 0.25 * (
-                np.einsum("i...,i...->...", fs1_lo + fs1_hi, fv1_lo + fv1_hi)
-                + np.einsum("i...,i...->...", fs2_lo + fs2_hi, fv2_lo + fv2_hi)
-            )
-            fh1_lo, fh1_hi = _axis_faces(h1[axis], axis)
-            ps1_lo, ps1_hi = _axis_faces(state.psi1, axis)
-            fh2_lo, fh2_hi = _axis_faces(h2[axis], axis)
-            ps2_lo, ps2_hi = _axis_faces(state.psi2, axis)
-            flux = flux + 0.25 * (fh1_lo + fh1_hi) * (ps1_lo + ps1_hi)
-            flux = flux + 0.25 * (fh2_lo + fh2_hi) * (ps2_lo + ps2_hi)
+            s_lo, s_hi = _axis_faces(QY[1 + axis], 1 + axis)
+            v_lo, v_hi = _axis_faces(state.V, 1 + axis)
+            flux = 0.25 * np.einsum("c...,c...->...", s_lo + s_hi, v_lo + v_hi)
             for i in range(nr):
                 active, signed_area = face_sel[axis][i]
                 if active.any():
@@ -410,27 +323,6 @@ def surface_power(
     p = -_cumtrapz(q * decay, times)
     e_vol = e_inst * decay + lam * _cumtrapz(e_inst * decay, times)
     return SurfacePowerSeries(r_grid=r_grid, t_grid=times.copy(), P=p, E_vol=e_vol, lam=lam)
-
-
-def weighted_energy(
-    traj: Trajectory,
-    geom: SupportGeometry,
-    r_grid: np.ndarray,
-    lam: float,
-    ctx: RunContext | None = None,
-) -> np.ndarray:
-    """The two-term weighted volume energy E(r, t) over B_r = {dist > r}."""
-    ctx = ctx or RunContext(traj.problem)
-    times = traj.times
-    r_grid = np.asarray(r_grid, dtype=float)
-    e_inst = np.zeros((len(r_grid), len(times)))
-    masks = [geom.dist > r for r in r_grid]
-    for j, state in enumerate(traj.states):
-        eps = ctx.energy_density(state)
-        for i, m in enumerate(masks):
-            e_inst[i, j] = float(np.sum(ctx.w[m] * eps[m]))
-    decay = np.exp(-lam * times)
-    return e_inst * decay + lam * _cumtrapz(e_inst * decay, times)
 
 
 @dataclass
@@ -562,14 +454,8 @@ def cesaro_means(source) -> CesaroSeries:
         UndefinedAtZero: if fewer than two samples (nothing beyond t = 0).
     """
     if isinstance(source, Trajectory):
-        ctx = RunContext(source.problem)
-        samples = [ctx.energy_sample(s) for s in source.states]
-        series = EnergySeries(
-            t=np.array([s.t for s in samples]),
-            kinetic_u=np.array([s.kinetic_u for s in samples]),
-            kinetic_phi=np.array([s.kinetic_phi for s in samples]),
-            strain=np.array([s.strain for s in samples]),
-        )
+        ws = source.problem.workspace
+        series = EnergySeries.from_samples([ws.energy_sample(s) for s in source.states])
     else:
         series = source
     if len(series.t) < 2:
@@ -607,8 +493,7 @@ def equipartition_report(
     """
     cs = cesaro_means(traj_or_series)
     if isinstance(traj_or_series, Trajectory):
-        ctx = RunContext(traj_or_series.problem)
-        e0 = ctx.energy_sample(traj_or_series.states[0]).total
+        e0 = traj_or_series.problem.workspace.energy_sample(traj_or_series.states[0]).total
     else:
         e0 = float(traj_or_series.total[0])
     free = problem.boundary.meas_sigma1_zero(problem.grid)
@@ -639,13 +524,12 @@ def equipartition_report(
     if rigid is None:
         raise MissingDecomposition("all-traction case needs the rigid decomposition")
     k = problem.consts
-    w = problem.grid.weights()
-    x = problem.grid.positions()
-    r1 = rigid.motion_adot1.field(x)
-    r2 = rigid.motion_adot2.field(x)
+    ws = problem.workspace
+    r1 = rigid.motion_adot1.field(ws.x)
+    r2 = rigid.motion_adot2.field(ws.x)
     offset = 0.5 * float(
-        np.sum(w * (k.rho1 * np.einsum("i...,i...->...", r1, r1)
-                    + k.rho2 * np.einsum("i...,i...->...", r2, r2)))
+        np.sum(ws.w * (k.rho1 * np.einsum("i...,i...->...", r1, r1)
+                       + k.rho2 * np.einsum("i...,i...->...", r2, r2)))
     )
     return EquipartitionReport(
         case="free",
@@ -680,11 +564,7 @@ class IdentityResiduals:
     scale: float
 
 
-def identity_residuals(
-    traj: Trajectory,
-    lam: float,
-    ctx: RunContext | None = None,
-) -> IdentityResiduals:
+def identity_residuals(traj: Trajectory, lam: float) -> IdentityResiduals:
     """Evaluate the three whole-body identity residuals on a trajectory.
 
     Requires a uniformly recorded cadence (the two-time identity pairs
@@ -699,108 +579,52 @@ def identity_residuals(
     """
     if len(traj) < 3:
         raise InsufficientSnapshots("need at least 3 snapshots")
-    ctx = ctx or RunContext(traj.problem)
     problem = traj.problem
+    ws = problem.workspace
+    states = traj.states
     times = traj.times
     steps = np.diff(times)
     if steps.size and (np.max(steps) - np.min(steps)) > 1e-9 * max(np.max(steps), 1e-300):
         raise InsufficientSnapshots("two-time identity needs a uniform cadence")
     n = len(times)
-    samples = [ctx.energy_sample(s) for s in traj.states]
+    samples = [ws.energy_sample(s) for s in states]
     energy = np.array([s.total for s in samples])
     two_k = np.array([2.0 * (s.kinetic_u + s.kinetic_phi) for s in samples])
     two_w = np.array([2.0 * s.strain for s in samples])
-    qpair = np.array([ctx.pair_product(s) for s in traj.states])
+    qpair = np.array([ws.pair_product(s, s) for s in states])
 
-    source_rate_v = np.zeros(n)
-    source_rate_u = np.zeros(n)
+    # Applied loads stacked like U: ρ-weighted body sources per node volume,
+    # plus the boundary load; their pairings with V and U are the rates of
+    # work and of virial work.
+    body = None
     if problem.f is not None or problem.ell is not None:
-        k = problem.consts
-        for j, state in enumerate(traj.states):
-            acc_v = acc_u = 0.0
-            if problem.f is not None:
-                f1, f2 = problem.f(ctx.x, state.t)
-                acc_v += float(np.sum(ctx.w * (k.rho1 * np.einsum("i...,i...->...", np.asarray(f1), state.v1)
-                                               + k.rho2 * np.einsum("i...,i...->...", np.asarray(f2), state.v2))))
-                acc_u += float(np.sum(ctx.w * (k.rho1 * np.einsum("i...,i...->...", np.asarray(f1), state.u1)
-                                               + k.rho2 * np.einsum("i...,i...->...", np.asarray(f2), state.u2))))
-            if problem.ell is not None:
-                l1, l2 = problem.ell(ctx.x, state.t)
-                acc_v += float(np.sum(ctx.w * (k.rho1 * np.asarray(l1) * state.psi1
-                                               + k.rho2 * np.asarray(l2) * state.psi2)))
-                acc_u += float(np.sum(ctx.w * (k.rho1 * np.asarray(l1) * state.phi1
-                                               + k.rho2 * np.asarray(l2) * state.phi2)))
-            source_rate_v[j] = acc_v
-            source_rate_u[j] = acc_u
-
-    bw_rate_v = np.zeros(n)
-    bw_rate_u = np.zeros(n)
-    ws = Workspace(problem)
-    if ws.natural_u or ws.natural_phi:
-        for j, state in enumerate(traj.states):
-            acc_v = acc_u = 0.0
-            for axis, end, sl, bw, value in ws.natural_u:
-                t1, t2 = value(ws.x[(slice(None),) + sl], state.t)
-                acc_v += float(np.sum(bw * (np.einsum("i...,i...->...", np.asarray(t1), state.v1[(slice(None),) + sl])
-                                            + np.einsum("i...,i...->...", np.asarray(t2), state.v2[(slice(None),) + sl]))))
-                acc_u += float(np.sum(bw * (np.einsum("i...,i...->...", np.asarray(t1), state.u1[(slice(None),) + sl])
-                                            + np.einsum("i...,i...->...", np.asarray(t2), state.u2[(slice(None),) + sl]))))
-            for axis, end, sl, bw, value in ws.natural_phi:
-                q1, q2 = value(ws.x[(slice(None),) + sl], state.t)
-                acc_v += float(np.sum(bw * (np.asarray(q1) * state.psi1[sl] + np.asarray(q2) * state.psi2[sl])))
-                acc_u += float(np.sum(bw * (np.asarray(q1) * state.phi1[sl] + np.asarray(q2) * state.phi2[sl])))
-            bw_rate_v[j] = acc_v
-            bw_rate_u[j] = acc_u
+        body = [ws.w * ws.rho * ws.sources(t) for t in times]
+    rate_v = np.zeros(n)
+    rate_u = np.zeros(n)
+    for j, state in enumerate(states):
+        for load in (body[j] if body is not None else None, ws.boundary_load(state.t)):
+            if load is not None:
+                rate_v[j] += float(np.sum(load * state.V))
+                rate_u[j] += float(np.sum(load * state.U))
 
     decay = np.exp(-lam * times)
     lhs16 = decay * energy + lam * _cumtrapz(decay * energy, times)
-    rhs16 = energy[0] + _cumtrapz(decay * (source_rate_v + bw_rate_v), times)
+    rhs16 = energy[0] + _cumtrapz(decay * rate_v, times)
     res16 = np.abs(lhs16 - rhs16)
 
-    rhs19 = qpair[0] + _cumtrapz(two_k - two_w + source_rate_u + bw_rate_u, times)
+    rhs19 = qpair[0] + _cumtrapz(two_k - two_w + rate_u, times)
     res19 = np.abs(qpair - rhs19)
 
     n_half = (n - 1) // 2
     res23 = np.zeros(n_half + 1)
-    k = problem.consts
-    w = ctx.w
-    f_vals = None
-    l_vals = None
-    if problem.f is not None:
-        f_vals = [tuple(np.asarray(v) for v in problem.f(ctx.x, t)) for t in times]
-    if problem.ell is not None:
-        l_vals = [tuple(np.asarray(v) for v in problem.ell(ctx.x, t)) for t in times]
+    s0 = states[0]
     for j in range(n_half + 1):
-        sm = traj.states[2 * j]
-        s0 = traj.states[0]
-        bracket = float(
-            np.sum(w * (
-                k.rho1 * (np.einsum("i...,i...->...", s0.u1, sm.v1) + np.einsum("i...,i...->...", s0.v1, sm.u1))
-                + k.rho2 * (np.einsum("i...,i...->...", s0.u2, sm.v2) + np.einsum("i...,i...->...", s0.v2, sm.u2))
-                + k.rho1 * k.chi1 * (s0.phi1 * sm.psi1 + sm.phi1 * s0.psi1)
-                + k.rho2 * k.chi2 * (s0.phi2 * sm.psi2 + sm.phi2 * s0.psi2)
-            ))
-        )
-        if f_vals is not None or l_vals is not None:
-            vals = np.zeros(j + 1)
-            for i in range(j + 1):
-                lo, hi = traj.states[j - i], traj.states[j + i]
-                acc = 0.0
-                if f_vals is not None:
-                    acc += float(np.sum(w * (
-                        k.rho1 * (np.einsum("i...,i...->...", f_vals[j - i][0], hi.u1)
-                                  - np.einsum("i...,i...->...", f_vals[j + i][0], lo.u1))
-                        + k.rho2 * (np.einsum("i...,i...->...", f_vals[j - i][1], hi.u2)
-                                    - np.einsum("i...,i...->...", f_vals[j + i][1], lo.u2))
-                    )))
-                if l_vals is not None:
-                    acc += float(np.sum(w * (
-                        k.rho1 * (l_vals[j - i][0] * hi.phi1 - l_vals[j + i][0] * lo.phi1)
-                        + k.rho2 * (l_vals[j - i][1] * hi.phi2 - l_vals[j + i][1] * lo.phi2)
-                    )))
-                vals[i] = acc
-            if j > 0:
-                bracket += float(np.trapezoid(vals, dx=times[1] - times[0]))
+        sm = states[2 * j]
+        bracket = ws.pair_product(s0, sm) + ws.pair_product(sm, s0)
+        if body is not None and j > 0:
+            vals = [float(np.sum(body[j - i] * states[j + i].U - body[j + i] * states[j - i].U))
+                    for i in range(j + 1)]
+            bracket += float(np.trapezoid(vals, dx=times[1] - times[0]))
         res23[j] = abs(2.0 * qpair[j] - bracket)
     scale = float(max(np.max(energy), np.max(np.abs(qpair)), 1e-300))
     return IdentityResiduals(

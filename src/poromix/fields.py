@@ -1,17 +1,42 @@
 """Vectorized field kinematics on structured grids.
 
 Second-order difference stencils (central interior, one-sided 3-point at the
-ends), their exact adjoints, and batched evaluation of strains, stresses and
-energy density over whole node arrays.  Grid axes are the trailing axes of
-every array; component axes lead.  All constitutive algebra stays full 3-D
-regardless of how many spatial axes are sampled.
+ends), their exact adjoints, and the jet form that carries the whole
+constitutive law over node arrays.  Grid axes are the trailing axes of every
+array; component axes lead.
+
+The state is stacked as U = (u¹, u², φ¹, φ²), an (8, *grid) array, and its
+jet as Y = (U, ∂₁U, …), a (1 + dim, 8, *grid) array.  A constant matrix P
+maps the jet to the 29 strain slots, E = PY, so with Q = Pᵀ𝒜P the stored
+energy is W = ½ Y·QY and the blocks of QY are the generalized stresses::
+
+    (QY)₀ = (p, −p, −g¹, −g²),   (QY)ⱼ = (S¹[:, j], S²[:, j], h¹ⱼ, h²ⱼ)
+
+All constitutive algebra stays full 3-D: derivatives along unsampled
+directions are zero and simply absent from the jet.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .materials import MaterialConstants, QuadraticForm
+from .materials import (
+    D_BLOCK,
+    G_BLOCK,
+    GPHI1_BLOCK,
+    GPHI2_BLOCK,
+    PHI1_SLOT,
+    PHI2_SLOT,
+    QuadraticForm,
+    pair_slot,
+)
+
+# Rows of the stacked state U = (u¹, u², φ¹, φ²).
+U1_ROWS = slice(0, 3)
+U2_ROWS = slice(3, 6)
+PHI1_ROW = 6
+PHI2_ROW = 7
+STATE_ROWS = 8
 
 
 def _idx(nd: int, ax: int, s) -> tuple:
@@ -59,136 +84,40 @@ def gradient_adjoint(q: np.ndarray, ax: int, h: float) -> np.ndarray:
     return out
 
 
-class StrainBundle:
-    """Nodal strain measures of a sampled state (trailing axes = grid)."""
-
-    __slots__ = ("G1", "G2", "e", "g", "d", "gp1", "gp2", "phi1", "phi2")
-
-    def __init__(self, G1, G2, e, g, d, gp1, gp2, phi1, phi2):
-        self.G1, self.G2 = G1, G2
-        self.e, self.g, self.d = e, g, d
-        self.gp1, self.gp2 = gp1, gp2
-        self.phi1, self.phi2 = phi1, phi2
+def jet(U: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
+    """Y = (U, ∂₁U, …) of a stacked state: one stencil call per grid axis."""
+    return np.stack([U] + [central_gradient(U, 1 + j, hj) for j, hj in enumerate(h)])
 
 
-def vector_gradient(u: np.ndarray, dim: int, h: tuple[float, ...]) -> np.ndarray:
-    """Full 3×3 gradient G[i, j] = ∂u_i/∂x_j of a (3, *grid) field.
+def jet_map(dim: int) -> np.ndarray:
+    """The constant 29 × 8(1 + dim) matrix P with E = P·Y.
 
-    Derivatives along unsampled directions are zero (fields are independent
-    of the unsampled coordinates).
+    e = sym ∇u¹, g_rs = u¹_{s,r} + u²_{r,s}, d = u¹ − u², plus φᵅ and ∇φᵅ.
     """
-    shape = u.shape[1:]
-    G = np.zeros((3, 3) + shape)
+    P = np.zeros((29, 1 + dim, STATE_ROWS))
+    for i in range(3):
+        P[D_BLOCK.start + i, 0, U1_ROWS.start + i] = 1.0
+        P[D_BLOCK.start + i, 0, U2_ROWS.start + i] = -1.0
+    P[PHI1_SLOT, 0, PHI1_ROW] = 1.0
+    P[PHI2_SLOT, 0, PHI2_ROW] = 1.0
     for j in range(dim):
         for i in range(3):
-            G[i, j] = central_gradient(u[i], j, h[j])
-    return G
+            # ∂ⱼu¹ᵢ enters e_ij and e_ji with ½ each, and g_ji; ∂ⱼu²ᵢ enters g_ij.
+            P[pair_slot(i, j), 1 + j, U1_ROWS.start + i] += 0.5
+            P[pair_slot(j, i), 1 + j, U1_ROWS.start + i] += 0.5
+            P[G_BLOCK.start + pair_slot(j, i), 1 + j, U1_ROWS.start + i] = 1.0
+            P[G_BLOCK.start + pair_slot(i, j), 1 + j, U2_ROWS.start + i] = 1.0
+        P[GPHI1_BLOCK.start + j, 1 + j, PHI1_ROW] = 1.0
+        P[GPHI2_BLOCK.start + j, 1 + j, PHI2_ROW] = 1.0
+    return P.reshape(29, -1)
 
 
-def scalar_gradient(phi: np.ndarray, dim: int, h: tuple[float, ...]) -> np.ndarray:
-    """(3, *grid) gradient of a scalar field; unsampled components zero."""
-    G = np.zeros((3,) + phi.shape)
-    for j in range(dim):
-        G[j] = central_gradient(phi, j, h[j])
-    return G
+def jet_form(form: QuadraticForm, dim: int) -> np.ndarray:
+    """Q = Pᵀ𝒜P, the stored energy as a quadratic form in the jet."""
+    P = jet_map(dim)
+    return P.T @ form.matrix @ P
 
 
-def strain_fields(u1, u2, phi1, phi2, dim, h) -> StrainBundle:
-    """All strain measures of the sampled state in one pass."""
-    G1 = vector_gradient(u1, dim, h)
-    G2 = vector_gradient(u2, dim, h)
-    e = 0.5 * (G1 + np.swapaxes(G1, 0, 1))
-    g = np.swapaxes(G1, 0, 1) + G2
-    return StrainBundle(
-        G1=G1,
-        G2=G2,
-        e=e,
-        g=g,
-        d=u1 - u2,
-        gp1=scalar_gradient(phi1, dim, h),
-        gp2=scalar_gradient(phi2, dim, h),
-        phi1=phi1,
-        phi2=phi2,
-    )
-
-
-class StressEvaluator:
-    """Batched constitutive law; caches the coefficient tensors.
-
-    ``__call__`` returns (S1, S2, g1, g2, p, h1, h2) with the same storage
-    convention as the pointwise API: S[i, j] = S_ji, traction = S·n.
-    """
-
-    def __init__(self, consts: MaterialConstants):
-        A, B, C = consts.A, consts.B, consts.C
-        self.ce1 = A.transpose(1, 0, 2, 3) + B.transpose(3, 2, 0, 1)
-        self.cg1 = B + C.transpose(1, 0, 2, 3)
-        self.ce2 = B.transpose(2, 3, 0, 1)
-        self.cg2 = C
-        self.f1 = consts.D + consts.M
-        self.f2 = consts.E + consts.N
-        self.consts = consts
-
-    def __call__(self, sb: StrainBundle):
-        k = self.consts
-        s1 = (
-            np.einsum("ijrs,rs...->ij...", self.ce1, sb.e)
-            + np.einsum("ijrs,rs...->ij...", self.cg1, sb.g)
-            + np.multiply.outer(self.f1, sb.phi1)
-            + np.multiply.outer(self.f2, sb.phi2)
-        )
-        s2 = (
-            np.einsum("ijrs,rs...->ij...", self.ce2, sb.e)
-            + np.einsum("ijrs,rs...->ij...", self.cg2, sb.g)
-            + np.multiply.outer(k.M, sb.phi1)
-            + np.multiply.outer(k.N, sb.phi2)
-        )
-        g1 = (
-            -np.einsum("ij,ij...->...", k.D, sb.e)
-            - np.einsum("ij,ij...->...", k.M, sb.g)
-            - k.zeta * sb.phi1
-            - k.tau * sb.phi2
-        )
-        g2 = (
-            -np.einsum("ij,ij...->...", k.E, sb.e)
-            - np.einsum("ij,ij...->...", k.N, sb.g)
-            - k.tau * sb.phi1
-            - k.mu * sb.phi2
-        )
-        p = (
-            np.einsum("ij,j...->i...", k.a, sb.d)
-            + np.einsum("ij,j...->i...", k.b, sb.gp1)
-            + np.einsum("ij,j...->i...", k.c, sb.gp2)
-        )
-        h1 = (
-            np.einsum("ij,j...->i...", k.alpha, sb.gp1)
-            + np.einsum("ij,j...->i...", k.beta, sb.gp2)
-            + np.einsum("ji,j...->i...", k.b, sb.d)
-        )
-        h2 = (
-            np.einsum("ji,j...->i...", k.beta, sb.gp1)
-            + np.einsum("ij,j...->i...", k.gamma, sb.gp2)
-            + np.einsum("ji,j...->i...", k.c, sb.d)
-        )
-        return s1, s2, g1, g2, p, h1, h2
-
-
-def stack_strain(sb: StrainBundle) -> np.ndarray:
-    """Assemble the (29, *grid) strain-slot field from a bundle."""
-    shape = sb.phi1.shape
-    out = np.empty((29,) + shape)
-    out[0:9] = sb.e.reshape((9,) + shape)
-    out[9:18] = sb.g.reshape((9,) + shape)
-    out[18] = sb.phi1
-    out[19] = sb.phi2
-    out[20:23] = sb.d
-    out[23:26] = sb.gp1
-    out[26:29] = sb.gp2
-    return out
-
-
-def energy_density_field(form: QuadraticForm, sb: StrainBundle) -> np.ndarray:
-    """Nodal stored-energy density W = ½ E·𝒜E over the grid."""
-    ev = stack_strain(sb)
-    conj = np.einsum("KL,L...->K...", form.matrix, ev)
-    return 0.5 * np.einsum("K...,K...->...", ev, conj)
+def stored_energy(Y: np.ndarray, QY: np.ndarray) -> np.ndarray:
+    """Nodal stored-energy density W = ½ Y·QY."""
+    return 0.5 * np.einsum("bc...,bc...->...", Y, QY)

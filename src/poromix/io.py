@@ -7,7 +7,6 @@ produce byte-identical files.
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 
@@ -87,7 +86,7 @@ def read_snapshot(path) -> StateField:
         arr = np.frombuffer(data[start : start + 8 * count], dtype="<f8").reshape(shape)
         fields[meta["field"]] = arr.copy()
         pos = start + 8 * count
-    return StateField(t=t, **fields)
+    return StateField.from_fields(t, **fields)
 
 
 def file_sha256(path) -> str:
@@ -104,6 +103,3 @@ def write_manifest(path, entries: dict[str, str]) -> None:
         for name in sorted(entries):
             fh.write(f"{entries[name]}  {name}\n")
 
-
-def hash_tree(paths: list[str]) -> dict[str, str]:
-    return {os.path.basename(p): file_sha256(p) for p in paths}

@@ -43,6 +43,8 @@ from .solver import (
     Grid,
     InitialData,
     ProblemSpec,
+    RigidMotion,
+    gaussian_pulse,
     rigid_decompose,
     simulate,
 )
@@ -120,41 +122,6 @@ def _parallel(jobs):
 # ---------------------------------------------------------------------------
 # Shared scenario builders.
 # ---------------------------------------------------------------------------
-
-
-def _scalar_pulse(center, width, amplitude):
-    c = np.asarray(center, dtype=float)
-
-    def fn(x):
-        r2 = sum((x[a] - c[a]) ** 2 for a in range(len(c)))
-        return amplitude * np.exp(-r2 / (2.0 * width**2))
-
-    return fn
-
-
-def _vector_pulse(comp, center, width, amplitude):
-    bump = _scalar_pulse(center, width, amplitude)
-
-    def fn(x):
-        out = np.zeros((3,) + x.shape[1:])
-        out[comp] = bump(x)
-        return out
-
-    return fn
-
-
-def _rigid_field(translation, rotation):
-    t = np.asarray(translation, dtype=float)
-    r = np.asarray(rotation, dtype=float)
-
-    def fn(x):
-        out = np.zeros((3,) + x.shape[1:])
-        out[0] = t[0] + r[1] * x[2] - r[2] * x[1]
-        out[1] = t[1] + r[2] * x[0] - r[0] * x[2]
-        out[2] = t[2] + r[0] * x[1] - r[1] * x[0]
-        return out
-
-    return fn
 
 
 def _sum_fields(*fns):
@@ -342,11 +309,11 @@ def conservation_problem(seed: int, n: int = 400, cfl: float = 0.5) -> ProblemSp
     boundary = BoundaryPartition.uniform("natural", "natural", dim=1)
     width = 0.06
     initial = InitialData(
-        u1=_vector_pulse(0, [0.45], width, 1.0),
-        u2=_vector_pulse(1, [0.55], width, 0.7),
-        v1=_vector_pulse(2, [0.5], width, 0.4),
-        phi1=_scalar_pulse([0.5], width, 0.5),
-        psi2=_scalar_pulse([0.42], width, 0.3),
+        u1=gaussian_pulse([0.45], width, 1.0, component=0),
+        u2=gaussian_pulse([0.55], width, 0.7, component=1),
+        v1=gaussian_pulse([0.5], width, 0.4, component=2),
+        phi1=gaussian_pulse([0.5], width, 0.5),
+        psi2=gaussian_pulse([0.42], width, 0.3),
     )
     return ProblemSpec(grid=grid, consts=consts, boundary=boundary, initial=initial,
                        cfl=cfl, T=1.0)
@@ -360,8 +327,7 @@ def _drift_run(seed: int, n: int, steps: int):
         grid=problem.grid, consts=problem.consts, boundary=problem.boundary,
         initial=problem.initial, cfl=problem.cfl, T=steps * dt,
     )
-    ctx = diag.RunContext(problem)
-    erec = diag.EnergyRecorder(ctx, every=10)
+    erec = diag.EnergyRecorder(problem.workspace, every=10)
     simulate(problem, recorders=(erec,), n_steps=steps)
     return erec.series().max_relative_drift()
 
@@ -398,9 +364,9 @@ def suite_identities(seed: int = 0) -> VerifyReport:
         n = n0 * 2**level + 1
         grid = Grid(dim=1, n=(n,), h=(1.0 / (n - 1),))
         initial = InitialData(
-            u1=_vector_pulse(0, [0.5], 0.07, 1.0),
-            v2=_vector_pulse(1, [0.45], 0.07, 0.6),
-            phi2=_scalar_pulse([0.55], 0.07, 0.5),
+            u1=gaussian_pulse([0.5], 0.07, 1.0, component=0),
+            v2=gaussian_pulse([0.45], 0.07, 0.6, component=1),
+            phi2=gaussian_pulse([0.55], 0.07, 0.5),
         )
         problem = ProblemSpec(
             grid=grid, consts=consts, lam=lam,
@@ -451,9 +417,9 @@ def _pulse_trajectory(consts: MaterialConstants, n: int, lam: float, width: floa
                       cadence: int = 2):
     grid = Grid(dim=1, n=(n,), h=(1.0 / (n - 1),))
     initial = InitialData(
-        u1=_vector_pulse(0, [0.5], width, 1.0),
-        v1=_vector_pulse(0, [0.5], width, 0.5),
-        phi1=_scalar_pulse([0.5], width, 0.4),
+        u1=gaussian_pulse([0.5], width, 1.0, component=0),
+        v1=gaussian_pulse([0.5], width, 0.5, component=0),
+        phi1=gaussian_pulse([0.5], width, 0.4),
     )
     problem = ProblemSpec(
         grid=grid, consts=consts, lam=lam,
@@ -491,12 +457,11 @@ def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
     def run(n, cadence):
         problem, geom, traj, speed = _pulse_trajectory(consts, n, lam=1.0, cadence=cadence)
         r_grid = diag.default_r_grid(geom, count=28)
-        ctx = diag.RunContext(problem)
-        sps = diag.surface_power(traj, geom, r_grid, lam=1.0, ctx=ctx)
-        return problem, geom, traj, speed, r_grid, ctx, sps
+        sps = diag.surface_power(traj, geom, r_grid, lam=1.0)
+        return problem, geom, traj, speed, r_grid, sps
 
     (base, fine) = _parallel([lambda: run(401, 2), lambda: run(801, 4)])
-    problem, geom, traj, speed, r_grid, ctx, sps = base
+    problem, geom, traj, speed, r_grid, sps = base
     p_ref = max(float(sps.P[0, -1]), 1e-300)
 
     worst_neg = float(np.min(sps.P)) / p_ref
@@ -509,7 +474,7 @@ def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
         mono, 0.0, 1e-6, mono <= 1e-6))
 
     err_base = _power_error(sps)
-    err_fine = _power_error(fine[6])
+    err_fine = _power_error(fine[5])
     rep.checks += [
         CheckResult("power_equals_energy", "P(r,t) = E(r,t) within 3% relative",
                     err_base, 0.03, 0.0, err_base <= 0.03),
@@ -531,7 +496,7 @@ def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
     length = problem.grid.extent()[0]
     for mult in (0.5, 1.0, 2.0):
         lam = mult * speed.c / length
-        sps_l = diag.surface_power(traj, geom, r_grid, lam=lam, ctx=ctx)
+        sps_l = diag.surface_power(traj, geom, r_grid, lam=lam)
         speed_l = wave_speed(consts, speed.c**2 * speed.m_inertia, lam)
         p0 = sps_l.P[0]
         t_sel = np.where(p0 > 1e-8 * max(np.max(p0), 1e-300))[0]
@@ -620,9 +585,9 @@ def _front_run(consts: MaterialConstants, n: int, threshold: float = 1e-6,
         initial, v_analytic = _fast_mode_initial(consts, width, 0.5)
     else:
         initial = InitialData(
-            u1=_vector_pulse(0, [0.5], width, 1.0),
-            v2=_vector_pulse(0, [0.5], width, 0.5),
-            phi1=_scalar_pulse([0.5], width, 0.4),
+            u1=gaussian_pulse([0.5], width, 1.0, component=0),
+            v2=gaussian_pulse([0.5], width, 0.5, component=0),
+            phi1=gaussian_pulse([0.5], width, 0.4),
         )
         v_analytic = None
     problem = ProblemSpec(
@@ -702,9 +667,9 @@ def _equipartition_case_i(seed: int):
     n = 201
     grid = Grid(dim=1, n=(n,), h=(1.0 / (n - 1),))
     initial = InitialData(
-        u1=_vector_pulse(0, [0.5], 0.05, 1.0),
-        u2=_vector_pulse(1, [0.4], 0.05, 0.6),
-        phi1=_scalar_pulse([0.6], 0.05, 0.5),
+        u1=gaussian_pulse([0.5], 0.05, 1.0, component=0),
+        u2=gaussian_pulse([0.4], 0.05, 0.6, component=1),
+        phi1=gaussian_pulse([0.6], 0.05, 0.5),
     )
     problem = ProblemSpec(
         grid=grid, consts=consts,
@@ -715,8 +680,7 @@ def _equipartition_case_i(seed: int):
         grid=grid, consts=consts, boundary=problem.boundary, initial=initial,
         T=_transits(problem, 50.0), cfl=0.5,
     )
-    ctx = diag.RunContext(problem)
-    erec = diag.EnergyRecorder(ctx, every=4)
+    erec = diag.EnergyRecorder(problem.workspace, every=4)
     simulate(problem, recorders=(erec,))
     series = erec.series()
     return diag.equipartition_report(series, problem)
@@ -751,21 +715,21 @@ def _equipartition_case_ii(seed: int, scenario: str):
     if scenario == "rotation2d":
         n = (25, 25)
         grid = Grid(dim=2, n=n, h=(1.0 / (n[0] - 1), 1.0 / (n[1] - 1)))
-        rigid_v = _rigid_field([0.3, 0.1, 0.05], [0.0, 0.0, 0.4])
+        rigid_v = RigidMotion([0.3, 0.1, 0.05], [0.0, 0.0, 0.4]).field
         extra = InitialData(v1=rigid_v, v2=rigid_v)
         transits = 5.0
     elif scenario == "pure":
         grid = Grid(dim=1, n=(201,), h=(1.0 / 200.0,))
-        rigid_v = _rigid_field([0.3, 0.1, 0.2], [0.0, 0.0, 0.0])
+        rigid_v = RigidMotion([0.3, 0.1, 0.2], [0.0, 0.0, 0.0]).field
         extra = InitialData(v1=rigid_v, v2=rigid_v)
         transits = 5.0
     else:
         grid = Grid(dim=1, n=(201,), h=(1.0 / 200.0,))
-        rigid_v = _rigid_field([0.3, 0.1, 0.0], [0.0, 0.0, 0.0])
+        rigid_v = RigidMotion([0.3, 0.1, 0.0], [0.0, 0.0, 0.0]).field
         extra = InitialData(
             v1=_sum_fields(rigid_v, _odd_pulse(0, 0.5, 0.04, 0.5)),
             v2=_sum_fields(rigid_v, _odd_pulse(0, 0.45, 0.04, 0.4)),
-            phi1=_scalar_pulse([0.55] * grid.dim, 0.05, 0.2),
+            phi1=gaussian_pulse([0.55] * grid.dim, 0.05, 0.2),
         )
         transits = 50.0
     boundary = BoundaryPartition.uniform("natural", "natural", dim=grid.dim)
@@ -779,8 +743,7 @@ def _equipartition_case_ii(seed: int, scenario: str):
         grid=grid, consts=consts, boundary=boundary, initial=extra,
         T=_transits(problem, transits), cfl=0.5,
     )
-    ctx = diag.RunContext(problem)
-    erec = diag.EnergyRecorder(ctx, every=4)
+    erec = diag.EnergyRecorder(problem.workspace, every=4)
     simulate(problem, recorders=(erec,))
     series = erec.series()
     return diag.equipartition_report(series, problem, rigid=rigid)
@@ -862,13 +825,12 @@ def suite_uniqueness(seed: int = 0) -> VerifyReport:
 
     pulse = ProblemSpec(
         grid=grid, consts=consts, boundary=problem.boundary,
-        initial=InitialData(u1=_vector_pulse(0, [0.5], 0.05, 1.0)),
+        initial=InitialData(u1=gaussian_pulse([0.5], 0.05, 1.0, component=0)),
         T=0.05, cfl=0.5,
     )
 
     def run_bytes():
-        ctx = diag.RunContext(pulse)
-        erec = diag.EnergyRecorder(ctx, every=1)
+        erec = diag.EnergyRecorder(pulse.workspace, every=1)
         final = simulate(pulse, recorders=(erec,))
         series = erec.series()
         blob = series.t.tobytes() + series.total.tobytes() + final.u1.tobytes()

@@ -45,20 +45,3 @@ def random_point_state(rng) -> PointState:
         grad_phi2=rng.standard_normal(3),
     )
 
-
-def gaussian_vector_pulse(comp, center, width, amp):
-    def fn(x):
-        out = np.zeros((3,) + x.shape[1:])
-        r2 = sum((x[a] - center[a]) ** 2 for a in range(len(center)))
-        out[comp] = amp * np.exp(-r2 / (2.0 * width**2))
-        return out
-
-    return fn
-
-
-def gaussian_scalar_pulse(center, width, amp):
-    def fn(x):
-        r2 = sum((x[a] - center[a]) ** 2 for a in range(len(center)))
-        return amp * np.exp(-r2 / (2.0 * width**2))
-
-    return fn

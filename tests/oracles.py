@@ -178,6 +178,40 @@ def symmetry_violations_loops(k, tol: float = 1e-12) -> set:
 
 
 # ---------------------------------------------------------------------------
+# Stored energy of a grid state, node by node through the pointwise law.
+# ---------------------------------------------------------------------------
+
+
+def point_state_at(U: np.ndarray, grads: list[np.ndarray], node: tuple):
+    """PointState of a stacked (u¹, u², φ¹, φ²) grid state at one node.
+
+    ``grads[j]`` is ∂ⱼU on the grid; unsampled derivatives are zero.
+    """
+    from poromix.pointwise import PointState
+
+    u = U[(slice(None),) + node]
+    G = np.zeros((8, 3))
+    for j, g in enumerate(grads):
+        G[:, j] = g[(slice(None),) + node]
+    return PointState(grad_u1=G[0:3], grad_u2=G[3:6], u1=u[0:3], u2=u[3:6],
+                      phi1=float(u[6]), phi2=float(u[7]),
+                      grad_phi1=G[6], grad_phi2=G[7])
+
+
+def stored_energy_pointwise(form, U: np.ndarray, h) -> np.ndarray:
+    """Nodal W: stencil derivatives per node, then the pointwise strain map and
+    W = ½E·𝒜E, one node at a time (no jet form involved)."""
+    from poromix.fields import central_gradient
+    from poromix.pointwise import internal_energy_density, strain_vector
+
+    grads = [central_gradient(U, 1 + j, hj) for j, hj in enumerate(h)]
+    out = np.zeros(U.shape[1:])
+    for node in np.ndindex(out.shape):
+        out[node] = internal_energy_density(form, strain_vector(point_state_at(U, grads, node)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Quadrature and moments.
 # ---------------------------------------------------------------------------
 

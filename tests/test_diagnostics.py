@@ -14,9 +14,9 @@ from poromix.errors import (
     NoFront,
     UndefinedAtZero,
 )
+from poromix.fields import stored_energy
 
 from . import oracles
-from .conftest import gaussian_scalar_pulse, gaussian_vector_pulse
 
 
 def natural_bc(dim=1):
@@ -35,9 +35,9 @@ def pulse_run():
     prob = problem_1d(
         consts, n=201, T=0.0,
         initial=pm.InitialData(
-            u1=gaussian_vector_pulse(0, [0.5], 0.02, 1.0),
-            v1=gaussian_vector_pulse(0, [0.5], 0.02, 0.5),
-            phi1=gaussian_scalar_pulse([0.5], 0.02, 0.4),
+            u1=pm.gaussian_pulse([0.5], 0.02, 1.0, component=0),
+            v1=pm.gaussian_pulse([0.5], 0.02, 0.5, component=0),
+            phi1=pm.gaussian_pulse([0.5], 0.02, 0.4),
         ))
     geom = diag.support_geometry(prob)
     speed = prob.speed()
@@ -52,7 +52,7 @@ class TestTotalEnergy:
     def test_zero_state(self, random_consts):
         prob = problem_1d(random_consts)
         state = pm.initialize(prob)
-        assert diag.total_energy(state, prob).total == 0.0
+        assert prob.workspace.energy_sample(state).total == 0.0
 
     def test_uniform_kinetic(self, random_consts):
         vel = np.array([0.3, -0.1, 0.2])
@@ -62,7 +62,7 @@ class TestTotalEnergy:
             return np.broadcast_to(vel.reshape(3, 1), (3,) + shape).copy()
 
         prob = problem_1d(random_consts, initial=pm.InitialData(v1=v))
-        sample = diag.total_energy(pm.initialize(prob), prob)
+        sample = prob.workspace.energy_sample(pm.initialize(prob))
         volume = 1.0
         expected = 0.5 * random_consts.rho1 * float(vel @ vel) * volume
         assert sample.kinetic_u == pytest.approx(expected, rel=1e-12)
@@ -81,15 +81,13 @@ class TestTotalEnergy:
             prob = problem_1d(
                 random_consts, n=n,
                 initial=pm.InitialData(
-                    u1=gaussian_vector_pulse(0, [0.5], 0.1, 1.0),
-                    phi2=gaussian_scalar_pulse([0.45], 0.12, 0.8),
+                    u1=pm.gaussian_pulse([0.5], 0.1, 1.0, component=0),
+                    phi2=pm.gaussian_pulse([0.45], 0.12, 0.8),
                 ))
             state = pm.initialize(prob)
-            ctx = diag.RunContext(prob)
-            from poromix.fields import energy_density_field
-
-            dens = energy_density_field(ctx.form, ctx.strain(state))
-            trap = float(np.sum(ctx.w * dens))
+            ws = prob.workspace
+            dens = stored_energy(*ws.stress(state.U))
+            trap = float(np.sum(ws.w * dens))
             simp = oracles.simpson_1d(dens, prob.grid.h[0])
             diffs.append(abs(trap - simp) / simp)
         assert diffs[0] < 1e-4
@@ -123,8 +121,8 @@ class TestSupportGeometry:
         prob = problem_1d(
             random_consts, n=81,
             initial=pm.InitialData(
-                u1=gaussian_vector_pulse(0, [0.25], 0.02, 1.0),
-                u2=gaussian_vector_pulse(1, [0.75], 0.02, 1.0),
+                u1=pm.gaussian_pulse([0.25], 0.02, 1.0, component=0),
+                u2=pm.gaussian_pulse([0.75], 0.02, 1.0, component=1),
             ))
         geom = diag.support_geometry(prob)
         x = prob.grid.positions().reshape(3, -1)
@@ -173,13 +171,16 @@ class TestSurfacePower:
 
     def test_weighted_energy_lambda_zero_is_plain_energy(self, pulse_run):
         prob, geom, speed, _, traj = pulse_run
-        r_grid = np.array([0.0, 0.05])
-        ev = diag.weighted_energy(traj, geom, r_grid, lam=0.0)
-        ctx = diag.RunContext(prob)
+        sps = diag.surface_power(traj, geom, np.array([0.0, 0.05]), lam=0.0)
         state = traj.states[-1]
-        eps = ctx.energy_density(state)
-        direct = float(np.sum(ctx.w[geom.dist > 0.05] * eps[geom.dist > 0.05]))
-        assert ev[1, -1] == pytest.approx(direct, rel=1e-12)
+        k = prob.consts
+        kin = 0.5 * (k.rho1 * np.sum(state.v1**2, axis=0) + k.rho2 * np.sum(state.v2**2, axis=0)
+                     + k.rho1 * k.chi1 * state.psi1**2 + k.rho2 * k.chi2 * state.psi2**2)
+        form = pm.assemble_quadratic_form(k)
+        eps = kin + oracles.stored_energy_pointwise(form, state.U, prob.grid.h)
+        outside = geom.dist > 0.05
+        direct = float(np.sum(prob.grid.weights()[outside] * eps[outside]))
+        assert sps.E_vol[1, -1] == pytest.approx(direct, rel=1e-12)
 
     def test_two_dimensional_power_structure(self):
         consts = pm.random_material(13)
@@ -187,8 +188,8 @@ class TestSurfacePower:
         grid = pm.Grid(dim=2, n=(n, n), h=(1.0 / (n - 1), 1.0 / (n - 1)))
         bc = natural_bc(dim=2)
         ini = pm.InitialData(
-            u1=gaussian_vector_pulse(0, [0.5, 0.5], 0.03, 1.0),
-            v2=gaussian_vector_pulse(1, [0.5, 0.5], 0.03, 1.0),
+            u1=pm.gaussian_pulse([0.5, 0.5], 0.03, 1.0, component=0),
+            v2=pm.gaussian_pulse([0.5, 0.5], 0.03, 1.0, component=1),
         )
         probe = pm.ProblemSpec(grid=grid, consts=consts, boundary=bc, initial=ini, T=0.0)
         geom = diag.support_geometry(probe)
@@ -299,8 +300,8 @@ class TestCesaroMeans:
         prob = problem_1d(
             random_consts, n=201, T=0.3,
             initial=pm.InitialData(
-                u1=gaussian_vector_pulse(0, [0.5], 0.06, 1.0),
-                v2=gaussian_vector_pulse(1, [0.45], 0.06, 0.5),
+                u1=pm.gaussian_pulse([0.5], 0.06, 1.0, component=0),
+                v2=pm.gaussian_pulse([0.45], 0.06, 0.5, component=1),
             ))
         _, energy, _ = diag.record_run(prob, energy_every=2)
         cs = diag.cesaro_means(energy)
@@ -330,7 +331,7 @@ class TestEquipartitionReport:
         bc = pm.BoundaryPartition.uniform("dirichlet", "natural", dim=1)
         prob = problem_1d(random_consts, T=0.2, boundary=bc,
                           initial=pm.InitialData(
-                              u1=gaussian_vector_pulse(0, [0.5], 0.05, 1.0)))
+                              u1=pm.gaussian_pulse([0.5], 0.05, 1.0, component=0)))
         _, energy, _ = diag.record_run(prob, energy_every=2)
         rep = diag.equipartition_report(energy, prob)
         assert rep.case == "dirichlet"

@@ -1,0 +1,34 @@
+"""Smoke runs of the study scripts on small grids."""
+
+from __future__ import annotations
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(monkeypatch, name: str, *args: str) -> int:
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return exc.value.code
+
+
+def test_run_pulse_demo_writes_artifacts(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "pulse_demo"
+    assert run_script(monkeypatch, "run_pulse_demo.py", "--n", "101", "--out", str(out)) == 0
+    for name in ("energy.csv", "power.csv", "cesaro.csv", "residuals.csv"):
+        assert (out / name).stat().st_size > 0
+    assert "energy drift" in capsys.readouterr().out
+
+
+def test_decay_study_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = run_script(monkeypatch, "decay_study.py", "--n", "101")
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(lines) == 5  # speed line, header, one row per lambda

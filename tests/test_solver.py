@@ -10,12 +10,13 @@ import pytest
 import poromix as pm
 from poromix import diagnostics as diag
 from poromix.errors import InvalidParameter, NonFinite
-from poromix.fields import central_gradient, energy_density_field, gradient_adjoint, strain_fields
-from poromix.solver import Workspace, acceleration
-from poromix.verify import _fast_mode_initial, _peak_speed, _vector_pulse
+from poromix.fields import central_gradient, gradient_adjoint, jet, jet_map
+from poromix.materials import pair_slot
+from poromix.pointwise import generalized_stress, strain_vector
+from poromix.solver import acceleration
+from poromix.verify import _fast_mode_initial, _peak_speed
 
 from . import oracles
-from .conftest import gaussian_scalar_pulse, gaussian_vector_pulse
 
 
 def natural_bc(dim):
@@ -82,7 +83,7 @@ class TestInitialize:
     def test_gaussian_matches_nodal_sampling(self, random_consts):
         prob = small_problem(
             random_consts, n=33,
-            initial=pm.InitialData(phi1=gaussian_scalar_pulse([0.4], 0.1, 2.0)))
+            initial=pm.InitialData(phi1=pm.gaussian_pulse([0.4], 0.1, 2.0)))
         state = pm.initialize(prob)
         xs = prob.grid.axes()[0]
         np.testing.assert_allclose(
@@ -96,17 +97,17 @@ class TestStencils:
         g = central_gradient(f, 0, 0.05)
         np.testing.assert_allclose(g, -2.0 + 1.5 * xs, atol=1e-12)
 
-    def test_field_strain_e_block_is_symmetric(self, rng, random_consts):
+    def test_field_strain_e_block_is_symmetric(self, rng):
         # representation contract of the 29-slot field: e_ij slots equal e_ji
-        from poromix.fields import stack_strain
-
-        u1 = rng.standard_normal((3, 9))
-        u2 = rng.standard_normal((3, 9))
-        sb = strain_fields(u1, u2, rng.standard_normal(9), rng.standard_normal(9),
-                           1, (0.1,))
-        ev = stack_strain(sb)
-        e = ev[:9].reshape(3, 3, 9)
-        np.testing.assert_array_equal(e, np.swapaxes(e, 0, 1))
+        for dim, shape, h in ((1, (9,), (0.1,)), (2, (9, 7), (0.1, 0.2))):
+            P = jet_map(dim)
+            for i in range(3):
+                for j in range(3):
+                    np.testing.assert_array_equal(P[pair_slot(i, j)], P[pair_slot(j, i)])
+            Y = jet(rng.standard_normal((8,) + shape), h)
+            ev = P @ Y.reshape(P.shape[1], -1)
+            e = ev[:9].reshape((3, 3, -1))
+            np.testing.assert_array_equal(e, np.swapaxes(e, 0, 1))
 
     def test_adjoint_identity(self, rng):
         for shape, ax, h in (((17,), 0, 0.2), ((9, 7), 0, 0.11), ((9, 7), 1, 0.3)):
@@ -138,40 +139,52 @@ class TestForceIsEnergyGradient:
             bc = pm.BoundaryPartition.uniform(ukind, pkind, dim=dim)
         prob = small_problem(random_consts, n=7, dim=dim, boundary=bc)
         grid = prob.grid
-        ws = Workspace(prob)
-        form = prob.quadratic_form()
+        ws = prob.workspace
+        form = pm.assemble_quadratic_form(random_consts)
         w = grid.weights()
         shape = grid.shape
 
-        def energy(u1, u2, p1, p2):
-            sb = strain_fields(u1, u2, p1, p2, dim, grid.h)
-            return float(np.sum(w * energy_density_field(form, sb)))
+        def energy(U):
+            return float(np.sum(w * oracles.stored_energy_pointwise(form, U, grid.h)))
 
-        u1 = rng.standard_normal((3,) + shape)
-        u2 = rng.standard_normal((3,) + shape)
-        p1 = rng.standard_normal(shape)
-        p2 = rng.standard_normal(shape)
-        a = acceleration(ws, u1, u2, p1, p2, 0.0)
+        U = rng.standard_normal((8,) + shape)
+        a = acceleration(ws, U, 0.0)
         eps = 1e-6
         k = random_consts
         idx = list(np.ndindex(shape))
         for trial in range(16):
             node = idx[rng.integers(0, len(idx))]
             i = int(rng.integers(0, 3))
-            if not ws.mask_u[node]:
-                up, um = u1.copy(), u1.copy()
-                up[(i,) + node] += eps
-                um[(i,) + node] -= eps
-                grad = (energy(up, u2, p1, p2) - energy(um, u2, p1, p2)) / (2 * eps)
-                assert a[0][(i,) + node] == pytest.approx(
-                    -grad / (w[node] * k.rho1), abs=2e-4, rel=1e-4)
-            if not ws.mask_phi[node]:
-                up, um = p1.copy(), p1.copy()
-                up[node] += eps
-                um[node] -= eps
-                grad = (energy(u1, u2, up, p2) - energy(u1, u2, um, p2)) / (2 * eps)
-                assert a[2][node] == pytest.approx(
-                    -grad / (w[node] * k.rho1 * k.chi1), abs=2e-4, rel=1e-4)
+            for row, masked, inertia in ((i, ws.mask_u, k.rho1), (6, ws.mask_phi, k.rho1 * k.chi1)):
+                if masked[node]:
+                    continue
+                up, um = U.copy(), U.copy()
+                up[(row,) + node] += eps
+                um[(row,) + node] -= eps
+                grad = (energy(up) - energy(um)) / (2 * eps)
+                assert a[(row,) + node] == pytest.approx(
+                    -grad / (w[node] * inertia), abs=2e-4, rel=1e-4)
+
+
+class TestJetForm:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stress_blocks_match_pointwise_law(self, rng, random_consts, dim):
+        # (QY)_0 = (p, -p, -g1, -g2) and (QY)_j = (S1[:, j], S2[:, j], h1_j, h2_j)
+        prob = small_problem(random_consts, n=9, dim=dim)
+        U = rng.standard_normal((8,) + prob.grid.shape)
+        Y, QY = prob.workspace.stress(U)
+        grads = list(Y[1:])
+        idx = list(np.ndindex(prob.grid.shape))
+        for trial in range(12):
+            node = idx[rng.integers(0, len(idx))]
+            S = generalized_stress(random_consts, strain_vector(oracles.point_state_at(U, grads, node)))
+            at = (slice(None), slice(None)) + node
+            blocks = [np.concatenate([S.p, -S.p, [-S.g1, -S.g2]])]
+            blocks += [np.concatenate([S.S1[:, j], S.S2[:, j], [S.h1[j], S.h2[j]]])
+                       for j in range(dim)]
+            expected = np.array(blocks)
+            scale = 1.0 + np.max(np.abs(expected))
+            np.testing.assert_allclose(QY[at], expected, rtol=0.0, atol=1e-12 * scale)
 
 
 class TestStepBasics:
@@ -183,7 +196,7 @@ class TestStepBasics:
     def test_nonfinite_raises_with_step(self, random_consts):
         prob = small_problem(
             random_consts, n=16, T=100.0,
-            initial=pm.InitialData(u1=gaussian_vector_pulse(0, [0.5], 0.1, 1.0)))
+            initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0, component=0)))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFinite) as exc:
                 pm.simulate(prob, dt=0.2)  # far above the stable step: blows up
@@ -193,7 +206,7 @@ class TestStepBasics:
         bc = pm.BoundaryPartition.uniform("dirichlet", "dirichlet", dim=1)
         prob = small_problem(
             random_consts, n=32, boundary=bc, T=0.05,
-            initial=pm.InitialData(u1=gaussian_vector_pulse(0, [0.5], 0.1, 1.0)))
+            initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0, component=0)))
         final = pm.simulate(prob)
         assert np.all(final.u1[:, 0] == 0.0) and np.all(final.u1[:, -1] == 0.0)
         assert final.phi1[0] == 0.0 and final.phi2[-1] == 0.0
@@ -219,17 +232,17 @@ class TestStepBasics:
     def test_determinism_bit_identical(self, random_consts):
         prob = small_problem(
             random_consts, n=48, T=0.1,
-            initial=pm.InitialData(u1=gaussian_vector_pulse(0, [0.5], 0.08, 1.0)))
+            initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.08, 1.0, component=0)))
         a = pm.simulate(prob)
         b = pm.simulate(prob)
         for name in ("u1", "u2", "phi1", "phi2", "v1", "v2", "psi1", "psi2"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_linearity_of_the_flow(self, random_consts):
-        ini_a = pm.InitialData(u1=gaussian_vector_pulse(0, [0.4], 0.08, 1.0))
+        ini_a = pm.InitialData(u1=pm.gaussian_pulse([0.4], 0.08, 1.0, component=0))
         ini_b = pm.InitialData(
-            v2=gaussian_vector_pulse(1, [0.6], 0.08, 0.7),
-            phi1=gaussian_scalar_pulse([0.5], 0.08, 0.5))
+            v2=pm.gaussian_pulse([0.6], 0.08, 0.7, component=1),
+            phi1=pm.gaussian_pulse([0.5], 0.08, 0.5))
         ini_ab = pm.InitialData(
             u1=ini_a.u1, v2=ini_b.v2, phi1=ini_b.phi1)
         finals = [
@@ -245,9 +258,8 @@ class TestStepBasics:
     def test_long_run_energy_bounded(self, random_consts):
         prob = small_problem(
             random_consts, n=64, cfl=0.9, T=1.0,
-            initial=pm.InitialData(u1=gaussian_vector_pulse(0, [0.5], 0.1, 1.0)))
-        ctx = diag.RunContext(prob)
-        erec = diag.EnergyRecorder(ctx, every=100)
+            initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0, component=0)))
+        erec = diag.EnergyRecorder(prob.workspace, every=100)
         pm.simulate(prob, recorders=(erec,), n_steps=10_000)
         series = erec.series()
         assert np.max(series.total) <= 1.05 * series.total[0]
@@ -259,7 +271,7 @@ class TestStepBasics:
     def test_t_zero_returns_initial_record_only(self, random_consts):
         prob = small_problem(
             random_consts, n=16, T=0.0,
-            initial=pm.InitialData(u1=gaussian_vector_pulse(0, [0.5], 0.1, 1.0)))
+            initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0, component=0)))
         rec = diag.SnapshotRecorder(every=1)
         final = pm.simulate(prob, recorders=(rec,))
         assert len(rec.states) == 1
@@ -275,13 +287,11 @@ class TestStepBasics:
 
         prob = small_problem(random_consts, n=41, dim=2, T=1.0,
                              initial=pm.InitialData(u1=pulse2(0), v2=pulse2(1)))
-        ctx = diag.RunContext(prob)
-        erec = diag.EnergyRecorder(ctx, every=10)
         speed = prob.speed()
         dt = 0.5 * min(prob.grid.h) / (speed.c * math.sqrt(2))
         prob2 = small_problem(random_consts, n=41, dim=2, T=400 * dt,
                               initial=prob.initial)
-        erec = diag.EnergyRecorder(diag.RunContext(prob2), every=10)
+        erec = diag.EnergyRecorder(prob2.workspace, every=10)
         pm.simulate(prob2, recorders=(erec,), n_steps=400)
         # sigma = 3.2 h here, so the bounded leapfrog oscillation dominates
         assert erec.series().max_relative_drift() <= 5e-3
@@ -314,16 +324,15 @@ class TestAccuracy:
         for n in (101, 201):
             prob = small_problem(random_consts, n=n, initial=build_initial(), T=1.0)
             state = pm.initialize(prob)
-            ws = Workspace(prob)
-            a = acceleration(ws, state.u1, state.u2, state.phi1, state.phi2, 0.0)
+            a = acceleration(prob.workspace, state.U, 0.0)
             xs = prob.grid.axes()[0]
             exact = oracles.continuum_accel_1d(random_consts, red, profiles, xs)
             interior = slice(4, n - 4)
             err = max(
-                float(np.max(np.abs(a[0][:, interior] - exact[0][:, interior]))),
-                float(np.max(np.abs(a[1][:, interior] - exact[1][:, interior]))),
-                float(np.max(np.abs(a[2][interior] - exact[2][interior]))),
-                float(np.max(np.abs(a[3][interior] - exact[3][interior]))),
+                float(np.max(np.abs(a[0:3, interior] - exact[0][:, interior]))),
+                float(np.max(np.abs(a[3:6, interior] - exact[1][:, interior]))),
+                float(np.max(np.abs(a[6, interior] - exact[2][interior]))),
+                float(np.max(np.abs(a[7, interior] - exact[3][interior]))),
             )
             errs.append(err)
         order = math.log2(errs[0] / errs[1])
@@ -350,7 +359,7 @@ class TestAccuracy:
             state = pm.initialize(prob)
             speed = prob.speed()
             dt = 0.5 * prob.grid.h[0] / speed.c
-            new, _ = pm.step(state, random_consts, prob, dt)
+            new, _ = pm.step(state, prob, dt)
             xs = prob.grid.axes()[0]
             exact = oracles.continuum_accel_1d(random_consts, red, profiles, xs)
             interior = slice(4, n - 4)
