@@ -2,7 +2,8 @@
 
 Layout:
     materials    constitutive constants, the 29×29 quadratic form, moduli, speed
-    pointwise    per-point kinematics, stresses, tractions, power identities
+    pointwise    kinematics, stresses, tractions, power identities of material
+                 points, stacked over leading batch axes
     fields       difference stencils and the jet form Q = Pᵀ𝒜P that gives every
                  field stress, force and energy density
     solver       explicit leapfrog integration with mixed boundary conditions

@@ -26,7 +26,7 @@ maximum, the full-matrix minimum is structurally zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -187,15 +187,15 @@ def validate_symmetries(consts: MaterialConstants, tol: float = SYMMETRY_TOL) ->
 class QuadraticForm:
     """The symmetric 29×29 matrix 𝒜 with its realizable eigen-bounds.
 
-    ``matrix`` is block diagonal: 𝒜₁ on slots 0..19 (e, g, φ¹, φ²), 𝒜₂ on
-    slots 20..28 (d, ∇φ¹, ∇φ²); the off-diagonal 20×9 block is zero.
-    ``xi_min``/``xi_max`` are the extreme eigenvalues on the realizable
-    (symmetric-e) subspace.
+    ``matrix`` is block diagonal for an assembled material: 𝒜₁ on slots
+    0..19 (e, g, φ¹, φ²), 𝒜₂ on slots 20..28 (d, ∇φ¹, ∇φ²).  ``xi_min`` and
+    ``xi_max`` are worked out from it: the extreme eigenvalues of 𝒜 on the
+    realizable (symmetric-e) subspace.
     """
 
     matrix: np.ndarray
-    xi_min: float
-    xi_max: float
+    xi_min: float = field(init=False)
+    xi_max: float = field(init=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -204,12 +204,11 @@ class QuadraticForm:
         if not np.array_equal(m, m.T):
             raise SymmetryViolation("assembled quadratic form is not exactly symmetric")
         m.setflags(write=False)
+        restricted = _SYM_BASIS.T @ m @ _SYM_BASIS
+        eigs = np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def index_map(self) -> tuple[str, ...]:
-        """Fixed bijection between the 29 slots and their symbols."""
-        return SLOT_LABELS
+        object.__setattr__(self, "xi_min", float(eigs[0]))
+        object.__setattr__(self, "xi_max", float(eigs[-1]))
 
     @property
     def a1(self) -> np.ndarray:
@@ -218,10 +217,6 @@ class QuadraticForm:
     @property
     def a2(self) -> np.ndarray:
         return self.matrix[20:, 20:]
-
-    @property
-    def admissible(self) -> bool:
-        return self.xi_min > ADMISSIBILITY_MARGIN
 
 
 def symmetric_subspace_basis() -> np.ndarray:
@@ -297,40 +292,7 @@ def assemble_quadratic_form(consts: MaterialConstants, validate: bool = True) ->
     matrix = np.zeros((29, 29))
     matrix[:20, :20] = _assemble_a1(consts)
     matrix[20:, 20:] = _assemble_a2(consts)
-    restricted = _SYM_BASIS.T @ matrix @ _SYM_BASIS
-    eigs = np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
-    return QuadraticForm(matrix=matrix, xi_min=float(eigs[0]), xi_max=float(eigs[-1]))
-
-
-def form_from_matrix(matrix: np.ndarray) -> QuadraticForm:
-    """Wrap an explicit symmetric 29×29 matrix, computing its eigen-bounds."""
-    matrix = np.asarray(matrix, dtype=float)
-    restricted = _SYM_BASIS.T @ matrix @ _SYM_BASIS
-    eigs = np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
-    return QuadraticForm(matrix=matrix, xi_min=float(eigs[0]), xi_max=float(eigs[-1]))
-
-
-def constants_from_form(form: QuadraticForm) -> dict[str, np.ndarray | float]:
-    """Read the constitutive tensors back out of an assembled 𝒜 (round trip)."""
-    a1, a2 = form.a1, form.a2
-    return {
-        "A": a1[:9, :9].reshape(3, 3, 3, 3).copy(),
-        "B": a1[:9, 9:18].reshape(3, 3, 3, 3).copy(),
-        "C": a1[9:18, 9:18].reshape(3, 3, 3, 3).copy(),
-        "D": a1[:9, 18].reshape(3, 3).copy(),
-        "E": a1[:9, 19].reshape(3, 3).copy(),
-        "M": a1[9:18, 18].reshape(3, 3).copy(),
-        "N": a1[9:18, 19].reshape(3, 3).copy(),
-        "zeta": float(a1[18, 18]),
-        "mu": float(a1[19, 19]),
-        "tau": float(a1[18, 19]),
-        "a": a2[0:3, 0:3].copy(),
-        "b": a2[0:3, 3:6].copy(),
-        "c": a2[0:3, 6:9].copy(),
-        "alpha": a2[3:6, 3:6].copy(),
-        "beta": a2[3:6, 6:9].copy(),
-        "gamma": a2[6:9, 6:9].copy(),
-    }
+    return QuadraticForm(matrix)
 
 
 def elastic_moduli_bounds(
@@ -364,15 +326,13 @@ def wave_speed(consts: MaterialConstants, xi_max: float, lam: float = 1.0) -> Sp
     m = min{ρ¹, ρ², ρ¹χ¹, ρ²χ²}; c = sqrt(ξ_M / m).
 
     Raises:
-        InvalidParameter: on nonpositive ξ_M, densities/inertias, or λ.
+        InvalidParameter: on nonpositive ξ_M or λ (densities and inertias
+            are positive by construction of ``MaterialConstants``).
     """
     if xi_max <= 0.0:
         raise InvalidParameter(f"xi_max must be positive, got {xi_max}")
     if lam <= 0.0:
         raise InvalidParameter(f"lambda must be positive, got {lam}")
-    for name in ("rho1", "rho2", "chi1", "chi2"):
-        if getattr(consts, name) <= 0.0:
-            raise InvalidParameter(f"{name} must be positive")
     m = min(
         consts.rho1,
         consts.rho2,
@@ -439,6 +399,7 @@ def reduced_constants(consts: MaterialConstants, validate: bool = True) -> Reduc
 def stress_component_matrix(consts: MaterialConstants) -> np.ndarray:
     """The 29×29 linear map Σ from strain slots to stress components.
 
+    This is the constitutive law: ``pointwise.generalized_stress`` is S = ΣE.
     Row layout mirrors the strain slots: S¹ (9, stored [i,j] = S¹_ji),
     S² (9), g¹, g², p (3), h¹ (3), h² (3).  |S(E)|² = |Σ E|².  Note Σ is not
     𝒜: the g-conjugate enters both S¹ and S², so |ΣE|² can exceed E·𝒜²E.
@@ -472,6 +433,21 @@ def stress_component_matrix(consts: MaterialConstants) -> np.ndarray:
     return sig
 
 
+def _coupled_stress_bound(consts: MaterialConstants, form: QuadraticForm) -> float:
+    """sup |Σ₁E₁|² / (E₁·𝒜₁E₁) over realizable strains of the coupled block.
+
+    The largest eigenvalue of the pencil (ΣᵀΣ, 𝒜) restricted to the 17
+    realizable slots of 𝒜₁ (e symmetric, g, φ¹, φ²); 𝒜₁ must be definite there.
+    """
+    sig1 = stress_component_matrix(consts)[:20, :20]
+    q1 = _SYM_BASIS[:20, :17]
+    b1 = q1.T @ (sig1.T @ sig1) @ q1
+    b2 = q1.T @ form.a1 @ q1
+    inv_ell = np.linalg.inv(np.linalg.cholesky(0.5 * (b2 + b2.T)))
+    pencil = inv_ell @ (0.5 * (b1 + b1.T)) @ inv_ell.T
+    return float(np.linalg.eigvalsh(0.5 * (pencil + pencil.T))[-1])
+
+
 def worst_stress_energy_ratio(consts: MaterialConstants, form: QuadraticForm) -> float:
     """Exact operator bound sup_E |S(E)|² / (2 ξ_M W(E)) over realizable E.
 
@@ -483,17 +459,8 @@ def worst_stress_energy_ratio(consts: MaterialConstants, form: QuadraticForm) ->
         NotPositiveDefinite: if the material is inadmissible.
     """
     elastic_moduli_bounds(form)
-    sig = stress_component_matrix(consts)
-    q1 = _SYM_BASIS[:20, :17]
-    sig1 = sig[:20, :20]
-    b1 = q1.T @ (sig1.T @ sig1) @ q1
-    b2 = q1.T @ form.a1 @ q1
-    ell = np.linalg.cholesky(0.5 * (b2 + b2.T))
-    inv_ell = np.linalg.inv(ell)
-    pencil = inv_ell @ (0.5 * (b1 + b1.T)) @ inv_ell.T
-    kappa_coupled = float(np.linalg.eigvalsh(0.5 * (pencil + pencil.T))[-1])
     kappa_a2 = float(np.linalg.eigvalsh(form.a2)[-1])
-    return max(kappa_coupled, kappa_a2) / form.xi_max
+    return max(_coupled_stress_bound(consts, form), kappa_a2) / form.xi_max
 
 
 def acoustic_speed_limit(consts: MaterialConstants, n_directions: int = 24) -> float:
@@ -693,13 +660,7 @@ def random_material(
         )
         form = assemble_quadratic_form(consts)
     if certify:
-        sig = stress_component_matrix(consts)
-        q1 = _SYM_BASIS[:20, :17]
-        b1 = q1.T @ (sig[:20, :20].T @ sig[:20, :20]) @ q1
-        b2 = q1.T @ form.a1 @ q1
-        ell_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (b2 + b2.T)))
-        pencil = ell_inv @ (0.5 * (b1 + b1.T)) @ ell_inv.T
-        kappa = float(np.linalg.eigvalsh(0.5 * (pencil + pencil.T))[-1])
+        kappa = _coupled_stress_bound(consts, form)
         if form.xi_max < kappa:
             # Raising the relative-displacement block lifts xi_max without
             # touching any acoustic branch (it is a pure value channel).

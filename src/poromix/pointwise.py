@@ -1,9 +1,12 @@
 """Pointwise kinematics and constitutive algebra.
 
-Maps a single material point's state (displacement gradients, fields,
-fraction gradients) to the 29-component strain vector, the stored energy,
-the generalized stress collection and surface tractions, and exposes the
-power identities the diagnostics rely on.
+Maps material point states (displacement gradients, fields, fraction
+gradients) to the 29-component strain vector, the stored energy, the
+generalized stress vector and surface tractions, and exposes the power
+identities the diagnostics rely on.  Every function works on a single point
+or on points stacked along leading batch axes: a :class:`PointState` whose
+fields carry a batch shape ``(...)`` gives strains and stresses of shape
+``(..., 29)`` and scalars of shape ``(...)``.
 
 Stress tensors are stored "flux first": ``S1[i, j]`` holds the component
 conventionally written S¹_ji, i.e. the force component i transported in
@@ -28,6 +31,8 @@ from .materials import (
     PHI2_SLOT,
     MaterialConstants,
     QuadraticForm,
+    assemble_quadratic_form,
+    stress_component_matrix,
     validate_symmetries,
 )
 
@@ -36,7 +41,12 @@ NORMAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PointState:
-    """State of one material point: gradients, fields, fraction gradients."""
+    """State of material points: gradients, fields, fraction gradients.
+
+    Shapes are ``(..., 3, 3)`` for the displacement gradients, ``(..., 3)``
+    for displacements and fraction gradients and ``(...)`` for φ¹, φ², with
+    the same batch shape ``(...)`` (empty for a single point) on every field.
+    """
 
     grad_u1: np.ndarray
     grad_u2: np.ndarray
@@ -47,128 +57,102 @@ class PointState:
     grad_phi1: np.ndarray
     grad_phi2: np.ndarray
 
-    @staticmethod
-    def zero() -> "PointState":
-        z2, z1 = np.zeros((3, 3)), np.zeros(3)
-        return PointState(z2, z2.copy(), z1, z1.copy(), 0.0, 0.0, z1.copy(), z1.copy())
+
+def _slot(index) -> property:
+    return property(lambda self: self.vec[..., index])
+
+
+def _tensor_slot(block: slice) -> property:
+    return property(lambda self: self.vec[..., block].reshape(self.vec.shape[:-1] + (3, 3)))
 
 
 @dataclass(frozen=True)
-class StrainVector:
-    """The 29 strain slots: e (9, symmetric), g (9), φ¹, φ², d, ∇φ¹, ∇φ²."""
+class _SlotVector:
+    """A (..., 29) array in the slot layout fixed by ``materials``."""
 
     vec: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.vec, dtype=float)
-        if v.shape != (29,):
-            raise ValueError(f"strain vector must have 29 slots, got {v.shape}")
+        if v.shape[-1:] != (29,):
+            raise ValueError(f"slot vector must have 29 slots, got {v.shape}")
         object.__setattr__(self, "vec", v)
 
-    @property
-    def e(self) -> np.ndarray:
-        return self.vec[E_BLOCK].reshape(3, 3)
 
-    @property
-    def g(self) -> np.ndarray:
-        return self.vec[G_BLOCK].reshape(3, 3)
+class StrainVector(_SlotVector):
+    """The 29 strain slots: e (9, symmetric), g (9), φ¹, φ², d, ∇φ¹, ∇φ²."""
 
-    @property
-    def phi1(self) -> float:
-        return float(self.vec[PHI1_SLOT])
-
-    @property
-    def phi2(self) -> float:
-        return float(self.vec[PHI2_SLOT])
-
-    @property
-    def d(self) -> np.ndarray:
-        return self.vec[D_BLOCK]
-
-    @property
-    def grad_phi1(self) -> np.ndarray:
-        return self.vec[GPHI1_BLOCK]
-
-    @property
-    def grad_phi2(self) -> np.ndarray:
-        return self.vec[GPHI2_BLOCK]
-
-    @staticmethod
-    def from_parts(e, g, phi1, phi2, d, grad_phi1, grad_phi2) -> "StrainVector":
-        vec = np.empty(29)
-        vec[E_BLOCK] = np.asarray(e, dtype=float).reshape(9)
-        vec[G_BLOCK] = np.asarray(g, dtype=float).reshape(9)
-        vec[PHI1_SLOT] = phi1
-        vec[PHI2_SLOT] = phi2
-        vec[D_BLOCK] = d
-        vec[GPHI1_BLOCK] = grad_phi1
-        vec[GPHI2_BLOCK] = grad_phi2
-        return StrainVector(vec)
+    e = _tensor_slot(E_BLOCK)
+    g = _tensor_slot(G_BLOCK)
+    phi1 = _slot(PHI1_SLOT)
+    phi2 = _slot(PHI2_SLOT)
+    d = _slot(D_BLOCK)
+    grad_phi1 = _slot(GPHI1_BLOCK)
+    grad_phi2 = _slot(GPHI2_BLOCK)
 
 
-@dataclass(frozen=True)
-class GeneralizedStress:
-    """The stress collection {S¹, S², g¹, g², p, h¹, h²} conjugate to E(U)."""
+class GeneralizedStress(_SlotVector):
+    """The stress collection {S¹, S², g¹, g², p, h¹, h²} conjugate to E(U).
 
-    S1: np.ndarray
-    S2: np.ndarray
-    g1: float
-    g2: float
-    p: np.ndarray
-    h1: np.ndarray
-    h2: np.ndarray
+    ``vec`` follows the row layout of ``stress_component_matrix``: S¹ (9,
+    stored [i, j] = S¹_ji), S² (9), g¹, g², p (3), h¹ (3), h² (3), so each
+    part sits in the slots of the strain it pairs with.
+    """
+
+    S1 = _tensor_slot(E_BLOCK)
+    S2 = _tensor_slot(G_BLOCK)
+    g1 = _slot(PHI1_SLOT)
+    g2 = _slot(PHI2_SLOT)
+    p = _slot(D_BLOCK)
+    h1 = _slot(GPHI1_BLOCK)
+    h2 = _slot(GPHI2_BLOCK)
 
 
 @dataclass(frozen=True)
 class TractionSample:
-    """Surface tractions s^α = S^α·n and fluxes h^α = h^α·n for a unit normal."""
+    """Surface tractions s^α = S^α·n and fluxes h^α = h^α·n for unit normals n."""
 
     s1: np.ndarray
     s2: np.ndarray
     h1: float
     h2: float
-    n: np.ndarray
+
+
+def _dot(x, y):
+    """Contraction over the trailing axis, batched over the leading ones."""
+    return np.einsum("...i,...i->...", x, y)
 
 
 def strain_vector(ps: PointState) -> StrainVector:
     """Kinematic map: e = sym ∇u¹, g = (∇u¹)ᵀ + ∇u², d = u¹ − u²."""
-    e = 0.5 * (ps.grad_u1 + ps.grad_u1.T)
-    g = ps.grad_u1.T + ps.grad_u2
-    return StrainVector.from_parts(
-        e, g, ps.phi1, ps.phi2, ps.u1 - ps.u2, ps.grad_phi1, ps.grad_phi2
-    )
+    G1 = np.asarray(ps.grad_u1, dtype=float)
+    G1t = np.swapaxes(G1, -1, -2)
+    batch = G1.shape[:-2]
+    vec = np.empty(batch + (29,))
+    vec[..., E_BLOCK] = (0.5 * (G1 + G1t)).reshape(batch + (9,))
+    vec[..., G_BLOCK] = (G1t + ps.grad_u2).reshape(batch + (9,))
+    vec[..., PHI1_SLOT] = ps.phi1
+    vec[..., PHI2_SLOT] = ps.phi2
+    vec[..., D_BLOCK] = np.subtract(ps.u1, ps.u2)
+    vec[..., GPHI1_BLOCK] = ps.grad_phi1
+    vec[..., GPHI2_BLOCK] = ps.grad_phi2
+    return StrainVector(vec)
 
 
-def strain_magnitude(E: StrainVector) -> float:
+def strain_magnitude(E: StrainVector):
     """Euclidean magnitude over all 29 slots (e and g blocks counted once)."""
-    return float(np.linalg.norm(E.vec))
+    return np.linalg.norm(E.vec, axis=-1)
 
 
-def internal_energy_density(form: QuadraticForm, E: StrainVector) -> float:
+def internal_energy_density(form: QuadraticForm, E: StrainVector):
     """W = ½ E·𝒜E."""
-    return 0.5 * float(E.vec @ form.matrix @ E.vec)
-
-
-def conjugate_stress(form: QuadraticForm, E: StrainVector) -> np.ndarray:
-    """The conjugate vector 𝒜E (slot layout identical to the strain vector).
-
-    Exposed separately from :func:`generalized_stress` so the stress-energy
-    bookkeeping |𝒜E|² = E·𝒜²E ≤ ξ_M E·𝒜E can be probed against the literal
-    component magnitude without baking either into the other's code path.
-    """
-    return form.matrix @ E.vec
+    return 0.5 * _dot(E.vec @ form.matrix, E.vec)
 
 
 def generalized_stress(
     consts: MaterialConstants, E: StrainVector, validate: bool = True
 ) -> GeneralizedStress:
-    """Evaluate the constitutive law componentwise.
-
-    S¹_ji = (A_jirs + B_rsji) e_rs + (B_ijrs + C_jirs) g_rs
-            + (D_ij + M_ij) φ¹ + (E_ij + N_ij) φ²
-    S²_ji = B_rsij e_rs + C_ijrs g_rs + M_ij φ¹ + N_ij φ²
-    g¹ = −D:e − M:g − ζφ¹ − τφ²,   g² = −E:e − N:g − τφ¹ − μφ²
-    p = a d + b ∇φ¹ + c ∇φ²,  h¹ = α∇φ¹ + β∇φ² + bᵀd,  h² = βᵀ∇φ¹ + γ∇φ² + cᵀd
+    """Evaluate the constitutive law S = Σ E, with Σ = ``stress_component_matrix``.
 
     Raises:
         SymmetryViolation: if ``validate`` and the constants fail the checks.
@@ -177,101 +161,74 @@ def generalized_stress(
         report = validate_symmetries(consts)
         if not report.ok:
             raise SymmetryViolation(str(report))
-    A, B, C = consts.A, consts.B, consts.C
-    e, g = E.e, E.g
-    phi1, phi2, d = E.phi1, E.phi2, E.d
-    gp1, gp2 = E.grad_phi1, E.grad_phi2
-    ce1 = A.transpose(1, 0, 2, 3) + B.transpose(3, 2, 0, 1)
-    cg1 = B + C.transpose(1, 0, 2, 3)
-    s1 = (
-        np.einsum("ijrs,rs->ij", ce1, e)
-        + np.einsum("ijrs,rs->ij", cg1, g)
-        + (consts.D + consts.M) * phi1
-        + (consts.E + consts.N) * phi2
-    )
-    s2 = (
-        np.einsum("rsij,rs->ij", B, e)
-        + np.einsum("ijrs,rs->ij", C, g)
-        + consts.M * phi1
-        + consts.N * phi2
-    )
-    g1 = -float(np.sum(consts.D * e) + np.sum(consts.M * g)) - consts.zeta * phi1 - consts.tau * phi2
-    g2 = -float(np.sum(consts.E * e) + np.sum(consts.N * g)) - consts.tau * phi1 - consts.mu * phi2
-    p = consts.a @ d + consts.b @ gp1 + consts.c @ gp2
-    h1 = consts.alpha @ gp1 + consts.beta @ gp2 + consts.b.T @ d
-    h2 = consts.beta.T @ gp1 + consts.gamma @ gp2 + consts.c.T @ d
-    return GeneralizedStress(S1=s1, S2=s2, g1=g1, g2=g2, p=p, h1=h1, h2=h2)
+    return GeneralizedStress(E.vec @ stress_component_matrix(consts).T)
 
 
 def reduced_generalized_stress(consts: MaterialConstants, red, ps: PointState) -> GeneralizedStress:
     """Constitutive law in gradient form, from the collapsed coefficients.
 
-    Must agree componentwise with :func:`generalized_stress` on the strain
+    Must agree slot by slot with :func:`generalized_stress` on the strain
     vector of the same point state; the pair forms the dual-formula
     cross-check used by the constitutive suite.
     """
     G1, G2 = ps.grad_u1, ps.grad_u2
-    d = ps.u1 - ps.u2
+    phi1 = np.asarray(ps.phi1, dtype=float)
+    phi2 = np.asarray(ps.phi2, dtype=float)
+    d = np.subtract(ps.u1, ps.u2)
     s1 = (
-        np.einsum("ijrs,rs->ij", red.a, G1)
-        + np.einsum("ijrs,rs->ij", red.b, G2)
-        + red.tau * ps.phi1
-        + red.sigma * ps.phi2
+        np.einsum("ijrs,...rs->...ij", red.a, G1)
+        + np.einsum("ijrs,...rs->...ij", red.b, G2)
+        + red.tau * phi1[..., None, None]
+        + red.sigma * phi2[..., None, None]
     )
     s2 = (
-        np.einsum("rsij,rs->ij", red.b, G1)
-        + np.einsum("ijrs,rs->ij", red.d, G2)
-        + consts.M * ps.phi1
-        + consts.N * ps.phi2
+        np.einsum("rsij,...rs->...ij", red.b, G1)
+        + np.einsum("ijrs,...rs->...ij", red.d, G2)
+        + consts.M * phi1[..., None, None]
+        + consts.N * phi2[..., None, None]
     )
-    g1 = -float(np.sum(red.tau * G1) + np.sum(consts.M * G2)) - consts.zeta * ps.phi1 - consts.tau * ps.phi2
-    g2 = -float(np.sum(red.sigma * G1) + np.sum(consts.N * G2)) - consts.tau * ps.phi1 - consts.mu * ps.phi2
-    p = consts.a @ d + consts.b @ ps.grad_phi1 + consts.c @ ps.grad_phi2
-    h1 = consts.alpha @ ps.grad_phi1 + consts.beta @ ps.grad_phi2 + consts.b.T @ d
-    h2 = consts.beta.T @ ps.grad_phi1 + consts.gamma @ ps.grad_phi2 + consts.c.T @ d
-    return GeneralizedStress(S1=s1, S2=s2, g1=g1, g2=g2, p=p, h1=h1, h2=h2)
+    g1 = (-np.einsum("rs,...rs->...", red.tau, G1) - np.einsum("rs,...rs->...", consts.M, G2)
+          - consts.zeta * phi1 - consts.tau * phi2)
+    g2 = (-np.einsum("rs,...rs->...", red.sigma, G1) - np.einsum("rs,...rs->...", consts.N, G2)
+          - consts.tau * phi1 - consts.mu * phi2)
+    p = d @ consts.a.T + ps.grad_phi1 @ consts.b.T + ps.grad_phi2 @ consts.c.T
+    h1 = ps.grad_phi1 @ consts.alpha.T + ps.grad_phi2 @ consts.beta.T + d @ consts.b
+    h2 = ps.grad_phi1 @ consts.beta + ps.grad_phi2 @ consts.gamma.T + d @ consts.c
+    batch = phi1.shape
+    parts = (s1, s2, g1, g2, p, h1, h2)
+    return GeneralizedStress(np.concatenate([np.reshape(x, batch + (-1,)) for x in parts], axis=-1))
 
 
-def stress_magnitude(S: GeneralizedStress) -> float:
-    """sqrt of Σ_α (S^α:S^α + h^α·h^α + g^α g^α) + p·p."""
-    total = (
-        np.sum(S.S1 * S.S1)
-        + np.sum(S.S2 * S.S2)
-        + S.g1 * S.g1
-        + S.g2 * S.g2
-        + np.dot(S.p, S.p)
-        + np.dot(S.h1, S.h1)
-        + np.dot(S.h2, S.h2)
-    )
-    return float(np.sqrt(total))
+def stress_magnitude(S: GeneralizedStress):
+    """sqrt of Σ_α (S^α:S^α + h^α·h^α + g^α g^α) + p·p, the norm of ``S.vec``."""
+    return np.linalg.norm(S.vec, axis=-1)
 
 
 def traction(S: GeneralizedStress, n: np.ndarray) -> TractionSample:
-    """Surface tractions for unit normal n: s^α_i = S^α_ji n_j, h^α = h^α·n.
+    """Surface tractions for unit normals n (..., 3): s^α_i = S^α_ji n_j, h^α = h^α·n.
 
     Raises:
-        BadNormal: if |n| deviates from 1 by more than the tolerance.
+        BadNormal: if some |n| deviates from 1 by more than the tolerance.
     """
     n = np.asarray(n, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > NORMAL_TOL:
+    if n.shape[-1:] != (3,) or np.any(np.abs(np.linalg.norm(n, axis=-1) - 1.0) > NORMAL_TOL):
         raise BadNormal(f"normal must be a unit 3-vector, got {n!r}")
     return TractionSample(
-        s1=S.S1 @ n,
-        s2=S.S2 @ n,
-        h1=float(S.h1 @ n),
-        h2=float(S.h2 @ n),
-        n=n,
+        s1=np.einsum("...ij,...j->...i", S.S1, n),
+        s2=np.einsum("...ij,...j->...i", S.S2, n),
+        h1=_dot(S.h1, n),
+        h2=_dot(S.h2, n),
     )
 
 
-def _stress_power(S: GeneralizedStress, E_like: StrainVector, G1: np.ndarray, G2: np.ndarray) -> float:
+def _stress_power(S: GeneralizedStress, E_like: StrainVector, G1: np.ndarray, G2: np.ndarray):
     """Σ_α [S^α_ji u^α_{i,j} + p·d + h^α·∇φ^α − g^α φ^α] for the given gradients."""
-    return float(
-        np.sum(S.S1 * G1)
-        + np.sum(S.S2 * G2)
-        + np.dot(S.p, E_like.d)
-        + np.dot(S.h1, E_like.grad_phi1)
-        + np.dot(S.h2, E_like.grad_phi2)
+    return (
+        np.einsum("...ij,...ij->...", S.S1, G1)
+        + np.einsum("...ij,...ij->...", S.S2, G2)
+        + _dot(S.p, E_like.d)
+        + _dot(S.h1, E_like.grad_phi1)
+        + _dot(S.h2, E_like.grad_phi2)
         - S.g1 * E_like.phi1
         - S.g2 * E_like.phi2
     )
@@ -282,22 +239,19 @@ def power_identity_residuals(
     ps: PointState,
     ps_dot: PointState,
     form: QuadraticForm | None = None,
-) -> tuple[float, float]:
-    """Residuals of the static and rate power identities.
+):
+    """Residuals (r_static, r_rate) of the static and rate power identities.
 
     r_static = |2W − Σ_α[S:∇u + p·d + h·∇φ − gφ]| on ``ps``;
     r_rate   = |E(ps_dot)·𝒜E(ps) − Σ_α[S:∇u̇ + p·ḋ + h·∇φ̇ − gφ̇]|,
     the rate form identifying dW/dt through the quadratic-form representation.
     """
-    from .materials import assemble_quadratic_form
-
     if form is None:
         form = assemble_quadratic_form(consts)
     E = strain_vector(ps)
     E_dot = strain_vector(ps_dot)
     S = generalized_stress(consts, E, validate=False)
-    two_w = float(E.vec @ form.matrix @ E.vec)
-    r_static = abs(two_w - _stress_power(S, E, ps.grad_u1, ps.grad_u2))
-    w_rate = float(E_dot.vec @ form.matrix @ E.vec)
-    r_rate = abs(w_rate - _stress_power(S, E_dot, ps_dot.grad_u1, ps_dot.grad_u2))
+    AE = E.vec @ form.matrix
+    r_static = np.abs(_dot(AE, E.vec) - _stress_power(S, E, ps.grad_u1, ps.grad_u2))
+    r_rate = np.abs(_dot(AE, E_dot.vec) - _stress_power(S, E_dot, ps_dot.grad_u1, ps_dot.grad_u2))
     return r_static, r_rate

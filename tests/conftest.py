@@ -45,3 +45,7 @@ def random_point_state(rng) -> PointState:
         grad_phi2=rng.standard_normal(3),
     )
 
+
+def zero_point_state() -> PointState:
+    z2, z1 = np.zeros((3, 3)), np.zeros(3)
+    return PointState(z2, z2, z1, z1, 0.0, 0.0, z1, z1)

@@ -12,10 +12,7 @@ from poromix.errors import InvalidParameter, NotPositiveDefinite, SymmetryViolat
 from poromix.materials import (
     MATERIAL_KEYS,
     acoustic_speed_limit,
-    constants_from_form,
-    form_from_matrix,
     pair_slot,
-    stress_component_matrix,
     symmetric_subspace_basis,
     worst_stress_energy_ratio,
     _delta4,
@@ -111,12 +108,6 @@ class TestAssembly:
             loop = oracles.energy_density_loops(random_consts, ev)
             assert quad == pytest.approx(loop, rel=1e-12, abs=1e-12)
 
-    def test_index_map_round_trip(self, random_consts, random_form):
-        back = constants_from_form(random_form)
-        for key in back:
-            np.testing.assert_array_equal(np.asarray(back[key]),
-                                          np.asarray(getattr(random_consts, key)))
-
 
 class TestEigenBounds:
     def test_identity_bounds(self, identity_consts):
@@ -130,7 +121,7 @@ class TestEigenBounds:
         diag[:9] = 1.0
         diag[18] = 0.5
         diag[20] = 2.0
-        form = form_from_matrix(np.diag(diag))
+        form = pm.QuadraticForm(np.diag(diag))
         lo, hi = pm.elastic_moduli_bounds(form)
         assert (lo, hi) == (pytest.approx(0.5), pytest.approx(2.0))
 
@@ -253,16 +244,6 @@ class TestRandomMaterialGenerator:
         consts = pm.random_material(5)
         np.testing.assert_allclose(consts.M, consts.M.T, atol=1e-15)
         np.testing.assert_allclose(consts.N, consts.N.T, atol=1e-15)
-
-    def test_stress_matrix_matches_pointwise(self, rng, random_consts):
-        sig = stress_component_matrix(random_consts)
-        ev = strain_vector(random_point_state(rng))
-        svec = sig @ ev.vec
-        s = pm.generalized_stress(random_consts, ev, validate=False)
-        np.testing.assert_allclose(svec[:9], s.S1.reshape(9), atol=1e-12)
-        np.testing.assert_allclose(svec[9:18], s.S2.reshape(9), atol=1e-12)
-        assert svec[18] == pytest.approx(s.g1, abs=1e-12)
-        np.testing.assert_allclose(svec[20:23], s.p, atol=1e-12)
 
 
 class TestMaterialFile:
