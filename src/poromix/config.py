@@ -82,7 +82,7 @@ class RunConfig:
 
     material: str = "identity"
     dim: int = 1
-    n: tuple[int, ...] = (128,)
+    n: tuple[int, ...] = ()  # load_config fills in 128 per dimension
     h: tuple[float, ...] = ()
     origin: tuple[float, ...] = ()
     lam: float = 1.0

@@ -158,11 +158,12 @@ def record_run(problem: ProblemSpec, energy_every: int | None = None,
 
 @dataclass
 class SupportGeometry:
-    """Support mask of the driving data, distance field and its maximum L."""
+    """Support mask of the driving data, distance field, its maximum L and the grid spacing h."""
 
     mask: np.ndarray
     dist: np.ndarray
     L: float
+    h: tuple[float, ...]
 
 
 def support_geometry(
@@ -208,24 +209,68 @@ def support_geometry(
     mask = total_mag > threshold * peak if peak > 0.0 else np.zeros(grid.shape, dtype=bool)
     if not mask.any():
         mask[(0,) * grid.dim] = True
-    pos = x.reshape(3, -1)
-    sup = pos[:, mask.reshape(-1)]
-    diff = pos[:, :, None] - sup[:, None, :]
-    dist = np.sqrt(np.einsum("ikn,ikn->kn", diff, diff)).min(axis=1).reshape(grid.shape)
-    dist[mask] = 0.0
-    return SupportGeometry(mask=mask, dist=dist, L=float(dist.max()))
+    dist = np.sqrt(_squared_distance_to(mask, grid.axes()))
+    return SupportGeometry(mask=mask, dist=dist, L=float(dist.max()), h=grid.h)
+
+
+# Elements in the largest temporary of one min-plus chunk (16 MB of float64).
+_MINPLUS_CHUNK = 1 << 21
+
+
+def _squared_distance_to(mask: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
+    """Exact squared Euclidean distance from every node to the nearest masked node.
+
+    Separable transform (Felzenszwalb & Huttenlocher, Theory of Computing 8,
+    2012): start from 0 on the mask and +inf elsewhere, then along each grid
+    axis in turn take d²[p] ← min_q d²[q] + (x_p − x_q)².  Along the first
+    axis d² is 0 or +inf, so the minimum sits at the nearest masked node on
+    either side of p, found by running max/min of node indices.  Along the
+    second axis it is a min-plus product of each grid line with the table of
+    squared coordinate differences, in chunks of at most ``_MINPLUS_CHUNK``
+    elements.  Memory is O(grid), never O(grid × support).
+    """
+    x = axes[0]
+    n = len(x)
+    i = np.arange(n).reshape((n,) + (1,) * (mask.ndim - 1))
+    left = np.maximum.accumulate(np.where(mask, i, -1), axis=0)
+    right = np.minimum.accumulate(np.where(mask, i, n)[::-1], axis=0)[::-1]
+    ext = np.append(x, np.inf)  # indices -1 and n both read the +inf sentinel
+    xp = x.reshape(i.shape)
+    d2 = np.minimum((xp - ext[left]) ** 2, (ext[right] - xp) ** 2)
+    if len(axes) == 2:
+        y = axes[1]
+        n = len(y)
+        out = np.empty_like(d2)
+        p_block = max(1, min(n, _MINPLUS_CHUNK // n))
+        l_block = max(1, _MINPLUS_CHUNK // (p_block * n))
+        for p0 in range(0, n, p_block):
+            cost = (y[p0:p0 + p_block, None] - y[None, :]) ** 2
+            for l0 in range(0, len(d2), l_block):
+                chunk = d2[l0:l0 + l_block, None, :] + cost
+                out[l0:l0 + l_block, p0:p0 + p_block] = chunk.min(axis=-1)
+        d2 = out
+    return d2
+
+
+# Node distances closer than this fraction of min(h) lie on one shell.
+_SHELL_RTOL = 1e-8
 
 
 def default_r_grid(geom: SupportGeometry, count: int = 32) -> np.ndarray:
     """Radii at midpoints between distinct positive node distances, plus r = 0.
 
-    The midpoint below the smallest positive distance is excluded: it selects
-    the same node set as r = 0, so P would plateau there and any radial
-    finite difference across the duplicate would be meaningless.
+    Nodes at one true distance reached along different grid offsets (say
+    (5, 0) and (3, 4) steps) differ by roundoff; distances within
+    ``_SHELL_RTOL``·min(h) of each other form one shell, so no radius falls
+    between them.  The midpoint below the smallest positive distance is
+    excluded: it selects the same node set as r = 0, so P would plateau there
+    and any radial finite difference across the duplicate would be
+    meaningless.
     """
     rd = np.unique(geom.dist)
     rd = rd[rd > 0.0]
-    mids = 0.5 * (rd[:-1] + rd[1:])
+    gap = np.diff(rd) > _SHELL_RTOL * min(geom.h)
+    mids = 0.5 * (rd[:-1][gap] + rd[1:][gap])
     if len(mids) <= count - 1:
         picks = mids
     else:

@@ -387,6 +387,11 @@ class Workspace:
                         self.pin_values[(row,) + sl] = val
                 else:
                     self.natural.append((rows_ab, sl, grid.side_weights(axis), side.value))
+        # (U, Y, QY) of the last force evaluation of a read-only U, kept for
+        # the energy sample of the same state (see ``acceleration``) until the
+        # next force evaluation (dropping it at the energy sample made the
+        # 2-D step loop measurably slower).
+        self._force_eval: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def stress(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The jet Y of a stacked state and the generalized stresses QY."""
@@ -418,7 +423,8 @@ class Workspace:
     def energy_sample(self, state: StateField) -> EnergySample:
         """ℰ at one state: kinetic (u and φ parts) plus stored energy."""
         kin = 0.5 * self.w * self.inertia * state.V**2
-        Y, QY = self.stress(state.U)
+        kept = self._force_eval
+        Y, QY = kept[1:] if kept is not None and kept[0] is state.U else self.stress(state.U)
         return EnergySample(
             t=state.t,
             kinetic_u=float(np.sum(kin[:PHI1_ROW])),
@@ -436,8 +442,14 @@ def acceleration(ws: Workspace, U: np.ndarray, t: float) -> np.ndarray:
 
     The force is the exact gradient of the discrete energy Σ w W:
     F = −w(QY)₀ − Σⱼ Dⱼᵀ(w(QY)ⱼ), plus the prescribed boundary load.
+    ``simulate`` and ``step`` make each configuration read-only before its
+    force is evaluated; the evaluation of a read-only U is kept in the
+    workspace, so the energy sample of that state reuses it.
     """
-    _, QY = ws.stress(U)
+    ws._force_eval = None  # free the kept evaluation before making another
+    Y, QY = ws.stress(U)
+    if not U.flags.writeable:
+        ws._force_eval = (U, Y, QY)
     F = -ws.w * QY[0]
     for j, hj in enumerate(ws.grid.h):
         F -= gradient_adjoint(ws.w * QY[1 + j], 1 + j, hj)
@@ -462,6 +474,9 @@ def step(
 ) -> tuple[StateField, np.ndarray]:
     """One kick-drift-kick update; returns the new state and its acceleration.
 
+    The new state's U is read-only, so its stress evaluation can be reused
+    (see :func:`acceleration`).
+
     Raises:
         NonFinite: if any updated value is not finite (instability signal).
     """
@@ -471,6 +486,7 @@ def step(
     V = state.V + half * a
     U = state.U + dt * V
     np.copyto(U, ws.pin_values, where=ws.pinned)
+    U.flags.writeable = False
     t_new = state.t + dt
     a_new = acceleration(ws, U, t_new)
     V += half * a_new
@@ -494,6 +510,8 @@ def simulate(
     """
     speed = problem.speed()
     state = initialize(problem)
+    state.U.flags.writeable = False
+    cache = acceleration(problem.workspace, state.U, state.t) if problem.T > 0.0 else None
     for rec in recorders:
         rec.record(0, state)
     if problem.T <= 0.0:
@@ -502,11 +520,11 @@ def simulate(
         base = dt if dt is not None else stable_timestep(problem.grid, speed, problem.cfl)
         n_steps = max(1, math.ceil(problem.T / base - 1e-12))
     dt_eff = problem.T / n_steps
-    cache = None
     for k in range(1, n_steps + 1):
         state, cache = step(state, problem, dt_eff, accel_cache=cache, step_index=k)
         for rec in recorders:
             rec.record(k, state)
+    problem.workspace._force_eval = None
     return state
 
 

@@ -212,6 +212,20 @@ def stored_energy_pointwise(form, U: np.ndarray, h) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Distance to a node set, by brute force over every pair.
+# ---------------------------------------------------------------------------
+
+
+def pairwise_distance(grid, mask: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each node to the nearest masked node, node by node."""
+    x = grid.positions().reshape(3, -1)
+    sup = x[:, mask.reshape(-1)]
+    out = np.array([np.min(np.linalg.norm(sup - x[:, k:k + 1], axis=0))
+                    for k in range(x.shape[1])])
+    return out.reshape(grid.shape)
+
+
+# ---------------------------------------------------------------------------
 # Quadrature and moments.
 # ---------------------------------------------------------------------------
 

@@ -44,6 +44,13 @@ class TestConfigSchema:
         assert dict((s, k) for s, k, _ in cfg.boundary_u) == {"x0": "dirichlet_zero",
                                                               "x1": "dirichlet_zero"}
 
+    def test_two_dimensional_default_grid(self, tmp_path):
+        cfg = load_config(write(tmp_path, "grid.dim = 2\n"))
+        assert cfg.n == (128, 128) and cfg.h == (1.0 / 127, 1.0 / 127)
+        path2 = tmp_path / "canon.cfg"
+        save_config(cfg, path2)
+        assert load_config(path2) == cfg
+
     def test_unknown_key_rejected_with_line(self, tmp_path):
         path = write(tmp_path, "grid.n = 64\nwibble = 3\n")
         with pytest.raises(SchemaError) as exc:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from poromix.errors import (
     UndefinedAtZero,
 )
 from poromix.fields import stored_energy
+from poromix.solver import Workspace
 
 from . import oracles
 
@@ -27,6 +30,15 @@ def problem_1d(consts, n=101, T=0.1, **kw):
     grid = pm.Grid(dim=1, n=(n,), h=(1.0 / (n - 1),))
     kw.setdefault("boundary", natural_bc())
     return pm.ProblemSpec(grid=grid, consts=consts, T=T, **kw)
+
+
+def pulse_problem_2d():
+    """The centred 64² pulse of the sim2d-pulse benchmark workload."""
+    n = 64
+    grid = pm.Grid(dim=2, n=(n, n), h=(1.0 / (n - 1), 1.0 / (n - 1)))
+    return pm.ProblemSpec(
+        grid=grid, consts=pm.random_material(1), T=0.1, boundary=natural_bc(dim=2),
+        initial=pm.InitialData(u1=pm.gaussian_pulse([0.5, 0.5], 0.06, 1.0, component=0)))
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +85,25 @@ class TestTotalEnergy:
         _, _, _, energy, _ = pulse_run
         np.testing.assert_allclose(
             energy.total, energy.kinetic_u + energy.kinetic_phi + energy.strain)
+
+    def test_recorder_reuses_the_step_stresses(self, random_consts, monkeypatch):
+        prob = problem_1d(
+            random_consts, T=0.02,
+            initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.05, 1.0, component=0),
+                                   psi2=pm.gaussian_pulse([0.4], 0.05, 0.3)))
+        ws = prob.workspace
+        calls = []
+        stress = Workspace.stress
+        monkeypatch.setattr(Workspace, "stress",
+                            lambda self, U: calls.append(1) or stress(self, U))
+        _, energy, traj = diag.record_run(prob, energy_every=1, snapshot_every=1)
+        assert len(calls) == len(energy.t)  # one stress evaluation per state
+        monkeypatch.undo()
+        # The snapshots are writable copies, so these samples evaluate afresh.
+        fresh = diag.EnergySeries.from_samples([ws.energy_sample(s) for s in traj.states])
+        for part in ("kinetic_u", "kinetic_phi", "strain"):
+            np.testing.assert_array_equal(getattr(energy, part), getattr(fresh, part))
+        assert energy.strain[-1] > 0.0
 
     def test_strain_energy_matches_simpson_oracle(self, random_consts):
         # smooth analytic state; trapezoid and Simpson agree to O(h^2)
@@ -125,13 +156,42 @@ class TestSupportGeometry:
                 u2=pm.gaussian_pulse([0.75], 0.02, 1.0, component=1),
             ))
         geom = diag.support_geometry(prob)
-        x = prob.grid.positions().reshape(3, -1)
-        sup = x[:, geom.mask.reshape(-1)]
-        brute = np.array([
-            min(np.linalg.norm(x[:, k] - sup[:, j]) for j in range(sup.shape[1]))
-            for k in range(x.shape[1])
-        ]).reshape(prob.grid.shape)
+        brute = oracles.pairwise_distance(prob.grid, geom.mask)
         np.testing.assert_allclose(geom.dist, brute, atol=1e-12)
+
+    def test_anisotropic_2d_distance_matches_pairwise_oracle(self, random_consts):
+        grid = pm.Grid(dim=2, n=(23, 17), h=(0.05, 0.03))
+
+        def wall(x):  # nonzero displacement pinned on the y1 side
+            shape = x.shape[1:]
+            return np.full((3,) + shape, 0.2), np.zeros((3,) + shape)
+
+        bc = natural_bc(dim=2)
+        bc.u["y1"] = pm.SideCondition("dirichlet", value=wall)
+        prob = pm.ProblemSpec(
+            grid=grid, consts=random_consts, boundary=bc, T=0.1,
+            initial=pm.InitialData(
+                u1=pm.gaussian_pulse([0.3, 0.12], 0.015, 1.0, component=0),
+                phi2=pm.gaussian_pulse([0.85, 0.3], 0.012, 1.0),
+            ))
+        geom = diag.support_geometry(prob, threshold=1e-3)
+        assert geom.mask[:, -1].all() and geom.mask[6, 4] and geom.mask[17, 10]
+        assert not geom.mask[:, 0].any()
+        brute = oracles.pairwise_distance(grid, geom.mask)
+        np.testing.assert_allclose(geom.dist, brute, rtol=0.0, atol=1e-12)
+        assert geom.L == pytest.approx(float(brute.max()), abs=1e-12)
+
+    def test_2d_memory_scales_with_the_grid(self):
+        prob = pulse_problem_2d()
+        prob.workspace  # built once per problem; not part of the geometry's cost
+        tracemalloc.start()
+        try:
+            geom = diag.support_geometry(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert geom.mask.sum() > 2000  # the all-pairs form needed ~450 MB here
+        assert peak < 32e6
 
     def test_mask_nodes_have_zero_distance(self, pulse_run):
         _, geom, *_ = pulse_run
@@ -218,10 +278,18 @@ class TestSurfacePower:
         assert viol <= 0.05
 
     def test_default_r_grid_has_distinct_node_sets(self, pulse_run):
-        _, geom, *_ = pulse_run
-        r_grid = diag.default_r_grid(geom, count=20)
-        sets = [tuple((geom.dist > r).reshape(-1)) for r in r_grid]
-        assert len(set(sets)) == len(sets)
+        prob, geom, *_ = pulse_run
+        prob_2d = pulse_problem_2d()
+        geom_2d = diag.support_geometry(prob_2d)
+        for g, h, count in ((geom, prob.grid.h, 20), (geom_2d, prob_2d.grid.h, 32)):
+            r_grid = diag.default_r_grid(g, count=count)
+            sets = [tuple((g.dist > r).reshape(-1)) for r in r_grid]
+            assert len(set(sets)) == len(sets)
+            # No radius cuts a shell of equal-distance nodes (split only by roundoff).
+            for r in r_grid:
+                below = g.dist[g.dist <= r].max()
+                above = g.dist[g.dist > r].min()
+                assert above - below > 1e-9 * min(h)
 
 
 class TestDecayReport:
