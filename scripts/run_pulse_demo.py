@@ -41,7 +41,7 @@ def main() -> int:
     final, energy, traj = diag.record_run(problem, energy_every=2, snapshot_every=2)
 
     r_grid = diag.default_r_grid(geom)
-    sps = diag.surface_power(traj, geom, r_grid, lam=problem.lam)
+    sps = diag.surface_power(traj, geom, r_grid).weighted(problem.lam)
     front = diag.front_speed(traj, geom)
     cs = diag.cesaro_means(energy)
     ir = diag.identity_residuals(traj, problem.lam)

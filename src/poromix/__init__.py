@@ -36,7 +36,6 @@ from .pointwise import (
     generalized_stress,
     internal_energy_density,
     power_identity_residuals,
-    strain_magnitude,
     strain_vector,
     stress_magnitude,
     traction,

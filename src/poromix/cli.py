@@ -21,7 +21,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import io as pio
-from .config import load_config, resolve_material, build_problem, save_config
+from .config import SUITES, load_config, resolve_material, build_problem, save_config
 from .errors import (
     InvalidParameter,
     NonFinite,
@@ -75,7 +75,7 @@ def cmd_material_check(args) -> int:
     except NotPositiveDefinite as exc:
         print(f"admissibility: FAIL ({exc})")
         return EXIT_CHECK_FAILED
-    speed = wave_speed(consts, xi_max, 1.0)
+    speed = wave_speed(consts, xi_max)
     print(f"xi_min = {xi_min:.12g}")
     print(f"xi_max = {xi_max:.12g}")
     print(f"m = {speed.m_inertia:.12g}")
@@ -110,7 +110,7 @@ def cmd_simulate(args) -> int:
 
     geom = diag.support_geometry(problem)
     r_grid = diag.default_r_grid(geom)
-    sps = diag.surface_power(traj, geom, r_grid, lam=problem.lam)
+    sps = diag.surface_power(traj, geom, r_grid).weighted(problem.lam)
     p_power = os.path.join(out_dir, "power.csv")
     pio.write_power_csv(p_power, sps)
     paths.append(p_power)
@@ -197,16 +197,16 @@ def cmd_decay_report(args) -> int:
     speed = problem.speed()
     length = max(problem.grid.extent())
     lams = [m * speed.c / length for m in (0.5, 1.0, 2.0)] if args.lambda_sweep else [problem.lam]
+    flux = diag.surface_power(traj, geom, r_grid)
     ok = True
     for lam in lams:
-        sps = diag.surface_power(traj, geom, r_grid, lam=lam)
-        sp = wave_speed(problem.consts, speed.c**2 * speed.m_inertia, lam)
+        sps = flux.weighted(lam)
         t_final = float(sps.t_grid[-1])
         try:
-            drep = diag.decay_report(sps, sp, t=t_final, tol_h=cfg.tol_h)
+            drep = diag.decay_report(sps, speed, t=t_final, tol_h=cfg.tol_h)
             print(
                 f"lambda={lam:.6g}: slope={drep.slope:.6g} "
-                f"(envelope rate {-lam / sp.c:.6g}), bound_ok={drep.bound_ok}, "
+                f"(envelope rate {-lam / speed.c:.6g}), bound_ok={drep.bound_ok}, "
                 f"max_ratio={drep.max_bound_ratio:.6g}"
             )
             ok = ok and drep.bound_ok
@@ -232,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--config", required=True)
     p.add_argument("--suite", default=None,
-                   choices=["constitutive", "identities", "decay", "influence",
-                            "equipartition", "uniqueness", "all"])
+                   choices=[*SUITES, "all"])
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     Degenerate,
     InsufficientSnapshots,
+    InvalidParameter,
     MissingDecomposition,
     NoFront,
     UndefinedAtZero,
@@ -88,24 +89,26 @@ class EnergyRecorder:
         return EnergySeries.from_samples(self.samples)
 
 
-class SnapshotRecorder:
-    """Stores full state copies every ``every`` steps (uniform cadence)."""
+class SnapshotRecorder(EnergyRecorder):
+    """Stores full state copies, with their energy samples, every ``every`` steps."""
 
-    def __init__(self, every: int = 1):
-        self.every = max(1, int(every))
+    def __init__(self, ws: Workspace, every: int = 1):
+        super().__init__(ws, every)
         self.states: list[StateField] = []
 
     def record(self, step: int, state: StateField) -> None:
         if step % self.every == 0:
+            self.samples.append(self.ws.energy_sample(state))
             self.states.append(state.copy())
 
 
 @dataclass
 class Trajectory:
-    """Recorded snapshots of one run, with their problem."""
+    """Recorded snapshots of one run, with their problem and energy split."""
 
     problem: ProblemSpec
     states: list[StateField]
+    energy: EnergySeries
 
     @property
     def times(self) -> np.ndarray:
@@ -146,9 +149,10 @@ def record_run(problem: ProblemSpec, energy_every: int | None = None,
             steps = max(1, math.ceil(problem.T / base - 1e-12))
         snapshot_every = snapshot_cadence_for_budget(problem, steps, snapshot_budget)
     erec = EnergyRecorder(problem.workspace, energy_every or problem.energy_every)
-    srec = SnapshotRecorder(snapshot_every or problem.snapshot_every)
+    srec = SnapshotRecorder(problem.workspace, snapshot_every or problem.snapshot_every)
     final = simulate(problem, recorders=(erec, srec), dt=dt, n_steps=n_steps)
-    return final, erec.series(), Trajectory(problem=problem, states=srec.states)
+    return final, erec.series(), Trajectory(problem=problem, states=srec.states,
+                                            energy=srec.series())
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +294,29 @@ class SurfacePowerSeries:
     lam: float
 
 
+@dataclass
+class SurfaceFlux:
+    """The λ-free part of the surface power, per radius (rows) and recorded time.
+
+    ``flux`` is Σ_faces (QY)ⱼ·V da over S_r, with the normal pointing away
+    from the data side; ``energy`` is ∫ ε dv over {dist > r}.
+    """
+
+    r_grid: np.ndarray
+    t_grid: np.ndarray
+    flux: np.ndarray
+    energy: np.ndarray
+
+    def weighted(self, lam: float) -> SurfacePowerSeries:
+        """The series at λ, by trapezoid in time: P(r,t) = −∫₀ᵗ e^{−λs} flux ds and
+        E(r,t) = e^{−λt} energy + λ∫₀ᵗ e^{−λs} energy ds."""
+        t = self.t_grid
+        decay = np.exp(-lam * t)
+        p = -_cumtrapz(self.flux * decay, t)
+        e_vol = self.energy * decay + lam * _cumtrapz(self.energy * decay, t)
+        return SurfacePowerSeries(r_grid=self.r_grid, t_grid=t.copy(), P=p, E_vol=e_vol, lam=lam)
+
+
 def _face_areas(grid, axis: int) -> np.ndarray:
     """Dual-cell areas of the faces normal to ``axis`` (1-D: unit area)."""
     face_shape = tuple(n - 1 if a == axis else n for a, n in enumerate(grid.shape))
@@ -315,59 +342,62 @@ def _axis_faces(arr: np.ndarray, axis_pos: int):
     return arr[tuple(lo)], arr[tuple(hi)]
 
 
-def surface_power(
-    traj: Trajectory,
-    geom: SupportGeometry,
-    r_grid: np.ndarray,
-    lam: float,
-) -> SurfacePowerSeries:
-    """Time-weighted surface power on the staircase interfaces S_r.
+def surface_power(traj: Trajectory, geom: SupportGeometry, r_grid: np.ndarray) -> SurfaceFlux:
+    """Surface power on the staircase interfaces S_r, before the time weight.
 
-    S_r is realized as the set of grid faces separating {dist ≤ r} from
-    {dist > r}; the face flux along axis j averages the two nodal values of
-    (QY)ⱼ·V = Σ_α [S^α[:, j]·u̇^α + h^α_j φ̇^α], the normal points away from
-    the data side, and P(r,t) = −∫₀ᵗ e^{−λs} Σ_faces flux da ds by trapezoid
-    in time.  The weighted volume energy E(r, t) over {dist > r} is
-    evaluated in the same pass.
+    One pass over the snapshots gives the flux through S_r and the energy
+    outside it at every radius; ``.weighted(λ)`` of the result is the
+    time-weighted P(r, t) with its volume energy E(r, t), so a λ sweep
+    evaluates each snapshot once.  S_r is realized as the set of grid faces
+    separating {dist ≤ r} from {dist > r}.  Each node gets one shell index
+    k, the number of radii below its distance, so it lies outside S_{r_i}
+    exactly when i < k.  The energy outside every S_r is then one bincount
+    over k plus a reverse cumulative sum; a face between shells k_lo ≠ k_hi
+    lies on S_{r_i} for min(k_lo, k_hi) ≤ i < max(k_lo, k_hi), and its flux
+    averages the two nodal values of (QY)ⱼ·V = Σ_α [S^α[:, j]·u̇^α + h^α_j φ̇^α].
+    Each state costs O(grid), whatever the number of radii.
+
+    Raises:
+        InvalidParameter: if ``r_grid`` is not strictly increasing.
     """
+    r_grid = np.asarray(r_grid, dtype=float)
+    if r_grid.ndim != 1 or np.any(np.diff(r_grid) <= 0.0):
+        raise InvalidParameter("r_grid must be strictly increasing")
     ws = traj.problem.workspace
     grid = ws.grid
-    times = traj.times
-    r_grid = np.asarray(r_grid, dtype=float)
-    nr, nt = len(r_grid), len(times)
-    q = np.zeros((nr, nt))
-    e_inst = np.zeros((nr, nt))
-
-    masks = [geom.dist > r for r in r_grid]
-    face_sel = []
+    nr, nt = len(r_grid), len(traj)
+    shell = np.searchsorted(r_grid, geom.dist)
+    # One (face, radius) entry per radius each face crosses, its area signed
+    # +1 where the upper node is the outer one; faces of all axes in order.
+    faces, radii, areas = [], [], []
+    offset = 0
     for axis in range(grid.dim):
-        area = _face_areas(grid, axis)
-        per_r = []
-        for m in masks:
-            lo, hi = _axis_faces(m, axis)
-            active = lo != hi
-            sign = np.where(hi & ~lo, 1.0, -1.0)
-            per_r.append((active, sign * area))
-        face_sel.append(per_r)
+        k_lo, k_hi = _axis_faces(shell, axis)
+        lo = np.minimum(k_lo, k_hi).ravel()
+        span = np.abs(k_hi - k_lo).ravel()
+        face = np.repeat(np.arange(span.size), span)
+        start = np.repeat(np.cumsum(span) - span, span)
+        faces.append(offset + face)
+        radii.append(lo[face] + np.arange(face.size) - start)
+        areas.append((np.where(k_hi > k_lo, 1.0, -1.0) * _face_areas(grid, axis)).ravel()[face])
+        offset += span.size
+    faces, radii, areas = (np.concatenate(a) for a in (faces, radii, areas))
 
+    flux = np.zeros((nr, nt))
+    energy = np.zeros((nr, nt))
     for j, state in enumerate(traj.states):
         Y, QY = ws.stress(state.U)
         eps = 0.5 * np.sum(ws.inertia * state.V**2, axis=0) + stored_energy(Y, QY)
-        for i in range(nr):
-            e_inst[i, j] = float(np.sum(ws.w[masks[i]] * eps[masks[i]]))
+        per_shell = np.bincount(shell.ravel(), weights=(ws.w * eps).ravel(), minlength=nr + 1)
+        energy[:, j] = np.cumsum(per_shell[::-1])[::-1][1:]
+        face_flux = []
         for axis in range(grid.dim):
             s_lo, s_hi = _axis_faces(QY[1 + axis], 1 + axis)
             v_lo, v_hi = _axis_faces(state.V, 1 + axis)
-            flux = 0.25 * np.einsum("c...,c...->...", s_lo + s_hi, v_lo + v_hi)
-            for i in range(nr):
-                active, signed_area = face_sel[axis][i]
-                if active.any():
-                    q[i, j] += float(np.sum(signed_area[active] * flux[active]))
-
-    decay = np.exp(-lam * times)
-    p = -_cumtrapz(q * decay, times)
-    e_vol = e_inst * decay + lam * _cumtrapz(e_inst * decay, times)
-    return SurfacePowerSeries(r_grid=r_grid, t_grid=times.copy(), P=p, E_vol=e_vol, lam=lam)
+            face_flux.append(0.25 * np.einsum("c...,c...->...", s_lo + s_hi, v_lo + v_hi).ravel())
+        flux[:, j] = np.bincount(radii, weights=areas * np.concatenate(face_flux)[faces],
+                                 minlength=nr)
+    return SurfaceFlux(r_grid=r_grid, t_grid=traj.times, flux=flux, energy=energy)
 
 
 @dataclass
@@ -439,15 +469,7 @@ def front_speed(
     Raises:
         NoFront: threshold never exceeded outside the support.
     """
-    mags = []
-    for state in traj.states:
-        m = np.sqrt(
-            np.einsum("i...,i...->...", state.u1, state.u1)
-            + np.einsum("i...,i...->...", state.u2, state.u2)
-            + state.phi1**2
-            + state.phi2**2
-        )
-        mags.append(m)
+    mags = [state.magnitude() for state in traj.states]
     peak = max(float(np.max(m)) for m in mags)
     if peak == 0.0:
         raise NoFront("trajectory is identically zero")
@@ -492,17 +514,12 @@ class CesaroSeries:
         return self.Kc - self.Sc
 
 
-def cesaro_means(source) -> CesaroSeries:
-    """Cesàro means from an EnergySeries or a Trajectory.
+def cesaro_means(series: EnergySeries) -> CesaroSeries:
+    """Cesàro means of a recorded energy series (``Trajectory.energy`` for snapshots).
 
     Raises:
         UndefinedAtZero: if fewer than two samples (nothing beyond t = 0).
     """
-    if isinstance(source, Trajectory):
-        ws = source.problem.workspace
-        series = EnergySeries.from_samples([ws.energy_sample(s) for s in source.states])
-    else:
-        series = source
     if len(series.t) < 2:
         raise UndefinedAtZero("need samples beyond t = 0 for running means")
     t = series.t
@@ -524,7 +541,7 @@ class EquipartitionReport:
 
 
 def equipartition_report(
-    traj_or_series,
+    series: EnergySeries,
     problem: ProblemSpec,
     rigid: RigidDecomposition | None = None,
     fit_bins: int = 8,
@@ -536,11 +553,8 @@ def equipartition_report(
     ½∫ Σ_α ρ^α |ā̇^α|² dv computed from the rigid decomposition of the
     initial velocities (MissingDecomposition if absent).
     """
-    cs = cesaro_means(traj_or_series)
-    if isinstance(traj_or_series, Trajectory):
-        e0 = traj_or_series.problem.workspace.energy_sample(traj_or_series.states[0]).total
-    else:
-        e0 = float(traj_or_series.total[0])
+    cs = cesaro_means(series)
+    e0 = float(series.total[0])
     free = problem.boundary.meas_sigma1_zero(problem.grid)
     gap = cs.gap
     if not free:
@@ -612,6 +626,9 @@ class IdentityResiduals:
 def identity_residuals(traj: Trajectory, lam: float) -> IdentityResiduals:
     """Evaluate the three whole-body identity residuals on a trajectory.
 
+    The energies are the ones recorded with the snapshots, so no stress is
+    evaluated here.
+
     Requires a uniformly recorded cadence (the two-time identity pairs
     states at t−s and t+s).  Boundary work uses the prescribed data:
     homogeneous conditions contribute exactly zero, prescribed natural
@@ -632,10 +649,9 @@ def identity_residuals(traj: Trajectory, lam: float) -> IdentityResiduals:
     if steps.size and (np.max(steps) - np.min(steps)) > 1e-9 * max(np.max(steps), 1e-300):
         raise InsufficientSnapshots("two-time identity needs a uniform cadence")
     n = len(times)
-    samples = [ws.energy_sample(s) for s in states]
-    energy = np.array([s.total for s in samples])
-    two_k = np.array([2.0 * (s.kinetic_u + s.kinetic_phi) for s in samples])
-    two_w = np.array([2.0 * s.strain for s in samples])
+    energy = traj.energy.total
+    two_k = 2.0 * (traj.energy.kinetic_u + traj.energy.kinetic_phi)
+    two_w = 2.0 * traj.energy.strain
     qpair = np.array([ws.pair_product(s, s) for s in states])
 
     # Applied loads stacked like U: ρ-weighted body sources per node volume,

@@ -313,33 +313,30 @@ def elastic_moduli_bounds(
 
 @dataclass(frozen=True)
 class SpeedParams:
-    """Bounding signal speed c = sqrt(ξ_M / m) and the decay weight λ."""
+    """Bounding signal speed c = sqrt(ξ_M / m)."""
 
     m_inertia: float
     c: float
-    lam: float
 
 
-def wave_speed(consts: MaterialConstants, xi_max: float, lam: float = 1.0) -> SpeedParams:
+def wave_speed(consts: MaterialConstants, xi_max: float) -> SpeedParams:
     """Derive the characteristic speed from ξ_M and the inertia minimum.
 
     m = min{ρ¹, ρ², ρ¹χ¹, ρ²χ²}; c = sqrt(ξ_M / m).
 
     Raises:
-        InvalidParameter: on nonpositive ξ_M or λ (densities and inertias
-            are positive by construction of ``MaterialConstants``).
+        InvalidParameter: on nonpositive ξ_M (densities and inertias are
+            positive by construction of ``MaterialConstants``).
     """
     if xi_max <= 0.0:
         raise InvalidParameter(f"xi_max must be positive, got {xi_max}")
-    if lam <= 0.0:
-        raise InvalidParameter(f"lambda must be positive, got {lam}")
     m = min(
         consts.rho1,
         consts.rho2,
         consts.rho1 * consts.chi1,
         consts.rho2 * consts.chi2,
     )
-    return SpeedParams(m_inertia=m, c=float(np.sqrt(xi_max / m)), lam=float(lam))
+    return SpeedParams(m_inertia=m, c=float(np.sqrt(xi_max / m)))
 
 
 @dataclass(frozen=True)
@@ -461,46 +458,6 @@ def worst_stress_energy_ratio(consts: MaterialConstants, form: QuadraticForm) ->
     elastic_moduli_bounds(form)
     kappa_a2 = float(np.linalg.eigvalsh(form.a2)[-1])
     return max(_coupled_stress_bound(consts, form), kappa_a2) / form.xi_max
-
-
-def acoustic_speed_limit(consts: MaterialConstants, n_directions: int = 24) -> float:
-    """Largest plane-wave speed over a sweep of propagation directions.
-
-    Uses the gradient-gradient blocks only (value couplings do not affect the
-    short-wave limit): the 6×6 displacement acoustic tensor built from the
-    gradient-form coefficients plus the 2×2 fraction-gradient system.
-    """
-    red = reduced_constants(consts, validate=False)
-    rng_dirs = []
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    for k in range(n_directions):
-        z = 1.0 - 2.0 * (k + 0.5) / n_directions
-        r = np.sqrt(max(0.0, 1.0 - z * z))
-        th = golden * k
-        rng_dirs.append([r * np.cos(th), r * np.sin(th), z])
-    vmax2 = 0.0
-    rho = np.array([consts.rho1] * 3 + [consts.rho2] * 3)
-    for n in rng_dirs:
-        n = np.asarray(n)
-        k11 = np.einsum("ijrs,j,s->ir", red.a, n, n)
-        k12 = np.einsum("ijrs,j,s->ir", red.b, n, n)
-        k22 = np.einsum("ijrs,j,s->ir", red.d, n, n)
-        ku = np.block([[k11, k12], [k12.T, k22]])
-        ku = 0.5 * (ku + ku.T) / np.sqrt(np.outer(rho, rho))
-        vmax2 = max(vmax2, float(np.linalg.eigvalsh(ku)[-1]))
-        ann = float(consts.alpha @ n @ n)
-        bnn = float(consts.beta @ n @ n)
-        gnn = float(consts.gamma @ n @ n)
-        kphi = np.array([[ann, bnn], [bnn, gnn]])
-        mphi = np.diag([consts.rho1 * consts.chi1, consts.rho2 * consts.chi2])
-        inv_sqrt = np.diag(1.0 / np.sqrt(np.diag(mphi)))
-        vmax2 = max(vmax2, float(np.linalg.eigvalsh(inv_sqrt @ kphi @ inv_sqrt)[-1]))
-    return float(np.sqrt(max(vmax2, 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# Reference materials and the seeded random generator.
-# ---------------------------------------------------------------------------
 
 
 def _sym4_full(t: np.ndarray) -> np.ndarray:

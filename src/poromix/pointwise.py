@@ -139,11 +139,6 @@ def strain_vector(ps: PointState) -> StrainVector:
     return StrainVector(vec)
 
 
-def strain_magnitude(E: StrainVector):
-    """Euclidean magnitude over all 29 slots (e and g blocks counted once)."""
-    return np.linalg.norm(E.vec, axis=-1)
-
-
 def internal_energy_density(form: QuadraticForm, E: StrainVector):
     """W = ½ E·𝒜E."""
     return 0.5 * _dot(E.vec @ form.matrix, E.vec)

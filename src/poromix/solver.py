@@ -252,7 +252,7 @@ class ProblemSpec:
 
     def speed(self) -> SpeedParams:
         _, xi_max = elastic_moduli_bounds(self.quadratic_form())
-        return wave_speed(self.consts, xi_max, self.lam)
+        return wave_speed(self.consts, xi_max)
 
 
 def _row_view(name: str, rows) -> property:
@@ -295,6 +295,15 @@ class StateField:
 
     def copy(self) -> "StateField":
         return StateField(t=self.t, U=self.U.copy(), V=self.V.copy())
+
+    def magnitude(self) -> np.ndarray:
+        """Per-node magnitude |(u¹, u², φ¹, φ²)|."""
+        return np.sqrt(
+            np.einsum("i...,i...->...", self.u1, self.u1)
+            + np.einsum("i...,i...->...", self.u2, self.u2)
+            + self.phi1**2
+            + self.phi2**2
+        )
 
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(self.U))), float(np.max(np.abs(self.V))))

@@ -226,6 +226,103 @@ def pairwise_distance(grid, mask: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Surface power with one node mask and one face selection per radius.
+# ---------------------------------------------------------------------------
+
+
+def _lower_upper(arr: np.ndarray, axis: int):
+    lo = [slice(None)] * arr.ndim
+    hi = [slice(None)] * arr.ndim
+    lo[axis] = slice(0, -1)
+    hi[axis] = slice(1, None)
+    return arr[tuple(lo)], arr[tuple(hi)]
+
+
+def surface_power_masks(traj, geom, r_grid, lam: float):
+    """(P, E_vol) of ``diagnostics.surface_power(...).weighted(lam)``, radius by radius.
+
+    For each radius the node mask {dist > r} selects the outside energy, and
+    the faces whose two nodes differ in that mask carry the flux, with sign
+    +1 where the upper node is outside.  O(grid × radii) per state.
+    """
+    from poromix.diagnostics import _cumtrapz
+    from poromix.fields import stored_energy
+
+    ws = traj.problem.workspace
+    grid = ws.grid
+    times = traj.times
+    q = np.zeros((len(r_grid), len(times)))
+    e_inst = np.zeros_like(q)
+    masks = [geom.dist > r for r in r_grid]
+    areas = []
+    for axis in range(grid.dim):
+        area = np.ones(tuple(n - 1 if a == axis else n for a, n in enumerate(grid.shape)))
+        for b in range(grid.dim):
+            if b != axis:
+                tw = np.full(grid.shape[b], grid.h[b])
+                tw[0] = tw[-1] = 0.5 * grid.h[b]
+                area = area * tw.reshape([-1 if a == b else 1 for a in range(grid.dim)])
+        areas.append(area)
+    for j, state in enumerate(traj.states):
+        Y, QY = ws.stress(state.U)
+        eps = 0.5 * np.sum(ws.inertia * state.V**2, axis=0) + stored_energy(Y, QY)
+        for i, m in enumerate(masks):
+            e_inst[i, j] = float(np.sum(ws.w[m] * eps[m]))
+        for axis in range(grid.dim):
+            s_lo, s_hi = _lower_upper(QY[1 + axis], 1 + axis)
+            v_lo, v_hi = _lower_upper(state.V, 1 + axis)
+            flux = 0.25 * np.einsum("c...,c...->...", s_lo + s_hi, v_lo + v_hi)
+            for i, m in enumerate(masks):
+                lo, hi = _lower_upper(m, axis)
+                active = lo != hi
+                if active.any():
+                    sign = np.where(hi & ~lo, 1.0, -1.0)
+                    q[i, j] += float(np.sum((sign * areas[axis])[active] * flux[active]))
+    decay = np.exp(-lam * times)
+    p = -_cumtrapz(q * decay, times)
+    e_vol = e_inst * decay + lam * _cumtrapz(e_inst * decay, times)
+    return p, e_vol
+
+
+# ---------------------------------------------------------------------------
+# Plane-wave speeds of a material.
+# ---------------------------------------------------------------------------
+
+
+def acoustic_speed_limit(consts, n_directions: int = 24) -> float:
+    """Largest plane-wave speed over a sweep of propagation directions.
+
+    Uses the gradient-gradient blocks only (value couplings do not affect the
+    short-wave limit): the 6×6 displacement acoustic tensor built from the
+    gradient-form coefficients plus the 2×2 fraction-gradient system.  The
+    bounding speed c of ``wave_speed`` must not be exceeded.
+    """
+    from poromix.materials import reduced_constants
+
+    red = reduced_constants(consts, validate=False)
+    golden = np.pi * (3.0 - np.sqrt(5.0))
+    vmax2 = 0.0
+    rho = np.array([consts.rho1] * 3 + [consts.rho2] * 3)
+    for k in range(n_directions):
+        z = 1.0 - 2.0 * (k + 0.5) / n_directions
+        r = np.sqrt(max(0.0, 1.0 - z * z))
+        n = np.array([r * np.cos(golden * k), r * np.sin(golden * k), z])
+        k11 = np.einsum("ijrs,j,s->ir", red.a, n, n)
+        k12 = np.einsum("ijrs,j,s->ir", red.b, n, n)
+        k22 = np.einsum("ijrs,j,s->ir", red.d, n, n)
+        ku = np.block([[k11, k12], [k12.T, k22]])
+        ku = 0.5 * (ku + ku.T) / np.sqrt(np.outer(rho, rho))
+        vmax2 = max(vmax2, float(np.linalg.eigvalsh(ku)[-1]))
+        ann = float(consts.alpha @ n @ n)
+        bnn = float(consts.beta @ n @ n)
+        gnn = float(consts.gamma @ n @ n)
+        kphi = np.array([[ann, bnn], [bnn, gnn]])
+        inv_sqrt = np.diag(1.0 / np.sqrt([consts.rho1 * consts.chi1, consts.rho2 * consts.chi2]))
+        vmax2 = max(vmax2, float(np.linalg.eigvalsh(inv_sqrt @ kphi @ inv_sqrt)[-1]))
+    return float(np.sqrt(max(vmax2, 0.0)))
+
+
+# ---------------------------------------------------------------------------
 # Quadrature and moments.
 # ---------------------------------------------------------------------------
 

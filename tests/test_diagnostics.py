@@ -12,6 +12,7 @@ from poromix import diagnostics as diag
 from poromix.errors import (
     Degenerate,
     InsufficientSnapshots,
+    InvalidParameter,
     MissingDecomposition,
     NoFront,
     UndefinedAtZero,
@@ -204,18 +205,19 @@ class TestSurfacePower:
         prob = problem_1d(random_consts, T=0.05)
         _, _, traj = diag.record_run(prob, snapshot_every=2)
         geom = diag.support_geometry(prob)
-        sps = diag.surface_power(traj, geom, np.array([0.0, 0.1, 0.2]), lam=1.0)
+        sps = diag.surface_power(traj, geom, np.array([0.0, 0.1, 0.2])).weighted(1.0)
         assert np.all(sps.P == 0.0) and np.all(sps.E_vol == 0.0)
 
     def test_radii_beyond_L_carry_no_power(self, pulse_run):
         prob, geom, speed, _, traj = pulse_run
-        sps = diag.surface_power(traj, geom, np.array([0.0, geom.L, geom.L * 1.5]), lam=1.0)
+        r_grid = np.array([0.0, geom.L, geom.L * 1.5])
+        sps = diag.surface_power(traj, geom, r_grid).weighted(1.0)
         assert np.all(sps.P[1] == 0.0) and np.all(sps.P[2] == 0.0)
 
     def test_power_nonnegative_and_monotone(self, pulse_run):
         prob, geom, speed, _, traj = pulse_run
         r_grid = diag.default_r_grid(geom, count=20)
-        sps = diag.surface_power(traj, geom, r_grid, lam=prob.lam)
+        sps = diag.surface_power(traj, geom, r_grid).weighted(prob.lam)
         p_ref = sps.P[0, -1]
         assert np.min(sps.P) >= -1e-9 * p_ref
         assert np.max(np.diff(sps.P, axis=0)) <= 1e-9 * p_ref
@@ -223,7 +225,7 @@ class TestSurfacePower:
     def test_power_equals_weighted_energy(self, pulse_run):
         prob, geom, speed, _, traj = pulse_run
         r_grid = diag.default_r_grid(geom, count=20)
-        sps = diag.surface_power(traj, geom, r_grid, lam=prob.lam)
+        sps = diag.surface_power(traj, geom, r_grid).weighted(prob.lam)
         ref = np.max(np.abs(sps.E_vol))
         sel = np.abs(sps.E_vol) > 1e-2 * ref
         rel = np.max(np.abs(sps.P[sel] - sps.E_vol[sel]) / np.abs(sps.E_vol[sel]))
@@ -231,7 +233,7 @@ class TestSurfacePower:
 
     def test_weighted_energy_lambda_zero_is_plain_energy(self, pulse_run):
         prob, geom, speed, _, traj = pulse_run
-        sps = diag.surface_power(traj, geom, np.array([0.0, 0.05]), lam=0.0)
+        sps = diag.surface_power(traj, geom, np.array([0.0, 0.05])).weighted(0.0)
         state = traj.states[-1]
         k = prob.consts
         kin = 0.5 * (k.rho1 * np.sum(state.v1**2, axis=0) + k.rho2 * np.sum(state.v2**2, axis=0)
@@ -257,7 +259,7 @@ class TestSurfacePower:
         prob = pm.ProblemSpec(grid=grid, consts=consts, boundary=bc, initial=ini,
                               T=0.8 * geom.L / speed.c, cfl=0.4)
         _, energy, traj = diag.record_run(prob, energy_every=2, snapshot_every=2)
-        sps = diag.surface_power(traj, geom, diag.default_r_grid(geom, count=16), lam=1.0)
+        sps = diag.surface_power(traj, geom, diag.default_r_grid(geom, count=16)).weighted(1.0)
         p_ref = sps.P[0, -1]
         assert np.min(sps.P) >= -1e-9 * p_ref
         assert np.max(np.diff(sps.P, axis=0)) <= 1e-9 * p_ref
@@ -267,10 +269,50 @@ class TestSurfacePower:
         assert rel <= 0.08
         assert diag.front_speed(traj, geom).speed <= speed.c
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_per_radius_oracle(self, pulse_run, dim):
+        if dim == 1:
+            prob, geom, _, _, traj = pulse_run
+        else:
+            prob = pulse_problem_2d()
+            geom = diag.support_geometry(prob)
+            _, _, traj = diag.record_run(prob, snapshot_every=4)
+        r_grid = np.concatenate([diag.default_r_grid(geom), [geom.L, 2.0 * geom.L]])
+        shell = np.searchsorted(r_grid, geom.dist)
+        crossed = max(np.abs(np.diff(shell, axis=a)).max() for a in range(prob.grid.dim))
+        assert crossed == (1 if dim == 1 else 3)  # 2-D faces cross up to 3 shells
+        sps = diag.surface_power(traj, geom, r_grid).weighted(prob.lam)
+        P, E_vol = oracles.surface_power_masks(traj, geom, r_grid, prob.lam)
+        for new, ref in ((sps.P, P), (sps.E_vol, E_vol)):
+            scale = np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.all(np.abs(new - ref) <= 1e-12 * scale)
+            assert np.all(new[ref == 0.0] == 0.0)
+        assert np.all(P[-2:] == 0.0) and np.all(E_vol[-2:] == 0.0)
+
+    def test_lambda_sweep_evaluates_each_snapshot_once(self, pulse_run, monkeypatch):
+        prob, geom, _, _, traj = pulse_run
+        r_grid = diag.default_r_grid(geom, count=20)
+        calls = []
+        stress = Workspace.stress
+        monkeypatch.setattr(Workspace, "stress",
+                            lambda self, U: calls.append(1) or stress(self, U))
+        flux = diag.surface_power(traj, geom, r_grid)
+        for lam in (0.5, 1.0, 2.0):
+            flux.weighted(lam)
+        assert len(calls) == len(traj)
+        diag.identity_residuals(traj, lam=prob.lam)
+        assert len(calls) == len(traj)  # the recorded energies are read, not recomputed
+
+    @pytest.mark.parametrize("r_grid", [[0.0, 0.2, 0.1], [0.0, 0.1, 0.1]])
+    def test_r_grid_must_increase(self, pulse_run, r_grid):
+        _, geom, _, _, traj = pulse_run
+        with pytest.raises(InvalidParameter):
+            diag.surface_power(traj, geom, np.array(r_grid))
+
     def test_radial_inequality_discrete(self, pulse_run):
         prob, geom, speed, _, traj = pulse_run
         r_grid = diag.default_r_grid(geom, count=20)
-        sps = diag.surface_power(traj, geom, r_grid, lam=prob.lam)
+        sps = diag.surface_power(traj, geom, r_grid).weighted(prob.lam)
         dr = np.diff(sps.r_grid)[:, None]
         lhs = (prob.lam / speed.c) * np.abs(sps.P[:-1]) + np.diff(sps.P, axis=0) / dr
         sel = sps.P[0] > 1e-8 * sps.P[0, -1]
@@ -301,26 +343,26 @@ class TestDecayReport:
 
     def test_exact_exponential_slope(self):
         sps = self.make_synthetic(-2.0)
-        sp = pm.SpeedParams(m_inertia=1.0, c=10.0, lam=1.0)
+        sp = pm.SpeedParams(m_inertia=1.0, c=10.0)
         rep = diag.decay_report(sps, sp, t=2.0)
         assert rep.slope == pytest.approx(-2.0, abs=1e-10)
 
     def test_lambda_zero_reduces_to_monotonicity(self):
         sps = self.make_synthetic(-1.0, lam=0.0)
-        sp = pm.SpeedParams(m_inertia=1.0, c=10.0, lam=0.0)
+        sp = pm.SpeedParams(m_inertia=1.0, c=10.0)
         rep = diag.decay_report(sps, sp, t=2.0, tol_h=0.0)
         assert rep.bound_ok  # P(r,t) <= P(0,t) for a decreasing profile
 
     def test_degenerate_on_too_few_radii(self):
         sps = self.make_synthetic(-2.0)
-        sp = pm.SpeedParams(m_inertia=1.0, c=0.01, lam=1.0)  # ct excludes radii
+        sp = pm.SpeedParams(m_inertia=1.0, c=0.01)  # ct excludes radii
         with pytest.raises(Degenerate):
             diag.decay_report(sps, sp, t=2.0)
 
     def test_pulse_run_bound(self, pulse_run):
         prob, geom, speed, _, traj = pulse_run
         r_grid = diag.default_r_grid(geom, count=20)
-        sps = diag.surface_power(traj, geom, r_grid, lam=prob.lam)
+        sps = diag.surface_power(traj, geom, r_grid).weighted(prob.lam)
         rep = diag.decay_report(sps, speed, t=float(traj.times[-1]), tol_h=0.05)
         assert rep.bound_ok
 
@@ -385,7 +427,7 @@ class TestCesaroMeans:
 
     def test_means_from_trajectory(self, pulse_run):
         prob, *_ , traj = pulse_run
-        cs = diag.cesaro_means(traj)
+        cs = diag.cesaro_means(traj.energy)
         assert len(cs.t) == len(traj) - 1
 
 

@@ -55,17 +55,17 @@ class TestStrainVector:
 
 class TestMagnitudes:
     def test_zero(self):
-        assert pm.strain_magnitude(StrainVector(np.zeros(29))) == 0.0
+        assert np.linalg.norm(StrainVector(np.zeros(29)).vec, axis=-1) == 0.0
 
     @pytest.mark.parametrize("slot", [0, 7, 13, 18, 21, 28])
     def test_single_slot(self, slot):
         vec = np.zeros(29)
         vec[slot] = 1.0
-        assert pm.strain_magnitude(StrainVector(vec)) == 1.0
+        assert np.linalg.norm(StrainVector(vec).vec, axis=-1) == 1.0
 
     def test_random_against_loop_oracle(self, rng):
         ev = pm.strain_vector(random_point_state(rng))
-        assert pm.strain_magnitude(ev) == pytest.approx(
+        assert np.linalg.norm(ev.vec, axis=-1) == pytest.approx(
             oracles.strain_magnitude_loops(ev), rel=1e-13)
 
     def test_stress_magnitude_oracle(self, rng, random_consts):
@@ -209,7 +209,7 @@ class TestPowerIdentities:
     def test_random_pairs(self, rng, random_consts, random_form):
         for _ in range(100):
             ps, qs = random_point_state(rng), random_point_state(rng)
-            scale = 1.0 + pm.strain_magnitude(pm.strain_vector(ps)) ** 2
+            scale = 1.0 + np.linalg.norm(pm.strain_vector(ps).vec, axis=-1) ** 2
             r_static, r_rate = pm.power_identity_residuals(
                 random_consts, ps, qs, form=random_form)
             assert r_static <= 1e-10 * scale

@@ -37,17 +37,17 @@ def small_problem(consts, n=64, dim=1, boundary=None, **kw):
 class TestGridAndTimestep:
     def test_stable_timestep_formula_1d(self):
         grid = pm.Grid(dim=1, n=(11,), h=(0.1,))
-        sp = pm.SpeedParams(m_inertia=1.0, c=2.0, lam=1.0)
+        sp = pm.SpeedParams(m_inertia=1.0, c=2.0)
         assert pm.stable_timestep(grid, sp, 0.5) == pytest.approx(0.025)
 
     def test_stable_timestep_formula_2d(self):
         grid = pm.Grid(dim=2, n=(11, 11), h=(0.1, 0.1))
-        sp = pm.SpeedParams(m_inertia=1.0, c=1.0, lam=1.0)
+        sp = pm.SpeedParams(m_inertia=1.0, c=1.0)
         assert pm.stable_timestep(grid, sp, 1.0) == pytest.approx(0.1 / math.sqrt(2.0))
 
     def test_invalid_cfl(self):
         grid = pm.Grid(dim=1, n=(11,), h=(0.1,))
-        sp = pm.SpeedParams(m_inertia=1.0, c=1.0, lam=1.0)
+        sp = pm.SpeedParams(m_inertia=1.0, c=1.0)
         with pytest.raises(InvalidParameter):
             pm.stable_timestep(grid, sp, 0.0)
         with pytest.raises(InvalidParameter):
@@ -272,7 +272,7 @@ class TestStepBasics:
         prob = small_problem(
             random_consts, n=16, T=0.0,
             initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0, component=0)))
-        rec = diag.SnapshotRecorder(every=1)
+        rec = diag.SnapshotRecorder(prob.workspace, every=1)
         final = pm.simulate(prob, recorders=(rec,))
         assert len(rec.states) == 1
         assert final.t == 0.0
