@@ -8,6 +8,7 @@ prints a compact summary (energy drift, front speed vs c, P = E agreement).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 
 import numpy as np
@@ -36,8 +37,7 @@ def main() -> int:
                            initial=initial, T=0.0)
     geom = diag.support_geometry(probe)
     speed = probe.speed()
-    problem = pm.ProblemSpec(grid=grid, consts=consts, boundary=boundary,
-                             initial=initial, T=0.8 * geom.L / speed.c, cfl=0.5)
+    problem = dataclasses.replace(probe, T=0.8 * geom.L / speed.c)
     final, energy, traj = diag.record_run(problem, energy_every=2, snapshot_every=2)
 
     r_grid = diag.default_r_grid(geom)

@@ -1,7 +1,7 @@
 """Simulator and verification harness for binary porous elastic mixtures.
 
 Layout:
-    materials    constitutive constants, the 29×29 quadratic form, moduli, speed
+    materials    constitutive constants and the law each derives once: 𝒜, speed, Σ
     pointwise    kinematics, stresses, tractions, power identities of material
                  points, stacked over leading batch axes
     fields       difference stencils and the jet form Q = Pᵀ𝒜P that gives every
@@ -17,16 +17,13 @@ from .materials import (
     QuadraticForm,
     ReducedConstants,
     SpeedParams,
-    assemble_quadratic_form,
     decoupled_material,
-    elastic_moduli_bounds,
     identity_material,
     load_material,
     random_material,
     reduced_constants,
     save_material,
     validate_symmetries,
-    wave_speed,
 )
 from .pointwise import (
     GeneralizedStress,

@@ -29,23 +29,20 @@ from .errors import (
     ParseError,
     PoromixError,
     SchemaError,
+    SymmetryViolation,
 )
-from .materials import (
-    assemble_quadratic_form,
-    decoupled_material,
-    elastic_moduli_bounds,
-    identity_material,
-    load_material,
-    random_material,
-    validate_symmetries,
-    wave_speed,
-)
+from .materials import decoupled_material, identity_material, load_material, random_material
 from .verify import run_suite
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# A configured material that fails the symmetry or admissibility checks is a
+# config error, like a malformed file.
+_CONFIG_ERRORS = (OSError, ParseError, SchemaError, InvalidParameter,
+                  SymmetryViolation, NotPositiveDefinite)
 
 
 def _load_material_arg(spec: str):
@@ -64,20 +61,19 @@ def cmd_material_check(args) -> int:
     except (OSError, InvalidParameter, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    report = validate_symmetries(consts)
-    if not report.ok:
-        print(f"symmetry check: FAIL ({report})")
+    try:
+        form = consts.form
+    except SymmetryViolation as exc:
+        print(f"symmetry check: FAIL ({exc})")
         return EXIT_CHECK_FAILED
     print("symmetry check: ok")
-    form = assemble_quadratic_form(consts)
     try:
-        xi_min, xi_max = elastic_moduli_bounds(form)
+        speed = consts.speed
     except NotPositiveDefinite as exc:
         print(f"admissibility: FAIL ({exc})")
         return EXIT_CHECK_FAILED
-    speed = wave_speed(consts, xi_max)
-    print(f"xi_min = {xi_min:.12g}")
-    print(f"xi_max = {xi_max:.12g}")
+    print(f"xi_min = {form.xi_min:.12g}")
+    print(f"xi_max = {form.xi_max:.12g}")
     print(f"m = {speed.m_inertia:.12g}")
     print(f"c = {speed.c:.12g}")
     print("admissibility: ok")
@@ -87,9 +83,9 @@ def cmd_material_check(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         cfg = load_config(args.config)
-        consts = resolve_material(cfg)
-        problem = build_problem(cfg, consts)
-    except (OSError, ParseError, SchemaError, InvalidParameter) as exc:
+        problem = build_problem(cfg, resolve_material(cfg))
+        problem.speed()
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = args.out or cfg.output
@@ -182,9 +178,9 @@ def cmd_verify(args) -> int:
 def cmd_decay_report(args) -> int:
     try:
         cfg = load_config(args.config)
-        consts = resolve_material(cfg)
-        problem = build_problem(cfg, consts)
-    except (OSError, ParseError, SchemaError, InvalidParameter) as exc:
+        problem = build_problem(cfg, resolve_material(cfg))
+        problem.speed()
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -99,16 +99,12 @@ class RunConfig:
     boundary_phi: tuple[tuple, ...] = ()
     suites: tuple[str, ...] = ("all",)
     tol_h: float = 0.05
-    front_threshold: float = 1e-6
     base_dir: str = "."
 
     def spacing(self) -> tuple[float, ...]:
         if self.h:
             return self.h
         return tuple(1.0 / (ni - 1) for ni in self.n)
-
-    def side_keys(self) -> list[str]:
-        return [f"{AXIS_NAMES[a]}{e}" for a in range(self.dim) for e in (0, 1)]
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -243,9 +239,12 @@ def load_config(path) -> RunConfig:
     for lineno, key, val in entries:
         if key == "material":
             if once(lineno, key):
-                ok = val in ("identity", "decoupled") or val.startswith(("random:", "file:"))
+                ok = val in ("identity", "decoupled") or val.startswith("file:")
+                if val.startswith("random:"):
+                    ok = val.split(":", 1)[1].strip().isdecimal()
                 if not ok:
-                    errors.append(f"line {lineno}: material must be identity|decoupled|random:SEED|file:PATH")
+                    errors.append(f"line {lineno}: material must be identity|decoupled|"
+                                  "random:SEED (SEED an integer >= 0)|file:PATH")
                 else:
                     cfg = replace(cfg, material=val)
         elif key == "grid.dim":
@@ -299,8 +298,6 @@ def load_config(path) -> RunConfig:
                     cfg = replace(cfg, suites=suites)
         elif key == "verify.tol_h":
             set_num(lineno, key, val, float, "tol_h", lambda v: v >= 0)
-        elif key == "front.threshold":
-            set_num(lineno, key, val, float, "front_threshold", lambda v: v > 0)
         else:
             errors.append(f"line {lineno}: unknown key {key!r}")
 
@@ -356,7 +353,6 @@ def canonical_text(cfg: RunConfig) -> str:
             lines.append(f"boundary.{family}.{side} = {kind}{suffix}")
     lines.append(f"verify.suites = {' '.join(cfg.suites)}")
     lines.append(f"verify.tol_h = {cfg.tol_h!r}")
-    lines.append(f"front.threshold = {cfg.front_threshold!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -118,36 +118,12 @@ class Trajectory:
         return len(self.states)
 
 
-STATE_BYTES_PER_NODE = 8 * 16  # 8 fields, 16 scalars per node, float64
-
-
-def snapshot_cadence_for_budget(problem: ProblemSpec, n_steps: int,
-                                budget_bytes: float) -> int:
-    """Cadence that keeps the full-state snapshot store inside a byte budget."""
-    per_snapshot = STATE_BYTES_PER_NODE * float(np.prod(problem.grid.shape))
-    max_count = max(2, int(budget_bytes / per_snapshot))
-    return max(1, int(np.ceil(n_steps / max_count)))
-
-
 def record_run(problem: ProblemSpec, energy_every: int | None = None,
                snapshot_every: int | None = None, dt: float | None = None,
-               n_steps: int | None = None, snapshot_budget: float | None = None):
-    """Run the problem and return (final state, EnergySeries, Trajectory).
+               n_steps: int | None = None):
+    """Run the problem and return (final state, EnergySeries, Trajectory)."""
+    from .solver import simulate
 
-    ``snapshot_budget`` (bytes) overrides the cadence with one derived from
-    the step count so the retained states stay inside the budget.
-    """
-    import math
-
-    from .solver import simulate, stable_timestep
-
-    if snapshot_budget is not None:
-        steps = n_steps
-        if steps is None:
-            base = dt if dt is not None else stable_timestep(
-                problem.grid, problem.speed(), problem.cfl)
-            steps = max(1, math.ceil(problem.T / base - 1e-12))
-        snapshot_every = snapshot_cadence_for_budget(problem, steps, snapshot_budget)
     erec = EnergyRecorder(problem.workspace, energy_every or problem.energy_every)
     srec = SnapshotRecorder(problem.workspace, snapshot_every or problem.snapshot_every)
     final = simulate(problem, recorders=(erec, srec), dt=dt, n_steps=n_steps)

@@ -11,10 +11,12 @@ and φᵅ the volume-fraction changes::
 
     2 W(U) = E(U) · 𝒜 E(U),     𝒜 = blockdiag(𝒜₁ (20×20), 𝒜₂ (9×9))
 
-This module holds the constants, assembles and analyzes 𝒜, and derives the
-bounding signal speed c = sqrt(ξ_M / m) used by the spatial-behaviour
-diagnostics.  Slot layout is frozen in ``SLOT_LABELS``; (i, j) pairs flatten
-row-major, so the pair Γ = (i, j) occupies slot 3i + j of its block.
+This module holds the constants.  Each :class:`MaterialConstants` derives
+its law once, on first use: ``form`` (𝒜 with its eigen-bounds), ``speed``
+(the bounding signal speed c = sqrt(ξ_M / m) used by the spatial-behaviour
+diagnostics) and ``stress_matrix`` (the literal stress map Σ).  Slot layout
+is frozen in ``SLOT_LABELS``; (i, j) pairs flatten row-major, so the pair
+Γ = (i, j) occupies slot 3i + j of its block.
 
 A subtlety worth spelling out: for constants satisfying the required symmetry
 relations, the three antisymmetric directions of the e-block are exact null
@@ -27,6 +29,7 @@ maximum, the full-matrix minimum is structurally zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -134,10 +137,57 @@ class MaterialConstants:
                 raise InvalidParameter(f"{name} must be strictly positive")
 
     def replace(self, **updates) -> "MaterialConstants":
-        """Return a copy with the given fields replaced."""
+        """Return a fresh instance with the given fields replaced.
+
+        The copy derives ``form``, ``speed`` and ``stress_matrix`` anew.
+        """
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         data.update(updates)
         return MaterialConstants(**data)
+
+    @cached_property
+    def form(self) -> "QuadraticForm":
+        """𝒜 with its realizable eigen-bounds, computed once.
+
+        Raises:
+            SymmetryViolation: if a required symmetry relation fails.
+        """
+        report = validate_symmetries(self)
+        if not report.ok:
+            raise SymmetryViolation(str(report))
+        return QuadraticForm(quadratic_form_matrix(self))
+
+    @cached_property
+    def speed(self) -> "SpeedParams":
+        """Bounding signal speed c = sqrt(ξ_M / m), computed once.
+
+        m = min{ρ¹, ρ², ρ¹χ¹, ρ²χ²}; the moduli bound the stored energy,
+        ξ_m|E|² ≤ 2W(E) ≤ ξ_M|E|², for every realizable strain E.
+
+        Raises:
+            SymmetryViolation: as ``form``.
+            NotPositiveDefinite: unless ξ_m > ``ADMISSIBILITY_MARGIN``.
+        """
+        form = self.form
+        if form.xi_min <= ADMISSIBILITY_MARGIN:
+            raise NotPositiveDefinite(
+                f"stored energy is not positive definite on the realizable subspace "
+                f"(xi_min = {form.xi_min:.3e} <= {ADMISSIBILITY_MARGIN:.1e})"
+            )
+        m = min(self.rho1, self.rho2, self.rho1 * self.chi1, self.rho2 * self.chi2)
+        return SpeedParams(m_inertia=m, c=float(np.sqrt(form.xi_max / m)))
+
+    @cached_property
+    def stress_matrix(self) -> np.ndarray:
+        """Σ of :func:`stress_component_matrix` (read-only), computed once.
+
+        Raises:
+            SymmetryViolation: as ``form``.
+        """
+        self.form  # the symmetry gate
+        sig = stress_component_matrix(self)
+        sig.setflags(write=False)
+        return sig
 
 
 @dataclass(frozen=True)
@@ -239,8 +289,24 @@ def symmetric_subspace_basis() -> np.ndarray:
 _SYM_BASIS = symmetric_subspace_basis()
 
 
-def _assemble_a1(consts: MaterialConstants) -> np.ndarray:
-    a1 = np.zeros((20, 20))
+def _assemble_a2(consts: MaterialConstants) -> np.ndarray:
+    a2 = np.zeros((9, 9))
+    a2[0:3, 0:3] = consts.a
+    a2[0:3, 3:6] = consts.b
+    a2[3:6, 0:3] = consts.b.T
+    a2[0:3, 6:9] = consts.c
+    a2[6:9, 0:3] = consts.c.T
+    a2[3:6, 3:6] = consts.alpha
+    a2[3:6, 6:9] = consts.beta
+    a2[6:9, 3:6] = consts.beta.T
+    a2[6:9, 6:9] = consts.gamma
+    return a2
+
+
+def quadratic_form_matrix(consts: MaterialConstants) -> np.ndarray:
+    """The 29×29 matrix 𝒜 = blockdiag(𝒜₁, 𝒜₂) of the constants, unvalidated."""
+    matrix = np.zeros((29, 29))
+    a1 = matrix[:20, :20]
     a1[:9, :9] = consts.A.reshape(9, 9)
     a1[:9, 9:18] = consts.B.reshape(9, 9)
     a1[9:18, :9] = consts.B.reshape(9, 9).T
@@ -256,59 +322,8 @@ def _assemble_a1(consts: MaterialConstants) -> np.ndarray:
     a1[18, 18] = consts.zeta
     a1[19, 19] = consts.mu
     a1[18, 19] = a1[19, 18] = consts.tau
-    return a1
-
-
-def _assemble_a2(consts: MaterialConstants) -> np.ndarray:
-    a2 = np.zeros((9, 9))
-    a2[0:3, 0:3] = consts.a
-    a2[0:3, 3:6] = consts.b
-    a2[3:6, 0:3] = consts.b.T
-    a2[0:3, 6:9] = consts.c
-    a2[6:9, 0:3] = consts.c.T
-    a2[3:6, 3:6] = consts.alpha
-    a2[3:6, 6:9] = consts.beta
-    a2[6:9, 3:6] = consts.beta.T
-    a2[6:9, 6:9] = consts.gamma
-    return a2
-
-
-def assemble_quadratic_form(consts: MaterialConstants, validate: bool = True) -> QuadraticForm:
-    """Assemble 𝒜 from the constants and compute its realizable eigen-bounds.
-
-    Args:
-        consts: constitutive constants.
-        validate: require the symmetry relations first (the documented
-            precondition).  Tests of raw assembly behaviour may disable it.
-
-    Raises:
-        SymmetryViolation: if ``validate`` and a relation fails, or if the
-            assembled matrix comes out non-symmetric.
-    """
-    if validate:
-        report = validate_symmetries(consts)
-        if not report.ok:
-            raise SymmetryViolation(str(report))
-    matrix = np.zeros((29, 29))
-    matrix[:20, :20] = _assemble_a1(consts)
     matrix[20:, 20:] = _assemble_a2(consts)
-    return QuadraticForm(matrix)
-
-
-def elastic_moduli_bounds(
-    form: QuadraticForm, margin: float = ADMISSIBILITY_MARGIN
-) -> tuple[float, float]:
-    """Return (ξ_m, ξ_M); raise NotPositiveDefinite for inadmissible materials.
-
-    The bounds satisfy ξ_m|E|² ≤ 2W(E) ≤ ξ_M|E|² for every realizable strain
-    vector E (e-block symmetric).
-    """
-    if form.xi_min <= margin:
-        raise NotPositiveDefinite(
-            f"stored energy is not positive definite on the realizable subspace "
-            f"(xi_min = {form.xi_min:.3e} <= {margin:.1e})"
-        )
-    return form.xi_min, form.xi_max
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -317,26 +332,6 @@ class SpeedParams:
 
     m_inertia: float
     c: float
-
-
-def wave_speed(consts: MaterialConstants, xi_max: float) -> SpeedParams:
-    """Derive the characteristic speed from ξ_M and the inertia minimum.
-
-    m = min{ρ¹, ρ², ρ¹χ¹, ρ²χ²}; c = sqrt(ξ_M / m).
-
-    Raises:
-        InvalidParameter: on nonpositive ξ_M (densities and inertias are
-            positive by construction of ``MaterialConstants``).
-    """
-    if xi_max <= 0.0:
-        raise InvalidParameter(f"xi_max must be positive, got {xi_max}")
-    m = min(
-        consts.rho1,
-        consts.rho2,
-        consts.rho1 * consts.chi1,
-        consts.rho2 * consts.chi2,
-    )
-    return SpeedParams(m_inertia=m, c=float(np.sqrt(xi_max / m)))
 
 
 @dataclass(frozen=True)
@@ -361,16 +356,8 @@ class ReducedConstants:
             object.__setattr__(self, name, arr)
 
 
-def reduced_constants(consts: MaterialConstants, validate: bool = True) -> ReducedConstants:
-    """Collapse the strain-measure constitutive law into gradient form.
-
-    Raises:
-        SymmetryViolation: if ``validate`` and the symmetry precondition fails.
-    """
-    if validate:
-        report = validate_symmetries(consts)
-        if not report.ok:
-            raise SymmetryViolation(str(report))
+def reduced_constants(consts: MaterialConstants) -> ReducedConstants:
+    """Collapse the strain-measure constitutive law into gradient form (unvalidated)."""
     A, B, C = consts.A, consts.B, consts.C
     a4 = (
         A.transpose(1, 0, 2, 3)
@@ -394,8 +381,9 @@ def reduced_constants(consts: MaterialConstants, validate: bool = True) -> Reduc
 
 
 def stress_component_matrix(consts: MaterialConstants) -> np.ndarray:
-    """The 29×29 linear map Σ from strain slots to stress components.
+    """The 29×29 linear map Σ from strain slots to stress components, unvalidated.
 
+    ``MaterialConstants.stress_matrix`` keeps it behind the symmetry gate.
     This is the constitutive law: ``pointwise.generalized_stress`` is S = ΣE.
     Row layout mirrors the strain slots: S¹ (9, stored [i,j] = S¹_ji),
     S² (9), g¹, g², p (3), h¹ (3), h² (3).  |S(E)|² = |Σ E|².  Note Σ is not
@@ -430,22 +418,22 @@ def stress_component_matrix(consts: MaterialConstants) -> np.ndarray:
     return sig
 
 
-def _coupled_stress_bound(consts: MaterialConstants, form: QuadraticForm) -> float:
+def _coupled_stress_bound(consts: MaterialConstants) -> float:
     """sup |Σ₁E₁|² / (E₁·𝒜₁E₁) over realizable strains of the coupled block.
 
     The largest eigenvalue of the pencil (ΣᵀΣ, 𝒜) restricted to the 17
     realizable slots of 𝒜₁ (e symmetric, g, φ¹, φ²); 𝒜₁ must be definite there.
     """
-    sig1 = stress_component_matrix(consts)[:20, :20]
+    sig1 = consts.stress_matrix[:20, :20]
     q1 = _SYM_BASIS[:20, :17]
     b1 = q1.T @ (sig1.T @ sig1) @ q1
-    b2 = q1.T @ form.a1 @ q1
+    b2 = q1.T @ consts.form.a1 @ q1
     inv_ell = np.linalg.inv(np.linalg.cholesky(0.5 * (b2 + b2.T)))
     pencil = inv_ell @ (0.5 * (b1 + b1.T)) @ inv_ell.T
     return float(np.linalg.eigvalsh(0.5 * (pencil + pencil.T))[-1])
 
 
-def worst_stress_energy_ratio(consts: MaterialConstants, form: QuadraticForm) -> float:
+def worst_stress_energy_ratio(consts: MaterialConstants) -> float:
     """Exact operator bound sup_E |S(E)|² / (2 ξ_M W(E)) over realizable E.
 
     Computed as a generalized eigenproblem of ΣᵀΣ against 𝒜 on the realizable
@@ -455,9 +443,10 @@ def worst_stress_energy_ratio(consts: MaterialConstants, form: QuadraticForm) ->
     Raises:
         NotPositiveDefinite: if the material is inadmissible.
     """
-    elastic_moduli_bounds(form)
+    consts.speed  # the admissibility gate
+    form = consts.form
     kappa_a2 = float(np.linalg.eigvalsh(form.a2)[-1])
-    return max(_coupled_stress_bound(consts, form), kappa_a2) / form.xi_max
+    return max(_coupled_stress_bound(consts), kappa_a2) / form.xi_max
 
 
 def _sym4_full(t: np.ndarray) -> np.ndarray:
@@ -602,10 +591,9 @@ def random_material(
         chi1=float(rng.uniform(0.6, 1.8)),
         chi2=float(rng.uniform(0.6, 1.8)),
     )
-    form = assemble_quadratic_form(consts)
     floor = 0.08 * base
-    if form.xi_min < floor:
-        s = floor - form.xi_min
+    if consts.form.xi_min < floor:
+        s = floor - consts.form.xi_min
         consts = consts.replace(
             A=consts.A + s * _iso4(0.0, 0.5),
             C=consts.C + s * _delta4(),
@@ -615,10 +603,9 @@ def random_material(
             gamma=consts.gamma + s * np.eye(3),
             a=consts.a + s * np.eye(3),
         )
-        form = assemble_quadratic_form(consts)
     if certify:
-        kappa = _coupled_stress_bound(consts, form)
-        if form.xi_max < kappa:
+        kappa = _coupled_stress_bound(consts)
+        if consts.form.xi_max < kappa:
             # Raising the relative-displacement block lifts xi_max without
             # touching any acoustic branch (it is a pure value channel).
             s2 = kappa - float(np.linalg.eigvalsh(consts.a)[-1])

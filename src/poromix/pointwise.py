@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadNormal, SymmetryViolation
+from .errors import BadNormal
 from .materials import (
     D_BLOCK,
     E_BLOCK,
@@ -30,10 +30,6 @@ from .materials import (
     PHI1_SLOT,
     PHI2_SLOT,
     MaterialConstants,
-    QuadraticForm,
-    assemble_quadratic_form,
-    stress_component_matrix,
-    validate_symmetries,
 )
 
 NORMAL_TOL = 1e-12
@@ -139,24 +135,18 @@ def strain_vector(ps: PointState) -> StrainVector:
     return StrainVector(vec)
 
 
-def internal_energy_density(form: QuadraticForm, E: StrainVector):
-    """W = ½ E·𝒜E."""
-    return 0.5 * _dot(E.vec @ form.matrix, E.vec)
+def internal_energy_density(consts: MaterialConstants, E: StrainVector):
+    """W = ½ E·𝒜E, with 𝒜 = ``consts.form``."""
+    return 0.5 * _dot(E.vec @ consts.form.matrix, E.vec)
 
 
-def generalized_stress(
-    consts: MaterialConstants, E: StrainVector, validate: bool = True
-) -> GeneralizedStress:
-    """Evaluate the constitutive law S = Σ E, with Σ = ``stress_component_matrix``.
+def generalized_stress(consts: MaterialConstants, E: StrainVector) -> GeneralizedStress:
+    """Evaluate the constitutive law S = Σ E, with Σ = ``consts.stress_matrix``.
 
     Raises:
-        SymmetryViolation: if ``validate`` and the constants fail the checks.
+        SymmetryViolation: if the constants fail the symmetry checks.
     """
-    if validate:
-        report = validate_symmetries(consts)
-        if not report.ok:
-            raise SymmetryViolation(str(report))
-    return GeneralizedStress(E.vec @ stress_component_matrix(consts).T)
+    return GeneralizedStress(E.vec @ consts.stress_matrix.T)
 
 
 def reduced_generalized_stress(consts: MaterialConstants, red, ps: PointState) -> GeneralizedStress:
@@ -229,24 +219,17 @@ def _stress_power(S: GeneralizedStress, E_like: StrainVector, G1: np.ndarray, G2
     )
 
 
-def power_identity_residuals(
-    consts: MaterialConstants,
-    ps: PointState,
-    ps_dot: PointState,
-    form: QuadraticForm | None = None,
-):
+def power_identity_residuals(consts: MaterialConstants, ps: PointState, ps_dot: PointState):
     """Residuals (r_static, r_rate) of the static and rate power identities.
 
     r_static = |2W − Σ_α[S:∇u + p·d + h·∇φ − gφ]| on ``ps``;
     r_rate   = |E(ps_dot)·𝒜E(ps) − Σ_α[S:∇u̇ + p·ḋ + h·∇φ̇ − gφ̇]|,
     the rate form identifying dW/dt through the quadratic-form representation.
     """
-    if form is None:
-        form = assemble_quadratic_form(consts)
     E = strain_vector(ps)
     E_dot = strain_vector(ps_dot)
-    S = generalized_stress(consts, E, validate=False)
-    AE = E.vec @ form.matrix
+    S = generalized_stress(consts, E)
+    AE = E.vec @ consts.form.matrix
     r_static = np.abs(_dot(AE, E.vec) - _stress_power(S, E, ps.grad_u1, ps.grad_u2))
     r_rate = np.abs(_dot(AE, E_dot.vec) - _stress_power(S, E_dot, ps_dot.grad_u1, ps_dot.grad_u2))
     return r_static, r_rate

@@ -36,14 +36,7 @@ from .fields import (
     jet_form,
     stored_energy,
 )
-from .materials import (
-    MaterialConstants,
-    QuadraticForm,
-    SpeedParams,
-    assemble_quadratic_form,
-    elastic_moduli_bounds,
-    wave_speed,
-)
+from .materials import MaterialConstants, SpeedParams
 
 AXIS_NAMES = ("x", "y")
 
@@ -105,10 +98,6 @@ class Grid:
 
     def extent(self) -> tuple[float, ...]:
         return tuple((self.n[a] - 1) * self.h[a] for a in range(self.dim))
-
-    @property
-    def diameter(self) -> float:
-        return float(np.sqrt(sum(e * e for e in self.extent())))
 
     def sides(self) -> list[tuple[int, int]]:
         return [(a, end) for a in range(self.dim) for end in (0, 1)]
@@ -247,12 +236,9 @@ class ProblemSpec:
         """The problem's one :class:`Workspace`, built on first use."""
         return Workspace(self)
 
-    def quadratic_form(self) -> QuadraticForm:
-        return self.workspace.form
-
     def speed(self) -> SpeedParams:
-        _, xi_max = elastic_moduli_bounds(self.quadratic_form())
-        return wave_speed(self.consts, xi_max)
+        """The material's bounding speed, ``consts.speed``."""
+        return self.consts.speed
 
 
 def _row_view(name: str, rows) -> property:
@@ -360,8 +346,8 @@ _FAMILY_ROWS = {"u": (U1_ROWS, U2_ROWS), "phi": (PHI1_ROW, PHI2_ROW)}
 class Workspace:
     """The per-problem context shared by the solver and the diagnostics.
 
-    Holds the node positions and weights, the jet form Q = Pᵀ𝒜P (𝒜 is
-    assembled here, once per problem), the row inertias of the stacked state
+    Holds the node positions and weights, the jet form Q = Pᵀ𝒜P (𝒜 is the
+    material's ``consts.form``), the row inertias of the stacked state
     and the boundary data.  Reach it through ``ProblemSpec.workspace``.
     """
 
@@ -372,8 +358,7 @@ class Workspace:
         self.grid = grid
         self.x = grid.positions()
         self.w = grid.weights()
-        self.form = assemble_quadratic_form(k)
-        self.Q = jet_form(self.form, grid.dim)
+        self.Q = jet_form(k.form, grid.dim)
         row_shape = (STATE_ROWS,) + (1,) * grid.dim
         # Densities ρ and micro-inertia factors χ per state row (χ = 1 on u rows).
         self.rho = np.array([k.rho1] * 3 + [k.rho2] * 3 + [k.rho1, k.rho2]).reshape(row_shape)

@@ -12,24 +12,21 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import diagnostics as diag
 from .config import SUITES
-from .errors import Degenerate
+from .errors import Degenerate, NotPositiveDefinite, SymmetryViolation
 from .materials import (
     MaterialConstants,
-    assemble_quadratic_form,
     decoupled_material,
-    elastic_moduli_bounds,
     random_material,
     reduced_constants,
-    wave_speed,
+    validate_symmetries,
     worst_stress_energy_ratio,
 )
-from .materials import validate_symmetries as pm_validate
 from .pointwise import (
     PointState,
     generalized_stress,
@@ -152,10 +149,11 @@ def _point_sample(consts: MaterialConstants, rng: np.random.Generator,
     stress-energy ratio.  Ratios are 0 where their denominator is 0.
 
     Raises:
+        SymmetryViolation: if the material fails the symmetry relations.
         NotPositiveDefinite: if the material is inadmissible.
     """
-    form = assemble_quadratic_form(consts)
-    xi_min, xi_max = elastic_moduli_bounds(form)
+    consts.speed  # the symmetry and admissibility gates
+    xi_min, xi_max = consts.form.xi_min, consts.form.xi_max
     parts = [rng.standard_normal((count,) + shape)
              for shape in ((3, 3), (3, 3), (3,), (3,), (), (), (3,), (3,))]
     ps = PointState(*parts)
@@ -164,14 +162,14 @@ def _point_sample(consts: MaterialConstants, rng: np.random.Generator,
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
     ev = strain_vector(ps)
     n2 = np.einsum("ki,ki->k", ev.vec, ev.vec)
-    two_w = 2.0 * internal_energy_density(form, ev)
-    s_lit = generalized_stress(consts, ev, validate=False)
-    s_red = reduced_generalized_stress(consts, reduced_constants(consts, validate=False), ps)
+    two_w = 2.0 * internal_energy_density(consts, ev)
+    s_lit = generalized_stress(consts, ev)
+    s_red = reduced_generalized_stress(consts, reduced_constants(consts), ps)
     smag2 = stress_magnitude(s_lit) ** 2
     tr = traction(s_lit, normals)
     traction2 = (np.einsum("ki,ki->k", tr.s1, tr.s1) + np.einsum("ki,ki->k", tr.s2, tr.s2)
                  + tr.h1**2 + tr.h2**2)
-    r_static, r_rate = power_identity_residuals(consts, ps, ps_dot, form=form)
+    r_static, r_rate = power_identity_residuals(consts, ps, ps_dot)
     return {
         "n2": n2,
         "envelope": np.maximum(xi_min * n2 - two_w, two_w - xi_max * n2) / (xi_max * n2),
@@ -180,7 +178,7 @@ def _point_sample(consts: MaterialConstants, rng: np.random.Generator,
         "dual": np.max(np.abs(s_lit.vec - s_red.vec), axis=-1),
         "stress_energy": np.divide(smag2, xi_max * two_w, out=np.zeros(count), where=two_w > 0),
         "traction": np.divide(traction2, smag2, out=np.zeros(count), where=smag2 > 0),
-        "operator": worst_stress_energy_ratio(consts, form),
+        "operator": worst_stress_energy_ratio(consts),
     }
 
 
@@ -191,9 +189,11 @@ def suite_constitutive(seed: int = 0, n_materials: int = 500, states_per: int = 
     Covers the eigen-bound envelope, the static/rate power identities, the
     dual constitutive forms, the stress-energy bound with its ratio report,
     and the traction bound.  ``extra_consts`` (e.g. the configured material)
-    additionally gets the material-independent identity checks, plus an
-    informational report of its operator stress-energy ratio; the bound
-    itself is gated on the certified sampled family, where it is a theorem.
+    additionally gets its symmetry check, the material-independent identity
+    checks, plus an informational report of its operator stress-energy ratio;
+    the bound itself is gated on the certified sampled family, where it is a
+    theorem.  A material that fails the symmetry or admissibility checks
+    fails its identity and ratio checks, with the error in their detail.
     """
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
@@ -234,22 +234,28 @@ def suite_constitutive(seed: int = 0, n_materials: int = 500, states_per: int = 
             detail=f"max |S|^2/(2 xi_max W) = {worst_ok!r}",
         ))
     if extra_consts is not None:
-        pt = _point_sample(extra_consts, rng, states_per)
-        worst_x = float(np.max(np.maximum.reduce([pt["static"], pt["rate"], pt["dual"]])
-                               / (1.0 + pt["n2"])))
-        ratio_x = pt["operator"]
+        sym_ok = validate_symmetries(extra_consts).ok
+        try:
+            pt = _point_sample(extra_consts, rng, states_per)
+        except (SymmetryViolation, NotPositiveDefinite) as exc:
+            worst_x = ratio_x = float("nan")
+            x_ok, error = False, f"{type(exc).__name__}: {exc}"
+        else:
+            worst_x = float(np.max(np.maximum.reduce([pt["static"], pt["rate"], pt["dual"]])
+                                   / (1.0 + pt["n2"])))
+            ratio_x = pt["operator"]
+            x_ok, error = True, ""
         rep.checks += [
             CheckResult("config_material_symmetries", "configured material relations hold",
-                        0.0 if pm_validate(extra_consts).ok else 1.0, 0.0, 0.0,
-                        pm_validate(extra_consts).ok),
+                        0.0 if sym_ok else 1.0, 0.0, 0.0, sym_ok),
             CheckResult("config_material_identities",
                         "power identities and dual forms on the configured material",
-                        worst_x, 0.0, 1e-10, worst_x <= 1e-10),
+                        worst_x, 0.0, 1e-10, x_ok and worst_x <= 1e-10, detail=error),
             CheckResult("config_material_ok_ratio",
                         "operator stress-energy ratio of the configured material (reported)",
-                        ratio_x, 1.0, 1e-9, True,
-                        detail=("logged: ratio above 1+1e-9 = " + repr(ratio_x))
-                        if ratio_x > 1.0 + 1e-9 else ""),
+                        ratio_x, 1.0, 1e-9, x_ok,
+                        detail=error or (("logged: ratio above 1+1e-9 = " + repr(ratio_x))
+                                         if ratio_x > 1.0 + 1e-9 else "")),
         ]
     return rep
 
@@ -278,12 +284,8 @@ def conservation_problem(seed: int, n: int = 400, cfl: float = 0.5) -> ProblemSp
 
 def _drift_run(seed: int, n: int, steps: int):
     problem = conservation_problem(seed, n=n)
-    speed = problem.speed()
-    dt = 0.5 * min(problem.grid.h) / speed.c
-    problem = ProblemSpec(
-        grid=problem.grid, consts=problem.consts, boundary=problem.boundary,
-        initial=problem.initial, cfl=problem.cfl, T=steps * dt,
-    )
+    dt = 0.5 * min(problem.grid.h) / problem.speed().c
+    problem = replace(problem, T=steps * dt)
     erec = diag.EnergyRecorder(problem.workspace, every=10)
     simulate(problem, recorders=(erec,), n_steps=steps)
     return erec.series().max_relative_drift()
@@ -311,9 +313,7 @@ def suite_identities(seed: int = 0) -> VerifyReport:
     consts = random_material(seed + 1)
     lam = 1.0
     T = 0.25
-    form = assemble_quadratic_form(consts)
-    _, xi_max = elastic_moduli_bounds(form)
-    c = wave_speed(consts, xi_max).c
+    c = consts.speed.c
     n0 = 100
     base_steps = int(np.ceil(T * c / (0.45 * (1.0 / n0)))) + 1
 
@@ -388,10 +388,7 @@ def _pulse_trajectory(consts: MaterialConstants, n: int, lam: float, width: floa
     t_total = 0.85 * geom.L / speed.c
     dt = 0.5 * min(grid.h) / speed.c
     steps = int(np.ceil(t_total / (cadence * dt))) * cadence
-    problem = ProblemSpec(
-        grid=grid, consts=consts, lam=lam, boundary=problem.boundary,
-        initial=initial, T=steps * dt, cfl=0.5,
-    )
+    problem = replace(problem, T=steps * dt)
     _, _, traj = diag.record_run(problem, energy_every=10**9, snapshot_every=cadence,
                                  n_steps=steps)
     return problem, geom, traj, speed
@@ -475,7 +472,7 @@ def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
 
 def _fast_mode_initial(consts: MaterialConstants, width: float, center: float):
     """Single right-going fast-mode pulse of the 1-D longitudinal pair."""
-    red = reduced_constants(consts, validate=False)
+    red = reduced_constants(consts)
     kmat = np.array([
         [red.a[0, 0, 0, 0] / consts.rho1, red.b[0, 0, 0, 0] / consts.rho1],
         [red.b[0, 0, 0, 0] / consts.rho2, red.d[0, 0, 0, 0] / consts.rho2],
@@ -551,11 +548,7 @@ def _front_run(consts: MaterialConstants, n: int, threshold: float = 1e-6,
     )
     speed = problem.speed()
     geom = diag.support_geometry(problem)
-    t_total = 0.8 * geom.L / speed.c
-    problem = ProblemSpec(
-        grid=grid, consts=consts, boundary=problem.boundary,
-        initial=initial, T=t_total, cfl=0.5,
-    )
+    problem = replace(problem, T=0.8 * geom.L / speed.c)
     _, _, traj = diag.record_run(problem, energy_every=10**9, snapshot_every=4)
     front = diag.front_speed(traj, geom, threshold=threshold)
     v_peak = _peak_speed(traj) if fast_mode else None
@@ -623,10 +616,7 @@ def _equipartition_case_i(seed: int):
         boundary=BoundaryPartition.uniform("dirichlet", "dirichlet", dim=1),
         initial=initial, T=1.0, cfl=0.5,
     )
-    problem = ProblemSpec(
-        grid=grid, consts=consts, boundary=problem.boundary, initial=initial,
-        T=_transits(problem, 50.0), cfl=0.5,
-    )
+    problem = replace(problem, T=_transits(problem, 50.0))
     erec = diag.EnergyRecorder(problem.workspace, every=4)
     simulate(problem, recorders=(erec,))
     series = erec.series()
@@ -686,10 +676,7 @@ def _equipartition_case_ii(seed: int, scenario: str):
 
     state0 = initialize(problem)
     rigid = rigid_decompose(state0.u1, state0.v1, state0.u2, state0.v2, consts, grid)
-    problem = ProblemSpec(
-        grid=grid, consts=consts, boundary=boundary, initial=extra,
-        T=_transits(problem, transits), cfl=0.5,
-    )
+    problem = replace(problem, T=_transits(problem, transits))
     erec = diag.EnergyRecorder(problem.workspace, every=4)
     simulate(problem, recorders=(erec,))
     series = erec.series()
@@ -770,11 +757,8 @@ def suite_uniqueness(seed: int = 0) -> VerifyReport:
         "null_data_null_solution", "max |state| after 1000 steps from null data",
         final.max_abs(), 0.0, 0.0, final.max_abs() == 0.0))
 
-    pulse = ProblemSpec(
-        grid=grid, consts=consts, boundary=problem.boundary,
-        initial=InitialData(u1=gaussian_pulse([0.5], 0.05, 1.0, component=0)),
-        T=0.05, cfl=0.5,
-    )
+    pulse = replace(problem, T=0.05,
+                    initial=InitialData(u1=gaussian_pulse([0.5], 0.05, 1.0, component=0)))
 
     def run_bytes():
         erec = diag.EnergyRecorder(pulse.workspace, every=1)

@@ -28,11 +28,6 @@ def random_consts():
     return pm.random_material(11)
 
 
-@pytest.fixture(scope="session")
-def random_form(random_consts):
-    return pm.assemble_quadratic_form(random_consts)
-
-
 def random_point_state(rng) -> PointState:
     return PointState(
         grad_u1=rng.standard_normal((3, 3)),

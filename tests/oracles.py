@@ -198,7 +198,7 @@ def point_state_at(U: np.ndarray, grads: list[np.ndarray], node: tuple):
                       grad_phi1=G[6], grad_phi2=G[7])
 
 
-def stored_energy_pointwise(form, U: np.ndarray, h) -> np.ndarray:
+def stored_energy_pointwise(consts, U: np.ndarray, h) -> np.ndarray:
     """Nodal W: stencil derivatives per node, then the pointwise strain map and
     W = ½E·𝒜E, one node at a time (no jet form involved)."""
     from poromix.fields import central_gradient
@@ -207,7 +207,7 @@ def stored_energy_pointwise(form, U: np.ndarray, h) -> np.ndarray:
     grads = [central_gradient(U, 1 + j, hj) for j, hj in enumerate(h)]
     out = np.zeros(U.shape[1:])
     for node in np.ndindex(out.shape):
-        out[node] = internal_energy_density(form, strain_vector(point_state_at(U, grads, node)))
+        out[node] = internal_energy_density(consts, strain_vector(point_state_at(U, grads, node)))
     return out
 
 
@@ -295,11 +295,11 @@ def acoustic_speed_limit(consts, n_directions: int = 24) -> float:
     Uses the gradient-gradient blocks only (value couplings do not affect the
     short-wave limit): the 6×6 displacement acoustic tensor built from the
     gradient-form coefficients plus the 2×2 fraction-gradient system.  The
-    bounding speed c of ``wave_speed`` must not be exceeded.
+    bounding speed ``consts.speed.c`` must not be exceeded.
     """
     from poromix.materials import reduced_constants
 
-    red = reduced_constants(consts, validate=False)
+    red = reduced_constants(consts)
     golden = np.pi * (3.0 - np.sqrt(5.0))
     vmax2 = 0.0
     rho = np.array([consts.rho1] * 3 + [consts.rho2] * 3)

@@ -150,9 +150,8 @@ class TestMaterialCheckCommand:
             line.split(" = ")[0]: float(line.split(" = ")[1])
             for line in out.splitlines() if " = " in line
         }
-        form = pm.assemble_quadratic_form(consts)
         q = symmetric_subspace_basis()
-        eigs = jacobi_eigenvalues(q.T @ form.matrix @ q)
+        eigs = jacobi_eigenvalues(q.T @ consts.form.matrix @ q)
         assert printed["xi_min"] == pytest.approx(eigs[0], abs=1e-10)
         assert printed["xi_max"] == pytest.approx(eigs[-1], abs=1e-10)
         assert printed["c"] == pytest.approx(
@@ -234,18 +233,53 @@ class TestWorkerCap:
         assert worker_count() >= 1
 
 
-class TestSnapshotBudget:
-    def test_cadence_derived_from_budget(self, random_consts):
-        from poromix import diagnostics as diag
+def bad_material(tmp_path, kind: str) -> str:
+    """The ``material =`` value of a config whose material is bad in the given way."""
+    if kind == "non_integer_seed":
+        return "random:abc"
+    consts = pm.identity_material()
+    if kind == "asymmetric_D":
+        D = np.zeros((3, 3))
+        D[0, 1] = 0.3
+        consts = consts.replace(D=D)
+    else:
+        consts = consts.replace(zeta=-5.0)
+    pm.save_material(consts, tmp_path / "mat.txt")
+    return "file:mat.txt"
 
-        grid = pm.Grid(dim=1, n=(101,), h=(0.01,))
-        prob = pm.ProblemSpec(
-            grid=grid, consts=random_consts,
-            boundary=pm.BoundaryPartition.uniform("natural", "natural", dim=1),
-            T=0.05)
-        budget = 40 * diag.STATE_BYTES_PER_NODE * 101  # room for ~40 snapshots
-        _, _, traj = diag.record_run(prob, n_steps=400, snapshot_budget=budget)
-        assert 2 <= len(traj) <= 41
+
+BAD_MATERIALS = ["non_integer_seed", "asymmetric_D", "indefinite"]
+
+
+class TestBadConfiguredMaterial:
+    def test_non_integer_seed_rejected_with_line(self, tmp_path):
+        with pytest.raises(SchemaError) as exc:
+            load_config(write(tmp_path, "grid.n = 32\nmaterial = random:abc\n"))
+        assert any("line 2" in e and "SEED" in e for e in exc.value.errors)
+
+    @pytest.mark.parametrize("command", ["simulate", "decay-report"])
+    @pytest.mark.parametrize("kind", BAD_MATERIALS)
+    def test_run_commands_exit_with_config_error(self, tmp_path, capsys, command, kind):
+        path = write(tmp_path, f"material = {bad_material(tmp_path, kind)}\ngrid.n = 32\n")
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("kind", BAD_MATERIALS)
+    def test_verify_reports_fail_checks(self, tmp_path, capsys, kind):
+        path = write(tmp_path, f"material = {bad_material(tmp_path, kind)}\noutput = vout\n")
+        rc = cli.main(["verify", "--config", str(path), "--suite", "constitutive"])
+        out = capsys.readouterr().out
+        if kind == "non_integer_seed":
+            assert rc == 2
+            return
+        assert rc == 1
+        symmetric = kind == "indefinite"
+        assert ("[PASS] config_material_symmetries" in out) == symmetric
+        error = "NotPositiveDefinite" if symmetric else "SymmetryViolation"
+        for name in ("config_material_identities", "config_material_ok_ratio"):
+            line = next(ln for ln in out.splitlines() if f"] {name}:" in ln)
+            assert line.startswith("[FAIL]") and error in line
+        assert "suite constitutive: FAIL" in out
 
 
 class TestDecayReportCommand:

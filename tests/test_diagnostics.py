@@ -238,8 +238,7 @@ class TestSurfacePower:
         k = prob.consts
         kin = 0.5 * (k.rho1 * np.sum(state.v1**2, axis=0) + k.rho2 * np.sum(state.v2**2, axis=0)
                      + k.rho1 * k.chi1 * state.psi1**2 + k.rho2 * k.chi2 * state.psi2**2)
-        form = pm.assemble_quadratic_form(k)
-        eps = kin + oracles.stored_energy_pointwise(form, state.U, prob.grid.h)
+        eps = kin + oracles.stored_energy_pointwise(k, state.U, prob.grid.h)
         outside = geom.dist > 0.05
         direct = float(np.sum(prob.grid.weights()[outside] * eps[outside]))
         assert sps.E_vol[1, -1] == pytest.approx(direct, rel=1e-12)

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import poromix as pm
+from poromix import verify
 from poromix.errors import InvalidParameter, NotPositiveDefinite, SymmetryViolation
 from poromix.materials import (
     MATERIAL_KEYS,
     pair_slot,
+    quadratic_form_matrix,
     symmetric_subspace_basis,
     worst_stress_energy_ratio,
     _delta4,
@@ -79,39 +84,78 @@ class TestSymmetries:
 
 class TestAssembly:
     def test_identity_assembly_is_exact_identity(self):
-        form = pm.assemble_quadratic_form(raw_identity_material(), validate=False)
+        # The raw builder, without the symmetry gate of ``form``.
+        form = pm.QuadraticForm(quadratic_form_matrix(raw_identity_material()))
         assert np.array_equal(form.matrix, np.eye(29))
         assert form.xi_min == pytest.approx(1.0, abs=1e-12)
         assert form.xi_max == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_assembly_respects_symmetry_gate(self):
+        consts = raw_identity_material()
         with pytest.raises(SymmetryViolation):
-            pm.assemble_quadratic_form(raw_identity_material())
+            consts.form
+        with pytest.raises(SymmetryViolation):
+            consts.stress_matrix
 
     def test_zero_material_assembles_but_is_inadmissible(self):
-        form = pm.assemble_quadratic_form(zero_material())
-        assert np.all(form.matrix == 0.0)
-        assert form.xi_min == 0.0 and form.xi_max == 0.0
+        consts = zero_material()
+        assert np.all(consts.form.matrix == 0.0)
+        assert consts.form.xi_min == 0.0 and consts.form.xi_max == 0.0
         with pytest.raises(NotPositiveDefinite):
-            pm.elastic_moduli_bounds(form)
+            consts.speed
 
-    def test_block_structure(self, random_consts, random_form):
-        assert np.all(random_form.matrix[:20, 20:] == 0.0)
-        assert np.all(random_form.matrix[20:, :20] == 0.0)
-        assert np.array_equal(random_form.matrix, random_form.matrix.T)
+    def test_block_structure(self, random_consts):
+        assert np.all(random_consts.form.matrix[:20, 20:] == 0.0)
+        assert np.all(random_consts.form.matrix[20:, :20] == 0.0)
+        assert np.array_equal(random_consts.form.matrix, random_consts.form.matrix.T)
 
-    def test_quadratic_form_matches_energy_loop_oracle(self, rng, random_consts, random_form):
+    def test_quadratic_form_matches_energy_loop_oracle(self, rng, random_consts):
         for _ in range(100):
             ev = strain_vector(random_point_state(rng))
-            quad = 0.5 * float(ev.vec @ random_form.matrix @ ev.vec)
+            quad = 0.5 * float(ev.vec @ random_consts.form.matrix @ ev.vec)
             loop = oracles.energy_density_loops(random_consts, ev)
             assert quad == pytest.approx(loop, rel=1e-12, abs=1e-12)
 
 
+def count_builds(monkeypatch) -> collections.Counter:
+    """Count the calls of the raw 𝒜 and Σ builders from here on."""
+    calls = collections.Counter()
+    for name in ("quadratic_form_matrix", "stress_component_matrix"):
+        def counted(consts, _fn=getattr(pm.materials, name), _name=name):
+            calls[_name] += 1
+            return _fn(consts)
+        monkeypatch.setattr(pm.materials, name, counted)
+    return calls
+
+
+class TestDerivedOnce:
+    def test_law_is_derived_once_per_instance(self, monkeypatch, random_consts):
+        consts = random_consts.replace()
+        calls = count_builds(monkeypatch)
+        for _ in range(2):
+            assert consts.stress_matrix is consts.stress_matrix
+            assert consts.speed is consts.speed
+        assert calls == {"quadratic_form_matrix": 1, "stress_component_matrix": 1}
+        assert not consts.stress_matrix.flags.writeable
+        assert consts.replace().form is not consts.form
+
+    def test_second_sample_and_replaced_problem_build_nothing(self, monkeypatch):
+        consts = pm.random_material(12)
+        verify._point_sample(consts, np.random.default_rng(0), 4)
+        problem = pm.ProblemSpec(
+            grid=pm.Grid(dim=1, n=(16,), h=(0.1,)), consts=consts,
+            boundary=pm.BoundaryPartition.uniform("natural", "natural", dim=1))
+        problem.workspace
+        calls = count_builds(monkeypatch)
+        verify._point_sample(consts, np.random.default_rng(1), 4)
+        dataclasses.replace(problem, T=2.0).workspace
+        assert not calls
+
+
 class TestEigenBounds:
     def test_identity_bounds(self, identity_consts):
-        form = pm.assemble_quadratic_form(identity_consts)
-        assert pm.elastic_moduli_bounds(form) == (pytest.approx(1.0), pytest.approx(1.0))
+        form = identity_consts.form
+        assert (form.xi_min, form.xi_max) == (pytest.approx(1.0), pytest.approx(1.0))
 
     def test_diagonal_fill_bounds(self):
         # Extremes on non-strain slots; e-block constant so restricted and
@@ -121,66 +165,68 @@ class TestEigenBounds:
         diag[18] = 0.5
         diag[20] = 2.0
         form = pm.QuadraticForm(np.diag(diag))
-        lo, hi = pm.elastic_moduli_bounds(form)
-        assert (lo, hi) == (pytest.approx(0.5), pytest.approx(2.0))
+        assert (form.xi_min, form.xi_max) == (pytest.approx(0.5), pytest.approx(2.0))
 
-    def test_bounds_match_jacobi_oracle(self, random_consts, random_form):
+    def test_bounds_match_jacobi_oracle(self, random_consts):
         q = symmetric_subspace_basis()
-        restricted = q.T @ random_form.matrix @ q
+        restricted = q.T @ random_consts.form.matrix @ q
         eigs = oracles.jacobi_eigenvalues(restricted)
-        assert random_form.xi_min == pytest.approx(eigs[0], abs=1e-10)
-        assert random_form.xi_max == pytest.approx(eigs[-1], abs=1e-10)
+        assert random_consts.form.xi_min == pytest.approx(eigs[0], abs=1e-10)
+        assert random_consts.form.xi_max == pytest.approx(eigs[-1], abs=1e-10)
 
-    def test_full_spectrum_is_restricted_plus_structural_zeros(self, random_form):
-        full = np.linalg.eigvalsh(random_form.matrix)
+    def test_full_spectrum_is_restricted_plus_structural_zeros(self, random_consts):
+        full = np.linalg.eigvalsh(random_consts.form.matrix)
         q = symmetric_subspace_basis()
-        restricted = np.linalg.eigvalsh(q.T @ random_form.matrix @ q)
+        restricted = np.linalg.eigvalsh(q.T @ random_consts.form.matrix @ q)
         merged = np.sort(np.concatenate([restricted, [0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(full, merged, atol=1e-10)
 
-    def test_envelope_property_on_random_strains(self, rng, random_form):
+    def test_envelope_property_on_random_strains(self, rng, random_consts):
         vecs = rng.standard_normal((10_000, 29))
         # symmetrize the e-block so the vectors are realizable strains
         e = vecs[:, :9].reshape(-1, 3, 3)
         vecs[:, :9] = (0.5 * (e + np.transpose(e, (0, 2, 1)))).reshape(-1, 9)
-        quad = np.einsum("ki,ij,kj->k", vecs, random_form.matrix, vecs)
+        quad = np.einsum("ki,ij,kj->k", vecs, random_consts.form.matrix, vecs)
         norm2 = np.einsum("ki,ki->k", vecs, vecs)
-        assert np.all(quad >= random_form.xi_min * norm2 - 1e-9 * norm2)
-        assert np.all(quad <= random_form.xi_max * norm2 + 1e-9 * norm2)
+        assert np.all(quad >= random_consts.form.xi_min * norm2 - 1e-9 * norm2)
+        assert np.all(quad <= random_consts.form.xi_max * norm2 + 1e-9 * norm2)
 
-    def test_conjugate_norm_bound(self, rng, random_form):
+    def test_conjugate_norm_bound(self, rng, random_consts):
         # |A E|^2 <= xi_max * (E . A E) for realizable strains
         vecs = rng.standard_normal((2000, 29))
         e = vecs[:, :9].reshape(-1, 3, 3)
         vecs[:, :9] = (0.5 * (e + np.transpose(e, (0, 2, 1)))).reshape(-1, 9)
-        conj = vecs @ random_form.matrix
+        conj = vecs @ random_consts.form.matrix
         lhs = np.einsum("ki,ki->k", conj, conj)
-        rhs = random_form.xi_max * np.einsum("ki,ki->k", vecs, conj)
+        rhs = random_consts.form.xi_max * np.einsum("ki,ki->k", vecs, conj)
         assert np.all(lhs <= rhs * (1.0 + 1e-12) + 1e-12)
 
 
 class TestWaveSpeed:
     def test_direct_formula(self, identity_consts):
-        sp = pm.wave_speed(identity_consts, 4.0)
+        # xi_max = 1 and m = 1, so c = 1.
+        sp = identity_consts.speed
         assert sp.m_inertia == 1.0
-        assert sp.c == 2.0
+        assert sp.c == pytest.approx(1.0, abs=1e-12)
 
-    def test_min_selection(self):
-        consts = zero_material(rho1=2.0, rho2=1.0, chi1=3.0, chi2=0.5)
-        sp = pm.wave_speed(consts, 2.0)
+    def test_min_selection(self, identity_consts):
+        # m = min{rho1, rho2, rho1 chi1, rho2 chi2} = 0.5, so c = sqrt(1 / 0.5).
+        consts = identity_consts.replace(rho1=2.0, rho2=1.0, chi1=3.0, chi2=0.5)
+        sp = consts.speed
         assert sp.m_inertia == 0.5
-        assert sp.c == 2.0
+        assert sp.c == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
-    def test_invalid_inputs(self, identity_consts):
-        with pytest.raises(InvalidParameter):
-            pm.wave_speed(identity_consts, -1.0)
+    def test_invalid_inputs(self):
+        with pytest.raises(NotPositiveDefinite):
+            zero_material().speed
 
-    def test_speed_from_jacobi_oracle(self, random_consts, random_form):
+    def test_speed_from_jacobi_oracle(self, random_consts):
         q = symmetric_subspace_basis()
-        eigs = oracles.jacobi_eigenvalues(q.T @ random_form.matrix @ q)
-        sp = pm.wave_speed(random_consts, float(eigs[-1]))
-        ref = pm.wave_speed(random_consts, random_form.xi_max)
-        assert sp.c == pytest.approx(ref.c, abs=1e-10)
+        eigs = oracles.jacobi_eigenvalues(q.T @ random_consts.form.matrix @ q)
+        m = min(random_consts.rho1, random_consts.rho2,
+                random_consts.rho1 * random_consts.chi1, random_consts.rho2 * random_consts.chi2)
+        assert random_consts.speed.m_inertia == m
+        assert random_consts.speed.c == pytest.approx(np.sqrt(eigs[-1] / m), abs=1e-10)
 
 
 class TestReducedConstants:
@@ -196,9 +242,9 @@ class TestReducedConstants:
 
     def test_single_b_tensor_against_loops(self):
         # The slot-identity B is not first-pair symmetric; this probes the
-        # raw index bookkeeping of the reduction, so the gate is bypassed.
+        # raw index bookkeeping of the reduction.
         consts = zero_material(B=_delta4())
-        red = pm.reduced_constants(consts, validate=False)
+        red = pm.reduced_constants(consts)
         ora = oracles.reduced_constants_loops(consts)
         for key in ("a", "b", "d", "tau", "sigma"):
             np.testing.assert_allclose(getattr(red, key), ora[key], atol=1e-14)
@@ -225,16 +271,14 @@ class TestRandomMaterialGenerator:
     @given(st.integers(min_value=0, max_value=10**6))
     def test_always_admissible_and_certified(self, seed):
         consts = pm.random_material(seed)
-        form = pm.assemble_quadratic_form(consts)
-        lo, hi = pm.elastic_moduli_bounds(form)
-        assert lo > 1e-10
-        assert worst_stress_energy_ratio(consts, form) <= 1.0 + 1e-9
+        assert consts.speed.c > 0.0
+        assert consts.form.xi_min > 1e-10
+        assert worst_stress_energy_ratio(consts) <= 1.0 + 1e-9
 
     def test_acoustic_speeds_below_c(self):
         for seed in range(5):
             consts = pm.random_material(seed)
-            form = pm.assemble_quadratic_form(consts)
-            c = pm.wave_speed(consts, form.xi_max).c
+            c = consts.speed.c
             assert oracles.acoustic_speed_limit(consts) <= c
 
     def test_m_n_symmetric(self):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import poromix as pm
 from poromix.errors import BadNormal
-from poromix.materials import _delta4
+from poromix.materials import _delta4, stress_component_matrix
 from poromix.pointwise import (
     PointState,
     StrainVector,
@@ -70,7 +70,7 @@ class TestMagnitudes:
 
     def test_stress_magnitude_oracle(self, rng, random_consts):
         ev = pm.strain_vector(random_point_state(rng))
-        s = pm.generalized_stress(random_consts, ev, validate=False)
+        s = pm.generalized_stress(random_consts, ev)
         assert pm.stress_magnitude(s) == pytest.approx(
             oracles.stress_magnitude_loops(s), rel=1e-13)
 
@@ -83,42 +83,43 @@ class TestMagnitudes:
 
 
 class TestEnergyDensity:
-    def test_zero(self, random_form):
-        assert pm.internal_energy_density(random_form, StrainVector(np.zeros(29))) == 0.0
+    def test_zero(self, random_consts):
+        assert pm.internal_energy_density(random_consts, StrainVector(np.zeros(29))) == 0.0
 
-    def test_identity_matrix_norm_two(self):
-        form = pm.QuadraticForm(np.eye(29))
+    def test_identity_matrix_norm_two(self, identity_consts):
+        # 𝒜 is the identity on realizable strains: W = |E|²/2 for |E|² = 2.
         vec = np.zeros(29)
-        vec[3] = 1.0
+        vec[1] = vec[3] = np.sqrt(0.5)
         vec[22] = 1.0
-        assert pm.internal_energy_density(form, StrainVector(vec)) == pytest.approx(1.0)
+        assert pm.internal_energy_density(identity_consts, StrainVector(vec)) == pytest.approx(1.0)
 
-    def test_random_matches_term_sum(self, rng, random_consts, random_form):
+    def test_random_matches_term_sum(self, rng, random_consts):
         for _ in range(50):
             ev = pm.strain_vector(random_point_state(rng))
-            w = pm.internal_energy_density(random_form, ev)
+            w = pm.internal_energy_density(random_consts, ev)
             assert w == pytest.approx(
                 oracles.energy_density_loops(random_consts, ev), rel=1e-12, abs=1e-12)
 
 
 class TestGeneralizedStress:
     def test_zero_strain_zero_stress(self, random_consts):
-        s = pm.generalized_stress(random_consts, StrainVector(np.zeros(29)), validate=False)
+        s = pm.generalized_stress(random_consts, StrainVector(np.zeros(29)))
         assert pm.stress_magnitude(s) == 0.0
 
     def test_single_constituent_reduction(self, rng):
-        # All couplings zero and slot-identity A: S1_ji reduces to e_ij.
+        # All couplings zero and slot-identity A: S1_ji reduces to e_ij.  That
+        # A breaks A_ijrs = A_jirs, so this probes the raw builder of Σ.
         consts = zero_material(A=_delta4())
         ps = random_point_state(rng)
         ev = pm.strain_vector(ps)
-        s = pm.generalized_stress(consts, ev, validate=False)
+        s = pm.GeneralizedStress(ev.vec @ stress_component_matrix(consts).T)
         np.testing.assert_allclose(s.S1, ev.e, atol=1e-14)
         assert np.all(s.S2 == 0.0) and s.g1 == 0.0 and s.g2 == 0.0
 
     def test_matches_loop_oracle(self, rng, random_consts):
         for _ in range(10):
             ev = pm.strain_vector(random_point_state(rng))
-            s = pm.generalized_stress(random_consts, ev, validate=False)
+            s = pm.generalized_stress(random_consts, ev)
             ora = oracles.stress_loops(random_consts, ev)
             np.testing.assert_allclose(s.S1, ora["S1"], atol=1e-12)
             np.testing.assert_allclose(s.S2, ora["S2"], atol=1e-12)
@@ -133,7 +134,7 @@ class TestGeneralizedStress:
         for _ in range(100):
             ps = random_point_state(rng)
             ev = pm.strain_vector(ps)
-            lit = pm.generalized_stress(random_consts, ev, validate=False)
+            lit = pm.generalized_stress(random_consts, ev)
             alt = reduced_generalized_stress(random_consts, red, ps)
             np.testing.assert_allclose(lit.vec, alt.vec, atol=1e-12)
 
@@ -144,35 +145,35 @@ class TestGeneralizedStress:
         e1 = pm.strain_vector(random_point_state(rng))
         e2 = pm.strain_vector(random_point_state(rng))
         combo = StrainVector(a * e1.vec + b * e2.vec)
-        s_combo = pm.generalized_stress(consts, combo, validate=False)
-        s1 = pm.generalized_stress(consts, e1, validate=False)
-        s2 = pm.generalized_stress(consts, e2, validate=False)
+        s_combo = pm.generalized_stress(consts, combo)
+        s1 = pm.generalized_stress(consts, e1)
+        s2 = pm.generalized_stress(consts, e2)
         np.testing.assert_allclose(s_combo.S1, a * s1.S1 + b * s2.S1, atol=1e-10)
         np.testing.assert_allclose(s_combo.p, a * s1.p + b * s2.p, atol=1e-10)
 
 
 class TestTraction:
     def test_zero_stress(self, random_consts):
-        s = pm.generalized_stress(random_consts, StrainVector(np.zeros(29)), validate=False)
+        s = pm.generalized_stress(random_consts, StrainVector(np.zeros(29)))
         tr = pm.traction(s, np.array([1.0, 0.0, 0.0]))
         assert np.all(tr.s1 == 0.0) and tr.h1 == 0.0
 
     def test_axis_normal_picks_row(self, rng, random_consts):
         ev = pm.strain_vector(random_point_state(rng))
-        s = pm.generalized_stress(random_consts, ev, validate=False)
+        s = pm.generalized_stress(random_consts, ev)
         tr = pm.traction(s, np.array([1.0, 0.0, 0.0]))
         np.testing.assert_array_equal(tr.s1, s.S1[:, 0])
         assert tr.h2 == s.h2[0]
 
     def test_bad_normal(self, random_consts):
-        s = pm.generalized_stress(random_consts, StrainVector(np.zeros(29)), validate=False)
+        s = pm.generalized_stress(random_consts, StrainVector(np.zeros(29)))
         with pytest.raises(BadNormal):
             pm.traction(s, np.array([1.0, 1.0, 0.0]))
 
     def test_traction_bound_random_normals(self, rng, random_consts):
         for _ in range(200):
             ev = pm.strain_vector(random_point_state(rng))
-            s = pm.generalized_stress(random_consts, ev, validate=False)
+            s = pm.generalized_stress(random_consts, ev)
             n = rng.standard_normal(3)
             n /= np.linalg.norm(n)
             tr = pm.traction(s, n)
@@ -181,15 +182,15 @@ class TestTraction:
 
 
 class TestStressEnergyBound:
-    def test_sampled_ratio_below_one(self, rng, random_consts, random_form):
-        _, xi_max = pm.elastic_moduli_bounds(random_form)
+    def test_sampled_ratio_below_one(self, rng, random_consts):
+        xi_max = random_consts.form.xi_max
         worst = 0.0
         for _ in range(10_000):
             ev = pm.strain_vector(random_point_state(rng))
-            two_w = float(ev.vec @ random_form.matrix @ ev.vec)
+            two_w = float(ev.vec @ random_consts.form.matrix @ ev.vec)
             if two_w <= 0.0:
                 continue
-            s = pm.generalized_stress(random_consts, ev, validate=False)
+            s = pm.generalized_stress(random_consts, ev)
             worst = max(worst, pm.stress_magnitude(s) ** 2 / (xi_max * two_w))
         assert worst <= 1.0 + 1e-9, f"max |S|^2/(2 xi_M W) ratio {worst!r}"
 
@@ -199,19 +200,17 @@ class TestPowerIdentities:
         z = zero_point_state()
         assert pm.power_identity_residuals(random_consts, z, z) == (0.0, 0.0)
 
-    def test_same_state_rate_reduces_to_static(self, rng, random_consts, random_form):
+    def test_same_state_rate_reduces_to_static(self, rng, random_consts):
         ps = random_point_state(rng)
-        r_static, r_rate = pm.power_identity_residuals(
-            random_consts, ps, ps, form=random_form)
+        r_static, r_rate = pm.power_identity_residuals(random_consts, ps, ps)
         assert r_static <= 1e-12 * 100
         assert r_rate == pytest.approx(r_static, abs=1e-10)
 
-    def test_random_pairs(self, rng, random_consts, random_form):
+    def test_random_pairs(self, rng, random_consts):
         for _ in range(100):
             ps, qs = random_point_state(rng), random_point_state(rng)
             scale = 1.0 + np.linalg.norm(pm.strain_vector(ps).vec, axis=-1) ** 2
-            r_static, r_rate = pm.power_identity_residuals(
-                random_consts, ps, qs, form=random_form)
+            r_static, r_rate = pm.power_identity_residuals(random_consts, ps, qs)
             assert r_static <= 1e-10 * scale
             assert r_rate <= 1e-10 * scale
 
@@ -225,24 +224,24 @@ def _traction_parts(tr) -> np.ndarray:
     return np.concatenate([tr.s1, tr.s2, np.stack([tr.h1, tr.h2], axis=-1)], axis=-1)
 
 
-# Each entry maps (consts, form, red, state, rate, normal) to an array.
+# Each entry maps (consts, red, state, rate, normal) to an array.
 BATCHED = {
-    "strain_vector": lambda k, f, r, ps, qs, n: pm.strain_vector(ps).vec,
-    "internal_energy_density": lambda k, f, r, ps, qs, n: pm.internal_energy_density(
-        f, pm.strain_vector(ps)),
-    "generalized_stress": lambda k, f, r, ps, qs, n: pm.generalized_stress(
+    "strain_vector": lambda k, r, ps, qs, n: pm.strain_vector(ps).vec,
+    "internal_energy_density": lambda k, r, ps, qs, n: pm.internal_energy_density(
+        k, pm.strain_vector(ps)),
+    "generalized_stress": lambda k, r, ps, qs, n: pm.generalized_stress(
         k, pm.strain_vector(ps)).vec,
-    "reduced_generalized_stress": lambda k, f, r, ps, qs, n: reduced_generalized_stress(
+    "reduced_generalized_stress": lambda k, r, ps, qs, n: reduced_generalized_stress(
         k, r, ps).vec,
-    "traction": lambda k, f, r, ps, qs, n: _traction_parts(pm.traction(
+    "traction": lambda k, r, ps, qs, n: _traction_parts(pm.traction(
         pm.generalized_stress(k, pm.strain_vector(ps)), n)),
-    "power_identity_residuals": lambda k, f, r, ps, qs, n: np.stack(
-        pm.power_identity_residuals(k, ps, qs, form=f), axis=-1),
+    "power_identity_residuals": lambda k, r, ps, qs, n: np.stack(
+        pm.power_identity_residuals(k, ps, qs), axis=-1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BATCHED))
-def test_stacked_state_matches_row_by_row(name, rng, random_consts, random_form):
+def test_stacked_state_matches_row_by_row(name, rng, random_consts):
     count = 7
     rows = [random_point_state(rng) for _ in range(count)]
     rates = rows[1:] + rows[:1]
@@ -250,8 +249,8 @@ def test_stacked_state_matches_row_by_row(name, rng, random_consts, random_form)
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
     fn = BATCHED[name]
     red = pm.reduced_constants(random_consts)
-    stacked = fn(random_consts, random_form, red, _stack(rows), _stack(rates), normals)
-    by_row = np.array([fn(random_consts, random_form, red, ps, qs, n)
+    stacked = fn(random_consts, red, _stack(rows), _stack(rates), normals)
+    by_row = np.array([fn(random_consts, red, ps, qs, n)
                        for ps, qs, n in zip(rows, rates, normals)])
     assert stacked.shape == by_row.shape
     np.testing.assert_allclose(stacked, by_row, rtol=1e-13, atol=1e-13)

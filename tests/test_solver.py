@@ -140,12 +140,11 @@ class TestForceIsEnergyGradient:
         prob = small_problem(random_consts, n=7, dim=dim, boundary=bc)
         grid = prob.grid
         ws = prob.workspace
-        form = pm.assemble_quadratic_form(random_consts)
         w = grid.weights()
         shape = grid.shape
 
         def energy(U):
-            return float(np.sum(w * oracles.stored_energy_pointwise(form, U, grid.h)))
+            return float(np.sum(w * oracles.stored_energy_pointwise(random_consts, U, grid.h)))
 
         U = rng.standard_normal((8,) + shape)
         a = acceleration(ws, U, 0.0)
