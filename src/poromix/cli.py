@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    poromix material-check <file>
+    poromix material-check <material spec or file>
     poromix simulate --config <file> [--out <dir>]
     poromix verify --config <file> --suite <name> [--seed N]
     poromix decay-report --config <file> [--lambda-sweep]
@@ -21,7 +21,8 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import io as pio
-from .config import SUITES, load_config, resolve_material, build_problem, save_config
+from .config import (SUITES, build_problem, load_config, material_from_spec,
+                     parse_material_spec, resolve_material, save_config)
 from .errors import (
     InvalidParameter,
     NonFinite,
@@ -31,7 +32,6 @@ from .errors import (
     SchemaError,
     SymmetryViolation,
 )
-from .materials import decoupled_material, identity_material, load_material, random_material
 from .verify import run_suite
 
 EXIT_PASS = 0
@@ -45,19 +45,12 @@ _CONFIG_ERRORS = (OSError, ParseError, SchemaError, InvalidParameter,
                   SymmetryViolation, NotPositiveDefinite)
 
 
-def _load_material_arg(spec: str):
-    if spec == "identity":
-        return identity_material()
-    if spec == "decoupled":
-        return decoupled_material()
-    if spec.startswith("random:"):
-        return random_material(int(spec.split(":", 1)[1]))
-    return load_material(spec)
-
-
 def cmd_material_check(args) -> int:
+    spec = args.file  # a config's material spec, or a bare file PATH
+    if spec not in ("identity", "decoupled") and spec.partition(":")[0] not in ("random", "file"):
+        spec = f"file:{spec}"
     try:
-        consts = _load_material_arg(args.file)
+        consts = material_from_spec(spec)
     except (OSError, InvalidParameter, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -131,11 +124,9 @@ def cmd_simulate(args) -> int:
     paths.append(canon)
     entries = {os.path.relpath(p, out_dir): pio.file_sha256(p) for p in paths}
     entries["config"] = pio.file_sha256(args.config)
-    if cfg.material.startswith("file:"):
-        mat_path = cfg.material.split(":", 1)[1]
-        if not os.path.isabs(mat_path):
-            mat_path = os.path.join(cfg.base_dir, mat_path)
-        entries["material"] = pio.file_sha256(mat_path)
+    kind, mat_path = parse_material_spec(cfg.material)
+    if kind == "file":
+        entries["material"] = pio.file_sha256(os.path.join(cfg.base_dir, mat_path))
     pio.write_manifest(os.path.join(out_dir, "manifest.txt"), entries)
     print(f"wrote {len(paths)} artifacts to {out_dir}")
     return EXIT_PASS
@@ -217,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("material-check", help="validate a material file and print its moduli")
-    p.add_argument("file", help="material file path, or identity|decoupled|random:SEED")
+    p.add_argument("file", help="material spec identity|decoupled|random:SEED|file:PATH, "
+                                "or a bare file PATH")
     p.set_defaults(func=cmd_material_check)
 
     p = sub.add_parser("simulate", help="run a configuration and write CSV/snapshot artifacts")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ParseError, SchemaError
+from .errors import InvalidParameter, ParseError, SchemaError
 from .materials import (
     MaterialConstants,
     decoupled_material,
@@ -239,14 +239,11 @@ def load_config(path) -> RunConfig:
     for lineno, key, val in entries:
         if key == "material":
             if once(lineno, key):
-                ok = val in ("identity", "decoupled") or val.startswith("file:")
-                if val.startswith("random:"):
-                    ok = val.split(":", 1)[1].strip().isdecimal()
-                if not ok:
-                    errors.append(f"line {lineno}: material must be identity|decoupled|"
-                                  "random:SEED (SEED an integer >= 0)|file:PATH")
-                else:
+                try:
+                    parse_material_spec(val)
                     cfg = replace(cfg, material=val)
+                except InvalidParameter as exc:
+                    errors.append(f"line {lineno}: {exc}")
         elif key == "grid.dim":
             set_num(lineno, key, val, int, "dim", lambda v: v in (1, 2))
         elif key == "grid.n":
@@ -361,17 +358,28 @@ def save_config(cfg: RunConfig, path) -> None:
         fh.write(canonical_text(cfg))
 
 
+def parse_material_spec(spec: str) -> tuple[str, str]:
+    """(kind, argument) of identity|decoupled|random:SEED|file:PATH; else InvalidParameter."""
+    kind, _, arg = spec.partition(":")
+    if not (spec in ("identity", "decoupled") or kind == "file"
+            or (kind == "random" and arg.strip().isdecimal())):
+        raise InvalidParameter("material must be identity|decoupled|"
+                               "random:SEED (SEED an integer >= 0)|file:PATH")
+    return kind, arg
+
+
+def material_from_spec(spec: str, base_dir: str = "") -> MaterialConstants:
+    """The material a spec names; a relative file PATH is taken from ``base_dir``."""
+    kind, arg = parse_material_spec(spec)
+    if kind == "random":
+        return random_material(int(arg))
+    if kind == "file":
+        return load_material(os.path.join(base_dir, arg))
+    return identity_material() if kind == "identity" else decoupled_material()
+
+
 def resolve_material(cfg: RunConfig) -> MaterialConstants:
-    if cfg.material == "identity":
-        return identity_material()
-    if cfg.material == "decoupled":
-        return decoupled_material()
-    if cfg.material.startswith("random:"):
-        return random_material(int(cfg.material.split(":", 1)[1]))
-    path = cfg.material.split(":", 1)[1]
-    if not os.path.isabs(path):
-        path = os.path.join(cfg.base_dir, path)
-    return load_material(path)
+    return material_from_spec(cfg.material, cfg.base_dir)
 
 
 def _profile_field(prof: InitProfile, x: np.ndarray, dim: int, vector: bool) -> np.ndarray:

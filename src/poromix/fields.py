@@ -45,13 +45,16 @@ def _idx(nd: int, ax: int, s) -> tuple:
     return tuple(out)
 
 
-def central_gradient(f: np.ndarray, ax: int, h: float) -> np.ndarray:
-    """d/dx along axis ``ax``: central interior, one-sided 3-point at the ends."""
+def central_gradient(f: np.ndarray, ax: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """d/dx along axis ``ax``: central interior, one-sided 3-point at the ends.
+
+    Written into ``out`` when given (it must not overlap ``f``).
+    """
     nd = f.ndim
-    g = np.empty_like(f)
-    g[_idx(nd, ax, slice(1, -1))] = (
-        f[_idx(nd, ax, slice(2, None))] - f[_idx(nd, ax, slice(0, -2))]
-    ) / (2.0 * h)
+    g = np.empty_like(f) if out is None else out
+    mid = g[_idx(nd, ax, slice(1, -1))]
+    np.subtract(f[_idx(nd, ax, slice(2, None))], f[_idx(nd, ax, slice(0, -2))], out=mid)
+    np.divide(mid, 2.0 * h, out=mid)
     g[_idx(nd, ax, 0)] = (
         -3.0 * f[_idx(nd, ax, 0)] + 4.0 * f[_idx(nd, ax, 1)] - f[_idx(nd, ax, 2)]
     ) / (2.0 * h)
@@ -61,32 +64,38 @@ def central_gradient(f: np.ndarray, ax: int, h: float) -> np.ndarray:
     return g
 
 
-def gradient_adjoint(q: np.ndarray, ax: int, h: float) -> np.ndarray:
+def gradient_adjoint(q: np.ndarray, ax: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Exact adjoint of :func:`central_gradient` in the plain dot product.
 
     Satisfies  sum(central_gradient(f)·q) == sum(f·gradient_adjoint(q))
     to roundoff for every f, q; the force assembly relies on this being the
     *exact* transpose so the semi-discrete operator is exactly symmetric.
+    Written into ``out`` when given; ``out`` may be ``q`` itself.
     """
     nd = q.ndim
-    out = np.zeros_like(q)
     inner = q[_idx(nd, ax, slice(1, -1))] / (2.0 * h)
+    q0 = q[_idx(nd, ax, 0)] / (2.0 * h)
+    qn = q[_idx(nd, ax, -1)] / (2.0 * h)
+    out = np.empty_like(q) if out is None else out
+    out.fill(0.0)
     out[_idx(nd, ax, slice(2, None))] += inner
     out[_idx(nd, ax, slice(0, -2))] -= inner
-    q0 = q[_idx(nd, ax, 0)] / (2.0 * h)
     out[_idx(nd, ax, 0)] += -3.0 * q0
     out[_idx(nd, ax, 1)] += 4.0 * q0
     out[_idx(nd, ax, 2)] += -q0
-    qn = q[_idx(nd, ax, -1)] / (2.0 * h)
     out[_idx(nd, ax, -1)] += 3.0 * qn
     out[_idx(nd, ax, -2)] += -4.0 * qn
     out[_idx(nd, ax, -3)] += qn
     return out
 
 
-def jet(U: np.ndarray, h: tuple[float, ...]) -> np.ndarray:
-    """Y = (U, ∂₁U, …) of a stacked state: one stencil call per grid axis."""
-    return np.stack([U] + [central_gradient(U, 1 + j, hj) for j, hj in enumerate(h)])
+def jet(U: np.ndarray, h: tuple[float, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """The jet Y = (U, ∂₁U, …) of a stacked state, written into ``out`` if given."""
+    Y = np.empty((1 + len(h),) + U.shape) if out is None else out
+    Y[0] = U
+    for j, hj in enumerate(h):
+        central_gradient(U, 1 + j, hj, out=Y[1 + j])
+    return Y
 
 
 def jet_map(dim: int) -> np.ndarray:

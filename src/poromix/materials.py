@@ -85,6 +85,13 @@ _SCALARS = ("zeta", "mu", "tau", "rho1", "rho2", "chi1", "chi2")
 MATERIAL_KEYS = tuple(_TENSOR_SHAPES) + _SCALARS
 
 
+def _numeric(name: str, value, convert):
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"{name} must be numeric, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class MaterialConstants:
     """All constitutive tensors and densities; single source of truth.
@@ -120,7 +127,7 @@ class MaterialConstants:
 
     def __post_init__(self):
         for name, shape in _TENSOR_SHAPES.items():
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = _numeric(name, getattr(self, name), lambda v: np.array(v, dtype=float))
             if arr.shape != shape:
                 raise InvalidParameter(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
@@ -128,7 +135,7 @@ class MaterialConstants:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         for name in _SCALARS:
-            val = float(getattr(self, name))
+            val = _numeric(name, getattr(self, name), float)
             if not np.isfinite(val):
                 raise InvalidParameter(f"{name} is not finite")
             object.__setattr__(self, name, val)

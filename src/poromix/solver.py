@@ -381,16 +381,30 @@ class Workspace:
                         self.pin_values[(row,) + sl] = val
                 else:
                     self.natural.append((rows_ab, sl, grid.side_weights(axis), side.value))
-        # (U, Y, QY) of the last force evaluation of a read-only U, kept for
-        # the energy sample of the same state (see ``acceleration``) until the
-        # next force evaluation (dropping it at the energy sample made the
-        # 2-D step loop measurably slower).
-        self._force_eval: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.half_mass = 0.5 * self.w * self.inertia
+        # Evaluation buffers Y, QY ((1 + dim, 8, *grid)), F, scratch ((8, *grid)), allocated
+        # on first use and dropped by ``simulate``, and the U whose jet and stresses they hold.
+        self._buffers: tuple[np.ndarray, ...] | None = None
+        self._held: np.ndarray | None = None
+
+    def _eval_buffers(self) -> tuple[np.ndarray, ...]:
+        if self._buffers is None:
+            jet_shape = (1 + self.grid.dim, STATE_ROWS) + self.grid.shape
+            self._buffers = tuple(np.empty(s) for s in [jet_shape] * 2 + [jet_shape[1:]] * 2)
+        return self._buffers
 
     def stress(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The jet Y of a stacked state and the generalized stresses QY."""
-        Y = jet(U, self.grid.h)
-        return Y, (self.Q @ Y.reshape(len(self.Q), -1)).reshape(Y.shape)
+        """The jet Y of a stacked state and the generalized stresses QY.
+
+        Both are the workspace's buffers, filled in place: they stay valid
+        only until the next evaluation (``stress``, ``acceleration``, or an
+        ``energy_sample`` of another state).  Copy them to keep them longer.
+        """
+        Y, QY = self._eval_buffers()[:2]
+        jet(U, self.grid.h, out=Y)
+        np.matmul(self.Q, Y.reshape(len(self.Q), -1), out=QY.reshape(len(self.Q), -1))
+        self._held = U
+        return Y, QY
 
     def sources(self, t: float) -> np.ndarray | None:
         """Stacked body sources (f¹, f², ℓ¹, ℓ²) at time t; None without any."""
@@ -416,9 +430,10 @@ class Workspace:
 
     def energy_sample(self, state: StateField) -> EnergySample:
         """ℰ at one state: kinetic (u and φ parts) plus stored energy."""
-        kin = 0.5 * self.w * self.inertia * state.V**2
-        kept = self._force_eval
-        Y, QY = kept[1:] if kept is not None and kept[0] is state.U else self.stress(state.U)
+        reuse = self._held is state.U and not state.U.flags.writeable  # the step's evaluation
+        Y, QY = self._eval_buffers()[:2] if reuse else self.stress(state.U)
+        kin = np.square(state.V, out=self._eval_buffers()[3])
+        np.multiply(self.half_mass, kin, out=kin)
         return EnergySample(
             t=state.t,
             kinetic_u=float(np.sum(kin[:PHI1_ROW])),
@@ -436,17 +451,15 @@ def acceleration(ws: Workspace, U: np.ndarray, t: float) -> np.ndarray:
 
     The force is the exact gradient of the discrete energy Σ w W:
     F = −w(QY)₀ − Σⱼ Dⱼᵀ(w(QY)ⱼ), plus the prescribed boundary load.
+    F is built in the workspace's buffers, and Y and QY stay there.
     ``simulate`` and ``step`` make each configuration read-only before its
-    force is evaluated; the evaluation of a read-only U is kept in the
-    workspace, so the energy sample of that state reuses it.
+    force is evaluated, so the energy sample of that state reuses them.
     """
-    ws._force_eval = None  # free the kept evaluation before making another
     Y, QY = ws.stress(U)
-    if not U.flags.writeable:
-        ws._force_eval = (U, Y, QY)
-    F = -ws.w * QY[0]
+    _, _, F, scratch = ws._eval_buffers()
+    np.negative(np.multiply(ws.w, QY[0], out=F), out=F)
     for j, hj in enumerate(ws.grid.h):
-        F -= gradient_adjoint(ws.w * QY[1 + j], 1 + j, hj)
+        F -= gradient_adjoint(np.multiply(ws.w, QY[1 + j], out=scratch), 1 + j, hj, out=scratch)
     load = ws.boundary_load(t)
     if load is not None:
         F += load
@@ -469,7 +482,8 @@ def step(
     """One kick-drift-kick update; returns the new state and its acceleration.
 
     The new state's U is read-only, so its stress evaluation can be reused
-    (see :func:`acceleration`).
+    (see :func:`acceleration`).  The new U, V and acceleration are the only
+    arrays a step allocates; every temporary lives in the workspace.
 
     Raises:
         NonFinite: if any updated value is not finite (instability signal).
@@ -477,13 +491,15 @@ def step(
     ws = problem.workspace
     a = accel_cache if accel_cache is not None else acceleration(ws, state.U, state.t)
     half = 0.5 * dt
-    V = state.V + half * a
-    U = state.U + dt * V
+    V = np.multiply(a, half)
+    V += state.V
+    U = np.multiply(V, dt)
+    U += state.U
     np.copyto(U, ws.pin_values, where=ws.pinned)
     U.flags.writeable = False
     t_new = state.t + dt
     a_new = acceleration(ws, U, t_new)
-    V += half * a_new
+    V += np.multiply(a_new, half, out=ws._eval_buffers()[3])
     V[ws.pinned] = 0.0
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise NonFinite(f"non-finite value at t = {t_new:.6g}", step=step_index)
@@ -498,27 +514,32 @@ def simulate(
 ) -> StateField:
     """Integrate the problem to T, invoking each recorder every step.
 
+    The t = 0 state is projected onto the Dirichlet data, as ``step``
+    projects every later one: U takes the pinned values, V = 0 there.
     Deterministic for fixed inputs.  The step count is chosen so the run
     lands exactly on T; an explicit ``dt``/``n_steps`` overrides the CFL
     default (the caller then owns stability).
     """
     speed = problem.speed()
+    ws = problem.workspace
     state = initialize(problem)
+    np.copyto(state.U, ws.pin_values, where=ws.pinned)
+    state.V[ws.pinned] = 0.0
     state.U.flags.writeable = False
-    cache = acceleration(problem.workspace, state.U, state.t) if problem.T > 0.0 else None
+    cache = acceleration(ws, state.U, state.t) if problem.T > 0.0 else None
     for rec in recorders:
         rec.record(0, state)
-    if problem.T <= 0.0:
-        return state
-    if n_steps is None:
-        base = dt if dt is not None else stable_timestep(problem.grid, speed, problem.cfl)
-        n_steps = max(1, math.ceil(problem.T / base - 1e-12))
-    dt_eff = problem.T / n_steps
-    for k in range(1, n_steps + 1):
-        state, cache = step(state, problem, dt_eff, accel_cache=cache, step_index=k)
-        for rec in recorders:
-            rec.record(k, state)
-    problem.workspace._force_eval = None
+    if problem.T > 0.0:
+        if n_steps is None:
+            base = dt if dt is not None else stable_timestep(problem.grid, speed, problem.cfl)
+            n_steps = max(1, math.ceil(problem.T / base - 1e-12))
+        dt_eff = problem.T / n_steps
+        for k in range(1, n_steps + 1):
+            state, cache = step(state, problem, dt_eff, accel_cache=cache, step_index=k)
+            for rec in recorders:
+                rec.record(k, state)
+    # The post-run diagnostics allocate the buffers again if they need them.
+    ws._buffers = ws._held = None
     return state
 
 

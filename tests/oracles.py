@@ -212,6 +212,95 @@ def stored_energy_pointwise(consts, U: np.ndarray, h) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The allocating force, step and energy formulas: every temporary a fresh
+# array, in the operation order the workspace buffers must reproduce bitwise.
+# ---------------------------------------------------------------------------
+
+
+def _idx(nd: int, ax: int, s) -> tuple:
+    out = [slice(None)] * nd
+    out[ax] = s
+    return tuple(out)
+
+
+def central_gradient_allocating(f: np.ndarray, ax: int, h: float) -> np.ndarray:
+    nd = f.ndim
+    g = np.empty_like(f)
+    g[_idx(nd, ax, slice(1, -1))] = (
+        f[_idx(nd, ax, slice(2, None))] - f[_idx(nd, ax, slice(0, -2))]
+    ) / (2.0 * h)
+    g[_idx(nd, ax, 0)] = (
+        -3.0 * f[_idx(nd, ax, 0)] + 4.0 * f[_idx(nd, ax, 1)] - f[_idx(nd, ax, 2)]
+    ) / (2.0 * h)
+    g[_idx(nd, ax, -1)] = (
+        3.0 * f[_idx(nd, ax, -1)] - 4.0 * f[_idx(nd, ax, -2)] + f[_idx(nd, ax, -3)]
+    ) / (2.0 * h)
+    return g
+
+
+def gradient_adjoint_allocating(q: np.ndarray, ax: int, h: float) -> np.ndarray:
+    nd = q.ndim
+    out = np.zeros_like(q)
+    inner = q[_idx(nd, ax, slice(1, -1))] / (2.0 * h)
+    out[_idx(nd, ax, slice(2, None))] += inner
+    out[_idx(nd, ax, slice(0, -2))] -= inner
+    q0 = q[_idx(nd, ax, 0)] / (2.0 * h)
+    out[_idx(nd, ax, 0)] += -3.0 * q0
+    out[_idx(nd, ax, 1)] += 4.0 * q0
+    out[_idx(nd, ax, 2)] += -q0
+    qn = q[_idx(nd, ax, -1)] / (2.0 * h)
+    out[_idx(nd, ax, -1)] += 3.0 * qn
+    out[_idx(nd, ax, -2)] += -4.0 * qn
+    out[_idx(nd, ax, -3)] += qn
+    return out
+
+
+def stress_allocating(ws, U: np.ndarray):
+    """(Y, QY) as fresh arrays: the jet by np.stack, then one matmul."""
+    Y = np.stack([U] + [central_gradient_allocating(U, 1 + j, hj)
+                        for j, hj in enumerate(ws.grid.h)])
+    return Y, (ws.Q @ Y.reshape(len(ws.Q), -1)).reshape(Y.shape)
+
+
+def acceleration_allocating(ws, U: np.ndarray, t: float) -> np.ndarray:
+    Y, QY = stress_allocating(ws, U)
+    F = -ws.w * QY[0]
+    for j, hj in enumerate(ws.grid.h):
+        F -= gradient_adjoint_allocating(ws.w * QY[1 + j], 1 + j, hj)
+    load = ws.boundary_load(t)
+    if load is not None:
+        F += load
+    a = F / ws.mass
+    src = ws.sources(t)
+    if src is not None:
+        a += src / ws.chi
+    a[ws.pinned] = 0.0
+    return a
+
+
+def step_allocating(ws, U: np.ndarray, V: np.ndarray, t: float, dt: float, a: np.ndarray):
+    """One kick-drift-kick update; returns (U, V, a) at t + dt."""
+    half = 0.5 * dt
+    V = V + half * a
+    U = U + dt * V
+    np.copyto(U, ws.pin_values, where=ws.pinned)
+    a_new = acceleration_allocating(ws, U, t + dt)
+    V += half * a_new
+    V[ws.pinned] = 0.0
+    return U, V, a_new
+
+
+def energy_allocating(ws, U: np.ndarray, V: np.ndarray) -> tuple[float, float, float]:
+    """(kinetic_u, kinetic_phi, strain) of one state."""
+    from poromix.fields import stored_energy
+
+    kin = 0.5 * ws.w * ws.inertia * V**2
+    Y, QY = stress_allocating(ws, U)
+    return (float(np.sum(kin[:6])), float(np.sum(kin[6:])),
+            float(np.sum(ws.w * stored_energy(Y, QY))))
+
+
+# ---------------------------------------------------------------------------
 # Distance to a node set, by brute force over every pair.
 # ---------------------------------------------------------------------------
 

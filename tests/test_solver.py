@@ -468,3 +468,112 @@ class TestRigidDecompose:
                 scale = rho * wq * np.prod(shape) * max(1.0, np.max(np.abs(res)))
                 assert np.max(np.abs(lin)) <= 1e-10 * scale
                 assert np.max(np.abs(ang)) <= 1e-10 * scale * max(1.0, np.max(np.abs(x)))
+
+
+BOUNDARY_CASES = ["traction_free", "dirichlet_zero", "prescribed_value", "prescribed_traction",
+                  "sources"]
+
+
+def buffer_case_problem(consts, kind: str, dim: int) -> pm.ProblemSpec:
+    """A small problem exercising one boundary/source kind of the force assembly."""
+    keys = [f"{axis}{end}" for axis in "xy"[:dim] for end in (0, 1)]
+    u = {k: pm.SideCondition("natural") for k in keys}
+    phi = dict(u)
+    sources = {}
+    if kind == "dirichlet_zero":
+        u = {k: pm.SideCondition("dirichlet") for k in keys}
+        phi = dict(u)
+    elif kind == "prescribed_value":
+        u["x0"] = pm.SideCondition("dirichlet", lambda xb: (0.1 + 0.2 * xb, -0.3 * xb))
+        phi["x1"] = pm.SideCondition("dirichlet", lambda xb: (0.2 + xb[0], 0.1 - xb[0]))
+    elif kind == "prescribed_traction":
+        u["x1"] = pm.SideCondition("natural", lambda xb, t: ((1.0 + t) * np.cos(xb), 0.5 * xb))
+        phi["x0"] = pm.SideCondition("natural", lambda xb, t: (0.3 + t + xb[0], -0.1 * xb[1]))
+    elif kind == "sources":
+        sources = dict(f=lambda x, t: (np.sin(3.0 * x + t), x * x),
+                       ell=lambda x, t: (np.cos(x[0] - t), 0.5 * x[1] + t))
+    return small_problem(consts, n=17, dim=dim, boundary=pm.BoundaryPartition(u=u, phi=phi),
+                         **sources)
+
+
+class TestEvaluationBuffers:
+    """The workspace buffers reproduce the allocating formulas bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", BOUNDARY_CASES)
+    def test_force_step_and_energy_match_allocating_oracle(self, rng, random_consts, kind, dim):
+        prob = buffer_case_problem(random_consts, kind, dim)
+        ws = prob.workspace
+        shape = (8,) + prob.grid.shape
+        U, V = rng.standard_normal(shape), rng.standard_normal(shape)
+        a = acceleration(ws, U, 0.3)
+        np.testing.assert_array_equal(a, oracles.acceleration_allocating(ws, U, 0.3))
+        state = pm.StateField(t=0.3, U=U, V=V)  # writable U: a fresh evaluation
+        sample = ws.energy_sample(state)
+        expected = oracles.energy_allocating(ws, U, V)
+        assert (sample.kinetic_u, sample.kinetic_phi, sample.strain) == expected
+        U.flags.writeable = False
+        new, a_new = pm.step(state, prob, 0.01, accel_cache=a)
+        U1, V1, a1 = oracles.step_allocating(ws, U, V, 0.3, 0.01, a)
+        for got, want in ((new.U, U1), (new.V, V1), (a_new, a1)):
+            np.testing.assert_array_equal(got, want)
+        sample = ws.energy_sample(new)  # reuses the step's evaluation of new.U
+        assert (sample.kinetic_u, sample.kinetic_phi, sample.strain) == \
+            oracles.energy_allocating(ws, U1, V1)
+
+    def test_energy_sample_after_other_evaluation_is_fresh(self, rng, random_consts):
+        prob = buffer_case_problem(random_consts, "sources", 2)
+        ws = prob.workspace
+        shape = (8,) + prob.grid.shape
+        state = pm.StateField(t=0.0, U=rng.standard_normal(shape), V=rng.standard_normal(shape))
+        state.U.flags.writeable = False
+        new, _ = pm.step(state, prob, 0.01, accel_cache=acceleration(ws, state.U, 0.0))
+        ws.stress(rng.standard_normal(shape))  # overwrites the buffers the step left
+        sample = ws.energy_sample(new)
+        assert (sample.kinetic_u, sample.kinetic_phi, sample.strain) == \
+            oracles.energy_allocating(ws, new.U, new.V)
+
+    def test_steady_state_step_allocates_only_its_results(self, random_consts):
+        import tracemalloc
+
+        prob = small_problem(random_consts, n=64, dim=2,
+                             initial=pm.InitialData(u1=pm.gaussian_pulse([0.5, 0.5], 0.06, 1.0,
+                                                                          component=0)))
+        ws = prob.workspace
+        state = pm.initialize(prob)
+        state.U.flags.writeable = False
+        a = acceleration(ws, state.U, 0.0)
+        for _ in range(3):
+            state, a = pm.step(state, prob, 1e-3, accel_cache=a)
+        tracemalloc.start()
+        try:
+            state, a = pm.step(state, prob, 1e-3, accel_cache=a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the new U, V and acceleration, plus the adjoint's interior temporary
+        assert peak <= 4 * state.U.nbytes
+
+    def test_simulate_drops_the_buffers(self, random_consts):
+        prob = small_problem(random_consts, n=16, T=0.01)
+        pm.simulate(prob)
+        assert prob.workspace._buffers is None and prob.workspace._held is None
+
+
+class TestInitialDirichletProjection:
+    def test_recorded_initial_state_satisfies_dirichlet_data(self, random_consts):
+        u = {"x0": pm.SideCondition("dirichlet", lambda xb: (0.1 + 0 * xb, 0 * xb)),
+             "x1": pm.SideCondition("natural")}
+        phi = {"x0": pm.SideCondition("dirichlet"), "x1": pm.SideCondition("natural")}
+        prob = small_problem(random_consts, n=32, T=0.01,
+                             boundary=pm.BoundaryPartition(u=u, phi=phi),
+                             initial=pm.InitialData(v1=lambda x: np.ones((3,) + x.shape[1:]),
+                                                    phi1=lambda x: 1.0 + x[0]))
+        rec = diag.SnapshotRecorder(prob.workspace, every=1)
+        pm.simulate(prob, recorders=(rec,))
+        ws = prob.workspace
+        for s in rec.states:
+            np.testing.assert_array_equal(s.U[ws.pinned], ws.pin_values[ws.pinned])
+            assert not s.V[ws.pinned].any()
+        # the raw sample keeps the initial data; only the integrated state is projected
+        assert pm.initialize(prob).V[ws.pinned].any()
