@@ -8,7 +8,8 @@ Subcommands::
     poromix decay-report --config <file> [--lambda-sweep]
 
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 numerical
-failure (non-finite field update).  POROMIX_THREADS caps suite parallelism.
+failure (non-finite field update).  ``verify`` runs its suites, and each
+suite its simulations, one after another in the calling thread.
 """
 
 from __future__ import annotations
@@ -203,6 +204,13 @@ def cmd_decay_report(args) -> int:
     return EXIT_PASS if ok else EXIT_CHECK_FAILED
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds must be integers >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="poromix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -221,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--suite", default=None,
                    choices=[*SUITES, "all"])
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decay-report", help="decay envelope report, optionally sweeping lambda")

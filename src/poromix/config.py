@@ -260,7 +260,7 @@ def load_config(path) -> RunConfig:
         elif key == "cfl":
             set_num(lineno, key, val, float, "cfl", lambda v: 0 < v <= 1)
         elif key == "seed":
-            set_num(lineno, key, val, int, "seed")
+            set_num(lineno, key, val, int, "seed", lambda v: v >= 0)
         elif key == "record.energy_every":
             set_num(lineno, key, val, int, "energy_every", lambda v: v >= 1)
         elif key == "record.snapshot_every":

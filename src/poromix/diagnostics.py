@@ -119,14 +119,13 @@ class Trajectory:
 
 
 def record_run(problem: ProblemSpec, energy_every: int | None = None,
-               snapshot_every: int | None = None, dt: float | None = None,
-               n_steps: int | None = None):
+               snapshot_every: int | None = None, n_steps: int | None = None):
     """Run the problem and return (final state, EnergySeries, Trajectory)."""
     from .solver import simulate
 
     erec = EnergyRecorder(problem.workspace, energy_every or problem.energy_every)
     srec = SnapshotRecorder(problem.workspace, snapshot_every or problem.snapshot_every)
-    final = simulate(problem, recorders=(erec, srec), dt=dt, n_steps=n_steps)
+    final = simulate(problem, recorders=(erec, srec), n_steps=n_steps)
     return final, erec.series(), Trajectory(problem=problem, states=srec.states,
                                             energy=srec.series())
 
@@ -146,28 +145,22 @@ class SupportGeometry:
     h: tuple[float, ...]
 
 
-def support_geometry(
-    problem: ProblemSpec,
-    T: float | None = None,
-    threshold: float = 1e-14,
-    time_samples: int = 9,
-) -> SupportGeometry:
+def support_geometry(problem: ProblemSpec, threshold: float = 1e-14) -> SupportGeometry:
     """Detect the data support and the node distances to it.
 
     A node belongs to the support when any initial field, any body source at
-    any sampled time in [0, T], or any prescribed boundary value exceeds
-    ``threshold`` times the peak data magnitude there.  With all-zero data
-    the lexicographically first boundary node is designated (deterministic
-    fallback so the geometry stays usable).
+    any of 9 evenly spaced times in [0, T], or any prescribed boundary value
+    exceeds ``threshold`` times the peak data magnitude there.  With all-zero
+    data the lexicographically first boundary node is designated
+    (deterministic fallback so the geometry stays usable).
     """
     grid = problem.grid
-    T = problem.T if T is None else T
     state0 = initialize(problem)
     ws = problem.workspace
     x = ws.x
     mags = [np.abs(state0.U), np.abs(state0.V)]
     if problem.f is not None or problem.ell is not None:
-        mags += [np.abs(ws.sources(t)) for t in np.linspace(0.0, T, time_samples)]
+        mags += [np.abs(ws.sources(t)) for t in np.linspace(0.0, problem.T, 9)]
     data_mag = np.max(np.concatenate(mags), axis=0)
     boundary_mag = np.zeros(grid.shape)
     side_ndim = grid.dim - 1
@@ -385,17 +378,11 @@ class DecayReport:
     radii: np.ndarray
 
 
-def decay_report(
-    sps: SurfacePowerSeries,
-    speed,
-    t: float,
-    tol_h: float = 0.05,
-    floor: float = 1e-12,
-) -> DecayReport:
+def decay_report(sps: SurfacePowerSeries, speed, t: float, tol_h: float = 0.05) -> DecayReport:
     """Exponential-envelope check P(r,t) ≤ P(0,t)·exp(−λr/c)·(1+tol_h).
 
     Fits the least-squares slope of ln P(r,t) against r over the usable
-    radii (0 ≤ r ≤ ct, P above the relative floor).
+    radii (0 ≤ r ≤ ct, P(r,t) > 1e-12·P(0,t)).
 
     Raises:
         Degenerate: fewer than 3 usable radii.
@@ -406,7 +393,7 @@ def decay_report(
     p0 = p_t[0]
     if p0 <= 0.0:
         raise Degenerate(f"P(0, t={t_eff:.4g}) is not positive")
-    usable = (sps.r_grid <= speed.c * t_eff) & (p_t > floor * p0)
+    usable = (sps.r_grid <= speed.c * t_eff) & (p_t > 1e-12 * p0)
     radii = sps.r_grid[usable]
     if len(radii) < 3:
         raise Degenerate(f"only {len(radii)} usable radii at t={t_eff:.4g}")
@@ -429,12 +416,7 @@ class FrontReport:
     speed: float
 
 
-def front_speed(
-    traj: Trajectory,
-    geom: SupportGeometry,
-    threshold: float = 1e-6,
-    t_max: float | None = None,
-) -> FrontReport:
+def front_speed(traj: Trajectory, geom: SupportGeometry, threshold: float = 1e-6) -> FrontReport:
     """Measured propagation speed of the disturbance front.
 
     For each recorded time, r_front(t) = max{dist(x) : |state(x, t)| > thr}
@@ -453,8 +435,6 @@ def front_speed(
     outside = geom.dist > 0.0
     ts, rf = [], []
     for state, m in zip(traj.states, mags):
-        if t_max is not None and state.t > t_max:
-            break
         hit = outside & (m > thr)
         if hit.any():
             ts.append(state.t)
@@ -516,18 +496,21 @@ class EquipartitionReport:
     fit_exponent: float | None
 
 
+# Log-spaced time bins of the gap envelope that equipartition_report fits.
+_GAP_FIT_BINS = 8
+
+
 def equipartition_report(
     series: EnergySeries,
     problem: ProblemSpec,
     rigid: RigidDecomposition | None = None,
-    fit_bins: int = 8,
 ) -> EquipartitionReport:
     """Kinetic/strain Cesàro gap against its predicted long-time limit.
 
     Pinned-wall case: the gap tends to 0 like 1/t; reports a log-log
-    envelope decay exponent.  All-traction case: the gap tends to
-    ½∫ Σ_α ρ^α |ā̇^α|² dv computed from the rigid decomposition of the
-    initial velocities (MissingDecomposition if absent).
+    envelope decay exponent over ``_GAP_FIT_BINS`` time bins.  All-traction
+    case: the gap tends to ½∫ Σ_α ρ^α |ā̇^α|² dv computed from the rigid
+    decomposition of the initial velocities (MissingDecomposition if absent).
     """
     cs = cesaro_means(series)
     e0 = float(series.total[0])
@@ -537,9 +520,9 @@ def equipartition_report(
         lo = cs.t[-1] / 20.0
         sel = cs.t >= lo
         tt, gg = cs.t[sel], np.abs(gap[sel])
-        edges = np.geomspace(tt[0], tt[-1] * (1 + 1e-12), fit_bins + 1)
+        edges = np.geomspace(tt[0], tt[-1] * (1 + 1e-12), _GAP_FIT_BINS + 1)
         env_t, env_g = [], []
-        for b in range(fit_bins):
+        for b in range(_GAP_FIT_BINS):
             in_bin = (tt >= edges[b]) & (tt < edges[b + 1])
             if in_bin.any():
                 env_t.append(np.sqrt(edges[b] * edges[b + 1]))

@@ -213,12 +213,13 @@ class SymmetryReport:
         return "; ".join(f"{name} violated by {dev:.3e}" for name, dev in self.violations)
 
 
-def validate_symmetries(consts: MaterialConstants, tol: float = SYMMETRY_TOL) -> SymmetryReport:
+def validate_symmetries(consts: MaterialConstants) -> SymmetryReport:
     """Check the required symmetry relations of the constitutive constants.
 
     The checked list is exactly: A_ijrs = A_jirs = A_rsij, B_ijrs = B_jirs,
     C_ijrs = C_rsij, a_ij = a_ji, alpha_ij = alpha_ji, gamma_ij = gamma_ji,
-    D_ij = D_ji, E_ij = E_ji.  Report-style: never raises.
+    D_ij = D_ji, E_ij = E_ji, each to ``SYMMETRY_TOL``.  Report-style: never
+    raises.
     """
     A, B, C = consts.A, consts.B, consts.C
     checks = [
@@ -235,7 +236,7 @@ def validate_symmetries(consts: MaterialConstants, tol: float = SYMMETRY_TOL) ->
     violations = []
     for name, dev in checks:
         worst = float(np.max(np.abs(dev)))
-        if worst > tol:
+        if worst > SYMMETRY_TOL:
             violations.append((name, worst))
     return SymmetryReport(tuple(violations))
 
@@ -507,12 +508,12 @@ def identity_material() -> MaterialConstants:
     )
 
 
-def decoupled_material(cross: float = 0.01, spring: float = 0.05) -> MaterialConstants:
+def decoupled_material() -> MaterialConstants:
     """Nearly decoupled isotropic mixture for plane-wave oracle runs.
 
     All value couplings vanish; the constituent cross-gradient stiffness is
-    ``cross`` (it cannot be exactly zero or the g-block of 𝒜 is singular) and
-    the relative-displacement spring is ``spring`` (small, so the algebraic
+    0.01 (it cannot be exactly zero or the g-block of 𝒜 is singular) and
+    the relative-displacement spring is 0.05 (small, so the algebraic
     constituent coupling barely perturbs the plane-wave branches).  The
     fraction value blocks carry the ξ_M headroom that certifies the
     stress-energy inequality.
@@ -522,7 +523,7 @@ def decoupled_material(cross: float = 0.01, spring: float = 0.05) -> MaterialCon
     return MaterialConstants(
         A=_iso4(0.5, 0.5),
         B=zero4,
-        C=cross * _delta4(),
+        C=0.01 * _delta4(),
         D=zero2,
         E=zero2,
         M=zero2,
@@ -533,7 +534,7 @@ def decoupled_material(cross: float = 0.01, spring: float = 0.05) -> MaterialCon
         alpha=0.5 * np.eye(3),
         beta=zero2,
         gamma=0.5 * np.eye(3),
-        a=spring * np.eye(3),
+        a=0.05 * np.eye(3),
         b=zero2,
         c=zero2,
         rho1=1.0,
@@ -545,17 +546,15 @@ def decoupled_material(cross: float = 0.01, spring: float = 0.05) -> MaterialCon
 
 def random_material(
     seed: int | np.random.Generator = 0,
-    coupling: float = 0.25,
-    base: float = 1.0,
     certify: bool = True,
 ) -> MaterialConstants:
     """Seeded random admissible material.
 
     Construction: draw every tensor from N(0, 1), project onto the required
     symmetries (M and N are also symmetrized so the printed constitutive law
-    derives from the energy density), scale the couplings, add isotropic
-    diagonal stiffness, then shift the block diagonals until ξ_m clears the
-    definiteness margin with room to spare.
+    derives from the energy density), scale the couplings by 0.25, add
+    isotropic diagonal stiffness, then shift the block diagonals until ξ_m
+    clears the definiteness margin with room to spare.
 
     With ``certify`` (default), the relative-displacement/fraction-gradient
     block is additionally raised until ξ_M dominates the exact operator bound
@@ -565,15 +564,15 @@ def random_material(
     per component, so raising it never degrades the certified inequality.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    cpl = coupling * base
+    cpl = 0.25
 
     def sym2():
         t = rng.standard_normal((3, 3))
         return 0.5 * (t + t.T)
 
-    A = base * _iso4(0.4, 0.4) + 0.35 * base * _sym4_full(rng.standard_normal((3, 3, 3, 3)))
+    A = _iso4(0.4, 0.4) + 0.35 * _sym4_full(rng.standard_normal((3, 3, 3, 3)))
     B = cpl * 0.5 * (lambda t: t + t.transpose(1, 0, 2, 3))(rng.standard_normal((3, 3, 3, 3)))
-    C = 0.4 * base * _delta4() + 0.3 * base * (
+    C = 0.4 * _delta4() + 0.3 * (
         lambda t: 0.5 * (t + t.transpose(2, 3, 0, 1))
     )(rng.standard_normal((3, 3, 3, 3)))
     consts = MaterialConstants(
@@ -584,13 +583,13 @@ def random_material(
         E=cpl * sym2(),
         M=cpl * sym2(),
         N=cpl * sym2(),
-        zeta=base * (1.0 + 0.3 * rng.standard_normal()),
-        mu=base * (1.0 + 0.3 * rng.standard_normal()),
+        zeta=1.0 + 0.3 * rng.standard_normal(),
+        mu=1.0 + 0.3 * rng.standard_normal(),
         tau=cpl * rng.standard_normal(),
-        alpha=base * np.eye(3) + 0.3 * base * sym2(),
+        alpha=np.eye(3) + 0.3 * sym2(),
         beta=cpl * rng.standard_normal((3, 3)),
-        gamma=base * np.eye(3) + 0.3 * base * sym2(),
-        a=base * np.eye(3) + 0.3 * base * sym2(),
+        gamma=np.eye(3) + 0.3 * sym2(),
+        a=np.eye(3) + 0.3 * sym2(),
         b=cpl * rng.standard_normal((3, 3)),
         c=cpl * rng.standard_normal((3, 3)),
         rho1=float(rng.uniform(0.6, 1.8)),
@@ -598,7 +597,7 @@ def random_material(
         chi1=float(rng.uniform(0.6, 1.8)),
         chi2=float(rng.uniform(0.6, 1.8)),
     )
-    floor = 0.08 * base
+    floor = 0.08
     if consts.form.xi_min < floor:
         s = floor - consts.form.xi_min
         consts = consts.replace(

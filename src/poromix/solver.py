@@ -145,10 +145,9 @@ class BoundaryPartition:
     phi: dict[str, SideCondition]
 
     @staticmethod
-    def uniform(u_kind: str = "natural", phi_kind: str = "natural", grid: Grid | None = None,
-                dim: int | None = None) -> "BoundaryPartition":
-        d = grid.dim if grid is not None else (dim or 1)
-        keys = [f"{AXIS_NAMES[a]}{end}" for a in range(d) for end in (0, 1)]
+    def uniform(u_kind: str = "natural", phi_kind: str = "natural",
+                dim: int = 1) -> "BoundaryPartition":
+        keys = [f"{AXIS_NAMES[a]}{end}" for a in range(dim) for end in (0, 1)]
         return BoundaryPartition(
             u={k: SideCondition(u_kind) for k in keys},
             phi={k: SideCondition(phi_kind) for k in keys},
@@ -509,7 +508,6 @@ def step(
 def simulate(
     problem: ProblemSpec,
     recorders: tuple = (),
-    dt: float | None = None,
     n_steps: int | None = None,
 ) -> StateField:
     """Integrate the problem to T, invoking each recorder every step.
@@ -517,8 +515,8 @@ def simulate(
     The t = 0 state is projected onto the Dirichlet data, as ``step``
     projects every later one: U takes the pinned values, V = 0 there.
     Deterministic for fixed inputs.  The step count is chosen so the run
-    lands exactly on T; an explicit ``dt``/``n_steps`` overrides the CFL
-    default (the caller then owns stability).
+    lands exactly on T; an explicit ``n_steps`` overrides the CFL default
+    (the caller then owns stability).
     """
     speed = problem.speed()
     ws = problem.workspace
@@ -531,7 +529,7 @@ def simulate(
         rec.record(0, state)
     if problem.T > 0.0:
         if n_steps is None:
-            base = dt if dt is not None else stable_timestep(problem.grid, speed, problem.cfl)
+            base = stable_timestep(problem.grid, speed, problem.cfl)
             n_steps = max(1, math.ceil(problem.T / base - 1e-12))
         dt_eff = problem.T / n_steps
         for k in range(1, n_steps + 1):
@@ -546,6 +544,8 @@ def simulate(
 # ---------------------------------------------------------------------------
 # Rigid decomposition of initial data (all-traction boundary configurations).
 # ---------------------------------------------------------------------------
+
+RIGID_TOL = 1e-9  # largest scaled residual momentum/moment of a consistent fit
 
 
 @dataclass(frozen=True)
@@ -626,7 +626,6 @@ def rigid_decompose(
     adot2: np.ndarray,
     consts: MaterialConstants,
     grid: Grid,
-    tol: float = 1e-9,
 ) -> RigidDecomposition:
     """Split each constituent's initial fields into rigid motion + residual.
 
@@ -636,7 +635,7 @@ def rigid_decompose(
     solution sets it to zero.
 
     Raises:
-        SingularInertia: if the residual momenta/moments fail the tolerance,
+        SingularInertia: if the residual momenta/moments exceed ``RIGID_TOL``,
             i.e. the system was genuinely inconsistent.
     """
     x = grid.positions()
@@ -652,9 +651,9 @@ def rigid_decompose(
         motion, residual, w = _fit_rigid(np.asarray(data, dtype=float), rho, x, wq)
         out[name] = (motion, residual)
         worst = max(worst, w)
-    if worst > tol:
+    if worst > RIGID_TOL:
         raise SingularInertia(
-            f"rigid fit left residual moments at {worst:.3e} (tol {tol:.1e}); "
+            f"rigid fit left residual moments at {worst:.3e} (tol {RIGID_TOL:.1e}); "
             "degenerate node geometry"
         )
     return RigidDecomposition(

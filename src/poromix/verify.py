@@ -3,15 +3,13 @@
 Each suite returns a :class:`VerifyReport` whose checks carry a measured
 value, its bound/target, the tolerance, and a pass flag.  Tolerances are
 fixed here, not calibrated at runtime.  Suites are deterministic for a
-fixed seed; independent simulations inside a suite may run on worker
-threads capped by the POROMIX_THREADS environment variable.
+fixed seed, and each runs its simulations one after another in the
+calling thread.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -96,25 +94,6 @@ class VerifyReport:
                    "%.17g" % c.tol, str(int(c.passed))]
 
 
-def worker_count() -> int:
-    env = os.environ.get("POROMIX_THREADS", "")
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    return max(1, n) if n else min(4, os.cpu_count() or 1)
-
-
-def _parallel(jobs):
-    """Run zero-arg callables, preserving order; thread cap from the env."""
-    workers = worker_count()
-    if workers == 1 or len(jobs) == 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
-
-
 # ---------------------------------------------------------------------------
 # Shared scenario builders.
 # ---------------------------------------------------------------------------
@@ -182,7 +161,12 @@ def _point_sample(consts: MaterialConstants, rng: np.random.Generator,
     }
 
 
-def suite_constitutive(seed: int = 0, n_materials: int = 500, states_per: int = 20,
+# The constitutive sweep: random materials, and random states per material.
+_SWEEP_MATERIALS = 500
+_SWEEP_STATES = 20
+
+
+def suite_constitutive(seed: int = 0,
                        extra_consts: MaterialConstants | None = None) -> VerifyReport:
     """Pointwise algebra on seeded random admissible materials and states.
 
@@ -197,7 +181,8 @@ def suite_constitutive(seed: int = 0, n_materials: int = 500, states_per: int = 
     """
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    samples = [_point_sample(random_material(rng), rng, states_per) for _ in range(n_materials)]
+    samples = [_point_sample(random_material(rng), rng, _SWEEP_STATES)
+               for _ in range(_SWEEP_MATERIALS)]
     pt = {key: np.array([sample[key] for sample in samples]) for key in samples[0]}
     scale = 1.0 + pt["n2"]
     worst_env = max(0.0, float(np.max(pt["envelope"])))
@@ -236,7 +221,7 @@ def suite_constitutive(seed: int = 0, n_materials: int = 500, states_per: int = 
     if extra_consts is not None:
         sym_ok = validate_symmetries(extra_consts).ok
         try:
-            pt = _point_sample(extra_consts, rng, states_per)
+            pt = _point_sample(extra_consts, rng, _SWEEP_STATES)
         except (SymmetryViolation, NotPositiveDefinite) as exc:
             worst_x = ratio_x = float("nan")
             x_ok, error = False, f"{type(exc).__name__}: {exc}"
@@ -265,7 +250,7 @@ def suite_constitutive(seed: int = 0, n_materials: int = 500, states_per: int = 
 # ---------------------------------------------------------------------------
 
 
-def conservation_problem(seed: int, n: int = 400, cfl: float = 0.5) -> ProblemSpec:
+def conservation_problem(seed: int, n: int = 400) -> ProblemSpec:
     """1-D coupled pulse run with traction-free walls (conserved energy)."""
     consts = random_material(seed)
     grid = Grid(dim=1, n=(n,), h=(1.0 / (n - 1),))
@@ -279,7 +264,7 @@ def conservation_problem(seed: int, n: int = 400, cfl: float = 0.5) -> ProblemSp
         psi2=gaussian_pulse([0.42], width, 0.3),
     )
     return ProblemSpec(grid=grid, consts=consts, boundary=boundary, initial=initial,
-                       cfl=cfl, T=1.0)
+                       cfl=0.5, T=1.0)
 
 
 def _drift_run(seed: int, n: int, steps: int):
@@ -295,10 +280,8 @@ def suite_identities(seed: int = 0) -> VerifyReport:
     """Energy conservation with refinement, plus identity-residual orders."""
     rep = VerifyReport(suite="identities")
     t0 = time.perf_counter()
-    drift_base, drift_fine = _parallel([
-        lambda: _drift_run(seed, 400, 2000),
-        lambda: _drift_run(seed, 799, 4000),
-    ])
+    drift_base = _drift_run(seed, 400, 2000)
+    drift_fine = _drift_run(seed, 799, 4000)
     elapsed = time.perf_counter() - t0
     rep.checks += [
         CheckResult("energy_conservation", "relative energy drift over 2000 steps",
@@ -341,7 +324,7 @@ def suite_identities(seed: int = 0) -> VerifyReport:
             ir.scale,
         )
 
-    levels = _parallel([lambda lv=lv: residual_run(lv) for lv in range(3)])
+    levels = [residual_run(lv) for lv in range(3)]
     names = ("res_energy_balance", "res_virial", "res_two_time")
     for i, name in enumerate(names):
         r = [levels[lv][i] for lv in range(3)]
@@ -370,9 +353,9 @@ def suite_identities(seed: int = 0) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def _pulse_trajectory(consts: MaterialConstants, n: int, lam: float, width: float = 0.02,
-                      cadence: int = 2):
+def _pulse_trajectory(consts: MaterialConstants, n: int, lam: float, cadence: int = 2):
     grid = Grid(dim=1, n=(n,), h=(1.0 / (n - 1),))
+    width = 0.02
     initial = InitialData(
         u1=gaussian_pulse([0.5], width, 1.0, component=0),
         v1=gaussian_pulse([0.5], width, 0.5, component=0),
@@ -413,8 +396,8 @@ def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
         flux = diag.surface_power(traj, geom, diag.default_r_grid(geom, count=28))
         return problem, speed, flux, flux.weighted(1.0)
 
-    (base, fine) = _parallel([lambda: run(401, 2), lambda: run(801, 4)])
-    problem, speed, flux, sps = base
+    problem, speed, flux, sps = run(401, 2)
+    sps_fine = run(801, 4)[3]
     p_ref = max(float(sps.P[0, -1]), 1e-300)
 
     worst_neg = float(np.min(sps.P)) / p_ref
@@ -427,7 +410,7 @@ def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
         mono, 0.0, 1e-6, mono <= 1e-6))
 
     err_base = _power_error(sps)
-    err_fine = _power_error(fine[3])
+    err_fine = _power_error(sps_fine)
     rep.checks += [
         CheckResult("power_equals_energy", "P(r,t) = E(r,t) within 3% relative",
                     err_base, 0.03, 0.0, err_base <= 0.03),
@@ -489,27 +472,17 @@ def _fast_mode_initial(consts: MaterialConstants, width: float, center: float):
     def dbump(x):
         return -(x[0] - center) / width**2 * bump(x)
 
-    def u1(x):
-        out = np.zeros((3,) + x.shape[1:])
-        out[0] = mode[0] * bump(x)
-        return out
+    def axial(scale, profile):
+        def fn(x):
+            out = np.zeros((3,) + x.shape[1:])
+            out[0] = scale * profile(x)
+            return out
 
-    def u2(x):
-        out = np.zeros((3,) + x.shape[1:])
-        out[0] = mode[1] * bump(x)
-        return out
+        return fn
 
-    def v1(x):
-        out = np.zeros((3,) + x.shape[1:])
-        out[0] = -v_fast * mode[0] * dbump(x)
-        return out
-
-    def v2(x):
-        out = np.zeros((3,) + x.shape[1:])
-        out[0] = -v_fast * mode[1] * dbump(x)
-        return out
-
-    return InitialData(u1=u1, u2=u2, v1=v1, v2=v2), v_fast
+    return InitialData(u1=axial(mode[0], bump), u2=axial(mode[1], bump),
+                       v1=axial(-v_fast * mode[0], dbump),
+                       v2=axial(-v_fast * mode[1], dbump)), v_fast
 
 
 def _peak_speed(traj) -> float:
@@ -528,8 +501,7 @@ def _peak_speed(traj) -> float:
     return float(np.polyfit(ts, peaks, 1)[0])
 
 
-def _front_run(consts: MaterialConstants, n: int, threshold: float = 1e-6,
-               fast_mode: bool = True):
+def _front_run(consts: MaterialConstants, n: int, fast_mode: bool = True):
     grid = Grid(dim=1, n=(n,), h=(1.0 / (n - 1),))
     width = 0.02
     if fast_mode:
@@ -550,7 +522,7 @@ def _front_run(consts: MaterialConstants, n: int, threshold: float = 1e-6,
     geom = diag.support_geometry(problem)
     problem = replace(problem, T=0.8 * geom.L / speed.c)
     _, _, traj = diag.record_run(problem, energy_every=10**9, snapshot_every=4)
-    front = diag.front_speed(traj, geom, threshold=threshold)
+    front = diag.front_speed(traj, geom)
     v_peak = _peak_speed(traj) if fast_mode else None
     return front.speed, speed.c, v_analytic, traj, geom, v_peak
 
@@ -560,12 +532,12 @@ def suite_influence(seed: int = 0) -> VerifyReport:
     rep = VerifyReport(suite="influence")
     dec = decoupled_material()
     cpl = random_material(seed + 3)
-    results = _parallel([
-        lambda: _front_run(dec, 201),
-        lambda: _front_run(dec, 401),
-        lambda: _front_run(cpl, 201, fast_mode=False),
-        lambda: _front_run(cpl, 401, fast_mode=False),
-    ])
+    results = [
+        _front_run(dec, 201),
+        _front_run(dec, 401),
+        _front_run(cpl, 201, fast_mode=False),
+        _front_run(cpl, 401, fast_mode=False),
+    ]
     labels = ("decoupled_base", "decoupled_refined", "coupled_base", "coupled_refined")
     tols = (1.05, 1.02, 1.05, 1.02)
     for (measured, c, v_analytic, traj, geom, v_peak), label, tol in zip(results, labels, tols):
@@ -687,12 +659,10 @@ def suite_equipartition(seed: int = 0) -> VerifyReport:
     """Cesàro equipartition in both boundary cases, plus rigid normalization."""
     rep = VerifyReport(suite="equipartition")
     t0 = time.perf_counter()
-    rep_i, rep_pure, rep_rot, rep_mixed = _parallel([
-        lambda: _equipartition_case_i(seed),
-        lambda: _equipartition_case_ii(seed, "pure"),
-        lambda: _equipartition_case_ii(seed, "rotation2d"),
-        lambda: _equipartition_case_ii(seed, "mixed"),
-    ])
+    rep_i = _equipartition_case_i(seed)
+    rep_pure = _equipartition_case_ii(seed, "pure")
+    rep_rot = _equipartition_case_ii(seed, "rotation2d")
+    rep_mixed = _equipartition_case_ii(seed, "mixed")
     elapsed = time.perf_counter() - t0
     rep.checks += [
         CheckResult("equipartition_gap_dirichlet", "|Kc - Sc| / E0 at T = 50 transits",

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pytest
 
 import poromix as pm
-from poromix import cli
+from poromix import cli, verify
 from poromix.config import build_problem, canonical_text, load_config, save_config
 from poromix.errors import InvalidParameter, NonFinite, ParseError, SchemaError
 
@@ -60,6 +61,14 @@ class TestConfigSchema:
     def test_duplicate_key_rejected(self, tmp_path):
         with pytest.raises(SchemaError, match="duplicate"):
             load_config(write(tmp_path, "T = 1.0\nT = 2.0\n"))
+
+    def test_negative_seed_rejected_with_line(self, tmp_path, capsys):
+        path = write(tmp_path, "grid.n = 32\nseed = -3\noutput = vout\n")
+        with pytest.raises(SchemaError) as exc:
+            load_config(path)
+        assert any("line 2" in e and "seed" in e for e in exc.value.errors)
+        assert cli.main(["verify", "--config", str(path), "--suite", "constitutive"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_bad_values_rejected(self, tmp_path):
         path = write(tmp_path, "cfl = 1.5\nlambda = -1\ngrid.dim = 5\n")
@@ -234,17 +243,24 @@ class TestVerifyCommand:
         assert "config_material_identities" in out
         assert "config_material_ok_ratio" in out
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        path = write(tmp_path, "grid.n = 32\noutput = vout\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--config", str(path), "--suite", "uniqueness", "--seed", "-9"])
+        assert exc.value.code == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
 
-class TestWorkerCap:
-    def test_env_var_caps_workers(self, monkeypatch):
-        from poromix.verify import worker_count
 
-        monkeypatch.setenv("POROMIX_THREADS", "2")
-        assert worker_count() == 2
-        monkeypatch.setenv("POROMIX_THREADS", "1")
-        assert worker_count() == 1
-        monkeypatch.delenv("POROMIX_THREADS")
-        assert worker_count() >= 1
+class TestSerialSuites:
+    def test_suites_start_no_thread(self, monkeypatch):
+        # the suites run in the calling thread, whatever the environment says
+        monkeypatch.setenv("POROMIX_THREADS", "4")
+
+        def refuse(thread):
+            raise AssertionError(f"a suite started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert verify.run_suite("influence", seed=0).passed
 
 
 def bad_material(tmp_path, kind: str) -> str:

@@ -32,3 +32,9 @@ def test_decay_study_runs(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     assert len(lines) == 5  # speed line, header, one row per lambda
+
+
+def test_equipartition_study_imports_resolve(monkeypatch, capsys):
+    # --help exits before any run, after the script's imports from verify
+    assert run_script(monkeypatch, "equipartition_study.py", "--help") == 0
+    assert "Cesàro gap" in capsys.readouterr().out
