@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -37,14 +38,18 @@ def main() -> int:
                            initial=initial, T=0.0)
     geom = diag.support_geometry(probe)
     speed = probe.speed()
-    problem = dataclasses.replace(probe, T=0.8 * geom.L / speed.c)
-    final, energy, traj = diag.record_run(problem, energy_every=2, snapshot_every=2)
+    problem = dataclasses.replace(probe, T=0.8 * geom.L / speed.c, energy_every=2,
+                                  snapshot_every=2)
+    # an even step count, so the last state is recorded on the cadence
+    dt = pm.stable_timestep(grid, speed, problem.cfl)
+    n_steps = 2 * math.ceil(problem.T / (2 * dt))
+    final, energy, traj = pm.simulate(problem, n_steps=n_steps)
 
     r_grid = diag.default_r_grid(geom)
     sps = diag.surface_power(traj, geom, r_grid).weighted(problem.lam)
     front = diag.front_speed(traj, geom)
     cs = diag.cesaro_means(energy)
-    ir = diag.identity_residuals(traj, problem.lam)
+    ir = diag.identity_residuals(traj)
 
     os.makedirs(args.out, exist_ok=True)
     pio.write_energy_csv(os.path.join(args.out, "energy.csv"), energy)
@@ -55,7 +60,7 @@ def main() -> int:
     ref = np.max(np.abs(sps.E_vol))
     sel = np.abs(sps.E_vol) > 1e-2 * ref
     pe = np.max(np.abs(sps.P[sel] - sps.E_vol[sel]) / np.abs(sps.E_vol[sel]))
-    print(f"steps to T={problem.T:.4f}: {len(energy.t) * 2 - 2}")
+    print(f"steps to T={problem.T:.4f}: {n_steps}")
     print(f"energy drift:      {energy.max_relative_drift():.3e}")
     print(f"front speed / c:   {front.speed / speed.c:.4f}")
     print(f"max |P-E|/E:       {pe:.4f}")

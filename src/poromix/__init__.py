@@ -6,8 +6,9 @@ Layout:
                  points, stacked over leading batch axes
     fields       difference stencils and the jet form Q = Pᵀ𝒜P that gives every
                  field stress, force and energy density
-    solver       explicit leapfrog integration with mixed boundary conditions
-    diagnostics  energy, surface power, decay/front reports, Cesàro means
+    solver       explicit leapfrog integration with mixed boundary conditions;
+                 ``simulate`` records the energy series and the snapshots
+    diagnostics  surface power, decay/front reports, Cesàro means
     verify       theorem-verification suites
     config, cli  run configuration and the command-line entry points
 """

@@ -33,6 +33,7 @@ from .errors import (
     SchemaError,
     SymmetryViolation,
 )
+from .solver import simulate
 from .verify import run_suite
 
 EXIT_PASS = 0
@@ -89,7 +90,7 @@ def cmd_simulate(args) -> int:
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
     try:
-        final, energy, traj = diag.record_run(problem)
+        _, energy, traj = simulate(problem)
     except NonFinite as exc:
         print(f"numerical failure: {exc} (step {exc.step})", file=sys.stderr)
         return EXIT_NUMERIC
@@ -111,7 +112,7 @@ def cmd_simulate(args) -> int:
         pio.write_cesaro_csv(p_ces, cs)
         paths.append(p_ces)
     if len(traj) >= 3:
-        ir = diag.identity_residuals(traj, problem.lam)
+        ir = diag.identity_residuals(traj)
         p_res = os.path.join(out_dir, "residuals.csv")
         pio.write_residuals_csv(p_res, ir)
         paths.append(p_res)
@@ -176,7 +177,7 @@ def cmd_decay_report(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        final, energy, traj = diag.record_run(problem)
+        _, _, traj = simulate(problem)
     except NonFinite as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -1,12 +1,13 @@
 """Diagnostics: every functional the mixture theorems constrain.
 
-Total energy ℰ(t), the support geometry of the driving data, the
-time-weighted surface power P(r, t) and its volume counterpart E(r, t),
-spatial-decay and front-speed reports, Cesàro means and the equipartition
-gap, and the residuals of the three integral identities used by the
-verification suites.  All volume integrals use the trapezoid node weights of
-the grid (the functional the symmetric scheme conserves); time integrals are
-trapezoid sums over the recorded cadence.
+The support geometry of the driving data, the time-weighted surface power
+P(r, t) and its volume counterpart E(r, t), spatial-decay and front-speed
+reports, Cesàro means and the equipartition gap, and the residuals of the
+three integral identities used by the verification suites, all from the
+energy series and snapshots that ``solver.simulate`` records.  All volume
+integrals use the trapezoid node weights of the grid (the functional the
+symmetric scheme conserves); time integrals are trapezoid sums over the
+recorded cadence.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from .errors import (
 )
 from .fields import stored_energy
 from .solver import (
-    EnergySample,
+    EnergySeries,
     ProblemSpec,
     RigidDecomposition,
-    StateField,
-    Workspace,
+    Trajectory,
     initialize,
 )
 
@@ -42,92 +42,6 @@ def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     out = np.zeros(y.shape)
     out[..., 1:] = np.cumsum(inc, axis=-1)
     return out
-
-
-@dataclass
-class EnergySeries:
-    """Time series of the energy split; total = kinetic_u + kinetic_phi + strain."""
-
-    t: np.ndarray
-    kinetic_u: np.ndarray
-    kinetic_phi: np.ndarray
-    strain: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.kinetic_u + self.kinetic_phi + self.strain
-
-    def max_relative_drift(self) -> float:
-        tot = self.total
-        if tot[0] == 0.0:
-            return float(np.max(np.abs(tot)))
-        return float(np.max(np.abs(tot - tot[0])) / abs(tot[0]))
-
-    @staticmethod
-    def from_samples(samples: list[EnergySample]) -> "EnergySeries":
-        return EnergySeries(
-            t=np.array([s.t for s in samples]),
-            kinetic_u=np.array([s.kinetic_u for s in samples]),
-            kinetic_phi=np.array([s.kinetic_phi for s in samples]),
-            strain=np.array([s.strain for s in samples]),
-        )
-
-
-class EnergyRecorder:
-    """Records the energy split every ``every`` steps."""
-
-    def __init__(self, ws: Workspace, every: int = 1):
-        self.ws = ws
-        self.every = max(1, int(every))
-        self.samples: list[EnergySample] = []
-
-    def record(self, step: int, state: StateField) -> None:
-        if step % self.every == 0:
-            self.samples.append(self.ws.energy_sample(state))
-
-    def series(self) -> EnergySeries:
-        return EnergySeries.from_samples(self.samples)
-
-
-class SnapshotRecorder(EnergyRecorder):
-    """Stores full state copies, with their energy samples, every ``every`` steps."""
-
-    def __init__(self, ws: Workspace, every: int = 1):
-        super().__init__(ws, every)
-        self.states: list[StateField] = []
-
-    def record(self, step: int, state: StateField) -> None:
-        if step % self.every == 0:
-            self.samples.append(self.ws.energy_sample(state))
-            self.states.append(state.copy())
-
-
-@dataclass
-class Trajectory:
-    """Recorded snapshots of one run, with their problem and energy split."""
-
-    problem: ProblemSpec
-    states: list[StateField]
-    energy: EnergySeries
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-
-def record_run(problem: ProblemSpec, energy_every: int | None = None,
-               snapshot_every: int | None = None, n_steps: int | None = None):
-    """Run the problem and return (final state, EnergySeries, Trajectory)."""
-    from .solver import simulate
-
-    erec = EnergyRecorder(problem.workspace, energy_every or problem.energy_every)
-    srec = SnapshotRecorder(problem.workspace, snapshot_every or problem.snapshot_every)
-    final = simulate(problem, recorders=(erec, srec), n_steps=n_steps)
-    return final, erec.series(), Trajectory(problem=problem, states=srec.states,
-                                            energy=srec.series())
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +330,17 @@ class FrontReport:
     speed: float
 
 
-def front_speed(traj: Trajectory, geom: SupportGeometry, threshold: float = 1e-6) -> FrontReport:
+# Fraction of the trajectory's peak state magnitude that marks the front.
+_FRONT_THRESHOLD = 1e-6
+
+
+def front_speed(traj: Trajectory, geom: SupportGeometry) -> FrontReport:
     """Measured propagation speed of the disturbance front.
 
     For each recorded time, r_front(t) = max{dist(x) : |state(x, t)| > thr}
-    over nodes outside the data support, thr = ``threshold`` times the peak
-    state magnitude of the whole trajectory; the speed is the least-squares
-    slope of r_front against t.
+    over nodes outside the data support, thr = ``_FRONT_THRESHOLD`` times
+    the peak state magnitude of the whole trajectory; the speed is the
+    least-squares slope of r_front against t.
 
     Raises:
         NoFront: threshold never exceeded outside the support.
@@ -431,7 +349,7 @@ def front_speed(traj: Trajectory, geom: SupportGeometry, threshold: float = 1e-6
     peak = max(float(np.max(m)) for m in mags)
     if peak == 0.0:
         raise NoFront("trajectory is identically zero")
-    thr = threshold * peak
+    thr = _FRONT_THRESHOLD * peak
     outside = geom.dist > 0.0
     ts, rf = [], []
     for state, m in zip(traj.states, mags):
@@ -582,11 +500,11 @@ class IdentityResiduals:
     scale: float
 
 
-def identity_residuals(traj: Trajectory, lam: float) -> IdentityResiduals:
+def identity_residuals(traj: Trajectory) -> IdentityResiduals:
     """Evaluate the three whole-body identity residuals on a trajectory.
 
-    The energies are the ones recorded with the snapshots, so no stress is
-    evaluated here.
+    λ is the problem's ``lam``.  The energies are the ones recorded with the
+    snapshots, so no stress is evaluated here.
 
     Requires a uniformly recorded cadence (the two-time identity pairs
     states at t−s and t+s).  Boundary work uses the prescribed data:
@@ -627,8 +545,8 @@ def identity_residuals(traj: Trajectory, lam: float) -> IdentityResiduals:
                 rate_v[j] += float(np.sum(load * state.V))
                 rate_u[j] += float(np.sum(load * state.U))
 
-    decay = np.exp(-lam * times)
-    lhs16 = decay * energy + lam * _cumtrapz(decay * energy, times)
+    decay = np.exp(-problem.lam * times)
+    lhs16 = decay * energy + problem.lam * _cumtrapz(decay * energy, times)
     rhs16 = energy[0] + _cumtrapz(decay * rate_v, times)
     res16 = np.abs(lhs16 - rhs16)
 

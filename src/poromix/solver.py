@@ -9,7 +9,8 @@ Natural boundary conditions enter variationally (one-sided boundary strain
 stencils plus a boundary-work term for prescribed tractions); Dirichlet
 conditions pin nodal values.  The state is stacked as U = (u¹, u², φ¹, φ²)
 with V = U̇ (see :mod:`poromix.fields` for the jet form Q that gives every
-stress).  Balance laws integrated per constituent α::
+stress).  ``simulate`` is the one run loop; it records the energy split and
+the snapshots as it steps.  Balance laws integrated per constituent α::
 
     ρᵅ üᵅ_i   = Sᵅ_ji,j + (−1)ᵅ p_i + ρᵅ fᵅ_i
     ρᵅ χᵅ φ̈ᵅ = hᵅ_i,i + gᵅ + ρᵅ ℓᵅ
@@ -219,8 +220,8 @@ class ProblemSpec:
     cfl: float = 0.5
     f: Callable | None = None  # f(x, t) -> (f1, f2), bulk force densities
     ell: Callable | None = None  # ell(x, t) -> (l1, l2)
-    energy_every: int = 1
-    snapshot_every: int = 10
+    energy_every: int = 1  # steps between the energy samples ``simulate`` records
+    snapshot_every: int = 10  # steps between its snapshots
 
     def __post_init__(self):
         if self.T < 0.0:
@@ -229,6 +230,10 @@ class ProblemSpec:
             raise InvalidParameter("CFL factor must lie in (0, 1]")
         if self.lam <= 0.0:
             raise InvalidParameter("lambda must be positive")
+        for name in ("energy_every", "snapshot_every"):
+            every = getattr(self, name)
+            if not isinstance(every, (int, np.integer)) or every < 1:
+                raise InvalidParameter(f"{name} must be an integer >= 1, got {every!r}")
 
     @cached_property
     def workspace(self) -> "Workspace":
@@ -304,6 +309,51 @@ class EnergySample:
     @property
     def total(self) -> float:
         return self.kinetic_u + self.kinetic_phi + self.strain
+
+
+@dataclass
+class EnergySeries:
+    """Time series of the energy split; total = kinetic_u + kinetic_phi + strain."""
+
+    t: np.ndarray
+    kinetic_u: np.ndarray
+    kinetic_phi: np.ndarray
+    strain: np.ndarray
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.kinetic_u + self.kinetic_phi + self.strain
+
+    def max_relative_drift(self) -> float:
+        tot = self.total
+        if tot[0] == 0.0:
+            return float(np.max(np.abs(tot)))
+        return float(np.max(np.abs(tot - tot[0])) / abs(tot[0]))
+
+    @staticmethod
+    def from_samples(samples: list[EnergySample]) -> "EnergySeries":
+        return EnergySeries(
+            t=np.array([s.t for s in samples]),
+            kinetic_u=np.array([s.kinetic_u for s in samples]),
+            kinetic_phi=np.array([s.kinetic_phi for s in samples]),
+            strain=np.array([s.strain for s in samples]),
+        )
+
+
+@dataclass
+class Trajectory:
+    """Recorded snapshots of one run, with their problem and energy split."""
+
+    problem: ProblemSpec
+    states: list[StateField]
+    energy: EnergySeries
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.array([s.t for s in self.states])
+
+    def __len__(self) -> int:
+        return len(self.states)
 
 
 def stable_timestep(grid: Grid, speed: SpeedParams, cfl: float) -> float:
@@ -382,9 +432,8 @@ class Workspace:
                     self.natural.append((rows_ab, sl, grid.side_weights(axis), side.value))
         self.half_mass = 0.5 * self.w * self.inertia
         # Evaluation buffers Y, QY ((1 + dim, 8, *grid)), F, scratch ((8, *grid)), allocated
-        # on first use and dropped by ``simulate``, and the U whose jet and stresses they hold.
+        # on first use and dropped by ``simulate``.
         self._buffers: tuple[np.ndarray, ...] | None = None
-        self._held: np.ndarray | None = None
 
     def _eval_buffers(self) -> tuple[np.ndarray, ...]:
         if self._buffers is None:
@@ -396,13 +445,12 @@ class Workspace:
         """The jet Y of a stacked state and the generalized stresses QY.
 
         Both are the workspace's buffers, filled in place: they stay valid
-        only until the next evaluation (``stress``, ``acceleration``, or an
-        ``energy_sample`` of another state).  Copy them to keep them longer.
+        only until the next ``stress`` or ``acceleration``.  Copy them to
+        keep them longer.
         """
         Y, QY = self._eval_buffers()[:2]
         jet(U, self.grid.h, out=Y)
         np.matmul(self.Q, Y.reshape(len(self.Q), -1), out=QY.reshape(len(self.Q), -1))
-        self._held = U
         return Y, QY
 
     def sources(self, t: float) -> np.ndarray | None:
@@ -427,19 +475,6 @@ class Workspace:
                 out[(row,) + sl] += bw * np.asarray(val)
         return out
 
-    def energy_sample(self, state: StateField) -> EnergySample:
-        """ℰ at one state: kinetic (u and φ parts) plus stored energy."""
-        reuse = self._held is state.U and not state.U.flags.writeable  # the step's evaluation
-        Y, QY = self._eval_buffers()[:2] if reuse else self.stress(state.U)
-        kin = np.square(state.V, out=self._eval_buffers()[3])
-        np.multiply(self.half_mass, kin, out=kin)
-        return EnergySample(
-            t=state.t,
-            kinetic_u=float(np.sum(kin[:PHI1_ROW])),
-            kinetic_phi=float(np.sum(kin[PHI1_ROW:])),
-            strain=float(np.sum(self.w * stored_energy(Y, QY))),
-        )
-
     def pair_product(self, a: StateField, b: StateField) -> float:
         """∫ Σ_α [ρ uₐ·u̇_b + ρχ φₐφ̇_b] dv; with a = b the virial pairing Q(t)."""
         return float(np.sum(self.w * np.sum(self.inertia * a.U * b.V, axis=0)))
@@ -450,9 +485,8 @@ def acceleration(ws: Workspace, U: np.ndarray, t: float) -> np.ndarray:
 
     The force is the exact gradient of the discrete energy Σ w W:
     F = −w(QY)₀ − Σⱼ Dⱼᵀ(w(QY)ⱼ), plus the prescribed boundary load.
-    F is built in the workspace's buffers, and Y and QY stay there.
-    ``simulate`` and ``step`` make each configuration read-only before its
-    force is evaluated, so the energy sample of that state reuses them.
+    F is built in the workspace's buffers, and Y and QY of U stay there
+    until the next evaluation; ``simulate`` samples the energy from them.
     """
     Y, QY = ws.stress(U)
     _, _, F, scratch = ws._eval_buffers()
@@ -480,9 +514,9 @@ def step(
 ) -> tuple[StateField, np.ndarray]:
     """One kick-drift-kick update; returns the new state and its acceleration.
 
-    The new state's U is read-only, so its stress evaluation can be reused
-    (see :func:`acceleration`).  The new U, V and acceleration are the only
-    arrays a step allocates; every temporary lives in the workspace.
+    The last evaluation is the new state's force, so the workspace buffers
+    hold its jet and stresses on return.  The new U, V and acceleration are
+    the only arrays a step allocates; every temporary lives in the workspace.
 
     Raises:
         NonFinite: if any updated value is not finite (instability signal).
@@ -495,7 +529,6 @@ def step(
     U = np.multiply(V, dt)
     U += state.U
     np.copyto(U, ws.pin_values, where=ws.pinned)
-    U.flags.writeable = False
     t_new = state.t + dt
     a_new = acceleration(ws, U, t_new)
     V += np.multiply(a_new, half, out=ws._eval_buffers()[3])
@@ -507,38 +540,54 @@ def step(
 
 def simulate(
     problem: ProblemSpec,
-    recorders: tuple = (),
     n_steps: int | None = None,
-) -> StateField:
-    """Integrate the problem to T, invoking each recorder every step.
+) -> tuple[StateField, EnergySeries, Trajectory]:
+    """Integrate the problem to T; return (final state, EnergySeries, Trajectory).
 
-    The t = 0 state is projected onto the Dirichlet data, as ``step``
-    projects every later one: U takes the pinned values, V = 0 there.
-    Deterministic for fixed inputs.  The step count is chosen so the run
-    lands exactly on T; an explicit ``n_steps`` overrides the CFL default
-    (the caller then owns stability).
+    Step 0 is the t = 0 state, projected onto the Dirichlet data as ``step``
+    projects every later one (U takes the pinned values, V = 0 there).  Every
+    ``problem.energy_every`` steps the energy split joins the series, and
+    every ``problem.snapshot_every`` steps a copy of the state joins the
+    trajectory with the same sample: a step on either cadence is sampled
+    once, from the jet and stresses its own force evaluation left in the
+    workspace buffers.  Deterministic for fixed inputs.  The step count is
+    chosen so the run lands exactly on T; an explicit ``n_steps`` overrides
+    the CFL default (the caller then owns stability).
     """
     speed = problem.speed()
     ws = problem.workspace
     state = initialize(problem)
     np.copyto(state.U, ws.pin_values, where=ws.pinned)
     state.V[ws.pinned] = 0.0
-    state.U.flags.writeable = False
-    cache = acceleration(ws, state.U, state.t) if problem.T > 0.0 else None
-    for rec in recorders:
-        rec.record(0, state)
-    if problem.T > 0.0:
-        if n_steps is None:
-            base = stable_timestep(problem.grid, speed, problem.cfl)
-            n_steps = max(1, math.ceil(problem.T / base - 1e-12))
-        dt_eff = problem.T / n_steps
-        for k in range(1, n_steps + 1):
+    if problem.T == 0.0:
+        n_steps = 0
+    elif n_steps is None:
+        base = stable_timestep(problem.grid, speed, problem.cfl)
+        n_steps = max(1, math.ceil(problem.T / base - 1e-12))
+    dt_eff = problem.T / max(n_steps, 1)
+    energy, snapshots, snapshot_energy = [], [], []
+    cache = acceleration(ws, state.U, state.t)
+    for k in range(n_steps + 1):
+        if k > 0:
             state, cache = step(state, problem, dt_eff, accel_cache=cache, step_index=k)
-            for rec in recorders:
-                rec.record(k, state)
+        on_energy = k % problem.energy_every == 0
+        on_snapshot = k % problem.snapshot_every == 0
+        if on_energy or on_snapshot:
+            Y, QY, _, kin = ws._eval_buffers()  # the jet and stresses of this state
+            np.multiply(ws.half_mass, np.square(state.V, out=kin), out=kin)
+            sample = EnergySample(t=state.t, kinetic_u=float(np.sum(kin[:PHI1_ROW])),
+                                  kinetic_phi=float(np.sum(kin[PHI1_ROW:])),
+                                  strain=float(np.sum(ws.w * stored_energy(Y, QY))))
+            if on_energy:
+                energy.append(sample)
+            if on_snapshot:
+                snapshots.append(state.copy())
+                snapshot_energy.append(sample)
     # The post-run diagnostics allocate the buffers again if they need them.
-    ws._buffers = ws._held = None
-    return state
+    ws._buffers = None
+    trajectory = Trajectory(problem=problem, states=snapshots,
+                            energy=EnergySeries.from_samples(snapshot_energy))
+    return state, EnergySeries.from_samples(energy), trajectory
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .solver import (
     ProblemSpec,
     RigidMotion,
     gaussian_pulse,
+    initialize,
     rigid_decompose,
     simulate,
 )
@@ -270,10 +271,9 @@ def conservation_problem(seed: int, n: int = 400) -> ProblemSpec:
 def _drift_run(seed: int, n: int, steps: int):
     problem = conservation_problem(seed, n=n)
     dt = 0.5 * min(problem.grid.h) / problem.speed().c
-    problem = replace(problem, T=steps * dt)
-    erec = diag.EnergyRecorder(problem.workspace, every=10)
-    simulate(problem, recorders=(erec,), n_steps=steps)
-    return erec.series().max_relative_drift()
+    problem = replace(problem, T=steps * dt, energy_every=10, snapshot_every=10**9)
+    _, energy, _ = simulate(problem, n_steps=steps)
+    return energy.max_relative_drift()
 
 
 def suite_identities(seed: int = 0) -> VerifyReport:
@@ -311,12 +311,10 @@ def suite_identities(seed: int = 0) -> VerifyReport:
         problem = ProblemSpec(
             grid=grid, consts=consts, lam=lam,
             boundary=BoundaryPartition.uniform("natural", "natural", dim=1),
-            initial=initial, T=T,
+            initial=initial, T=T, energy_every=10**9, snapshot_every=2,
         )
-        _, _, traj = diag.record_run(problem, energy_every=10**9,
-                                     snapshot_every=2,
-                                     n_steps=base_steps * 2**level)
-        ir = diag.identity_residuals(traj, lam)
+        _, _, traj = simulate(problem, n_steps=base_steps * 2**level)
+        ir = diag.identity_residuals(traj)
         return (
             float(np.max(ir.res_energy_balance)),
             float(np.max(ir.res_virial)),
@@ -371,16 +369,19 @@ def _pulse_trajectory(consts: MaterialConstants, n: int, lam: float, cadence: in
     t_total = 0.85 * geom.L / speed.c
     dt = 0.5 * min(grid.h) / speed.c
     steps = int(np.ceil(t_total / (cadence * dt))) * cadence
-    problem = replace(problem, T=steps * dt)
-    _, _, traj = diag.record_run(problem, energy_every=10**9, snapshot_every=cadence,
-                                 n_steps=steps)
+    problem = replace(problem, T=steps * dt, energy_every=10**9, snapshot_every=cadence)
+    _, _, traj = simulate(problem, n_steps=steps)
     return problem, geom, traj, speed
 
 
-def _power_error(sps, floor: float = 1e-2) -> float:
-    """Worst relative |P − E| where E carries at least ``floor`` of its peak."""
+# Fraction of its peak that E(r, t) must carry to enter the P = E comparison.
+_POWER_FLOOR = 1e-2
+
+
+def _power_error(sps) -> float:
+    """Worst relative |P − E| where E carries at least ``_POWER_FLOOR`` of its peak."""
     ref = float(np.max(np.abs(sps.E_vol)))
-    sel = np.abs(sps.E_vol) > floor * ref
+    sel = np.abs(sps.E_vol) > _POWER_FLOOR * ref
     if not sel.any():
         return 0.0
     return float(np.max(np.abs(sps.P[sel] - sps.E_vol[sel]) / np.abs(sps.E_vol[sel])))
@@ -520,8 +521,8 @@ def _front_run(consts: MaterialConstants, n: int, fast_mode: bool = True):
     )
     speed = problem.speed()
     geom = diag.support_geometry(problem)
-    problem = replace(problem, T=0.8 * geom.L / speed.c)
-    _, _, traj = diag.record_run(problem, energy_every=10**9, snapshot_every=4)
+    problem = replace(problem, T=0.8 * geom.L / speed.c, energy_every=10**9, snapshot_every=4)
+    _, _, traj = simulate(problem)
     front = diag.front_speed(traj, geom)
     v_peak = _peak_speed(traj) if fast_mode else None
     return front.speed, speed.c, v_analytic, traj, geom, v_peak
@@ -588,10 +589,8 @@ def _equipartition_case_i(seed: int):
         boundary=BoundaryPartition.uniform("dirichlet", "dirichlet", dim=1),
         initial=initial, T=1.0, cfl=0.5,
     )
-    problem = replace(problem, T=_transits(problem, 50.0))
-    erec = diag.EnergyRecorder(problem.workspace, every=4)
-    simulate(problem, recorders=(erec,))
-    series = erec.series()
+    problem = replace(problem, T=_transits(problem, 50.0), energy_every=4, snapshot_every=10**9)
+    _, series, _ = simulate(problem)
     return diag.equipartition_report(series, problem)
 
 
@@ -644,14 +643,11 @@ def _equipartition_case_ii(seed: int, scenario: str):
     boundary = BoundaryPartition.uniform("natural", "natural", dim=grid.dim)
     problem = ProblemSpec(grid=grid, consts=consts, boundary=boundary,
                           initial=extra, T=1.0, cfl=0.5)
-    from .solver import initialize
-
     state0 = initialize(problem)
     rigid = rigid_decompose(state0.u1, state0.v1, state0.u2, state0.v2, consts, grid)
-    problem = replace(problem, T=_transits(problem, transits))
-    erec = diag.EnergyRecorder(problem.workspace, every=4)
-    simulate(problem, recorders=(erec,))
-    series = erec.series()
+    problem = replace(problem, T=_transits(problem, transits), energy_every=4,
+                      snapshot_every=10**9)
+    _, series, _ = simulate(problem)
     return diag.equipartition_report(series, problem, rigid=rigid)
 
 
@@ -720,20 +716,18 @@ def suite_uniqueness(seed: int = 0) -> VerifyReport:
     problem = ProblemSpec(
         grid=grid, consts=consts,
         boundary=BoundaryPartition.uniform("dirichlet", "natural", dim=1),
-        initial=InitialData(), T=1.0, cfl=0.5,
+        initial=InitialData(), T=1.0, cfl=0.5, energy_every=10**9, snapshot_every=10**9,
     )
-    final = simulate(problem, n_steps=1000)
+    final, _, _ = simulate(problem, n_steps=1000)
     rep.checks.append(CheckResult(
         "null_data_null_solution", "max |state| after 1000 steps from null data",
         final.max_abs(), 0.0, 0.0, final.max_abs() == 0.0))
 
-    pulse = replace(problem, T=0.05,
+    pulse = replace(problem, T=0.05, energy_every=1,
                     initial=InitialData(u1=gaussian_pulse([0.5], 0.05, 1.0, component=0)))
 
     def run_bytes():
-        erec = diag.EnergyRecorder(pulse.workspace, every=1)
-        final = simulate(pulse, recorders=(erec,))
-        series = erec.series()
+        final, series, _ = simulate(pulse)
         blob = series.t.tobytes() + series.total.tobytes() + final.u1.tobytes()
         return blob
 

@@ -196,7 +196,7 @@ class TestSimulateCommand:
         def boom(problem, **kw):
             raise NonFinite("blew up", step=7)
 
-        monkeypatch.setattr("poromix.cli.diag.record_run", boom)
+        monkeypatch.setattr("poromix.cli.simulate", boom)
         assert cli.main(["simulate", "--config", str(path)]) == 3
 
     def test_pulse_energy_conserved_in_csv(self, tmp_path, capsys):

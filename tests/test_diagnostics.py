@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,17 +56,15 @@ def pulse_run():
     geom = diag.support_geometry(prob)
     speed = prob.speed()
     t_total = 0.8 * geom.L / speed.c
-    prob = problem_1d(consts, n=201, T=t_total, initial=prob.initial,
-                      boundary=prob.boundary)
-    final, energy, traj = diag.record_run(prob, energy_every=2, snapshot_every=2)
+    prob = replace(prob, T=t_total, energy_every=2, snapshot_every=2)
+    _, energy, traj = pm.simulate(prob)
     return prob, geom, speed, energy, traj
 
 
 class TestTotalEnergy:
     def test_zero_state(self, random_consts):
-        prob = problem_1d(random_consts)
-        state = pm.initialize(prob)
-        assert prob.workspace.energy_sample(state).total == 0.0
+        _, energy, _ = pm.simulate(problem_1d(random_consts, T=0.0))
+        assert energy.total.tolist() == [0.0]
 
     def test_uniform_kinetic(self, random_consts):
         vel = np.array([0.3, -0.1, 0.2])
@@ -74,37 +73,17 @@ class TestTotalEnergy:
             shape = x.shape[1:]
             return np.broadcast_to(vel.reshape(3, 1), (3,) + shape).copy()
 
-        prob = problem_1d(random_consts, initial=pm.InitialData(v1=v))
-        sample = prob.workspace.energy_sample(pm.initialize(prob))
+        _, energy, _ = pm.simulate(problem_1d(random_consts, T=0.0, initial=pm.InitialData(v1=v)))
         volume = 1.0
         expected = 0.5 * random_consts.rho1 * float(vel @ vel) * volume
-        assert sample.kinetic_u == pytest.approx(expected, rel=1e-12)
-        assert sample.kinetic_phi == 0.0 and sample.strain == 0.0
-        assert sample.total == sample.kinetic_u
+        assert energy.kinetic_u[0] == pytest.approx(expected, rel=1e-12)
+        assert energy.kinetic_phi[0] == 0.0 and energy.strain[0] == 0.0
+        assert energy.total[0] == energy.kinetic_u[0]
 
     def test_total_is_sum_of_parts(self, pulse_run):
         _, _, _, energy, _ = pulse_run
         np.testing.assert_allclose(
             energy.total, energy.kinetic_u + energy.kinetic_phi + energy.strain)
-
-    def test_recorder_reuses_the_step_stresses(self, random_consts, monkeypatch):
-        prob = problem_1d(
-            random_consts, T=0.02,
-            initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.05, 1.0, component=0),
-                                   psi2=pm.gaussian_pulse([0.4], 0.05, 0.3)))
-        ws = prob.workspace
-        calls = []
-        stress = Workspace.stress
-        monkeypatch.setattr(Workspace, "stress",
-                            lambda self, U: calls.append(1) or stress(self, U))
-        _, energy, traj = diag.record_run(prob, energy_every=1, snapshot_every=1)
-        assert len(calls) == len(energy.t)  # one stress evaluation per state
-        monkeypatch.undo()
-        # The snapshots are writable copies, so these samples evaluate afresh.
-        fresh = diag.EnergySeries.from_samples([ws.energy_sample(s) for s in traj.states])
-        for part in ("kinetic_u", "kinetic_phi", "strain"):
-            np.testing.assert_array_equal(getattr(energy, part), getattr(fresh, part))
-        assert energy.strain[-1] > 0.0
 
     def test_strain_energy_matches_simpson_oracle(self, random_consts):
         # smooth analytic state; trapezoid and Simpson agree to O(h^2)
@@ -203,7 +182,7 @@ class TestSupportGeometry:
 class TestSurfacePower:
     def test_null_trajectory_gives_zero(self, random_consts):
         prob = problem_1d(random_consts, T=0.05)
-        _, _, traj = diag.record_run(prob, snapshot_every=2)
+        _, _, traj = pm.simulate(replace(prob, snapshot_every=2))
         geom = diag.support_geometry(prob)
         sps = diag.surface_power(traj, geom, np.array([0.0, 0.1, 0.2])).weighted(1.0)
         assert np.all(sps.P == 0.0) and np.all(sps.E_vol == 0.0)
@@ -256,8 +235,8 @@ class TestSurfacePower:
         geom = diag.support_geometry(probe)
         speed = probe.speed()
         prob = pm.ProblemSpec(grid=grid, consts=consts, boundary=bc, initial=ini,
-                              T=0.8 * geom.L / speed.c, cfl=0.4)
-        _, energy, traj = diag.record_run(prob, energy_every=2, snapshot_every=2)
+                              T=0.8 * geom.L / speed.c, cfl=0.4, energy_every=2, snapshot_every=2)
+        _, energy, traj = pm.simulate(prob)
         sps = diag.surface_power(traj, geom, diag.default_r_grid(geom, count=16)).weighted(1.0)
         p_ref = sps.P[0, -1]
         assert np.min(sps.P) >= -1e-9 * p_ref
@@ -275,7 +254,7 @@ class TestSurfacePower:
         else:
             prob = pulse_problem_2d()
             geom = diag.support_geometry(prob)
-            _, _, traj = diag.record_run(prob, snapshot_every=4)
+            _, _, traj = pm.simulate(replace(prob, snapshot_every=4))
         r_grid = np.concatenate([diag.default_r_grid(geom), [geom.L, 2.0 * geom.L]])
         shell = np.searchsorted(r_grid, geom.dist)
         crossed = max(np.abs(np.diff(shell, axis=a)).max() for a in range(prob.grid.dim))
@@ -299,7 +278,7 @@ class TestSurfacePower:
         for lam in (0.5, 1.0, 2.0):
             flux.weighted(lam)
         assert len(calls) == len(traj)
-        diag.identity_residuals(traj, lam=prob.lam)
+        diag.identity_residuals(traj)
         assert len(calls) == len(traj)  # the recorded energies are read, not recomputed
 
     @pytest.mark.parametrize("r_grid", [[0.0, 0.2, 0.1], [0.0, 0.1, 0.1]])
@@ -369,14 +348,14 @@ class TestDecayReport:
 class TestFrontSpeed:
     def test_zero_data_raises(self, random_consts):
         prob = problem_1d(random_consts, T=0.05)
-        _, _, traj = diag.record_run(prob, snapshot_every=2)
+        _, _, traj = pm.simulate(replace(prob, snapshot_every=2))
         geom = diag.support_geometry(prob)
         with pytest.raises(NoFront):
             diag.front_speed(traj, geom)
 
     def test_pulse_front_below_c(self, pulse_run):
         prob, geom, speed, _, traj = pulse_run
-        rep = diag.front_speed(traj, geom, threshold=1e-6)
+        rep = diag.front_speed(traj, geom)
         assert rep.speed <= speed.c * 1.05
         assert np.all(np.diff(rep.times) > 0)
 
@@ -400,7 +379,7 @@ class TestCesaroMeans:
 
     def test_zero_solution_all_zero(self, random_consts):
         prob = problem_1d(random_consts, T=0.05)
-        _, energy, _ = diag.record_run(prob, energy_every=2)
+        _, energy, _ = pm.simulate(replace(prob, energy_every=2))
         cs = diag.cesaro_means(energy)
         assert np.all(cs.Kc == 0.0) and np.all(cs.Sc == 0.0)
 
@@ -412,7 +391,7 @@ class TestCesaroMeans:
                 u1=pm.gaussian_pulse([0.5], 0.06, 1.0, component=0),
                 v2=pm.gaussian_pulse([0.45], 0.06, 0.5, component=1),
             ))
-        _, energy, _ = diag.record_run(prob, energy_every=2)
+        _, energy, _ = pm.simulate(replace(prob, energy_every=2))
         cs = diag.cesaro_means(energy)
         e0 = energy.total[0]
         assert np.max(np.abs(cs.Kc + cs.Sc - e0)) <= 1e-3 * e0
@@ -441,7 +420,7 @@ class TestEquipartitionReport:
         prob = problem_1d(random_consts, T=0.2, boundary=bc,
                           initial=pm.InitialData(
                               u1=pm.gaussian_pulse([0.5], 0.05, 1.0, component=0)))
-        _, energy, _ = diag.record_run(prob, energy_every=2)
+        _, energy, _ = pm.simulate(replace(prob, energy_every=2))
         rep = diag.equipartition_report(energy, prob)
         assert rep.case == "dirichlet"
         assert rep.predicted_offset == 0.0
@@ -451,23 +430,23 @@ class TestEquipartitionReport:
 class TestIdentityResiduals:
     def test_zero_solution_all_zero(self, random_consts):
         prob = problem_1d(random_consts, T=0.05)
-        _, _, traj = diag.record_run(prob, snapshot_every=2)
-        ir = diag.identity_residuals(traj, lam=1.0)
+        _, _, traj = pm.simulate(replace(prob, snapshot_every=2))
+        ir = diag.identity_residuals(traj)
         assert np.all(ir.res_energy_balance == 0.0)
         assert np.all(ir.res_virial == 0.0)
         assert np.all(ir.res_two_time == 0.0)
 
     def test_initial_time_reduces_to_stored_energy_equality(self, pulse_run):
         prob, geom, speed, energy, traj = pulse_run
-        ir = diag.identity_residuals(traj, lam=prob.lam)
+        ir = diag.identity_residuals(traj)
         assert ir.res_energy_balance[0] <= 1e-12 * ir.scale
         assert ir.res_virial[0] == 0.0
 
     def test_insufficient_snapshots(self, random_consts):
         prob = problem_1d(random_consts, T=0.01)
-        _, _, traj = diag.record_run(prob, snapshot_every=10**6)
+        _, _, traj = pm.simulate(replace(prob, snapshot_every=10**6))
         with pytest.raises(InsufficientSnapshots):
-            diag.identity_residuals(traj, lam=1.0)
+            diag.identity_residuals(traj)
 
     def test_sourced_run_residuals_converge(self):
         # body sources close the triangle: force injection in the solver,
@@ -492,9 +471,9 @@ class TestIdentityResiduals:
 
             prob = pm.ProblemSpec(grid=grid, consts=consts, boundary=bc,
                                   f=f, ell=ell, T=0.12)
-            _, _, traj = diag.record_run(prob, energy_every=2, snapshot_every=2,
-                                         n_steps=steps)
-            ir = diag.identity_residuals(traj, lam=1.0)
+            _, _, traj = pm.simulate(replace(prob, energy_every=2, snapshot_every=2),
+                                     n_steps=steps)
+            ir = diag.identity_residuals(traj)
             rel.append((
                 np.max(ir.res_energy_balance) / ir.scale,
                 np.max(ir.res_virial) / ir.scale,
@@ -506,7 +485,7 @@ class TestIdentityResiduals:
 
     def test_residuals_small_on_resolved_run(self, pulse_run):
         prob, geom, speed, energy, traj = pulse_run
-        ir = diag.identity_residuals(traj, lam=prob.lam)
+        ir = diag.identity_residuals(traj)
         assert np.max(ir.res_energy_balance) <= 5e-2 * ir.scale
         assert np.max(ir.res_virial) <= 5e-2 * ir.scale
         assert np.max(ir.res_two_time) <= 1e-12 * ir.scale

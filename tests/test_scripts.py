@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
+
+from poromix import solver
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -19,11 +22,17 @@ def run_script(monkeypatch, name: str, *args: str) -> int:
 
 
 def test_run_pulse_demo_writes_artifacts(tmp_path, monkeypatch, capsys):
+    steps = []
+    step = solver.step
+    monkeypatch.setattr(solver, "step", lambda *a, **kw: steps.append(1) or step(*a, **kw))
     out = tmp_path / "pulse_demo"
     assert run_script(monkeypatch, "run_pulse_demo.py", "--n", "101", "--out", str(out)) == 0
     for name in ("energy.csv", "power.csv", "cesaro.csv", "residuals.csv"):
         assert (out / name).stat().st_size > 0
-    assert "energy drift" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "energy drift" in printed
+    # the printed step count is the number of steps the solver took
+    assert re.search(r"^steps to T=[0-9.]+: (\d+)$", printed, re.M).group(1) == str(len(steps))
 
 
 def test_decay_study_runs(tmp_path, monkeypatch, capsys):

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import poromix as pm
-from poromix import diagnostics as diag
+from poromix import solver
 from poromix.errors import InvalidParameter, NonFinite
 from poromix.fields import central_gradient, gradient_adjoint, jet, jet_map
 from poromix.materials import pair_slot
@@ -189,7 +190,7 @@ class TestJetForm:
 class TestStepBasics:
     def test_null_data_stays_exactly_null(self, random_consts):
         prob = small_problem(random_consts, T=0.2)
-        final = pm.simulate(prob, n_steps=400)
+        final, _, _ = pm.simulate(prob, n_steps=400)
         assert final.max_abs() == 0.0
 
     def test_nonfinite_raises_with_step(self, random_consts):
@@ -206,7 +207,7 @@ class TestStepBasics:
         prob = small_problem(
             random_consts, n=32, boundary=bc, T=0.05,
             initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0, component=0)))
-        final = pm.simulate(prob)
+        final, _, _ = pm.simulate(prob)
         assert np.all(final.u1[:, 0] == 0.0) and np.all(final.u1[:, -1] == 0.0)
         assert final.phi1[0] == 0.0 and final.phi2[-1] == 0.0
 
@@ -224,7 +225,7 @@ class TestStepBasics:
             phi={"x0": pm.SideCondition("natural"), "x1": pm.SideCondition("natural")},
         )
         prob = small_problem(random_consts, n=24, boundary=bc, T=0.02)
-        final = pm.simulate(prob)
+        final, _, _ = pm.simulate(prob)
         np.testing.assert_array_equal(final.u1[:, 0], val)
         np.testing.assert_array_equal(final.u2[:, 0], 0.5 * val)
 
@@ -232,8 +233,8 @@ class TestStepBasics:
         prob = small_problem(
             random_consts, n=48, T=0.1,
             initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.08, 1.0, component=0)))
-        a = pm.simulate(prob)
-        b = pm.simulate(prob)
+        a, _, _ = pm.simulate(prob)
+        b, _, _ = pm.simulate(prob)
         for name in ("u1", "u2", "phi1", "phi2", "v1", "v2", "psi1", "psi2"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -245,7 +246,7 @@ class TestStepBasics:
         ini_ab = pm.InitialData(
             u1=ini_a.u1, v2=ini_b.v2, phi1=ini_b.phi1)
         finals = [
-            pm.simulate(small_problem(random_consts, n=101, T=0.3, initial=ini), n_steps=1000)
+            pm.simulate(small_problem(random_consts, n=101, T=0.3, initial=ini), n_steps=1000)[0]
             for ini in (ini_a, ini_b, ini_ab)
         ]
         scale = max(f.max_abs() for f in finals)
@@ -256,24 +257,21 @@ class TestStepBasics:
 
     def test_long_run_energy_bounded(self, random_consts):
         prob = small_problem(
-            random_consts, n=64, cfl=0.9, T=1.0,
+            random_consts, n=64, cfl=0.9, T=1.0, energy_every=100, snapshot_every=10**9,
             initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0, component=0)))
-        erec = diag.EnergyRecorder(prob.workspace, every=100)
-        pm.simulate(prob, recorders=(erec,), n_steps=10_000)
-        series = erec.series()
+        _, series, _ = pm.simulate(prob, n_steps=10_000)
         assert np.max(series.total) <= 1.05 * series.total[0]
 
     def test_null_data_2d(self, random_consts):
         prob = small_problem(random_consts, n=12, dim=2, T=0.05)
-        assert pm.simulate(prob, n_steps=100).max_abs() == 0.0
+        assert pm.simulate(prob, n_steps=100)[0].max_abs() == 0.0
 
     def test_t_zero_returns_initial_record_only(self, random_consts):
         prob = small_problem(
-            random_consts, n=16, T=0.0,
+            random_consts, n=16, T=0.0, snapshot_every=1,
             initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0, component=0)))
-        rec = diag.SnapshotRecorder(prob.workspace, every=1)
-        final = pm.simulate(prob, recorders=(rec,))
-        assert len(rec.states) == 1
+        final, energy, traj = pm.simulate(prob)
+        assert len(traj) == 1 and len(energy.t) == 1
         assert final.t == 0.0
 
     def test_2d_energy_oscillation_bounded(self, random_consts):
@@ -288,12 +286,11 @@ class TestStepBasics:
                              initial=pm.InitialData(u1=pulse2(0), v2=pulse2(1)))
         speed = prob.speed()
         dt = 0.5 * min(prob.grid.h) / (speed.c * math.sqrt(2))
-        prob2 = small_problem(random_consts, n=41, dim=2, T=400 * dt,
-                              initial=prob.initial)
-        erec = diag.EnergyRecorder(prob2.workspace, every=10)
-        pm.simulate(prob2, recorders=(erec,), n_steps=400)
+        prob2 = small_problem(random_consts, n=41, dim=2, T=400 * dt, energy_every=10,
+                              snapshot_every=10**9, initial=prob.initial)
+        _, energy, _ = pm.simulate(prob2, n_steps=400)
         # sigma = 3.2 h here, so the bounded leapfrog oscillation dominates
-        assert erec.series().max_relative_drift() <= 5e-3
+        assert energy.max_relative_drift() <= 5e-3
 
 
 class TestAccuracy:
@@ -375,9 +372,9 @@ class TestAccuracy:
         speeds = {}
         for n in (201, 401):
             initial, v_mode = _fast_mode_initial(consts, 0.03, 0.35)
-            prob = small_problem(consts, n=n, T=0.25 / v_mode,
-                                 initial=initial, cfl=0.5)
-            _, _, traj = diag.record_run(prob, energy_every=10**9, snapshot_every=4)
+            prob = small_problem(consts, n=n, T=0.25 / v_mode, initial=initial, cfl=0.5,
+                                 energy_every=10**9, snapshot_every=4)
+            _, _, traj = pm.simulate(prob)
             speeds[n] = _peak_speed(traj)
         assert abs(speeds[401] - v_expected) <= 0.02 * v_expected
         assert v_mode <= prob.speed().c
@@ -401,7 +398,7 @@ class TestAccuracy:
             assert v_check == pytest.approx(v_mode)
             t_end = 0.3 / v_mode
             prob = small_problem(consts, n=n, T=t_end, initial=initial, cfl=0.4)
-            final = pm.simulate(prob)
+            final, _, _ = pm.simulate(prob)
             xs = prob.grid.axes()[0]
             shifted = prof.val(xs - v_mode * t_end)
             err = np.sqrt(np.mean(
@@ -501,37 +498,18 @@ class TestEvaluationBuffers:
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("kind", BOUNDARY_CASES)
-    def test_force_step_and_energy_match_allocating_oracle(self, rng, random_consts, kind, dim):
+    def test_force_and_step_match_allocating_oracle(self, rng, random_consts, kind, dim):
         prob = buffer_case_problem(random_consts, kind, dim)
         ws = prob.workspace
         shape = (8,) + prob.grid.shape
         U, V = rng.standard_normal(shape), rng.standard_normal(shape)
         a = acceleration(ws, U, 0.3)
         np.testing.assert_array_equal(a, oracles.acceleration_allocating(ws, U, 0.3))
-        state = pm.StateField(t=0.3, U=U, V=V)  # writable U: a fresh evaluation
-        sample = ws.energy_sample(state)
-        expected = oracles.energy_allocating(ws, U, V)
-        assert (sample.kinetic_u, sample.kinetic_phi, sample.strain) == expected
-        U.flags.writeable = False
+        state = pm.StateField(t=0.3, U=U, V=V)
         new, a_new = pm.step(state, prob, 0.01, accel_cache=a)
         U1, V1, a1 = oracles.step_allocating(ws, U, V, 0.3, 0.01, a)
         for got, want in ((new.U, U1), (new.V, V1), (a_new, a1)):
             np.testing.assert_array_equal(got, want)
-        sample = ws.energy_sample(new)  # reuses the step's evaluation of new.U
-        assert (sample.kinetic_u, sample.kinetic_phi, sample.strain) == \
-            oracles.energy_allocating(ws, U1, V1)
-
-    def test_energy_sample_after_other_evaluation_is_fresh(self, rng, random_consts):
-        prob = buffer_case_problem(random_consts, "sources", 2)
-        ws = prob.workspace
-        shape = (8,) + prob.grid.shape
-        state = pm.StateField(t=0.0, U=rng.standard_normal(shape), V=rng.standard_normal(shape))
-        state.U.flags.writeable = False
-        new, _ = pm.step(state, prob, 0.01, accel_cache=acceleration(ws, state.U, 0.0))
-        ws.stress(rng.standard_normal(shape))  # overwrites the buffers the step left
-        sample = ws.energy_sample(new)
-        assert (sample.kinetic_u, sample.kinetic_phi, sample.strain) == \
-            oracles.energy_allocating(ws, new.U, new.V)
 
     def test_steady_state_step_allocates_only_its_results(self, random_consts):
         import tracemalloc
@@ -541,7 +519,6 @@ class TestEvaluationBuffers:
                                                                           component=0)))
         ws = prob.workspace
         state = pm.initialize(prob)
-        state.U.flags.writeable = False
         a = acceleration(ws, state.U, 0.0)
         for _ in range(3):
             state, a = pm.step(state, prob, 1e-3, accel_cache=a)
@@ -557,7 +534,76 @@ class TestEvaluationBuffers:
     def test_simulate_drops_the_buffers(self, random_consts):
         prob = small_problem(random_consts, n=16, T=0.01)
         pm.simulate(prob)
-        assert prob.workspace._buffers is None and prob.workspace._held is None
+        assert prob.workspace._buffers is None
+
+
+def rough_problem(consts, kind: str, dim: int, rng, **cadence) -> pm.ProblemSpec:
+    """A buffer-case problem with random initial data and a short T."""
+    def noise(lead):
+        return lambda x: rng.standard_normal(lead + x.shape[1:])
+
+    vec, scal = noise((3,)), noise(())
+    initial = pm.InitialData(u1=vec, u2=vec, phi1=scal, phi2=scal,
+                             v1=vec, v2=vec, psi1=scal, psi2=scal)
+    return replace(buffer_case_problem(consts, kind, dim), initial=initial, T=0.002, **cadence)
+
+
+class TestRecording:
+    """``simulate`` samples each recorded step once, from the step's own evaluation."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", BOUNDARY_CASES)
+    def test_recorded_energies_match_allocating_oracle(self, rng, random_consts, kind, dim):
+        prob = rough_problem(random_consts, kind, dim, rng, energy_every=1, snapshot_every=1)
+        _, energy, traj = pm.simulate(prob, n_steps=6)
+        ws = prob.workspace
+        assert len(traj) == len(energy.t) == 7
+        for j, state in enumerate(traj.states):
+            expected = oracles.energy_allocating(ws, state.U, state.V)
+            for series in (energy, traj.energy):
+                assert (series.kinetic_u[j], series.kinetic_phi[j], series.strain[j]) == expected
+        assert energy.strain[-1] > 0.0
+
+    @pytest.mark.parametrize("energy_every, snapshot_every", [(1, 1), (2, 3)])
+    def test_one_stress_per_step_and_one_energy_per_recorded_step(
+            self, rng, random_consts, monkeypatch, energy_every, snapshot_every):
+        prob = rough_problem(random_consts, "sources", 1, rng,
+                         energy_every=energy_every, snapshot_every=snapshot_every)
+        counts = {"stress": 0, "energy": 0}
+        stress, energy_of = solver.Workspace.stress, solver.stored_energy
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(solver.Workspace, "stress", counted("stress", stress))
+        monkeypatch.setattr(solver, "stored_energy", counted("energy", energy_of))
+        steps = 13
+        _, energy, traj = pm.simulate(prob, n_steps=steps)
+        recorded = [k for k in range(steps + 1)
+                    if k % energy_every == 0 or k % snapshot_every == 0]
+        assert counts == {"stress": steps + 1, "energy": len(recorded)}
+        assert len(energy.t) == len(range(0, steps + 1, energy_every))
+        assert len(traj) == len(range(0, steps + 1, snapshot_every))
+
+    def test_snapshot_energies_equal_the_series_at_shared_times(self, rng, random_consts):
+        prob = rough_problem(random_consts, "prescribed_traction", 2, rng,
+                         energy_every=2, snapshot_every=3)
+        _, energy, traj = pm.simulate(prob, n_steps=13)
+        shared = np.intersect1d(energy.t, traj.times)
+        assert len(shared) == 3  # steps 0, 6 and 12
+        for t in shared:
+            i, j = np.flatnonzero(energy.t == t)[0], np.flatnonzero(traj.times == t)[0]
+            for part in ("kinetic_u", "kinetic_phi", "strain"):
+                assert getattr(energy, part)[i] == getattr(traj.energy, part)[j]
+
+    @pytest.mark.parametrize("field", ["energy_every", "snapshot_every"])
+    @pytest.mark.parametrize("value", [0, -2, 1.5, "3"])
+    def test_cadence_must_be_a_positive_integer(self, random_consts, field, value):
+        with pytest.raises(InvalidParameter, match=field):
+            small_problem(random_consts, **{field: value})
 
 
 class TestInitialDirichletProjection:
@@ -565,14 +611,13 @@ class TestInitialDirichletProjection:
         u = {"x0": pm.SideCondition("dirichlet", lambda xb: (0.1 + 0 * xb, 0 * xb)),
              "x1": pm.SideCondition("natural")}
         phi = {"x0": pm.SideCondition("dirichlet"), "x1": pm.SideCondition("natural")}
-        prob = small_problem(random_consts, n=32, T=0.01,
+        prob = small_problem(random_consts, n=32, T=0.01, snapshot_every=1,
                              boundary=pm.BoundaryPartition(u=u, phi=phi),
                              initial=pm.InitialData(v1=lambda x: np.ones((3,) + x.shape[1:]),
                                                     phi1=lambda x: 1.0 + x[0]))
-        rec = diag.SnapshotRecorder(prob.workspace, every=1)
-        pm.simulate(prob, recorders=(rec,))
+        _, _, traj = pm.simulate(prob)
         ws = prob.workspace
-        for s in rec.states:
+        for s in traj.states:
             np.testing.assert_array_equal(s.U[ws.pinned], ws.pin_values[ws.pinned])
             assert not s.V[ws.pinned].any()
         # the raw sample keeps the initial data; only the integrated state is projected
