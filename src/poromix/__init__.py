@@ -4,8 +4,8 @@ Layout:
     materials    constitutive constants and the law each derives once: 𝒜, speed, Σ
     pointwise    kinematics, stresses, tractions, power identities of material
                  points, stacked over leading batch axes
-    fields       difference stencils and the jet form Q = Pᵀ𝒜P that gives every
-                 field stress, force and energy density
+    fields       raw-difference kernels δⱼ, δⱼᵀ and the jet form Q = Pᵀ𝒜P that
+                 gives every field stress, force and energy density
     solver       explicit leapfrog integration with mixed boundary conditions;
                  ``simulate`` records the energy series and the snapshots
     diagnostics  surface power, decay/front reports, Cesàro means

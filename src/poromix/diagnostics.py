@@ -154,15 +154,15 @@ def default_r_grid(geom: SupportGeometry, count: int = 32) -> np.ndarray:
     and any radial finite difference across the duplicate would be
     meaningless.
     """
-    rd = np.unique(geom.dist)
+    rd = np.sort(geom.dist, axis=None)  # repeats differ by 0 and fall out with the gap mask
     rd = rd[rd > 0.0]
     gap = np.diff(rd) > _SHELL_RTOL * min(geom.h)
     mids = 0.5 * (rd[:-1][gap] + rd[1:][gap])
     if len(mids) <= count - 1:
         picks = mids
     else:
-        idx = np.unique(np.linspace(0, len(mids) - 1, count - 1).astype(int))
-        picks = mids[idx]
+        # more midpoints than picks, so the index step exceeds 1 and no index repeats
+        picks = mids[np.linspace(0, len(mids) - 1, count - 1).astype(int)]
     return np.concatenate([[0.0], picks])
 
 
@@ -201,18 +201,9 @@ class SurfaceFlux:
 
 
 def _face_areas(grid, axis: int) -> np.ndarray:
-    """Dual-cell areas of the faces normal to ``axis`` (1-D: unit area)."""
+    """Dual-cell areas of the faces normal to ``axis``: the side weights, repeated along it."""
     face_shape = tuple(n - 1 if a == axis else n for a, n in enumerate(grid.shape))
-    area = np.ones(face_shape)
-    for b in range(grid.dim):
-        if b == axis:
-            continue
-        tw = np.ones(grid.shape[b])
-        tw[0] = tw[-1] = 0.5
-        shape = [1] * grid.dim
-        shape[b] = grid.shape[b]
-        area = area * (grid.h[b] * tw).reshape(shape)
-    return area
+    return np.broadcast_to(np.expand_dims(grid.side_weights(axis), axis), face_shape)
 
 
 def _axis_faces(arr: np.ndarray, axis_pos: int):

@@ -1,9 +1,10 @@
 """Vectorized field kinematics on structured grids.
 
-Second-order difference stencils (central interior, one-sided 3-point at the
-ends), their exact adjoints, and the jet form that carries the whole
-constitutive law over node arrays.  Grid axes are the trailing axes of every
-array; component axes lead.
+One pair of raw-difference kernels, shared by every grid dimension, and the
+jet form that carries the whole constitutive law over node arrays.  Grid
+axes are the trailing axes of every array; component axes lead.  Along grid
+axis j the raw difference δⱼU is 2hⱼ ∂ⱼU: U₍ᵢ₊₁₎ − U₍ᵢ₋₁₎ inside, and the
+one-sided rows (−3, 4, −1), (1, −4, 3) at the ends.
 
 The state is stacked as U = (u¹, u², φ¹, φ²), an (8, *grid) array, and its
 jet as Y = (U, ∂₁U, …), a (1 + dim, 8, *grid) array.  A constant matrix P
@@ -12,11 +13,15 @@ energy is W = ½ Y·QY and the blocks of QY are the generalized stresses::
 
     (QY)₀ = (p, −p, −g¹, −g²),   (QY)ⱼ = (S¹[:, j], S²[:, j], h¹ⱼ, h²ⱼ)
 
-All constitutive algebra stays full 3-D: derivatives along unsampled
-directions are zero and simply absent from the jet.
+``jet_form`` folds the 1/(2hⱼ) into Q's ∂ⱼ columns, so Q applied to the raw
+jet (U, δ₁U, …) gives these stresses and no array is divided.  All
+constitutive algebra stays full 3-D: derivatives along unsampled directions
+are zero and simply absent from the jet.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,63 +44,44 @@ PHI2_ROW = 7
 STATE_ROWS = 8
 
 
-def _idx(nd: int, ax: int, s) -> tuple:
-    out = [slice(None)] * nd
-    out[ax] = s
-    return tuple(out)
+# One-sided end rows of δ, and the same rows transposed and negated for F −= δᵀq.
+_FIRST_ROW, _LAST_ROW = np.array([[-3.0, 4.0, -1.0]]), np.array([[1.0, -4.0, 3.0]])
+_FIRST_COL, _LAST_COL = -_FIRST_ROW.T, -_LAST_ROW.T
 
 
-def central_gradient(f: np.ndarray, ax: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
-    """d/dx along axis ``ax``: central interior, one-sided 3-point at the ends.
+def difference(U: np.ndarray, ax: int, out: np.ndarray) -> np.ndarray:
+    """δU along axis ``ax``, written into ``out`` (C-contiguous, not overlapping U).
 
-    Written into ``out`` when given (it must not overlap ``f``).
+    One contiguous subtraction of the flattened array, shifted by two strides
+    of the axis, fills every interior node; the shift wraps across rows only
+    at the end nodes, which the one-sided rows then overwrite.
     """
-    nd = f.ndim
-    g = np.empty_like(f) if out is None else out
-    mid = g[_idx(nd, ax, slice(1, -1))]
-    np.subtract(f[_idx(nd, ax, slice(2, None))], f[_idx(nd, ax, slice(0, -2))], out=mid)
-    np.divide(mid, 2.0 * h, out=mid)
-    g[_idx(nd, ax, 0)] = (
-        -3.0 * f[_idx(nd, ax, 0)] + 4.0 * f[_idx(nd, ax, 1)] - f[_idx(nd, ax, 2)]
-    ) / (2.0 * h)
-    g[_idx(nd, ax, -1)] = (
-        3.0 * f[_idx(nd, ax, -1)] - 4.0 * f[_idx(nd, ax, -2)] + f[_idx(nd, ax, -3)]
-    ) / (2.0 * h)
-    return g
-
-
-def gradient_adjoint(q: np.ndarray, ax: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Exact adjoint of :func:`central_gradient` in the plain dot product.
-
-    Satisfies  sum(central_gradient(f)·q) == sum(f·gradient_adjoint(q))
-    to roundoff for every f, q; the force assembly relies on this being the
-    *exact* transpose so the semi-discrete operator is exactly symmetric.
-    Written into ``out`` when given; ``out`` may be ``q`` itself.
-    """
-    nd = q.ndim
-    inner = q[_idx(nd, ax, slice(1, -1))] / (2.0 * h)
-    q0 = q[_idx(nd, ax, 0)] / (2.0 * h)
-    qn = q[_idx(nd, ax, -1)] / (2.0 * h)
-    out = np.empty_like(q) if out is None else out
-    out.fill(0.0)
-    out[_idx(nd, ax, slice(2, None))] += inner
-    out[_idx(nd, ax, slice(0, -2))] -= inner
-    out[_idx(nd, ax, 0)] += -3.0 * q0
-    out[_idx(nd, ax, 1)] += 4.0 * q0
-    out[_idx(nd, ax, 2)] += -q0
-    out[_idx(nd, ax, -1)] += 3.0 * qn
-    out[_idx(nd, ax, -2)] += -4.0 * qn
-    out[_idx(nd, ax, -3)] += qn
+    U = np.ascontiguousarray(U)
+    n, s = U.shape[ax], math.prod(U.shape[ax + 1:])  # s: the flat stride of the axis
+    u, d, flat_u = U.reshape(-1, n, s), out.reshape(-1, n, s), U.reshape(-1)
+    np.subtract(flat_u[2 * s:], flat_u[:-2 * s], out=out.reshape(-1)[s:-s])
+    np.matmul(_FIRST_ROW, u[:, :3], out=d[:, :1])
+    np.matmul(_LAST_ROW, u[:, -3:], out=d[:, -1:])
     return out
 
 
-def jet(U: np.ndarray, h: tuple[float, ...], out: np.ndarray | None = None) -> np.ndarray:
-    """The jet Y = (U, ∂₁U, …) of a stacked state, written into ``out`` if given."""
-    Y = np.empty((1 + len(h),) + U.shape) if out is None else out
-    Y[0] = U
-    for j, hj in enumerate(h):
-        central_gradient(U, 1 + j, hj, out=Y[1 + j])
-    return Y
+def subtract_adjoint(F: np.ndarray, q: np.ndarray, ax: int) -> np.ndarray:
+    """F −= δᵀq along axis ``ax`` in place, the exact transpose of :func:`difference`.
+
+    sum(δf·q) == sum(f·δᵀq) to roundoff for every f, q, so the assembled
+    semi-discrete operator is exactly symmetric.  ``q`` (C-contiguous, like
+    F) is scratch: the end-row terms go first, then q's end rows are zeroed,
+    so the two contiguous shifted updates add only the interior terms.
+    """
+    n, s = F.shape[ax], math.prod(F.shape[ax + 1:])
+    f, r = F.reshape(-1, n, s), q.reshape(-1, n, s)
+    f[:, :3] += np.matmul(_FIRST_COL, r[:, :1])
+    f[:, -3:] += np.matmul(_LAST_COL, r[:, -1:])
+    r[:, ::n - 1] = 0.0  # the first and the last row
+    flat_f, flat_q = F.reshape(-1), q.reshape(-1)
+    flat_f[s:] -= flat_q[:-s]
+    flat_f[:-s] += flat_q[s:]
+    return F
 
 
 def jet_map(dim: int) -> np.ndarray:
@@ -121,10 +107,10 @@ def jet_map(dim: int) -> np.ndarray:
     return P.reshape(29, -1)
 
 
-def jet_form(form: QuadraticForm, dim: int) -> np.ndarray:
-    """Q = Pᵀ𝒜P, the stored energy as a quadratic form in the jet."""
-    P = jet_map(dim)
-    return P.T @ form.matrix @ P
+def jet_form(form: QuadraticForm, h: tuple[float, ...]) -> np.ndarray:
+    """Q = Pᵀ𝒜P acting on the raw jet (U, δ₁U, …): its ∂ⱼ columns carry 1/(2hⱼ)."""
+    P = jet_map(len(h))
+    return (P.T @ form.matrix @ P) * np.repeat([1.0] + [0.5 / hj for hj in h], STATE_ROWS)
 
 
 def stored_energy(Y: np.ndarray, QY: np.ndarray) -> np.ndarray:

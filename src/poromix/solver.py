@@ -8,9 +8,10 @@ discrete energy has bounded O(dt²) oscillation instead of secular drift.
 Natural boundary conditions enter variationally (one-sided boundary strain
 stencils plus a boundary-work term for prescribed tractions); Dirichlet
 conditions pin nodal values.  The state is stacked as U = (u¹, u², φ¹, φ²)
-with V = U̇ (see :mod:`poromix.fields` for the jet form Q that gives every
-stress).  ``simulate`` is the one run loop; it records the energy split and
-the snapshots as it steps.  Balance laws integrated per constituent α::
+with V = U̇; the force comes from the raw differences and the jet form Q of
+:mod:`poromix.fields`.  ``simulate`` is the one run loop; it records the
+energy split (strain energy −½ U·F) and the snapshots as it steps.  Balance
+laws integrated per constituent α::
 
     ρᵅ üᵅ_i   = Sᵅ_ji,j + (−1)ᵅ p_i + ρᵅ fᵅ_i
     ρᵅ χᵅ φ̈ᵅ = hᵅ_i,i + gᵅ + ρᵅ ℓᵅ
@@ -32,10 +33,9 @@ from .fields import (
     STATE_ROWS,
     U1_ROWS,
     U2_ROWS,
-    gradient_adjoint,
-    jet,
+    difference,
     jet_form,
-    stored_energy,
+    subtract_adjoint,
 )
 from .materials import MaterialConstants, SpeedParams
 
@@ -396,8 +396,9 @@ class Workspace:
     """The per-problem context shared by the solver and the diagnostics.
 
     Holds the node positions and weights, the jet form Q = Pᵀ𝒜P (𝒜 is the
-    material's ``consts.form``), the row inertias of the stacked state
-    and the boundary data.  Reach it through ``ProblemSpec.workspace``.
+    material's ``consts.form``) on the raw jet (U, δ₁U, …), the force
+    weights of its blocks, the row inertias of the stacked state and the
+    boundary data.  Reach it through ``ProblemSpec.workspace``.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -407,7 +408,9 @@ class Workspace:
         self.grid = grid
         self.x = grid.positions()
         self.w = grid.weights()
-        self.Q = jet_form(k.form, grid.dim)
+        self.Q = jet_form(k.form, grid.h)
+        # Force weights of the jet blocks: −w on (QY)₀ and w/(2hⱼ) on (QY)ⱼ.
+        self.jet_w = np.stack([-self.w] + [self.w * (0.5 / hj) for hj in grid.h])[:, None]
         row_shape = (STATE_ROWS,) + (1,) * grid.dim
         # Densities ρ and micro-inertia factors χ per state row (χ = 1 on u rows).
         self.rho = np.array([k.rho1] * 3 + [k.rho2] * 3 + [k.rho1, k.rho2]).reshape(row_shape)
@@ -431,15 +434,24 @@ class Workspace:
                 else:
                     self.natural.append((rows_ab, sl, grid.side_weights(axis), side.value))
         self.half_mass = 0.5 * self.w * self.inertia
-        # Evaluation buffers Y, QY ((1 + dim, 8, *grid)), F, scratch ((8, *grid)), allocated
-        # on first use and dropped by ``simulate``.
+        # Buffers Y, QY ((1 + dim, 8, *grid)), F = (QY)₀, where ``acceleration`` assembles
+        # the internal force, and scratch; allocated on first use, dropped by ``simulate``.
         self._buffers: tuple[np.ndarray, ...] | None = None
 
     def _eval_buffers(self) -> tuple[np.ndarray, ...]:
         if self._buffers is None:
-            jet_shape = (1 + self.grid.dim, STATE_ROWS) + self.grid.shape
-            self._buffers = tuple(np.empty(s) for s in [jet_shape] * 2 + [jet_shape[1:]] * 2)
+            Y, QY = (np.empty((1 + self.grid.dim, STATE_ROWS) + self.grid.shape) for _ in range(2))
+            self._buffers = (Y, QY, QY[0], np.empty(Y.shape[1:]))
         return self._buffers
+
+    def _raw_stress(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The raw jet (U, δ₁U, …) and the stresses QY, in the workspace's buffers."""
+        Y, QY = self._eval_buffers()[:2]
+        Y[0] = U
+        for j in range(1, len(Y)):
+            difference(U, j, out=Y[j])
+        np.matmul(self.Q, Y.reshape(len(self.Q), -1), out=QY.reshape(len(self.Q), -1))
+        return Y, QY
 
     def stress(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The jet Y of a stacked state and the generalized stresses QY.
@@ -448,9 +460,9 @@ class Workspace:
         only until the next ``stress`` or ``acceleration``.  Copy them to
         keep them longer.
         """
-        Y, QY = self._eval_buffers()[:2]
-        jet(U, self.grid.h, out=Y)
-        np.matmul(self.Q, Y.reshape(len(self.Q), -1), out=QY.reshape(len(self.Q), -1))
+        Y, QY = self._raw_stress(U)
+        for j, hj in enumerate(self.grid.h):
+            Y[1 + j] /= 2.0 * hj
         return Y, QY
 
     def sources(self, t: float) -> np.ndarray | None:
@@ -484,19 +496,18 @@ def acceleration(ws: Workspace, U: np.ndarray, t: float) -> np.ndarray:
     """Stacked accelerations Ü of the configuration U.
 
     The force is the exact gradient of the discrete energy Σ w W:
-    F = −w(QY)₀ − Σⱼ Dⱼᵀ(w(QY)ⱼ), plus the prescribed boundary load.
-    F is built in the workspace's buffers, and Y and QY of U stay there
-    until the next evaluation; ``simulate`` samples the energy from them.
+    F = −w(QY)₀ − Σⱼ δⱼᵀ(w/(2hⱼ) (QY)ⱼ), plus the prescribed boundary load.
+    The internal part is assembled in the workspace's F buffer, where it
+    stays until the next evaluation; ``simulate`` takes each recorded
+    state's strain energy −½ U·F from it.
     """
-    Y, QY = ws.stress(U)
-    _, _, F, scratch = ws._eval_buffers()
-    np.negative(np.multiply(ws.w, QY[0], out=F), out=F)
-    for j, hj in enumerate(ws.grid.h):
-        F -= gradient_adjoint(np.multiply(ws.w, QY[1 + j], out=scratch), 1 + j, hj, out=scratch)
-    load = ws.boundary_load(t)
-    if load is not None:
-        F += load
-    a = F / ws.mass
+    _, QY = ws._raw_stress(U)
+    np.multiply(QY, ws.jet_w, out=QY)
+    F = QY[0]  # the workspace's F buffer, now −w(QY)₀
+    for j in range(1, len(QY)):
+        subtract_adjoint(F, QY[j], j)
+    load = ws.boundary_load(t)  # added into the returned array, never into F
+    a = F / ws.mass if load is None else np.divide(np.add(load, F, out=load), ws.mass, out=load)
     src = ws.sources(t)
     if src is not None:
         # balance carries ρℓ against ρχφ̈, so the φ rows get ℓ/χ
@@ -514,9 +525,9 @@ def step(
 ) -> tuple[StateField, np.ndarray]:
     """One kick-drift-kick update; returns the new state and its acceleration.
 
-    The last evaluation is the new state's force, so the workspace buffers
-    hold its jet and stresses on return.  The new U, V and acceleration are
-    the only arrays a step allocates; every temporary lives in the workspace.
+    The last evaluation is the new state's force, so the workspace's F buffer
+    holds its internal force on return.  The new U, V and acceleration are
+    the only grid-sized arrays a step allocates; the rest live in the workspace.
 
     Raises:
         NonFinite: if any updated value is not finite (instability signal).
@@ -533,7 +544,7 @@ def step(
     a_new = acceleration(ws, U, t_new)
     V += np.multiply(a_new, half, out=ws._eval_buffers()[3])
     V[ws.pinned] = 0.0
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
+    if not (np.isfinite(U).all() and np.isfinite(V).all()):
         raise NonFinite(f"non-finite value at t = {t_new:.6g}", step=step_index)
     return StateField(t=t_new, U=U, V=V), a_new
 
@@ -549,10 +560,11 @@ def simulate(
     ``problem.energy_every`` steps the energy split joins the series, and
     every ``problem.snapshot_every`` steps a copy of the state joins the
     trajectory with the same sample: a step on either cadence is sampled
-    once, from the jet and stresses its own force evaluation left in the
-    workspace buffers.  Deterministic for fixed inputs.  The step count is
-    chosen so the run lands exactly on T; an explicit ``n_steps`` overrides
-    the CFL default (the caller then owns stability).
+    once, from the internal force F its own evaluation left in the workspace.
+    The stored energy is quadratic, Σ w W = ½ UᵀKU with F = −KU, so the
+    strain energy is exactly −½ U·F.  Deterministic for fixed inputs.  The
+    step count is chosen so the run lands exactly on T; an explicit
+    ``n_steps`` overrides the CFL default (the caller then owns stability).
     """
     speed = problem.speed()
     ws = problem.workspace
@@ -573,11 +585,11 @@ def simulate(
         on_energy = k % problem.energy_every == 0
         on_snapshot = k % problem.snapshot_every == 0
         if on_energy or on_snapshot:
-            Y, QY, _, kin = ws._eval_buffers()  # the jet and stresses of this state
+            _, _, F, kin = ws._eval_buffers()  # F: the internal force of this state
             np.multiply(ws.half_mass, np.square(state.V, out=kin), out=kin)
-            sample = EnergySample(t=state.t, kinetic_u=float(np.sum(kin[:PHI1_ROW])),
-                                  kinetic_phi=float(np.sum(kin[PHI1_ROW:])),
-                                  strain=float(np.sum(ws.w * stored_energy(Y, QY))))
+            sample = EnergySample(t=state.t, kinetic_u=float(kin[:PHI1_ROW].sum()),
+                                  kinetic_phi=float(kin[PHI1_ROW:].sum()),
+                                  strain=-0.5 * float(np.vdot(state.U, F)))
             if on_energy:
                 energy.append(sample)
             if on_snapshot:

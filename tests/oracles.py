@@ -201,7 +201,6 @@ def point_state_at(U: np.ndarray, grads: list[np.ndarray], node: tuple):
 def stored_energy_pointwise(consts, U: np.ndarray, h) -> np.ndarray:
     """Nodal W: stencil derivatives per node, then the pointwise strain map and
     W = ½E·𝒜E, one node at a time (no jet form involved)."""
-    from poromix.fields import central_gradient
     from poromix.pointwise import internal_energy_density, strain_vector
 
     grads = [central_gradient(U, 1 + j, hj) for j, hj in enumerate(h)]
@@ -212,8 +211,8 @@ def stored_energy_pointwise(consts, U: np.ndarray, h) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The allocating force, step and energy formulas: every temporary a fresh
-# array, in the operation order the workspace buffers must reproduce bitwise.
+# The jet formula: derivative stencils divided by 2h, their adjoints, and the
+# force −w(QY)₀ − Σⱼ Dⱼᵀ(w(QY)ⱼ) with the physical Q = Pᵀ𝒜P.
 # ---------------------------------------------------------------------------
 
 
@@ -223,7 +222,8 @@ def _idx(nd: int, ax: int, s) -> tuple:
     return tuple(out)
 
 
-def central_gradient_allocating(f: np.ndarray, ax: int, h: float) -> np.ndarray:
+def central_gradient(f: np.ndarray, ax: int, h: float) -> np.ndarray:
+    """d/dx along axis ``ax``: central interior, one-sided 3-point at the ends."""
     nd = f.ndim
     g = np.empty_like(f)
     g[_idx(nd, ax, slice(1, -1))] = (
@@ -238,7 +238,8 @@ def central_gradient_allocating(f: np.ndarray, ax: int, h: float) -> np.ndarray:
     return g
 
 
-def gradient_adjoint_allocating(q: np.ndarray, ax: int, h: float) -> np.ndarray:
+def gradient_adjoint(q: np.ndarray, ax: int, h: float) -> np.ndarray:
+    """The transpose of :func:`central_gradient`, term by term."""
     nd = q.ndim
     out = np.zeros_like(q)
     inner = q[_idx(nd, ax, slice(1, -1))] / (2.0 * h)
@@ -255,21 +256,82 @@ def gradient_adjoint_allocating(q: np.ndarray, ax: int, h: float) -> np.ndarray:
     return out
 
 
-def stress_allocating(ws, U: np.ndarray):
-    """(Y, QY) as fresh arrays: the jet by np.stack, then one matmul."""
-    Y = np.stack([U] + [central_gradient_allocating(U, 1 + j, hj)
-                        for j, hj in enumerate(ws.grid.h)])
-    return Y, (ws.Q @ Y.reshape(len(ws.Q), -1)).reshape(Y.shape)
+def acceleration_jet(ws, U: np.ndarray, t: float) -> np.ndarray:
+    """Stacked accelerations by the jet formula, with Q = Pᵀ𝒜P built afresh."""
+    from poromix.fields import jet_map
 
-
-def acceleration_allocating(ws, U: np.ndarray, t: float) -> np.ndarray:
-    Y, QY = stress_allocating(ws, U)
+    P = jet_map(ws.grid.dim)
+    Q = P.T @ ws.problem.consts.form.matrix @ P
+    Y = np.stack([U] + [central_gradient(U, 1 + j, hj) for j, hj in enumerate(ws.grid.h)])
+    QY = (Q @ Y.reshape(len(Q), -1)).reshape(Y.shape)
     F = -ws.w * QY[0]
     for j, hj in enumerate(ws.grid.h):
-        F -= gradient_adjoint_allocating(ws.w * QY[1 + j], 1 + j, hj)
+        F -= gradient_adjoint(ws.w * QY[1 + j], 1 + j, hj)
     load = ws.boundary_load(t)
     if load is not None:
         F += load
+    a = F / ws.mass
+    src = ws.sources(t)
+    if src is not None:
+        a += src / ws.chi
+    a[ws.pinned] = 0.0
+    return a
+
+
+# ---------------------------------------------------------------------------
+# The allocating force, step and energy formulas: every temporary a fresh
+# array, in the operation order the workspace buffers must reproduce bitwise.
+# ---------------------------------------------------------------------------
+
+_FIRST_ROW = np.array([[-3.0, 4.0, -1.0]])
+_LAST_ROW = np.array([[1.0, -4.0, 3.0]])
+
+
+def difference_allocating(f: np.ndarray, ax: int) -> np.ndarray:
+    """δf = f₍ᵢ₊₁₎ − f₍ᵢ₋₁₎ inside; the end rows by the same matmul as the kernel."""
+    nd = f.ndim
+    g = np.empty_like(f)
+    g[_idx(nd, ax, slice(1, -1))] = f[_idx(nd, ax, slice(2, None))] - f[_idx(nd, ax, slice(0, -2))]
+    rows = f.reshape(-1, f.shape[ax], int(np.prod(f.shape[ax + 1:])))
+    first, last = _idx(nd, ax, slice(0, 1)), _idx(nd, ax, slice(-1, None))
+    g[first] = (_FIRST_ROW @ rows[:, :3]).reshape(g[first].shape)
+    g[last] = (_LAST_ROW @ rows[:, -3:]).reshape(g[last].shape)
+    return g
+
+
+def subtract_adjoint_allocating(F: np.ndarray, q: np.ndarray, ax: int) -> np.ndarray:
+    """F − δᵀq as a fresh array: the end-row terms first, then the interior."""
+    nd = F.ndim
+    F = F.copy()
+    q0, qn = q[_idx(nd, ax, 0)], q[_idx(nd, ax, -1)]
+    for k, c in enumerate((3.0, -4.0, 1.0)):
+        F[_idx(nd, ax, k)] = F[_idx(nd, ax, k)] + c * q0
+    for k, c in enumerate((-1.0, 4.0, -3.0)):
+        F[_idx(nd, ax, k - 3)] = F[_idx(nd, ax, k - 3)] + c * qn
+    inner = q.copy()
+    inner[_idx(nd, ax, 0)] = 0.0
+    inner[_idx(nd, ax, -1)] = 0.0
+    lo, hi = _idx(nd, ax, slice(0, -1)), _idx(nd, ax, slice(1, None))
+    F[hi] = F[hi] - inner[lo]
+    F[lo] = F[lo] + inner[hi]
+    return F
+
+
+def internal_force_allocating(ws, U: np.ndarray) -> np.ndarray:
+    """F = −w(QY)₀ − Σⱼ δⱼᵀ(w/(2hⱼ) (QY)ⱼ) on the raw jet, as fresh arrays."""
+    Y = np.stack([U] + [difference_allocating(U, 1 + j) for j in range(ws.grid.dim)])
+    QY = (ws.Q @ Y.reshape(len(ws.Q), -1)).reshape(Y.shape) * ws.jet_w
+    F = QY[0]
+    for j in range(ws.grid.dim):
+        F = subtract_adjoint_allocating(F, QY[1 + j], 1 + j)
+    return F
+
+
+def acceleration_allocating(ws, U: np.ndarray, t: float) -> np.ndarray:
+    F = internal_force_allocating(ws, U)
+    load = ws.boundary_load(t)
+    if load is not None:
+        F = load + F
     a = F / ws.mass
     src = ws.sources(t)
     if src is not None:
@@ -291,13 +353,10 @@ def step_allocating(ws, U: np.ndarray, V: np.ndarray, t: float, dt: float, a: np
 
 
 def energy_allocating(ws, U: np.ndarray, V: np.ndarray) -> tuple[float, float, float]:
-    """(kinetic_u, kinetic_phi, strain) of one state."""
-    from poromix.fields import stored_energy
-
+    """(kinetic_u, kinetic_phi, strain) of one state; strain = −½ U·F."""
     kin = 0.5 * ws.w * ws.inertia * V**2
-    Y, QY = stress_allocating(ws, U)
     return (float(np.sum(kin[:6])), float(np.sum(kin[6:])),
-            float(np.sum(ws.w * stored_energy(Y, QY))))
+            -0.5 * float(np.vdot(U, internal_force_allocating(ws, U))))
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +371,19 @@ def pairwise_distance(grid, mask: np.ndarray) -> np.ndarray:
     out = np.array([np.min(np.linalg.norm(sup - x[:, k:k + 1], axis=0))
                     for k in range(x.shape[1])])
     return out.reshape(grid.shape)
+
+
+def r_grid_unique(geom, count: int) -> np.ndarray:
+    """``diagnostics.default_r_grid`` through ``np.unique`` of the distances and the picks."""
+    from poromix.diagnostics import _SHELL_RTOL
+
+    rd = np.unique(geom.dist)
+    rd = rd[rd > 0.0]
+    gap = np.diff(rd) > _SHELL_RTOL * min(geom.h)
+    mids = 0.5 * (rd[:-1][gap] + rd[1:][gap])
+    if len(mids) > count - 1:
+        mids = mids[np.unique(np.linspace(0, len(mids) - 1, count - 1).astype(int))]
+    return np.concatenate([[0.0], mids])
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,20 @@ class TestSurfacePower:
                 assert above - below > 1e-9 * min(h)
 
 
+    @pytest.mark.parametrize("count", [1, 2, 5, 20, 32, 10_000])
+    def test_default_r_grid_matches_the_unique_oracle(self, pulse_run, rng, count):
+        _, geom, *_ = pulse_run
+        geom_2d = diag.support_geometry(pulse_problem_2d())
+        # shells of 31 radii, each repeated exactly and up to roundoff
+        base = np.repeat(0.1 * np.arange(31), 12).reshape(31, 12)
+        dist = base * (1.0 + rng.choice([0.0, 0.0, 2e-16, -4e-16, 1e-15], size=base.shape))
+        shells = diag.SupportGeometry(mask=dist == 0.0, dist=dist, L=float(dist.max()),
+                                      h=(0.1, 0.1))
+        for g in (geom, geom_2d, shells):
+            np.testing.assert_array_equal(diag.default_r_grid(g, count=count),
+                                          oracles.r_grid_unique(g, count))
+
+
 class TestDecayReport:
     def make_synthetic(self, rate, lam=1.0):
         r = np.linspace(0.0, 1.0, 21)
