@@ -4,10 +4,12 @@ Layout:
     materials    constitutive constants and the law each derives once: 𝒜, speed, Σ
     pointwise    kinematics, stresses, tractions, power identities of material
                  points, stacked over leading batch axes
-    fields       raw-difference kernels δⱼ, δⱼᵀ and the jet form Q = Pᵀ𝒜P that
+    fields       the named rows of the stacked state (``STATE_FIELDS``),
+                 raw-difference kernels δⱼ, δⱼᵀ and the jet form Q = Pᵀ𝒜P that
                  gives every field stress, force and energy density
     solver       explicit leapfrog integration with mixed boundary conditions;
-                 ``simulate`` records the energy series and the snapshots
+                 ``simulate`` records the energy series and the snapshots;
+                 ``rigid_fit`` splits a field into rigid motion and residual
     diagnostics  surface power, decay/front reports, Cesàro means
     verify       theorem-verification suites
     config, cli  run configuration and the command-line entry points
@@ -43,12 +45,11 @@ from .solver import (
     Grid,
     InitialData,
     ProblemSpec,
-    RigidDecomposition,
     SideCondition,
     StateField,
     gaussian_pulse,
     initialize,
-    rigid_decompose,
+    rigid_fit,
     simulate,
     stable_timestep,
     step,

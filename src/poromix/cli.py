@@ -112,10 +112,14 @@ def cmd_simulate(args) -> int:
         pio.write_cesaro_csv(p_ces, cs)
         paths.append(p_ces)
     if len(traj) >= 3:
-        ir = diag.identity_residuals(traj)
-        p_res = os.path.join(out_dir, "residuals.csv")
-        pio.write_residuals_csv(p_res, ir)
-        paths.append(p_res)
+        try:
+            ir = diag.identity_residuals(traj)
+        except InvalidParameter as exc:
+            print(f"residuals.csv not written: {exc}", file=sys.stderr)
+        else:
+            p_res = os.path.join(out_dir, "residuals.csv")
+            pio.write_residuals_csv(p_res, ir)
+            paths.append(p_res)
     for idx, state in enumerate(traj.states):
         p_snap = os.path.join(snap_dir, f"snap_{idx:06d}.bin")
         pio.write_snapshot(p_snap, state)

@@ -20,18 +20,11 @@ from .errors import (
     Degenerate,
     InsufficientSnapshots,
     InvalidParameter,
-    MissingDecomposition,
     NoFront,
     UndefinedAtZero,
 )
 from .fields import stored_energy
-from .solver import (
-    EnergySeries,
-    ProblemSpec,
-    RigidDecomposition,
-    Trajectory,
-    initialize,
-)
+from .solver import EnergySeries, ProblemSpec, Trajectory, initialize, rigid_fit
 
 
 def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -409,17 +402,16 @@ class EquipartitionReport:
 _GAP_FIT_BINS = 8
 
 
-def equipartition_report(
-    series: EnergySeries,
-    problem: ProblemSpec,
-    rigid: RigidDecomposition | None = None,
-) -> EquipartitionReport:
+def equipartition_report(series: EnergySeries, problem: ProblemSpec) -> EquipartitionReport:
     """Kinetic/strain Cesàro gap against its predicted long-time limit.
 
     Pinned-wall case: the gap tends to 0 like 1/t; reports a log-log
     envelope decay exponent over ``_GAP_FIT_BINS`` time bins.  All-traction
-    case: the gap tends to ½∫ Σ_α ρ^α |ā̇^α|² dv computed from the rigid
-    decomposition of the initial velocities (MissingDecomposition if absent).
+    case: the gap tends to ½∫ Σ_α ρ^α |ā̇^α|² dv, where ā̇^α is the rigid part
+    (``rigid_fit``) of constituent α's initial velocity in ``initialize(problem)``.
+
+    Raises:
+        SingularInertia: from ``rigid_fit``, on an inconsistent rigid fit.
     """
     cs = cesaro_means(series)
     e0 = float(series.total[0])
@@ -448,12 +440,10 @@ def equipartition_report(
             predicted_offset=0.0,
             fit_exponent=expo,
         )
-    if rigid is None:
-        raise MissingDecomposition("all-traction case needs the rigid decomposition")
     k = problem.consts
     ws = problem.workspace
-    r1 = rigid.motion_adot1.field(ws.x)
-    r2 = rigid.motion_adot2.field(ws.x)
+    state0 = initialize(problem)
+    r1, r2 = (rigid_fit(v, problem.grid)[0].field(ws.x) for v in (state0.v1, state0.v2))
     offset = 0.5 * float(
         np.sum(ws.w * (k.rho1 * np.einsum("i...,i...->...", r1, r1)
                        + k.rho2 * np.einsum("i...,i...->...", r2, r2)))
@@ -501,16 +491,20 @@ def identity_residuals(traj: Trajectory) -> IdentityResiduals:
     states at t−s and t+s).  Boundary work uses the prescribed data:
     homogeneous conditions contribute exactly zero, prescribed natural
     tractions/fluxes are integrated from their callables.  Nonzero Dirichlet
-    values are outside this evaluation (their work term would need the
-    one-sided discrete boundary traction).
+    data are refused: their reaction work U·R would need the one-sided
+    discrete boundary traction, and without it the residuals are wrong.
 
     Raises:
         InsufficientSnapshots: fewer than 3 recorded states.
+        InvalidParameter: nonzero prescribed Dirichlet values.
     """
     if len(traj) < 3:
         raise InsufficientSnapshots("need at least 3 snapshots")
     problem = traj.problem
     ws = problem.workspace
+    if ws.pin_values.any():
+        raise InvalidParameter("identity residuals need zero Dirichlet data: the reaction "
+                               "work of nonzero prescribed values is not evaluated")
     states = traj.states
     times = traj.times
     steps = np.diff(times)

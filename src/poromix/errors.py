@@ -47,10 +47,6 @@ class Degenerate(PoromixError, ValueError):
     """Too few usable samples for a requested fit."""
 
 
-class MissingDecomposition(PoromixError, ValueError):
-    """A rigid decomposition is required but was not supplied."""
-
-
 class InsufficientSnapshots(PoromixError, ValueError):
     """The recorded trajectory is too sparse for the requested evaluation."""
 

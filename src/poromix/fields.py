@@ -6,8 +6,10 @@ axes are the trailing axes of every array; component axes lead.  Along grid
 axis j the raw difference δⱼU is 2hⱼ ∂ⱼU: U₍ᵢ₊₁₎ − U₍ᵢ₋₁₎ inside, and the
 one-sided rows (−3, 4, −1), (1, −4, 3) at the ends.
 
-The state is stacked as U = (u¹, u², φ¹, φ²), an (8, *grid) array, and its
-jet as Y = (U, ∂₁U, …), a (1 + dim, 8, *grid) array.  A constant matrix P
+The state is stacked as U = (u¹, u², φ¹, φ²), an (8, *grid) array, with
+V = U̇; ``STATE_FIELDS`` names the rows of each field once, for the state
+views, the initial data and the snapshots.  Its jet is Y = (U, ∂₁U, …), a
+(1 + dim, 8, *grid) array.  A constant matrix P
 maps the jet to the 29 strain slots, E = PY, so with Q = Pᵀ𝒜P the stored
 energy is W = ½ Y·QY and the blocks of QY are the generalized stresses::
 
@@ -42,6 +44,12 @@ U2_ROWS = slice(3, 6)
 PHI1_ROW = 6
 PHI2_ROW = 7
 STATE_ROWS = 8
+
+# The named fields of the state (U, V = U̇), in snapshot order: name -> (array, rows).
+STATE_FIELDS = {
+    "u1": ("U", U1_ROWS), "u2": ("U", U2_ROWS), "phi1": ("U", PHI1_ROW), "phi2": ("U", PHI2_ROW),
+    "v1": ("V", U1_ROWS), "v2": ("V", U2_ROWS), "psi1": ("V", PHI1_ROW), "psi2": ("V", PHI2_ROW),
+}
 
 
 # One-sided end rows of δ, and the same rows transposed and negated for F −= δᵀq.

@@ -11,6 +11,7 @@ import hashlib
 import numpy as np
 
 from .diagnostics import CesaroSeries, EnergySeries, IdentityResiduals, SurfacePowerSeries
+from .fields import STATE_FIELDS, STATE_ROWS
 from .solver import StateField
 
 FLOAT_FMT = "%.17g"
@@ -51,13 +52,11 @@ def write_residuals_csv(path, ir: IdentityResiduals) -> None:
     _write_rows(path, ["t", "res_energy_balance", "res_virial", "res_two_time"], rows)
 
 
-_SNAPSHOT_FIELDS = ("u1", "u2", "phi1", "phi2", "v1", "v2", "psi1", "psi2")
-
-
 def write_snapshot(path, state: StateField) -> None:
-    """Flat binary blocks, each preceded by a self-describing text header."""
+    """Flat binary blocks, one per named field in ``STATE_FIELDS`` order, each
+    preceded by a self-describing text header."""
     with open(path, "wb") as fh:
-        for name in _SNAPSHOT_FIELDS:
+        for name in STATE_FIELDS:
             arr = np.ascontiguousarray(getattr(state, name), dtype="<f8")
             header = (
                 f"field {name}\n"
@@ -70,7 +69,7 @@ def write_snapshot(path, state: StateField) -> None:
 
 
 def read_snapshot(path) -> StateField:
-    fields = {}
+    blocks = {}
     t = 0.0
     with open(path, "rb") as fh:
         data = fh.read()
@@ -83,10 +82,15 @@ def read_snapshot(path) -> StateField:
         t = float(meta["time"])
         count = int(np.prod(shape))
         start = end + 2
-        arr = np.frombuffer(data[start : start + 8 * count], dtype="<f8").reshape(shape)
-        fields[meta["field"]] = arr.copy()
+        blocks[meta["field"]] = np.frombuffer(data[start : start + 8 * count],
+                                              dtype="<f8").reshape(shape)
         pos = start + 8 * count
-    return StateField.from_fields(t, **fields)
+    grid_shape = blocks["u1"].shape[1:]
+    state = StateField(t=t, U=np.empty((STATE_ROWS,) + grid_shape),
+                       V=np.empty((STATE_ROWS,) + grid_shape))
+    for name, (array, rows) in STATE_FIELDS.items():
+        getattr(state, array)[rows] = blocks[name]
+    return state
 
 
 def file_sha256(path) -> str:

@@ -30,6 +30,7 @@ from .errors import InvalidParameter, NonFinite, SingularInertia
 from .fields import (
     PHI1_ROW,
     PHI2_ROW,
+    STATE_FIELDS,
     STATE_ROWS,
     U1_ROWS,
     U2_ROWS,
@@ -245,43 +246,16 @@ class ProblemSpec:
         return self.consts.speed
 
 
-def _row_view(name: str, rows) -> property:
-    def get(self):
-        view = getattr(self, name)[rows]
-        view.flags.writeable = False
-        return view
-
-    return property(get)
-
-
 @dataclass
 class StateField:
     """Grid-sampled state at time t: U = (u¹, u², φ¹, φ²) and V = U̇, each (8, *grid).
 
-    ``u1`` … ``psi2`` are read-only views into U and V.
+    ``u1`` … ``psi2`` (``fields.STATE_FIELDS``) are read-only views into U and V.
     """
 
     t: float
     U: np.ndarray
     V: np.ndarray
-
-    u1 = _row_view("U", U1_ROWS)
-    u2 = _row_view("U", U2_ROWS)
-    phi1 = _row_view("U", PHI1_ROW)
-    phi2 = _row_view("U", PHI2_ROW)
-    v1 = _row_view("V", U1_ROWS)
-    v2 = _row_view("V", U2_ROWS)
-    psi1 = _row_view("V", PHI1_ROW)
-    psi2 = _row_view("V", PHI2_ROW)
-
-    @staticmethod
-    def from_fields(t, u1, u2, phi1, phi2, v1, v2, psi1, psi2) -> "StateField":
-        """Stack the eight per-constituent fields into the (U, V) layout."""
-        return StateField(
-            t=t,
-            U=np.concatenate([u1, u2, [phi1], [phi2]]),
-            V=np.concatenate([v1, v2, [psi1], [psi2]]),
-        )
 
     def copy(self) -> "StateField":
         return StateField(t=self.t, U=self.U.copy(), V=self.V.copy())
@@ -297,6 +271,19 @@ class StateField:
 
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(self.U))), float(np.max(np.abs(self.V))))
+
+
+def _row_view(array: str, rows) -> property:
+    def get(self):
+        view = getattr(self, array)[rows]
+        view.flags.writeable = False
+        return view
+
+    return property(get)
+
+
+for _name, (_array, _rows) in STATE_FIELDS.items():
+    setattr(StateField, _name, _row_view(_array, _rows))
 
 
 @dataclass(frozen=True)
@@ -366,26 +353,22 @@ def stable_timestep(grid: Grid, speed: SpeedParams, cfl: float) -> float:
 
 
 def initialize(problem: ProblemSpec) -> StateField:
-    """Sample the initial data at the grid nodes (t = 0)."""
+    """Sample the initial data at the grid nodes (t = 0); absent fields are zero."""
     grid = problem.grid
     x = grid.positions()
-
-    def sample(fn, lead: tuple):
-        shape = lead + grid.shape
+    state = StateField(t=0.0, U=np.zeros((STATE_ROWS,) + grid.shape),
+                       V=np.zeros((STATE_ROWS,) + grid.shape))
+    for name, (array, rows) in STATE_FIELDS.items():
+        fn = getattr(problem.initial, name)
         if fn is None:
-            return np.zeros(shape)
-        out = np.array(fn(x), dtype=float)
-        if out.shape != shape:
-            raise InvalidParameter(f"initial field has shape {out.shape}, expected {shape}")
-        return out
-
-    ini = problem.initial
-    vec, scal = (3,), ()
-    return StateField.from_fields(
-        0.0,
-        sample(ini.u1, vec), sample(ini.u2, vec), sample(ini.phi1, scal), sample(ini.phi2, scal),
-        sample(ini.v1, vec), sample(ini.v2, vec), sample(ini.psi1, scal), sample(ini.psi2, scal),
-    )
+            continue
+        target = getattr(state, array)[rows]
+        out = np.asarray(fn(x), dtype=float)
+        if out.shape != target.shape:
+            raise InvalidParameter(f"initial field {name} has shape {out.shape}, "
+                                   f"expected {target.shape}")
+        target[...] = out
+    return state
 
 
 # State rows each boundary family acts on: (constituent 1, constituent 2).
@@ -603,7 +586,7 @@ def simulate(
 
 
 # ---------------------------------------------------------------------------
-# Rigid decomposition of initial data (all-traction boundary configurations).
+# Rigid part of a field (all-traction boundary configurations).
 # ---------------------------------------------------------------------------
 
 RIGID_TOL = 1e-9  # largest scaled residual momentum/moment of a consistent fit
@@ -626,105 +609,52 @@ class RigidMotion:
         return out
 
 
-@dataclass(frozen=True)
-class RigidDecomposition:
-    """Rigid parts and normalized residuals of per-constituent initial data.
-
-    Residuals carry zero momentum and zero moment of momentum in the uniform
-    (midpoint) node quadrature used for the fit.
-    """
-
-    motion_a1: RigidMotion
-    motion_adot1: RigidMotion
-    motion_a2: RigidMotion
-    motion_adot2: RigidMotion
-    residual_a1: np.ndarray
-    residual_adot1: np.ndarray
-    residual_a2: np.ndarray
-    residual_adot2: np.ndarray
-    worst_residual_moment: float
-
-
 def _cross_matrix(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
-def _fit_rigid(u: np.ndarray, rho: float, x: np.ndarray, wq: float):
-    """Least-squares rigid motion with zero-momentum/zero-moment residual."""
-    mass = rho * wq * float(np.prod(u.shape[1:]))
-    mom1 = rho * wq * x.reshape(3, -1).sum(axis=1)
+def rigid_fit(u: np.ndarray, grid: Grid) -> tuple[RigidMotion, np.ndarray, float]:
+    """Split one (3, *grid) field into a rigid motion and a residual.
+
+    The residual carries zero momentum and zero moment of momentum in the
+    uniform (midpoint) node quadrature.  A constant density scales both
+    sides of the 6×6 momentum/moment system and both residual ratios, so it
+    drops out, as does the node volume.  The system is solved by least
+    squares; on 1-D grids the rotation about the grid line is unobservable
+    and the minimum-norm solution sets it to zero.  Intended for
+    all-traction (measure-zero Dirichlet) configurations.
+
+    Returns:
+        (motion, residual, worst): ``worst`` is the larger of the residual
+        momentum and moment, scaled by node count, data and geometry size.
+
+    Raises:
+        SingularInertia: if ``worst`` exceeds ``RIGID_TOL``, i.e. the system
+            was genuinely inconsistent.
+    """
+    x = grid.positions()
     xf = x.reshape(3, -1)
+    u = np.asarray(u, dtype=float)
     uf = u.reshape(3, -1)
-    lin = rho * wq * uf.sum(axis=1)
-    ang = rho * wq * np.cross(xf.T, uf.T).sum(axis=0)
-    r2 = np.einsum("ik,ik->k", xf, xf)
-    inertia = rho * wq * (np.sum(r2) * np.eye(3) - xf @ xf.T)
+    count = xf.shape[1]
+    mom1 = xf.sum(axis=1)
     K = np.zeros((6, 6))
-    K[:3, :3] = mass * np.eye(3)
+    K[:3, :3] = count * np.eye(3)
     K[:3, 3:] = -_cross_matrix(mom1)
     K[3:, :3] = _cross_matrix(mom1)
-    K[3:, 3:] = inertia
-    rhs = np.concatenate([lin, ang])
+    K[3:, 3:] = np.sum(xf * xf) * np.eye(3) - xf @ xf.T
+    rhs = np.concatenate([uf.sum(axis=1), np.cross(xf.T, uf.T).sum(axis=0)])
     sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
     motion = RigidMotion(translation=sol[:3].copy(), rotation=sol[3:].copy())
     residual = u - motion.field(x)
     rf = residual.reshape(3, -1)
-    res_lin = rho * wq * rf.sum(axis=1)
-    res_ang = rho * wq * np.cross(xf.T, rf.T).sum(axis=0)
-    scale = max(1.0, float(np.max(np.abs(uf))) if uf.size else 1.0)
+    scale = count * max(1.0, float(np.max(np.abs(uf))))
     geom = max(1.0, float(np.max(np.abs(xf))))
-    worst = max(
-        float(np.max(np.abs(res_lin))) / (mass * scale),
-        float(np.max(np.abs(res_ang))) / (mass * scale * geom),
-    )
-    return motion, residual, worst
-
-
-def rigid_decompose(
-    a1: np.ndarray,
-    adot1: np.ndarray,
-    a2: np.ndarray,
-    adot2: np.ndarray,
-    consts: MaterialConstants,
-    grid: Grid,
-) -> RigidDecomposition:
-    """Split each constituent's initial fields into rigid motion + residual.
-
-    Intended for all-traction (measure-zero Dirichlet) configurations.  The
-    6×6 momentum/moment system is solved by least squares; on 1-D grids the
-    rotation about the grid line is unobservable and the minimum-norm
-    solution sets it to zero.
-
-    Raises:
-        SingularInertia: if the residual momenta/moments exceed ``RIGID_TOL``,
-            i.e. the system was genuinely inconsistent.
-    """
-    x = grid.positions()
-    wq = float(np.prod(grid.h))
-    out = {}
-    worst = 0.0
-    for name, (data, rho) in {
-        "a1": (a1, consts.rho1),
-        "adot1": (adot1, consts.rho1),
-        "a2": (a2, consts.rho2),
-        "adot2": (adot2, consts.rho2),
-    }.items():
-        motion, residual, w = _fit_rigid(np.asarray(data, dtype=float), rho, x, wq)
-        out[name] = (motion, residual)
-        worst = max(worst, w)
+    worst = max(float(np.max(np.abs(rf.sum(axis=1)))) / scale,
+                float(np.max(np.abs(np.cross(xf.T, rf.T).sum(axis=0)))) / (scale * geom))
     if worst > RIGID_TOL:
         raise SingularInertia(
             f"rigid fit left residual moments at {worst:.3e} (tol {RIGID_TOL:.1e}); "
             "degenerate node geometry"
         )
-    return RigidDecomposition(
-        motion_a1=out["a1"][0],
-        motion_adot1=out["adot1"][0],
-        motion_a2=out["a2"][0],
-        motion_adot2=out["adot2"][0],
-        residual_a1=out["a1"][1],
-        residual_adot1=out["adot1"][1],
-        residual_a2=out["a2"][1],
-        residual_adot2=out["adot2"][1],
-        worst_residual_moment=worst,
-    )
+    return motion, residual, worst

@@ -510,6 +510,28 @@ def moments_midpoint_loops(field: np.ndarray, rho: float, x: np.ndarray, wq: flo
     return lin, ang
 
 
+def rigid_part_midpoint(field: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The rigid field whose difference from ``field`` has zero midpoint
+    momentum and moment of momentum.
+
+    Spans the six rigid fields (three translations, three rotations e × x),
+    takes their moments with :func:`moments_midpoint_loops` and solves for
+    the combination with the moments of ``field`` (minimum norm, so a
+    rotation that moves no node gets coefficient 0).
+    """
+    basis = []
+    for k in range(3):
+        e = np.zeros((3,) + (1,) * (x.ndim - 1))
+        e[k] = 1.0
+        basis.append(np.broadcast_to(e, x.shape))
+        basis.append(np.cross(e, x, axis=0))
+    moments = np.stack([np.concatenate(moments_midpoint_loops(b, 1.0, x, 1.0)) for b in basis],
+                       axis=1)
+    target = np.concatenate(moments_midpoint_loops(field, 1.0, x, 1.0))
+    coef = np.linalg.lstsq(moments, target, rcond=None)[0]
+    return sum(c * b for c, b in zip(coef, basis))
+
+
 # ---------------------------------------------------------------------------
 # Continuum operator on analytic 1-D profiles (for the Taylor check).
 # ---------------------------------------------------------------------------

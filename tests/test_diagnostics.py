@@ -14,12 +14,11 @@ from poromix.errors import (
     Degenerate,
     InsufficientSnapshots,
     InvalidParameter,
-    MissingDecomposition,
     NoFront,
     UndefinedAtZero,
 )
 from poromix.fields import stored_energy
-from poromix.solver import Workspace
+from poromix.solver import RigidMotion, Workspace
 
 from . import oracles
 
@@ -423,11 +422,43 @@ class TestCesaroMeans:
         assert len(cs.t) == len(traj) - 1
 
 
+def free_velocity_problem(consts, dim):
+    """All-traction runs whose initial velocities differ per constituent and
+    are neither rigid nor free of a rigid part (in 2-D with in-plane rotation)."""
+    if dim == 1:
+        grid = pm.Grid(dim=1, n=(41,), h=(0.025,))
+        v1 = RigidMotion([0.3, -0.1, 0.2], [0.0, 0.0, 0.0]).field
+        initial = pm.InitialData(
+            u1=pm.gaussian_pulse([0.5], 0.1, 0.5, component=0),
+            v1=lambda x: v1(x) + pm.gaussian_pulse([0.4], 0.1, 0.7, component=1)(x),
+            v2=pm.gaussian_pulse([0.6], 0.08, -0.4, component=0))
+    else:
+        grid = pm.Grid(dim=2, n=(9, 11), h=(0.1, 0.08))
+        v1 = RigidMotion([0.1, 0.2, -0.05], [0.0, 0.0, 0.6]).field
+        v2 = RigidMotion([-0.2, 0.0, 0.1], [0.0, 0.0, -0.3]).field
+        initial = pm.InitialData(
+            u2=pm.gaussian_pulse([0.4, 0.4], 0.15, 0.3, component=1),
+            v1=lambda x: v1(x) + pm.gaussian_pulse([0.3, 0.5], 0.15, 0.4, component=0)(x),
+            v2=lambda x: v2(x) + pm.gaussian_pulse([0.5, 0.3], 0.12, 0.5, component=2)(x))
+    return pm.ProblemSpec(grid=grid, consts=consts, boundary=natural_bc(dim), initial=initial,
+                          T=0.01)
+
+
 class TestEquipartitionReport:
-    def test_missing_decomposition_raises(self, pulse_run):
-        prob, geom, speed, energy, traj = pulse_run
-        with pytest.raises(MissingDecomposition):
-            diag.equipartition_report(energy, prob)  # all-traction boundary
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_free_offset_is_the_rigid_kinetic_energy(self, random_consts, dim):
+        # ½ Σ_α ρ^α ∫ |ā̇^α|², the rigid part from the midpoint-moment oracle
+        prob = free_velocity_problem(random_consts, dim)
+        _, energy, _ = pm.simulate(prob)
+        rep = diag.equipartition_report(energy, prob)
+        x, w = prob.grid.positions(), prob.grid.weights()
+        expected = 0.0
+        for name, rho in (("v1", random_consts.rho1), ("v2", random_consts.rho2)):
+            rigid = oracles.rigid_part_midpoint(getattr(prob.initial, name)(x), x)
+            expected += 0.5 * rho * float(np.sum(w * np.sum(rigid**2, axis=0)))
+        assert rep.case == "free"
+        assert expected > 0.0
+        assert rep.predicted_offset == pytest.approx(expected, rel=1e-12)
 
     def test_case_detection_dirichlet(self, random_consts):
         bc = pm.BoundaryPartition.uniform("dirichlet", "natural", dim=1)
@@ -460,6 +491,21 @@ class TestIdentityResiduals:
         prob = problem_1d(random_consts, T=0.01)
         _, _, traj = pm.simulate(replace(prob, snapshot_every=10**6))
         with pytest.raises(InsufficientSnapshots):
+            diag.identity_residuals(traj)
+
+    def test_nonzero_dirichlet_data_are_refused(self, random_consts):
+        # their reaction work is not in the identities, so residuals would mislead
+        def pinned(x):
+            return np.array([0.1, 0.0, 0.0]), np.zeros(3)
+
+        bc = pm.BoundaryPartition(
+            u={"x0": pm.SideCondition("dirichlet", pinned), "x1": pm.SideCondition("dirichlet")},
+            phi=natural_bc().phi)
+        prob = problem_1d(random_consts, T=0.05, boundary=bc,
+                          initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.05, 1.0,
+                                                                      component=0)))
+        _, _, traj = pm.simulate(replace(prob, snapshot_every=2))
+        with pytest.raises(InvalidParameter, match="Dirichlet"):
             diag.identity_residuals(traj)
 
     def test_sourced_run_residuals_converge(self):

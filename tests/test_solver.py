@@ -1,4 +1,4 @@
-"""Dynamics solver: stencils, force assembly, stepping, rigid decomposition."""
+"""Dynamics solver: state layout, stencils, force assembly, stepping, rigid fit."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import poromix as pm
+from poromix import io as pio
 from poromix import solver
 from poromix.errors import InvalidParameter, NonFinite
 from poromix.fields import difference, jet_map, subtract_adjoint
@@ -67,6 +68,26 @@ class TestGridAndTimestep:
         assert grid.weights().sum() == pytest.approx(1.0 * 0.6)
 
 
+# Where each named field lives in the stacked state, and the order of the snapshot blocks.
+NAMED_ROWS = {
+    "u1": ("U", slice(0, 3)), "u2": ("U", slice(3, 6)), "phi1": ("U", 6), "phi2": ("U", 7),
+    "v1": ("V", slice(0, 3)), "v2": ("V", slice(3, 6)), "psi1": ("V", 6), "psi2": ("V", 7),
+}
+
+
+def read_snapshot_blocks(data: bytes) -> dict[str, np.ndarray]:
+    """Each block of a snapshot file under the field name of its header."""
+    blocks, pos = {}, 0
+    while pos < len(data):
+        end = data.index(b"\n\n", pos)
+        meta = dict(line.split(" ", 1) for line in data[pos:end].decode("ascii").splitlines())
+        shape = tuple(int(v) for v in meta["shape"].split())
+        nbytes = 8 * math.prod(shape)
+        blocks[meta["field"]] = np.frombuffer(data[end + 2:end + 2 + nbytes], "<f8").reshape(shape)
+        pos = end + 2 + nbytes
+    return blocks
+
+
 class TestInitialize:
     def test_zero_data(self, random_consts):
         state = pm.initialize(small_problem(random_consts))
@@ -80,6 +101,32 @@ class TestInitialize:
 
         state = pm.initialize(small_problem(random_consts, initial=pm.InitialData(u1=const)))
         assert np.all(state.u1[1] == 2.5)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("name", list(NAMED_ROWS))
+    def test_named_field_lands_on_its_rows_and_snapshot_block(self, random_consts, tmp_path,
+                                                             dim, name):
+        array, rows = NAMED_ROWS[name]
+        prob = small_problem(random_consts, n=6, dim=dim)
+        lead = (3,) if isinstance(rows, slice) else ()
+        marker = 1.0 + np.arange(math.prod(lead + prob.grid.shape)).reshape(lead + prob.grid.shape)
+        prob = replace(prob, initial=pm.InitialData(**{name: lambda x: marker}))
+        state = pm.initialize(prob)
+        expected = {"U": np.zeros(state.U.shape), "V": np.zeros(state.V.shape)}
+        expected[array][rows] = marker
+        np.testing.assert_array_equal(state.U, expected["U"])
+        np.testing.assert_array_equal(state.V, expected["V"])
+        np.testing.assert_array_equal(getattr(state, name), marker)
+
+        path = tmp_path / "snap.bin"
+        pio.write_snapshot(path, state)
+        blocks = read_snapshot_blocks(path.read_bytes())
+        assert list(blocks) == list(NAMED_ROWS)
+        for other, block in blocks.items():
+            np.testing.assert_array_equal(block, marker if other == name else np.zeros_like(block))
+        back = pio.read_snapshot(path)
+        np.testing.assert_array_equal(back.U, state.U)
+        np.testing.assert_array_equal(back.V, state.V)
 
     def test_gaussian_matches_nodal_sampling(self, random_consts):
         prob = small_problem(
@@ -438,31 +485,28 @@ class TestAccuracy:
         assert sum(orders) / 2 >= 1.6, f"L2 orders {orders} (errors {errs})"
 
 
-class TestRigidDecompose:
-    def test_pure_translation(self, random_consts):
+class TestRigidFit:
+    def test_pure_translation(self):
         grid = pm.Grid(dim=1, n=(33,), h=(1.0 / 32.0,))
-        x = grid.positions()
         tr = np.array([0.3, -0.2, 0.7])
         field = np.broadcast_to(tr.reshape(3, 1), (3, 33)).copy()
-        zero = np.zeros_like(field)
-        dec = pm.rigid_decompose(field, zero, field, zero, random_consts, grid)
-        np.testing.assert_allclose(dec.motion_a1.translation, tr, atol=1e-12)
-        np.testing.assert_allclose(dec.motion_a1.rotation, 0.0, atol=1e-12)
-        assert np.max(np.abs(dec.residual_a1)) <= 1e-12
+        motion, residual, _ = pm.rigid_fit(field, grid)
+        np.testing.assert_allclose(motion.translation, tr, atol=1e-12)
+        np.testing.assert_allclose(motion.rotation, 0.0, atol=1e-12)
+        assert np.max(np.abs(residual)) <= 1e-12
 
-    def test_normalized_data_has_zero_rigid_part(self, random_consts):
+    def test_normalized_data_has_zero_rigid_part(self):
         grid = pm.Grid(dim=1, n=(41,), h=(0.025,))
         x = grid.positions()
         field = np.zeros((3, 41))
         s = (x[0] - 0.5) / 0.1
         field[0] = s * np.exp(-0.5 * s * s)  # odd axial profile: no momentum/moment
-        zero = np.zeros_like(field)
-        dec = pm.rigid_decompose(field, zero, field, zero, random_consts, grid)
-        np.testing.assert_allclose(dec.motion_a1.translation, 0.0, atol=1e-10)
-        np.testing.assert_allclose(dec.motion_a1.rotation, 0.0, atol=1e-10)
-        np.testing.assert_allclose(dec.residual_a1, field, atol=1e-10)
+        motion, residual, _ = pm.rigid_fit(field, grid)
+        np.testing.assert_allclose(motion.translation, 0.0, atol=1e-10)
+        np.testing.assert_allclose(motion.rotation, 0.0, atol=1e-10)
+        np.testing.assert_allclose(residual, field, atol=1e-10)
 
-    def test_2d_rotation_recovered(self, random_consts):
+    def test_2d_rotation_recovered(self):
         grid = pm.Grid(dim=2, n=(15, 17), h=(0.08, 0.07))
         x = grid.positions()
         tr = np.array([0.1, -0.3, 0.2])
@@ -471,12 +515,12 @@ class TestRigidDecompose:
         field[0] = tr[0] - om[2] * x[1]
         field[1] = tr[1] + om[2] * x[0]
         field[2] = tr[2]
-        zero = np.zeros_like(field)
-        dec = pm.rigid_decompose(field, zero, field, zero, random_consts, grid)
-        np.testing.assert_allclose(dec.motion_a1.translation, tr, atol=1e-10)
-        np.testing.assert_allclose(dec.motion_a1.rotation, om, atol=1e-10)
+        motion, _, _ = pm.rigid_fit(field, grid)
+        np.testing.assert_allclose(motion.translation, tr, atol=1e-10)
+        np.testing.assert_allclose(motion.rotation, om, atol=1e-10)
 
     def test_random_fields_normalized_against_midpoint_oracle(self, rng, random_consts):
+        # the fit takes no density; the oracle's moments carry each constituent's
         for trial in range(100):
             if trial % 2 == 0:
                 grid = pm.Grid(dim=1, n=(int(rng.integers(8, 40)),), h=(0.03,))
@@ -485,11 +529,11 @@ class TestRigidDecompose:
                                h=(0.05, 0.06))
             shape = grid.shape
             fields = [rng.standard_normal((3,) + shape) for _ in range(4)]
-            dec = pm.rigid_decompose(*fields, random_consts, grid)
+            residuals = [pm.rigid_fit(f, grid)[1] for f in fields]
             x = grid.positions()
             wq = float(np.prod(grid.h))
-            for res, rho in ((dec.residual_a1, random_consts.rho1),
-                             (dec.residual_adot2, random_consts.rho2)):
+            for res, rho in ((residuals[0], random_consts.rho1),
+                             (residuals[3], random_consts.rho2)):
                 lin, ang = oracles.moments_midpoint_loops(res, rho, x, wq)
                 scale = rho * wq * np.prod(shape) * max(1.0, np.max(np.abs(res)))
                 assert np.max(np.abs(lin)) <= 1e-10 * scale
