@@ -15,6 +15,7 @@ suite its simulations, one after another in the calling thread.
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import sys
 
@@ -120,6 +121,8 @@ def cmd_simulate(args) -> int:
             p_res = os.path.join(out_dir, "residuals.csv")
             pio.write_residuals_csv(p_res, ir)
             paths.append(p_res)
+    for stale in glob.glob(os.path.join(glob.escape(snap_dir), "snap_" + "[0-9]" * 6 + ".bin")):
+        os.remove(stale)  # so the directory holds exactly this run's snapshots
     for idx, state in enumerate(traj.states):
         p_snap = os.path.join(snap_dir, f"snap_{idx:06d}.bin")
         pio.write_snapshot(p_snap, state)

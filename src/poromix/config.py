@@ -24,12 +24,14 @@ Example::
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidParameter, ParseError, SchemaError
+from .fields import STATE_FIELDS
 from .materials import (
     MaterialConstants,
     decoupled_material,
@@ -51,15 +53,69 @@ from .solver import (
 # The verification suites, in run order; "all" runs every one.
 SUITES = ("constitutive", "identities", "decay", "influence", "equipartition", "uniqueness")
 
-_BOUNDARY_KINDS = ("dirichlet_zero", "traction_free")
-_PRESCRIBED_KINDS = ("prescribed_value", "prescribed_traction", "prescribed_flux")
 
-_PROFILE_KINDS = ("gaussian_pulse", "plane_wave", "rigid", "zero")
+def _real(text: str) -> float:
+    """A finite float; ``inf`` and ``nan`` are bad values like any other."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
 
-_FIELD_TARGETS = (
-    "u1", "u2", "u", "u1_dot", "u2_dot", "u_dot",
-    "phi1", "phi2", "phi1_dot", "phi2_dot",
-)
+
+def _reals(text: str) -> tuple[float, ...]:
+    """Finite floats separated by commas or spaces."""
+    return tuple(_real(v) for v in text.replace(",", " ").split())
+
+
+def _nonempty(values: tuple) -> tuple:
+    """``values`` if there is at least one; an empty value is a bad value."""
+    if not values:
+        raise ValueError("empty value")
+    return values
+
+
+# Numeric keys in canonical order: key -> (RunConfig field, parser, admissible values).
+# A parser raises ValueError on a bad value.
+_NUMERIC_KEYS = {
+    "grid.dim": ("dim", int, lambda v: v in (1, 2)),
+    "grid.n": ("n", lambda s: _nonempty(tuple(int(x) for x in s.split())),
+               lambda v: all(x >= 4 for x in v)),
+    "grid.h": ("h", lambda s: _nonempty(_reals(s)), lambda v: all(x > 0 for x in v)),
+    "grid.origin": ("origin", lambda s: _nonempty(_reals(s)), lambda v: True),
+    "lambda": ("lam", _real, lambda v: v > 0),
+    "T": ("T", _real, lambda v: v >= 0),
+    "cfl": ("cfl", _real, lambda v: 0 < v <= 1),
+    "seed": ("seed", int, lambda v: v >= 0),
+    "record.energy_every": ("energy_every", int, lambda v: v >= 1),
+    "record.snapshot_every": ("snapshot_every", int, lambda v: v >= 1),
+    "verify.tol_h": ("tol_h", _real, lambda v: v >= 0),
+}
+
+# Boundary kind -> (SideCondition kind, families a prescribed kind applies to).
+# The homogeneous kinds apply to both families and take no parameters.
+_BOUNDARY_KINDS = {
+    "dirichlet_zero": ("dirichlet", ()),
+    "traction_free": ("natural", ()),
+    "prescribed_value": ("dirichlet", ("u", "phi")),
+    "prescribed_traction": ("natural", ("u",)),
+    "prescribed_flux": ("natural", ("phi",)),
+}
+
+# Init profile kind -> its parameters with their defaults.
+_PROFILES = {
+    "gaussian_pulse": {"center": (0.0,), "width": (0.1,), "amplitude": (1.0,),
+                       "component": (0.0,)},
+    "plane_wave": {"k": (np.pi,), "amplitude": (1.0,), "component": (0.0,)},
+    "rigid": {"translation": (), "rotation": ()},
+    "zero": {},
+}
+
+# Init field target -> the ``STATE_FIELDS`` it feeds.
+_TARGETS = {
+    "u1": ("u1",), "u2": ("u2",), "u": ("u1", "u2"),
+    "u1_dot": ("v1",), "u2_dot": ("v2",), "u_dot": ("v1", "v2"),
+    "phi1": ("phi1",), "phi2": ("phi2",), "phi1_dot": ("psi1",), "phi2_dot": ("psi2",),
+}
 
 
 @dataclass(frozen=True)
@@ -70,12 +126,6 @@ class InitProfile:
     field: str
     params: tuple[tuple[str, tuple[float, ...]], ...]
 
-    def get(self, name: str, default=None):
-        for key, val in self.params:
-            if key == name:
-                return val
-        return default
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -84,7 +134,7 @@ class RunConfig:
     material: str = "identity"
     dim: int = 1
     n: tuple[int, ...] = ()  # load_config fills in 128 per dimension
-    h: tuple[float, ...] = ()
+    h: tuple[float, ...] = ()  # load_config fills in 1/(n-1) per dimension
     origin: tuple[float, ...] = ()
     lam: float = 1.0
     T: float = 1.0
@@ -101,15 +151,6 @@ class RunConfig:
     tol_h: float = 0.05
     base_dir: str = "."
 
-    def spacing(self) -> tuple[float, ...]:
-        if self.h:
-            return self.h
-        return tuple(1.0 / (ni - 1) for ni in self.n)
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.replace(",", " ").split())
-
 
 def _parse_profile(text: str, lineno: int, errors: list[str]) -> InitProfile | None:
     parts = text.split()
@@ -117,8 +158,8 @@ def _parse_profile(text: str, lineno: int, errors: list[str]) -> InitProfile | N
         errors.append(f"line {lineno}: empty init profile")
         return None
     kind = parts[0]
-    if kind not in _PROFILE_KINDS:
-        errors.append(f"line {lineno}: unknown profile {kind!r} (known: {_PROFILE_KINDS})")
+    if kind not in _PROFILES:
+        errors.append(f"line {lineno}: unknown profile {kind!r} (known: {tuple(_PROFILES)})")
         return None
     params = {}
     target = "u1"
@@ -128,65 +169,53 @@ def _parse_profile(text: str, lineno: int, errors: list[str]) -> InitProfile | N
             return None
         key, val = tok.split("=", 1)
         if key == "field":
-            if val not in _FIELD_TARGETS:
+            if val not in _TARGETS:
                 errors.append(f"line {lineno}: unknown field target {val!r}")
                 return None
             target = val
         else:
             try:
-                params[key] = _parse_floats(val)
+                params[key] = _nonempty(_reals(val))
             except ValueError:
                 errors.append(f"line {lineno}: cannot parse numbers in {tok!r}")
                 return None
-    allowed = {
-        "gaussian_pulse": {"center", "width", "amplitude", "component"},
-        "plane_wave": {"k", "amplitude", "component"},
-        "rigid": {"translation", "rotation"},
-        "zero": set(),
-    }[kind]
-    for key in params:
-        if key not in allowed:
-            errors.append(f"line {lineno}: profile {kind!r} does not take {key!r}")
-            return None
+            if key not in _PROFILES[kind]:
+                errors.append(f"line {lineno}: profile {kind!r} does not take {key!r}")
+                return None
     return InitProfile(kind=kind, field=target, params=tuple(sorted(params.items())))
 
 
 def _parse_boundary(val: str, family: str, lineno: int, errors: list[str]):
     """Parse one boundary spec into (kind, params) with params a tuple of tuples."""
-    parts = val.split()
-    kind = parts[0]
-    if kind in _BOUNDARY_KINDS:
-        if len(parts) > 1:
+    kind, *groups = val.split() or [""]
+    if kind not in _BOUNDARY_KINDS:
+        errors.append(f"line {lineno}: boundary kind must be one of {tuple(_BOUNDARY_KINDS)}")
+        return None
+    families = _BOUNDARY_KINDS[kind][1]
+    if not families:
+        if groups:
             errors.append(f"line {lineno}: {kind} takes no parameters")
             return None
         return (kind, ())
-    if kind not in _PRESCRIBED_KINDS:
-        errors.append(
-            f"line {lineno}: boundary kind must be one of {_BOUNDARY_KINDS + _PRESCRIBED_KINDS}"
-        )
-        return None
-    if family == "u" and kind == "prescribed_flux":
-        errors.append(f"line {lineno}: prescribed_flux applies to the phi family")
-        return None
-    if family == "phi" and kind == "prescribed_traction":
-        errors.append(f"line {lineno}: prescribed_traction applies to the u family")
+    if family not in families:
+        errors.append(f"line {lineno}: {kind} applies to the {families[0]} family")
         return None
     want = 3 if family == "u" else 1
-    if len(parts) != 3:
+    if len(groups) != 2:
         errors.append(f"line {lineno}: {kind} needs two constant value groups")
         return None
-    groups = []
-    for tok in parts[1:]:
+    params = []
+    for tok in groups:
         try:
-            g = _parse_floats(tok)
+            g = _reals(tok)
         except ValueError:
             errors.append(f"line {lineno}: cannot parse numbers in {tok!r}")
             return None
         if len(g) != want:
             errors.append(f"line {lineno}: each value group needs {want} component(s)")
             return None
-        groups.append(g)
-    return (kind, tuple(groups))
+        params.append(g)
+    return (kind, tuple(params))
 
 
 def load_config(path) -> RunConfig:
@@ -212,144 +241,102 @@ def load_config(path) -> RunConfig:
     cfg = RunConfig(base_dir=base_dir)
     seen: set[str] = set()
     init: list[InitProfile] = []
-    boundary_u: dict[str, str] = {}
-    boundary_phi: dict[str, str] = {}
-
-    def once(lineno: int, key: str) -> bool:
-        if key in seen:
-            errors.append(f"line {lineno}: duplicate key {key!r}")
-            return False
-        seen.add(key)
-        return True
-
-    def set_num(lineno, key, val, caster, attr, cond=lambda v: True, what="value"):
-        if not once(lineno, key):
-            return
-        nonlocal cfg
-        try:
-            v = caster(val)
-        except ValueError:
-            errors.append(f"line {lineno}: bad {what} for {key!r}: {val!r}")
-            return
-        if not cond(v):
-            errors.append(f"line {lineno}: {key !r} out of range: {val!r}")
-            return
-        cfg = replace(cfg, **{attr: v})
+    boundary: dict[str, dict[str, tuple]] = {"u": {}, "phi": {}}
 
     for lineno, key, val in entries:
-        if key == "material":
-            if once(lineno, key):
-                try:
-                    parse_material_spec(val)
-                    cfg = replace(cfg, material=val)
-                except InvalidParameter as exc:
-                    errors.append(f"line {lineno}: {exc}")
-        elif key == "grid.dim":
-            set_num(lineno, key, val, int, "dim", lambda v: v in (1, 2))
-        elif key == "grid.n":
-            set_num(lineno, key, val, lambda s: tuple(int(x) for x in s.split()), "n",
-                    lambda v: all(x >= 4 for x in v))
-        elif key == "grid.h":
-            set_num(lineno, key, val, _parse_floats, "h", lambda v: all(x > 0 for x in v))
-        elif key == "grid.origin":
-            set_num(lineno, key, val, _parse_floats, "origin")
-        elif key == "lambda":
-            set_num(lineno, key, val, float, "lam", lambda v: v > 0)
-        elif key == "T":
-            set_num(lineno, key, val, float, "T", lambda v: v >= 0)
-        elif key == "cfl":
-            set_num(lineno, key, val, float, "cfl", lambda v: 0 < v <= 1)
-        elif key == "seed":
-            set_num(lineno, key, val, int, "seed", lambda v: v >= 0)
-        elif key == "record.energy_every":
-            set_num(lineno, key, val, int, "energy_every", lambda v: v >= 1)
-        elif key == "record.snapshot_every":
-            set_num(lineno, key, val, int, "snapshot_every", lambda v: v >= 1)
+        if key != "init":  # repeated init lines accumulate; any other key is set once
+            if key in seen:
+                errors.append(f"line {lineno}: duplicate key {key!r}")
+                continue
+            seen.add(key)
+        bad_value = f"line {lineno}: bad value for {key!r}: {val!r}"
+        if key in _NUMERIC_KEYS:
+            attr, parse, admissible = _NUMERIC_KEYS[key]
+            try:
+                v = parse(val)
+            except ValueError:
+                errors.append(bad_value)
+                continue
+            if admissible(v):
+                cfg = replace(cfg, **{attr: v})
+            else:
+                errors.append(f"line {lineno}: {key!r} out of range: {val!r}")
+        elif key == "material":
+            try:
+                parse_material_spec(val)
+                cfg = replace(cfg, material=val)
+            except InvalidParameter as exc:
+                errors.append(f"line {lineno}: {exc}")
         elif key == "output":
-            if once(lineno, key):
+            if val:
                 cfg = replace(cfg, output=val)
+            else:
+                errors.append(bad_value)
         elif key == "init":
             prof = _parse_profile(val, lineno, errors)
             if prof is not None:
                 init.append(prof)
         elif key.startswith("boundary."):
             parts = key.split(".")
-            if len(parts) != 3 or parts[1] not in ("u", "phi"):
+            if len(parts) != 3 or parts[1] not in boundary:
                 errors.append(f"line {lineno}: unknown key {key!r}")
                 continue
             spec = _parse_boundary(val, parts[1], lineno, errors)
-            if spec is None:
-                continue
-            table = boundary_u if parts[1] == "u" else boundary_phi
-            if parts[2] in table:
-                errors.append(f"line {lineno}: duplicate key {key!r}")
-            table[parts[2]] = spec
+            if spec is not None:
+                boundary[parts[1]][parts[2]] = spec
         elif key == "verify.suites":
-            if once(lineno, key):
-                suites = tuple(val.split())
-                known = SUITES + ("all",)
-                bad = [s for s in suites if s not in known]
-                if bad:
-                    errors.append(f"line {lineno}: unknown suite(s) {bad} (known: {known})")
-                else:
-                    cfg = replace(cfg, suites=suites)
-        elif key == "verify.tol_h":
-            set_num(lineno, key, val, float, "tol_h", lambda v: v >= 0)
+            suites, known = tuple(val.split()), SUITES + ("all",)
+            unknown = [s for s in suites if s not in known]
+            if not suites:
+                errors.append(bad_value)
+            elif unknown:
+                errors.append(f"line {lineno}: unknown suite(s) {unknown} (known: {known})")
+            else:
+                cfg = replace(cfg, suites=suites)
         else:
             errors.append(f"line {lineno}: unknown key {key!r}")
 
-    if len(cfg.n) not in (0, cfg.dim):
-        errors.append(f"grid.n has {len(cfg.n)} entries for dim={cfg.dim}")
-    if cfg.h and len(cfg.h) != cfg.dim:
-        errors.append(f"grid.h has {len(cfg.h)} entries for dim={cfg.dim}")
-    if cfg.origin and len(cfg.origin) != cfg.dim:
-        errors.append(f"grid.origin has {len(cfg.origin)} entries for dim={cfg.dim}")
-    if len(cfg.n) == 0:
-        cfg = replace(cfg, n=(128,) * cfg.dim)
+    for key in ("grid.n", "grid.h", "grid.origin"):
+        count = len(getattr(cfg, _NUMERIC_KEYS[key][0]))
+        if count not in (0, cfg.dim):
+            errors.append(f"{key} has {count} entries for dim={cfg.dim}")
     valid_sides = {f"{AXIS_NAMES[a]}{e}" for a in range(cfg.dim) for e in (0, 1)}
-    for table in (boundary_u, boundary_phi):
+    for table in boundary.values():
         for side in table:
             if side not in valid_sides:
                 errors.append(f"boundary side {side!r} invalid for dim={cfg.dim}")
     if errors:
         raise SchemaError(errors)
-    default = ("dirichlet_zero", ())
-    full_u = tuple((s,) + boundary_u.get(s, default) for s in sorted(valid_sides))
-    full_phi = tuple((s,) + boundary_phi.get(s, default) for s in sorted(valid_sides))
-    cfg = replace(cfg, init=tuple(init), boundary_u=full_u, boundary_phi=full_phi)
-    return replace(cfg, h=cfg.spacing())
+    n = cfg.n or (128,) * cfg.dim
+    full = {
+        family: tuple((s,) + table.get(s, ("dirichlet_zero", ())) for s in sorted(valid_sides))
+        for family, table in boundary.items()
+    }
+    return replace(cfg, n=n, h=cfg.h or tuple(1.0 / (ni - 1) for ni in n), init=tuple(init),
+                   boundary_u=full["u"], boundary_phi=full["phi"])
+
+
+def _text(value, sep: str = " ") -> str:
+    """A config value as written: a tuple's entries joined by ``sep``, numbers by repr."""
+    return sep.join(repr(v) for v in value) if isinstance(value, tuple) else repr(value)
 
 
 def canonical_text(cfg: RunConfig) -> str:
     """Serialize with every key explicit; load(canonical_text(c)) == c."""
-    lines = [
-        f"material = {cfg.material}",
-        f"grid.dim = {cfg.dim}",
-        f"grid.n = {' '.join(str(v) for v in cfg.n)}",
-        f"grid.h = {' '.join(repr(v) for v in cfg.spacing())}",
+    numeric = [
+        f"{key} = {_text(getattr(cfg, attr))}"
+        for key, (attr, _, _) in _NUMERIC_KEYS.items()
+        if getattr(cfg, attr) != ()
     ]
-    if cfg.origin:
-        lines.append(f"grid.origin = {' '.join(repr(v) for v in cfg.origin)}")
-    lines += [
-        f"lambda = {cfg.lam!r}",
-        f"T = {cfg.T!r}",
-        f"cfl = {cfg.cfl!r}",
-        f"seed = {cfg.seed}",
-        f"record.energy_every = {cfg.energy_every}",
-        f"record.snapshot_every = {cfg.snapshot_every}",
-        f"output = {cfg.output}",
-    ]
+    lines = [f"material = {cfg.material}", *numeric[:-1], f"output = {cfg.output}"]
     for prof in cfg.init:
-        params = " ".join(
-            f"{k}={','.join(repr(x) for x in v)}" for k, v in prof.params
-        )
-        lines.append(f"init = {prof.kind} field={prof.field}{(' ' + params) if params else ''}")
+        params = "".join(f" {k}={_text(v, ',')}" for k, v in prof.params)
+        lines.append(f"init = {prof.kind} field={prof.field}{params}")
     for family, table in (("u", cfg.boundary_u), ("phi", cfg.boundary_phi)):
         for side, kind, params in table:
-            suffix = "".join(" " + ",".join(repr(x) for x in g) for g in params)
+            suffix = "".join(" " + _text(g, ",") for g in params)
             lines.append(f"boundary.{family}.{side} = {kind}{suffix}")
-    lines.append(f"verify.suites = {' '.join(cfg.suites)}")
-    lines.append(f"verify.tol_h = {cfg.tol_h!r}")
+    lines += [f"verify.suites = {' '.join(cfg.suites)}", numeric[-1]]
     return "\n".join(lines) + "\n"
 
 
@@ -382,126 +369,76 @@ def resolve_material(cfg: RunConfig) -> MaterialConstants:
     return material_from_spec(cfg.material, cfg.base_dir)
 
 
+def _vec3(values) -> np.ndarray:
+    """A 3-vector from up to three leading components; the rest are zero."""
+    out = np.zeros(3)
+    out[: len(values)] = values
+    return out
+
+
 def _profile_field(prof: InitProfile, x: np.ndarray, dim: int, vector: bool) -> np.ndarray:
+    p = {**_PROFILES[prof.kind], **dict(prof.params)}
     shape = x.shape[1:]
     if prof.kind == "zero":
         return np.zeros((3,) + shape) if vector else np.zeros(shape)
     if prof.kind == "gaussian_pulse":
-        c = prof.get("center", (0.0,))
-        center = (tuple(c) + (0.0,) * dim)[:dim]
-        comp = int(prof.get("component", (0.0,))[0]) if vector else None
-        pulse = gaussian_pulse(center, prof.get("width", (0.1,))[0],
-                               prof.get("amplitude", (1.0,))[0], component=comp)
-        return pulse(x)
+        center = (tuple(p["center"]) + (0.0,) * dim)[:dim]
+        comp = int(p["component"][0]) if vector else None
+        return gaussian_pulse(center, p["width"][0], p["amplitude"][0], component=comp)(x)
     if prof.kind == "plane_wave":
-        kvec = np.zeros(3)
-        kv = prof.get("k", (np.pi,))
-        kvec[: len(kv)] = kv
-        amp = prof.get("amplitude", (1.0,))[0]
-        phase = sum(kvec[a] * x[a] for a in range(dim))
-        wave = amp * np.sin(phase)
+        kvec = _vec3(p["k"])
+        wave = p["amplitude"][0] * np.sin(sum(kvec[a] * x[a] for a in range(dim)))
         if not vector:
             return wave
-        comp = int(prof.get("component", (0.0,))[0])
         out = np.zeros((3,) + shape)
-        out[comp] = wave
+        out[int(p["component"][0])] = wave
         return out
-    # rigid
-    tr = np.zeros(3)
-    rot = np.zeros(3)
-    tv = prof.get("translation", ())
-    rv = prof.get("rotation", ())
-    tr[: len(tv)] = tv
-    rot[: len(rv)] = rv
-    return RigidMotion(tr, rot).field(x)
+    return RigidMotion(_vec3(p["translation"]), _vec3(p["rotation"])).field(x)
 
 
 def build_initial_data(cfg: RunConfig) -> InitialData:
-    """Turn the accumulated init profiles into field callables."""
-    targets = {
-        "u1": ("u1",), "u2": ("u2",), "u": ("u1", "u2"),
-        "u1_dot": ("v1",), "u2_dot": ("v2",), "u_dot": ("v1", "v2"),
-        "phi1": ("phi1",), "phi2": ("phi2",),
-        "phi1_dot": ("psi1",), "phi2_dot": ("psi2",),
-    }
-    buckets: dict[str, list[InitProfile]] = {}
-    for prof in cfg.init:
-        for slot in targets[prof.field]:
-            buckets.setdefault(slot, []).append(prof)
-
-    def maker(slot: str, vector: bool):
-        profs = buckets.get(slot)
+    """One callable per ``STATE_FIELDS`` entry the init profiles feed (vector: rows a slice)."""
+    fields = {}
+    for name, (_, rows) in STATE_FIELDS.items():
+        profs = tuple(p for p in cfg.init if name in _TARGETS[p.field])
         if not profs:
-            return None
+            continue
 
-        def fn(x, _profs=tuple(profs), _vector=vector):
-            acc = None
-            for p in _profs:
-                val = _profile_field(p, x, cfg.dim, _vector)
-                acc = val if acc is None else acc + val
-            return acc
+        def fn(x, _profs=profs, _vector=isinstance(rows, slice)):
+            first, *rest = (_profile_field(p, x, cfg.dim, _vector) for p in _profs)
+            return sum(rest, first)
 
-        return fn
+        fields[name] = fn
+    return InitialData(**fields)
 
-    return InitialData(
-        u1=maker("u1", True),
-        u2=maker("u2", True),
-        v1=maker("v1", True),
-        v2=maker("v2", True),
-        phi1=maker("phi1", False),
-        phi2=maker("phi2", False),
-        psi1=maker("psi1", False),
-        psi2=maker("psi2", False),
-    )
+
+def _constant(groups):
+    """Side data ``values(x, t=0.0)``: one constant value group per constituent."""
+    arrays = [np.asarray(g, dtype=float) for g in groups]
+    lead = (3,) if len(arrays[0]) == 3 else ()
+
+    def values(x, t=0.0):
+        shape = lead + x.shape[1:]
+        return tuple(np.broadcast_to(a.reshape(lead + (1,) * (x.ndim - 1)), shape)
+                     for a in arrays)
+
+    return values
 
 
 def build_problem(cfg: RunConfig, consts: MaterialConstants | None = None) -> ProblemSpec:
     """Materialize the ProblemSpec described by a configuration."""
     consts = consts if consts is not None else resolve_material(cfg)
-    grid = Grid(dim=cfg.dim, n=cfg.n, h=cfg.spacing(), origin=cfg.origin or (0.0,) * cfg.dim)
+    grid = Grid(dim=cfg.dim, n=cfg.n, h=cfg.h, origin=cfg.origin)
 
-    def side_condition(family: str, kind: str, params) -> SideCondition:
-        if kind == "dirichlet_zero":
-            return SideCondition("dirichlet")
-        if kind == "traction_free":
-            return SideCondition("natural")
-        g1, g2 = (np.asarray(g, dtype=float) for g in params)
+    def sides(table) -> dict[str, SideCondition]:
+        return {side: SideCondition(_BOUNDARY_KINDS[kind][0],
+                                    _constant(params) if params else None)
+                for side, kind, params in table}
 
-        if kind == "prescribed_value":
-            if family == "u":
-                def dval(x, _a=g1, _b=g2):
-                    shape = x.shape[1:]
-                    return (
-                        np.broadcast_to(_a.reshape((3,) + (1,) * len(shape)), (3,) + shape),
-                        np.broadcast_to(_b.reshape((3,) + (1,) * len(shape)), (3,) + shape),
-                    )
-            else:
-                def dval(x, _a=g1, _b=g2):
-                    shape = x.shape[1:]
-                    return (np.full(shape, _a[0]), np.full(shape, _b[0]))
-            return SideCondition("dirichlet", value=dval)
-
-        if family == "u":
-            def nval(x, t, _a=g1, _b=g2):
-                shape = x.shape[1:]
-                return (
-                    np.broadcast_to(_a.reshape((3,) + (1,) * len(shape)), (3,) + shape),
-                    np.broadcast_to(_b.reshape((3,) + (1,) * len(shape)), (3,) + shape),
-                )
-        else:
-            def nval(x, t, _a=g1, _b=g2):
-                shape = x.shape[1:]
-                return (np.full(shape, _a[0]), np.full(shape, _b[0]))
-        return SideCondition("natural", value=nval)
-
-    boundary = BoundaryPartition(
-        u={side: side_condition("u", kind, params) for side, kind, params in cfg.boundary_u},
-        phi={side: side_condition("phi", kind, params) for side, kind, params in cfg.boundary_phi},
-    )
     return ProblemSpec(
         grid=grid,
         consts=consts,
-        boundary=boundary,
+        boundary=BoundaryPartition(u=sides(cfg.boundary_u), phi=sides(cfg.boundary_phi)),
         initial=build_initial_data(cfg),
         lam=cfg.lam,
         T=cfg.T,

@@ -66,8 +66,10 @@ class Grid:
             raise InvalidParameter("n, h, origin must each have one entry per dimension")
         if any(v < 4 for v in n):
             raise InvalidParameter("need at least 4 nodes per sampled dimension")
-        if any(v <= 0.0 for v in h):
-            raise InvalidParameter("grid spacing must be positive")
+        if not all(0.0 < v < math.inf for v in h):
+            raise InvalidParameter("grid spacing must be positive and finite")
+        if not all(map(math.isfinite, origin)):
+            raise InvalidParameter("grid origin must be finite")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "origin", origin)
@@ -225,12 +227,12 @@ class ProblemSpec:
     snapshot_every: int = 10  # steps between its snapshots
 
     def __post_init__(self):
-        if self.T < 0.0:
-            raise InvalidParameter("T must be nonnegative")
+        if not 0.0 <= self.T < math.inf:
+            raise InvalidParameter("T must be nonnegative and finite")
         if not 0.0 < self.cfl <= 1.0:
             raise InvalidParameter("CFL factor must lie in (0, 1]")
-        if self.lam <= 0.0:
-            raise InvalidParameter("lambda must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise InvalidParameter("lambda must be positive and finite")
         for name in ("energy_every", "snapshot_every"):
             every = getattr(self, name)
             if not isinstance(every, (int, np.integer)) or every < 1:

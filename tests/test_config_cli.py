@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import poromix as pm
-from poromix import cli, verify
+from poromix import cli, config, verify
 from poromix.config import build_problem, canonical_text, load_config, save_config
 from poromix.errors import InvalidParameter, NonFinite, ParseError, SchemaError
 
@@ -125,6 +126,204 @@ class TestConfigSchema:
         assert state.max_abs() > 0
 
 
+# One config that uses every key, profile kind, field target and boundary kind.
+EVERY_KEY = """\
+material = random:3
+grid.dim = 2
+grid.n = 9 7
+grid.h = 0.125 0.2
+grid.origin = -0.5 0.25
+lambda = 2.5
+T = 0.1
+cfl = 0.4
+seed = 7
+record.energy_every = 2
+record.snapshot_every = 3
+output = golden_out
+init = gaussian_pulse field=u1 component=1 center=0.1,0.6 width=0.2 amplitude=0.5
+init = plane_wave field=u2 k=3.0,1.5 amplitude=0.25 component=2
+init = rigid field=u translation=0.1,0,0 rotation=0,0,0.3
+init = zero field=u1_dot
+init = rigid field=u2_dot translation=0,0.2,0
+init = gaussian_pulse field=u_dot component=0 width=0.3
+init = plane_wave field=phi1 k=2
+init = gaussian_pulse field=phi2 amplitude=0.1
+init = zero field=phi1_dot
+init = plane_wave field=phi2_dot k=1,1 amplitude=0.05
+boundary.u.x0 = dirichlet_zero
+boundary.u.x1 = traction_free
+boundary.u.y0 = prescribed_value 0.01,0,0 0,0.02,0
+boundary.u.y1 = prescribed_traction 0.1,0,0 0,0,0.2
+boundary.phi.x0 = prescribed_flux 0.3 0.4
+boundary.phi.x1 = prescribed_value 0.05 0.06
+boundary.phi.y0 = traction_free
+boundary.phi.y1 = dirichlet_zero
+verify.suites = decay influence
+verify.tol_h = 0.07
+"""
+
+EVERY_KEY_CANONICAL = """\
+material = random:3
+grid.dim = 2
+grid.n = 9 7
+grid.h = 0.125 0.2
+grid.origin = -0.5 0.25
+lambda = 2.5
+T = 0.1
+cfl = 0.4
+seed = 7
+record.energy_every = 2
+record.snapshot_every = 3
+output = golden_out
+init = gaussian_pulse field=u1 amplitude=0.5 center=0.1,0.6 component=1.0 width=0.2
+init = plane_wave field=u2 amplitude=0.25 component=2.0 k=3.0,1.5
+init = rigid field=u rotation=0.0,0.0,0.3 translation=0.1,0.0,0.0
+init = zero field=u1_dot
+init = rigid field=u2_dot translation=0.0,0.2,0.0
+init = gaussian_pulse field=u_dot component=0.0 width=0.3
+init = plane_wave field=phi1 k=2.0
+init = gaussian_pulse field=phi2 amplitude=0.1
+init = zero field=phi1_dot
+init = plane_wave field=phi2_dot amplitude=0.05 k=1.0,1.0
+boundary.u.x0 = dirichlet_zero
+boundary.u.x1 = traction_free
+boundary.u.y0 = prescribed_value 0.01,0.0,0.0 0.0,0.02,0.0
+boundary.u.y1 = prescribed_traction 0.1,0.0,0.0 0.0,0.0,0.2
+boundary.phi.x0 = prescribed_flux 0.3 0.4
+boundary.phi.x1 = prescribed_value 0.05 0.06
+boundary.phi.y0 = traction_free
+boundary.phi.y1 = dirichlet_zero
+verify.suites = decay influence
+verify.tol_h = 0.07
+"""
+
+_MATERIAL_SPEC = "material must be identity|decoupled|random:SEED (SEED an integer >= 0)|file:PATH"
+_BOUNDARY_KIND = ("boundary kind must be one of ('dirichlet_zero', 'traction_free', "
+                  "'prescribed_value', 'prescribed_traction', 'prescribed_flux')")
+
+# One bad input per error branch of the schema, with its verbatim error list.
+SCHEMA_ERRORS = [
+    ("init =\n", ["line 1: empty init profile"]),
+    ("init = warp field=u1\n",
+     ["line 1: unknown profile 'warp' (known: ('gaussian_pulse', 'plane_wave', 'rigid', 'zero'))"]),
+    ("init = gaussian_pulse width\n", ["line 1: profile parameter 'width' is not key=value"]),
+    ("init = zero field=w\n", ["line 1: unknown field target 'w'"]),
+    ("init = gaussian_pulse width=abc\n", ["line 1: cannot parse numbers in 'width=abc'"]),
+    ("init = zero width=1\n", ["line 1: profile 'zero' does not take 'width'"]),
+    ("boundary.u.x0 = traction_free 1\n", ["line 1: traction_free takes no parameters"]),
+    ("boundary.u.x0 = clamped\n", [f"line 1: {_BOUNDARY_KIND}"]),
+    ("boundary.u.x0 = prescribed_flux 1 2\n",
+     ["line 1: prescribed_flux applies to the phi family"]),
+    ("boundary.phi.x0 = prescribed_traction 1,0,0 0,0,0\n",
+     ["line 1: prescribed_traction applies to the u family"]),
+    ("boundary.u.x0 = prescribed_value 1,0,0\n",
+     ["line 1: prescribed_value needs two constant value groups"]),
+    ("boundary.phi.x1 = prescribed_value a 1\n", ["line 1: cannot parse numbers in 'a'"]),
+    ("boundary.u.x1 = prescribed_traction 1,0 0,0,0\n",
+     ["line 1: each value group needs 3 component(s)"]),
+    ("boundary.u.x0 = prescribed_value , 0,0,0\n",
+     ["line 1: each value group needs 3 component(s)"]),
+    ("T = 1.0\nT = 2.0\n", ["line 2: duplicate key 'T'"]),
+    ("grid.dim = two\n", ["line 1: bad value for 'grid.dim': 'two'"]),
+    ("grid.dim =\n", ["line 1: bad value for 'grid.dim': ''"]),
+    ("lambda = fast\n", ["line 1: bad value for 'lambda': 'fast'"]),
+    ("T =\n", ["line 1: bad value for 'T': ''"]),
+    ("grid.n = 10 x\n", ["line 1: bad value for 'grid.n': '10 x'"]),
+    ("grid.h = 0.1 y\n", ["line 1: bad value for 'grid.h': '0.1 y'"]),
+    ("cfl = 1.5\n", ["line 1: 'cfl' out of range: '1.5'"]),
+    ("grid.n = 3\n", ["line 1: 'grid.n' out of range: '3'"]),
+    ("grid.h = 0\n", ["line 1: 'grid.h' out of range: '0'"]),
+    ("seed = -3\n", ["line 1: 'seed' out of range: '-3'"]),
+    ("record.energy_every = 0\n", ["line 1: 'record.energy_every' out of range: '0'"]),
+    ("verify.tol_h = -1\n", ["line 1: 'verify.tol_h' out of range: '-1'"]),
+    ("material = random:abc\n", [f"line 1: {_MATERIAL_SPEC}"]),
+    ("material =\n", [f"line 1: {_MATERIAL_SPEC}"]),
+    ("boundary.w.x0 = traction_free\n", ["line 1: unknown key 'boundary.w.x0'"]),
+    ("boundary.u = traction_free\n", ["line 1: unknown key 'boundary.u'"]),
+    ("boundary.u.x0 = traction_free\nboundary.u.x0 = dirichlet_zero\n",
+     ["line 2: duplicate key 'boundary.u.x0'"]),
+    ("verify.suites = decay warp\n",
+     ["line 1: unknown suite(s) ['warp'] (known: ('constitutive', 'identities', 'decay', "
+      "'influence', 'equipartition', 'uniqueness', 'all'))"]),
+    ("wibble = 3\n", ["line 1: unknown key 'wibble'"]),
+    ("grid.dim = 2\ngrid.n = 10\n", ["grid.n has 1 entries for dim=2"]),
+    ("grid.h = 0.1 0.1\n", ["grid.h has 2 entries for dim=1"]),
+    ("grid.origin = 0 0\n", ["grid.origin has 2 entries for dim=1"]),
+    ("boundary.u.y0 = traction_free\n", ["boundary side 'y0' invalid for dim=1"]),
+]
+
+# Empty and non-finite values: each is a schema error on its own line (line 2 here).
+REJECTED_VALUES = [
+    ("boundary.u.x0 =", _BOUNDARY_KIND),
+    ("verify.suites =", "bad value for 'verify.suites': ''"),
+    ("grid.n =", "bad value for 'grid.n': ''"),
+    ("grid.h =", "bad value for 'grid.h': ''"),
+    ("grid.origin =", "bad value for 'grid.origin': ''"),
+    ("output =", "bad value for 'output': ''"),
+    ("init = gaussian_pulse field=u1 amplitude=", "cannot parse numbers in 'amplitude='"),
+    ("T = inf", "bad value for 'T': 'inf'"),
+    ("lambda = inf", "bad value for 'lambda': 'inf'"),
+    ("verify.tol_h = inf", "bad value for 'verify.tol_h': 'inf'"),
+    ("grid.h = inf", "bad value for 'grid.h': 'inf'"),
+    ("grid.h = 1e400", "bad value for 'grid.h': '1e400'"),
+    ("grid.origin = nan", "bad value for 'grid.origin': 'nan'"),
+    ("init = gaussian_pulse field=u1 amplitude=inf", "cannot parse numbers in 'amplitude=inf'"),
+    ("boundary.u.x0 = prescribed_traction nan,0,0 0,0,0", "cannot parse numbers in 'nan,0,0'"),
+]
+
+
+def readme_run_configuration() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("## Run configuration", 1)[1].split("\n## ", 1)[0]
+
+
+class TestConfigTables:
+    def test_canonical_text_of_every_key_is_golden(self, tmp_path):
+        cfg = load_config(write(tmp_path, EVERY_KEY))
+        assert canonical_text(cfg) == EVERY_KEY_CANONICAL
+        assert load_config(write(tmp_path, EVERY_KEY_CANONICAL, "canon.cfg")) == cfg
+
+    @pytest.mark.parametrize("text, errors", SCHEMA_ERRORS)
+    def test_schema_errors_are_golden(self, tmp_path, text, errors):
+        with pytest.raises(SchemaError) as exc:
+            load_config(write(tmp_path, text))
+        assert exc.value.errors == errors
+
+    @pytest.mark.parametrize("line, message", REJECTED_VALUES)
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_empty_and_non_finite_values_are_config_errors(self, tmp_path, capsys, line,
+                                                           message, command):
+        path = write(tmp_path, f"# the rejected line\n{line}\n")
+        with pytest.raises(SchemaError) as exc:
+            load_config(path)
+        assert exc.value.errors == [f"line 2: {message}"]
+        args = ["--out", str(tmp_path / "o")] if command == "simulate" else ["--suite", "decay"]
+        assert cli.main([command, "--config", str(path), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "line 2: " in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_readme_names_the_tables(self):
+        section = readme_run_configuration()
+        block = section.split("```")[1]
+        keys = set(re.findall(r"^([\w.]+) = ", block, re.M))
+        assert keys == set(config._NUMERIC_KEYS) | {
+            "material", "output", "init", "boundary.u.x0", "boundary.phi.x0", "verify.suites"}
+        profiles = re.findall(r"^init = (\w+) (.*)$", block, re.M)
+        assert {kind for kind, _ in profiles} == set(config._PROFILES)
+        for kind, params in profiles:
+            named = dict(p.split("=", 1) for p in params.split())
+            assert named.pop("field") in config._TARGETS
+            assert set(named) <= set(config._PROFILES[kind])
+        targets = re.search(r"Init field targets: `([^`]*)`", section.replace("\n", " "))
+        assert targets.group(1).split() == list(config._TARGETS)
+        for family in ("u", "phi"):
+            spec = re.search(rf"^boundary\.{family}\.x0 = ((?:.*\n(?=\s+\|))*.*)$", block, re.M)
+            kinds = {alt.split()[0] for alt in spec.group(1).split("|")}
+            assert kinds == {kind for kind, (_, families) in config._BOUNDARY_KINDS.items()
+                             if not families or family in families}
+
+
 class TestMaterialCheckCommand:
     def test_identity_passes(self, capsys):
         rc = cli.main(["material-check", "identity"])
@@ -188,6 +387,23 @@ class TestSimulateCommand:
         assert (tmp_path / "a" / "energy.csv").read_bytes() == (
             tmp_path / "b" / "energy.csv").read_bytes()
         assert (tmp_path / "a" / "snapshots" / "snap_000000.bin").exists()
+
+    def test_rerun_leaves_only_its_own_snapshots(self, tmp_path, capsys):
+        # a second run with a sparser cadence used to leave the first run's extra
+        # snapshots behind, unlisted in its manifest
+        out = tmp_path / "out"
+        counts = []
+        for every in (2, 5):
+            path = write(tmp_path, PULSE.replace("record.snapshot_every = 5",
+                                                 f"record.snapshot_every = {every}"))
+            assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            (out / "snapshots" / "notes.txt").write_text("kept")
+            counts.append(len(list((out / "snapshots").glob("snap_*.bin"))))
+        listed = {line.split()[1] for line in (out / "manifest.txt").read_text().splitlines()}
+        on_disk = {f"snapshots/{p.name}" for p in (out / "snapshots").glob("snap_*.bin")}
+        assert on_disk == {name for name in listed if name.startswith("snapshots/")}
+        assert counts[0] > counts[1] == len(on_disk)
+        assert (out / "snapshots" / "notes.txt").read_text() == "kept"
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_simulate_leaves_numpy_ma_unimported(self, tmp_path, dim):

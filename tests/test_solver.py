@@ -63,6 +63,16 @@ class TestGridAndTimestep:
         with pytest.raises(InvalidParameter):
             pm.Grid(dim=2, n=(5,), h=(0.1, 0.1))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_grid_and_run_controls_rejected(self, random_consts, bad):
+        with pytest.raises(InvalidParameter, match="spacing"):
+            pm.Grid(dim=1, n=(11,), h=(bad,))
+        with pytest.raises(InvalidParameter, match="origin"):
+            pm.Grid(dim=2, n=(5, 5), h=(0.1, 0.1), origin=(0.0, bad))
+        for name in ("T", "lam"):
+            with pytest.raises(InvalidParameter, match="finite"):
+                small_problem(random_consts, **{name: bad})
+
     def test_weights_measure_volume(self):
         grid = pm.Grid(dim=2, n=(9, 13), h=(0.125, 0.05))
         assert grid.weights().sum() == pytest.approx(1.0 * 0.6)
