@@ -101,12 +101,26 @@ _BOUNDARY_KINDS = {
     "prescribed_flux": ("natural", ("phi",)),
 }
 
-# Init profile kind -> its parameters with their defaults.
+
+def _one(admissible=lambda x: True):
+    """Admissible values: exactly one value, itself admissible."""
+    return lambda v: len(v) == 1 and admissible(v[0])
+
+
+def _up_to_3(values) -> bool:
+    """Admissible values: at most three, the leading components of a 3-vector."""
+    return len(values) <= 3
+
+
+# Init profile kind -> its parameters -> (default, admissible values).
+_AMPLITUDE = ((1.0,), _one())
+_COMPONENT = ((0.0,), _one(lambda x: x in (0, 1, 2)))
 _PROFILES = {
-    "gaussian_pulse": {"center": (0.0,), "width": (0.1,), "amplitude": (1.0,),
-                       "component": (0.0,)},
-    "plane_wave": {"k": (np.pi,), "amplitude": (1.0,), "component": (0.0,)},
-    "rigid": {"translation": (), "rotation": ()},
+    "gaussian_pulse": {"center": ((0.0,), lambda v: True),
+                       "width": ((0.1,), _one(lambda x: x > 0)),
+                       "amplitude": _AMPLITUDE, "component": _COMPONENT},
+    "plane_wave": {"k": ((np.pi,), _up_to_3), "amplitude": _AMPLITUDE, "component": _COMPONENT},
+    "rigid": {"translation": ((), _up_to_3), "rotation": ((), _up_to_3)},
     "zero": {},
 }
 
@@ -181,6 +195,9 @@ def _parse_profile(text: str, lineno: int, errors: list[str]) -> InitProfile | N
                 return None
             if key not in _PROFILES[kind]:
                 errors.append(f"line {lineno}: profile {kind!r} does not take {key!r}")
+                return None
+            if not _PROFILES[kind][key][1](params[key]):
+                errors.append(f"line {lineno}: {tok!r} out of range for {kind}")
                 return None
     return InitProfile(kind=kind, field=target, params=tuple(sorted(params.items())))
 
@@ -377,7 +394,7 @@ def _vec3(values) -> np.ndarray:
 
 
 def _profile_field(prof: InitProfile, x: np.ndarray, dim: int, vector: bool) -> np.ndarray:
-    p = {**_PROFILES[prof.kind], **dict(prof.params)}
+    p = {key: default for key, (default, _) in _PROFILES[prof.kind].items()} | dict(prof.params)
     shape = x.shape[1:]
     if prof.kind == "zero":
         return np.zeros((3,) + shape) if vector else np.zeros(shape)

@@ -52,13 +52,17 @@ class SupportGeometry:
     h: tuple[float, ...]
 
 
-def support_geometry(problem: ProblemSpec, threshold: float = 1e-14) -> SupportGeometry:
+# Fraction of the peak data magnitude that puts a node in the data support.
+_SUPPORT_THRESHOLD = 1e-14
+
+
+def support_geometry(problem: ProblemSpec) -> SupportGeometry:
     """Detect the data support and the node distances to it.
 
     A node belongs to the support when any initial field, any body source at
     any of 9 evenly spaced times in [0, T], or any prescribed boundary value
-    exceeds ``threshold`` times the peak data magnitude there.  With all-zero
-    data the lexicographically first boundary node is designated
+    exceeds ``_SUPPORT_THRESHOLD`` times the peak data magnitude there.  With
+    all-zero data the lexicographically first boundary node is designated
     (deterministic fallback so the geometry stays usable).
     """
     grid = problem.grid
@@ -86,7 +90,7 @@ def support_geometry(problem: ProblemSpec, threshold: float = 1e-14) -> SupportG
                 boundary_mag[sl] = np.maximum(boundary_mag[sl], v)
     total_mag = np.maximum(data_mag, boundary_mag)
     peak = float(np.max(total_mag))
-    mask = total_mag > threshold * peak if peak > 0.0 else np.zeros(grid.shape, dtype=bool)
+    mask = total_mag > _SUPPORT_THRESHOLD * peak if peak > 0.0 else np.zeros(grid.shape, dtype=bool)
     if not mask.any():
         mask[(0,) * grid.dim] = True
     dist = np.sqrt(_squared_distance_to(mask, grid.axes()))
@@ -327,7 +331,7 @@ def front_speed(traj: Trajectory, geom: SupportGeometry) -> FrontReport:
     least-squares slope of r_front against t.
 
     Raises:
-        NoFront: threshold never exceeded outside the support.
+        NoFront: no node outside the support ever exceeds thr.
     """
     mags = [state.magnitude() for state in traj.states]
     peak = max(float(np.max(m)) for m in mags)
@@ -414,13 +418,21 @@ def equipartition_report(series: EnergySeries, problem: ProblemSpec) -> Equipart
         SingularInertia: from ``rigid_fit``, on an inconsistent rigid fit.
     """
     cs = cesaro_means(series)
-    e0 = float(series.total[0])
     free = problem.boundary.meas_sigma1_zero(problem.grid)
-    gap = cs.gap
-    if not free:
+    offset, expo = 0.0, None
+    if free:
+        k = problem.consts
+        ws = problem.workspace
+        state0 = initialize(problem)
+        r1, r2 = (rigid_fit(v, problem.grid)[0].field(ws.x) for v in (state0.v1, state0.v2))
+        offset = 0.5 * float(
+            np.sum(ws.w * (k.rho1 * np.einsum("i...,i...->...", r1, r1)
+                           + k.rho2 * np.einsum("i...,i...->...", r2, r2)))
+        )
+    else:
         lo = cs.t[-1] / 20.0
         sel = cs.t >= lo
-        tt, gg = cs.t[sel], np.abs(gap[sel])
+        tt, gg = cs.t[sel], np.abs(cs.gap[sel])
         edges = np.geomspace(tt[0], tt[-1] * (1 + 1e-12), _GAP_FIT_BINS + 1)
         env_t, env_g = [], []
         for b in range(_GAP_FIT_BINS):
@@ -431,31 +443,14 @@ def equipartition_report(series: EnergySeries, problem: ProblemSpec) -> Equipart
         if len(env_t) < 3:
             raise Degenerate("too few bins populated for the gap-decay fit")
         expo = float(np.polyfit(np.log(env_t), np.log(env_g), 1)[0])
-        return EquipartitionReport(
-            case="dirichlet",
-            E0=e0,
-            gap_t=cs.t,
-            gap=gap,
-            gap_final=float(gap[-1]),
-            predicted_offset=0.0,
-            fit_exponent=expo,
-        )
-    k = problem.consts
-    ws = problem.workspace
-    state0 = initialize(problem)
-    r1, r2 = (rigid_fit(v, problem.grid)[0].field(ws.x) for v in (state0.v1, state0.v2))
-    offset = 0.5 * float(
-        np.sum(ws.w * (k.rho1 * np.einsum("i...,i...->...", r1, r1)
-                       + k.rho2 * np.einsum("i...,i...->...", r2, r2)))
-    )
     return EquipartitionReport(
-        case="free",
-        E0=e0,
+        case="free" if free else "dirichlet",
+        E0=float(series.total[0]),
         gap_t=cs.t,
-        gap=gap,
-        gap_final=float(gap[-1]),
+        gap=cs.gap,
+        gap_final=float(cs.gap[-1]),
         predicted_offset=offset,
-        fit_exponent=None,
+        fit_exponent=expo,
     )
 
 

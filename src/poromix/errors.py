@@ -40,7 +40,7 @@ class SingularInertia(PoromixError, ValueError):
 
 
 class NoFront(PoromixError, ValueError):
-    """No node outside the data support ever exceeded the front threshold."""
+    """No node outside the data support ever exceeded the front level."""
 
 
 class Degenerate(PoromixError, ValueError):

@@ -28,7 +28,7 @@ maximum, the full-matrix minimum is structurally zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -80,7 +80,8 @@ _TENSOR_SHAPES = {
     "b": (3, 3),
     "c": (3, 3),
 }
-_SCALARS = ("zeta", "mu", "tau", "rho1", "rho2", "chi1", "chi2")
+_INERTIAS = ("rho1", "rho2", "chi1", "chi2")
+_SCALARS = ("zeta", "mu", "tau") + _INERTIAS
 
 MATERIAL_KEYS = tuple(_TENSOR_SHAPES) + _SCALARS
 
@@ -139,22 +140,16 @@ class MaterialConstants:
             if not np.isfinite(val):
                 raise InvalidParameter(f"{name} is not finite")
             object.__setattr__(self, name, val)
-        for name in ("rho1", "rho2", "chi1", "chi2"):
+        for name in _INERTIAS:
             if getattr(self, name) <= 0.0:
                 raise InvalidParameter(f"{name} must be strictly positive")
-
-    def replace(self, **updates) -> "MaterialConstants":
-        """Return a fresh instance with the given fields replaced.
-
-        The copy derives ``form``, ``speed`` and ``stress_matrix`` anew.
-        """
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data.update(updates)
-        return MaterialConstants(**data)
 
     @cached_property
     def form(self) -> "QuadraticForm":
         """𝒜 with its realizable eigen-bounds, computed once.
+
+        The relations need only hold to ``SYMMETRY_TOL``, so the form is built
+        from ½(𝒜 + 𝒜ᵀ), which is 𝒜 itself, bit for bit, when 𝒜 is symmetric.
 
         Raises:
             SymmetryViolation: if a required symmetry relation fails.
@@ -162,7 +157,8 @@ class MaterialConstants:
         report = validate_symmetries(self)
         if not report.ok:
             raise SymmetryViolation(str(report))
-        return QuadraticForm(quadratic_form_matrix(self))
+        matrix = quadratic_form_matrix(self)
+        return QuadraticForm(0.5 * (matrix + matrix.T))
 
     @cached_property
     def speed(self) -> "SpeedParams":
@@ -480,32 +476,17 @@ def _delta4() -> np.ndarray:
     return np.einsum("ir,js->ijrs", eye, eye)
 
 
+def _material(**given) -> MaterialConstants:
+    """Constants with the given values; every other tensor and scalar is 0, ρ and χ are 1."""
+    values = {name: np.zeros(shape) for name, shape in _TENSOR_SHAPES.items()}
+    values.update({name: float(name in _INERTIAS) for name in _SCALARS})
+    return MaterialConstants(**(values | given))
+
+
 def identity_material() -> MaterialConstants:
     """Admissible material whose quadratic form is the identity on realizable strains."""
-    zero2 = np.zeros((3, 3))
-    zero4 = np.zeros((3, 3, 3, 3))
-    return MaterialConstants(
-        A=_iso4(0.0, 0.5),
-        B=zero4,
-        C=_delta4(),
-        D=zero2,
-        E=zero2,
-        M=zero2,
-        N=zero2,
-        zeta=1.0,
-        mu=1.0,
-        tau=0.0,
-        alpha=np.eye(3),
-        beta=zero2,
-        gamma=np.eye(3),
-        a=np.eye(3),
-        b=zero2,
-        c=zero2,
-        rho1=1.0,
-        rho2=1.0,
-        chi1=1.0,
-        chi2=1.0,
-    )
+    return _material(A=_iso4(0.0, 0.5), C=_delta4(), zeta=1.0, mu=1.0,
+                     alpha=np.eye(3), gamma=np.eye(3), a=np.eye(3))
 
 
 def decoupled_material() -> MaterialConstants:
@@ -518,36 +499,11 @@ def decoupled_material() -> MaterialConstants:
     fraction value blocks carry the ξ_M headroom that certifies the
     stress-energy inequality.
     """
-    zero2 = np.zeros((3, 3))
-    zero4 = np.zeros((3, 3, 3, 3))
-    return MaterialConstants(
-        A=_iso4(0.5, 0.5),
-        B=zero4,
-        C=0.01 * _delta4(),
-        D=zero2,
-        E=zero2,
-        M=zero2,
-        N=zero2,
-        zeta=2.6,
-        mu=2.6,
-        tau=0.0,
-        alpha=0.5 * np.eye(3),
-        beta=zero2,
-        gamma=0.5 * np.eye(3),
-        a=0.05 * np.eye(3),
-        b=zero2,
-        c=zero2,
-        rho1=1.0,
-        rho2=1.0,
-        chi1=1.0,
-        chi2=1.0,
-    )
+    return _material(A=_iso4(0.5, 0.5), C=0.01 * _delta4(), zeta=2.6, mu=2.6,
+                     alpha=0.5 * np.eye(3), gamma=0.5 * np.eye(3), a=0.05 * np.eye(3))
 
 
-def random_material(
-    seed: int | np.random.Generator = 0,
-    certify: bool = True,
-) -> MaterialConstants:
+def random_material(seed: int | np.random.Generator = 0) -> MaterialConstants:
     """Seeded random admissible material.
 
     Construction: draw every tensor from N(0, 1), project onto the required
@@ -556,12 +512,12 @@ def random_material(
     isotropic diagonal stiffness, then shift the block diagonals until ξ_m
     clears the definiteness margin with room to spare.
 
-    With ``certify`` (default), the relative-displacement/fraction-gradient
-    block is additionally raised until ξ_M dominates the exact operator bound
-    of the literal stress map, which certifies |S(E)|² ≤ 2 ξ_M W(E) for every
-    state and hence the c-bounded signal speed that the spatial-decay and
-    domain-of-influence suites assume.  That block enters the stress map once
-    per component, so raising it never degrades the certified inequality.
+    Then the relative-displacement/fraction-gradient block is raised until
+    ξ_M dominates the exact operator bound of the literal stress map, which
+    certifies |S(E)|² ≤ 2 ξ_M W(E) for every state and hence the c-bounded
+    signal speed that the spatial-decay and domain-of-influence suites
+    assume.  That block enters the stress map once per component, so raising
+    it never degrades the certified inequality.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     cpl = 0.25
@@ -600,7 +556,8 @@ def random_material(
     floor = 0.08
     if consts.form.xi_min < floor:
         s = floor - consts.form.xi_min
-        consts = consts.replace(
+        consts = replace(
+            consts,
             A=consts.A + s * _iso4(0.0, 0.5),
             C=consts.C + s * _delta4(),
             zeta=consts.zeta + s,
@@ -609,14 +566,13 @@ def random_material(
             gamma=consts.gamma + s * np.eye(3),
             a=consts.a + s * np.eye(3),
         )
-    if certify:
-        kappa = _coupled_stress_bound(consts)
-        if consts.form.xi_max < kappa:
-            # Raising the relative-displacement block lifts xi_max without
-            # touching any acoustic branch (it is a pure value channel).
-            s2 = kappa - float(np.linalg.eigvalsh(consts.a)[-1])
-            if s2 > 0.0:
-                consts = consts.replace(a=consts.a + s2 * np.eye(3))
+    kappa = _coupled_stress_bound(consts)
+    if consts.form.xi_max < kappa:
+        # Raising the relative-displacement block lifts xi_max without
+        # touching any acoustic branch (it is a pure value channel).
+        s2 = kappa - float(np.linalg.eigvalsh(consts.a)[-1])
+        if s2 > 0.0:
+            consts = replace(consts, a=consts.a + s2 * np.eye(3))
     return consts
 
 
@@ -626,18 +582,12 @@ def random_material(
 # ---------------------------------------------------------------------------
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    arr = np.asarray(value)
-    return repr(arr.tolist())
-
-
 def save_material(consts: MaterialConstants, path) -> None:
     """Write the constants to a structured text file (documented schema)."""
     lines = ["# porous mixture material (nondimensional units)"]
     for key in MATERIAL_KEYS:
-        lines.append(f"{key} = {_format_value(getattr(consts, key))}")
+        value = getattr(consts, key)
+        lines.append(f"{key} = {value if isinstance(value, float) else value.tolist()!r}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -505,22 +505,22 @@ def step(
     state: StateField,
     problem: ProblemSpec,
     dt: float,
-    accel_cache: np.ndarray | None = None,
+    accel_cache: np.ndarray,
     step_index: int | None = None,
 ) -> tuple[StateField, np.ndarray]:
     """One kick-drift-kick update; returns the new state and its acceleration.
 
-    The last evaluation is the new state's force, so the workspace's F buffer
-    holds its internal force on return.  The new U, V and acceleration are
-    the only grid-sized arrays a step allocates; the rest live in the workspace.
+    ``accel_cache`` is the acceleration of ``state``.  The last evaluation is
+    the new state's force, so the workspace's F buffer holds its internal
+    force on return.  The new U, V and acceleration are the only grid-sized
+    arrays a step allocates; the rest live in the workspace.
 
     Raises:
         NonFinite: if any updated value is not finite (instability signal).
     """
     ws = problem.workspace
-    a = accel_cache if accel_cache is not None else acceleration(ws, state.U, state.t)
     half = 0.5 * dt
-    V = np.multiply(a, half)
+    V = np.multiply(accel_cache, half)
     V += state.V
     U = np.multiply(V, dt)
     U += state.U

@@ -44,6 +44,7 @@ from .solver import (
     gaussian_pulse,
     rigid_fit,
     simulate,
+    stable_timestep,
 )
 
 @dataclass(frozen=True)
@@ -97,20 +98,6 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 # Shared scenario builders.
 # ---------------------------------------------------------------------------
-
-
-def _sum_fields(*fns):
-    fns = [f for f in fns if f is not None]
-    if not fns:
-        return None
-
-    def fn(x):
-        acc = fns[0](x)
-        for f in fns[1:]:
-            acc = acc + f(x)
-        return acc
-
-    return fn
 
 
 def _odd_pulse(center: float, width: float, amplitude: float):
@@ -266,11 +253,10 @@ def suite_constitutive(seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
-def conservation_problem(seed: int, n: int = 400) -> ProblemSpec:
-    """1-D coupled pulse run with traction-free walls (conserved energy)."""
+def _drift_run(seed: int, n: int, steps: int) -> float:
+    """Energy drift of a 1-D coupled pulse run with traction-free walls (conserved energy)."""
     consts = random_material(seed)
     grid = Grid(dim=1, n=(n,), h=(1.0 / (n - 1),))
-    boundary = BoundaryPartition.uniform("natural", "natural", dim=1)
     width = 0.06
     initial = InitialData(
         u1=gaussian_pulse([0.45], width, 1.0, component=0),
@@ -279,14 +265,10 @@ def conservation_problem(seed: int, n: int = 400) -> ProblemSpec:
         phi1=gaussian_pulse([0.5], width, 0.5),
         psi2=gaussian_pulse([0.42], width, 0.3),
     )
-    return ProblemSpec(grid=grid, consts=consts, boundary=boundary, initial=initial,
-                       cfl=0.5, T=1.0)
-
-
-def _drift_run(seed: int, n: int, steps: int):
-    problem = conservation_problem(seed, n=n)
-    dt = 0.5 * min(problem.grid.h) / problem.speed().c
-    problem = replace(problem, T=steps * dt, energy_every=10, snapshot_every=10**9)
+    dt = stable_timestep(grid, consts.speed, 0.5)
+    problem = ProblemSpec(grid=grid, consts=consts,
+                          boundary=BoundaryPartition.uniform("natural", "natural", dim=1),
+                          initial=initial, T=steps * dt, energy_every=10, snapshot_every=10**9)
     _, energy, _ = simulate(problem, n_steps=steps)
     return energy.max_relative_drift()
 
@@ -382,7 +364,7 @@ def _pulse_trajectory(consts: MaterialConstants, n: int, lam: float, cadence: in
     speed = problem.speed()
     geom = diag.support_geometry(problem)
     t_total = 0.85 * geom.L / speed.c
-    dt = 0.5 * min(grid.h) / speed.c
+    dt = stable_timestep(grid, speed, problem.cfl)
     steps = int(np.ceil(t_total / (cadence * dt))) * cadence
     problem = replace(problem, T=steps * dt, energy_every=10**9, snapshot_every=cadence)
     _, _, traj = simulate(problem, n_steps=steps)
@@ -572,11 +554,6 @@ def suite_influence(seed: int = 0) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def _transits(problem: ProblemSpec, count: float) -> float:
-    speed = problem.speed()
-    return count * problem.grid.extent()[0] / speed.c
-
-
 def _equipartition_case_i(seed: int):
     consts = random_material(seed + 4)
     n = 201
@@ -589,9 +566,9 @@ def _equipartition_case_i(seed: int):
     problem = ProblemSpec(
         grid=grid, consts=consts,
         boundary=BoundaryPartition.uniform("dirichlet", "dirichlet", dim=1),
-        initial=initial, T=1.0, cfl=0.5,
+        initial=initial, T=50.0 * grid.extent()[0] / consts.speed.c,
+        energy_every=4, snapshot_every=10**9,
     )
-    problem = replace(problem, T=_transits(problem, 50.0), energy_every=4, snapshot_every=10**9)
     _, series, _ = simulate(problem)
     return diag.equipartition_report(series, problem)
 
@@ -623,17 +600,17 @@ def _equipartition_case_ii(seed: int, scenario: str):
     else:
         grid = Grid(dim=1, n=(201,), h=(1.0 / 200.0,))
         rigid_v = RigidMotion([0.3, 0.1, 0.0], [0.0, 0.0, 0.0]).field
+        odd1, odd2 = _odd_pulse(0.5, 0.04, 0.5), _odd_pulse(0.45, 0.04, 0.4)
         extra = InitialData(
-            v1=_sum_fields(rigid_v, _odd_pulse(0.5, 0.04, 0.5)),
-            v2=_sum_fields(rigid_v, _odd_pulse(0.45, 0.04, 0.4)),
+            v1=lambda x: rigid_v(x) + odd1(x),
+            v2=lambda x: rigid_v(x) + odd2(x),
             phi1=gaussian_pulse([0.55] * grid.dim, 0.05, 0.2),
         )
         transits = 50.0
     boundary = BoundaryPartition.uniform("natural", "natural", dim=grid.dim)
-    problem = ProblemSpec(grid=grid, consts=consts, boundary=boundary,
-                          initial=extra, T=1.0, cfl=0.5)
-    problem = replace(problem, T=_transits(problem, transits), energy_every=4,
-                      snapshot_every=10**9)
+    problem = ProblemSpec(grid=grid, consts=consts, boundary=boundary, initial=extra,
+                          T=transits * grid.extent()[0] / consts.speed.c,
+                          energy_every=4, snapshot_every=10**9)
     _, series, _ = simulate(problem)
     return diag.equipartition_report(series, problem)
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,21 @@ REJECTED_VALUES = [
     ("boundary.u.x0 = prescribed_traction nan,0,0 0,0,0", "cannot parse numbers in 'nan,0,0'"),
 ]
 
+# Profile values outside their admissible sets: each crashed, ran, or lost values.
+REJECTED_PROFILE_VALUES = [
+    "gaussian_pulse field=u1 center=0.5 component=5",
+    "gaussian_pulse field=u1 center=0.5 component=0.7",
+    "gaussian_pulse field=u1 center=0.5 component=-1",
+    "plane_wave field=u1 k=1,2,3,4",
+    "rigid field=u translation=1,2,3,4",
+    "rigid field=u rotation=0,0,1,1",
+    "gaussian_pulse field=u1 center=0.5 width=0.1,0.2",
+    "gaussian_pulse field=u1 center=0.5 amplitude=1,2",
+    "gaussian_pulse field=u1 center=0.5 width=0",
+    "gaussian_pulse field=u1 center=0.5 width=-0.1",
+]
+
+
 
 def readme_run_configuration() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -301,6 +317,17 @@ class TestConfigTables:
         assert cli.main([command, "--config", str(path), *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "line 2: " in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("profile", REJECTED_PROFILE_VALUES)
+    def test_inadmissible_profile_values_are_config_errors(self, tmp_path, capsys, profile):
+        path = write(tmp_path, f"grid.n = 32\nT = 0.01\ninit = {profile}\n")
+        kind, *_, tok = profile.split()
+        with pytest.raises(SchemaError) as exc:
+            load_config(path)
+        assert exc.value.errors == [f"line 3: {tok!r} out of range for {kind}"]
+        assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: line 3: ")
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_readme_names_the_tables(self):
@@ -337,12 +364,25 @@ class TestMaterialCheckCommand:
         assert cli.main(["material-check", str(path)]) == 0
 
     def test_indefinite_material_fails(self, tmp_path, capsys):
-        consts = pm.identity_material().replace(zeta=-5.0)
+        consts = replace(pm.identity_material(), zeta=-5.0)
         path = tmp_path / "bad.txt"
         pm.save_material(consts, path)
         rc = cli.main(["material-check", str(path)])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("deviation, rc, printed", [
+        (1e-14, 0, "symmetry check: ok"),
+        (1e-10, 1, "symmetry check: FAIL (A_ijrs=A_rsij violated by"),
+    ])
+    def test_symmetry_holds_to_its_tolerance(self, tmp_path, capsys, deviation, rc, printed):
+        consts = pm.random_material(0)
+        A = consts.A.copy()
+        A[0, 0, 1, 1] += deviation
+        path = tmp_path / "mat.txt"
+        pm.save_material(replace(consts, A=A), path)
+        assert cli.main(["material-check", str(path)]) == rc
+        assert printed in capsys.readouterr().out
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert cli.main(["material-check", str(tmp_path / "nope.txt")]) == 2
@@ -513,9 +553,9 @@ def bad_material(tmp_path, kind: str) -> str:
     if kind == "asymmetric_D":
         D = np.zeros((3, 3))
         D[0, 1] = 0.3
-        consts = consts.replace(D=D)
+        consts = replace(consts, D=D)
     else:
-        consts = consts.replace(zeta=-5.0)
+        consts = replace(consts, zeta=-5.0)
     pm.save_material(consts, tmp_path / "mat.txt")
     return "file:mat.txt"
 

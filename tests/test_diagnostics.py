@@ -138,7 +138,7 @@ class TestSupportGeometry:
         brute = oracles.pairwise_distance(prob.grid, geom.mask)
         np.testing.assert_allclose(geom.dist, brute, atol=1e-12)
 
-    def test_anisotropic_2d_distance_matches_pairwise_oracle(self, random_consts):
+    def test_anisotropic_2d_distance_matches_pairwise_oracle(self, monkeypatch, random_consts):
         grid = pm.Grid(dim=2, n=(23, 17), h=(0.05, 0.03))
 
         def wall(x):  # nonzero displacement pinned on the y1 side
@@ -153,7 +153,8 @@ class TestSupportGeometry:
                 u1=pm.gaussian_pulse([0.3, 0.12], 0.015, 1.0, component=0),
                 phi2=pm.gaussian_pulse([0.85, 0.3], 0.012, 1.0),
             ))
-        geom = diag.support_geometry(prob, threshold=1e-3)
+        monkeypatch.setattr(diag, "_SUPPORT_THRESHOLD", 1e-3)
+        geom = diag.support_geometry(prob)
         assert geom.mask[:, -1].all() and geom.mask[6, 4] and geom.mask[17, 10]
         assert not geom.mask[:, 0].any()
         brute = oracles.pairwise_distance(grid, geom.mask)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import poromix as pm
 from poromix import verify
+from poromix.config import material_from_spec
 from poromix.errors import InvalidParameter, NotPositiveDefinite, SymmetryViolation
 from poromix.materials import (
     MATERIAL_KEYS,
@@ -63,7 +65,7 @@ class TestSymmetries:
 
     def test_random_symmetrized_passes_and_matches_loop_oracle(self, rng):
         for _ in range(5):
-            consts = pm.random_material(rng, certify=False)
+            consts = pm.random_material(rng)
             report = pm.validate_symmetries(consts)
             assert report.ok
             assert oracles.symmetry_violations_loops(consts) == set()
@@ -130,14 +132,14 @@ def count_builds(monkeypatch) -> collections.Counter:
 
 class TestDerivedOnce:
     def test_law_is_derived_once_per_instance(self, monkeypatch, random_consts):
-        consts = random_consts.replace()
+        consts = dataclasses.replace(random_consts)
         calls = count_builds(monkeypatch)
         for _ in range(2):
             assert consts.stress_matrix is consts.stress_matrix
             assert consts.speed is consts.speed
         assert calls == {"quadratic_form_matrix": 1, "stress_component_matrix": 1}
         assert not consts.stress_matrix.flags.writeable
-        assert consts.replace().form is not consts.form
+        assert dataclasses.replace(consts).form is not consts.form
 
     def test_second_sample_and_replaced_problem_build_nothing(self, monkeypatch):
         consts = pm.random_material(12)
@@ -211,7 +213,7 @@ class TestWaveSpeed:
 
     def test_min_selection(self, identity_consts):
         # m = min{rho1, rho2, rho1 chi1, rho2 chi2} = 0.5, so c = sqrt(1 / 0.5).
-        consts = identity_consts.replace(rho1=2.0, rho2=1.0, chi1=3.0, chi2=0.5)
+        consts = dataclasses.replace(identity_consts, rho1=2.0, rho2=1.0, chi1=3.0, chi2=0.5)
         sp = consts.speed
         assert sp.m_inertia == 0.5
         assert sp.c == pytest.approx(np.sqrt(2.0), abs=1e-12)
@@ -285,6 +287,33 @@ class TestRandomMaterialGenerator:
         consts = pm.random_material(5)
         np.testing.assert_allclose(consts.M, consts.M.T, atol=1e-15)
         np.testing.assert_allclose(consts.N, consts.N.T, atol=1e-15)
+
+
+# sha256 of the float64 bytes of every field, in MATERIAL_KEYS order, of each
+# bundled material, captured before their constructors were rewritten.
+MATERIAL_DIGESTS = {
+    "identity": "636d1582c3b3644398beea722a1f3f1851f42c85f2fde0fc1fa742bf93e64e02",
+    "decoupled": "503c0373a97c447c28db6f13c5cf5274dff00f9146b9ecb5c960d30502960d16",
+    "random:0": "df52bfa3d7ee45391bb9b6289c334593894932abeb78e397ee1091cd82a922b3",
+    "random:1": "c84c01c176b88ccbc4bcc7df71ffab859c5f6ec1c225be203147f665189ced11",
+    "random:2": "1f27ad0ec2a0cf68bbeff2e334ca2d30104f4997f54a579ec2ca669e1ee04f7b",
+    "random:3": "7c28ab9a80f45048d1472b753574eeb72ab694c10e9ef8343bc97009de8dddeb",
+    "random:4": "5a0be375976c0bc5277014adf689f3b23e26cdcb41a00243c36306e3d92214c7",
+    "random:5": "c24d954bf3d6675125e5fee2f2b140a983cf668a1034c360e4b6d607b2b456e1",
+    "random:6": "f9f99006965c608fcf3b5049c279625e0729f84f339826116074e0d3f9d4f6d3",
+    "random:7": "714c388de68074348ba89d37e460434ce9d95a9a1f1f9d21cd77287481e9c18e",
+    "random:8": "d873d6210c1151103993fb862687052b1527597ac4ba4ff5c311caa4eff1fc54",
+    "random:9": "7e685b793985fb1966f00d4cfc5f1d5d63fdd4357664ff3341328501234fd945",
+}
+
+
+@pytest.mark.parametrize("spec, digest", MATERIAL_DIGESTS.items())
+def test_bundled_materials_are_bit_identical(spec, digest):
+    consts = material_from_spec(spec)
+    h = hashlib.sha256()
+    for key in MATERIAL_KEYS:
+        h.update(np.ascontiguousarray(getattr(consts, key), dtype=np.float64).tobytes())
+    assert h.hexdigest() == digest
 
 
 class TestMaterialFile:

@@ -441,7 +441,8 @@ class TestAccuracy:
             state = pm.initialize(prob)
             speed = prob.speed()
             dt = 0.5 * prob.grid.h[0] / speed.c
-            new, _ = pm.step(state, prob, dt)
+            new, _ = pm.step(state, prob, dt,
+                             solver.acceleration(prob.workspace, state.U, state.t))
             xs = prob.grid.axes()[0]
             exact = oracles.continuum_accel_1d(random_consts, red, profiles, xs)
             interior = slice(4, n - 4)
