@@ -257,7 +257,7 @@ def load_config(path) -> RunConfig:
     errors: list[str] = []
     cfg = RunConfig(base_dir=base_dir)
     seen: set[str] = set()
-    init: list[InitProfile] = []
+    init: list[tuple[int, str, InitProfile]] = []  # (line number, text, profile)
     boundary: dict[str, dict[str, tuple]] = {"u": {}, "phi": {}}
 
     for lineno, key, val in entries:
@@ -292,7 +292,7 @@ def load_config(path) -> RunConfig:
         elif key == "init":
             prof = _parse_profile(val, lineno, errors)
             if prof is not None:
-                init.append(prof)
+                init.append((lineno, val, prof))
         elif key.startswith("boundary."):
             parts = key.split(".")
             if len(parts) != 3 or parts[1] not in boundary:
@@ -317,6 +317,10 @@ def load_config(path) -> RunConfig:
         count = len(getattr(cfg, _NUMERIC_KEYS[key][0]))
         if count not in (0, cfg.dim):
             errors.append(f"{key} has {count} entries for dim={cfg.dim}")
+    for lineno, text, prof in init:  # a center has at most one value per grid dimension
+        if len(dict(prof.params).get("center", ())) > cfg.dim:
+            tok = [t for t in text.split() if t.startswith("center=")][-1]
+            errors.append(f"line {lineno}: {tok!r} out of range for {prof.kind}")
     valid_sides = {f"{AXIS_NAMES[a]}{e}" for a in range(cfg.dim) for e in (0, 1)}
     for table in boundary.values():
         for side in table:
@@ -329,7 +333,8 @@ def load_config(path) -> RunConfig:
         family: tuple((s,) + table.get(s, ("dirichlet_zero", ())) for s in sorted(valid_sides))
         for family, table in boundary.items()
     }
-    return replace(cfg, n=n, h=cfg.h or tuple(1.0 / (ni - 1) for ni in n), init=tuple(init),
+    return replace(cfg, n=n, h=cfg.h or tuple(1.0 / (ni - 1) for ni in n),
+                   init=tuple(prof for _, _, prof in init),
                    boundary_u=full["u"], boundary_phi=full["phi"])
 
 
@@ -430,11 +435,11 @@ def build_initial_data(cfg: RunConfig) -> InitialData:
 
 
 def _constant(groups):
-    """Side data ``values(x, t=0.0)``: one constant value group per constituent."""
+    """Side data ``values(x)``: one constant value group per constituent."""
     arrays = [np.asarray(g, dtype=float) for g in groups]
     lead = (3,) if len(arrays[0]) == 3 else ()
 
-    def values(x, t=0.0):
+    def values(x):
         shape = lead + x.shape[1:]
         return tuple(np.broadcast_to(a.reshape(lead + (1,) * (x.ndim - 1)), shape)
                      for a in arrays)

@@ -59,36 +59,16 @@ _SUPPORT_THRESHOLD = 1e-14
 def support_geometry(problem: ProblemSpec) -> SupportGeometry:
     """Detect the data support and the node distances to it.
 
-    A node belongs to the support when any initial field, any body source at
-    any of 9 evenly spaced times in [0, T], or any prescribed boundary value
-    exceeds ``_SUPPORT_THRESHOLD`` times the peak data magnitude there.  With
+    A node belongs to the support when any initial field or any prescribed
+    boundary value (the workspace's ``boundary_mag``) exceeds
+    ``_SUPPORT_THRESHOLD`` times the peak data magnitude there.  With
     all-zero data the lexicographically first boundary node is designated
     (deterministic fallback so the geometry stays usable).
     """
     grid = problem.grid
     state0 = initialize(problem)
-    ws = problem.workspace
-    x = ws.x
-    mags = [np.abs(state0.U), np.abs(state0.V)]
-    if problem.f is not None or problem.ell is not None:
-        mags += [np.abs(ws.sources(t)) for t in np.linspace(0.0, problem.T, 9)]
-    data_mag = np.max(np.concatenate(mags), axis=0)
-    boundary_mag = np.zeros(grid.shape)
-    side_ndim = grid.dim - 1
-    for axis, end in grid.sides():
-        sl = grid.side_slicer(axis, end)
-        for family in ("u", "phi"):
-            side = problem.boundary.side(family, axis, end)
-            if side.value is None:
-                continue
-            xb = x[(slice(None),) + sl]
-            vals = side.value(xb) if side.kind == "dirichlet" else side.value(xb, 0.0)
-            for v in vals:
-                v = np.abs(np.asarray(v, dtype=float))
-                if v.ndim > side_ndim:  # vector-valued: drop the component axis
-                    v = np.max(v, axis=0)
-                boundary_mag[sl] = np.maximum(boundary_mag[sl], v)
-    total_mag = np.maximum(data_mag, boundary_mag)
+    data_mag = np.max(np.concatenate([np.abs(state0.U), np.abs(state0.V)]), axis=0)
+    total_mag = np.maximum(data_mag, problem.workspace.boundary_mag)
     peak = float(np.max(total_mag))
     mask = total_mag > _SUPPORT_THRESHOLD * peak if peak > 0.0 else np.zeros(grid.shape, dtype=bool)
     if not mask.any():
@@ -483,11 +463,13 @@ def identity_residuals(traj: Trajectory) -> IdentityResiduals:
     snapshots, so no stress is evaluated here.
 
     Requires a uniformly recorded cadence (the two-time identity pairs
-    states at t−s and t+s).  Boundary work uses the prescribed data:
-    homogeneous conditions contribute exactly zero, prescribed natural
-    tractions/fluxes are integrated from their callables.  Nonzero Dirichlet
-    data are refused: their reaction work U·R would need the one-sided
-    discrete boundary traction, and without it the residuals are wrong.
+    states at t−s and t+s).  The applied load is the workspace's static
+    ``load`` of the prescribed tractions/fluxes; it enters all three
+    identities, through its rate of work load·V, its virial rate load·U and
+    the two-time term ∫₀ᵗ load·(U(t+s) − U(t−s)) ds.  Homogeneous conditions
+    contribute exactly zero.  Nonzero Dirichlet data are refused: their
+    reaction work U·R would need the one-sided discrete boundary traction,
+    and without it the residuals are wrong.
 
     Raises:
         InsufficientSnapshots: fewer than 3 recorded states.
@@ -511,19 +493,12 @@ def identity_residuals(traj: Trajectory) -> IdentityResiduals:
     two_w = 2.0 * traj.energy.strain
     qpair = np.array([ws.pair_product(s, s) for s in states])
 
-    # Applied loads stacked like U: ρ-weighted body sources per node volume,
-    # plus the boundary load; their pairings with V and U are the rates of
-    # work and of virial work.
-    body = None
-    if problem.f is not None or problem.ell is not None:
-        body = [ws.w * ws.rho * ws.sources(t) for t in times]
-    rate_v = np.zeros(n)
-    rate_u = np.zeros(n)
-    for j, state in enumerate(states):
-        for load in (body[j] if body is not None else None, ws.boundary_load(state.t)):
-            if load is not None:
-                rate_v[j] += float(np.sum(load * state.V))
-                rate_u[j] += float(np.sum(load * state.U))
+    # The load's pairings with V and U: the rates of work and of virial work.
+    rate_v, rate_u = np.zeros(n), np.zeros(n)
+    if ws.load is not None:
+        for j, state in enumerate(states):
+            rate_v[j] = float(np.sum(ws.load * state.V))
+            rate_u[j] = float(np.sum(ws.load * state.U))
 
     decay = np.exp(-problem.lam * times)
     lhs16 = decay * energy + problem.lam * _cumtrapz(decay * energy, times)
@@ -539,10 +514,8 @@ def identity_residuals(traj: Trajectory) -> IdentityResiduals:
     for j in range(n_half + 1):
         sm = states[2 * j]
         bracket = ws.pair_product(s0, sm) + ws.pair_product(sm, s0)
-        if body is not None and j > 0:
-            vals = [float(np.sum(body[j - i] * states[j + i].U - body[j + i] * states[j - i].U))
-                    for i in range(j + 1)]
-            bracket += float(np.trapezoid(vals, dx=times[1] - times[0]))
+        # the load term: the trapezoid over i = 0..j of rate_u[j + i] − rate_u[j − i]
+        bracket += float(np.trapezoid(rate_u[j:2 * j + 1] - rate_u[j::-1], dx=steps[0]))
         res23[j] = abs(2.0 * qpair[j] - bracket)
     scale = float(max(np.max(energy), np.max(np.abs(qpair)), 1e-300))
     return IdentityResiduals(

@@ -6,15 +6,19 @@ gradient of the discrete stored energy  Σ_k w_k W(E_k(U))  with trapezoid
 node weights w, so the semi-discrete operator is exactly symmetric and the
 discrete energy has bounded O(dt²) oscillation instead of secular drift.
 Natural boundary conditions enter variationally (one-sided boundary strain
-stencils plus a boundary-work term for prescribed tractions); Dirichlet
-conditions pin nodal values.  The state is stacked as U = (u¹, u², φ¹, φ²)
-with V = U̇; the force comes from the raw differences and the jet form Q of
+stencils plus the static load of prescribed tractions and fluxes); Dirichlet
+conditions pin static nodal values.  Besides the initial data, these static
+boundary values are the only applied data, and the :class:`Workspace`
+evaluates them once.  The state is stacked as U = (u¹, u², φ¹, φ²) with
+V = U̇; the force comes from the raw differences and the jet form Q of
 :mod:`poromix.fields`.  ``simulate`` is the one run loop; it records the
 energy split (strain energy −½ U·F) and the snapshots as it steps.  Balance
-laws integrated per constituent α::
+laws integrated per constituent α (no body force or body supply)::
 
-    ρᵅ üᵅ_i   = Sᵅ_ji,j + (−1)ᵅ p_i + ρᵅ fᵅ_i
-    ρᵅ χᵅ φ̈ᵅ = hᵅ_i,i + gᵅ + ρᵅ ℓᵅ
+    ρᵅ üᵅ_i   = Sᵅ_ji,j + (−1)ᵅ p_i
+    ρᵅ χᵅ φ̈ᵅ = hᵅ_i,i + gᵅ
+
+and Sᵅ_ji n_j, hᵅ_i n_i constant in time where a traction or flux is prescribed.
 """
 
 from __future__ import annotations
@@ -125,8 +129,10 @@ class Grid:
 class SideCondition:
     """Boundary condition on one grid side for one field family.
 
-    kind "dirichlet": values pinned (``value(x)`` static, or homogeneous 0).
-    kind "natural": traction/flux prescribed (``value(x, t)``, default 0).
+    kind "dirichlet": values pinned; kind "natural": traction/flux prescribed.
+    ``value(x)`` of the side's node positions gives the static data, one value
+    per constituent; None is homogeneous (0).  The :class:`Workspace`
+    evaluates it once.
     """
 
     kind: str
@@ -212,7 +218,7 @@ def gaussian_pulse(center, width: float, amplitude: float, component: int | None
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Grid, material, initial/boundary data, sources and run controls."""
+    """Grid, material, initial/boundary data and run controls."""
 
     grid: Grid
     consts: MaterialConstants
@@ -221,8 +227,6 @@ class ProblemSpec:
     lam: float = 1.0
     T: float = 1.0
     cfl: float = 0.5
-    f: Callable | None = None  # f(x, t) -> (f1, f2), bulk force densities
-    ell: Callable | None = None  # ell(x, t) -> (l1, l2)
     energy_every: int = 1  # steps between the energy samples ``simulate`` records
     snapshot_every: int = 10  # steps between its snapshots
 
@@ -383,7 +387,11 @@ class Workspace:
     Holds the node positions and weights, the jet form Q = Pᵀ𝒜P (𝒜 is the
     material's ``consts.form``) on the raw jet (U, δ₁U, …), the force
     weights of its blocks, the row inertias of the stacked state and the
-    boundary data.  Reach it through ``ProblemSpec.workspace``.
+    static boundary data, evaluated once: the pinned values ``pin_values``,
+    the ``load`` of the prescribed tractions/fluxes times the surface weights
+    (None when no natural side carries values) and the per-node magnitude of
+    all side values, ``boundary_mag``.  Reach it through
+    ``ProblemSpec.workspace``.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -398,26 +406,35 @@ class Workspace:
         self.jet_w = np.stack([-self.w] + [self.w * (0.5 / hj) for hj in grid.h])[:, None]
         row_shape = (STATE_ROWS,) + (1,) * grid.dim
         # Densities ρ and micro-inertia factors χ per state row (χ = 1 on u rows).
-        self.rho = np.array([k.rho1] * 3 + [k.rho2] * 3 + [k.rho1, k.rho2]).reshape(row_shape)
-        self.chi = np.array([1.0] * 6 + [k.chi1, k.chi2]).reshape(row_shape)
-        self.inertia = self.rho * self.chi
+        rho = np.array([k.rho1] * 3 + [k.rho2] * 3 + [k.rho1, k.rho2]).reshape(row_shape)
+        chi = np.array([1.0] * 6 + [k.chi1, k.chi2]).reshape(row_shape)
+        self.inertia = rho * chi
         self.mass = self.w * self.inertia
         self.mask_u = problem.boundary.dirichlet_mask("u", grid)
         self.mask_phi = problem.boundary.dirichlet_mask("phi", grid)
         self.pinned = np.stack([self.mask_u] * 6 + [self.mask_phi] * 2)
         self.pin_values = np.zeros(self.pinned.shape)
-        self.natural = []
+        load = np.zeros(self.pinned.shape)
+        self.boundary_mag = np.zeros(grid.shape)
+        loaded = False
         for axis, end in grid.sides():
             sl = grid.side_slicer(axis, end)
             for family, rows_ab in _FAMILY_ROWS.items():
                 side = problem.boundary.side(family, axis, end)
                 if side.value is None:
                     continue
-                if side.kind == "dirichlet":
-                    for row, val in zip(rows_ab, side.value(self.x[(slice(None),) + sl])):
-                        self.pin_values[(row,) + sl] = val
-                else:
-                    self.natural.append((rows_ab, sl, grid.side_weights(axis), side.value))
+                for row, val in zip(rows_ab, side.value(self.x[(slice(None),) + sl])):
+                    at = (row,) + sl
+                    if side.kind == "dirichlet":
+                        self.pin_values[at] = val
+                    else:
+                        load[at] += grid.side_weights(axis) * np.asarray(val)
+                        loaded = True
+                    # per side node; a vector value counts with its largest component
+                    mag = np.abs(np.broadcast_to(val, load[at].shape))
+                    mag = mag.reshape((-1,) + self.boundary_mag[sl].shape).max(axis=0)
+                    self.boundary_mag[sl] = np.maximum(self.boundary_mag[sl], mag)
+        self.load = load if loaded else None
         self.half_mass = 0.5 * self.w * self.inertia
         # Buffers Y, QY ((1 + dim, 8, *grid)), F = (QY)₀, where ``acceleration`` assembles
         # the internal force, and scratch; allocated on first use, dropped by ``simulate``.
@@ -450,38 +467,16 @@ class Workspace:
             Y[1 + j] /= 2.0 * hj
         return Y, QY
 
-    def sources(self, t: float) -> np.ndarray | None:
-        """Stacked body sources (f¹, f², ℓ¹, ℓ²) at time t; None without any."""
-        p = self.problem
-        if p.f is None and p.ell is None:
-            return None
-        out = np.zeros_like(self.pin_values)
-        for fn, rows_ab in ((p.f, _FAMILY_ROWS["u"]), (p.ell, _FAMILY_ROWS["phi"])):
-            if fn is not None:
-                for row, val in zip(rows_ab, fn(self.x, t)):
-                    out[row] = val
-        return out
-
-    def boundary_load(self, t: float) -> np.ndarray | None:
-        """Prescribed tractions/fluxes times the surface weights; None without any."""
-        if not self.natural:
-            return None
-        out = np.zeros_like(self.pin_values)
-        for rows_ab, sl, bw, value in self.natural:
-            for row, val in zip(rows_ab, value(self.x[(slice(None),) + sl], t)):
-                out[(row,) + sl] += bw * np.asarray(val)
-        return out
-
     def pair_product(self, a: StateField, b: StateField) -> float:
         """∫ Σ_α [ρ uₐ·u̇_b + ρχ φₐφ̇_b] dv; with a = b the virial pairing Q(t)."""
         return float(np.sum(self.w * np.sum(self.inertia * a.U * b.V, axis=0)))
 
 
-def acceleration(ws: Workspace, U: np.ndarray, t: float) -> np.ndarray:
+def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
     """Stacked accelerations Ü of the configuration U.
 
     The force is the exact gradient of the discrete energy Σ w W:
-    F = −w(QY)₀ − Σⱼ δⱼᵀ(w/(2hⱼ) (QY)ⱼ), plus the prescribed boundary load.
+    F = −w(QY)₀ − Σⱼ δⱼᵀ(w/(2hⱼ) (QY)ⱼ), plus the static load ``ws.load``.
     The internal part is assembled in the workspace's F buffer, where it
     stays until the next evaluation; ``simulate`` takes each recorded
     state's strain energy −½ U·F from it.
@@ -491,12 +486,8 @@ def acceleration(ws: Workspace, U: np.ndarray, t: float) -> np.ndarray:
     F = QY[0]  # the workspace's F buffer, now −w(QY)₀
     for j in range(1, len(QY)):
         subtract_adjoint(F, QY[j], j)
-    load = ws.boundary_load(t)  # added into the returned array, never into F
-    a = F / ws.mass if load is None else np.divide(np.add(load, F, out=load), ws.mass, out=load)
-    src = ws.sources(t)
-    if src is not None:
-        # balance carries ρℓ against ρχφ̈, so the φ rows get ℓ/χ
-        a += src / ws.chi
+    # the load is added into the returned array, never into F
+    a = (F if ws.load is None else ws.load + F) / ws.mass
     a[ws.pinned] = 0.0
     return a
 
@@ -526,7 +517,7 @@ def step(
     U += state.U
     np.copyto(U, ws.pin_values, where=ws.pinned)
     t_new = state.t + dt
-    a_new = acceleration(ws, U, t_new)
+    a_new = acceleration(ws, U)
     V += np.multiply(a_new, half, out=ws._eval_buffers()[3])
     V[ws.pinned] = 0.0
     if not (np.isfinite(U).all() and np.isfinite(V).all()):
@@ -563,7 +554,7 @@ def simulate(
         n_steps = max(1, math.ceil(problem.T / base - 1e-12))
     dt_eff = problem.T / max(n_steps, 1)
     energy, snapshots, snapshot_energy = [], [], []
-    cache = acceleration(ws, state.U, state.t)
+    cache = acceleration(ws, state.U)
     for k in range(n_steps + 1):
         if k > 0:
             state, cache = step(state, problem, dt_eff, accel_cache=cache, step_index=k)

@@ -256,7 +256,7 @@ def gradient_adjoint(q: np.ndarray, ax: int, h: float) -> np.ndarray:
     return out
 
 
-def acceleration_jet(ws, U: np.ndarray, t: float) -> np.ndarray:
+def acceleration_jet(ws, U: np.ndarray) -> np.ndarray:
     """Stacked accelerations by the jet formula, with Q = Pᵀ𝒜P built afresh."""
     from poromix.fields import jet_map
 
@@ -267,13 +267,9 @@ def acceleration_jet(ws, U: np.ndarray, t: float) -> np.ndarray:
     F = -ws.w * QY[0]
     for j, hj in enumerate(ws.grid.h):
         F -= gradient_adjoint(ws.w * QY[1 + j], 1 + j, hj)
-    load = ws.boundary_load(t)
-    if load is not None:
-        F += load
+    if ws.load is not None:
+        F += ws.load
     a = F / ws.mass
-    src = ws.sources(t)
-    if src is not None:
-        a += src / ws.chi
     a[ws.pinned] = 0.0
     return a
 
@@ -327,26 +323,22 @@ def internal_force_allocating(ws, U: np.ndarray) -> np.ndarray:
     return F
 
 
-def acceleration_allocating(ws, U: np.ndarray, t: float) -> np.ndarray:
+def acceleration_allocating(ws, U: np.ndarray) -> np.ndarray:
     F = internal_force_allocating(ws, U)
-    load = ws.boundary_load(t)
-    if load is not None:
-        F = load + F
+    if ws.load is not None:
+        F = ws.load + F
     a = F / ws.mass
-    src = ws.sources(t)
-    if src is not None:
-        a += src / ws.chi
     a[ws.pinned] = 0.0
     return a
 
 
-def step_allocating(ws, U: np.ndarray, V: np.ndarray, t: float, dt: float, a: np.ndarray):
-    """One kick-drift-kick update; returns (U, V, a) at t + dt."""
+def step_allocating(ws, U: np.ndarray, V: np.ndarray, dt: float, a: np.ndarray):
+    """One kick-drift-kick update; returns (U, V, a) a step dt later."""
     half = 0.5 * dt
     V = V + half * a
     U = U + dt * V
     np.copyto(U, ws.pin_values, where=ws.pinned)
-    a_new = acceleration_allocating(ws, U, t + dt)
+    a_new = acceleration_allocating(ws, U)
     V += half * a_new
     V[ws.pinned] = 0.0
     return U, V, a_new

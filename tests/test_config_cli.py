@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +284,7 @@ REJECTED_PROFILE_VALUES = [
     "gaussian_pulse field=u1 center=0.5 amplitude=1,2",
     "gaussian_pulse field=u1 center=0.5 width=0",
     "gaussian_pulse field=u1 center=0.5 width=-0.1",
+    "gaussian_pulse field=u1 center=0.5,7,9,11",
 ]
 
 
@@ -329,6 +330,14 @@ class TestConfigTables:
         assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error: line 3: ")
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_every_defaulted_problem_field_is_set_by_a_key(self, tmp_path):
+        # a ProblemSpec field that no config key reaches is an option only tests set
+        prob = build_problem(load_config(write(tmp_path, EVERY_KEY)))
+        for f in fields(pm.ProblemSpec):
+            if f.default is not MISSING or f.default_factory is not MISSING:
+                default = f.default if f.default is not MISSING else f.default_factory()
+                assert getattr(prob, f.name) != default, f.name
 
     def test_readme_names_the_tables(self):
         section = readme_run_configuration()

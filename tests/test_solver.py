@@ -234,7 +234,7 @@ class TestForceIsEnergyGradient:
             return float(np.sum(w * oracles.stored_energy_pointwise(random_consts, U, grid.h)))
 
         U = rng.standard_normal((8,) + shape)
-        a = acceleration(ws, U, 0.0)
+        a = acceleration(ws, U)
         eps = 1e-6
         k = random_consts
         idx = list(np.ndindex(shape))
@@ -406,7 +406,7 @@ class TestAccuracy:
         for n in (101, 201):
             prob = small_problem(random_consts, n=n, initial=build_initial(), T=1.0)
             state = pm.initialize(prob)
-            a = acceleration(prob.workspace, state.U, 0.0)
+            a = acceleration(prob.workspace, state.U)
             xs = prob.grid.axes()[0]
             exact = oracles.continuum_accel_1d(random_consts, red, profiles, xs)
             interior = slice(4, n - 4)
@@ -442,7 +442,7 @@ class TestAccuracy:
             speed = prob.speed()
             dt = 0.5 * prob.grid.h[0] / speed.c
             new, _ = pm.step(state, prob, dt,
-                             solver.acceleration(prob.workspace, state.U, state.t))
+                             solver.acceleration(prob.workspace, state.U))
             xs = prob.grid.axes()[0]
             exact = oracles.continuum_accel_1d(random_consts, red, profiles, xs)
             interior = slice(4, n - 4)
@@ -552,15 +552,14 @@ class TestRigidFit:
 
 
 BOUNDARY_CASES = ["traction_free", "dirichlet_zero", "prescribed_value", "prescribed_traction",
-                  "sources"]
+                  "prescribed_flux"]
 
 
 def buffer_case_problem(consts, kind: str, dim: int) -> pm.ProblemSpec:
-    """A small problem exercising one boundary/source kind of the force assembly."""
+    """A small problem exercising one boundary kind of the force assembly."""
     keys = [f"{axis}{end}" for axis in "xy"[:dim] for end in (0, 1)]
     u = {k: pm.SideCondition("natural") for k in keys}
     phi = dict(u)
-    sources = {}
     if kind == "dirichlet_zero":
         u = {k: pm.SideCondition("dirichlet") for k in keys}
         phi = dict(u)
@@ -568,18 +567,15 @@ def buffer_case_problem(consts, kind: str, dim: int) -> pm.ProblemSpec:
         u["x0"] = pm.SideCondition("dirichlet", lambda xb: (0.1 + 0.2 * xb, -0.3 * xb))
         phi["x1"] = pm.SideCondition("dirichlet", lambda xb: (0.2 + xb[0], 0.1 - xb[0]))
     elif kind == "prescribed_traction":
-        u["x1"] = pm.SideCondition("natural", lambda xb, t: ((1.0 + t) * np.cos(xb), 0.5 * xb))
-        phi["x0"] = pm.SideCondition("natural", lambda xb, t: (0.3 + t + xb[0], -0.1 * xb[1]))
-    elif kind == "sources":
-        sources = dict(f=lambda x, t: (np.sin(3.0 * x + t), x * x),
-                       ell=lambda x, t: (np.cos(x[0] - t), 0.5 * x[1] + t))
-    return small_problem(consts, n=17, dim=dim, boundary=pm.BoundaryPartition(u=u, phi=phi),
-                         **sources)
+        u["x1"] = pm.SideCondition("natural", lambda xb: (1.3 * np.cos(xb), 0.5 * xb))
+    elif kind == "prescribed_flux":
+        phi["x0"] = pm.SideCondition("natural", lambda xb: (0.3 + xb[0], -0.1 * xb[1]))
+    return small_problem(consts, n=17, dim=dim, boundary=pm.BoundaryPartition(u=u, phi=phi))
 
 
 def internal_force(ws, U):
     """F = −KU, as ``acceleration`` leaves it in the workspace's F buffer."""
-    acceleration(ws, U, 0.0)
+    acceleration(ws, U)
     return ws._eval_buffers()[2].copy()
 
 
@@ -609,8 +605,8 @@ class TestForceKernel:
     def test_force_matches_the_jet_formula(self, rng, random_consts, kind, dim):
         ws = buffer_case_problem(random_consts, kind, dim).workspace
         U = rng.standard_normal((8,) + ws.grid.shape)
-        want = oracles.acceleration_jet(ws, U, 0.3)
-        np.testing.assert_allclose(acceleration(ws, U, 0.3), want, rtol=0.0,
+        want = oracles.acceleration_jet(ws, U)
+        np.testing.assert_allclose(acceleration(ws, U), want, rtol=0.0,
                                    atol=1e-13 * np.max(np.abs(want)))
 
 
@@ -624,11 +620,11 @@ class TestEvaluationBuffers:
         ws = prob.workspace
         shape = (8,) + prob.grid.shape
         U, V = rng.standard_normal(shape), rng.standard_normal(shape)
-        a = acceleration(ws, U, 0.3)
-        np.testing.assert_array_equal(a, oracles.acceleration_allocating(ws, U, 0.3))
+        a = acceleration(ws, U)
+        np.testing.assert_array_equal(a, oracles.acceleration_allocating(ws, U))
         state = pm.StateField(t=0.3, U=U, V=V)
         new, a_new = pm.step(state, prob, 0.01, accel_cache=a)
-        U1, V1, a1 = oracles.step_allocating(ws, U, V, 0.3, 0.01, a)
+        U1, V1, a1 = oracles.step_allocating(ws, U, V, 0.01, a)
         for got, want in ((new.U, U1), (new.V, V1), (a_new, a1)):
             np.testing.assert_array_equal(got, want)
 
@@ -640,7 +636,7 @@ class TestEvaluationBuffers:
                                                                           component=0)))
         ws = prob.workspace
         state = pm.initialize(prob)
-        a = acceleration(ws, state.U, 0.0)
+        a = acceleration(ws, state.U)
         for _ in range(3):
             state, a = pm.step(state, prob, 1e-3, accel_cache=a)
         tracemalloc.start()
@@ -689,7 +685,7 @@ class TestRecording:
     def test_one_stress_per_step_and_one_energy_per_recorded_step(
             self, rng, random_consts, monkeypatch, energy_every, snapshot_every):
         # 1-D: one difference and one adjoint kernel call per force evaluation
-        prob = rough_problem(random_consts, "sources", 1, rng,
+        prob = rough_problem(random_consts, "prescribed_traction", 1, rng,
                          energy_every=energy_every, snapshot_every=snapshot_every)
         counts = {"jet": 0, "force": 0, "energy": 0}
 
@@ -725,7 +721,7 @@ class TestRecording:
                                                                 monkeypatch):
         # perfbench/child.py counts steps by replacing solver.step, and its tracer
         # reads the node count from the positional U of solver.acceleration
-        prob = rough_problem(random_consts, "sources", 2, rng)
+        prob = rough_problem(random_consts, "prescribed_flux", 2, rng)
         calls = {"step": 0, "acceleration": 0}
         step, accel = solver.step, solver.acceleration
 
@@ -734,10 +730,9 @@ class TestRecording:
             return step(*args, **kwargs)
 
         def checked_accel(*args, **kwargs):
-            assert not kwargs and len(args) == 3
-            ws, U, t = args
+            assert not kwargs and len(args) == 2
+            ws, U = args
             assert ws is prob.workspace and U.shape == (8,) + prob.grid.shape
-            assert isinstance(t, float)
             calls["acceleration"] += 1
             return accel(*args)
 
