@@ -18,6 +18,10 @@ diagnostics) and ``stress_matrix`` (the literal stress map Σ).  Slot layout
 is frozen in ``SLOT_LABELS``; (i, j) pairs flatten row-major, so the pair
 Γ = (i, j) occupies slot 3i + j of its block.
 
+A law may hold a stack of materials: every field, and every derived quantity,
+then carries the same leading batch shape ``(...)``, so 𝒜 and Σ are
+``(..., 29, 29)`` and ξ_m, ξ_M, c are ``(...)`` arrays (floats for one material).
+
 A subtlety worth spelling out: for constants satisfying the required symmetry
 relations, the three antisymmetric directions of the e-block are exact null
 vectors of 𝒜 (the slots exist but no realizable strain populates them).  The
@@ -86,11 +90,14 @@ _SCALARS = ("zeta", "mu", "tau") + _INERTIAS
 MATERIAL_KEYS = tuple(_TENSOR_SHAPES) + _SCALARS
 
 
-def _numeric(name: str, value, convert):
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise InvalidParameter(f"{name} must be numeric, got {value!r}") from None
+def _unbatched(x):
+    """A plain float for a single material's scalar, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _ix(t: np.ndarray, order: str) -> np.ndarray:
+    """The rank-4 t re-indexed, over any batch axes: ``_ix(A, "jirs")_ijrs = A_jirs``."""
+    return np.einsum(f"...{order}->...ijrs", t)
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,7 @@ class MaterialConstants:
     the relative displacement, zeta/mu/tau are the fraction-fraction
     coefficients, rho/chi the bulk densities and equilibrated inertias.
     All values are nondimensional; the package never converts units.
+    A stack of materials gives every field the same leading batch shape.
     """
 
     A: np.ndarray
@@ -127,22 +135,23 @@ class MaterialConstants:
     chi2: float
 
     def __post_init__(self):
-        for name, shape in _TENSOR_SHAPES.items():
-            arr = _numeric(name, getattr(self, name), lambda v: np.array(v, dtype=float))
+        for name in MATERIAL_KEYS:
+            value = getattr(self, name)
+            try:
+                arr = np.array(value, dtype=float)
+            except (TypeError, ValueError):
+                raise InvalidParameter(f"{name} must be numeric, got {value!r}") from None
+            if name == "A":  # the first key; it sets the batch shape of all
+                batch = arr.shape[:-4]
+            shape = batch + _TENSOR_SHAPES.get(name, ())
             if arr.shape != shape:
                 raise InvalidParameter(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise InvalidParameter(f"{name} contains non-finite entries")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        for name in _SCALARS:
-            val = _numeric(name, getattr(self, name), float)
-            if not np.isfinite(val):
-                raise InvalidParameter(f"{name} is not finite")
-            object.__setattr__(self, name, val)
-        for name in _INERTIAS:
-            if getattr(self, name) <= 0.0:
+            if name in _INERTIAS and not (arr > 0.0).all():
                 raise InvalidParameter(f"{name} must be strictly positive")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, _unbatched(arr))
 
     @cached_property
     def form(self) -> "QuadraticForm":
@@ -158,7 +167,7 @@ class MaterialConstants:
         if not report.ok:
             raise SymmetryViolation(str(report))
         matrix = quadratic_form_matrix(self)
-        return QuadraticForm(0.5 * (matrix + matrix.T))
+        return QuadraticForm(0.5 * (matrix + matrix.mT))
 
     @cached_property
     def speed(self) -> "SpeedParams":
@@ -172,13 +181,13 @@ class MaterialConstants:
             NotPositiveDefinite: unless ξ_m > ``ADMISSIBILITY_MARGIN``.
         """
         form = self.form
-        if form.xi_min <= ADMISSIBILITY_MARGIN:
+        if np.any(form.xi_min <= ADMISSIBILITY_MARGIN):
             raise NotPositiveDefinite(
                 f"stored energy is not positive definite on the realizable subspace "
-                f"(xi_min = {form.xi_min:.3e} <= {ADMISSIBILITY_MARGIN:.1e})"
+                f"(xi_min = {np.min(form.xi_min):.3e} <= {ADMISSIBILITY_MARGIN:.1e})"
             )
-        m = min(self.rho1, self.rho2, self.rho1 * self.chi1, self.rho2 * self.chi2)
-        return SpeedParams(m_inertia=m, c=float(np.sqrt(form.xi_max / m)))
+        m = np.minimum.reduce([self.rho1, self.rho2, self.rho1 * self.chi1, self.rho2 * self.chi2])
+        return SpeedParams(m_inertia=_unbatched(m), c=_unbatched(np.sqrt(form.xi_max / m)))
 
     @cached_property
     def stress_matrix(self) -> np.ndarray:
@@ -214,27 +223,24 @@ def validate_symmetries(consts: MaterialConstants) -> SymmetryReport:
 
     The checked list is exactly: A_ijrs = A_jirs = A_rsij, B_ijrs = B_jirs,
     C_ijrs = C_rsij, a_ij = a_ji, alpha_ij = alpha_ji, gamma_ij = gamma_ji,
-    D_ij = D_ji, E_ij = E_ji, each to ``SYMMETRY_TOL``.  Report-style: never
-    raises.
+    D_ij = D_ji, E_ij = E_ji, each to ``SYMMETRY_TOL``; on a stack, a relation
+    fails if it fails for any material, by the largest deviation.
+    Report-style: never raises.
     """
     A, B, C = consts.A, consts.B, consts.C
     checks = [
-        ("A_ijrs=A_jirs", A - A.transpose(1, 0, 2, 3)),
-        ("A_ijrs=A_rsij", A - A.transpose(2, 3, 0, 1)),
-        ("B_ijrs=B_jirs", B - B.transpose(1, 0, 2, 3)),
-        ("C_ijrs=C_rsij", C - C.transpose(2, 3, 0, 1)),
-        ("a_ij=a_ji", consts.a - consts.a.T),
-        ("alpha_ij=alpha_ji", consts.alpha - consts.alpha.T),
-        ("gamma_ij=gamma_ji", consts.gamma - consts.gamma.T),
-        ("D_ij=D_ji", consts.D - consts.D.T),
-        ("E_ij=E_ji", consts.E - consts.E.T),
+        ("A_ijrs=A_jirs", A - _ix(A, "jirs")),
+        ("A_ijrs=A_rsij", A - _ix(A, "rsij")),
+        ("B_ijrs=B_jirs", B - _ix(B, "jirs")),
+        ("C_ijrs=C_rsij", C - _ix(C, "rsij")),
+        ("a_ij=a_ji", consts.a - consts.a.mT),
+        ("alpha_ij=alpha_ji", consts.alpha - consts.alpha.mT),
+        ("gamma_ij=gamma_ji", consts.gamma - consts.gamma.mT),
+        ("D_ij=D_ji", consts.D - consts.D.mT),
+        ("E_ij=E_ji", consts.E - consts.E.mT),
     ]
-    violations = []
-    for name, dev in checks:
-        worst = float(np.max(np.abs(dev)))
-        if worst > SYMMETRY_TOL:
-            violations.append((name, worst))
-    return SymmetryReport(tuple(violations))
+    worst = [(name, float(np.max(np.abs(dev)))) for name, dev in checks]
+    return SymmetryReport(tuple((name, dev) for name, dev in worst if dev > SYMMETRY_TOL))
 
 
 @dataclass(frozen=True)
@@ -244,7 +250,8 @@ class QuadraticForm:
     ``matrix`` is block diagonal for an assembled material: 𝒜₁ on slots
     0..19 (e, g, φ¹, φ²), 𝒜₂ on slots 20..28 (d, ∇φ¹, ∇φ²).  ``xi_min`` and
     ``xi_max`` are worked out from it: the extreme eigenvalues of 𝒜 on the
-    realizable (symmetric-e) subspace.
+    realizable (symmetric-e) subspace.  A ``(..., 29, 29)`` stack gives
+    ``(...)`` bounds.
     """
 
     matrix: np.ndarray
@@ -253,24 +260,16 @@ class QuadraticForm:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
-        if m.shape != (29, 29):
+        if m.shape[-2:] != (29, 29):
             raise InvalidParameter(f"quadratic form must be 29×29, got {m.shape}")
-        if not np.array_equal(m, m.T):
+        if not np.array_equal(m, m.mT):
             raise SymmetryViolation("assembled quadratic form is not exactly symmetric")
         m.setflags(write=False)
         restricted = _SYM_BASIS.T @ m @ _SYM_BASIS
-        eigs = np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
+        eigs = np.linalg.eigvalsh(0.5 * (restricted + restricted.mT))
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "xi_min", float(eigs[0]))
-        object.__setattr__(self, "xi_max", float(eigs[-1]))
-
-    @property
-    def a1(self) -> np.ndarray:
-        return self.matrix[:20, :20]
-
-    @property
-    def a2(self) -> np.ndarray:
-        return self.matrix[20:, 20:]
+        object.__setattr__(self, "xi_min", _unbatched(eigs[..., 0]))
+        object.__setattr__(self, "xi_max", _unbatched(eigs[..., -1]))
 
 
 def symmetric_subspace_basis() -> np.ndarray:
@@ -293,41 +292,31 @@ def symmetric_subspace_basis() -> np.ndarray:
 _SYM_BASIS = symmetric_subspace_basis()
 
 
-def _assemble_a2(consts: MaterialConstants) -> np.ndarray:
-    a2 = np.zeros((9, 9))
-    a2[0:3, 0:3] = consts.a
-    a2[0:3, 3:6] = consts.b
-    a2[3:6, 0:3] = consts.b.T
-    a2[0:3, 6:9] = consts.c
-    a2[6:9, 0:3] = consts.c.T
-    a2[3:6, 3:6] = consts.alpha
-    a2[3:6, 6:9] = consts.beta
-    a2[6:9, 3:6] = consts.beta.T
-    a2[6:9, 6:9] = consts.gamma
-    return a2
+def _blocks(consts: MaterialConstants) -> list[np.ndarray]:
+    """A, B, C as 9×9, D, E, M, N as 9×1 and ζ, μ, τ as 1×1 matrices, over any batch."""
+    batch = np.shape(consts.zeta)
+    return ([np.reshape(getattr(consts, key), batch + (9, 9)) for key in "ABC"]
+            + [np.reshape(getattr(consts, key), batch + (9, 1)) for key in "DEMN"]
+            + [np.reshape(getattr(consts, key), batch + (1, 1)) for key in ("zeta", "mu", "tau")])
+
+
+def _block(rows: list[list[np.ndarray]]) -> np.ndarray:
+    """``np.block`` of rows of matrices with common batch axes, without its checks."""
+    return np.concatenate([np.concatenate(row, axis=-1) for row in rows], axis=-2)
+
+
+def _block_diag(a1: np.ndarray, c: MaterialConstants) -> np.ndarray:
+    """blockdiag(a1, 𝒜₂): a1 on the 20 coupled slots, the shared 𝒜₂ block on the other 9."""
+    a2 = _block([[c.a, c.b, c.c], [c.b.mT, c.alpha, c.beta], [c.c.mT, c.beta.mT, c.gamma]])
+    zeros = np.zeros(a1.shape[:-2] + (20, 9))
+    return _block([[a1, zeros], [zeros.mT, a2]])
 
 
 def quadratic_form_matrix(consts: MaterialConstants) -> np.ndarray:
     """The 29×29 matrix 𝒜 = blockdiag(𝒜₁, 𝒜₂) of the constants, unvalidated."""
-    matrix = np.zeros((29, 29))
-    a1 = matrix[:20, :20]
-    a1[:9, :9] = consts.A.reshape(9, 9)
-    a1[:9, 9:18] = consts.B.reshape(9, 9)
-    a1[9:18, :9] = consts.B.reshape(9, 9).T
-    a1[9:18, 9:18] = consts.C.reshape(9, 9)
-    a1[:9, 18] = consts.D.reshape(9)
-    a1[18, :9] = consts.D.reshape(9)
-    a1[:9, 19] = consts.E.reshape(9)
-    a1[19, :9] = consts.E.reshape(9)
-    a1[9:18, 18] = consts.M.reshape(9)
-    a1[18, 9:18] = consts.M.reshape(9)
-    a1[9:18, 19] = consts.N.reshape(9)
-    a1[19, 9:18] = consts.N.reshape(9)
-    a1[18, 18] = consts.zeta
-    a1[19, 19] = consts.mu
-    a1[18, 19] = a1[19, 18] = consts.tau
-    matrix[20:, 20:] = _assemble_a2(consts)
-    return matrix
+    A, B, C, D, E, M, N, zeta, mu, tau = _blocks(consts)
+    a1 = _block([[A, B, D, E], [B.mT, C, M, N], [D.mT, M.mT, zeta, tau], [E.mT, N.mT, tau, mu]])
+    return _block_diag(a1, consts)
 
 
 @dataclass(frozen=True)
@@ -363,20 +352,10 @@ class ReducedConstants:
 def reduced_constants(consts: MaterialConstants) -> ReducedConstants:
     """Collapse the strain-measure constitutive law into gradient form (unvalidated)."""
     A, B, C = consts.A, consts.B, consts.C
-    a4 = (
-        A.transpose(1, 0, 2, 3)
-        + B.transpose(3, 2, 0, 1)
-        + B.transpose(1, 0, 3, 2)
-        + C.transpose(1, 0, 3, 2)
-    )
-    b4 = (B + C).transpose(1, 0, 2, 3)
-    return ReducedConstants(
-        a=a4,
-        b=b4,
-        d=C.copy(),
-        tau=consts.D + consts.M,
-        sigma=consts.E + consts.N,
-    )
+    a4 = _ix(A, "jirs") + _ix(B, "rsji") + _ix(B, "jisr") + _ix(C, "jisr")
+    b4 = _ix(B + C, "jirs")
+    return ReducedConstants(a=a4, b=b4, d=C.copy(),
+                            tau=consts.D + consts.M, sigma=consts.E + consts.N)
 
 
 # ---------------------------------------------------------------------------
@@ -393,48 +372,31 @@ def stress_component_matrix(consts: MaterialConstants) -> np.ndarray:
     S² (9), g¹, g², p (3), h¹ (3), h² (3).  |S(E)|² = |Σ E|².  Note Σ is not
     𝒜: the g-conjugate enters both S¹ and S², so |ΣE|² can exceed E·𝒜²E.
     """
-    A, B, C = consts.A, consts.B, consts.C
-    sig = np.zeros((29, 29))
+    A, B, C, D, E, M, N, zeta, mu, tau = _blocks(consts)
     # S1[i,j] = S1_ji = (A_jirs + B_rsji) e_rs + (B_ijrs + C_jirs) g_rs
     #           + (D_ij + M_ij) φ1 + (E_ij + N_ij) φ2
-    ce1 = A.transpose(1, 0, 2, 3) + B.transpose(3, 2, 0, 1)
-    cg1 = B + C.transpose(1, 0, 2, 3)
-    sig[E_BLOCK, E_BLOCK] = ce1.reshape(9, 9)
-    sig[E_BLOCK, G_BLOCK] = cg1.reshape(9, 9)
-    sig[E_BLOCK, PHI1_SLOT] = (consts.D + consts.M).reshape(9)
-    sig[E_BLOCK, PHI2_SLOT] = (consts.E + consts.N).reshape(9)
+    ce1 = (_ix(consts.A, "jirs") + _ix(consts.B, "rsji")).reshape(A.shape)
+    cg1 = (consts.B + _ix(consts.C, "jirs")).reshape(A.shape)
     # S2[i,j] = S2_ji = B_rsij e_rs + C_ijrs g_rs + M_ij φ1 + N_ij φ2
-    sig[G_BLOCK, E_BLOCK] = B.transpose(2, 3, 0, 1).reshape(9, 9)
-    sig[G_BLOCK, G_BLOCK] = C.reshape(9, 9)
-    sig[G_BLOCK, PHI1_SLOT] = consts.M.reshape(9)
-    sig[G_BLOCK, PHI2_SLOT] = consts.N.reshape(9)
     # g1 = -D:e - M:g - ζφ1 - τφ2 ; g2 = -E:e - N:g - τφ1 - μφ2
-    sig[PHI1_SLOT, E_BLOCK] = -consts.D.reshape(9)
-    sig[PHI1_SLOT, G_BLOCK] = -consts.M.reshape(9)
-    sig[PHI1_SLOT, PHI1_SLOT] = -consts.zeta
-    sig[PHI1_SLOT, PHI2_SLOT] = -consts.tau
-    sig[PHI2_SLOT, E_BLOCK] = -consts.E.reshape(9)
-    sig[PHI2_SLOT, G_BLOCK] = -consts.N.reshape(9)
-    sig[PHI2_SLOT, PHI1_SLOT] = -consts.tau
-    sig[PHI2_SLOT, PHI2_SLOT] = -consts.mu
     # p, h1, h2: identical to the 𝒜₂ block (each component appears once).
-    sig[20:, 20:] = _assemble_a2(consts)
-    return sig
+    return _block_diag(_block([[ce1, cg1, D + M, E + N], [B.mT, C, M, N],
+                                 [-D.mT, -M.mT, -zeta, -tau], [-E.mT, -N.mT, -tau, -mu]]), consts)
 
 
-def _coupled_stress_bound(consts: MaterialConstants) -> float:
+def _coupled_stress_bound(consts: MaterialConstants) -> np.ndarray:
     """sup |Σ₁E₁|² / (E₁·𝒜₁E₁) over realizable strains of the coupled block.
 
     The largest eigenvalue of the pencil (ΣᵀΣ, 𝒜) restricted to the 17
     realizable slots of 𝒜₁ (e symmetric, g, φ¹, φ²); 𝒜₁ must be definite there.
     """
-    sig1 = consts.stress_matrix[:20, :20]
+    sig1 = consts.stress_matrix[..., :20, :20]
     q1 = _SYM_BASIS[:20, :17]
-    b1 = q1.T @ (sig1.T @ sig1) @ q1
-    b2 = q1.T @ consts.form.a1 @ q1
-    inv_ell = np.linalg.inv(np.linalg.cholesky(0.5 * (b2 + b2.T)))
-    pencil = inv_ell @ (0.5 * (b1 + b1.T)) @ inv_ell.T
-    return float(np.linalg.eigvalsh(0.5 * (pencil + pencil.T))[-1])
+    b1 = q1.T @ (sig1.mT @ sig1) @ q1
+    b2 = q1.T @ consts.form.matrix[..., :20, :20] @ q1
+    inv_ell = np.linalg.inv(np.linalg.cholesky(0.5 * (b2 + b2.mT)))
+    pencil = inv_ell @ (0.5 * (b1 + b1.mT)) @ inv_ell.mT
+    return np.linalg.eigvalsh(0.5 * (pencil + pencil.mT))[..., -1]
 
 
 def worst_stress_energy_ratio(consts: MaterialConstants) -> float:
@@ -449,8 +411,8 @@ def worst_stress_energy_ratio(consts: MaterialConstants) -> float:
     """
     consts.speed  # the admissibility gate
     form = consts.form
-    kappa_a2 = float(np.linalg.eigvalsh(form.a2)[-1])
-    return max(_coupled_stress_bound(consts), kappa_a2) / form.xi_max
+    kappa_a2 = np.linalg.eigvalsh(form.matrix[..., 20:, 20:])[..., -1]
+    return _unbatched(np.maximum(_coupled_stress_bound(consts), kappa_a2) / form.xi_max)
 
 
 def _sym4_full(t: np.ndarray) -> np.ndarray:
@@ -503,42 +465,23 @@ def decoupled_material() -> MaterialConstants:
                      alpha=0.5 * np.eye(3), gamma=0.5 * np.eye(3), a=0.05 * np.eye(3))
 
 
-def random_material(seed: int | np.random.Generator = 0) -> MaterialConstants:
-    """Seeded random admissible material.
-
-    Construction: draw every tensor from N(0, 1), project onto the required
-    symmetries (M and N are also symmetrized so the printed constitutive law
-    derives from the energy density), scale the couplings by 0.25, add
-    isotropic diagonal stiffness, then shift the block diagonals until ξ_m
-    clears the definiteness margin with room to spare.
-
-    Then the relative-displacement/fraction-gradient block is raised until
-    ξ_M dominates the exact operator bound of the literal stress map, which
-    certifies |S(E)|² ≤ 2 ξ_M W(E) for every state and hence the c-bounded
-    signal speed that the spatial-decay and domain-of-influence suites
-    assume.  That block enters the stress map once per component, so raising
-    it never degrades the certified inequality.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+def draw_material(rng: np.random.Generator) -> dict:
+    """Raw constants of one random material, keyed by ``MATERIAL_KEYS``: every tensor
+    drawn from N(0, 1) and projected onto the required symmetries (M and N too, so
+    the printed law derives from the energy density), the couplings scaled by 0.25
+    and isotropic diagonal stiffness added."""
     cpl = 0.25
 
     def sym2():
         t = rng.standard_normal((3, 3))
         return 0.5 * (t + t.T)
 
-    A = _iso4(0.4, 0.4) + 0.35 * _sym4_full(rng.standard_normal((3, 3, 3, 3)))
-    B = cpl * 0.5 * (lambda t: t + t.transpose(1, 0, 2, 3))(rng.standard_normal((3, 3, 3, 3)))
-    C = 0.4 * _delta4() + 0.3 * (
-        lambda t: 0.5 * (t + t.transpose(2, 3, 0, 1))
-    )(rng.standard_normal((3, 3, 3, 3)))
-    consts = MaterialConstants(
-        A=A,
-        B=B,
-        C=C,
-        D=cpl * sym2(),
-        E=cpl * sym2(),
-        M=cpl * sym2(),
-        N=cpl * sym2(),
+    return dict(
+        A=_iso4(0.4, 0.4) + 0.35 * _sym4_full(rng.standard_normal((3, 3, 3, 3))),
+        B=cpl * 0.5 * (lambda t: t + t.transpose(1, 0, 2, 3))(rng.standard_normal((3, 3, 3, 3))),
+        C=0.4 * _delta4()
+        + 0.3 * (lambda t: 0.5 * (t + t.transpose(2, 3, 0, 1)))(rng.standard_normal((3, 3, 3, 3))),
+        **{name: cpl * sym2() for name in "DEMN"},
         zeta=1.0 + 0.3 * rng.standard_normal(),
         mu=1.0 + 0.3 * rng.standard_normal(),
         tau=cpl * rng.standard_normal(),
@@ -548,32 +491,42 @@ def random_material(seed: int | np.random.Generator = 0) -> MaterialConstants:
         a=np.eye(3) + 0.3 * sym2(),
         b=cpl * rng.standard_normal((3, 3)),
         c=cpl * rng.standard_normal((3, 3)),
-        rho1=float(rng.uniform(0.6, 1.8)),
-        rho2=float(rng.uniform(0.6, 1.8)),
-        chi1=float(rng.uniform(0.6, 1.8)),
-        chi2=float(rng.uniform(0.6, 1.8)),
+        **{name: float(rng.uniform(0.6, 1.8)) for name in _INERTIAS},
     )
-    floor = 0.08
-    if consts.form.xi_min < floor:
-        s = floor - consts.form.xi_min
-        consts = replace(
-            consts,
-            A=consts.A + s * _iso4(0.0, 0.5),
-            C=consts.C + s * _delta4(),
-            zeta=consts.zeta + s,
-            mu=consts.mu + s,
-            alpha=consts.alpha + s * np.eye(3),
-            gamma=consts.gamma + s * np.eye(3),
-            a=consts.a + s * np.eye(3),
-        )
+
+
+def _shift(t, s, where, step):
+    """t + s·step for the materials selected by ``where``, t for the others."""
+    s = np.reshape(s, np.shape(s) + (1,) * (np.ndim(t) - np.ndim(s)))
+    return np.where(np.reshape(where, np.shape(s)), t + s * step, t)
+
+
+def certify_material(consts: MaterialConstants) -> MaterialConstants:
+    """Make drawn constants admissible and certified, each material of a stack alone.
+
+    The block diagonals are shifted until ξ_m clears the definiteness margin with
+    room to spare; then the relative-displacement/fraction-gradient block is raised
+    until ξ_M dominates the exact operator bound of the literal stress map.  That
+    certifies |S(E)|² ≤ 2 ξ_M W(E) for every state, hence the c-bounded signal speed
+    the decay and influence suites assume.  The block enters the stress map once per
+    component, so raising it never degrades the certified inequality.
+    """
+    floor, eye = 0.08, np.eye(3)
+    low, s = consts.form.xi_min < floor, floor - np.asarray(consts.form.xi_min)
+    steps = dict(A=_iso4(0.0, 0.5), C=_delta4(), zeta=1.0, mu=1.0, alpha=eye, gamma=eye, a=eye)
+    consts = replace(consts, **{name: _shift(getattr(consts, name), s, low, step)
+                                for name, step in steps.items()})
+    # Raising the relative-displacement block lifts xi_max without touching
+    # any acoustic branch (it is a pure value channel).
     kappa = _coupled_stress_bound(consts)
-    if consts.form.xi_max < kappa:
-        # Raising the relative-displacement block lifts xi_max without
-        # touching any acoustic branch (it is a pure value channel).
-        s2 = kappa - float(np.linalg.eigvalsh(consts.a)[-1])
-        if s2 > 0.0:
-            consts = replace(consts, a=consts.a + s2 * np.eye(3))
-    return consts
+    s2 = kappa - np.linalg.eigvalsh(consts.a)[..., -1]
+    return replace(consts, a=_shift(consts.a, s2, (consts.form.xi_max < kappa) & (s2 > 0.0), eye))
+
+
+def random_material(seed: int | np.random.Generator = 0) -> MaterialConstants:
+    """Seeded random admissible material: ``draw_material``, then ``certify_material``."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return certify_material(MaterialConstants(**draw_material(rng)))
 
 
 # ---------------------------------------------------------------------------

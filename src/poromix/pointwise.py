@@ -6,7 +6,10 @@ generalized stress vector and surface tractions, and exposes the power
 identities the diagnostics rely on.  Every function works on a single point
 or on points stacked along leading batch axes: a :class:`PointState` whose
 fields carry a batch shape ``(...)`` gives strains and stresses of shape
-``(..., 29)`` and scalars of shape ``(...)``.
+``(..., 29)`` and scalars of shape ``(...)``.  The law may carry a batch
+shape of its own (a stack of materials, see ``materials``); it broadcasts
+against the state's, so a law of shape ``(k, 1)`` pairs material i with the
+states ``[i, :]`` of a ``(k, s)`` batch.
 
 Stress tensors are stored "flux first": ``S1[i, j]`` holds the component
 conventionally written S¹_ji, i.e. the force component i transported in
@@ -119,6 +122,24 @@ def _dot(x, y):
     return np.einsum("...i,...i->...", x, y)
 
 
+def _ddot(x, y):
+    """Contraction over the two trailing axes, batched over the leading ones."""
+    return np.einsum("...ij,...ij->...", x, y)
+
+
+def _matmul(x, m):
+    """x @ m point by point, for rows x (..., n) and matrices m (..., n, p).
+
+    A (k, 1) stack of matrices takes its (k, s) rows in one matmul per matrix,
+    as one matrix takes its s rows, so a stacked law rounds as a single one.
+    """
+    if np.ndim(m) == 2:
+        return x @ m
+    if m.shape[-3] == 1 and np.ndim(x) > 1:
+        return x @ m[..., 0, :, :]
+    return (x[..., None, :] @ m)[..., 0, :]
+
+
 def strain_vector(ps: PointState) -> StrainVector:
     """Kinematic map: e = sym ∇u¹, g = (∇u¹)ᵀ + ∇u², d = u¹ − u²."""
     G1 = np.asarray(ps.grad_u1, dtype=float)
@@ -137,7 +158,7 @@ def strain_vector(ps: PointState) -> StrainVector:
 
 def internal_energy_density(consts: MaterialConstants, E: StrainVector):
     """W = ½ E·𝒜E, with 𝒜 = ``consts.form``."""
-    return 0.5 * _dot(E.vec @ consts.form.matrix, E.vec)
+    return 0.5 * _dot(_matmul(E.vec, consts.form.matrix), E.vec)
 
 
 def generalized_stress(consts: MaterialConstants, E: StrainVector) -> GeneralizedStress:
@@ -146,7 +167,7 @@ def generalized_stress(consts: MaterialConstants, E: StrainVector) -> Generalize
     Raises:
         SymmetryViolation: if the constants fail the symmetry checks.
     """
-    return GeneralizedStress(E.vec @ consts.stress_matrix.T)
+    return GeneralizedStress(_matmul(E.vec, consts.stress_matrix.mT))
 
 
 def reduced_generalized_stress(consts: MaterialConstants, red, ps: PointState) -> GeneralizedStress:
@@ -161,25 +182,24 @@ def reduced_generalized_stress(consts: MaterialConstants, red, ps: PointState) -
     phi2 = np.asarray(ps.phi2, dtype=float)
     d = np.subtract(ps.u1, ps.u2)
     s1 = (
-        np.einsum("ijrs,...rs->...ij", red.a, G1)
-        + np.einsum("ijrs,...rs->...ij", red.b, G2)
+        np.einsum("...ijrs,...rs->...ij", red.a, G1)
+        + np.einsum("...ijrs,...rs->...ij", red.b, G2)
         + red.tau * phi1[..., None, None]
         + red.sigma * phi2[..., None, None]
     )
     s2 = (
-        np.einsum("rsij,...rs->...ij", red.b, G1)
-        + np.einsum("ijrs,...rs->...ij", red.d, G2)
+        np.einsum("...rsij,...rs->...ij", red.b, G1)
+        + np.einsum("...ijrs,...rs->...ij", red.d, G2)
         + consts.M * phi1[..., None, None]
         + consts.N * phi2[..., None, None]
     )
-    g1 = (-np.einsum("rs,...rs->...", red.tau, G1) - np.einsum("rs,...rs->...", consts.M, G2)
-          - consts.zeta * phi1 - consts.tau * phi2)
-    g2 = (-np.einsum("rs,...rs->...", red.sigma, G1) - np.einsum("rs,...rs->...", consts.N, G2)
-          - consts.tau * phi1 - consts.mu * phi2)
-    p = d @ consts.a.T + ps.grad_phi1 @ consts.b.T + ps.grad_phi2 @ consts.c.T
-    h1 = ps.grad_phi1 @ consts.alpha.T + ps.grad_phi2 @ consts.beta.T + d @ consts.b
-    h2 = ps.grad_phi1 @ consts.beta + ps.grad_phi2 @ consts.gamma.T + d @ consts.c
-    batch = phi1.shape
+    g1 = -_ddot(red.tau, G1) - _ddot(consts.M, G2) - consts.zeta * phi1 - consts.tau * phi2
+    g2 = -_ddot(red.sigma, G1) - _ddot(consts.N, G2) - consts.tau * phi1 - consts.mu * phi2
+    gp1, gp2 = ps.grad_phi1, ps.grad_phi2
+    p = _matmul(d, consts.a.mT) + _matmul(gp1, consts.b.mT) + _matmul(gp2, consts.c.mT)
+    h1 = _matmul(gp1, consts.alpha.mT) + _matmul(gp2, consts.beta.mT) + _matmul(d, consts.b)
+    h2 = _matmul(gp1, consts.beta) + _matmul(gp2, consts.gamma.mT) + _matmul(d, consts.c)
+    batch = np.shape(g1)
     parts = (s1, s2, g1, g2, p, h1, h2)
     return GeneralizedStress(np.concatenate([np.reshape(x, batch + (-1,)) for x in parts], axis=-1))
 
@@ -209,8 +229,8 @@ def traction(S: GeneralizedStress, n: np.ndarray) -> TractionSample:
 def _stress_power(S: GeneralizedStress, E_like: StrainVector, G1: np.ndarray, G2: np.ndarray):
     """Σ_α [S^α_ji u^α_{i,j} + p·d + h^α·∇φ^α − g^α φ^α] for the given gradients."""
     return (
-        np.einsum("...ij,...ij->...", S.S1, G1)
-        + np.einsum("...ij,...ij->...", S.S2, G2)
+        _ddot(S.S1, G1)
+        + _ddot(S.S2, G2)
         + _dot(S.p, E_like.d)
         + _dot(S.h1, E_like.grad_phi1)
         + _dot(S.h2, E_like.grad_phi2)
@@ -229,7 +249,7 @@ def power_identity_residuals(consts: MaterialConstants, ps: PointState, ps_dot: 
     E = strain_vector(ps)
     E_dot = strain_vector(ps_dot)
     S = generalized_stress(consts, E)
-    AE = E.vec @ consts.form.matrix
+    AE = _matmul(E.vec, consts.form.matrix)
     r_static = np.abs(_dot(AE, E.vec) - _stress_power(S, E, ps.grad_u1, ps.grad_u2))
     r_rate = np.abs(_dot(AE, E_dot.vec) - _stress_power(S, E_dot, ps_dot.grad_u1, ps_dot.grad_u2))
     return r_static, r_rate

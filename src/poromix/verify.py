@@ -18,8 +18,11 @@ from . import diagnostics as diag
 from .config import SUITES
 from .errors import Degenerate, NotPositiveDefinite, SymmetryViolation
 from .materials import (
+    MATERIAL_KEYS,
     MaterialConstants,
+    certify_material,
     decoupled_material,
+    draw_material,
     random_material,
     reduced_constants,
     validate_symmetries,
@@ -121,36 +124,43 @@ def _odd_pulse(center: float, width: float, amplitude: float):
 # ---------------------------------------------------------------------------
 
 
-def _point_sample(consts: MaterialConstants, rng: np.random.Generator,
-                  count: int) -> dict[str, np.ndarray]:
-    """Pointwise checks of one admissible material on ``count`` random states.
+_STATE_SHAPES = ((3, 3), (3, 3), (3,), (3,), (), (), (3,), (3,))
 
-    Draws the states as one stacked :class:`PointState`, then one unit normal
-    per state; each state's rate is the next state of the batch (cyclically).
-    Every entry is a (count,) array, except the material's operator
-    stress-energy ratio.  Ratios are 0 where their denominator is 0.
+
+def _draw_states(rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """``count`` random states, field by field as in PointState, and their unit normals."""
+    *parts, normals = [rng.standard_normal((count,) + shape) for shape in _STATE_SHAPES + ((3,),)]
+    return parts + [normals / np.linalg.norm(normals, axis=-1, keepdims=True)]
+
+
+def _point_sample(consts: MaterialConstants, states: list[np.ndarray]) -> dict[str, np.ndarray]:
+    """Pointwise checks of admissible materials on their ``_draw_states`` states.
+
+    The states' batch shape ends in the state axis; a single law takes
+    ``(count,)`` states, a ``(k, 1)`` stack ``(k, count)``.  Each state's rate
+    is the next state along that axis (cyclically).  Every entry has the
+    states' batch shape, except the operator stress-energy ratio, which has
+    the law's.  Ratios are 0 where their denominator is 0.
 
     Raises:
-        SymmetryViolation: if the material fails the symmetry relations.
-        NotPositiveDefinite: if the material is inadmissible.
+        SymmetryViolation: if a material fails the symmetry relations.
+        NotPositiveDefinite: if a material is inadmissible.
     """
     consts.speed  # the symmetry and admissibility gates
     xi_min, xi_max = consts.form.xi_min, consts.form.xi_max
-    parts = [rng.standard_normal((count,) + shape)
-             for shape in ((3, 3), (3, 3), (3,), (3,), (), (), (3,), (3,))]
+    *parts, normals = states
     ps = PointState(*parts)
-    ps_dot = PointState(*(np.roll(part, -1, axis=0) for part in parts))
-    normals = rng.standard_normal((count, 3))
-    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    ps_dot = PointState(*(np.roll(part, -1, axis=-1 - len(shape))
+                          for part, shape in zip(parts, _STATE_SHAPES)))
     ev = strain_vector(ps)
-    n2 = np.einsum("ki,ki->k", ev.vec, ev.vec)
+    n2 = np.einsum("...i,...i->...", ev.vec, ev.vec)
     two_w = 2.0 * internal_energy_density(consts, ev)
     s_lit = generalized_stress(consts, ev)
     s_red = reduced_generalized_stress(consts, reduced_constants(consts), ps)
     smag2 = stress_magnitude(s_lit) ** 2
     tr = traction(s_lit, normals)
-    traction2 = (np.einsum("ki,ki->k", tr.s1, tr.s1) + np.einsum("ki,ki->k", tr.s2, tr.s2)
-                 + tr.h1**2 + tr.h2**2)
+    traction2 = (np.einsum("...i,...i->...", tr.s1, tr.s1)
+                 + np.einsum("...i,...i->...", tr.s2, tr.s2) + tr.h1**2 + tr.h2**2)
     r_static, r_rate = power_identity_residuals(consts, ps, ps_dot)
     return {
         "n2": n2,
@@ -158,15 +168,37 @@ def _point_sample(consts: MaterialConstants, rng: np.random.Generator,
         "static": r_static,
         "rate": r_rate,
         "dual": np.max(np.abs(s_lit.vec - s_red.vec), axis=-1),
-        "stress_energy": np.divide(smag2, xi_max * two_w, out=np.zeros(count), where=two_w > 0),
-        "traction": np.divide(traction2, smag2, out=np.zeros(count), where=smag2 > 0),
+        "stress_energy": np.divide(smag2, xi_max * two_w, out=np.zeros_like(smag2),
+                                   where=two_w > 0),
+        "traction": np.divide(traction2, smag2, out=np.zeros_like(smag2), where=smag2 > 0),
         "operator": worst_stress_energy_ratio(consts),
     }
 
 
-# The constitutive sweep: random materials, and random states per material.
+def _identity_residuals(pt: dict[str, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The static, rate and dual-form residuals over their scales: 1 + |E|² for
+    the power residuals, quadratic in E, and 1 + |E| for S, linear in E."""
+    scale = 1.0 + pt["n2"]
+    return pt["static"] / scale, pt["rate"] / scale, pt["dual"] / (1.0 + np.sqrt(pt["n2"]))
+
+
+# The constitutive sweep: random materials and states, certified and checked a chunk
+# of materials at a time (a stack amortizes overhead; the chunk bounds its memory).
 _SWEEP_MATERIALS = 500
 _SWEEP_STATES = 20
+_SWEEP_CHUNK = 50
+
+
+def _sweep_chunks(rng: np.random.Generator):
+    """Per chunk, its certified materials as one law of batch shape (k, 1) and
+    their states, of batch shape (k, ``_SWEEP_STATES``).  The draws follow
+    ``random_material(rng)`` and then ``_draw_states`` for each material."""
+    for start in range(0, _SWEEP_MATERIALS, _SWEEP_CHUNK):
+        draws = [(draw_material(rng), _draw_states(rng, _SWEEP_STATES))
+                 for _ in range(min(_SWEEP_CHUNK, _SWEEP_MATERIALS - start))]
+        law = MaterialConstants(**{key: np.stack([raw[key] for raw, _ in draws])[:, None]
+                                   for key in MATERIAL_KEYS})
+        yield certify_material(law), [np.stack(part) for part in zip(*(st for _, st in draws))]
 
 
 def suite_constitutive(seed: int = 0,
@@ -184,14 +216,10 @@ def suite_constitutive(seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    samples = [_point_sample(random_material(rng), rng, _SWEEP_STATES)
-               for _ in range(_SWEEP_MATERIALS)]
-    pt = {key: np.array([sample[key] for sample in samples]) for key in samples[0]}
-    scale = 1.0 + pt["n2"]
+    samples = [_point_sample(law, states) for law, states in _sweep_chunks(rng)]
+    pt = {key: np.concatenate([sample[key] for sample in samples]) for key in samples[0]}
     worst_env = max(0.0, float(np.max(pt["envelope"])))
-    worst_static = float(np.max(pt["static"] / scale))
-    worst_rate = float(np.max(pt["rate"] / scale))
-    worst_dual = float(np.max(pt["dual"] / (1.0 + np.sqrt(pt["n2"]))))
+    worst_static, worst_rate, worst_dual = (float(np.max(r)) for r in _identity_residuals(pt))
     worst_ok = float(np.max(pt["stress_energy"]))
     worst_okok = float(np.max(pt["traction"]))
     worst_operator = float(np.max(pt["operator"]))
@@ -224,13 +252,12 @@ def suite_constitutive(seed: int = 0,
     if extra_consts is not None:
         sym_ok = validate_symmetries(extra_consts).ok
         try:
-            pt = _point_sample(extra_consts, rng, _SWEEP_STATES)
+            pt = _point_sample(extra_consts, _draw_states(rng, _SWEEP_STATES))
         except (SymmetryViolation, NotPositiveDefinite) as exc:
             worst_x = ratio_x = float("nan")
             x_ok, error = False, f"{type(exc).__name__}: {exc}"
         else:
-            worst_x = float(np.max(np.maximum.reduce([pt["static"], pt["rate"], pt["dual"]])
-                                   / (1.0 + pt["n2"])))
+            worst_x = max(float(np.max(r)) for r in _identity_residuals(pt))
             ratio_x = pt["operator"]
             x_ok, error = True, ""
         rep.checks += [

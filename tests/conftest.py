@@ -44,3 +44,9 @@ def random_point_state(rng) -> PointState:
 def zero_point_state() -> PointState:
     z2, z1 = np.zeros((3, 3)), np.zeros(3)
     return PointState(z2, z2, z1, z1, 0.0, 0.0, z1, z1)
+
+
+def stack_law(materials) -> pm.MaterialConstants:
+    """The materials as one law of batch shape (k, 1), for states of batch shape (k, s)."""
+    return pm.MaterialConstants(**{key: np.stack([getattr(m, key) for m in materials])[:, None]
+                                   for key in pm.materials.MATERIAL_KEYS})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,13 +144,13 @@ class TestDerivedOnce:
 
     def test_second_sample_and_replaced_problem_build_nothing(self, monkeypatch):
         consts = pm.random_material(12)
-        verify._point_sample(consts, np.random.default_rng(0), 4)
+        verify._point_sample(consts, verify._draw_states(np.random.default_rng(0), 4))
         problem = pm.ProblemSpec(
             grid=pm.Grid(dim=1, n=(16,), h=(0.1,)), consts=consts,
             boundary=pm.BoundaryPartition.uniform("natural", "natural", dim=1))
         problem.workspace
         calls = count_builds(monkeypatch)
-        verify._point_sample(consts, np.random.default_rng(1), 4)
+        verify._point_sample(consts, verify._draw_states(np.random.default_rng(1), 4))
         dataclasses.replace(problem, T=2.0).workspace
         assert not calls
 
@@ -361,3 +362,72 @@ class TestMaterialFile:
 
         assert len(SLOT_LABELS) == 29
         assert SLOT_LABELS[18] == "phi1"
+
+
+# Every non-runtime check value of suite_constitutive(seed), measured before the
+# sweep stacked its materials; the stacked sweep must reproduce them.
+SWEEP_GOLDEN = {
+    0: {"eigen_envelope": 0.0, "power_identity_static": 2.0322952215997334e-15,
+        "power_identity_rate": 1.4948224408805583e-15,
+        "dual_constitutive_forms": 1.6933444172376679e-15,
+        "stress_energy_bound": 0.9447649537742401, "traction_bound": 0.7071323291193103},
+    1: {"eigen_envelope": 0.0, "power_identity_static": 2.145365402678709e-15,
+        "power_identity_rate": 9.238806048644514e-16,
+        "dual_constitutive_forms": 1.740748569303775e-15,
+        "stress_energy_bound": 0.9216336285156671, "traction_bound": 0.6965966832367788},
+}
+# The generator state after the per-material sweep at seed 0, where the
+# configured material's states start.
+SWEEP_END_STATE = 123729014746426331670029127717936174267
+
+
+class TestConstitutiveSweep:
+    def test_stacks_are_the_random_material_sequence(self):
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+        seen = 0
+        for law, states in verify._sweep_chunks(rng):
+            for i in range(law.A.shape[0]):
+                consts = pm.random_material(ref)
+                ref_states = verify._draw_states(ref, verify._SWEEP_STATES)
+                for key in MATERIAL_KEYS:
+                    got = np.asarray(getattr(law, key)[i, 0]).tobytes()
+                    assert got == np.asarray(getattr(consts, key)).tobytes(), (seen, key)
+                for got, want in zip(states, ref_states):
+                    assert got[i].tobytes() == want.tobytes(), seen
+                seen += 1
+        assert seen == verify._SWEEP_MATERIALS
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.bit_generator.state["state"]["state"] == SWEEP_END_STATE
+
+    @pytest.mark.parametrize("seed", sorted(SWEEP_GOLDEN))
+    def test_check_values_are_unchanged(self, seed):
+        report = verify.suite_constitutive(seed)
+        values = {c.name: c.measured for c in report.checks if not c.name.startswith("runtime_")}
+        assert values.keys() == SWEEP_GOLDEN[seed].keys()
+        for name, golden in SWEEP_GOLDEN[seed].items():
+            assert values[name] == pytest.approx(golden, rel=1e-14, abs=0.0), name
+        bound = next(c for c in report.checks if c.name == "stress_energy_bound")
+        assert bound.detail == "operator bound 1"
+
+    def test_peak_memory_is_bounded(self):
+        # A chunk of the sweep, not the whole sweep, is held at once.
+        tracemalloc.start()
+        try:
+            verify.suite_constitutive(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+    def test_configured_material_is_normalised_as_the_sweep(self):
+        consts = pm.random_material(0)
+        report = verify.suite_constitutive(0, extra_consts=consts)
+        rng = np.random.default_rng(0)
+        for _ in verify._sweep_chunks(rng):
+            pass
+        pt = verify._point_sample(consts, verify._draw_states(rng, verify._SWEEP_STATES))
+        expected = max(float(np.max(pt["static"] / (1.0 + pt["n2"]))),
+                       float(np.max(pt["rate"] / (1.0 + pt["n2"]))),
+                       float(np.max(pt["dual"] / (1.0 + np.sqrt(pt["n2"])))))
+        check = next(c for c in report.checks if c.name == "config_material_identities")
+        assert check.passed and check.measured == expected

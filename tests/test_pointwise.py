@@ -19,7 +19,7 @@ from poromix.pointwise import (
 )
 
 from . import oracles
-from .conftest import random_point_state, zero_point_state
+from .conftest import random_point_state, stack_law, zero_point_state
 from .test_materials import zero_material
 
 
@@ -254,3 +254,61 @@ def test_stacked_state_matches_row_by_row(name, rng, random_consts):
                        for ps, qs, n in zip(rows, rates, normals)])
     assert stacked.shape == by_row.shape
     np.testing.assert_allclose(stacked, by_row, rtol=1e-13, atol=1e-13)
+
+
+@pytest.fixture(scope="module")
+def stacked_materials():
+    """Three certified random materials and the same three as one (3, 1) law."""
+    materials = [pm.random_material(seed) for seed in (3, 4, 5)]
+    return materials, stack_law(materials)
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_stacked_law_matches_material_by_material(name, rng, stacked_materials):
+    materials, law = stacked_materials
+    count = 6
+    rows = [[random_point_state(rng) for _ in range(count)] for _ in materials]
+    rates = [r[1:] + r[:1] for r in rows]
+    normals = rng.standard_normal((len(materials), count, 3))
+    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    fn = BATCHED[name]
+    stacked = fn(law, pm.reduced_constants(law), _stack([_stack(r) for r in rows]),
+                 _stack([_stack(r) for r in rates]), normals)
+    by_material = np.array([fn(m, pm.reduced_constants(m), _stack(r), _stack(q), n)
+                            for m, r, q, n in zip(materials, rows, rates, normals)])
+    assert stacked.shape == by_material.shape
+    np.testing.assert_allclose(stacked, by_material, rtol=1e-13, atol=1e-13)
+
+
+def test_stacked_law_bounds_match_material_by_material(stacked_materials):
+    materials, law = stacked_materials
+    stacked = {
+        "xi_min": law.form.xi_min, "xi_max": law.form.xi_max, "c": law.speed.c,
+        "ratio": pm.materials.worst_stress_energy_ratio(law),
+    }
+    by_material = {
+        "xi_min": [m.form.xi_min for m in materials], "xi_max": [m.form.xi_max for m in materials],
+        "c": [m.speed.c for m in materials],
+        "ratio": [pm.materials.worst_stress_energy_ratio(m) for m in materials],
+    }
+    for key, values in stacked.items():
+        assert np.shape(values) == (len(materials), 1), key
+        np.testing.assert_allclose(values[:, 0], by_material[key], rtol=1e-13, atol=1e-13,
+                                   err_msg=key)
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_law_batch_pairs_with_a_state_batch_of_the_same_shape(name, rng, stacked_materials):
+    # A (k,) law against (k,) states: material i with state i, one row each.
+    materials, _ = stacked_materials
+    law = pm.MaterialConstants(**{key: np.stack([getattr(m, key) for m in materials])
+                                  for key in pm.materials.MATERIAL_KEYS})
+    rows = [random_point_state(rng) for _ in materials]
+    normals = rng.standard_normal((len(materials), 3))
+    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    fn = BATCHED[name]
+    stacked = fn(law, pm.reduced_constants(law), _stack(rows), _stack(rows[::-1]), normals)
+    by_material = np.array([fn(m, pm.reduced_constants(m), ps, qs, n)
+                            for m, ps, qs, n in zip(materials, rows, rows[::-1], normals)])
+    assert stacked.shape == by_material.shape
+    np.testing.assert_allclose(stacked, by_material, rtol=1e-13, atol=1e-13)
