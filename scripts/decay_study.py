@@ -24,7 +24,7 @@ def main() -> int:
     args = ap.parse_args()
 
     consts = pm.random_material(args.seed)
-    problem, geom, traj, speed = _pulse_trajectory(consts, args.n, lam=1.0)
+    problem, geom, traj, speed = _pulse_trajectory(consts, args.n)
     r_grid = diag.default_r_grid(geom)
     length = problem.grid.extent()[0]
     print(f"c = {speed.c:.4f}, L = {geom.L:.4f}, T = {traj.times[-1]:.4f}")

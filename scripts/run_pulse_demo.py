@@ -27,7 +27,7 @@ def main() -> int:
     args = ap.parse_args()
 
     consts = pm.random_material(args.seed)
-    grid = pm.Grid(dim=1, n=(args.n,), h=(1.0 / (args.n - 1),))
+    grid = pm.Grid(args.n)
     boundary = pm.BoundaryPartition.uniform("natural", "natural", dim=1)
     initial = pm.InitialData(
         u1=pm.gaussian_pulse([0.5], args.width, 1.0, component=0),

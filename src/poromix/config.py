@@ -333,7 +333,7 @@ def load_config(path) -> RunConfig:
         family: tuple((s,) + table.get(s, ("dirichlet_zero", ())) for s in sorted(valid_sides))
         for family, table in boundary.items()
     }
-    return replace(cfg, n=n, h=cfg.h or tuple(1.0 / (ni - 1) for ni in n),
+    return replace(cfg, n=n, h=cfg.h or Grid(n).h,
                    init=tuple(prof for _, _, prof in init),
                    boundary_u=full["u"], boundary_phi=full["phi"])
 
@@ -450,7 +450,7 @@ def _constant(groups):
 def build_problem(cfg: RunConfig, consts: MaterialConstants | None = None) -> ProblemSpec:
     """Materialize the ProblemSpec described by a configuration."""
     consts = consts if consts is not None else resolve_material(cfg)
-    grid = Grid(dim=cfg.dim, n=cfg.n, h=cfg.h, origin=cfg.origin)
+    grid = Grid(n=cfg.n, h=cfg.h, origin=cfg.origin)
 
     def sides(table) -> dict[str, SideCondition]:
         return {side: SideCondition(_BOUNDARY_KINDS[kind][0],

@@ -438,6 +438,12 @@ def _delta4() -> np.ndarray:
     return np.einsum("ir,js->ijrs", eye, eye)
 
 
+# The constant parts of a draw and the per-block unit steps of a certification.
+_DRAW_A, _DRAW_C = _iso4(0.4, 0.4), 0.4 * _delta4()
+_CERTIFY_STEPS = dict(A=_iso4(0.0, 0.5), C=_delta4(), zeta=1.0, mu=1.0,
+                      alpha=np.eye(3), gamma=np.eye(3), a=np.eye(3))
+
+
 def _material(**given) -> MaterialConstants:
     """Constants with the given values; every other tensor and scalar is 0, ρ and χ are 1."""
     values = {name: np.zeros(shape) for name, shape in _TENSOR_SHAPES.items()}
@@ -477,9 +483,9 @@ def draw_material(rng: np.random.Generator) -> dict:
         return 0.5 * (t + t.T)
 
     return dict(
-        A=_iso4(0.4, 0.4) + 0.35 * _sym4_full(rng.standard_normal((3, 3, 3, 3))),
+        A=_DRAW_A + 0.35 * _sym4_full(rng.standard_normal((3, 3, 3, 3))),
         B=cpl * 0.5 * (lambda t: t + t.transpose(1, 0, 2, 3))(rng.standard_normal((3, 3, 3, 3))),
-        C=0.4 * _delta4()
+        C=_DRAW_C
         + 0.3 * (lambda t: 0.5 * (t + t.transpose(2, 3, 0, 1)))(rng.standard_normal((3, 3, 3, 3))),
         **{name: cpl * sym2() for name in "DEMN"},
         zeta=1.0 + 0.3 * rng.standard_normal(),
@@ -511,16 +517,15 @@ def certify_material(consts: MaterialConstants) -> MaterialConstants:
     the decay and influence suites assume.  The block enters the stress map once per
     component, so raising it never degrades the certified inequality.
     """
-    floor, eye = 0.08, np.eye(3)
+    floor = 0.08
     low, s = consts.form.xi_min < floor, floor - np.asarray(consts.form.xi_min)
-    steps = dict(A=_iso4(0.0, 0.5), C=_delta4(), zeta=1.0, mu=1.0, alpha=eye, gamma=eye, a=eye)
     consts = replace(consts, **{name: _shift(getattr(consts, name), s, low, step)
-                                for name, step in steps.items()})
+                                for name, step in _CERTIFY_STEPS.items()})
     # Raising the relative-displacement block lifts xi_max without touching
     # any acoustic branch (it is a pure value channel).
     kappa = _coupled_stress_bound(consts)
     s2 = kappa - np.linalg.eigvalsh(consts.a)[..., -1]
-    return replace(consts, a=_shift(consts.a, s2, (consts.form.xi_max < kappa) & (s2 > 0.0), eye))
+    return replace(consts, a=_shift(consts.a, s2, (consts.form.xi_max < kappa) & (s2 > 0.0), _CERTIFY_STEPS["a"]))
 
 
 def random_material(seed: int | np.random.Generator = 0) -> MaterialConstants:

@@ -51,25 +51,26 @@ AXIS_NAMES = ("x", "y")
 class Grid:
     """Uniform Cartesian grid with nodes on the domain boundary.
 
-    ``dim`` spatial axes are sampled (1 or 2); fields are independent of the
-    unsampled coordinates but all vectors/tensors stay 3-D.
+    ``n`` holds the node counts of the sampled axes, so ``dim = len(n)`` (1 or
+    2); ``h`` defaults to the unit box, 1/(n − 1) per axis, and ``origin`` to
+    0.  Fields are independent of the unsampled coordinates but all
+    vectors/tensors stay 3-D.
     """
 
-    dim: int
     n: tuple[int, ...]
-    h: tuple[float, ...]
+    h: tuple[float, ...] = ()
     origin: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise InvalidParameter(f"dim must be 1 or 2, got {self.dim}")
         n = tuple(int(v) for v in np.atleast_1d(self.n))
-        h = tuple(float(v) for v in np.atleast_1d(self.h))
-        origin = tuple(float(v) for v in np.atleast_1d(self.origin)) if self.origin else (0.0,) * self.dim
-        if len(n) != self.dim or len(h) != self.dim or len(origin) != self.dim:
-            raise InvalidParameter("n, h, origin must each have one entry per dimension")
+        if len(n) not in (1, 2):
+            raise InvalidParameter(f"dim must be 1 or 2, got {len(n)}")
         if any(v < 4 for v in n):
             raise InvalidParameter("need at least 4 nodes per sampled dimension")
+        h = tuple(float(v) for v in np.atleast_1d(self.h)) or tuple(1.0 / (v - 1) for v in n)
+        origin = tuple(float(v) for v in np.atleast_1d(self.origin)) or (0.0,) * len(n)
+        if len(h) != len(n) or len(origin) != len(n):
+            raise InvalidParameter("n, h, origin must each have one entry per dimension")
         if not all(0.0 < v < math.inf for v in h):
             raise InvalidParameter("grid spacing must be positive and finite")
         if not all(map(math.isfinite, origin)):
@@ -77,6 +78,10 @@ class Grid:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "origin", origin)
+
+    @property
+    def dim(self) -> int:
+        return len(self.n)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -103,6 +103,18 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 
 
+def _scenario(consts: MaterialConstants, n, initial: InitialData,
+              walls: tuple[str, str] = ("natural", "natural"), **controls) -> ProblemSpec:
+    """The unit box with ``n`` nodes per axis (an int for 1-D, a pair for 2-D),
+    uniform (u, φ) ``walls`` and the ``ProblemSpec`` run ``controls``.  A
+    recording cadence that the controls do not name records only t = 0."""
+    grid = Grid(n)
+    never = dict.fromkeys(("energy_every", "snapshot_every"), 10**9)
+    return ProblemSpec(grid=grid, consts=consts, initial=initial,
+                       boundary=BoundaryPartition.uniform(*walls, dim=grid.dim),
+                       **never | controls)
+
+
 def _odd_pulse(center: float, width: float, amplitude: float):
     """amplitude·s·exp(−s²/2), s = (x − center)/width, on the axial component.
 
@@ -283,7 +295,6 @@ def suite_constitutive(seed: int = 0,
 def _drift_run(seed: int, n: int, steps: int) -> float:
     """Energy drift of a 1-D coupled pulse run with traction-free walls (conserved energy)."""
     consts = random_material(seed)
-    grid = Grid(dim=1, n=(n,), h=(1.0 / (n - 1),))
     width = 0.06
     initial = InitialData(
         u1=gaussian_pulse([0.45], width, 1.0, component=0),
@@ -292,11 +303,9 @@ def _drift_run(seed: int, n: int, steps: int) -> float:
         phi1=gaussian_pulse([0.5], width, 0.5),
         psi2=gaussian_pulse([0.42], width, 0.3),
     )
-    dt = stable_timestep(grid, consts.speed, 0.5)
-    problem = ProblemSpec(grid=grid, consts=consts,
-                          boundary=BoundaryPartition.uniform("natural", "natural", dim=1),
-                          initial=initial, T=steps * dt, energy_every=10, snapshot_every=10**9)
-    _, energy, _ = simulate(problem, n_steps=steps)
+    problem = _scenario(consts, n, initial, energy_every=10)
+    dt = stable_timestep(problem.grid, consts.speed, problem.cfl)
+    _, energy, _ = simulate(replace(problem, T=steps * dt), n_steps=steps)
     return energy.max_relative_drift()
 
 
@@ -318,25 +327,18 @@ def suite_identities(seed: int = 0) -> VerifyReport:
     ]
 
     consts = random_material(seed + 1)
-    lam = 1.0
     T = 0.25
     c = consts.speed.c
     n0 = 100
     base_steps = int(np.ceil(T * c / (0.45 * (1.0 / n0)))) + 1
 
     def residual_run(level: int):
-        n = n0 * 2**level + 1
-        grid = Grid(dim=1, n=(n,), h=(1.0 / (n - 1),))
         initial = InitialData(
             u1=gaussian_pulse([0.5], 0.07, 1.0, component=0),
             v2=gaussian_pulse([0.45], 0.07, 0.6, component=1),
             phi2=gaussian_pulse([0.55], 0.07, 0.5),
         )
-        problem = ProblemSpec(
-            grid=grid, consts=consts, lam=lam,
-            boundary=BoundaryPartition.uniform("natural", "natural", dim=1),
-            initial=initial, T=T, energy_every=10**9, snapshot_every=2,
-        )
+        problem = _scenario(consts, n0 * 2**level + 1, initial, T=T, snapshot_every=2)
         _, _, traj = simulate(problem, n_steps=base_steps * 2**level)
         ir = diag.identity_residuals(traj)
         return (
@@ -375,25 +377,20 @@ def suite_identities(seed: int = 0) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def _pulse_trajectory(consts: MaterialConstants, n: int, lam: float, cadence: int = 2):
-    grid = Grid(dim=1, n=(n,), h=(1.0 / (n - 1),))
+def _pulse_trajectory(consts: MaterialConstants, n: int, cadence: int = 2):
     width = 0.02
     initial = InitialData(
         u1=gaussian_pulse([0.5], width, 1.0, component=0),
         v1=gaussian_pulse([0.5], width, 0.5, component=0),
         phi1=gaussian_pulse([0.5], width, 0.4),
     )
-    problem = ProblemSpec(
-        grid=grid, consts=consts, lam=lam,
-        boundary=BoundaryPartition.uniform("natural", "natural", dim=1),
-        initial=initial, T=0.0, cfl=0.5,
-    )
+    problem = _scenario(consts, n, initial, T=0.0)
     speed = problem.speed()
     geom = diag.support_geometry(problem)
     t_total = 0.85 * geom.L / speed.c
-    dt = stable_timestep(grid, speed, problem.cfl)
+    dt = stable_timestep(problem.grid, speed, problem.cfl)
     steps = int(np.ceil(t_total / (cadence * dt))) * cadence
-    problem = replace(problem, T=steps * dt, energy_every=10**9, snapshot_every=cadence)
+    problem = replace(problem, T=steps * dt, snapshot_every=cadence)
     _, _, traj = simulate(problem, n_steps=steps)
     return problem, geom, traj, speed
 
@@ -417,7 +414,7 @@ def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
     consts = random_material(seed + 2)
 
     def run(n, cadence):
-        problem, geom, traj, speed = _pulse_trajectory(consts, n, lam=1.0, cadence=cadence)
+        problem, geom, traj, speed = _pulse_trajectory(consts, n, cadence)
         flux = diag.surface_power(traj, geom, diag.default_r_grid(geom, count=28))
         return problem, speed, flux, flux.weighted(1.0)
 
@@ -514,7 +511,6 @@ def _peak_speed(traj) -> float:
 
 
 def _front_run(consts: MaterialConstants, n: int, fast_mode: bool = True):
-    grid = Grid(dim=1, n=(n,), h=(1.0 / (n - 1),))
     width = 0.02
     if fast_mode:
         initial, v_analytic = _fast_mode_initial(consts, width, 0.5)
@@ -525,14 +521,10 @@ def _front_run(consts: MaterialConstants, n: int, fast_mode: bool = True):
             phi1=gaussian_pulse([0.5], width, 0.4),
         )
         v_analytic = None
-    problem = ProblemSpec(
-        grid=grid, consts=consts,
-        boundary=BoundaryPartition.uniform("natural", "natural", dim=1),
-        initial=initial, T=0.0,
-    )
+    problem = _scenario(consts, n, initial, T=0.0)
     speed = problem.speed()
     geom = diag.support_geometry(problem)
-    problem = replace(problem, T=0.8 * geom.L / speed.c, energy_every=10**9, snapshot_every=4)
+    problem = replace(problem, T=0.8 * geom.L / speed.c, snapshot_every=4)
     _, _, traj = simulate(problem)
     front = diag.front_speed(traj, geom)
     v_peak = _peak_speed(traj) if fast_mode else None
@@ -577,25 +569,20 @@ def suite_influence(seed: int = 0) -> VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# Suite: equipartition and the rigid fit.
+# Suite: equipartition and the rigid fit.  Each run is a whole number of
+# transits of the unit box, 1/c each.
 # ---------------------------------------------------------------------------
 
 
 def _equipartition_case_i(seed: int):
     consts = random_material(seed + 4)
-    n = 201
-    grid = Grid(dim=1, n=(n,), h=(1.0 / (n - 1),))
     initial = InitialData(
         u1=gaussian_pulse([0.5], 0.05, 1.0, component=0),
         u2=gaussian_pulse([0.4], 0.05, 0.6, component=1),
         phi1=gaussian_pulse([0.6], 0.05, 0.5),
     )
-    problem = ProblemSpec(
-        grid=grid, consts=consts,
-        boundary=BoundaryPartition.uniform("dirichlet", "dirichlet", dim=1),
-        initial=initial, T=50.0 * grid.extent()[0] / consts.speed.c,
-        energy_every=4, snapshot_every=10**9,
-    )
+    problem = _scenario(consts, 201, initial, ("dirichlet", "dirichlet"),
+                        T=50.0 / consts.speed.c, energy_every=4)
     _, series, _ = simulate(problem)
     return diag.equipartition_report(series, problem)
 
@@ -613,31 +600,24 @@ def _equipartition_case_ii(seed: int, scenario: str):
         exactly the common translation.
     """
     consts = random_material(seed + 5)
+    n, transits = 201, 5.0
     if scenario == "rotation2d":
         n = (25, 25)
-        grid = Grid(dim=2, n=n, h=(1.0 / (n[0] - 1), 1.0 / (n[1] - 1)))
         rigid_v = RigidMotion([0.3, 0.1, 0.05], [0.0, 0.0, 0.4]).field
         extra = InitialData(v1=rigid_v, v2=rigid_v)
-        transits = 5.0
     elif scenario == "pure":
-        grid = Grid(dim=1, n=(201,), h=(1.0 / 200.0,))
         rigid_v = RigidMotion([0.3, 0.1, 0.2], [0.0, 0.0, 0.0]).field
         extra = InitialData(v1=rigid_v, v2=rigid_v)
-        transits = 5.0
     else:
-        grid = Grid(dim=1, n=(201,), h=(1.0 / 200.0,))
         rigid_v = RigidMotion([0.3, 0.1, 0.0], [0.0, 0.0, 0.0]).field
         odd1, odd2 = _odd_pulse(0.5, 0.04, 0.5), _odd_pulse(0.45, 0.04, 0.4)
         extra = InitialData(
             v1=lambda x: rigid_v(x) + odd1(x),
             v2=lambda x: rigid_v(x) + odd2(x),
-            phi1=gaussian_pulse([0.55] * grid.dim, 0.05, 0.2),
+            phi1=gaussian_pulse([0.55], 0.05, 0.2),
         )
         transits = 50.0
-    boundary = BoundaryPartition.uniform("natural", "natural", dim=grid.dim)
-    problem = ProblemSpec(grid=grid, consts=consts, boundary=boundary, initial=extra,
-                          T=transits * grid.extent()[0] / consts.speed.c,
-                          energy_every=4, snapshot_every=10**9)
+    problem = _scenario(consts, n, extra, T=transits / consts.speed.c, energy_every=4)
     _, series, _ = simulate(problem)
     return diag.equipartition_report(series, problem)
 
@@ -677,12 +657,11 @@ def suite_equipartition(seed: int = 0) -> VerifyReport:
     rng = np.random.default_rng(seed + 6)
     worst = 0.0
     for k in range(100):
-        dim = 1 if k % 2 == 0 else 2
-        if dim == 1:
-            grid = Grid(dim=1, n=(int(rng.integers(16, 64)),), h=(float(rng.uniform(0.01, 0.1)),))
+        if k % 2 == 0:
+            grid = Grid(n=rng.integers(16, 64), h=rng.uniform(0.01, 0.1))
         else:
-            grid = Grid(dim=2, n=(int(rng.integers(8, 20)), int(rng.integers(8, 20))),
-                        h=(float(rng.uniform(0.02, 0.1)), float(rng.uniform(0.02, 0.1))))
+            grid = Grid(n=(rng.integers(8, 20), rng.integers(8, 20)),
+                        h=(rng.uniform(0.02, 0.1), rng.uniform(0.02, 0.1)))
         for _ in range(4):
             worst = max(worst, rigid_fit(rng.standard_normal((3,) + grid.shape), grid)[2])
     rep.checks.append(CheckResult(
@@ -700,12 +679,7 @@ def suite_uniqueness(seed: int = 0) -> VerifyReport:
     """Null data stay exactly null; identical runs are bit-identical."""
     rep = VerifyReport(suite="uniqueness")
     consts = random_material(seed + 7)
-    grid = Grid(dim=1, n=(201,), h=(1.0 / 200.0,))
-    problem = ProblemSpec(
-        grid=grid, consts=consts,
-        boundary=BoundaryPartition.uniform("dirichlet", "natural", dim=1),
-        initial=InitialData(), T=1.0, cfl=0.5, energy_every=10**9, snapshot_every=10**9,
-    )
+    problem = _scenario(consts, 201, InitialData(), ("dirichlet", "natural"), T=1.0)
     final, _, _ = simulate(problem, n_steps=1000)
     rep.checks.append(CheckResult(
         "null_data_null_solution", "max |state| after 1000 steps from null data",

@@ -154,3 +154,59 @@ def test_criterion_10_rigid_decomposition(equipartition_report):
         equipartition_report,
         ["rigid_normalization"],
     )
+
+
+# Every non-runtime check value of the simulation suites at SEED.  Values of
+# roundoff size are pinned only to be below _ROUNDOFF in magnitude.
+SIMULATION_GOLDEN = {
+    "identities": {
+        "energy_conservation": 4.9908291185533439e-05,
+        "energy_drift_refinement": 3.9948518510976156,
+        "order_res_energy_balance": 1.9801679575600706,
+        "order_res_virial": 1.9721576544812938,
+        "order_res_two_time": 2.9410453174478624e-17,
+    },
+    "decay": {
+        "power_nonnegative": -0.0,
+        "power_monotone": 0.0,
+        "power_equals_energy": 0.022348826310326496,
+        "power_equals_energy_refined": 0.01272353946225596,
+        "radial_inequality": -1.0123738209383053e-138,
+        "decay_bound_lam_0.5": 0.95238095238095244,
+        "decay_bound_lam_1": 0.95238095238095244,
+        "decay_bound_lam_2": 0.95238095238095244,
+    },
+    "influence": {
+        "front_speed_decoupled_base": 0.85255582987319178,
+        "front_speed_decoupled_refined": 0.79936394866677829,
+        "front_speed_coupled_base": 0.94589142475171561,
+        "front_speed_coupled_refined": 0.89153130764500643,
+        "pulse_speed_vs_analytic": 0.0074647204230911387,
+        "influence_quiet_zone": 1.7722835611101484e-24,
+    },
+    "equipartition": {
+        "equipartition_gap_dirichlet": 1.214424756784194e-05,
+        "equipartition_decay_exponent": -0.95088126296013509,
+        "equipartition_rigid_exact": 7.3546085062476262e-16,
+        "equipartition_rigid_exact_2d": 7.9657364337008684e-16,
+        "equipartition_free_offset": 2.373820150345707e-05,
+        "rigid_normalization": 1.5130290924018507e-15,
+    },
+    "uniqueness": {
+        "null_data_null_solution": 0.0,
+        "determinism": 1.0,
+    },
+}
+_ROUNDOFF = 1e-12
+
+
+@pytest.mark.parametrize("suite", sorted(SIMULATION_GOLDEN))
+def test_simulation_check_values_are_unchanged(suite, request):
+    report = request.getfixturevalue(f"{suite}_report")
+    values = {c.name: c.measured for c in report.checks if not c.name.startswith("runtime_")}
+    assert values.keys() == SIMULATION_GOLDEN[suite].keys()
+    for name, golden in SIMULATION_GOLDEN[suite].items():
+        if abs(golden) >= _ROUNDOFF:
+            assert values[name] == pytest.approx(golden, rel=1e-12, abs=0.0), name
+        else:
+            assert abs(values[name]) <= _ROUNDOFF, name

@@ -28,7 +28,7 @@ def natural_bc(dim=1):
 
 
 def problem_1d(consts, n=101, T=0.1, **kw):
-    grid = pm.Grid(dim=1, n=(n,), h=(1.0 / (n - 1),))
+    grid = pm.Grid(n=(n,), h=(1.0 / (n - 1),))
     kw.setdefault("boundary", natural_bc())
     return pm.ProblemSpec(grid=grid, consts=consts, T=T, **kw)
 
@@ -36,7 +36,7 @@ def problem_1d(consts, n=101, T=0.1, **kw):
 def pulse_problem_2d():
     """The centred 64² pulse of the sim2d-pulse benchmark workload."""
     n = 64
-    grid = pm.Grid(dim=2, n=(n, n), h=(1.0 / (n - 1), 1.0 / (n - 1)))
+    grid = pm.Grid(n=(n, n), h=(1.0 / (n - 1), 1.0 / (n - 1)))
     return pm.ProblemSpec(
         grid=grid, consts=pm.random_material(1), T=0.1, boundary=natural_bc(dim=2),
         initial=pm.InitialData(u1=pm.gaussian_pulse([0.5, 0.5], 0.06, 1.0, component=0)))
@@ -107,7 +107,7 @@ class TestTotalEnergy:
 class TestSupportGeometry:
     def test_single_node_support_gives_distance_field(self, random_consts):
         n = 101
-        grid = pm.Grid(dim=1, n=(n,), h=(0.01,))
+        grid = pm.Grid(n=(n,), h=(0.01,))
 
         def spike(x):
             out = np.zeros((3,) + x.shape[1:])
@@ -146,7 +146,7 @@ class TestSupportGeometry:
         np.testing.assert_allclose(geom.dist, brute, atol=1e-12)
 
     def test_anisotropic_2d_distance_matches_pairwise_oracle(self, monkeypatch, random_consts):
-        grid = pm.Grid(dim=2, n=(23, 17), h=(0.05, 0.03))
+        grid = pm.Grid(n=(23, 17), h=(0.05, 0.03))
 
         def wall(x):  # nonzero displacement pinned on the y1 side
             shape = x.shape[1:]
@@ -232,7 +232,7 @@ class TestSurfacePower:
     def test_two_dimensional_power_structure(self):
         consts = pm.random_material(13)
         n = 121
-        grid = pm.Grid(dim=2, n=(n, n), h=(1.0 / (n - 1), 1.0 / (n - 1)))
+        grid = pm.Grid(n=(n, n), h=(1.0 / (n - 1), 1.0 / (n - 1)))
         bc = natural_bc(dim=2)
         ini = pm.InitialData(
             u1=pm.gaussian_pulse([0.5, 0.5], 0.03, 1.0, component=0),
@@ -434,14 +434,14 @@ def free_velocity_problem(consts, dim):
     """All-traction runs whose initial velocities differ per constituent and
     are neither rigid nor free of a rigid part (in 2-D with in-plane rotation)."""
     if dim == 1:
-        grid = pm.Grid(dim=1, n=(41,), h=(0.025,))
+        grid = pm.Grid(n=(41,), h=(0.025,))
         v1 = RigidMotion([0.3, -0.1, 0.2], [0.0, 0.0, 0.0]).field
         initial = pm.InitialData(
             u1=pm.gaussian_pulse([0.5], 0.1, 0.5, component=0),
             v1=lambda x: v1(x) + pm.gaussian_pulse([0.4], 0.1, 0.7, component=1)(x),
             v2=pm.gaussian_pulse([0.6], 0.08, -0.4, component=0))
     else:
-        grid = pm.Grid(dim=2, n=(9, 11), h=(0.1, 0.08))
+        grid = pm.Grid(n=(9, 11), h=(0.1, 0.08))
         v1 = RigidMotion([0.1, 0.2, -0.05], [0.0, 0.0, 0.6]).field
         v2 = RigidMotion([-0.2, 0.0, 0.1], [0.0, 0.0, -0.3]).field
         initial = pm.InitialData(

@@ -146,7 +146,7 @@ class TestDerivedOnce:
         consts = pm.random_material(12)
         verify._point_sample(consts, verify._draw_states(np.random.default_rng(0), 4))
         problem = pm.ProblemSpec(
-            grid=pm.Grid(dim=1, n=(16,), h=(0.1,)), consts=consts,
+            grid=pm.Grid(n=(16,), h=(0.1,)), consts=consts,
             boundary=pm.BoundaryPartition.uniform("natural", "natural", dim=1))
         problem.workspace
         calls = count_builds(monkeypatch)

@@ -27,9 +27,9 @@ def natural_bc(dim):
 
 def small_problem(consts, n=64, dim=1, boundary=None, **kw):
     if dim == 1:
-        grid = pm.Grid(dim=1, n=(n,), h=(1.0 / (n - 1),))
+        grid = pm.Grid(n=(n,), h=(1.0 / (n - 1),))
     else:
-        grid = pm.Grid(dim=2, n=(n, n), h=(1.0 / (n - 1), 1.0 / (n - 1)))
+        grid = pm.Grid(n=(n, n), h=(1.0 / (n - 1), 1.0 / (n - 1)))
     return pm.ProblemSpec(
         grid=grid, consts=consts,
         boundary=boundary or natural_bc(dim), **kw,
@@ -38,17 +38,17 @@ def small_problem(consts, n=64, dim=1, boundary=None, **kw):
 
 class TestGridAndTimestep:
     def test_stable_timestep_formula_1d(self):
-        grid = pm.Grid(dim=1, n=(11,), h=(0.1,))
+        grid = pm.Grid(n=(11,), h=(0.1,))
         sp = pm.SpeedParams(m_inertia=1.0, c=2.0)
         assert pm.stable_timestep(grid, sp, 0.5) == pytest.approx(0.025)
 
     def test_stable_timestep_formula_2d(self):
-        grid = pm.Grid(dim=2, n=(11, 11), h=(0.1, 0.1))
+        grid = pm.Grid(n=(11, 11), h=(0.1, 0.1))
         sp = pm.SpeedParams(m_inertia=1.0, c=1.0)
         assert pm.stable_timestep(grid, sp, 1.0) == pytest.approx(0.1 / math.sqrt(2.0))
 
     def test_invalid_cfl(self):
-        grid = pm.Grid(dim=1, n=(11,), h=(0.1,))
+        grid = pm.Grid(n=(11,), h=(0.1,))
         sp = pm.SpeedParams(m_inertia=1.0, c=1.0)
         with pytest.raises(InvalidParameter):
             pm.stable_timestep(grid, sp, 0.0)
@@ -57,24 +57,36 @@ class TestGridAndTimestep:
 
     def test_grid_validation(self):
         with pytest.raises(InvalidParameter):
-            pm.Grid(dim=1, n=(3,), h=(0.1,))
+            pm.Grid(n=(3,), h=(0.1,))
         with pytest.raises(InvalidParameter):
-            pm.Grid(dim=3, n=(5, 5, 5), h=(0.1, 0.1, 0.1))
+            pm.Grid(n=(5, 5, 5), h=(0.1, 0.1, 0.1))
         with pytest.raises(InvalidParameter):
-            pm.Grid(dim=2, n=(5,), h=(0.1, 0.1))
+            pm.Grid(n=(5,), h=(0.1, 0.1))
+
+    def test_grid_defaults_to_the_unit_box(self):
+        grid = pm.Grid((5, 9))
+        assert (grid.dim, grid.h, grid.origin) == (2, (0.25, 0.125), (0.0, 0.0))
+        assert grid.extent() == (1.0, 1.0)
+        assert pm.Grid(11) == pm.Grid(n=(11,), h=(0.1,), origin=(0.0,))
+
+    def test_grid_takes_arrays_as_tuples(self):
+        arrays = pm.Grid(n=np.array([5, 6]), h=np.array([0.1, 0.2]), origin=np.zeros(2))
+        tuples = pm.Grid(n=(5, 6), h=(0.1, 0.2), origin=(0.0, 0.0))
+        assert arrays == tuples
+        assert np.array_equal(arrays.positions(), tuples.positions())
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_grid_and_run_controls_rejected(self, random_consts, bad):
         with pytest.raises(InvalidParameter, match="spacing"):
-            pm.Grid(dim=1, n=(11,), h=(bad,))
+            pm.Grid(n=(11,), h=(bad,))
         with pytest.raises(InvalidParameter, match="origin"):
-            pm.Grid(dim=2, n=(5, 5), h=(0.1, 0.1), origin=(0.0, bad))
+            pm.Grid(n=(5, 5), h=(0.1, 0.1), origin=(0.0, bad))
         for name in ("T", "lam"):
             with pytest.raises(InvalidParameter, match="finite"):
                 small_problem(random_consts, **{name: bad})
 
     def test_weights_measure_volume(self):
-        grid = pm.Grid(dim=2, n=(9, 13), h=(0.125, 0.05))
+        grid = pm.Grid(n=(9, 13), h=(0.125, 0.05))
         assert grid.weights().sum() == pytest.approx(1.0 * 0.6)
 
 
@@ -498,7 +510,7 @@ class TestAccuracy:
 
 class TestRigidFit:
     def test_pure_translation(self):
-        grid = pm.Grid(dim=1, n=(33,), h=(1.0 / 32.0,))
+        grid = pm.Grid(n=(33,), h=(1.0 / 32.0,))
         tr = np.array([0.3, -0.2, 0.7])
         field = np.broadcast_to(tr.reshape(3, 1), (3, 33)).copy()
         motion, residual, _ = pm.rigid_fit(field, grid)
@@ -507,7 +519,7 @@ class TestRigidFit:
         assert np.max(np.abs(residual)) <= 1e-12
 
     def test_normalized_data_has_zero_rigid_part(self):
-        grid = pm.Grid(dim=1, n=(41,), h=(0.025,))
+        grid = pm.Grid(n=(41,), h=(0.025,))
         x = grid.positions()
         field = np.zeros((3, 41))
         s = (x[0] - 0.5) / 0.1
@@ -518,7 +530,7 @@ class TestRigidFit:
         np.testing.assert_allclose(residual, field, atol=1e-10)
 
     def test_2d_rotation_recovered(self):
-        grid = pm.Grid(dim=2, n=(15, 17), h=(0.08, 0.07))
+        grid = pm.Grid(n=(15, 17), h=(0.08, 0.07))
         x = grid.positions()
         tr = np.array([0.1, -0.3, 0.2])
         om = np.array([0.0, 0.0, 0.8])
@@ -534,9 +546,9 @@ class TestRigidFit:
         # the fit takes no density; the oracle's moments carry each constituent's
         for trial in range(100):
             if trial % 2 == 0:
-                grid = pm.Grid(dim=1, n=(int(rng.integers(8, 40)),), h=(0.03,))
+                grid = pm.Grid(n=(int(rng.integers(8, 40)),), h=(0.03,))
             else:
-                grid = pm.Grid(dim=2, n=(int(rng.integers(5, 12)), int(rng.integers(5, 12))),
+                grid = pm.Grid(n=(int(rng.integers(5, 12)), int(rng.integers(5, 12))),
                                h=(0.05, 0.06))
             shape = grid.shape
             fields = [rng.standard_normal((3,) + shape) for _ in range(4)]
