@@ -416,10 +416,10 @@ def worst_stress_energy_ratio(consts: MaterialConstants) -> float:
 
 
 def _sym4_full(t: np.ndarray) -> np.ndarray:
-    """Project onto tensors with A_ijrs = A_jirs = A_rsij (and hence = A_ijsr)."""
-    t = 0.5 * (t + t.transpose(1, 0, 2, 3))
-    t = 0.5 * (t + t.transpose(0, 1, 3, 2))
-    return 0.5 * (t + t.transpose(2, 3, 0, 1))
+    """Project onto tensors with A_ijrs = A_jirs = A_rsij (and hence = A_ijsr), over any batch."""
+    t = 0.5 * (t + _ix(t, "jirs"))
+    t = 0.5 * (t + _ix(t, "ijsr"))
+    return 0.5 * (t + _ix(t, "rsij"))
 
 
 def _iso4(lam: float, mu: float) -> np.ndarray:
@@ -471,34 +471,42 @@ def decoupled_material() -> MaterialConstants:
                      alpha=0.5 * np.eye(3), gamma=0.5 * np.eye(3), a=0.05 * np.eye(3))
 
 
-def draw_material(rng: np.random.Generator) -> dict:
-    """Raw constants of one random material, keyed by ``MATERIAL_KEYS``: every tensor
-    drawn from N(0, 1) and projected onto the required symmetries (M and N too, so
-    the printed law derives from the energy density), the couplings scaled by 0.25
-    and isotropic diagonal stiffness added."""
+# A material's N(0, 1) draws fill its tensors and scalars in field order.
+_DRAW_ORDER = [name for name in MaterialConstants.__dataclass_fields__ if name not in _INERTIAS]
+_DRAW_ENDS = np.cumsum([np.prod(_TENSOR_SHAPES.get(name, ()), dtype=int) for name in _DRAW_ORDER])
+
+
+def _material_draws(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One material's raw draws: N(0, 1) tensors and scalars, then U(0.6, 1.8) inertias."""
+    return rng.standard_normal(_DRAW_ENDS[-1]), rng.uniform(0.6, 1.8, len(_INERTIAS))
+
+
+def _drawn_constants(normals: np.ndarray, uniforms: np.ndarray) -> dict:
+    """Raw constants keyed by ``MATERIAL_KEYS`` from ``_material_draws`` with any batch
+    axes: every tensor projected onto the required symmetries (M and N too, so the
+    printed law derives from the energy density), the couplings scaled by 0.25 and
+    isotropic diagonal stiffness added."""
+    raw = {name: part.reshape(normals.shape[:-1] + _TENSOR_SHAPES.get(name, ()))
+           for name, part in zip(_DRAW_ORDER, np.split(normals, _DRAW_ENDS[:-1], axis=-1))}
+    sym = {name: 0.5 * (raw[name] + raw[name].mT)
+           for name in ("D", "E", "M", "N", "alpha", "gamma", "a")}
     cpl = 0.25
-
-    def sym2():
-        t = rng.standard_normal((3, 3))
-        return 0.5 * (t + t.T)
-
     return dict(
-        A=_DRAW_A + 0.35 * _sym4_full(rng.standard_normal((3, 3, 3, 3))),
-        B=cpl * 0.5 * (lambda t: t + t.transpose(1, 0, 2, 3))(rng.standard_normal((3, 3, 3, 3))),
-        C=_DRAW_C
-        + 0.3 * (lambda t: 0.5 * (t + t.transpose(2, 3, 0, 1)))(rng.standard_normal((3, 3, 3, 3))),
-        **{name: cpl * sym2() for name in "DEMN"},
-        zeta=1.0 + 0.3 * rng.standard_normal(),
-        mu=1.0 + 0.3 * rng.standard_normal(),
-        tau=cpl * rng.standard_normal(),
-        alpha=np.eye(3) + 0.3 * sym2(),
-        beta=cpl * rng.standard_normal((3, 3)),
-        gamma=np.eye(3) + 0.3 * sym2(),
-        a=np.eye(3) + 0.3 * sym2(),
-        b=cpl * rng.standard_normal((3, 3)),
-        c=cpl * rng.standard_normal((3, 3)),
-        **{name: float(rng.uniform(0.6, 1.8)) for name in _INERTIAS},
+        A=_DRAW_A + 0.35 * _sym4_full(raw["A"]),
+        B=cpl * 0.5 * (raw["B"] + _ix(raw["B"], "jirs")),
+        C=_DRAW_C + 0.3 * (0.5 * (raw["C"] + _ix(raw["C"], "rsij"))),
+        **{name: cpl * sym[name] for name in "DEMN"},
+        **{name: 1.0 + 0.3 * raw[name] for name in ("zeta", "mu")},
+        **{name: np.eye(3) + 0.3 * sym[name] for name in ("alpha", "gamma", "a")},
+        **{name: cpl * raw[name] for name in ("tau", "beta", "b", "c")},
+        **dict(zip(_INERTIAS, np.moveaxis(uniforms, -1, 0))),
     )
+
+
+def draw_material(rng: np.random.Generator) -> dict:
+    """Raw constants of one random material, keyed by ``MATERIAL_KEYS``, from two
+    generator calls: ``_drawn_constants`` of ``_material_draws``."""
+    return _drawn_constants(*_material_draws(rng))
 
 
 def _shift(t, s, where, step):

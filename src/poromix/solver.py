@@ -63,6 +63,8 @@ class Grid:
 
     def __post_init__(self):
         n = tuple(int(v) for v in np.atleast_1d(self.n))
+        if not np.array_equal(n, np.atleast_1d(self.n)):  # int() truncates
+            raise InvalidParameter(f"node counts must be integers, got {self.n!r}")
         if len(n) not in (1, 2):
             raise InvalidParameter(f"dim must be 1 or 2, got {len(n)}")
         if any(v < 4 for v in n):
@@ -395,8 +397,9 @@ class Workspace:
     static boundary data, evaluated once: the pinned values ``pin_values``,
     the ``load`` of the prescribed tractions/fluxes times the surface weights
     (None when no natural side carries values) and the per-node magnitude of
-    all side values, ``boundary_mag``.  Reach it through
-    ``ProblemSpec.workspace``.
+    all side values, ``boundary_mag``.  It also holds the evaluation buffers
+    and the two step slots that ``step`` alternates between; ``simulate``
+    drops both when it returns.  Reach it through ``ProblemSpec.workspace``.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -441,9 +444,12 @@ class Workspace:
                     self.boundary_mag[sl] = np.maximum(self.boundary_mag[sl], mag)
         self.load = load if loaded else None
         self.half_mass = 0.5 * self.w * self.inertia
+        self.any_pinned = bool(self.pinned.any())
         # Buffers Y, QY ((1 + dim, 8, *grid)), F = (QY)₀, where ``acceleration`` assembles
         # the internal force, and scratch; allocated on first use, dropped by ``simulate``.
         self._buffers: tuple[np.ndarray, ...] | None = None
+        # Step slots (UV, U = UV[0], V = UV[1], a); ``step`` allocates, ``simulate`` drops them.
+        self._slots: tuple[tuple[np.ndarray, ...], ...] | None = None
 
     def _eval_buffers(self) -> tuple[np.ndarray, ...]:
         if self._buffers is None:
@@ -484,7 +490,8 @@ def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
     F = −w(QY)₀ − Σⱼ δⱼᵀ(w/(2hⱼ) (QY)ⱼ), plus the static load ``ws.load``.
     The internal part is assembled in the workspace's F buffer, where it
     stays until the next evaluation; ``simulate`` takes each recorded
-    state's strain energy −½ U·F from it.
+    state's strain energy −½ U·F from it.  The result is written into the
+    step slot that holds U; only a U from outside the slots gets a fresh array.
     """
     _, QY = ws._raw_stress(U)
     np.multiply(QY, ws.jet_w, out=QY)
@@ -492,8 +499,11 @@ def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
     for j in range(1, len(QY)):
         subtract_adjoint(F, QY[j], j)
     # the load is added into the returned array, never into F
-    a = (F if ws.load is None else ws.load + F) / ws.mass
-    a[ws.pinned] = 0.0
+    a = next((a for _, slot_U, _, a in ws._slots or () if slot_U is U), None)
+    a = np.empty(U.shape) if a is None else a
+    np.divide(F if ws.load is None else np.add(ws.load, F, out=a), ws.mass, out=a)
+    if ws.any_pinned:
+        a[ws.pinned] = 0.0
     return a
 
 
@@ -508,24 +518,32 @@ def step(
 
     ``accel_cache`` is the acceleration of ``state``.  The last evaluation is
     the new state's force, so the workspace's F buffer holds its internal
-    force on return.  The new U, V and acceleration are the only grid-sized
-    arrays a step allocates; the rest live in the workspace.
+    force on return.  The new U, V and acceleration go to the workspace's
+    step slot that does not hold ``state`` (only the first step allocates),
+    so they stay valid until the step after next; copy them to keep them.
 
     Raises:
         NonFinite: if any updated value is not finite (instability signal).
     """
     ws = problem.workspace
+    if ws._slots is None:
+        shape = (STATE_ROWS,) + problem.grid.shape
+        # one array per slot, so that a returned state keeps only its own slot alive
+        ws._slots = tuple((UV, *UV, np.empty(shape))
+                          for UV in (np.empty((2,) + shape), np.empty((2,) + shape)))
+    UV, U, V, _ = ws._slots[state.U is ws._slots[0][1]]  # the slot not holding state
     half = 0.5 * dt
-    V = np.multiply(accel_cache, half)
-    V += state.V
-    U = np.multiply(V, dt)
-    U += state.U
-    np.copyto(U, ws.pin_values, where=ws.pinned)
+    np.add(np.multiply(accel_cache, half, out=V), state.V, out=V)  # kick
+    np.add(np.multiply(V, dt, out=U), state.U, out=U)  # drift
+    if ws.any_pinned:
+        np.copyto(U, ws.pin_values, where=ws.pinned)
     t_new = state.t + dt
     a_new = acceleration(ws, U)
     V += np.multiply(a_new, half, out=ws._eval_buffers()[3])
-    V[ws.pinned] = 0.0
-    if not (np.isfinite(U).all() and np.isfinite(V).all()):
+    if ws.any_pinned:
+        V[ws.pinned] = 0.0
+    # |UV|² overflows only far beyond any stable state; then each value is checked
+    if not (math.isfinite(np.vdot(UV, UV)) or np.isfinite(UV).all()):
         raise NonFinite(f"non-finite value at t = {t_new:.6g}", step=step_index)
     return StateField(t=t_new, U=U, V=V), a_new
 
@@ -546,6 +564,8 @@ def simulate(
     strain energy is exactly −½ U·F.  Deterministic for fixed inputs.  The
     step count is chosen so the run lands exactly on T; an explicit
     ``n_steps`` overrides the CFL default (the caller then owns stability).
+    On return, also by an exception, the workspace drops its buffers and
+    step slots, so a later run leaves the returned state unchanged.
     """
     speed = problem.speed()
     ws = problem.workspace
@@ -559,25 +579,26 @@ def simulate(
         n_steps = max(1, math.ceil(problem.T / base - 1e-12))
     dt_eff = problem.T / max(n_steps, 1)
     energy, snapshots, snapshot_energy = [], [], []
-    cache = acceleration(ws, state.U)
-    for k in range(n_steps + 1):
-        if k > 0:
-            state, cache = step(state, problem, dt_eff, accel_cache=cache, step_index=k)
-        on_energy = k % problem.energy_every == 0
-        on_snapshot = k % problem.snapshot_every == 0
-        if on_energy or on_snapshot:
-            _, _, F, kin = ws._eval_buffers()  # F: the internal force of this state
-            np.multiply(ws.half_mass, np.square(state.V, out=kin), out=kin)
-            sample = EnergySample(t=state.t, kinetic_u=float(kin[:PHI1_ROW].sum()),
-                                  kinetic_phi=float(kin[PHI1_ROW:].sum()),
-                                  strain=-0.5 * float(np.vdot(state.U, F)))
-            if on_energy:
-                energy.append(sample)
-            if on_snapshot:
-                snapshots.append(state.copy())
-                snapshot_energy.append(sample)
-    # The post-run diagnostics allocate the buffers again if they need them.
-    ws._buffers = None
+    try:
+        cache = acceleration(ws, state.U)
+        for k in range(n_steps + 1):
+            if k > 0:
+                state, cache = step(state, problem, dt_eff, accel_cache=cache, step_index=k)
+            on_energy = k % problem.energy_every == 0
+            on_snapshot = k % problem.snapshot_every == 0
+            if on_energy or on_snapshot:
+                _, _, F, kin = ws._eval_buffers()  # F: the internal force of this state
+                np.multiply(ws.half_mass, np.square(state.V, out=kin), out=kin)
+                sample = EnergySample(t=state.t, kinetic_u=float(kin[:PHI1_ROW].sum()),
+                                      kinetic_phi=float(kin[PHI1_ROW:].sum()),
+                                      strain=-0.5 * float(np.vdot(state.U, F)))
+                if on_energy:
+                    energy.append(sample)
+                if on_snapshot:
+                    snapshots.append(state.copy())
+                    snapshot_energy.append(sample)
+    finally:
+        ws._buffers = ws._slots = None
     trajectory = Trajectory(problem=problem, states=snapshots,
                             energy=EnergySeries.from_samples(snapshot_energy))
     return state, EnergySeries.from_samples(energy), trajectory

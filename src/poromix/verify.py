@@ -18,11 +18,11 @@ from . import diagnostics as diag
 from .config import SUITES
 from .errors import Degenerate, NotPositiveDefinite, SymmetryViolation
 from .materials import (
-    MATERIAL_KEYS,
     MaterialConstants,
+    _drawn_constants,
+    _material_draws,
     certify_material,
     decoupled_material,
-    draw_material,
     random_material,
     reduced_constants,
     validate_symmetries,
@@ -137,12 +137,23 @@ def _odd_pulse(center: float, width: float, amplitude: float):
 
 
 _STATE_SHAPES = ((3, 3), (3, 3), (3,), (3,), (), (), (3,), (3,))
+# The ends of the fields of a state, and of its normal, in its N(0, 1) draws.
+_STATE_ENDS = np.cumsum([np.prod(shape, dtype=int) for shape in _STATE_SHAPES + ((3,),)])
+
+
+def _states(draws: np.ndarray, count: int) -> list[np.ndarray]:
+    """``count`` states, field by field as in PointState, and their unit normals from
+    ``count · 35`` N(0, 1) draws (in that order) with any leading batch axes."""
+    # contiguous copies, like per-field stacks, so the kernels' sums run in the same order
+    *parts, normals = (np.ascontiguousarray(part).reshape(draws.shape[:-1] + (count,) + shape)
+                       for part, shape in zip(np.split(draws, count * _STATE_ENDS[:-1], axis=-1),
+                                              _STATE_SHAPES + ((3,),)))
+    return parts + [normals / np.linalg.norm(normals, axis=-1, keepdims=True)]
 
 
 def _draw_states(rng: np.random.Generator, count: int) -> list[np.ndarray]:
-    """``count`` random states, field by field as in PointState, and their unit normals."""
-    *parts, normals = [rng.standard_normal((count,) + shape) for shape in _STATE_SHAPES + ((3,),)]
-    return parts + [normals / np.linalg.norm(normals, axis=-1, keepdims=True)]
+    """``count`` random states and their unit normals, in one generator call."""
+    return _states(rng.standard_normal(count * _STATE_ENDS[-1]), count)
 
 
 def _point_sample(consts: MaterialConstants, states: list[np.ndarray]) -> dict[str, np.ndarray]:
@@ -206,11 +217,11 @@ def _sweep_chunks(rng: np.random.Generator):
     their states, of batch shape (k, ``_SWEEP_STATES``).  The draws follow
     ``random_material(rng)`` and then ``_draw_states`` for each material."""
     for start in range(0, _SWEEP_MATERIALS, _SWEEP_CHUNK):
-        draws = [(draw_material(rng), _draw_states(rng, _SWEEP_STATES))
+        draws = [(*_material_draws(rng), rng.standard_normal(_SWEEP_STATES * _STATE_ENDS[-1]))
                  for _ in range(min(_SWEEP_CHUNK, _SWEEP_MATERIALS - start))]
-        law = MaterialConstants(**{key: np.stack([raw[key] for raw, _ in draws])[:, None]
-                                   for key in MATERIAL_KEYS})
-        yield certify_material(law), [np.stack(part) for part in zip(*(st for _, st in draws))]
+        normals, uniforms, states = (np.stack(part) for part in zip(*draws))
+        law = MaterialConstants(**_drawn_constants(normals[:, None], uniforms[:, None]))
+        yield certify_material(law), _states(states, _SWEEP_STATES)
 
 
 def suite_constitutive(seed: int = 0,

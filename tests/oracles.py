@@ -601,3 +601,57 @@ def dalembert_mode(profile, v: float, amp: np.ndarray, x: np.ndarray, t: float):
     """Right-going single-mode solution u_x = amp * p(x - v t)."""
     vals = profile.val(x - v * t)
     return np.outer(amp, vals)
+
+
+# ---------------------------------------------------------------------------
+# Random materials and states, one generator call per tensor and per field.
+# ---------------------------------------------------------------------------
+
+
+def _iso4_per_call(lam: float, mu: float) -> np.ndarray:
+    eye = np.eye(3)
+    return (lam * np.einsum("ij,rs->ijrs", eye, eye) + mu * np.einsum("ir,js->ijrs", eye, eye)
+            + mu * np.einsum("is,jr->ijrs", eye, eye))
+
+
+def _sym4_per_call(t: np.ndarray) -> np.ndarray:
+    t = 0.5 * (t + t.transpose(1, 0, 2, 3))
+    t = 0.5 * (t + t.transpose(0, 1, 3, 2))
+    return 0.5 * (t + t.transpose(2, 3, 0, 1))
+
+
+def draw_material_per_call(rng: np.random.Generator) -> dict:
+    """The raw random material drawn tensor by tensor (about 25 generator calls),
+    in the order and with the arithmetic that ``materials.draw_material`` must keep."""
+    cpl = 0.25
+
+    def sym2():
+        t = rng.standard_normal((3, 3))
+        return 0.5 * (t + t.T)
+
+    eye = np.eye(3)
+    return dict(
+        A=_iso4_per_call(0.4, 0.4) + 0.35 * _sym4_per_call(rng.standard_normal((3, 3, 3, 3))),
+        B=cpl * 0.5 * (lambda t: t + t.transpose(1, 0, 2, 3))(rng.standard_normal((3, 3, 3, 3))),
+        C=0.4 * np.einsum("ir,js->ijrs", eye, eye)
+        + 0.3 * (lambda t: 0.5 * (t + t.transpose(2, 3, 0, 1)))(rng.standard_normal((3, 3, 3, 3))),
+        **{name: cpl * sym2() for name in "DEMN"},
+        zeta=1.0 + 0.3 * rng.standard_normal(),
+        mu=1.0 + 0.3 * rng.standard_normal(),
+        tau=cpl * rng.standard_normal(),
+        alpha=eye + 0.3 * sym2(),
+        beta=cpl * rng.standard_normal((3, 3)),
+        gamma=eye + 0.3 * sym2(),
+        a=eye + 0.3 * sym2(),
+        b=cpl * rng.standard_normal((3, 3)),
+        c=cpl * rng.standard_normal((3, 3)),
+        **{name: float(rng.uniform(0.6, 1.8)) for name in ("rho1", "rho2", "chi1", "chi2")},
+    )
+
+
+def draw_states_per_part(rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """``count`` random point states drawn field by field (one generator call each),
+    then their normals, as ``verify._draw_states`` must keep them."""
+    shapes = ((3, 3), (3, 3), (3,), (3,), (), (), (3,), (3,), (3,))
+    *parts, normals = [rng.standard_normal((count,) + shape) for shape in shapes]
+    return parts + [normals / np.linalg.norm(normals, axis=-1, keepdims=True)]

@@ -399,6 +399,22 @@ class TestConstitutiveSweep:
         assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.bit_generator.state["state"]["state"] == SWEEP_END_STATE
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_draws_keep_the_per_call_generator_order(self, seed):
+        # one generator call per tensor and per state field, as the oracle draws them
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got, want = pm.materials.draw_material(rng), oracles.draw_material_per_call(ref)
+            assert got.keys() == want.keys()
+            for key in MATERIAL_KEYS:
+                assert np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes(), key
+            states = verify._draw_states(rng, verify._SWEEP_STATES)
+            ref_states = oracles.draw_states_per_part(ref, verify._SWEEP_STATES)
+            for got_part, want_part in zip(states, ref_states, strict=True):
+                assert got_part.shape == want_part.shape
+                assert got_part.tobytes() == want_part.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("seed", sorted(SWEEP_GOLDEN))
     def test_check_values_are_unchanged(self, seed):
         report = verify.suite_constitutive(seed)
