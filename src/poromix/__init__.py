@@ -8,9 +8,11 @@ Layout:
                  raw-difference kernels δⱼ, δⱼᵀ and the jet form Q = Pᵀ𝒜P that
                  gives every field stress, force and energy density
     solver       explicit leapfrog integration with mixed boundary conditions;
-                 ``simulate`` records the energy series and the snapshots;
+                 ``run`` yields each recorded step's live state and energy
+                 split, and ``simulate`` collects the series and snapshots;
                  ``rigid_fit`` splits a field into rigid motion and residual
-    diagnostics  surface power, decay/front reports, Cesàro means
+    diagnostics  surface power, decay/front reports, Cesàro means, identity
+                 residuals; per-state reductions for streamed runs
     verify       theorem-verification suites
     config, cli  run configuration and the command-line entry points
 """
@@ -50,6 +52,7 @@ from .solver import (
     gaussian_pulse,
     initialize,
     rigid_fit,
+    run,
     simulate,
     stable_timestep,
     step,

@@ -34,8 +34,7 @@ from .errors import (
     SchemaError,
     SymmetryViolation,
 )
-from .solver import simulate
-from .verify import run_suite
+from .solver import EnergySeries, run
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -76,6 +75,43 @@ def cmd_material_check(args) -> int:
     return EXIT_PASS
 
 
+def _stream(problem, write=None):
+    """Run the problem once, reducing each snapshot as it is taken.
+
+    The support geometry and the default r-grid are set before the first
+    step; only the t = 0 state is copied.  ``write(index, state)`` gets each
+    snapshot first.  Returns the energy series, the surface flux, and the
+    snapshots' energy series with their identity samples.
+    """
+    ws = problem.workspace
+    geom = diag.support_geometry(problem)
+    shells = diag.surface_shells(ws, geom, diag.default_r_grid(geom))
+    energy, snap_energy, surface, pairings = [], [], [], []
+    for k, state, sample in run(problem):
+        if k == 0:
+            state0 = state.copy()  # the two-time identity pairs every later state with it
+        if k % problem.energy_every == 0:
+            energy.append(sample)
+        if k % problem.snapshot_every == 0:
+            if write is not None:
+                write(len(surface), state)
+            surface.append(shells.sample(state))
+            pairings.append(diag.identity_sample(ws, state0, state))
+            snap_energy.append(sample)
+    flux = shells.flux([s.t for s in snap_energy], surface)
+    return (EnergySeries.from_samples(energy), flux,
+            EnergySeries.from_samples(snap_energy), pairings)
+
+
+def _clear_run(out_dir: str, snap_dir: str) -> None:
+    """Remove an earlier run's manifest and snapshots (and nothing else there)."""
+    manifest = os.path.join(out_dir, "manifest.txt")
+    if os.path.exists(manifest):
+        os.remove(manifest)
+    for stale in glob.glob(os.path.join(glob.escape(snap_dir), "snap_" + "[0-9]" * 6 + ".bin")):
+        os.remove(stale)
+
+
 def cmd_simulate(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -90,21 +126,28 @@ def cmd_simulate(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
+    # the snapshots reach the disk as they are taken, so a run that fails
+    # leaves neither a manifest nor snapshots: it must not look finished
+    _clear_run(out_dir, snap_dir)
+    paths = []
+
+    def write(idx, state):
+        p_snap = os.path.join(snap_dir, f"snap_{idx:06d}.bin")
+        pio.write_snapshot(p_snap, state)
+        paths.append(p_snap)
+
     try:
-        _, energy, traj = simulate(problem)
+        energy, flux, snap_energy, pairings = _stream(problem, write)
     except NonFinite as exc:
+        _clear_run(out_dir, snap_dir)
         print(f"numerical failure: {exc} (step {exc.step})", file=sys.stderr)
         return EXIT_NUMERIC
-    paths = []
     p_energy = os.path.join(out_dir, "energy.csv")
     pio.write_energy_csv(p_energy, energy)
     paths.append(p_energy)
 
-    geom = diag.support_geometry(problem)
-    r_grid = diag.default_r_grid(geom)
-    sps = diag.surface_power(traj, geom, r_grid).weighted(problem.lam)
     p_power = os.path.join(out_dir, "power.csv")
-    pio.write_power_csv(p_power, sps)
+    pio.write_power_csv(p_power, flux.weighted(problem.lam))
     paths.append(p_power)
 
     if len(energy.t) >= 2:
@@ -112,21 +155,15 @@ def cmd_simulate(args) -> int:
         p_ces = os.path.join(out_dir, "cesaro.csv")
         pio.write_cesaro_csv(p_ces, cs)
         paths.append(p_ces)
-    if len(traj) >= 3:
+    if len(pairings) >= 3:
         try:
-            ir = diag.identity_residuals(traj)
+            ir = diag.IdentityResiduals.from_samples(problem, snap_energy, pairings)
         except InvalidParameter as exc:
             print(f"residuals.csv not written: {exc}", file=sys.stderr)
         else:
             p_res = os.path.join(out_dir, "residuals.csv")
             pio.write_residuals_csv(p_res, ir)
             paths.append(p_res)
-    for stale in glob.glob(os.path.join(glob.escape(snap_dir), "snap_" + "[0-9]" * 6 + ".bin")):
-        os.remove(stale)  # so the directory holds exactly this run's snapshots
-    for idx, state in enumerate(traj.states):
-        p_snap = os.path.join(snap_dir, f"snap_{idx:06d}.bin")
-        pio.write_snapshot(p_snap, state)
-        paths.append(p_snap)
 
     canon = os.path.join(out_dir, "config.canonical")
     save_config(cfg, canon)
@@ -157,6 +194,8 @@ def cmd_verify(args) -> int:
     except (OSError, InvalidParameter, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    from .verify import run_suite  # not at the top: simulate and decay-report never need it
+
     all_pass = True
     try:
         for name in suites:
@@ -184,16 +223,13 @@ def cmd_decay_report(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        _, _, traj = simulate(problem)
+        flux = _stream(problem)[1]
     except NonFinite as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    geom = diag.support_geometry(problem)
-    r_grid = diag.default_r_grid(geom)
     speed = problem.speed()
     length = max(problem.grid.extent())
     lams = [m * speed.c / length for m in (0.5, 1.0, 2.0)] if args.lambda_sweep else [problem.lam]
-    flux = diag.surface_power(traj, geom, r_grid)
     ok = True
     for lam in lams:
         sps = flux.weighted(lam)

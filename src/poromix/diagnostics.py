@@ -8,6 +8,16 @@ energy series and snapshots that ``solver.simulate`` records.  All volume
 integrals use the trapezoid node weights of the grid (the functional the
 symmetric scheme conserves); time integrals are trapezoid sums over the
 recorded cadence.
+
+The surface power and the identity residuals split into a reduction of one
+recorded state (``SurfaceShells.sample``, ``identity_sample``) and an
+assembly from the resulting series (``SurfaceShells.flux``,
+``IdentityResiduals.from_samples``).  The trajectory functions run both over
+a ``Trajectory``; ``poromix simulate`` and ``decay-report`` run them on each
+state that ``solver.run`` yields, as it is taken, so their peak memory is
+O(grid), not grid × snapshot count.  A yielded state is valid only until
+the step after next, so only the t = 0 state, which the two-time identity
+pairs with every later one, is copied.
 """
 
 from __future__ import annotations
@@ -24,7 +34,15 @@ from .errors import (
     UndefinedAtZero,
 )
 from .fields import stored_energy
-from .solver import EnergySeries, ProblemSpec, Trajectory, initialize, rigid_fit
+from .solver import (
+    EnergySeries,
+    ProblemSpec,
+    StateField,
+    Trajectory,
+    Workspace,
+    initialize,
+    rigid_fit,
+)
 
 
 def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -193,20 +211,57 @@ def _axis_faces(arr: np.ndarray, axis_pos: int):
     return arr[tuple(lo)], arr[tuple(hi)]
 
 
-def surface_power(traj: Trajectory, geom: SupportGeometry, r_grid: np.ndarray) -> SurfaceFlux:
-    """Surface power on the staircase interfaces S_r, before the time weight.
+@dataclass
+class SurfaceShells:
+    """The staircase interfaces S_r of one support geometry and r-grid, on one workspace.
 
-    One pass over the snapshots gives the flux through S_r and the energy
-    outside it at every radius; ``.weighted(λ)`` of the result is the
-    time-weighted P(r, t) with its volume energy E(r, t), so a λ sweep
-    evaluates each snapshot once.  S_r is realized as the set of grid faces
-    separating {dist ≤ r} from {dist > r}.  Each node gets one shell index
-    k, the number of radii below its distance, so it lies outside S_{r_i}
-    exactly when i < k.  The energy outside every S_r is then one bincount
-    over k plus a reverse cumulative sum; a face between shells k_lo ≠ k_hi
-    lies on S_{r_i} for min(k_lo, k_hi) ≤ i < max(k_lo, k_hi), and its flux
-    averages the two nodal values of (QY)ⱼ·V = Σ_α [S^α[:, j]·u̇^α + h^α_j φ̇^α].
-    Each state costs O(grid), whatever the number of radii.
+    Each node gets one shell index k, the number of radii below its
+    distance, so it lies outside S_{r_i} exactly when i < k.  A face between
+    shells k_lo ≠ k_hi lies on S_{r_i} for min(k_lo, k_hi) ≤ i < max(k_lo,
+    k_hi): it has one (face, radius) entry per radius it crosses, with its
+    area signed +1 where the upper node is the outer one (faces of all axes
+    in order).
+    """
+
+    ws: Workspace
+    r_grid: np.ndarray
+    shell: np.ndarray
+    faces: np.ndarray
+    radii: np.ndarray
+    areas: np.ndarray
+
+    def sample(self, state: StateField) -> tuple[np.ndarray, np.ndarray]:
+        """The flux through every S_r and the energy outside it, of one state.
+
+        The energy outside every S_r is one bincount over the shell index
+        plus a reverse cumulative sum; a face's flux averages the two nodal
+        values of (QY)ⱼ·V = Σ_α [S^α[:, j]·u̇^α + h^α_j φ̇^α].  One
+        ``Workspace.stress`` call, so O(grid) whatever the number of radii.
+        """
+        ws, nr = self.ws, len(self.r_grid)
+        Y, QY = ws.stress(state.U)
+        eps = 0.5 * np.sum(ws.inertia * state.V**2, axis=0) + stored_energy(Y, QY)
+        per_shell = np.bincount(self.shell.ravel(), weights=(ws.w * eps).ravel(), minlength=nr + 1)
+        face_flux = []
+        for axis in range(ws.grid.dim):
+            s_lo, s_hi = _axis_faces(QY[1 + axis], 1 + axis)
+            v_lo, v_hi = _axis_faces(state.V, 1 + axis)
+            face_flux.append(0.25 * np.einsum("c...,c...->...", s_lo + s_hi, v_lo + v_hi).ravel())
+        flux = np.bincount(self.radii, weights=self.areas * np.concatenate(face_flux)[self.faces],
+                           minlength=nr)
+        return flux, np.cumsum(per_shell[::-1])[::-1][1:]
+
+    def flux(self, t_grid, samples: list[tuple[np.ndarray, np.ndarray]]) -> SurfaceFlux:
+        """The :class:`SurfaceFlux` of the states sampled at the times ``t_grid``."""
+        flux, energy = (np.stack(parts, axis=1) for parts in zip(*samples))
+        return SurfaceFlux(r_grid=self.r_grid, t_grid=np.asarray(t_grid, dtype=float),
+                           flux=flux, energy=energy)
+
+
+def surface_shells(ws: Workspace, geom: SupportGeometry, r_grid: np.ndarray) -> SurfaceShells:
+    """The interfaces S_r of ``geom`` at the radii ``r_grid``, realized on grid faces.
+
+    S_r is the set of grid faces separating {dist ≤ r} from {dist > r}.
 
     Raises:
         InvalidParameter: if ``r_grid`` is not strictly increasing.
@@ -214,12 +269,8 @@ def surface_power(traj: Trajectory, geom: SupportGeometry, r_grid: np.ndarray) -
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or np.any(np.diff(r_grid) <= 0.0):
         raise InvalidParameter("r_grid must be strictly increasing")
-    ws = traj.problem.workspace
     grid = ws.grid
-    nr, nt = len(r_grid), len(traj)
     shell = np.searchsorted(r_grid, geom.dist)
-    # One (face, radius) entry per radius each face crosses, its area signed
-    # +1 where the upper node is the outer one; faces of all axes in order.
     faces, radii, areas = [], [], []
     offset = 0
     for axis in range(grid.dim):
@@ -233,22 +284,23 @@ def surface_power(traj: Trajectory, geom: SupportGeometry, r_grid: np.ndarray) -
         areas.append((np.where(k_hi > k_lo, 1.0, -1.0) * _face_areas(grid, axis)).ravel()[face])
         offset += span.size
     faces, radii, areas = (np.concatenate(a) for a in (faces, radii, areas))
+    return SurfaceShells(ws=ws, r_grid=r_grid, shell=shell, faces=faces, radii=radii, areas=areas)
 
-    flux = np.zeros((nr, nt))
-    energy = np.zeros((nr, nt))
-    for j, state in enumerate(traj.states):
-        Y, QY = ws.stress(state.U)
-        eps = 0.5 * np.sum(ws.inertia * state.V**2, axis=0) + stored_energy(Y, QY)
-        per_shell = np.bincount(shell.ravel(), weights=(ws.w * eps).ravel(), minlength=nr + 1)
-        energy[:, j] = np.cumsum(per_shell[::-1])[::-1][1:]
-        face_flux = []
-        for axis in range(grid.dim):
-            s_lo, s_hi = _axis_faces(QY[1 + axis], 1 + axis)
-            v_lo, v_hi = _axis_faces(state.V, 1 + axis)
-            face_flux.append(0.25 * np.einsum("c...,c...->...", s_lo + s_hi, v_lo + v_hi).ravel())
-        flux[:, j] = np.bincount(radii, weights=areas * np.concatenate(face_flux)[faces],
-                                 minlength=nr)
-    return SurfaceFlux(r_grid=r_grid, t_grid=traj.times, flux=flux, energy=energy)
+
+def surface_power(traj: Trajectory, geom: SupportGeometry, r_grid: np.ndarray) -> SurfaceFlux:
+    """Surface power on the staircase interfaces S_r, before the time weight.
+
+    One pass over the snapshots gives the flux through S_r and the energy
+    outside it at every radius (``SurfaceShells.sample``); ``.weighted(λ)``
+    of the result is the time-weighted P(r, t) with its volume energy
+    E(r, t), so a λ sweep evaluates each snapshot once.  A run that streams
+    its states samples them with the same shells as they are taken.
+
+    Raises:
+        InvalidParameter: if ``r_grid`` is not strictly increasing.
+    """
+    shells = surface_shells(traj.problem.workspace, geom, r_grid)
+    return shells.flux(traj.times, [shells.sample(state) for state in traj.states])
 
 
 @dataclass
@@ -455,73 +507,90 @@ class IdentityResiduals:
     res_two_time: np.ndarray
     scale: float
 
+    @staticmethod
+    def from_samples(problem: ProblemSpec, energy: EnergySeries,
+                     samples: list[tuple[float, float, float, float]]) -> "IdentityResiduals":
+        """The residuals from the snapshots' energy series and their ``identity_sample``s.
+
+        Requires a uniformly recorded cadence (the two-time identity pairs
+        states at t−s and t+s).  The applied load is the workspace's static
+        ``load`` of the prescribed tractions/fluxes; it enters all three
+        identities, through its rate of work load·V, its virial rate load·U
+        and the two-time term ∫₀ᵗ load·(U(t+s) − U(t−s)) ds.  Homogeneous
+        conditions contribute exactly zero.  Nonzero Dirichlet data are
+        refused: their reaction work U·R would need the one-sided discrete
+        boundary traction, and without it the residuals are wrong.
+
+        Raises:
+            InsufficientSnapshots: fewer than 3 recorded states.
+            InvalidParameter: nonzero prescribed Dirichlet values.
+        """
+        if len(samples) < 3:
+            raise InsufficientSnapshots("need at least 3 snapshots")
+        if problem.workspace.pin_values.any():
+            raise InvalidParameter("identity residuals need zero Dirichlet data: the reaction "
+                                   "work of nonzero prescribed values is not evaluated")
+        times = energy.t
+        steps = np.diff(times)
+        if steps.size and (np.max(steps) - np.min(steps)) > 1e-9 * max(np.max(steps), 1e-300):
+            raise InsufficientSnapshots("two-time identity needs a uniform cadence")
+        n = len(times)
+        total = energy.total
+        two_k = 2.0 * (energy.kinetic_u + energy.kinetic_phi)
+        two_w = 2.0 * energy.strain
+        qpair, rate_v, rate_u, cross = (np.array(col) for col in zip(*samples))
+
+        decay = np.exp(-problem.lam * times)
+        lhs16 = decay * total + problem.lam * _cumtrapz(decay * total, times)
+        rhs16 = total[0] + _cumtrapz(decay * rate_v, times)
+        res16 = np.abs(lhs16 - rhs16)
+
+        rhs19 = qpair[0] + _cumtrapz(two_k - two_w + rate_u, times)
+        res19 = np.abs(qpair - rhs19)
+
+        n_half = (n - 1) // 2
+        res23 = np.zeros(n_half + 1)
+        for j in range(n_half + 1):
+            # the load term: the trapezoid over i = 0..j of rate_u[j + i] − rate_u[j − i]
+            bracket = cross[2 * j] + float(np.trapezoid(rate_u[j:2 * j + 1] - rate_u[j::-1],
+                                                        dx=steps[0]))
+            res23[j] = abs(2.0 * qpair[j] - bracket)
+        scale = float(max(np.max(total), np.max(np.abs(qpair)), 1e-300))
+        return IdentityResiduals(
+            t=times[: n_half + 1],
+            res_energy_balance=res16[: n_half + 1],
+            res_virial=res19[: n_half + 1],
+            res_two_time=res23,
+            scale=scale,
+        )
+
+
+def identity_sample(ws: Workspace, state0: StateField,
+                    state: StateField) -> tuple[float, float, float, float]:
+    """One recorded state's pairings in the identities: (Q, load·V, load·U, cross).
+
+    Q is the virial pairing ``pair_product(state, state)``, load·V and
+    load·U are the rates of work and of virial work of the static load (0
+    without one), and cross = ⟨state0, state⟩ + ⟨state, state0⟩ is the
+    two-time pairing with the t = 0 state.
+    """
+    rate_v = rate_u = 0.0
+    if ws.load is not None:
+        rate_v = float(np.sum(ws.load * state.V))
+        rate_u = float(np.sum(ws.load * state.U))
+    return (ws.pair_product(state, state), rate_v, rate_u,
+            ws.pair_product(state0, state) + ws.pair_product(state, state0))
+
 
 def identity_residuals(traj: Trajectory) -> IdentityResiduals:
-    """Evaluate the three whole-body identity residuals on a trajectory.
+    """The three whole-body identity residuals of a trajectory.
 
     λ is the problem's ``lam``.  The energies are the ones recorded with the
-    snapshots, so no stress is evaluated here.
-
-    Requires a uniformly recorded cadence (the two-time identity pairs
-    states at t−s and t+s).  The applied load is the workspace's static
-    ``load`` of the prescribed tractions/fluxes; it enters all three
-    identities, through its rate of work load·V, its virial rate load·U and
-    the two-time term ∫₀ᵗ load·(U(t+s) − U(t−s)) ds.  Homogeneous conditions
-    contribute exactly zero.  Nonzero Dirichlet data are refused: their
-    reaction work U·R would need the one-sided discrete boundary traction,
-    and without it the residuals are wrong.
-
-    Raises:
-        InsufficientSnapshots: fewer than 3 recorded states.
-        InvalidParameter: nonzero prescribed Dirichlet values.
+    snapshots, so no stress is evaluated here; see
+    :meth:`IdentityResiduals.from_samples` for the cadence, the load and
+    the errors.
     """
-    if len(traj) < 3:
-        raise InsufficientSnapshots("need at least 3 snapshots")
-    problem = traj.problem
-    ws = problem.workspace
-    if ws.pin_values.any():
-        raise InvalidParameter("identity residuals need zero Dirichlet data: the reaction "
-                               "work of nonzero prescribed values is not evaluated")
-    states = traj.states
-    times = traj.times
-    steps = np.diff(times)
-    if steps.size and (np.max(steps) - np.min(steps)) > 1e-9 * max(np.max(steps), 1e-300):
-        raise InsufficientSnapshots("two-time identity needs a uniform cadence")
-    n = len(times)
-    energy = traj.energy.total
-    two_k = 2.0 * (traj.energy.kinetic_u + traj.energy.kinetic_phi)
-    two_w = 2.0 * traj.energy.strain
-    qpair = np.array([ws.pair_product(s, s) for s in states])
-
-    # The load's pairings with V and U: the rates of work and of virial work.
-    rate_v, rate_u = np.zeros(n), np.zeros(n)
-    if ws.load is not None:
-        for j, state in enumerate(states):
-            rate_v[j] = float(np.sum(ws.load * state.V))
-            rate_u[j] = float(np.sum(ws.load * state.U))
-
-    decay = np.exp(-problem.lam * times)
-    lhs16 = decay * energy + problem.lam * _cumtrapz(decay * energy, times)
-    rhs16 = energy[0] + _cumtrapz(decay * rate_v, times)
-    res16 = np.abs(lhs16 - rhs16)
-
-    rhs19 = qpair[0] + _cumtrapz(two_k - two_w + rate_u, times)
-    res19 = np.abs(qpair - rhs19)
-
-    n_half = (n - 1) // 2
-    res23 = np.zeros(n_half + 1)
-    s0 = states[0]
-    for j in range(n_half + 1):
-        sm = states[2 * j]
-        bracket = ws.pair_product(s0, sm) + ws.pair_product(sm, s0)
-        # the load term: the trapezoid over i = 0..j of rate_u[j + i] − rate_u[j − i]
-        bracket += float(np.trapezoid(rate_u[j:2 * j + 1] - rate_u[j::-1], dx=steps[0]))
-        res23[j] = abs(2.0 * qpair[j] - bracket)
-    scale = float(max(np.max(energy), np.max(np.abs(qpair)), 1e-300))
-    return IdentityResiduals(
-        t=times[: n_half + 1],
-        res_energy_balance=res16[: n_half + 1],
-        res_virial=res19[: n_half + 1],
-        res_two_time=res23,
-        scale=scale,
-    )
+    ws = traj.problem.workspace
+    state0 = traj.states[0]
+    return IdentityResiduals.from_samples(
+        traj.problem, traj.energy, [identity_sample(ws, state0, s) for s in traj.states])

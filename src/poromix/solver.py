@@ -11,9 +11,11 @@ conditions pin static nodal values.  Besides the initial data, these static
 boundary values are the only applied data, and the :class:`Workspace`
 evaluates them once.  The state is stacked as U = (u¹, u², φ¹, φ²) with
 V = U̇; the force comes from the raw differences and the jet form Q of
-:mod:`poromix.fields`.  ``simulate`` is the one run loop; it records the
-energy split (strain energy −½ U·F) and the snapshots as it steps.  Balance
-laws integrated per constituent α (no body force or body supply)::
+:mod:`poromix.fields`.  ``run`` is the one run loop, a generator that yields
+each recorded step's live state with its energy split (strain energy
+−½ U·F); ``simulate`` collects the series and copies of the snapshots from
+it.  Balance laws integrated per constituent α (no body force or body
+supply)::
 
     ρᵅ üᵅ_i   = Sᵅ_ji,j + (−1)ᵅ p_i
     ρᵅ χᵅ φ̈ᵅ = hᵅ_i,i + gᵅ
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -398,8 +400,8 @@ class Workspace:
     the ``load`` of the prescribed tractions/fluxes times the surface weights
     (None when no natural side carries values) and the per-node magnitude of
     all side values, ``boundary_mag``.  It also holds the evaluation buffers
-    and the two step slots that ``step`` alternates between; ``simulate``
-    drops both when it returns.  Reach it through ``ProblemSpec.workspace``.
+    and the two step slots that ``step`` alternates between; ``run`` drops
+    both when its loop ends.  Reach it through ``ProblemSpec.workspace``.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -444,11 +446,14 @@ class Workspace:
                     self.boundary_mag[sl] = np.maximum(self.boundary_mag[sl], mag)
         self.load = load if loaded else None
         self.half_mass = 0.5 * self.w * self.inertia
-        self.any_pinned = bool(self.pinned.any())
+        # The pinned entries as flat indices of an (8, *grid) array, and their values.
+        self.pin_at = np.flatnonzero(self.pinned)
+        self.pin_to = self.pin_values.reshape(-1)[self.pin_at]
+        self.any_pinned = self.pin_at.size > 0
         # Buffers Y, QY ((1 + dim, 8, *grid)), F = (QY)₀, where ``acceleration`` assembles
-        # the internal force, and scratch; allocated on first use, dropped by ``simulate``.
+        # the internal force, and scratch; allocated on first use, dropped by ``run``.
         self._buffers: tuple[np.ndarray, ...] | None = None
-        # Step slots (UV, U = UV[0], V = UV[1], a); ``step`` allocates, ``simulate`` drops them.
+        # Step slots (UV, U = UV[0], V = UV[1], a); ``step`` allocates, ``run`` drops them.
         self._slots: tuple[tuple[np.ndarray, ...], ...] | None = None
 
     def _eval_buffers(self) -> tuple[np.ndarray, ...]:
@@ -489,7 +494,7 @@ def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
     The force is the exact gradient of the discrete energy Σ w W:
     F = −w(QY)₀ − Σⱼ δⱼᵀ(w/(2hⱼ) (QY)ⱼ), plus the static load ``ws.load``.
     The internal part is assembled in the workspace's F buffer, where it
-    stays until the next evaluation; ``simulate`` takes each recorded
+    stays until the next evaluation; ``run`` takes each recorded
     state's strain energy −½ U·F from it.  The result is written into the
     step slot that holds U; only a U from outside the slots gets a fresh array.
     """
@@ -503,7 +508,7 @@ def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
     a = np.empty(U.shape) if a is None else a
     np.divide(F if ws.load is None else np.add(ws.load, F, out=a), ws.mass, out=a)
     if ws.any_pinned:
-        a[ws.pinned] = 0.0
+        a.reshape(-1)[ws.pin_at] = 0.0
     return a
 
 
@@ -536,16 +541,66 @@ def step(
     np.add(np.multiply(accel_cache, half, out=V), state.V, out=V)  # kick
     np.add(np.multiply(V, dt, out=U), state.U, out=U)  # drift
     if ws.any_pinned:
-        np.copyto(U, ws.pin_values, where=ws.pinned)
+        U.reshape(-1)[ws.pin_at] = ws.pin_to
     t_new = state.t + dt
     a_new = acceleration(ws, U)
     V += np.multiply(a_new, half, out=ws._eval_buffers()[3])
     if ws.any_pinned:
-        V[ws.pinned] = 0.0
+        V.reshape(-1)[ws.pin_at] = 0.0
     # |UV|² overflows only far beyond any stable state; then each value is checked
     if not (math.isfinite(np.vdot(UV, UV)) or np.isfinite(UV).all()):
         raise NonFinite(f"non-finite value at t = {t_new:.6g}", step=step_index)
     return StateField(t=t_new, U=U, V=V), a_new
+
+
+def run(
+    problem: ProblemSpec,
+    n_steps: int | None = None,
+) -> Iterator[tuple[int, StateField, EnergySample | None]]:
+    """The run loop: integrate the problem to T, yielding (k, state, sample) as it steps.
+
+    Step 0 is the t = 0 state, projected onto the Dirichlet data as ``step``
+    projects every later one (U takes the pinned values, V = 0 there).  A
+    step k on either cadence, ``problem.energy_every`` or
+    ``problem.snapshot_every``, is yielded with its energy split, sampled
+    once from the internal force F its own evaluation left in the
+    workspace: the stored energy is quadratic, Σ w W = ½ UᵀKU with F = −KU,
+    so the strain energy is exactly −½ U·F.  The last step is yielded too,
+    with sample None when it is on neither cadence.  A yielded state lives
+    in a step slot: it is valid only until the step after next, so copy it
+    to keep it.  Deterministic for fixed inputs.  The step count is chosen
+    so the run lands exactly on T; an explicit ``n_steps`` overrides the CFL
+    default (the caller then owns stability).  Whenever the loop ends, also
+    by an exception or by closing the generator, the workspace drops its
+    buffers and step slots.
+    """
+    speed = problem.speed()
+    ws = problem.workspace
+    state = initialize(problem)
+    state.U.reshape(-1)[ws.pin_at] = ws.pin_to
+    state.V.reshape(-1)[ws.pin_at] = 0.0
+    if problem.T == 0.0:
+        n_steps = 0
+    elif n_steps is None:
+        base = stable_timestep(problem.grid, speed, problem.cfl)
+        n_steps = max(1, math.ceil(problem.T / base - 1e-12))
+    dt_eff = problem.T / max(n_steps, 1)
+    try:
+        cache = acceleration(ws, state.U)
+        for k in range(n_steps + 1):
+            if k > 0:
+                state, cache = step(state, problem, dt_eff, accel_cache=cache, step_index=k)
+            if k % problem.energy_every and k % problem.snapshot_every:
+                if k == n_steps:
+                    yield k, state, None
+                continue
+            _, _, F, kin = ws._eval_buffers()  # F: the internal force of this state
+            np.multiply(ws.half_mass, np.square(state.V, out=kin), out=kin)
+            yield k, state, EnergySample(t=state.t, kinetic_u=float(kin[:PHI1_ROW].sum()),
+                                         kinetic_phi=float(kin[PHI1_ROW:].sum()),
+                                         strain=-0.5 * float(np.vdot(state.U, F)))
+    finally:
+        ws._buffers = ws._slots = None
 
 
 def simulate(
@@ -554,51 +609,19 @@ def simulate(
 ) -> tuple[StateField, EnergySeries, Trajectory]:
     """Integrate the problem to T; return (final state, EnergySeries, Trajectory).
 
-    Step 0 is the t = 0 state, projected onto the Dirichlet data as ``step``
-    projects every later one (U takes the pinned values, V = 0 there).  Every
-    ``problem.energy_every`` steps the energy split joins the series, and
-    every ``problem.snapshot_every`` steps a copy of the state joins the
-    trajectory with the same sample: a step on either cadence is sampled
-    once, from the internal force F its own evaluation left in the workspace.
-    The stored energy is quadratic, Σ w W = ½ UᵀKU with F = −KU, so the
-    strain energy is exactly −½ U·F.  Deterministic for fixed inputs.  The
-    step count is chosen so the run lands exactly on T; an explicit
-    ``n_steps`` overrides the CFL default (the caller then owns stability).
-    On return, also by an exception, the workspace drops its buffers and
-    step slots, so a later run leaves the returned state unchanged.
+    Collects what :func:`run` yields: every ``problem.energy_every`` steps
+    the energy split joins the series, and every ``problem.snapshot_every``
+    steps a copy of the state joins the trajectory with the same sample.
+    The workspace has dropped its buffers and step slots on return, so a
+    later run leaves the returned state unchanged.
     """
-    speed = problem.speed()
-    ws = problem.workspace
-    state = initialize(problem)
-    np.copyto(state.U, ws.pin_values, where=ws.pinned)
-    state.V[ws.pinned] = 0.0
-    if problem.T == 0.0:
-        n_steps = 0
-    elif n_steps is None:
-        base = stable_timestep(problem.grid, speed, problem.cfl)
-        n_steps = max(1, math.ceil(problem.T / base - 1e-12))
-    dt_eff = problem.T / max(n_steps, 1)
     energy, snapshots, snapshot_energy = [], [], []
-    try:
-        cache = acceleration(ws, state.U)
-        for k in range(n_steps + 1):
-            if k > 0:
-                state, cache = step(state, problem, dt_eff, accel_cache=cache, step_index=k)
-            on_energy = k % problem.energy_every == 0
-            on_snapshot = k % problem.snapshot_every == 0
-            if on_energy or on_snapshot:
-                _, _, F, kin = ws._eval_buffers()  # F: the internal force of this state
-                np.multiply(ws.half_mass, np.square(state.V, out=kin), out=kin)
-                sample = EnergySample(t=state.t, kinetic_u=float(kin[:PHI1_ROW].sum()),
-                                      kinetic_phi=float(kin[PHI1_ROW:].sum()),
-                                      strain=-0.5 * float(np.vdot(state.U, F)))
-                if on_energy:
-                    energy.append(sample)
-                if on_snapshot:
-                    snapshots.append(state.copy())
-                    snapshot_energy.append(sample)
-    finally:
-        ws._buffers = ws._slots = None
+    for k, state, sample in run(problem, n_steps):
+        if k % problem.energy_every == 0:
+            energy.append(sample)
+        if k % problem.snapshot_every == 0:
+            snapshots.append(state.copy())
+            snapshot_energy.append(sample)
     trajectory = Trajectory(problem=problem, states=snapshots,
                             energy=EnergySeries.from_samples(snapshot_energy))
     return state, EnergySeries.from_samples(energy), trajectory

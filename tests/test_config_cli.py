@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import poromix as pm
-from poromix import cli, config, verify
+from poromix import cli, config, solver, verify
 from poromix.config import build_problem, canonical_text, load_config, save_config
 from poromix.errors import InvalidParameter, NonFinite, ParseError, SchemaError
 
@@ -418,6 +418,22 @@ class TestMaterialCheckCommand:
             np.sqrt(eigs[-1] / printed["m"]), rel=1e-10)
 
 
+def simulate_imports(tmp_path, text: str, module: str) -> bool:
+    """Whether ``poromix simulate`` on the config ``text`` imports ``module``, in a fresh process."""
+    path = write(tmp_path, text)
+    script = ("import sys\nfrom poromix import cli\n"
+              f"code = cli.main(['simulate', '--config', {str(path)!r}, "
+              f"'--out', {str(tmp_path / 'out')!r}])\n"
+              f"print(code, {module!r} in sys.modules)\n")
+    src = str(Path(pm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    printed = done.stdout.split()[-2:]
+    assert printed[:1] == ["0"], done.stderr
+    return printed[1] == "True"
+
+
 class TestSimulateCommand:
     def test_zero_data_writes_zero_energy(self, tmp_path, capsys):
         path = write(tmp_path, "grid.n = 32\nT = 0.01\noutput = out0\n")
@@ -462,29 +478,63 @@ class TestSimulateCommand:
             "grid.n = 101", "grid.n = 17 17").replace("center=0.5", "center=0.5,0.5") + (
             "boundary.u.y0 = traction_free\nboundary.u.y1 = traction_free\n"
             "boundary.phi.y0 = traction_free\nboundary.phi.y1 = traction_free\n")
-        path = write(tmp_path, text)
-        script = ("import sys\nfrom poromix import cli\n"
-                  f"code = cli.main(['simulate', '--config', {str(path)!r}, "
-                  f"'--out', {str(tmp_path / 'out')!r}])\n"
-                  "print(code, 'numpy.ma' in sys.modules)\n")
-        src = str(Path(pm.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert done.stdout.split()[-2:] == ["0", "False"], done.stderr
+        assert simulate_imports(tmp_path, text, "numpy.ma") is False
+
+    def test_simulate_leaves_verify_unimported(self, tmp_path):
+        # every module a run imports is compiled in a checkout without bytecode,
+        # and the verification suites are about a fifth of the package
+        assert simulate_imports(tmp_path, PULSE, "poromix.verify") is False
 
     def test_config_error_exit_code(self, tmp_path):
         path = write(tmp_path, "nonsense.key = 1\n")
         assert cli.main(["simulate", "--config", str(path)]) == 2
 
-    def test_numeric_failure_exit_code(self, tmp_path, monkeypatch):
+    def test_numeric_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the snapshots reach the disk as they are taken, so a run that fails
+        # after writing some must leave neither them nor a manifest behind
         path = write(tmp_path, PULSE)
+        out, snaps = tmp_path / "out", tmp_path / "out" / "snapshots"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        (snaps / "notes.txt").write_text("kept")
+        on_disk, step = [], solver.step
 
-        def boom(problem, **kw):
-            raise NonFinite("blew up", step=7)
+        def boom(state, problem, dt, accel_cache, step_index=None):
+            if step_index == 11:  # after the snapshots of steps 0, 5 and 10
+                on_disk.append(sorted(p.name for p in snaps.glob("snap_*.bin")))
+                raise NonFinite("blew up", step=step_index)
+            return step(state, problem, dt, accel_cache, step_index)
 
-        monkeypatch.setattr("poromix.cli.simulate", boom)
-        assert cli.main(["simulate", "--config", str(path)]) == 3
+        monkeypatch.setattr(solver, "step", boom)
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+        assert on_disk == [[f"snap_{i:06d}.bin" for i in range(3)]]
+        assert "(step 11)" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+        assert sorted(p.name for p in snaps.iterdir()) == ["notes.txt"]
+
+    def test_peak_memory_does_not_grow_with_the_snapshot_count(self, tmp_path, capsys):
+        # each snapshot is written and reduced when it is taken, so 41 snapshots
+        # peak within one snapshot (2·8·33²·8 B) of 6; kept copies grew it linearly
+        import tracemalloc
+
+        dt = pm.stable_timestep(pm.Grid((33, 33)), pm.random_material(5).speed, 0.5)
+        text = (f"material = random:5\ngrid.dim = 2\ngrid.n = 33 33\nT = {39.5 * dt!r}\n"
+                "init = gaussian_pulse field=u1 component=0 center=0.5,0.5 width=0.08 "
+                "amplitude=1.0\n")
+        runs = {every: ["simulate", "--config",
+                        str(write(tmp_path, text + f"record.snapshot_every = {every}\n",
+                                  name=f"every{every}.cfg")),
+                        "--out", str(tmp_path / f"out{every}")] for every in (1, 8)}
+        assert cli.main(runs[8]) == 0  # outside the trace: one-time caches of a first run
+        peaks = {}
+        for every, argv in runs.items():
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peaks[every] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(list((tmp_path / "out1" / "snapshots").glob("snap_*.bin"))) == 41
+        assert abs(peaks[1] - peaks[8]) < 2 * 8 * 33 * 33 * 8
 
     def test_pulse_energy_conserved_in_csv(self, tmp_path, capsys):
         # plumbing-level drift bound at n=101; criterion-level 1e-4 at n=400

@@ -547,6 +547,45 @@ class TestIdentityResiduals:
         assert np.max(ir.res_two_time) <= 1e-12 * ir.scale
 
 
+class TestStreamedReductions:
+    """The per-state reductions, run on live states, equal the trajectory functions."""
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_streamed_equal_collected_bit_for_bit(self, loaded):
+        bc = natural_bc(dim=2)
+        if loaded:  # a static traction: the load pairings are nonzero
+            bc.u["x1"] = pm.SideCondition("natural", lambda xb: (0.2 + 0 * xb, 0.1 * xb))
+        prob = replace(pulse_problem_2d(), grid=pm.Grid((33, 33)), boundary=bc, T=0.05,
+                       snapshot_every=3)
+        geom = diag.support_geometry(prob)
+        r_grid = diag.default_r_grid(geom)
+        _, _, traj = pm.simulate(prob)
+        want_flux = diag.surface_power(traj, geom, r_grid)
+        want_ir = diag.identity_residuals(traj)
+
+        shells = diag.surface_shells(prob.workspace, geom, r_grid)
+        surface, pairings, energy = [], [], []
+        for k, state, sample in pm.run(prob):
+            if k == 0:
+                state0 = state.copy()
+            if k % prob.snapshot_every == 0:
+                surface.append(shells.sample(state))
+                pairings.append(diag.identity_sample(prob.workspace, state0, state))
+                energy.append(sample)
+        assert len(surface) == len(traj) >= 5
+        flux = shells.flux([s.t for s in energy], surface)
+        ir = diag.IdentityResiduals.from_samples(prob, pm.solver.EnergySeries.from_samples(energy),
+                                                 pairings)
+        for got, want in ((flux.t_grid, want_flux.t_grid), (flux.flux, want_flux.flux),
+                          (flux.energy, want_flux.energy), (ir.t, want_ir.t),
+                          (ir.res_energy_balance, want_ir.res_energy_balance),
+                          (ir.res_virial, want_ir.res_virial),
+                          (ir.res_two_time, want_ir.res_two_time)):
+            np.testing.assert_array_equal(got, want)
+        assert ir.scale == want_ir.scale
+        assert np.any(np.array(pairings)[:, 1:3] != 0.0) == loaded
+
+
 class TestCsvWriters:
     def test_energy_csv_deterministic(self, tmp_path, pulse_run):
         from poromix import io as pio

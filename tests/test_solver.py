@@ -12,7 +12,7 @@ import poromix as pm
 from poromix import io as pio
 from poromix import solver
 from poromix.errors import InvalidParameter, NonFinite
-from poromix.fields import difference, jet_map, subtract_adjoint
+from poromix.fields import STATE_FIELDS, difference, jet_map, subtract_adjoint
 from poromix.materials import pair_slot
 from poromix.pointwise import generalized_stress, strain_vector
 from poromix.solver import acceleration
@@ -807,6 +807,58 @@ class TestRecording:
     def test_cadence_must_be_a_positive_integer(self, random_consts, field, value):
         with pytest.raises(InvalidParameter, match=field):
             small_problem(random_consts, **{field: value})
+
+
+class TestRunLoop:
+    """``run`` yields each recorded step's live state; ``simulate`` collects it."""
+
+    def test_yields_the_recorded_steps_and_the_last(self, rng, random_consts):
+        prob = rough_problem(random_consts, "prescribed_traction", 1, rng,
+                             energy_every=3, snapshot_every=5)
+        yielded = [(k, sample is None) for k, _, sample in pm.run(prob, n_steps=7)]
+        assert yielded == [(0, False), (3, False), (5, False), (6, False), (7, True)]
+
+    @pytest.mark.parametrize("kind", ["traction_free", "prescribed_value"])
+    def test_yielded_states_are_live_until_the_step_after_next(self, rng, random_consts, kind):
+        prob = rough_problem(random_consts, kind, 2, rng, energy_every=1, snapshot_every=1)
+        drawn = pm.initialize(prob)  # drawn once, so that both runs start alike
+        prob = replace(prob, initial=pm.InitialData(
+            **{name: lambda x, v=getattr(drawn, name): v for name in STATE_FIELDS}))
+        final, energy, traj = pm.simulate(prob, n_steps=6)
+        yielded, at_yield = [], []
+        for k, state, sample in pm.run(prob, n_steps=6):
+            yielded.append(state)
+            at_yield.append(state.copy())
+            assert sample == pm.solver.EnergySample(
+                energy.t[k], energy.kinetic_u[k], energy.kinetic_phi[k], energy.strain[k])
+        for kept, live in zip(traj.states, at_yield):  # simulate's copies, bit for bit
+            assert kept.t == live.t
+            np.testing.assert_array_equal(kept.U, live.U)
+            np.testing.assert_array_equal(kept.V, live.V)
+        np.testing.assert_array_equal(final.U, at_yield[-1].U)
+        # a stepped state shares its slot with the state two steps later
+        for k in range(1, 5):
+            assert yielded[k].U is yielded[k + 2].U and yielded[k].V is yielded[k + 2].V
+            assert not np.shares_memory(yielded[k].U, yielded[k + 1].U)
+
+    def test_workspace_drops_its_buffers_when_the_generator_closes(self, rng, random_consts):
+        prob = rough_problem(random_consts, "dirichlet_zero", 1, rng, snapshot_every=1)
+        ws = prob.workspace
+        steps = pm.run(prob, n_steps=6)
+        next(steps), next(steps)
+        assert ws._buffers is not None and ws._slots is not None
+        steps.close()
+        assert ws._buffers is None and ws._slots is None
+
+    def test_workspace_drops_its_buffers_when_the_consumer_raises(self, rng, random_consts):
+        prob = rough_problem(random_consts, "prescribed_flux", 2, rng, snapshot_every=1)
+        ws = prob.workspace
+        with pytest.raises(RuntimeError, match="consumer"):
+            for k, _, _ in pm.run(prob, n_steps=6):
+                if k == 2:
+                    assert ws._slots is not None
+                    raise RuntimeError("consumer failed")
+        assert ws._buffers is None and ws._slots is None
 
 
 class TestInitialDirichletProjection:
