@@ -9,54 +9,53 @@ Layout:
                  gives every field stress, force and energy density
     solver       explicit leapfrog integration with mixed boundary conditions;
                  ``run`` yields each recorded step's live state and energy
-                 split, and ``simulate`` collects the series and snapshots;
+                 split, ``stream`` reduces each snapshot as it is taken, and
+                 ``simulate`` collects the series and snapshots;
                  ``rigid_fit`` splits a field into rigid motion and residual
     diagnostics  surface power, decay/front reports, Cesàro means, identity
                  residuals; per-state reductions for streamed runs
     verify       theorem-verification suites
     config, cli  run configuration and the command-line entry points
+
+The names below are resolved on first use (PEP 562), so importing the
+package, or a run that never touches a module, does not import it.
 """
 
-from .materials import (
-    MaterialConstants,
-    QuadraticForm,
-    ReducedConstants,
-    SpeedParams,
-    decoupled_material,
-    identity_material,
-    load_material,
-    random_material,
-    reduced_constants,
-    save_material,
-    validate_symmetries,
-)
-from .pointwise import (
-    GeneralizedStress,
-    PointState,
-    StrainVector,
-    TractionSample,
-    generalized_stress,
-    internal_energy_density,
-    power_identity_residuals,
-    strain_vector,
-    stress_magnitude,
-    traction,
-)
-from .solver import (
-    BoundaryPartition,
-    Grid,
-    InitialData,
-    ProblemSpec,
-    SideCondition,
-    StateField,
-    gaussian_pulse,
-    initialize,
-    rigid_fit,
-    run,
-    simulate,
-    stable_timestep,
-    step,
-)
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Each re-exported name, by the submodule it comes from.
+_EXPORTS = {
+    **dict.fromkeys((
+        "MaterialConstants", "QuadraticForm", "ReducedConstants", "SpeedParams",
+        "decoupled_material", "identity_material", "load_material", "random_material",
+        "reduced_constants", "save_material", "validate_symmetries",
+    ), "materials"),
+    **dict.fromkeys((
+        "GeneralizedStress", "PointState", "StrainVector", "TractionSample",
+        "generalized_stress", "internal_energy_density", "power_identity_residuals",
+        "strain_vector", "stress_magnitude", "traction",
+    ), "pointwise"),
+    **dict.fromkeys((
+        "BoundaryPartition", "Grid", "InitialData", "ProblemSpec", "SideCondition",
+        "StateField", "gaussian_pulse", "initialize", "rigid_fit", "run", "simulate",
+        "stable_timestep", "step",
+    ), "solver"),
+}
+_SUBMODULES = ("errors", "fields", "materials", "pointwise", "solver")
+
+__all__ = sorted([*_EXPORTS, *_SUBMODULES])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -19,8 +19,6 @@ import glob
 import os
 import sys
 
-import numpy as np
-
 from . import diagnostics as diag
 from . import io as pio
 from .config import (SUITES, build_problem, load_config, material_from_spec,
@@ -34,7 +32,7 @@ from .errors import (
     SchemaError,
     SymmetryViolation,
 )
-from .solver import EnergySeries, run
+from .solver import stream
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -79,28 +77,19 @@ def _stream(problem, write=None):
     """Run the problem once, reducing each snapshot as it is taken.
 
     The support geometry and the default r-grid are set before the first
-    step; only the t = 0 state is copied.  ``write(index, state)`` gets each
+    step; only the t = 0 state is copied.  ``write(state)`` gets each
     snapshot first.  Returns the energy series, the surface flux, and the
     snapshots' energy series with their identity samples.
     """
     ws = problem.workspace
     geom = diag.support_geometry(problem)
     shells = diag.surface_shells(ws, geom, diag.default_r_grid(geom))
-    energy, snap_energy, surface, pairings = [], [], [], []
-    for k, state, sample in run(problem):
-        if k == 0:
-            state0 = state.copy()  # the two-time identity pairs every later state with it
-        if k % problem.energy_every == 0:
-            energy.append(sample)
-        if k % problem.snapshot_every == 0:
-            if write is not None:
-                write(len(surface), state)
-            surface.append(shells.sample(state))
-            pairings.append(diag.identity_sample(ws, state0, state))
-            snap_energy.append(sample)
-    flux = shells.flux([s.t for s in snap_energy], surface)
-    return (EnergySeries.from_samples(energy), flux,
-            EnergySeries.from_samples(snap_energy), pairings)
+    reducers = [shells.sample, diag.identity_sampler(ws)]
+    if write is not None:
+        reducers.insert(0, write)
+    _, energy, snap_energy, reduced = stream(problem, reducers)
+    surface, pairings = reduced[-2:]
+    return energy, shells.flux(snap_energy.t, surface), snap_energy, pairings
 
 
 def _clear_run(out_dir: str, snap_dir: str) -> None:
@@ -131,8 +120,8 @@ def cmd_simulate(args) -> int:
     _clear_run(out_dir, snap_dir)
     paths = []
 
-    def write(idx, state):
-        p_snap = os.path.join(snap_dir, f"snap_{idx:06d}.bin")
+    def write(state):  # the paths hold only the snapshots until the run ends
+        p_snap = os.path.join(snap_dir, f"snap_{len(paths):06d}.bin")
         pio.write_snapshot(p_snap, state)
         paths.append(p_snap)
 

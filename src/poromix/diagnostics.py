@@ -9,20 +9,23 @@ integrals use the trapezoid node weights of the grid (the functional the
 symmetric scheme conserves); time integrals are trapezoid sums over the
 recorded cadence.
 
-The surface power and the identity residuals split into a reduction of one
-recorded state (``SurfaceShells.sample``, ``identity_sample``) and an
-assembly from the resulting series (``SurfaceShells.flux``,
+The surface power, the front speed and the identity residuals split into a
+reduction of one recorded state (``SurfaceShells.sample``,
+``FrontSweep.sample``, ``identity_sample``) and an assembly from the
+resulting series (``SurfaceShells.flux``, ``FrontSweep.report``,
 ``IdentityResiduals.from_samples``).  The trajectory functions run both over
-a ``Trajectory``; ``poromix simulate`` and ``decay-report`` run them on each
-state that ``solver.run`` yields, as it is taken, so their peak memory is
-O(grid), not grid × snapshot count.  A yielded state is valid only until
-the step after next, so only the t = 0 state, which the two-time identity
-pairs with every later one, is copied.
+a ``Trajectory``; ``poromix simulate``, ``decay-report`` and the ``verify``
+suites run them through ``solver.stream`` on each snapshot, as it is taken,
+so their peak memory is O(grid), not grid × snapshot count.  A streamed
+state is valid only until the step after next, so only the t = 0 state,
+which the two-time identity pairs with every later one, is copied
+(``identity_sampler``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -230,8 +233,9 @@ class SurfaceShells:
     radii: np.ndarray
     areas: np.ndarray
 
-    def sample(self, state: StateField) -> tuple[np.ndarray, np.ndarray]:
-        """The flux through every S_r and the energy outside it, of one state.
+    def sample(self, state: StateField) -> np.ndarray:
+        """The flux through every S_r and the energy outside it, of one state, as
+        the two rows of one array (a streamed run keeps one per snapshot).
 
         The energy outside every S_r is one bincount over the shell index
         plus a reverse cumulative sum; a face's flux averages the two nodal
@@ -249,11 +253,11 @@ class SurfaceShells:
             face_flux.append(0.25 * np.einsum("c...,c...->...", s_lo + s_hi, v_lo + v_hi).ravel())
         flux = np.bincount(self.radii, weights=self.areas * np.concatenate(face_flux)[self.faces],
                            minlength=nr)
-        return flux, np.cumsum(per_shell[::-1])[::-1][1:]
+        return np.stack([flux, np.cumsum(per_shell[::-1])[::-1][1:]])
 
-    def flux(self, t_grid, samples: list[tuple[np.ndarray, np.ndarray]]) -> SurfaceFlux:
+    def flux(self, t_grid, samples: list[np.ndarray]) -> SurfaceFlux:
         """The :class:`SurfaceFlux` of the states sampled at the times ``t_grid``."""
-        flux, energy = (np.stack(parts, axis=1) for parts in zip(*samples))
+        flux, energy = np.stack(samples, axis=-1)
         return SurfaceFlux(r_grid=self.r_grid, t_grid=np.asarray(t_grid, dtype=float),
                            flux=flux, energy=energy)
 
@@ -348,10 +352,68 @@ class FrontReport:
     times: np.ndarray
     r_front: np.ndarray
     speed: float
+    peak: float  # the largest state magnitude of all recorded times
 
 
 # Fraction of the trajectory's peak state magnitude that marks the front.
 _FRONT_THRESHOLD = 1e-6
+
+
+@dataclass
+class FrontSweep:
+    """The nodes outside the data support of one geometry, farthest first, and
+    the peak state magnitude of the states sampled so far.
+
+    The front threshold is a fraction of the peak over all recorded times,
+    unknown until the last one, so each state is reduced to its records:
+    the nodes whose magnitude exceeds that of every node farther out.  For
+    any threshold, the farthest node above it is the first record above it.
+    The final threshold is at least the one of the peak so far, so only the
+    records above that one are kept, and they fix r_front exactly.
+    """
+
+    order: np.ndarray  # flat node indices, by decreasing distance
+    dist: np.ndarray  # their distances
+    peak: float = 0.0
+
+    def sample(self, t: float, magnitude: np.ndarray) -> tuple[float, np.ndarray]:
+        """(t, records) of one state's ``StateField.magnitude``, given in time
+        order: the records' magnitudes (increasing) and distances, as two rows."""
+        self.peak = max(self.peak, float(np.max(magnitude)))
+        running = np.maximum.accumulate(magnitude.ravel()[self.order])
+        # magnitudes are >= 0, so the farthest node is always a record
+        new_max = np.diff(running, prepend=-1.0) > 0.0
+        records = np.flatnonzero(new_max & (running > _FRONT_THRESHOLD * self.peak))
+        return t, np.stack([running[records], self.dist[records]])
+
+    def report(self, samples: list[tuple[float, np.ndarray]]) -> FrontReport:
+        """The front speed of the states this sweep sampled, from their samples.
+
+        Raises:
+            NoFront: no node outside the support ever exceeds the threshold.
+        """
+        if self.peak == 0.0:
+            raise NoFront("trajectory is identically zero")
+        thr = _FRONT_THRESHOLD * self.peak
+        ts, rf = [], []
+        for t, (level, dist) in samples:
+            first = np.searchsorted(level, thr, side="right")  # the first record above thr
+            if first < len(level):
+                ts.append(t)
+                rf.append(float(dist[first]))
+        if len(ts) < 2:
+            raise NoFront("front never detected outside the support")
+        times = np.array(ts)
+        r_front = np.array(rf)
+        speed = float(np.polyfit(times, r_front, 1)[0])
+        return FrontReport(times=times, r_front=r_front, speed=speed, peak=self.peak)
+
+
+def front_sweep(geom: SupportGeometry) -> FrontSweep:
+    """A :class:`FrontSweep` of the nodes with ``geom.dist > 0``, with no state sampled."""
+    outside = np.flatnonzero(geom.dist > 0.0)
+    order = outside[np.argsort(geom.dist.ravel()[outside], kind="stable")[::-1]]
+    return FrontSweep(order=order, dist=geom.dist.ravel()[order])
 
 
 def front_speed(traj: Trajectory, geom: SupportGeometry) -> FrontReport:
@@ -360,29 +422,15 @@ def front_speed(traj: Trajectory, geom: SupportGeometry) -> FrontReport:
     For each recorded time, r_front(t) = max{dist(x) : |state(x, t)| > thr}
     over nodes outside the data support, thr = ``_FRONT_THRESHOLD`` times
     the peak state magnitude of the whole trajectory; the speed is the
-    least-squares slope of r_front against t.
+    least-squares slope of r_front against t.  The per-state reduction
+    (``FrontSweep.sample``) and the assembly (``FrontSweep.report``), run
+    over the snapshots; a streamed run samples each state as it is taken.
 
     Raises:
         NoFront: no node outside the support ever exceeds thr.
     """
-    mags = [state.magnitude() for state in traj.states]
-    peak = max(float(np.max(m)) for m in mags)
-    if peak == 0.0:
-        raise NoFront("trajectory is identically zero")
-    thr = _FRONT_THRESHOLD * peak
-    outside = geom.dist > 0.0
-    ts, rf = [], []
-    for state, m in zip(traj.states, mags):
-        hit = outside & (m > thr)
-        if hit.any():
-            ts.append(state.t)
-            rf.append(float(np.max(geom.dist[hit])))
-    if len(ts) < 2:
-        raise NoFront("front never detected outside the support")
-    times = np.array(ts)
-    r_front = np.array(rf)
-    speed = float(np.polyfit(times, r_front, 1)[0])
-    return FrontReport(times=times, r_front=r_front, speed=speed)
+    sweep = front_sweep(geom)
+    return sweep.report([sweep.sample(state.t, state.magnitude()) for state in traj.states])
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +628,20 @@ def identity_sample(ws: Workspace, state0: StateField,
         rate_u = float(np.sum(ws.load * state.U))
     return (ws.pair_product(state, state), rate_v, rate_u,
             ws.pair_product(state0, state) + ws.pair_product(state, state0))
+
+
+def identity_sampler(ws: Workspace) -> Callable[[StateField], tuple[float, float, float, float]]:
+    """A streamed run's ``identity_sample`` reducer: it pairs every state with
+    the first one it is given, which it copies (a live state does not last)."""
+    state0 = None
+
+    def sample(state: StateField) -> tuple[float, float, float, float]:
+        nonlocal state0
+        if state0 is None:
+            state0 = state.copy()
+        return identity_sample(ws, state0, state)
+
+    return sample
 
 
 def identity_residuals(traj: Trajectory) -> IdentityResiduals:

@@ -22,10 +22,11 @@ def _fmt(x: float) -> str:
 
 
 def _write_rows(path, header: list[str], rows) -> None:
+    """One CSV line per row, a tuple of one float per header name."""
+    line = ",".join([FLOAT_FMT] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def write_energy_csv(path, series: EnergySeries) -> None:

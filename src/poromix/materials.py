@@ -33,7 +33,7 @@ maximum, the full-matrix minimum is structurally zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -95,9 +95,16 @@ def _unbatched(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+@cache
+def _ix_axes(order: str, ndim: int) -> tuple[int, ...]:
+    lead = ndim - 4
+    return (*range(lead), *(lead + order.index(index) for index in "ijrs"))
+
+
 def _ix(t: np.ndarray, order: str) -> np.ndarray:
-    """The rank-4 t re-indexed, over any batch axes: ``_ix(A, "jirs")_ijrs = A_jirs``."""
-    return np.einsum(f"...{order}->...ijrs", t)
+    """The rank-4 t re-indexed, over any batch axes: ``_ix(A, "jirs")_ijrs = A_jirs``.
+    A transposed view of t."""
+    return t.transpose(_ix_axes(order, t.ndim))
 
 
 @dataclass(frozen=True)
@@ -474,6 +481,9 @@ def decoupled_material() -> MaterialConstants:
 # A material's N(0, 1) draws fill its tensors and scalars in field order.
 _DRAW_ORDER = [name for name in MaterialConstants.__dataclass_fields__ if name not in _INERTIAS]
 _DRAW_ENDS = np.cumsum([np.prod(_TENSOR_SHAPES.get(name, ()), dtype=int) for name in _DRAW_ORDER])
+# Each field's name, shape and first and end draw.
+_DRAW_PARTS = [(name, _TENSOR_SHAPES.get(name, ()), int(start), int(end))
+               for name, start, end in zip(_DRAW_ORDER, [0, *_DRAW_ENDS[:-1]], _DRAW_ENDS)]
 
 
 def _material_draws(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -486,8 +496,9 @@ def _drawn_constants(normals: np.ndarray, uniforms: np.ndarray) -> dict:
     axes: every tensor projected onto the required symmetries (M and N too, so the
     printed law derives from the energy density), the couplings scaled by 0.25 and
     isotropic diagonal stiffness added."""
-    raw = {name: part.reshape(normals.shape[:-1] + _TENSOR_SHAPES.get(name, ()))
-           for name, part in zip(_DRAW_ORDER, np.split(normals, _DRAW_ENDS[:-1], axis=-1))}
+    lead = normals.shape[:-1]
+    raw = {name: normals[..., start:end].reshape(lead + shape)
+           for name, shape, start, end in _DRAW_PARTS}
     sym = {name: 0.5 * (raw[name] + raw[name].mT)
            for name in ("D", "E", "M", "N", "alpha", "gamma", "a")}
     cpl = 0.25

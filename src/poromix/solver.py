@@ -13,8 +13,9 @@ evaluates them once.  The state is stacked as U = (u¹, u², φ¹, φ²) with
 V = U̇; the force comes from the raw differences and the jet form Q of
 :mod:`poromix.fields`.  ``run`` is the one run loop, a generator that yields
 each recorded step's live state with its energy split (strain energy
-−½ U·F); ``simulate`` collects the series and copies of the snapshots from
-it.  Balance laws integrated per constituent α (no body force or body
+−½ U·F); ``stream`` collects the series from it and reduces each snapshot
+while it is live, and ``simulate`` is the stream that copies every snapshot.
+Balance laws integrated per constituent α (no body force or body
 supply)::
 
     ρᵅ üᵅ_i   = Sᵅ_ji,j + (−1)ᵅ p_i
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -301,7 +302,7 @@ for _name, (_array, _rows) in STATE_FIELDS.items():
     setattr(StateField, _name, _row_view(_array, _rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a streamed run keeps one per recorded step
 class EnergySample:
     t: float
     kinetic_u: float
@@ -407,7 +408,8 @@ class Workspace:
     def __init__(self, problem: ProblemSpec):
         grid = problem.grid
         k = problem.consts
-        self.problem = problem
+        # no reference back to the problem, which caches its workspace: without
+        # that cycle a finished run's workspace is freed with its problem
         self.grid = grid
         self.x = grid.positions()
         self.w = grid.weights()
@@ -603,28 +605,46 @@ def run(
         ws._buffers = ws._slots = None
 
 
+def stream(
+    problem: ProblemSpec,
+    reducers: Sequence[Callable[[StateField], object]] = (),
+    n_steps: int | None = None,
+) -> tuple[StateField, EnergySeries, EnergySeries, list[list]]:
+    """Integrate the problem to T, reducing each snapshot while it is live.
+
+    Collects what :func:`run` yields: every ``problem.energy_every`` steps
+    the energy split joins the series, and every ``problem.snapshot_every``
+    steps (a snapshot) the split joins the snapshots' series and the state
+    goes through each reducer in turn.  A reducer must copy what it keeps
+    of the state.  Returns (final state, energy series, the snapshots'
+    energy series, one list of results per reducer).  The workspace has
+    dropped its buffers and step slots on return, so a later run leaves the
+    returned state unchanged.
+    """
+    energy, snapshot_energy = [], []
+    reduced = [[] for _ in reducers]
+    for k, state, sample in run(problem, n_steps):
+        if k % problem.energy_every == 0:
+            energy.append(sample)
+        if k % problem.snapshot_every == 0:
+            snapshot_energy.append(sample)
+            for reduce, out in zip(reducers, reduced):
+                out.append(reduce(state))
+    return (state, EnergySeries.from_samples(energy),
+            EnergySeries.from_samples(snapshot_energy), reduced)
+
+
 def simulate(
     problem: ProblemSpec,
     n_steps: int | None = None,
 ) -> tuple[StateField, EnergySeries, Trajectory]:
     """Integrate the problem to T; return (final state, EnergySeries, Trajectory).
 
-    Collects what :func:`run` yields: every ``problem.energy_every`` steps
-    the energy split joins the series, and every ``problem.snapshot_every``
-    steps a copy of the state joins the trajectory with the same sample.
-    The workspace has dropped its buffers and step slots on return, so a
-    later run leaves the returned state unchanged.
+    The :func:`stream` whose one reducer copies every snapshot: the
+    trajectory holds them with their energy split.
     """
-    energy, snapshots, snapshot_energy = [], [], []
-    for k, state, sample in run(problem, n_steps):
-        if k % problem.energy_every == 0:
-            energy.append(sample)
-        if k % problem.snapshot_every == 0:
-            snapshots.append(state.copy())
-            snapshot_energy.append(sample)
-    trajectory = Trajectory(problem=problem, states=snapshots,
-                            energy=EnergySeries.from_samples(snapshot_energy))
-    return state, EnergySeries.from_samples(energy), trajectory
+    final, energy, snapshot_energy, (snapshots,) = stream(problem, [StateField.copy], n_steps)
+    return final, energy, Trajectory(problem=problem, states=snapshots, energy=snapshot_energy)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import starmap
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .solver import (
     rigid_fit,
     simulate,
     stable_timestep,
+    stream,
 )
 
 @dataclass(frozen=True)
@@ -212,16 +214,32 @@ _SWEEP_STATES = 20
 _SWEEP_CHUNK = 50
 
 
-def _sweep_chunks(rng: np.random.Generator):
-    """Per chunk, its certified materials as one law of batch shape (k, 1) and
-    their states, of batch shape (k, ``_SWEEP_STATES``).  The draws follow
+def _sweep_chunk(rng: np.random.Generator, count: int):
+    """``count`` certified materials as one law of batch shape (count, 1) and their
+    states, of batch shape (count, ``_SWEEP_STATES``).  The draws follow
     ``random_material(rng)`` and then ``_draw_states`` for each material."""
+    draws = [(*_material_draws(rng), rng.standard_normal(_SWEEP_STATES * _STATE_ENDS[-1]))
+             for _ in range(count)]
+    normals, uniforms, states = (np.stack(part) for part in zip(*draws))
+    law = MaterialConstants(**_drawn_constants(normals[:, None], uniforms[:, None]))
+    return certify_material(law), _states(states, _SWEEP_STATES)
+
+
+def _sweep_chunks(rng: np.random.Generator):
+    """The sweep's ``_sweep_chunk``s, in draw order.  Each is built in a call of its
+    own, so nothing of one chunk stays alive while the next is drawn."""
     for start in range(0, _SWEEP_MATERIALS, _SWEEP_CHUNK):
-        draws = [(*_material_draws(rng), rng.standard_normal(_SWEEP_STATES * _STATE_ENDS[-1]))
-                 for _ in range(min(_SWEEP_CHUNK, _SWEEP_MATERIALS - start))]
-        normals, uniforms, states = (np.stack(part) for part in zip(*draws))
-        law = MaterialConstants(**_drawn_constants(normals[:, None], uniforms[:, None]))
-        yield certify_material(law), _states(states, _SWEEP_STATES)
+        yield _sweep_chunk(rng, min(_SWEEP_CHUNK, _SWEEP_MATERIALS - start))
+
+
+def _sweep_maxima(law: MaterialConstants, states: list[np.ndarray]) -> np.ndarray:
+    """The maxima of one chunk's ``_point_sample``: envelope, the three
+    ``_identity_residuals``, stress-energy, traction and operator ratios.  A
+    maximum is NaN if any of its values is."""
+    pt = _point_sample(law, states)
+    return np.array([np.max(pt["envelope"]), *map(np.max, _identity_residuals(pt)),
+                     np.max(pt["stress_energy"]), np.max(pt["traction"]),
+                     np.max(pt["operator"])])
 
 
 def suite_constitutive(seed: int = 0,
@@ -239,13 +257,11 @@ def suite_constitutive(seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    samples = [_point_sample(law, states) for law, states in _sweep_chunks(rng)]
-    pt = {key: np.concatenate([sample[key] for sample in samples]) for key in samples[0]}
-    worst_env = max(0.0, float(np.max(pt["envelope"])))
-    worst_static, worst_rate, worst_dual = (float(np.max(r)) for r in _identity_residuals(pt))
-    worst_ok = float(np.max(pt["stress_energy"]))
-    worst_okok = float(np.max(pt["traction"]))
-    worst_operator = float(np.max(pt["operator"]))
+    # starmap drops each chunk as its maxima are taken; np.max keeps a NaN
+    worst = np.max(list(starmap(_sweep_maxima, _sweep_chunks(rng))), axis=0)
+    env, worst_static, worst_rate, worst_dual, worst_ok, worst_okok, worst_operator = (
+        float(v) for v in worst)
+    worst_env = max(0.0, env)
     elapsed = time.perf_counter() - t0
     rep = VerifyReport(suite="constitutive")
     rep.checks += [
@@ -316,7 +332,7 @@ def _drift_run(seed: int, n: int, steps: int) -> float:
     )
     problem = _scenario(consts, n, initial, energy_every=10)
     dt = stable_timestep(problem.grid, consts.speed, problem.cfl)
-    _, energy, _ = simulate(replace(problem, T=steps * dt), n_steps=steps)
+    _, energy, _, _ = stream(replace(problem, T=steps * dt), n_steps=steps)
     return energy.max_relative_drift()
 
 
@@ -336,7 +352,12 @@ def suite_identities(seed: int = 0) -> VerifyReport:
         CheckResult("runtime_conservation", "conservation runs wall time (s)",
                     elapsed, 30.0, 0.0, elapsed < 30.0),
     ]
+    rep.checks += _residual_orders(seed)
+    return rep
 
+
+def _residual_orders(seed: int) -> list[CheckResult]:
+    """The convergence orders of the three identity residuals under refinement."""
     consts = random_material(seed + 1)
     T = 0.25
     c = consts.speed.c
@@ -350,8 +371,9 @@ def suite_identities(seed: int = 0) -> VerifyReport:
             phi2=gaussian_pulse([0.55], 0.07, 0.5),
         )
         problem = _scenario(consts, n0 * 2**level + 1, initial, T=T, snapshot_every=2)
-        _, _, traj = simulate(problem, n_steps=base_steps * 2**level)
-        ir = diag.identity_residuals(traj)
+        _, _, snap_energy, (pairings,) = stream(
+            problem, [diag.identity_sampler(problem.workspace)], n_steps=base_steps * 2**level)
+        ir = diag.IdentityResiduals.from_samples(problem, snap_energy, pairings)
         return (
             float(np.max(ir.res_energy_balance)),
             float(np.max(ir.res_virial)),
@@ -361,13 +383,14 @@ def suite_identities(seed: int = 0) -> VerifyReport:
 
     levels = [residual_run(lv) for lv in range(3)]
     names = ("res_energy_balance", "res_virial", "res_two_time")
+    checks = []
     for i, name in enumerate(names):
         r = [levels[lv][i] for lv in range(3)]
         scale = max(levels[lv][3] for lv in range(3))
         if max(r) <= 1e-13 * scale:
             # Residual is roundoff-limited at every level; the identity holds
             # exactly in the discrete system, which is stronger than any order.
-            rep.checks.append(CheckResult(
+            checks.append(CheckResult(
                 f"order_{name}", "identity residual converges (roundoff-limited)",
                 max(r) / scale, 0.0, 1e-13, True,
                 detail=f"residuals {r[0]:.3e} -> {r[1]:.3e} -> {r[2]:.3e}",
@@ -375,12 +398,12 @@ def suite_identities(seed: int = 0) -> VerifyReport:
             continue
         orders = [np.log2(r[j] / max(r[j + 1], 1e-300)) for j in range(2)]
         measured = float(np.mean(orders))
-        rep.checks.append(CheckResult(
+        checks.append(CheckResult(
             f"order_{name}", "identity residual converges at order >= 1.5",
             measured, 1.5, 0.0, measured >= 1.5,
             detail=f"residuals {r[0]:.3e} -> {r[1]:.3e} -> {r[2]:.3e}",
         ))
-    return rep
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +411,9 @@ def suite_identities(seed: int = 0) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def _pulse_trajectory(consts: MaterialConstants, n: int, cadence: int = 2):
+def _pulse_problem(consts: MaterialConstants, n: int, cadence: int = 2):
+    """(problem, support geometry, step count) of the decay suite's centred pulse,
+    recorded every ``cadence`` steps until it has crossed 0.85 of the box."""
     width = 0.02
     initial = InitialData(
         u1=gaussian_pulse([0.5], width, 1.0, component=0),
@@ -401,9 +426,14 @@ def _pulse_trajectory(consts: MaterialConstants, n: int, cadence: int = 2):
     t_total = 0.85 * geom.L / speed.c
     dt = stable_timestep(problem.grid, speed, problem.cfl)
     steps = int(np.ceil(t_total / (cadence * dt))) * cadence
-    problem = replace(problem, T=steps * dt, snapshot_every=cadence)
+    return replace(problem, T=steps * dt, snapshot_every=cadence), geom, steps
+
+
+def _pulse_trajectory(consts: MaterialConstants, n: int, cadence: int = 2):
+    """(problem, geometry, trajectory, speed) of the ``_pulse_problem`` run."""
+    problem, geom, steps = _pulse_problem(consts, n, cadence)
     _, _, traj = simulate(problem, n_steps=steps)
-    return problem, geom, traj, speed
+    return problem, geom, traj, problem.speed()
 
 
 # Fraction of its peak that E(r, t) must carry to enter the P = E comparison.
@@ -419,65 +449,71 @@ def _power_error(sps) -> float:
     return float(np.max(np.abs(sps.P[sel] - sps.E_vol[sel]) / np.abs(sps.E_vol[sel])))
 
 
+def _worst_bound_ratio(sps, speed, tol_h: float) -> float:
+    """The largest ``decay_report`` bound ratio over the times where P(0, t) is not
+    negligible; 0 if no time has enough usable radii."""
+    p0 = sps.P[0]
+    worst = 0.0
+    for j in np.where(p0 > 1e-8 * max(np.max(p0), 1e-300))[0]:
+        try:
+            drep = diag.decay_report(sps, speed, t=float(sps.t_grid[j]), tol_h=tol_h)
+        except Degenerate:
+            continue
+        worst = max(worst, drep.max_bound_ratio)
+    return worst
+
+
 def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
-    """Surface-power positivity/monotonicity, P = E agreement, decay bounds."""
+    """Surface-power positivity/monotonicity, P = E agreement, decay bounds.
+
+    The base run's series are reduced to the check values before the refined
+    run, so no two runs' series are held at once.
+    """
     rep = VerifyReport(suite="decay")
     consts = random_material(seed + 2)
 
     def run(n, cadence):
-        problem, geom, traj, speed = _pulse_trajectory(consts, n, cadence)
-        flux = diag.surface_power(traj, geom, diag.default_r_grid(geom, count=28))
-        return problem, speed, flux, flux.weighted(1.0)
+        problem, geom, steps = _pulse_problem(consts, n, cadence)
+        shells = diag.surface_shells(problem.workspace, geom, diag.default_r_grid(geom, count=28))
+        _, _, snap_energy, (surface,) = stream(problem, [shells.sample], n_steps=steps)
+        return problem, shells.flux(snap_energy.t, surface)
 
-    problem, speed, flux, sps = run(401, 2)
-    sps_fine = run(801, 4)[3]
+    problem, flux = run(401, 2)
+    speed = problem.speed()
+    sps = flux.weighted(1.0)
     p_ref = max(float(sps.P[0, -1]), 1e-300)
-
     worst_neg = float(np.min(sps.P)) / p_ref
-    rep.checks.append(CheckResult(
-        "power_nonnegative", "P(r,t) >= -1e-9 * P(0,T)",
-        worst_neg, 0.0, 1e-9, worst_neg >= -1e-9))
     mono = float(np.max(np.diff(sps.P, axis=0))) / p_ref
-    rep.checks.append(CheckResult(
-        "power_monotone", "P non-increasing in r (discretization tolerance)",
-        mono, 0.0, 1e-6, mono <= 1e-6))
-
     err_base = _power_error(sps)
-    err_fine = _power_error(sps_fine)
-    rep.checks += [
-        CheckResult("power_equals_energy", "P(r,t) = E(r,t) within 3% relative",
-                    err_base, 0.03, 0.0, err_base <= 0.03),
-        CheckResult("power_equals_energy_refined", "P = E error improves under refinement",
-                    err_fine, err_base, 0.0, err_fine < err_base),
-    ]
-
     # Discrete radial differential inequality (lambda/c)|P| + dP/dr <= tol,
     # with forward differences between consecutive distinct interface radii.
     dr = np.diff(sps.r_grid)[:, None]
     lhs = (sps.lam / speed.c) * np.abs(sps.P[:-1]) + np.diff(sps.P, axis=0) / dr
     sel = sps.P[0] > 1e-8 * p_ref
     viol = float(np.max(lhs[:, sel])) / ((sps.lam / speed.c) * p_ref)
-    rep.checks.append(CheckResult(
-        "radial_inequality", "(lambda/c)|P| + dP/dr <= tol_h at interior radii",
-        viol, tol_h, 0.0, viol <= tol_h))
-
     # Decay envelopes for the lambda sweep, from the same snapshot pass.
     length = problem.grid.extent()[0]
-    for mult in (0.5, 1.0, 2.0):
-        sps_l = flux.weighted(mult * speed.c / length)
-        p0 = sps_l.P[0]
-        t_sel = np.where(p0 > 1e-8 * max(np.max(p0), 1e-300))[0]
-        worst_ratio = 0.0
-        for j in t_sel:
-            try:
-                drep = diag.decay_report(sps_l, speed, t=float(sps_l.t_grid[j]), tol_h=tol_h)
-            except Degenerate:
-                continue
-            worst_ratio = max(worst_ratio, drep.max_bound_ratio)
-        rep.checks.append(CheckResult(
-            f"decay_bound_lam_{mult:g}",
-            "P(r,t) <= P(0,t) exp(-lambda r / c) (1 + tol_h) on 0 <= r <= ct",
-            worst_ratio, 1.0, tol_h, 0.0 < worst_ratio <= 1.0))
+    mults = (0.5, 1.0, 2.0)
+    ratios = [_worst_bound_ratio(flux.weighted(m * speed.c / length), speed, tol_h) for m in mults]
+    del flux, sps, lhs
+    err_fine = _power_error(run(801, 4)[1].weighted(1.0))
+
+    rep.checks += [
+        CheckResult("power_nonnegative", "P(r,t) >= -1e-9 * P(0,T)",
+                    worst_neg, 0.0, 1e-9, worst_neg >= -1e-9),
+        CheckResult("power_monotone", "P non-increasing in r (discretization tolerance)",
+                    mono, 0.0, 1e-6, mono <= 1e-6),
+        CheckResult("power_equals_energy", "P(r,t) = E(r,t) within 3% relative",
+                    err_base, 0.03, 0.0, err_base <= 0.03),
+        CheckResult("power_equals_energy_refined", "P = E error improves under refinement",
+                    err_fine, err_base, 0.0, err_fine < err_base),
+        CheckResult("radial_inequality", "(lambda/c)|P| + dP/dr <= tol_h at interior radii",
+                    viol, tol_h, 0.0, viol <= tol_h),
+    ]
+    rep.checks += [CheckResult(f"decay_bound_lam_{mult:g}",
+                               "P(r,t) <= P(0,t) exp(-lambda r / c) (1 + tol_h) on 0 <= r <= ct",
+                               ratio, 1.0, tol_h, 0.0 < ratio <= 1.0)
+                   for mult, ratio in zip(mults, ratios)]
     return rep
 
 
@@ -505,19 +541,21 @@ def _fast_mode_initial(consts: MaterialConstants, width: float, center: float):
                        v2=_odd_pulse(center, width, v_fast * mode[1] / width)), v_fast
 
 
-def _peak_speed(traj) -> float:
-    """Slope of the u1 pulse-peak trajectory (parabolic sub-cell refinement)."""
-    grid = traj.problem.grid
-    xs = grid.axes()[0]
-    ts, peaks = [], []
-    for state in traj.states:
-        prof = np.abs(state.u1[0])
-        k = int(np.argmax(prof))
-        if 0 < k < len(xs) - 1:
-            denom = prof[k - 1] - 2 * prof[k] + prof[k + 1]
-            shift = 0.5 * (prof[k - 1] - prof[k + 1]) / denom if denom != 0 else 0.0
-            ts.append(state.t)
-            peaks.append(xs[k] + shift * grid.h[0])
+def _peak_position(state, grid: Grid) -> tuple[float, float] | None:
+    """(t, x) of the u1 pulse peak of one state, refined by a parabola through
+    its three nodes; None when the peak lies on a wall node."""
+    prof = np.abs(state.u1[0])
+    k = int(np.argmax(prof))
+    if not 0 < k < grid.n[0] - 1:
+        return None
+    denom = prof[k - 1] - 2 * prof[k] + prof[k + 1]
+    shift = 0.5 * (prof[k - 1] - prof[k + 1]) / denom if denom != 0 else 0.0
+    return state.t, grid.axes()[0][k] + shift * grid.h[0]
+
+
+def _peak_speed(positions) -> float:
+    """Slope of the u1 pulse-peak trajectory through the ``_peak_position``s."""
+    ts, peaks = zip(*filter(None, positions))
     return float(np.polyfit(ts, peaks, 1)[0])
 
 
@@ -525,8 +563,8 @@ def _front_run(consts: MaterialConstants, n: int, fast_mode: bool = True):
     """(front speed, c, analytic and peak speeds, quiet-zone leak) of one pulse run.
 
     The analytic and peak speeds are None for the coupled pulse.  The leak
-    is the final state's magnitude beyond r = c t + 8h over the trajectory's
-    peak.  Only these scalars are returned, so the trajectory is freed here.
+    is the last snapshot's magnitude beyond r = c t + 8h over the peak of
+    all snapshots.  Each snapshot is reduced as it is taken.
     """
     width = 0.02
     if fast_mode:
@@ -542,14 +580,20 @@ def _front_run(consts: MaterialConstants, n: int, fast_mode: bool = True):
     speed = problem.speed()
     geom = diag.support_geometry(problem)
     problem = replace(problem, T=0.8 * geom.L / speed.c, snapshot_every=4)
-    _, _, traj = simulate(problem)
-    front = diag.front_speed(traj, geom)
-    v_peak = _peak_speed(traj) if fast_mode else None
-    state = traj.states[-1]
-    peak = max(float(np.max(s.magnitude())) for s in traj.states)
-    quiet = geom.dist > speed.c * state.t + 8 * problem.grid.h[0]
-    leak = float(np.max(state.magnitude()[quiet])) / peak if quiet.any() else 0.0
-    return front.speed, speed.c, v_analytic, v_peak, leak
+    sweep, grid = diag.front_sweep(geom), problem.grid
+
+    def reduce(state):
+        magnitude = state.magnitude()
+        quiet = geom.dist > speed.c * state.t + 8 * grid.h[0]
+        quiet_max = float(np.max(magnitude[quiet])) if quiet.any() else 0.0
+        return (sweep.sample(state.t, magnitude), quiet_max,
+                _peak_position(state, grid) if fast_mode else None)
+
+    _, _, _, (reduced,) = stream(problem, [reduce])
+    fronts, quiet_max, positions = zip(*reduced)
+    front = sweep.report(list(fronts))
+    v_peak = _peak_speed(positions) if fast_mode else None
+    return front.speed, speed.c, v_analytic, v_peak, quiet_max[-1] / front.peak
 
 
 def suite_influence(seed: int = 0) -> VerifyReport:
@@ -596,7 +640,7 @@ def _equipartition_case_i(seed: int):
     )
     problem = _scenario(consts, 201, initial, ("dirichlet", "dirichlet"),
                         T=50.0 / consts.speed.c, energy_every=4)
-    _, series, _ = simulate(problem)
+    _, series, _, _ = stream(problem)
     return diag.equipartition_report(series, problem)
 
 
@@ -631,7 +675,7 @@ def _equipartition_case_ii(seed: int, scenario: str):
         )
         transits = 50.0
     problem = _scenario(consts, n, extra, T=transits / consts.speed.c, energy_every=4)
-    _, series, _ = simulate(problem)
+    _, series, _, _ = stream(problem)
     return diag.equipartition_report(series, problem)
 
 
@@ -693,7 +737,7 @@ def suite_uniqueness(seed: int = 0) -> VerifyReport:
     rep = VerifyReport(suite="uniqueness")
     consts = random_material(seed + 7)
     problem = _scenario(consts, 201, InitialData(), ("dirichlet", "natural"), T=1.0)
-    final, _, _ = simulate(problem, n_steps=1000)
+    final, _, _, _ = stream(problem, n_steps=1000)
     rep.checks.append(CheckResult(
         "null_data_null_solution", "max |state| after 1000 steps from null data",
         final.max_abs(), 0.0, 0.0, final.max_abs() == 0.0))
@@ -702,7 +746,7 @@ def suite_uniqueness(seed: int = 0) -> VerifyReport:
                     initial=InitialData(u1=gaussian_pulse([0.5], 0.05, 1.0, component=0)))
 
     def run_bytes():
-        final, series, _ = simulate(pulse)
+        final, series, _, _ = stream(pulse)
         blob = series.t.tobytes() + series.total.tobytes() + final.u1.tobytes()
         return blob
 

@@ -256,12 +256,13 @@ def gradient_adjoint(q: np.ndarray, ax: int, h: float) -> np.ndarray:
     return out
 
 
-def acceleration_jet(ws, U: np.ndarray) -> np.ndarray:
-    """Stacked accelerations by the jet formula, with Q = Pᵀ𝒜P built afresh."""
+def acceleration_jet(ws, consts, U: np.ndarray) -> np.ndarray:
+    """Stacked accelerations by the jet formula, with Q = Pᵀ𝒜P built afresh from
+    the workspace's material ``consts``."""
     from poromix.fields import jet_map
 
     P = jet_map(ws.grid.dim)
-    Q = P.T @ ws.problem.consts.form.matrix @ P
+    Q = P.T @ consts.form.matrix @ P
     Y = np.stack([U] + [central_gradient(U, 1 + j, hj) for j, hj in enumerate(ws.grid.h)])
     QY = (Q @ Y.reshape(len(Q), -1)).reshape(Y.shape)
     F = -ws.w * QY[0]
@@ -440,6 +441,27 @@ def surface_power_masks(traj, geom, r_grid, lam: float):
 # ---------------------------------------------------------------------------
 # Plane-wave speeds of a material.
 # ---------------------------------------------------------------------------
+
+
+def front_masks(traj, geom):
+    """(times, r_front, peak) of ``diagnostics.front_speed``, state by state.
+
+    The threshold is 1e-6 of the largest state magnitude of all snapshots;
+    each state's front is the largest distance of the nodes outside the
+    support above it, found by masking every node.  O(grid) per state, with
+    every state's magnitude kept until the peak is known.
+    """
+    mags = [state.magnitude() for state in traj.states]
+    peak = max(float(np.max(m)) for m in mags)
+    thr = 1e-6 * peak
+    outside = geom.dist > 0.0
+    times, r_front = [], []
+    for state, m in zip(traj.states, mags):
+        hit = outside & (m > thr)
+        if hit.any():
+            times.append(state.t)
+            r_front.append(float(np.max(geom.dist[hit])))
+    return np.array(times), np.array(r_front), peak
 
 
 def acoustic_speed_limit(consts, n_directions: int = 24) -> float:

@@ -210,3 +210,43 @@ def test_simulation_check_values_are_unchanged(suite, request):
             assert values[name] == pytest.approx(golden, rel=1e-12, abs=0.0), name
         else:
             assert abs(values[name]) <= _ROUNDOFF, name
+
+
+# The runs of each suite that record snapshots, and the most nodes of one of them:
+# the identities suite records them only in its residual runs.
+_SNAPSHOT_RUNS = {"decay": (verify.suite_decay, 801),
+                  "identities": (verify._residual_orders, 401),
+                  "influence": (verify.suite_influence, 401)}
+
+
+@pytest.mark.parametrize("suite", sorted(_SNAPSHOT_RUNS))
+def test_suite_peak_memory_does_not_grow_with_the_snapshot_count(suite, monkeypatch):
+    # each snapshot is reduced as it is taken, so every run taking a snapshot half
+    # as often peaks within one state (2·8·n·8 B) of the suite's own cadence; when
+    # the suites kept the snapshots, the sparser cadence saved decay about 6 MB
+    import tracemalloc
+    from dataclasses import replace
+
+    stream, snapshots = verify.stream, {}
+
+    def every(factor):
+        def run(problem, *args, **kwargs):
+            out = stream(replace(problem, snapshot_every=problem.snapshot_every * factor),
+                         *args, **kwargs)
+            snapshots[factor] = snapshots.get(factor, 0) + len(out[2].t)
+            return out
+        return run
+
+    suite_func, nodes = _SNAPSHOT_RUNS[suite]
+    suite_func(SEED)  # outside the trace: one-time caches of a first run
+    peaks = {}
+    for factor in (1, 2):
+        monkeypatch.setattr(verify, "stream", every(factor))
+        tracemalloc.start()
+        try:
+            suite_func(SEED)
+            peaks[factor] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert snapshots[1] > 1.9 * snapshots[2]
+    assert abs(peaks[1] - peaks[2]) < 2 * 8 * nodes * 8

@@ -42,6 +42,15 @@ def pulse_problem_2d():
         initial=pm.InitialData(u1=pm.gaussian_pulse([0.5, 0.5], 0.06, 1.0, component=0)))
 
 
+def front_problem_2d():
+    """A centred 41² pulse narrow enough to leave most nodes outside its support."""
+    prob = replace(pulse_problem_2d(), grid=pm.Grid((41, 41)), T=0.0, snapshot_every=3,
+                   initial=pm.InitialData(u1=pm.gaussian_pulse([0.5, 0.5], 0.03, 1.0,
+                                                               component=0)))
+    geom = diag.support_geometry(prob)
+    return replace(prob, T=0.6 * geom.L / prob.speed().c), geom
+
+
 @pytest.fixture(scope="module")
 def pulse_run():
     consts = pm.random_material(21)
@@ -380,6 +389,44 @@ class TestFrontSpeed:
         assert rep.speed <= speed.c * 1.05
         assert np.all(np.diff(rep.times) > 0)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_front_equals_the_masked_oracle_bit_for_bit(self, pulse_run, dim):
+        # each state keeps only its records above the running threshold
+        if dim == 1:
+            _, geom, _, _, traj = pulse_run
+        else:  # many nodes share a distance
+            prob, geom = front_problem_2d()
+            traj = pm.simulate(prob)[2]
+        rep = diag.front_speed(traj, geom)
+        times, r_front, peak = oracles.front_masks(traj, geom)
+        assert len(times) >= 5
+        np.testing.assert_array_equal(rep.times, times)
+        np.testing.assert_array_equal(rep.r_front, r_front)
+        assert rep.peak == peak
+        assert rep.speed == float(np.polyfit(times, r_front, 1)[0])
+
+    def test_front_is_exact_when_the_peak_grows(self, random_consts):
+        # a later peak raises the threshold of every earlier state
+        prob = problem_1d(random_consts, n=41, initial=pm.InitialData(
+            u1=pm.gaussian_pulse([0.5], 0.03, 1.0, component=0)))
+        geom = diag.support_geometry(prob)
+        rng = np.random.default_rng(3)
+        states = []
+        for k, scale in enumerate([1.0, 3.0, 10.0, 1e3, 2.0]):
+            U = np.zeros((8, 41))  # a rough profile falling by 1e-11 over the outside nodes
+            U[0] = scale * np.exp(-geom.dist / 0.01) * rng.uniform(0.5, 1.5, 41)
+            states.append(pm.StateField(t=0.1 * k, U=U, V=np.zeros_like(U)))
+        traj = pm.solver.Trajectory(problem=prob, states=states, energy=None)
+        rep = diag.front_speed(traj, geom)
+        times, r_front, peak = oracles.front_masks(traj, geom)
+        np.testing.assert_array_equal(rep.times, times)
+        np.testing.assert_array_equal(rep.r_front, r_front)
+        assert rep.peak == peak
+        # the first state's front at its own threshold is not its front at the final one
+        sweep = diag.front_sweep(geom)
+        assert sweep.report([sweep.sample(0.0, states[0].magnitude()),
+                             sweep.sample(0.1, states[1].magnitude())]).r_front[0] != r_front[0]
+
 
 class TestCesaroMeans:
     def test_requires_samples_beyond_zero(self):
@@ -584,6 +631,17 @@ class TestStreamedReductions:
             np.testing.assert_array_equal(got, want)
         assert ir.scale == want_ir.scale
         assert np.any(np.array(pairings)[:, 1:3] != 0.0) == loaded
+
+    def test_streamed_front_equals_front_speed_bit_for_bit(self):
+        prob, geom = front_problem_2d()
+        want = diag.front_speed(pm.simulate(prob)[2], geom)
+        sweep = diag.front_sweep(geom)
+        _, _, _, (samples,) = pm.solver.stream(prob, [lambda s: sweep.sample(s.t, s.magnitude())])
+        got = sweep.report(samples)
+        assert len(got.times) >= 5
+        np.testing.assert_array_equal(got.times, want.times)
+        np.testing.assert_array_equal(got.r_front, want.r_front)
+        assert (got.speed, got.peak) == (want.speed, want.peak)
 
 
 class TestCsvWriters:

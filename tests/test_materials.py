@@ -426,14 +426,29 @@ class TestConstitutiveSweep:
         assert bound.detail == "operator bound 1"
 
     def test_peak_memory_is_bounded(self):
-        # A chunk of the sweep, not the whole sweep, is held at once.
+        # One chunk of the sweep, reduced to its maxima, is held at once: measured
+        # 3.92 MB in a fresh process (3.15 MB once its one-time caches are warm),
+        # against 5.77 MB when every chunk's samples were kept.  Margin 12 %.
         tracemalloc.start()
         try:
             verify.suite_constitutive(0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8e6
+        assert peak <= 4.4e6
+
+    def test_the_generator_keeps_nothing_of_a_chunk(self):
+        # no draws, stacks or uncertified law between chunks: measured 3.5 kB held,
+        # against 1.34 MB when the generator's frame kept them
+        next(verify._sweep_chunks(np.random.default_rng(0)))  # one-time caches
+        tracemalloc.start()
+        try:
+            chunks = verify._sweep_chunks(np.random.default_rng(0))
+            next(chunks)  # the chunk is dropped at once
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 50_000
 
     def test_configured_material_is_normalised_as_the_sweep(self):
         consts = pm.random_material(0)

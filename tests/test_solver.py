@@ -16,7 +16,7 @@ from poromix.fields import STATE_FIELDS, difference, jet_map, subtract_adjoint
 from poromix.materials import pair_slot
 from poromix.pointwise import generalized_stress, strain_vector
 from poromix.solver import acceleration
-from poromix.verify import _fast_mode_initial, _peak_speed
+from poromix.verify import _fast_mode_initial, _peak_position, _peak_speed
 
 from . import oracles
 
@@ -483,7 +483,7 @@ class TestAccuracy:
             prob = small_problem(consts, n=n, T=0.25 / v_mode, initial=initial, cfl=0.5,
                                  energy_every=10**9, snapshot_every=4)
             _, _, traj = pm.simulate(prob)
-            speeds[n] = _peak_speed(traj)
+            speeds[n] = _peak_speed(_peak_position(s, prob.grid) for s in traj.states)
         assert abs(speeds[401] - v_expected) <= 0.02 * v_expected
         assert v_mode <= prob.speed().c
 
@@ -626,7 +626,7 @@ class TestForceKernel:
     def test_force_matches_the_jet_formula(self, rng, random_consts, kind, dim):
         ws = buffer_case_problem(random_consts, kind, dim).workspace
         U = rng.standard_normal((8,) + ws.grid.shape)
-        want = oracles.acceleration_jet(ws, U)
+        want = oracles.acceleration_jet(ws, random_consts, U)
         np.testing.assert_allclose(acceleration(ws, U), want, rtol=0.0,
                                    atol=1e-13 * np.max(np.abs(want)))
 
@@ -713,6 +713,19 @@ class TestEvaluationBuffers:
         prob = small_problem(random_consts, n=16, T=0.01)
         pm.simulate(prob)
         assert prob.workspace._buffers is None and prob.workspace._slots is None
+
+    def test_stream_reduces_exactly_the_snapshots_of_simulate(self, random_consts):
+        # every reducer sees each snapshot step, in order, while it is live
+        prob = small_problem(random_consts, n=32, T=0.01, energy_every=2, snapshot_every=3,
+                             initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0,
+                                                                          component=0)))
+        final, energy, traj = pm.simulate(prob, n_steps=13)
+        got = solver.stream(prob, [lambda s: s.t, lambda s: s.U.sum()], n_steps=13)
+        assert got[0].t == final.t and np.array_equal(got[0].U, final.U)
+        for series, want in zip(got[1:3], (energy, traj.energy)):
+            for part in ("t", "kinetic_u", "kinetic_phi", "strain"):
+                np.testing.assert_array_equal(getattr(series, part), getattr(want, part))
+        assert got[3] == [list(traj.times), [s.U.sum() for s in traj.states]]
 
 
 def rough_problem(consts, kind: str, dim: int, rng, **cadence) -> pm.ProblemSpec:
