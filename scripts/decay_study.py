@@ -2,7 +2,7 @@
 """Spatial-decay study: envelope slopes of P(r, t) across a lambda sweep.
 
 For each lambda in {0.5, 1, 2} * c / L the time-weighted surface power is
-taken from one snapshot pass over a recorded trajectory and compared
+taken from one run, each snapshot reduced as it is taken, and compared
 against the exponential envelope with rate lambda / c.
 """
 
@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 
-
 import poromix as pm
 from poromix import diagnostics as diag
-from poromix.verify import _pulse_trajectory
+from poromix.verify import _pulse_problem
 
 
 def main() -> int:
@@ -24,16 +23,19 @@ def main() -> int:
     args = ap.parse_args()
 
     consts = pm.random_material(args.seed)
-    problem, geom, traj, speed = _pulse_trajectory(consts, args.n)
-    r_grid = diag.default_r_grid(geom)
+    problem, geom, steps = _pulse_problem(consts, args.n)
+    speed = problem.speed()
+    shells = diag.surface_shells(problem.workspace, geom, diag.default_r_grid(geom))
+    _, _, snap_energy, (surface,) = pm.stream(problem, [shells.sample], n_steps=steps)
+    flux = shells.flux(snap_energy.t, surface)
+    t_final = float(snap_energy.t[-1])
     length = problem.grid.extent()[0]
-    print(f"c = {speed.c:.4f}, L = {geom.L:.4f}, T = {traj.times[-1]:.4f}")
+    print(f"c = {speed.c:.4f}, L = {geom.L:.4f}, T = {t_final:.4f}")
     print(f"{'lambda':>10} {'slope':>10} {'-lam/c':>10} {'max ratio':>10} {'ok':>4}")
-    flux = diag.surface_power(traj, geom, r_grid)
     all_ok = True
     for mult in (0.5, 1.0, 2.0):
         lam = mult * speed.c / length
-        rep = diag.decay_report(flux.weighted(lam), speed, t=float(traj.times[-1]), tol_h=args.tol)
+        rep = diag.decay_report(flux.weighted(lam), speed, t=t_final, tol_h=args.tol)
         print(f"{lam:10.4f} {rep.slope:10.4f} {-lam / speed.c:10.4f} "
               f"{rep.max_bound_ratio:10.4f} {'yes' if rep.bound_ok else 'NO':>4}")
         all_ok = all_ok and rep.bound_ok

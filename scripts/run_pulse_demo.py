@@ -42,13 +42,18 @@ def main() -> int:
     # an even step count, so the last state is recorded on the cadence
     dt = pm.stable_timestep(grid, speed, problem.cfl)
     n_steps = 2 * math.ceil(problem.T / (2 * dt))
-    final, energy, traj = pm.simulate(problem, n_steps=n_steps)
+    ws = problem.workspace
+    shells = diag.surface_shells(ws, geom, diag.default_r_grid(geom))
+    sweep = diag.front_sweep(geom)
+    reducers = [shells.sample, diag.identity_sampler(ws),
+                lambda state: sweep.sample(state.t, state.magnitude())]
+    _, energy, snap_energy, (surface, pairings, fronts) = pm.stream(problem, reducers,
+                                                                    n_steps=n_steps)
 
-    r_grid = diag.default_r_grid(geom)
-    sps = diag.surface_power(traj, geom, r_grid).weighted(problem.lam)
-    front = diag.front_speed(traj, geom)
+    sps = shells.flux(snap_energy.t, surface).weighted(problem.lam)
+    front = sweep.report(fronts)
     cs = diag.cesaro_means(energy)
-    ir = diag.identity_residuals(traj)
+    ir = diag.IdentityResiduals.from_samples(problem, snap_energy, pairings)
 
     os.makedirs(args.out, exist_ok=True)
     pio.write_energy_csv(os.path.join(args.out, "energy.csv"), energy)

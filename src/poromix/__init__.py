@@ -8,9 +8,8 @@ Layout:
                  raw-difference kernels δⱼ, δⱼᵀ and the jet form Q = Pᵀ𝒜P that
                  gives every field stress, force and energy density
     solver       explicit leapfrog integration with mixed boundary conditions;
-                 ``run`` yields each recorded step's live state and energy
-                 split, ``stream`` reduces each snapshot as it is taken, and
-                 ``simulate`` collects the series and snapshots;
+                 ``stream``, the one run loop, records the energy series and
+                 reduces each snapshot as it is taken;
                  ``rigid_fit`` splits a field into rigid motion and residual
     diagnostics  surface power, decay/front reports, Cesàro means, identity
                  residuals; per-state reductions for streamed runs
@@ -37,8 +36,8 @@ _EXPORTS = {
     ), "pointwise"),
     **dict.fromkeys((
         "BoundaryPartition", "Grid", "InitialData", "ProblemSpec", "SideCondition",
-        "StateField", "gaussian_pulse", "initialize", "rigid_fit", "run", "simulate",
-        "stable_timestep", "step",
+        "StateField", "gaussian_pulse", "initialize", "rigid_fit", "stable_timestep",
+        "step", "stream",
     ), "solver"),
 }
 _SUBMODULES = ("errors", "fields", "materials", "pointwise", "solver")

@@ -24,6 +24,7 @@ from . import io as pio
 from .config import (SUITES, build_problem, load_config, material_from_spec,
                      parse_material_spec, resolve_material, save_config)
 from .errors import (
+    InsufficientSnapshots,
     InvalidParameter,
     NonFinite,
     NotPositiveDefinite,
@@ -31,6 +32,7 @@ from .errors import (
     PoromixError,
     SchemaError,
     SymmetryViolation,
+    UndefinedAtZero,
 )
 from .solver import stream
 
@@ -43,6 +45,11 @@ EXIT_NUMERIC = 3
 # config error, like a malformed file.
 _CONFIG_ERRORS = (OSError, ParseError, SchemaError, InvalidParameter,
                   SymmetryViolation, NotPositiveDefinite)
+
+
+def _numerical_failure(exc: NonFinite) -> int:
+    print(f"numerical failure: {exc} (step {exc.step})", file=sys.stderr)
+    return EXIT_NUMERIC
 
 
 def cmd_material_check(args) -> int:
@@ -129,8 +136,7 @@ def cmd_simulate(args) -> int:
         energy, flux, snap_energy, pairings = _stream(problem, write)
     except NonFinite as exc:
         _clear_run(out_dir, snap_dir)
-        print(f"numerical failure: {exc} (step {exc.step})", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _numerical_failure(exc)
     p_energy = os.path.join(out_dir, "energy.csv")
     pio.write_energy_csv(p_energy, energy)
     paths.append(p_energy)
@@ -139,20 +145,22 @@ def cmd_simulate(args) -> int:
     pio.write_power_csv(p_power, flux.weighted(problem.lam))
     paths.append(p_power)
 
-    if len(energy.t) >= 2:
+    try:
         cs = diag.cesaro_means(energy)
+    except UndefinedAtZero as exc:
+        print(f"cesaro.csv not written: {exc}", file=sys.stderr)
+    else:
         p_ces = os.path.join(out_dir, "cesaro.csv")
         pio.write_cesaro_csv(p_ces, cs)
         paths.append(p_ces)
-    if len(pairings) >= 3:
-        try:
-            ir = diag.IdentityResiduals.from_samples(problem, snap_energy, pairings)
-        except InvalidParameter as exc:
-            print(f"residuals.csv not written: {exc}", file=sys.stderr)
-        else:
-            p_res = os.path.join(out_dir, "residuals.csv")
-            pio.write_residuals_csv(p_res, ir)
-            paths.append(p_res)
+    try:
+        ir = diag.IdentityResiduals.from_samples(problem, snap_energy, pairings)
+    except (InsufficientSnapshots, InvalidParameter) as exc:
+        print(f"residuals.csv not written: {exc}", file=sys.stderr)
+    else:
+        p_res = os.path.join(out_dir, "residuals.csv")
+        pio.write_residuals_csv(p_res, ir)
+        paths.append(p_res)
 
     canon = os.path.join(out_dir, "config.canonical")
     save_config(cfg, canon)
@@ -198,8 +206,7 @@ def cmd_verify(args) -> int:
                     fh.write(",".join(row) + "\n")
             all_pass = all_pass and report.passed
     except NonFinite as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _numerical_failure(exc)
     return EXIT_PASS if all_pass else EXIT_CHECK_FAILED
 
 
@@ -214,8 +221,7 @@ def cmd_decay_report(args) -> int:
     try:
         flux = _stream(problem)[1]
     except NonFinite as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _numerical_failure(exc)
     speed = problem.speed()
     length = max(problem.grid.extent())
     lams = [m * speed.c / length for m in (0.5, 1.0, 2.0)] if args.lambda_sweep else [problem.lam]

@@ -4,22 +4,20 @@ The support geometry of the driving data, the time-weighted surface power
 P(r, t) and its volume counterpart E(r, t), spatial-decay and front-speed
 reports, Cesàro means and the equipartition gap, and the residuals of the
 three integral identities used by the verification suites, all from the
-energy series and snapshots that ``solver.simulate`` records.  All volume
+energy series and snapshots of one ``solver.stream`` run.  All volume
 integrals use the trapezoid node weights of the grid (the functional the
 symmetric scheme conserves); time integrals are trapezoid sums over the
 recorded cadence.
 
 The surface power, the front speed and the identity residuals split into a
 reduction of one recorded state (``SurfaceShells.sample``,
-``FrontSweep.sample``, ``identity_sample``) and an assembly from the
-resulting series (``SurfaceShells.flux``, ``FrontSweep.report``,
-``IdentityResiduals.from_samples``).  The trajectory functions run both over
-a ``Trajectory``; ``poromix simulate``, ``decay-report`` and the ``verify``
-suites run them through ``solver.stream`` on each snapshot, as it is taken,
-so their peak memory is O(grid), not grid × snapshot count.  A streamed
-state is valid only until the step after next, so only the t = 0 state,
-which the two-time identity pairs with every later one, is copied
-(``identity_sampler``).
+``FrontSweep.sample``, ``identity_sample``), which ``solver.stream`` applies
+to each snapshot as it is taken, and an assembly from the resulting series
+(``SurfaceShells.flux``, ``FrontSweep.report``,
+``IdentityResiduals.from_samples``), so peak memory is O(grid), not grid ×
+snapshot count.  A streamed state is valid only until the step after next,
+so only the t = 0 state, which the two-time identity pairs with every later
+one, is copied (``identity_sampler``).
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from .solver import (
     EnergySeries,
     ProblemSpec,
     StateField,
-    Trajectory,
     Workspace,
     initialize,
     rigid_fit,
@@ -256,7 +253,11 @@ class SurfaceShells:
         return np.stack([flux, np.cumsum(per_shell[::-1])[::-1][1:]])
 
     def flux(self, t_grid, samples: list[np.ndarray]) -> SurfaceFlux:
-        """The :class:`SurfaceFlux` of the states sampled at the times ``t_grid``."""
+        """The :class:`SurfaceFlux` of the states sampled at the times ``t_grid``.
+
+        Its ``weighted(λ)`` is the time-weighted P(r, t) with its volume
+        energy E(r, t), so a λ sweep samples each state once.
+        """
         flux, energy = np.stack(samples, axis=-1)
         return SurfaceFlux(r_grid=self.r_grid, t_grid=np.asarray(t_grid, dtype=float),
                            flux=flux, energy=energy)
@@ -289,22 +290,6 @@ def surface_shells(ws: Workspace, geom: SupportGeometry, r_grid: np.ndarray) -> 
         offset += span.size
     faces, radii, areas = (np.concatenate(a) for a in (faces, radii, areas))
     return SurfaceShells(ws=ws, r_grid=r_grid, shell=shell, faces=faces, radii=radii, areas=areas)
-
-
-def surface_power(traj: Trajectory, geom: SupportGeometry, r_grid: np.ndarray) -> SurfaceFlux:
-    """Surface power on the staircase interfaces S_r, before the time weight.
-
-    One pass over the snapshots gives the flux through S_r and the energy
-    outside it at every radius (``SurfaceShells.sample``); ``.weighted(λ)``
-    of the result is the time-weighted P(r, t) with its volume energy
-    E(r, t), so a λ sweep evaluates each snapshot once.  A run that streams
-    its states samples them with the same shells as they are taken.
-
-    Raises:
-        InvalidParameter: if ``r_grid`` is not strictly increasing.
-    """
-    shells = surface_shells(traj.problem.workspace, geom, r_grid)
-    return shells.flux(traj.times, [shells.sample(state) for state in traj.states])
 
 
 @dataclass
@@ -355,7 +340,7 @@ class FrontReport:
     peak: float  # the largest state magnitude of all recorded times
 
 
-# Fraction of the trajectory's peak state magnitude that marks the front.
+# Fraction of the peak state magnitude of all recorded times that marks the front.
 _FRONT_THRESHOLD = 1e-6
 
 
@@ -389,6 +374,11 @@ class FrontSweep:
     def report(self, samples: list[tuple[float, np.ndarray]]) -> FrontReport:
         """The front speed of the states this sweep sampled, from their samples.
 
+        For each sampled time, r_front(t) = max{dist(x) : |state(x, t)| > thr}
+        over the nodes outside the support, with thr = ``_FRONT_THRESHOLD``
+        times the peak state magnitude of all sampled times; the speed is the
+        least-squares slope of r_front against t.
+
         Raises:
             NoFront: no node outside the support ever exceeds the threshold.
         """
@@ -416,23 +406,6 @@ def front_sweep(geom: SupportGeometry) -> FrontSweep:
     return FrontSweep(order=order, dist=geom.dist.ravel()[order])
 
 
-def front_speed(traj: Trajectory, geom: SupportGeometry) -> FrontReport:
-    """Measured propagation speed of the disturbance front.
-
-    For each recorded time, r_front(t) = max{dist(x) : |state(x, t)| > thr}
-    over nodes outside the data support, thr = ``_FRONT_THRESHOLD`` times
-    the peak state magnitude of the whole trajectory; the speed is the
-    least-squares slope of r_front against t.  The per-state reduction
-    (``FrontSweep.sample``) and the assembly (``FrontSweep.report``), run
-    over the snapshots; a streamed run samples each state as it is taken.
-
-    Raises:
-        NoFront: no node outside the support ever exceeds thr.
-    """
-    sweep = front_sweep(geom)
-    return sweep.report([sweep.sample(state.t, state.magnitude()) for state in traj.states])
-
-
 # ---------------------------------------------------------------------------
 # Cesàro means and equipartition.
 # ---------------------------------------------------------------------------
@@ -457,7 +430,7 @@ class CesaroSeries:
 
 
 def cesaro_means(series: EnergySeries) -> CesaroSeries:
-    """Cesàro means of a recorded energy series (``Trajectory.energy`` for snapshots).
+    """Cesàro means of a recorded energy series (either series of ``solver.stream``).
 
     Raises:
         UndefinedAtZero: if fewer than two samples (nothing beyond t = 0).
@@ -560,7 +533,8 @@ class IdentityResiduals:
                      samples: list[tuple[float, float, float, float]]) -> "IdentityResiduals":
         """The residuals from the snapshots' energy series and their ``identity_sample``s.
 
-        Requires a uniformly recorded cadence (the two-time identity pairs
+        λ is the problem's ``lam``.  The energies are the ones recorded with
+        the snapshots, so no stress is evaluated here.  Requires a uniformly recorded cadence (the two-time identity pairs
         states at t−s and t+s).  The applied load is the workspace's static
         ``load`` of the prescribed tractions/fluxes; it enters all three
         identities, through its rate of work load·V, its virial rate load·U
@@ -642,17 +616,3 @@ def identity_sampler(ws: Workspace) -> Callable[[StateField], tuple[float, float
         return identity_sample(ws, state0, state)
 
     return sample
-
-
-def identity_residuals(traj: Trajectory) -> IdentityResiduals:
-    """The three whole-body identity residuals of a trajectory.
-
-    λ is the problem's ``lam``.  The energies are the ones recorded with the
-    snapshots, so no stress is evaluated here; see
-    :meth:`IdentityResiduals.from_samples` for the cadence, the load and
-    the errors.
-    """
-    ws = traj.problem.workspace
-    state0 = traj.states[0]
-    return IdentityResiduals.from_samples(
-        traj.problem, traj.energy, [identity_sample(ws, state0, s) for s in traj.states])

@@ -11,10 +11,9 @@ conditions pin static nodal values.  Besides the initial data, these static
 boundary values are the only applied data, and the :class:`Workspace`
 evaluates them once.  The state is stacked as U = (u¹, u², φ¹, φ²) with
 V = U̇; the force comes from the raw differences and the jet form Q of
-:mod:`poromix.fields`.  ``run`` is the one run loop, a generator that yields
-each recorded step's live state with its energy split (strain energy
-−½ U·F); ``stream`` collects the series from it and reduces each snapshot
-while it is live, and ``simulate`` is the stream that copies every snapshot.
+:mod:`poromix.fields`.  ``stream`` is the one run loop: it records the
+energy split (strain energy −½ U·F) on its cadences and reduces each
+snapshot while it is live.
 Balance laws integrated per constituent α (no body force or body
 supply)::
 
@@ -29,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -237,7 +236,7 @@ class ProblemSpec:
     lam: float = 1.0
     T: float = 1.0
     cfl: float = 0.5
-    energy_every: int = 1  # steps between the energy samples ``simulate`` records
+    energy_every: int = 1  # steps between the energy samples ``stream`` records
     snapshot_every: int = 10  # steps between its snapshots
 
     def __post_init__(self):
@@ -302,18 +301,6 @@ for _name, (_array, _rows) in STATE_FIELDS.items():
     setattr(StateField, _name, _row_view(_array, _rows))
 
 
-@dataclass(frozen=True, slots=True)  # a streamed run keeps one per recorded step
-class EnergySample:
-    t: float
-    kinetic_u: float
-    kinetic_phi: float
-    strain: float
-
-    @property
-    def total(self) -> float:
-        return self.kinetic_u + self.kinetic_phi + self.strain
-
-
 @dataclass
 class EnergySeries:
     """Time series of the energy split; total = kinetic_u + kinetic_phi + strain."""
@@ -332,31 +319,6 @@ class EnergySeries:
         if tot[0] == 0.0:
             return float(np.max(np.abs(tot)))
         return float(np.max(np.abs(tot - tot[0])) / abs(tot[0]))
-
-    @staticmethod
-    def from_samples(samples: list[EnergySample]) -> "EnergySeries":
-        return EnergySeries(
-            t=np.array([s.t for s in samples]),
-            kinetic_u=np.array([s.kinetic_u for s in samples]),
-            kinetic_phi=np.array([s.kinetic_phi for s in samples]),
-            strain=np.array([s.strain for s in samples]),
-        )
-
-
-@dataclass
-class Trajectory:
-    """Recorded snapshots of one run, with their problem and energy split."""
-
-    problem: ProblemSpec
-    states: list[StateField]
-    energy: EnergySeries
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 def stable_timestep(grid: Grid, speed: SpeedParams, cfl: float) -> float:
@@ -401,8 +363,8 @@ class Workspace:
     the ``load`` of the prescribed tractions/fluxes times the surface weights
     (None when no natural side carries values) and the per-node magnitude of
     all side values, ``boundary_mag``.  It also holds the evaluation buffers
-    and the two step slots that ``step`` alternates between; ``run`` drops
-    both when its loop ends.  Reach it through ``ProblemSpec.workspace``.
+    and the two step slots that ``step`` alternates between; ``stream``
+    drops both when its loop ends.  Reach it through ``ProblemSpec.workspace``.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -453,9 +415,9 @@ class Workspace:
         self.pin_to = self.pin_values.reshape(-1)[self.pin_at]
         self.any_pinned = self.pin_at.size > 0
         # Buffers Y, QY ((1 + dim, 8, *grid)), F = (QY)₀, where ``acceleration`` assembles
-        # the internal force, and scratch; allocated on first use, dropped by ``run``.
+        # the internal force, and scratch; allocated on first use, dropped by ``stream``.
         self._buffers: tuple[np.ndarray, ...] | None = None
-        # Step slots (UV, U = UV[0], V = UV[1], a); ``step`` allocates, ``run`` drops them.
+        # Step slots (UV, U = UV[0], V = UV[1], a); ``step`` allocates, ``stream`` drops them.
         self._slots: tuple[tuple[np.ndarray, ...], ...] | None = None
 
     def _eval_buffers(self) -> tuple[np.ndarray, ...]:
@@ -496,7 +458,7 @@ def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
     The force is the exact gradient of the discrete energy Σ w W:
     F = −w(QY)₀ − Σⱼ δⱼᵀ(w/(2hⱼ) (QY)ⱼ), plus the static load ``ws.load``.
     The internal part is assembled in the workspace's F buffer, where it
-    stays until the next evaluation; ``run`` takes each recorded
+    stays until the next evaluation; ``stream`` takes each recorded
     state's strain energy −½ U·F from it.  The result is written into the
     step slot that holds U; only a U from outside the slots gets a fresh array.
     """
@@ -555,26 +517,32 @@ def step(
     return StateField(t=t_new, U=U, V=V), a_new
 
 
-def run(
+def stream(
     problem: ProblemSpec,
+    reducers: Sequence[Callable[[StateField], object]] = (),
     n_steps: int | None = None,
-) -> Iterator[tuple[int, StateField, EnergySample | None]]:
-    """The run loop: integrate the problem to T, yielding (k, state, sample) as it steps.
+) -> tuple[StateField, EnergySeries, EnergySeries, list[list]]:
+    """The run loop: integrate the problem to T, reducing each snapshot while it is live.
 
     Step 0 is the t = 0 state, projected onto the Dirichlet data as ``step``
     projects every later one (U takes the pinned values, V = 0 there).  A
     step k on either cadence, ``problem.energy_every`` or
-    ``problem.snapshot_every``, is yielded with its energy split, sampled
-    once from the internal force F its own evaluation left in the
-    workspace: the stored energy is quadratic, Σ w W = ½ UᵀKU with F = −KU,
-    so the strain energy is exactly −½ U·F.  The last step is yielded too,
-    with sample None when it is on neither cadence.  A yielded state lives
-    in a step slot: it is valid only until the step after next, so copy it
-    to keep it.  Deterministic for fixed inputs.  The step count is chosen
-    so the run lands exactly on T; an explicit ``n_steps`` overrides the CFL
-    default (the caller then owns stability).  Whenever the loop ends, also
-    by an exception or by closing the generator, the workspace drops its
-    buffers and step slots.
+    ``problem.snapshot_every``, has its energy split sampled once from the
+    internal force F its own evaluation left in the workspace: the stored
+    energy is quadratic, Σ w W = ½ UᵀKU with F = −KU, so the strain energy
+    is exactly −½ U·F.  Every ``energy_every`` steps the split joins the
+    energy series; every ``snapshot_every`` steps (a snapshot) it joins the
+    snapshots' series and the state goes through each reducer in turn.  A
+    reduced state lives in a step slot: it is valid only until the step
+    after next, so a reducer must copy what it keeps of it
+    (``StateField.copy`` keeps it whole).  Deterministic for fixed inputs.
+    The step count is chosen so the run lands exactly on T; an explicit
+    ``n_steps`` overrides the CFL default (the caller then owns stability).
+
+    Returns (final state, energy series, the snapshots' energy series, one
+    list of results per reducer).  Whenever the loop ends, also by an
+    exception, the workspace drops its buffers and step slots, so a later
+    run leaves the returned state unchanged.
     """
     speed = problem.speed()
     ws = problem.workspace
@@ -587,64 +555,32 @@ def run(
         base = stable_timestep(problem.grid, speed, problem.cfl)
         n_steps = max(1, math.ceil(problem.T / base - 1e-12))
     dt_eff = problem.T / max(n_steps, 1)
+    energy_every, snapshot_every = problem.energy_every, problem.snapshot_every
+    # rows t, kinetic_u, kinetic_phi, strain; one column per recorded step
+    energy = np.empty((4, n_steps // energy_every + 1))
+    snapshot_energy = np.empty((4, n_steps // snapshot_every + 1))
+    reduced = [[] for _ in reducers]
     try:
         cache = acceleration(ws, state.U)
         for k in range(n_steps + 1):
             if k > 0:
                 state, cache = step(state, problem, dt_eff, accel_cache=cache, step_index=k)
-            if k % problem.energy_every and k % problem.snapshot_every:
-                if k == n_steps:
-                    yield k, state, None
+            on_energy, on_snapshot = k % energy_every == 0, k % snapshot_every == 0
+            if not (on_energy or on_snapshot):
                 continue
             _, _, F, kin = ws._eval_buffers()  # F: the internal force of this state
             np.multiply(ws.half_mass, np.square(state.V, out=kin), out=kin)
-            yield k, state, EnergySample(t=state.t, kinetic_u=float(kin[:PHI1_ROW].sum()),
-                                         kinetic_phi=float(kin[PHI1_ROW:].sum()),
-                                         strain=-0.5 * float(np.vdot(state.U, F)))
+            split = (state.t, kin[:PHI1_ROW].sum(), kin[PHI1_ROW:].sum(),
+                     -0.5 * np.vdot(state.U, F))
+            if on_energy:
+                energy[:, k // energy_every] = split
+            if on_snapshot:
+                snapshot_energy[:, k // snapshot_every] = split
+                for reduce, out in zip(reducers, reduced):
+                    out.append(reduce(state))
     finally:
         ws._buffers = ws._slots = None
-
-
-def stream(
-    problem: ProblemSpec,
-    reducers: Sequence[Callable[[StateField], object]] = (),
-    n_steps: int | None = None,
-) -> tuple[StateField, EnergySeries, EnergySeries, list[list]]:
-    """Integrate the problem to T, reducing each snapshot while it is live.
-
-    Collects what :func:`run` yields: every ``problem.energy_every`` steps
-    the energy split joins the series, and every ``problem.snapshot_every``
-    steps (a snapshot) the split joins the snapshots' series and the state
-    goes through each reducer in turn.  A reducer must copy what it keeps
-    of the state.  Returns (final state, energy series, the snapshots'
-    energy series, one list of results per reducer).  The workspace has
-    dropped its buffers and step slots on return, so a later run leaves the
-    returned state unchanged.
-    """
-    energy, snapshot_energy = [], []
-    reduced = [[] for _ in reducers]
-    for k, state, sample in run(problem, n_steps):
-        if k % problem.energy_every == 0:
-            energy.append(sample)
-        if k % problem.snapshot_every == 0:
-            snapshot_energy.append(sample)
-            for reduce, out in zip(reducers, reduced):
-                out.append(reduce(state))
-    return (state, EnergySeries.from_samples(energy),
-            EnergySeries.from_samples(snapshot_energy), reduced)
-
-
-def simulate(
-    problem: ProblemSpec,
-    n_steps: int | None = None,
-) -> tuple[StateField, EnergySeries, Trajectory]:
-    """Integrate the problem to T; return (final state, EnergySeries, Trajectory).
-
-    The :func:`stream` whose one reducer copies every snapshot: the
-    trajectory holds them with their energy split.
-    """
-    final, energy, snapshot_energy, (snapshots,) = stream(problem, [StateField.copy], n_steps)
-    return final, energy, Trajectory(problem=problem, states=snapshots, energy=snapshot_energy)
+    return state, EnergySeries(*energy), EnergySeries(*snapshot_energy), reduced
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .solver import (
     RigidMotion,
     gaussian_pulse,
     rigid_fit,
-    simulate,
     stable_timestep,
     stream,
 )
@@ -427,13 +426,6 @@ def _pulse_problem(consts: MaterialConstants, n: int, cadence: int = 2):
     dt = stable_timestep(problem.grid, speed, problem.cfl)
     steps = int(np.ceil(t_total / (cadence * dt))) * cadence
     return replace(problem, T=steps * dt, snapshot_every=cadence), geom, steps
-
-
-def _pulse_trajectory(consts: MaterialConstants, n: int, cadence: int = 2):
-    """(problem, geometry, trajectory, speed) of the ``_pulse_problem`` run."""
-    problem, geom, steps = _pulse_problem(consts, n, cadence)
-    _, _, traj = simulate(problem, n_steps=steps)
-    return problem, geom, traj, problem.speed()
 
 
 # Fraction of its peak that E(r, t) must carry to enter the P = E comparison.

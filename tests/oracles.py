@@ -392,8 +392,8 @@ def _lower_upper(arr: np.ndarray, axis: int):
     return arr[tuple(lo)], arr[tuple(hi)]
 
 
-def surface_power_masks(traj, geom, r_grid, lam: float):
-    """(P, E_vol) of ``diagnostics.surface_power(...).weighted(lam)``, radius by radius.
+def surface_power_masks(ws, states, geom, r_grid, lam: float):
+    """(P, E_vol) of the states' ``SurfaceShells`` flux ``.weighted(lam)``, radius by radius.
 
     For each radius the node mask {dist > r} selects the outside energy, and
     the faces whose two nodes differ in that mask carry the flux, with sign
@@ -402,9 +402,8 @@ def surface_power_masks(traj, geom, r_grid, lam: float):
     from poromix.diagnostics import _cumtrapz
     from poromix.fields import stored_energy
 
-    ws = traj.problem.workspace
     grid = ws.grid
-    times = traj.times
+    times = np.array([state.t for state in states])
     q = np.zeros((len(r_grid), len(times)))
     e_inst = np.zeros_like(q)
     masks = [geom.dist > r for r in r_grid]
@@ -417,7 +416,7 @@ def surface_power_masks(traj, geom, r_grid, lam: float):
                 tw[0] = tw[-1] = 0.5 * grid.h[b]
                 area = area * tw.reshape([-1 if a == b else 1 for a in range(grid.dim)])
         areas.append(area)
-    for j, state in enumerate(traj.states):
+    for j, state in enumerate(states):
         Y, QY = ws.stress(state.U)
         eps = 0.5 * np.sum(ws.inertia * state.V**2, axis=0) + stored_energy(Y, QY)
         for i, m in enumerate(masks):
@@ -443,20 +442,20 @@ def surface_power_masks(traj, geom, r_grid, lam: float):
 # ---------------------------------------------------------------------------
 
 
-def front_masks(traj, geom):
-    """(times, r_front, peak) of ``diagnostics.front_speed``, state by state.
+def front_masks(states, geom):
+    """(times, r_front, peak) of the states' ``FrontSweep`` report, state by state.
 
     The threshold is 1e-6 of the largest state magnitude of all snapshots;
     each state's front is the largest distance of the nodes outside the
     support above it, found by masking every node.  O(grid) per state, with
     every state's magnitude kept until the peak is known.
     """
-    mags = [state.magnitude() for state in traj.states]
+    mags = [state.magnitude() for state in states]
     peak = max(float(np.max(m)) for m in mags)
     thr = 1e-6 * peak
     outside = geom.dist > 0.0
     times, r_front = [], []
-    for state, m in zip(traj.states, mags):
+    for state, m in zip(states, mags):
         hit = outside & (m > thr)
         if hit.any():
             times.append(state.t)

@@ -434,6 +434,16 @@ def simulate_imports(tmp_path, text: str, module: str) -> bool:
     return printed[1] == "True"
 
 
+class TestPackageNamespace:
+    def test_every_listed_name_resolves(self):
+        # the lazy export table is kept by hand, so a name its module dropped
+        # would be listed and fail only when first used
+        names = sorted(set(pm.__all__) | set(dir(pm)))
+        assert "stream" in names and not {"run", "simulate"} & set(names)
+        for name in names:
+            getattr(pm, name)
+
+
 class TestSimulateCommand:
     def test_zero_data_writes_zero_energy(self, tmp_path, capsys):
         path = write(tmp_path, "grid.n = 32\nT = 0.01\noutput = out0\n")
@@ -566,6 +576,25 @@ class TestSimulateCommand:
         assert "residuals.csv" not in (tmp_path / "d" / "manifest.txt").read_text()
 
 
+    @pytest.mark.parametrize("line, left_out", [
+        ("T = 0", {"cesaro.csv": "beyond t = 0", "residuals.csv": "at least 3 snapshots"}),
+        ("record.snapshot_every = 1000", {"residuals.csv": "at least 3 snapshots"}),
+    ])
+    def test_artifacts_left_out_are_named_on_stderr(self, tmp_path, capsys, line, left_out):
+        key = line.split(" =")[0]
+        text = re.sub(rf"^{re.escape(key)} = .*$", line, PULSE, flags=re.M)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(write(tmp_path, text)), "--out",
+                         str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [ln.split(":")[0] for ln in err] == [f"{name} not written" for name in left_out]
+        for name, reason in left_out.items():
+            assert reason in next(ln for ln in err if ln.startswith(name))
+        listed = (out / "manifest.txt").read_text()
+        for name in ("cesaro.csv", "residuals.csv"):
+            assert (out / name).exists() == (name not in left_out) == (name in listed)
+
+
 class TestVerifyCommand:
     def test_uniqueness_suite_passes(self, tmp_path, capsys):
         path = write(tmp_path, "grid.n = 32\noutput = vout\n")
@@ -592,6 +621,24 @@ class TestVerifyCommand:
             cli.main(["verify", "--config", str(path), "--suite", "uniqueness", "--seed", "-9"])
         assert exc.value.code == 2
         assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv, text", [
+        (["decay-report"], PULSE),
+        (["verify", "--suite", "uniqueness"], "grid.n = 32\noutput = vout\n"),
+    ])
+    def test_numerical_failure_names_the_step(self, tmp_path, monkeypatch, capsys, argv, text):
+        step = solver.step
+
+        def boom(state, problem, dt, accel_cache, step_index=None):
+            if step_index == 3:
+                raise NonFinite("blew up", step=step_index)
+            return step(state, problem, dt, accel_cache, step_index)
+
+        monkeypatch.setattr(solver, "step", boom)
+        path = write(tmp_path, text)
+        assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == 3
+        assert capsys.readouterr().err == "numerical failure: blew up (step 3)\n"
 
 
 class TestSerialSuites:

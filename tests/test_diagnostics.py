@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +52,21 @@ def front_problem_2d():
     return replace(prob, T=0.6 * geom.L / prob.speed().c), geom
 
 
+def surface_flux(ws, geom, r_grid, states):
+    """The surface flux of copied snapshots, each sampled after the run."""
+    shells = diag.surface_shells(ws, geom, r_grid)
+    return shells.flux([s.t for s in states], [shells.sample(s) for s in states])
+
+
+def front_report(geom, states):
+    """The front speed of copied snapshots, each sampled after the run."""
+    sweep = diag.front_sweep(geom)
+    return sweep.report([sweep.sample(s.t, s.magnitude()) for s in states])
+
+
+PulseRun = namedtuple("PulseRun", "prob geom speed energy snap_energy states pairings")
+
+
 @pytest.fixture(scope="module")
 def pulse_run():
     consts = pm.random_material(21)
@@ -65,13 +81,14 @@ def pulse_run():
     speed = prob.speed()
     t_total = 0.8 * geom.L / speed.c
     prob = replace(prob, T=t_total, energy_every=2, snapshot_every=2)
-    _, energy, traj = pm.simulate(prob)
-    return prob, geom, speed, energy, traj
+    _, energy, snap_energy, (states, pairings) = pm.stream(
+        prob, [pm.StateField.copy, diag.identity_sampler(prob.workspace)])
+    return PulseRun(prob, geom, speed, energy, snap_energy, states, pairings)
 
 
 class TestTotalEnergy:
     def test_zero_state(self, random_consts):
-        _, energy, _ = pm.simulate(problem_1d(random_consts, T=0.0))
+        energy = pm.stream(problem_1d(random_consts, T=0.0))[1]
         assert energy.total.tolist() == [0.0]
 
     def test_uniform_kinetic(self, random_consts):
@@ -81,7 +98,7 @@ class TestTotalEnergy:
             shape = x.shape[1:]
             return np.broadcast_to(vel.reshape(3, 1), (3,) + shape).copy()
 
-        _, energy, _ = pm.simulate(problem_1d(random_consts, T=0.0, initial=pm.InitialData(v1=v)))
+        energy = pm.stream(problem_1d(random_consts, T=0.0, initial=pm.InitialData(v1=v)))[1]
         volume = 1.0
         expected = 0.5 * random_consts.rho1 * float(vel @ vel) * volume
         assert energy.kinetic_u[0] == pytest.approx(expected, rel=1e-12)
@@ -89,7 +106,7 @@ class TestTotalEnergy:
         assert energy.total[0] == energy.kinetic_u[0]
 
     def test_total_is_sum_of_parts(self, pulse_run):
-        _, _, _, energy, _ = pulse_run
+        energy = pulse_run.energy
         np.testing.assert_allclose(
             energy.total, energy.kinetic_u + energy.kinetic_phi + energy.strain)
 
@@ -190,46 +207,47 @@ class TestSupportGeometry:
         assert peak < 32e6
 
     def test_mask_nodes_have_zero_distance(self, pulse_run):
-        _, geom, *_ = pulse_run
+        geom = pulse_run.geom
         assert np.all(geom.dist[geom.mask] == 0.0)
         assert np.all(geom.dist >= 0.0)
 
 
 class TestSurfacePower:
     def test_null_trajectory_gives_zero(self, random_consts):
-        prob = problem_1d(random_consts, T=0.05)
-        _, _, traj = pm.simulate(replace(prob, snapshot_every=2))
+        prob = replace(problem_1d(random_consts, T=0.05), snapshot_every=2)
         geom = diag.support_geometry(prob)
-        sps = diag.surface_power(traj, geom, np.array([0.0, 0.1, 0.2])).weighted(1.0)
+        shells = diag.surface_shells(prob.workspace, geom, np.array([0.0, 0.1, 0.2]))
+        _, _, snap_energy, (surface,) = pm.stream(prob, [shells.sample])
+        sps = shells.flux(snap_energy.t, surface).weighted(1.0)
         assert np.all(sps.P == 0.0) and np.all(sps.E_vol == 0.0)
 
     def test_radii_beyond_L_carry_no_power(self, pulse_run):
-        prob, geom, speed, _, traj = pulse_run
+        prob, geom, *_, states, _ = pulse_run
         r_grid = np.array([0.0, geom.L, geom.L * 1.5])
-        sps = diag.surface_power(traj, geom, r_grid).weighted(1.0)
+        sps = surface_flux(prob.workspace, geom, r_grid, states).weighted(1.0)
         assert np.all(sps.P[1] == 0.0) and np.all(sps.P[2] == 0.0)
 
     def test_power_nonnegative_and_monotone(self, pulse_run):
-        prob, geom, speed, _, traj = pulse_run
+        prob, geom, *_, states, _ = pulse_run
         r_grid = diag.default_r_grid(geom, count=20)
-        sps = diag.surface_power(traj, geom, r_grid).weighted(prob.lam)
+        sps = surface_flux(prob.workspace, geom, r_grid, states).weighted(prob.lam)
         p_ref = sps.P[0, -1]
         assert np.min(sps.P) >= -1e-9 * p_ref
         assert np.max(np.diff(sps.P, axis=0)) <= 1e-9 * p_ref
 
     def test_power_equals_weighted_energy(self, pulse_run):
-        prob, geom, speed, _, traj = pulse_run
+        prob, geom, *_, states, _ = pulse_run
         r_grid = diag.default_r_grid(geom, count=20)
-        sps = diag.surface_power(traj, geom, r_grid).weighted(prob.lam)
+        sps = surface_flux(prob.workspace, geom, r_grid, states).weighted(prob.lam)
         ref = np.max(np.abs(sps.E_vol))
         sel = np.abs(sps.E_vol) > 1e-2 * ref
         rel = np.max(np.abs(sps.P[sel] - sps.E_vol[sel]) / np.abs(sps.E_vol[sel]))
         assert rel <= 0.08  # coarse n=201 grid; the acceptance run pins 3% at n=401
 
     def test_weighted_energy_lambda_zero_is_plain_energy(self, pulse_run):
-        prob, geom, speed, _, traj = pulse_run
-        sps = diag.surface_power(traj, geom, np.array([0.0, 0.05])).weighted(0.0)
-        state = traj.states[-1]
+        prob, geom, *_, states, _ = pulse_run
+        sps = surface_flux(prob.workspace, geom, np.array([0.0, 0.05]), states).weighted(0.0)
+        state = states[-1]
         k = prob.consts
         kin = 0.5 * (k.rho1 * np.sum(state.v1**2, axis=0) + k.rho2 * np.sum(state.v2**2, axis=0)
                      + k.rho1 * k.chi1 * state.psi1**2 + k.rho2 * k.chi2 * state.psi2**2)
@@ -252,8 +270,11 @@ class TestSurfacePower:
         speed = probe.speed()
         prob = pm.ProblemSpec(grid=grid, consts=consts, boundary=bc, initial=ini,
                               T=0.8 * geom.L / speed.c, cfl=0.4, energy_every=2, snapshot_every=2)
-        _, energy, traj = pm.simulate(prob)
-        sps = diag.surface_power(traj, geom, diag.default_r_grid(geom, count=16)).weighted(1.0)
+        shells = diag.surface_shells(prob.workspace, geom, diag.default_r_grid(geom, count=16))
+        sweep = diag.front_sweep(geom)
+        _, _, snap_energy, (surface, fronts) = pm.stream(
+            prob, [shells.sample, lambda s: sweep.sample(s.t, s.magnitude())])
+        sps = shells.flux(snap_energy.t, surface).weighted(1.0)
         p_ref = sps.P[0, -1]
         assert np.min(sps.P) >= -1e-9 * p_ref
         assert np.max(np.diff(sps.P, axis=0)) <= 1e-9 * p_ref
@@ -261,22 +282,22 @@ class TestSurfacePower:
         sel = np.abs(sps.E_vol) > 1e-2 * ref
         rel = np.max(np.abs(sps.P[sel] - sps.E_vol[sel]) / np.abs(sps.E_vol[sel]))
         assert rel <= 0.08
-        assert diag.front_speed(traj, geom).speed <= speed.c
+        assert sweep.report(fronts).speed <= speed.c
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_per_radius_oracle(self, pulse_run, dim):
         if dim == 1:
-            prob, geom, _, _, traj = pulse_run
+            prob, geom, *_, states, _ = pulse_run
         else:
             prob = pulse_problem_2d()
             geom = diag.support_geometry(prob)
-            _, _, traj = pm.simulate(replace(prob, snapshot_every=4))
+            states = pm.stream(replace(prob, snapshot_every=4), [pm.StateField.copy])[3][0]
         r_grid = np.concatenate([diag.default_r_grid(geom), [geom.L, 2.0 * geom.L]])
         shell = np.searchsorted(r_grid, geom.dist)
         crossed = max(np.abs(np.diff(shell, axis=a)).max() for a in range(prob.grid.dim))
         assert crossed == (1 if dim == 1 else 3)  # 2-D faces cross up to 3 shells
-        sps = diag.surface_power(traj, geom, r_grid).weighted(prob.lam)
-        P, E_vol = oracles.surface_power_masks(traj, geom, r_grid, prob.lam)
+        sps = surface_flux(prob.workspace, geom, r_grid, states).weighted(prob.lam)
+        P, E_vol = oracles.surface_power_masks(prob.workspace, states, geom, r_grid, prob.lam)
         for new, ref in ((sps.P, P), (sps.E_vol, E_vol)):
             scale = np.max(np.abs(ref), axis=1, keepdims=True)
             assert np.all(np.abs(new - ref) <= 1e-12 * scale)
@@ -284,29 +305,30 @@ class TestSurfacePower:
         assert np.all(P[-2:] == 0.0) and np.all(E_vol[-2:] == 0.0)
 
     def test_lambda_sweep_evaluates_each_snapshot_once(self, pulse_run, monkeypatch):
-        prob, geom, _, _, traj = pulse_run
-        r_grid = diag.default_r_grid(geom, count=20)
+        prob, geom = pulse_run.prob, pulse_run.geom
+        shells = diag.surface_shells(prob.workspace, geom, diag.default_r_grid(geom, count=20))
         calls = []
         stress = Workspace.stress
         monkeypatch.setattr(Workspace, "stress",
                             lambda self, U: calls.append(1) or stress(self, U))
-        flux = diag.surface_power(traj, geom, r_grid)
+        _, _, snap_energy, (surface, pairings) = pm.stream(
+            prob, [shells.sample, diag.identity_sampler(prob.workspace)])
+        flux = shells.flux(snap_energy.t, surface)
         for lam in (0.5, 1.0, 2.0):
             flux.weighted(lam)
-        assert len(calls) == len(traj)
-        diag.identity_residuals(traj)
-        assert len(calls) == len(traj)  # the recorded energies are read, not recomputed
+        assert len(calls) == len(snap_energy.t) == len(pulse_run.states)
+        diag.IdentityResiduals.from_samples(prob, snap_energy, pairings)
+        assert len(calls) == len(snap_energy.t)  # the recorded energies are read, not recomputed
 
     @pytest.mark.parametrize("r_grid", [[0.0, 0.2, 0.1], [0.0, 0.1, 0.1]])
     def test_r_grid_must_increase(self, pulse_run, r_grid):
-        _, geom, _, _, traj = pulse_run
         with pytest.raises(InvalidParameter):
-            diag.surface_power(traj, geom, np.array(r_grid))
+            diag.surface_shells(pulse_run.prob.workspace, pulse_run.geom, np.array(r_grid))
 
     def test_radial_inequality_discrete(self, pulse_run):
-        prob, geom, speed, _, traj = pulse_run
+        prob, geom, speed, *_, states, _ = pulse_run
         r_grid = diag.default_r_grid(geom, count=20)
-        sps = diag.surface_power(traj, geom, r_grid).weighted(prob.lam)
+        sps = surface_flux(prob.workspace, geom, r_grid, states).weighted(prob.lam)
         dr = np.diff(sps.r_grid)[:, None]
         lhs = (prob.lam / speed.c) * np.abs(sps.P[:-1]) + np.diff(sps.P, axis=0) / dr
         sel = sps.P[0] > 1e-8 * sps.P[0, -1]
@@ -314,7 +336,7 @@ class TestSurfacePower:
         assert viol <= 0.05
 
     def test_default_r_grid_has_distinct_node_sets(self, pulse_run):
-        prob, geom, *_ = pulse_run
+        prob, geom = pulse_run.prob, pulse_run.geom
         prob_2d = pulse_problem_2d()
         geom_2d = diag.support_geometry(prob_2d)
         for g, h, count in ((geom, prob.grid.h, 20), (geom_2d, prob_2d.grid.h, 32)):
@@ -330,7 +352,7 @@ class TestSurfacePower:
 
     @pytest.mark.parametrize("count", [1, 2, 5, 20, 32, 10_000])
     def test_default_r_grid_matches_the_unique_oracle(self, pulse_run, rng, count):
-        _, geom, *_ = pulse_run
+        geom = pulse_run.geom
         geom_2d = diag.support_geometry(pulse_problem_2d())
         # shells of 31 radii, each repeated exactly and up to roundoff
         base = np.repeat(0.1 * np.arange(31), 12).reshape(31, 12)
@@ -368,24 +390,24 @@ class TestDecayReport:
             diag.decay_report(sps, sp, t=2.0)
 
     def test_pulse_run_bound(self, pulse_run):
-        prob, geom, speed, _, traj = pulse_run
+        prob, geom, speed, *_, states, _ = pulse_run
         r_grid = diag.default_r_grid(geom, count=20)
-        sps = diag.surface_power(traj, geom, r_grid).weighted(prob.lam)
-        rep = diag.decay_report(sps, speed, t=float(traj.times[-1]), tol_h=0.05)
+        sps = surface_flux(prob.workspace, geom, r_grid, states).weighted(prob.lam)
+        rep = diag.decay_report(sps, speed, t=states[-1].t, tol_h=0.05)
         assert rep.bound_ok
 
 
 class TestFrontSpeed:
     def test_zero_data_raises(self, random_consts):
-        prob = problem_1d(random_consts, T=0.05)
-        _, _, traj = pm.simulate(replace(prob, snapshot_every=2))
-        geom = diag.support_geometry(prob)
+        prob = replace(problem_1d(random_consts, T=0.05), snapshot_every=2)
+        sweep = diag.front_sweep(diag.support_geometry(prob))
+        fronts = pm.stream(prob, [lambda s: sweep.sample(s.t, s.magnitude())])[3][0]
         with pytest.raises(NoFront):
-            diag.front_speed(traj, geom)
+            sweep.report(fronts)
 
     def test_pulse_front_below_c(self, pulse_run):
-        prob, geom, speed, _, traj = pulse_run
-        rep = diag.front_speed(traj, geom)
+        rep = front_report(pulse_run.geom, pulse_run.states)
+        speed = pulse_run.speed
         assert rep.speed <= speed.c * 1.05
         assert np.all(np.diff(rep.times) > 0)
 
@@ -393,12 +415,12 @@ class TestFrontSpeed:
     def test_front_equals_the_masked_oracle_bit_for_bit(self, pulse_run, dim):
         # each state keeps only its records above the running threshold
         if dim == 1:
-            _, geom, _, _, traj = pulse_run
+            geom, states = pulse_run.geom, pulse_run.states
         else:  # many nodes share a distance
             prob, geom = front_problem_2d()
-            traj = pm.simulate(prob)[2]
-        rep = diag.front_speed(traj, geom)
-        times, r_front, peak = oracles.front_masks(traj, geom)
+            states = pm.stream(prob, [pm.StateField.copy])[3][0]
+        rep = front_report(geom, states)
+        times, r_front, peak = oracles.front_masks(states, geom)
         assert len(times) >= 5
         np.testing.assert_array_equal(rep.times, times)
         np.testing.assert_array_equal(rep.r_front, r_front)
@@ -416,9 +438,8 @@ class TestFrontSpeed:
             U = np.zeros((8, 41))  # a rough profile falling by 1e-11 over the outside nodes
             U[0] = scale * np.exp(-geom.dist / 0.01) * rng.uniform(0.5, 1.5, 41)
             states.append(pm.StateField(t=0.1 * k, U=U, V=np.zeros_like(U)))
-        traj = pm.solver.Trajectory(problem=prob, states=states, energy=None)
-        rep = diag.front_speed(traj, geom)
-        times, r_front, peak = oracles.front_masks(traj, geom)
+        rep = front_report(geom, states)
+        times, r_front, peak = oracles.front_masks(states, geom)
         np.testing.assert_array_equal(rep.times, times)
         np.testing.assert_array_equal(rep.r_front, r_front)
         assert rep.peak == peak
@@ -447,7 +468,7 @@ class TestCesaroMeans:
 
     def test_zero_solution_all_zero(self, random_consts):
         prob = problem_1d(random_consts, T=0.05)
-        _, energy, _ = pm.simulate(replace(prob, energy_every=2))
+        energy = pm.stream(replace(prob, energy_every=2))[1]
         cs = diag.cesaro_means(energy)
         assert np.all(cs.Kc == 0.0) and np.all(cs.Sc == 0.0)
 
@@ -459,22 +480,21 @@ class TestCesaroMeans:
                 u1=pm.gaussian_pulse([0.5], 0.06, 1.0, component=0),
                 v2=pm.gaussian_pulse([0.45], 0.06, 0.5, component=1),
             ))
-        _, energy, _ = pm.simulate(replace(prob, energy_every=2))
+        energy = pm.stream(replace(prob, energy_every=2))[1]
         cs = diag.cesaro_means(energy)
         e0 = energy.total[0]
         assert np.max(np.abs(cs.Kc + cs.Sc - e0)) <= 1e-3 * e0
 
     def test_means_conservation_on_narrow_pulse_run(self, pulse_run):
         # sigma = 4h here, so the leapfrog energy oscillation dominates
-        prob, geom, speed, energy, traj = pulse_run
+        energy = pulse_run.energy
         cs = diag.cesaro_means(energy)
         e0 = energy.total[0]
         assert np.max(np.abs(cs.Kc + cs.Sc - e0)) <= 5e-3 * e0
 
-    def test_means_from_trajectory(self, pulse_run):
-        prob, *_ , traj = pulse_run
-        cs = diag.cesaro_means(traj.energy)
-        assert len(cs.t) == len(traj) - 1
+    def test_means_of_the_snapshot_series(self, pulse_run):
+        cs = diag.cesaro_means(pulse_run.snap_energy)
+        assert len(cs.t) == len(pulse_run.states) - 1
 
 
 def free_velocity_problem(consts, dim):
@@ -504,7 +524,7 @@ class TestEquipartitionReport:
     def test_free_offset_is_the_rigid_kinetic_energy(self, random_consts, dim):
         # ½ Σ_α ρ^α ∫ |ā̇^α|², the rigid part from the midpoint-moment oracle
         prob = free_velocity_problem(random_consts, dim)
-        _, energy, _ = pm.simulate(prob)
+        energy = pm.stream(prob)[1]
         rep = diag.equipartition_report(energy, prob)
         x, w = prob.grid.positions(), prob.grid.weights()
         expected = 0.0
@@ -520,33 +540,37 @@ class TestEquipartitionReport:
         prob = problem_1d(random_consts, T=0.2, boundary=bc,
                           initial=pm.InitialData(
                               u1=pm.gaussian_pulse([0.5], 0.05, 1.0, component=0)))
-        _, energy, _ = pm.simulate(replace(prob, energy_every=2))
+        energy = pm.stream(replace(prob, energy_every=2))[1]
         rep = diag.equipartition_report(energy, prob)
         assert rep.case == "dirichlet"
         assert rep.predicted_offset == 0.0
         assert rep.fit_exponent is not None
 
 
+def streamed_residuals(prob):
+    """The identity residuals of one run, its snapshots paired as they are taken."""
+    _, _, snap_energy, (pairings,) = pm.stream(prob, [diag.identity_sampler(prob.workspace)])
+    return diag.IdentityResiduals.from_samples(prob, snap_energy, pairings)
+
+
 class TestIdentityResiduals:
     def test_zero_solution_all_zero(self, random_consts):
         prob = problem_1d(random_consts, T=0.05)
-        _, _, traj = pm.simulate(replace(prob, snapshot_every=2))
-        ir = diag.identity_residuals(traj)
+        ir = streamed_residuals(replace(prob, snapshot_every=2))
         assert np.all(ir.res_energy_balance == 0.0)
         assert np.all(ir.res_virial == 0.0)
         assert np.all(ir.res_two_time == 0.0)
 
     def test_initial_time_reduces_to_stored_energy_equality(self, pulse_run):
-        prob, geom, speed, energy, traj = pulse_run
-        ir = diag.identity_residuals(traj)
+        prob, *_, snap_energy, _, pairings = pulse_run
+        ir = diag.IdentityResiduals.from_samples(prob, snap_energy, pairings)
         assert ir.res_energy_balance[0] <= 1e-12 * ir.scale
         assert ir.res_virial[0] == 0.0
 
     def test_insufficient_snapshots(self, random_consts):
         prob = problem_1d(random_consts, T=0.01)
-        _, _, traj = pm.simulate(replace(prob, snapshot_every=10**6))
         with pytest.raises(InsufficientSnapshots):
-            diag.identity_residuals(traj)
+            streamed_residuals(replace(prob, snapshot_every=10**6))
 
     def test_nonzero_dirichlet_data_are_refused(self, random_consts):
         # their reaction work is not in the identities, so residuals would mislead
@@ -559,9 +583,8 @@ class TestIdentityResiduals:
         prob = problem_1d(random_consts, T=0.05, boundary=bc,
                           initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.05, 1.0,
                                                                       component=0)))
-        _, _, traj = pm.simulate(replace(prob, snapshot_every=2))
         with pytest.raises(InvalidParameter, match="Dirichlet"):
-            diag.identity_residuals(traj)
+            streamed_residuals(replace(prob, snapshot_every=2))
 
     @pytest.mark.parametrize("kind", ["prescribed_traction", "prescribed_flux"])
     def test_loaded_run_residuals_converge(self, kind):
@@ -580,22 +603,23 @@ class TestIdentityResiduals:
         for n in (101, 201, 401):
             prob = problem_1d(pm.random_material(5), n=n, T=0.3, boundary=bc, initial=initial,
                               snapshot_every=2)
-            ir = diag.identity_residuals(pm.simulate(prob)[2])
+            ir = streamed_residuals(prob)
             rel.append([np.max(res) / ir.scale
                         for res in (ir.res_energy_balance, ir.res_virial, ir.res_two_time)])
         orders = np.log2(np.array(rel[:-1]) / np.array(rel[1:]))
         assert np.all(orders >= 1.5), orders
 
     def test_residuals_small_on_resolved_run(self, pulse_run):
-        prob, geom, speed, energy, traj = pulse_run
-        ir = diag.identity_residuals(traj)
+        prob, *_, snap_energy, _, pairings = pulse_run
+        ir = diag.IdentityResiduals.from_samples(prob, snap_energy, pairings)
         assert np.max(ir.res_energy_balance) <= 5e-2 * ir.scale
         assert np.max(ir.res_virial) <= 5e-2 * ir.scale
         assert np.max(ir.res_two_time) <= 1e-12 * ir.scale
 
 
 class TestStreamedReductions:
-    """The per-state reductions, run on live states, equal the trajectory functions."""
+    """Each reduction of a live state equals the same reduction of its copy, applied
+    after the run, bit for bit, and reducing leaves the run unchanged."""
 
     @pytest.mark.parametrize("loaded", [False, True])
     def test_streamed_equal_collected_bit_for_bit(self, loaded):
@@ -604,25 +628,20 @@ class TestStreamedReductions:
             bc.u["x1"] = pm.SideCondition("natural", lambda xb: (0.2 + 0 * xb, 0.1 * xb))
         prob = replace(pulse_problem_2d(), grid=pm.Grid((33, 33)), boundary=bc, T=0.05,
                        snapshot_every=3)
+        ws = prob.workspace
         geom = diag.support_geometry(prob)
         r_grid = diag.default_r_grid(geom)
-        _, _, traj = pm.simulate(prob)
-        want_flux = diag.surface_power(traj, geom, r_grid)
-        want_ir = diag.identity_residuals(traj)
+        _, want_energy, want_snap_energy, (states,) = pm.stream(prob, [pm.StateField.copy])
+        want_flux = surface_flux(ws, geom, r_grid, states)
+        want_ir = diag.IdentityResiduals.from_samples(
+            prob, want_snap_energy, [diag.identity_sample(ws, states[0], s) for s in states])
 
-        shells = diag.surface_shells(prob.workspace, geom, r_grid)
-        surface, pairings, energy = [], [], []
-        for k, state, sample in pm.run(prob):
-            if k == 0:
-                state0 = state.copy()
-            if k % prob.snapshot_every == 0:
-                surface.append(shells.sample(state))
-                pairings.append(diag.identity_sample(prob.workspace, state0, state))
-                energy.append(sample)
-        assert len(surface) == len(traj) >= 5
-        flux = shells.flux([s.t for s in energy], surface)
-        ir = diag.IdentityResiduals.from_samples(prob, pm.solver.EnergySeries.from_samples(energy),
-                                                 pairings)
+        shells = diag.surface_shells(ws, geom, r_grid)
+        _, energy, snap_energy, (surface, pairings) = pm.stream(
+            prob, [shells.sample, diag.identity_sampler(ws)])
+        assert len(surface) == len(states) >= 5
+        flux = shells.flux(snap_energy.t, surface)
+        ir = diag.IdentityResiduals.from_samples(prob, snap_energy, pairings)
         for got, want in ((flux.t_grid, want_flux.t_grid), (flux.flux, want_flux.flux),
                           (flux.energy, want_flux.energy), (ir.t, want_ir.t),
                           (ir.res_energy_balance, want_ir.res_energy_balance),
@@ -630,13 +649,15 @@ class TestStreamedReductions:
                           (ir.res_two_time, want_ir.res_two_time)):
             np.testing.assert_array_equal(got, want)
         assert ir.scale == want_ir.scale
+        for series, want in ((energy, want_energy), (snap_energy, want_snap_energy)):
+            np.testing.assert_array_equal(series.total, want.total)
         assert np.any(np.array(pairings)[:, 1:3] != 0.0) == loaded
 
-    def test_streamed_front_equals_front_speed_bit_for_bit(self):
+    def test_streamed_front_equals_the_front_of_copies_bit_for_bit(self):
         prob, geom = front_problem_2d()
-        want = diag.front_speed(pm.simulate(prob)[2], geom)
+        want = front_report(geom, pm.stream(prob, [pm.StateField.copy])[3][0])
         sweep = diag.front_sweep(geom)
-        _, _, _, (samples,) = pm.solver.stream(prob, [lambda s: sweep.sample(s.t, s.magnitude())])
+        _, _, _, (samples,) = pm.stream(prob, [lambda s: sweep.sample(s.t, s.magnitude())])
         got = sweep.report(samples)
         assert len(got.times) >= 5
         np.testing.assert_array_equal(got.times, want.times)
@@ -648,7 +669,7 @@ class TestCsvWriters:
     def test_energy_csv_deterministic(self, tmp_path, pulse_run):
         from poromix import io as pio
 
-        _, _, _, energy, _ = pulse_run
+        energy = pulse_run.energy
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         pio.write_energy_csv(p1, energy)
         pio.write_energy_csv(p2, energy)
@@ -659,8 +680,7 @@ class TestCsvWriters:
     def test_snapshot_round_trip(self, tmp_path, pulse_run):
         from poromix import io as pio
 
-        *_, traj = pulse_run
-        state = traj.states[3]
+        state = pulse_run.states[3]
         path = tmp_path / "snap.bin"
         pio.write_snapshot(path, state)
         back = pio.read_snapshot(path)

@@ -292,7 +292,7 @@ class TestJetForm:
 class TestStepBasics:
     def test_null_data_stays_exactly_null(self, random_consts):
         prob = small_problem(random_consts, T=0.2)
-        final, _, _ = pm.simulate(prob, n_steps=400)
+        final = pm.stream(prob, n_steps=400)[0]
         assert final.max_abs() == 0.0
 
     def test_nonfinite_raises_with_step(self, random_consts):
@@ -301,7 +301,7 @@ class TestStepBasics:
             initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0, component=0)))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFinite) as exc:
-                pm.simulate(prob, n_steps=500)  # dt = 0.2, far above the stable step
+                pm.stream(prob, n_steps=500)  # dt = 0.2, far above the stable step
         assert exc.value.step is not None
         assert prob.workspace._buffers is None and prob.workspace._slots is None
 
@@ -310,7 +310,7 @@ class TestStepBasics:
         prob = small_problem(
             random_consts, n=32, boundary=bc, T=0.05,
             initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0, component=0)))
-        final, _, _ = pm.simulate(prob)
+        final = pm.stream(prob)[0]
         assert np.all(final.u1[:, 0] == 0.0) and np.all(final.u1[:, -1] == 0.0)
         assert final.phi1[0] == 0.0 and final.phi2[-1] == 0.0
 
@@ -328,7 +328,7 @@ class TestStepBasics:
             phi={"x0": pm.SideCondition("natural"), "x1": pm.SideCondition("natural")},
         )
         prob = small_problem(random_consts, n=24, boundary=bc, T=0.02)
-        final, _, _ = pm.simulate(prob)
+        final = pm.stream(prob)[0]
         np.testing.assert_array_equal(final.u1[:, 0], val)
         np.testing.assert_array_equal(final.u2[:, 0], 0.5 * val)
 
@@ -336,9 +336,9 @@ class TestStepBasics:
         prob = small_problem(
             random_consts, n=48, T=0.1,
             initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.08, 1.0, component=0)))
-        a, _, _ = pm.simulate(prob)
+        a = pm.stream(prob)[0]
         kept = a.copy()
-        b, _, _ = pm.simulate(prob)
+        b = pm.stream(prob)[0]
         # the second run has slots of its own: the first run's final state is unchanged
         assert not np.shares_memory(a.U, b.U)
         assert np.array_equal(a.U, kept.U) and np.array_equal(a.V, kept.V)
@@ -353,7 +353,7 @@ class TestStepBasics:
         ini_ab = pm.InitialData(
             u1=ini_a.u1, v2=ini_b.v2, phi1=ini_b.phi1)
         finals = [
-            pm.simulate(small_problem(random_consts, n=101, T=0.3, initial=ini), n_steps=1000)[0]
+            pm.stream(small_problem(random_consts, n=101, T=0.3, initial=ini), n_steps=1000)[0]
             for ini in (ini_a, ini_b, ini_ab)
         ]
         scale = max(f.max_abs() for f in finals)
@@ -366,19 +366,19 @@ class TestStepBasics:
         prob = small_problem(
             random_consts, n=64, cfl=0.9, T=1.0, energy_every=100, snapshot_every=10**9,
             initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0, component=0)))
-        _, series, _ = pm.simulate(prob, n_steps=10_000)
+        series = pm.stream(prob, n_steps=10_000)[1]
         assert np.max(series.total) <= 1.05 * series.total[0]
 
     def test_null_data_2d(self, random_consts):
         prob = small_problem(random_consts, n=12, dim=2, T=0.05)
-        assert pm.simulate(prob, n_steps=100)[0].max_abs() == 0.0
+        assert pm.stream(prob, n_steps=100)[0].max_abs() == 0.0
 
     def test_t_zero_returns_initial_record_only(self, random_consts):
         prob = small_problem(
             random_consts, n=16, T=0.0, snapshot_every=1,
             initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0, component=0)))
-        final, energy, traj = pm.simulate(prob)
-        assert len(traj) == 1 and len(energy.t) == 1
+        final, energy, snap_energy, (states,) = pm.stream(prob, [pm.StateField.copy])
+        assert len(states) == len(snap_energy.t) == len(energy.t) == 1
         assert final.t == 0.0
 
     def test_2d_energy_oscillation_bounded(self, random_consts):
@@ -395,7 +395,7 @@ class TestStepBasics:
         dt = 0.5 * min(prob.grid.h) / (speed.c * math.sqrt(2))
         prob2 = small_problem(random_consts, n=41, dim=2, T=400 * dt, energy_every=10,
                               snapshot_every=10**9, initial=prob.initial)
-        _, energy, _ = pm.simulate(prob2, n_steps=400)
+        energy = pm.stream(prob2, n_steps=400)[1]
         # sigma = 3.2 h here, so the bounded leapfrog oscillation dominates
         assert energy.max_relative_drift() <= 5e-3
 
@@ -482,8 +482,8 @@ class TestAccuracy:
             initial, v_mode = _fast_mode_initial(consts, 0.03, 0.35)
             prob = small_problem(consts, n=n, T=0.25 / v_mode, initial=initial, cfl=0.5,
                                  energy_every=10**9, snapshot_every=4)
-            _, _, traj = pm.simulate(prob)
-            speeds[n] = _peak_speed(_peak_position(s, prob.grid) for s in traj.states)
+            positions = pm.stream(prob, [lambda s: _peak_position(s, prob.grid)])[3][0]
+            speeds[n] = _peak_speed(positions)
         assert abs(speeds[401] - v_expected) <= 0.02 * v_expected
         assert v_mode <= prob.speed().c
 
@@ -506,7 +506,7 @@ class TestAccuracy:
             assert v_check == pytest.approx(v_mode)
             t_end = 0.3 / v_mode
             prob = small_problem(consts, n=n, T=t_end, initial=initial, cfl=0.4)
-            final, _, _ = pm.simulate(prob)
+            final = pm.stream(prob)[0]
             xs = prob.grid.axes()[0]
             shifted = prof.val(xs - v_mode * t_end)
             err = np.sqrt(np.mean(
@@ -686,8 +686,8 @@ class TestEvaluationBuffers:
         # at 64²) and the kernels' end-row temporaries: measured 0.2548-0.2551
         assert peak <= 0.26 * state.U.nbytes
 
-    def test_simulate_steps_allocate_no_grid_sized_array_after_the_first(self, random_consts,
-                                                                         monkeypatch):
+    def test_stream_steps_allocate_no_grid_sized_array_after_the_first(self, random_consts,
+                                                                       monkeypatch):
         import tracemalloc
 
         prob = small_problem(random_consts, n=64, dim=2, T=0.01, energy_every=2,
@@ -704,28 +704,33 @@ class TestEvaluationBuffers:
                 tracemalloc.stop()
 
         monkeypatch.setattr(solver, "step", measured)
-        final, _, _ = pm.simulate(prob, n_steps=5)
+        final = pm.stream(prob, n_steps=5)[0]
         assert len(peaks) == 5 and peaks[0] >= 6 * final.U.nbytes  # the first allocates the slots
         # the kernels' temporaries only; one (8, *grid) array would be U.nbytes
         assert max(peaks[1:]) <= 0.3 * final.U.nbytes
 
-    def test_simulate_drops_the_buffers(self, random_consts):
+    def test_stream_drops_the_buffers(self, random_consts):
         prob = small_problem(random_consts, n=16, T=0.01)
-        pm.simulate(prob)
+        pm.stream(prob)
         assert prob.workspace._buffers is None and prob.workspace._slots is None
 
-    def test_stream_reduces_exactly_the_snapshots_of_simulate(self, random_consts):
+    def test_reducers_see_each_snapshot_in_order_and_leave_the_run_unchanged(self,
+                                                                             random_consts):
         # every reducer sees each snapshot step, in order, while it is live
         prob = small_problem(random_consts, n=32, T=0.01, energy_every=2, snapshot_every=3,
                              initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0,
                                                                           component=0)))
-        final, energy, traj = pm.simulate(prob, n_steps=13)
-        got = solver.stream(prob, [lambda s: s.t, lambda s: s.U.sum()], n_steps=13)
+        final, energy, snap_energy, _ = pm.stream(prob, n_steps=13)
+        got = pm.stream(prob, [pm.StateField.copy, lambda s: s.t, lambda s: s.U.sum()],
+                        n_steps=13)
         assert got[0].t == final.t and np.array_equal(got[0].U, final.U)
-        for series, want in zip(got[1:3], (energy, traj.energy)):
+        for series, want in zip(got[1:3], (energy, snap_energy)):
             for part in ("t", "kinetic_u", "kinetic_phi", "strain"):
                 np.testing.assert_array_equal(getattr(series, part), getattr(want, part))
-        assert got[3] == [list(traj.times), [s.U.sum() for s in traj.states]]
+        states, times, sums = got[3]
+        assert len(states) == 5  # steps 0, 3, 6, 9 and 12
+        assert times == list(snap_energy.t) == [s.t for s in states]
+        assert sums == [s.U.sum() for s in states]
 
 
 def rough_problem(consts, kind: str, dim: int, rng, **cadence) -> pm.ProblemSpec:
@@ -740,18 +745,18 @@ def rough_problem(consts, kind: str, dim: int, rng, **cadence) -> pm.ProblemSpec
 
 
 class TestRecording:
-    """``simulate`` samples each recorded step once, from the step's own evaluation."""
+    """``stream`` samples each recorded step once, from the step's own evaluation."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("kind", BOUNDARY_CASES)
     def test_recorded_energies_match_allocating_oracle(self, rng, random_consts, kind, dim):
         prob = rough_problem(random_consts, kind, dim, rng, energy_every=1, snapshot_every=1)
-        _, energy, traj = pm.simulate(prob, n_steps=6)
+        _, energy, snap_energy, (states,) = pm.stream(prob, [pm.StateField.copy], n_steps=6)
         ws = prob.workspace
-        assert len(traj) == len(energy.t) == 7
-        for j, state in enumerate(traj.states):
+        assert len(states) == len(energy.t) == len(snap_energy.t) == 7
+        for j, state in enumerate(states):
             expected = oracles.energy_allocating(ws, state.U, state.V)
-            for series in (energy, traj.energy):
+            for series in (energy, snap_energy):
                 assert (series.kinetic_u[j], series.kinetic_phi[j], series.strain[j]) == expected
         assert energy.strain[-1] > 0.0
 
@@ -761,7 +766,7 @@ class TestRecording:
         # 1-D: one difference and one adjoint kernel call per force evaluation
         prob = rough_problem(random_consts, "prescribed_traction", 1, rng,
                          energy_every=energy_every, snapshot_every=snapshot_every)
-        counts = {"jet": 0, "force": 0, "energy": 0}
+        counts = {"jet": 0, "force": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -771,25 +776,25 @@ class TestRecording:
 
         monkeypatch.setattr(solver, "difference", counted("jet", solver.difference))
         monkeypatch.setattr(solver, "subtract_adjoint", counted("force", solver.subtract_adjoint))
-        monkeypatch.setattr(solver, "EnergySample", counted("energy", solver.EnergySample))
         steps = 13
-        _, energy, traj = pm.simulate(prob, n_steps=steps)
-        recorded = [k for k in range(steps + 1)
-                    if k % energy_every == 0 or k % snapshot_every == 0]
-        assert counts == {"jet": steps + 1, "force": steps + 1, "energy": len(recorded)}
-        assert len(energy.t) == len(range(0, steps + 1, energy_every))
-        assert len(traj) == len(range(0, steps + 1, snapshot_every))
+        _, energy, snap_energy, _ = pm.stream(prob, n_steps=steps)
+        assert counts == {"jet": steps + 1, "force": steps + 1}
+        # one split per step of each cadence, each at its own step's time
+        dt = prob.T / steps
+        for series, every in ((energy, energy_every), (snap_energy, snapshot_every)):
+            np.testing.assert_allclose(series.t, dt * np.arange(0, steps + 1, every),
+                                       rtol=1e-12, atol=0.0)
 
     def test_snapshot_energies_equal_the_series_at_shared_times(self, rng, random_consts):
         prob = rough_problem(random_consts, "prescribed_traction", 2, rng,
                          energy_every=2, snapshot_every=3)
-        _, energy, traj = pm.simulate(prob, n_steps=13)
-        shared = np.intersect1d(energy.t, traj.times)
+        _, energy, snap_energy, _ = pm.stream(prob, n_steps=13)
+        shared = np.intersect1d(energy.t, snap_energy.t)
         assert len(shared) == 3  # steps 0, 6 and 12
         for t in shared:
-            i, j = np.flatnonzero(energy.t == t)[0], np.flatnonzero(traj.times == t)[0]
+            i, j = np.flatnonzero(energy.t == t)[0], np.flatnonzero(snap_energy.t == t)[0]
             for part in ("kinetic_u", "kinetic_phi", "strain"):
-                assert getattr(energy, part)[i] == getattr(traj.energy, part)[j]
+                assert getattr(energy, part)[i] == getattr(snap_energy, part)[j]
 
     def test_steps_go_through_the_module_step_and_acceleration(self, rng, random_consts,
                                                                 monkeypatch):
@@ -812,7 +817,7 @@ class TestRecording:
 
         monkeypatch.setattr(solver, "step", counted_step)
         monkeypatch.setattr(solver, "acceleration", checked_accel)
-        pm.simulate(prob, n_steps=5)
+        pm.stream(prob, n_steps=5)
         assert calls == {"step": 5, "acceleration": 6}
 
     @pytest.mark.parametrize("field", ["energy_every", "snapshot_every"])
@@ -823,54 +828,53 @@ class TestRecording:
 
 
 class TestRunLoop:
-    """``run`` yields each recorded step's live state; ``simulate`` collects it."""
+    """``stream`` reduces each snapshot while it is live and returns the last step."""
 
-    def test_yields_the_recorded_steps_and_the_last(self, rng, random_consts):
+    def test_records_each_cadence_and_returns_the_last_step(self, rng, random_consts):
         prob = rough_problem(random_consts, "prescribed_traction", 1, rng,
                              energy_every=3, snapshot_every=5)
-        yielded = [(k, sample is None) for k, _, sample in pm.run(prob, n_steps=7)]
-        assert yielded == [(0, False), (3, False), (5, False), (6, False), (7, True)]
+        final, energy, snap_energy, (times,) = pm.stream(prob, [lambda s: s.t], n_steps=7)
+        dt = prob.T / 7
+        assert np.allclose(energy.t / dt, [0, 3, 6], rtol=0.0, atol=1e-9)
+        assert np.allclose(np.array(times) / dt, [0, 5], rtol=0.0, atol=1e-9)
+        assert times == list(snap_energy.t)
+        assert final.t == pytest.approx(prob.T, rel=1e-12)  # step 7 is on neither cadence
 
     @pytest.mark.parametrize("kind", ["traction_free", "prescribed_value"])
-    def test_yielded_states_are_live_until_the_step_after_next(self, rng, random_consts, kind):
+    def test_reduced_states_are_live_until_the_step_after_next(self, rng, random_consts, kind):
         prob = rough_problem(random_consts, kind, 2, rng, energy_every=1, snapshot_every=1)
         drawn = pm.initialize(prob)  # drawn once, so that both runs start alike
         prob = replace(prob, initial=pm.InitialData(
             **{name: lambda x, v=getattr(drawn, name): v for name in STATE_FIELDS}))
-        final, energy, traj = pm.simulate(prob, n_steps=6)
-        yielded, at_yield = [], []
-        for k, state, sample in pm.run(prob, n_steps=6):
-            yielded.append(state)
-            at_yield.append(state.copy())
-            assert sample == pm.solver.EnergySample(
-                energy.t[k], energy.kinetic_u[k], energy.kinetic_phi[k], energy.strain[k])
-        for kept, live in zip(traj.states, at_yield):  # simulate's copies, bit for bit
-            assert kept.t == live.t
-            np.testing.assert_array_equal(kept.U, live.U)
-            np.testing.assert_array_equal(kept.V, live.V)
-        np.testing.assert_array_equal(final.U, at_yield[-1].U)
+        final, energy, _, (kept,) = pm.stream(prob, [pm.StateField.copy], n_steps=6)
+        again = pm.stream(prob, [lambda s: s, pm.StateField.copy], n_steps=6)
+        live, at_reduction = again[3]
+        for series in again[1:3]:  # the same energy split, at every step of both cadences
+            for part in ("t", "kinetic_u", "kinetic_phi", "strain"):
+                np.testing.assert_array_equal(getattr(series, part), getattr(energy, part))
+        for copied, reduced in zip(kept, at_reduction):  # the copies, bit for bit
+            assert copied.t == reduced.t
+            np.testing.assert_array_equal(copied.U, reduced.U)
+            np.testing.assert_array_equal(copied.V, reduced.V)
+        np.testing.assert_array_equal(final.U, at_reduction[-1].U)
         # a stepped state shares its slot with the state two steps later
         for k in range(1, 5):
-            assert yielded[k].U is yielded[k + 2].U and yielded[k].V is yielded[k + 2].V
-            assert not np.shares_memory(yielded[k].U, yielded[k + 1].U)
+            assert live[k].U is live[k + 2].U and live[k].V is live[k + 2].V
+            assert not np.shares_memory(live[k].U, live[k + 1].U)
 
-    def test_workspace_drops_its_buffers_when_the_generator_closes(self, rng, random_consts):
-        prob = rough_problem(random_consts, "dirichlet_zero", 1, rng, snapshot_every=1)
-        ws = prob.workspace
-        steps = pm.run(prob, n_steps=6)
-        next(steps), next(steps)
-        assert ws._buffers is not None and ws._slots is not None
-        steps.close()
-        assert ws._buffers is None and ws._slots is None
-
-    def test_workspace_drops_its_buffers_when_the_consumer_raises(self, rng, random_consts):
+    def test_workspace_drops_its_buffers_when_a_reducer_raises(self, rng, random_consts):
         prob = rough_problem(random_consts, "prescribed_flux", 2, rng, snapshot_every=1)
-        ws = prob.workspace
-        with pytest.raises(RuntimeError, match="consumer"):
-            for k, _, _ in pm.run(prob, n_steps=6):
-                if k == 2:
-                    assert ws._slots is not None
-                    raise RuntimeError("consumer failed")
+        ws, seen = prob.workspace, []
+
+        def reducer(state):
+            if len(seen) == 2:
+                assert ws._buffers is not None and ws._slots is not None
+                raise RuntimeError("reducer failed")
+            seen.append(state.t)
+
+        with pytest.raises(RuntimeError, match="reducer"):
+            pm.stream(prob, [reducer], n_steps=6)
+        assert len(seen) == 2
         assert ws._buffers is None and ws._slots is None
 
 
@@ -883,9 +887,9 @@ class TestInitialDirichletProjection:
                              boundary=pm.BoundaryPartition(u=u, phi=phi),
                              initial=pm.InitialData(v1=lambda x: np.ones((3,) + x.shape[1:]),
                                                     phi1=lambda x: 1.0 + x[0]))
-        _, _, traj = pm.simulate(prob)
+        states = pm.stream(prob, [pm.StateField.copy])[3][0]
         ws = prob.workspace
-        for s in traj.states:
+        for s in states:
             np.testing.assert_array_equal(s.U[ws.pinned], ws.pin_values[ws.pinned])
             assert not s.V[ws.pinned].any()
         # the raw sample keeps the initial data; only the integrated state is projected
