@@ -26,6 +26,7 @@ from .config import (SUITES, build_problem, load_config, material_from_spec,
 from .errors import (
     InsufficientSnapshots,
     InvalidParameter,
+    NoFront,
     NonFinite,
     NotPositiveDefinite,
     ParseError,
@@ -34,7 +35,7 @@ from .errors import (
     SymmetryViolation,
     UndefinedAtZero,
 )
-from .solver import stream
+from .solver import cfl_steps, stream
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -80,23 +81,20 @@ def cmd_material_check(args) -> int:
     return EXIT_PASS
 
 
-def _stream(problem, write=None):
-    """Run the problem once, reducing each snapshot as it is taken.
+def _output_dir(path: str) -> bool:
+    """Make the output directory ``path``; False, after reporting, if it cannot be made."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot make output directory: {exc}", file=sys.stderr)
+        return False
+    return True
 
-    The support geometry and the default r-grid are set before the first
-    step; only the t = 0 state is copied.  ``write(state)`` gets each
-    snapshot first.  Returns the energy series, the surface flux, and the
-    snapshots' energy series with their identity samples.
-    """
-    ws = problem.workspace
+
+def _shells(problem):
+    """The support geometry and the surface shells of the default r-grid."""
     geom = diag.support_geometry(problem)
-    shells = diag.surface_shells(ws, geom, diag.default_r_grid(geom))
-    reducers = [shells.sample, diag.identity_sampler(ws)]
-    if write is not None:
-        reducers.insert(0, write)
-    _, energy, snap_energy, reduced = stream(problem, reducers)
-    surface, pairings = reduced[-2:]
-    return energy, shells.flux(snap_energy.t, surface), snap_energy, pairings
+    return geom, diag.surface_shells(problem.workspace, geom, diag.default_r_grid(geom))
 
 
 def _clear_run(out_dir: str, snap_dir: str) -> None:
@@ -116,12 +114,11 @@ def cmd_simulate(args) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = args.out or cfg.output
-    if not os.path.isabs(out_dir):
-        out_dir = os.path.join(cfg.base_dir, out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    # a command-line path is the caller's; a config's is next to the config
+    out_dir = args.out or os.path.join(cfg.base_dir, cfg.output)
     snap_dir = os.path.join(out_dir, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
+    if not _output_dir(snap_dir):
+        return EXIT_CONFIG
     # the snapshots reach the disk as they are taken, so a run that fails
     # leaves neither a manifest nor snapshots: it must not look finished
     _clear_run(out_dir, snap_dir)
@@ -132,8 +129,12 @@ def cmd_simulate(args) -> int:
         pio.write_snapshot(p_snap, state)
         paths.append(p_snap)
 
+    geom, shells = _shells(problem)
+    sweep = diag.front_sweep(geom)
+    reducers = [write, shells.sample, diag.identity_sampler(problem.workspace),
+                lambda state: sweep.sample(state.t, state.magnitude())]
     try:
-        energy, flux, snap_energy, pairings = _stream(problem, write)
+        _, energy, snap_energy, (_, surface, pairings, fronts) = stream(problem, reducers)
     except NonFinite as exc:
         _clear_run(out_dir, snap_dir)
         return _numerical_failure(exc)
@@ -142,7 +143,8 @@ def cmd_simulate(args) -> int:
     paths.append(p_energy)
 
     p_power = os.path.join(out_dir, "power.csv")
-    pio.write_power_csv(p_power, flux.weighted(problem.lam))
+    sps = shells.flux(snap_energy.t, surface).weighted(problem.lam)
+    pio.write_power_csv(p_power, sps)
     paths.append(p_power)
 
     try:
@@ -172,6 +174,15 @@ def cmd_simulate(args) -> int:
         entries["material"] = pio.file_sha256(os.path.join(cfg.base_dir, mat_path))
     pio.write_manifest(os.path.join(out_dir, "manifest.txt"), entries)
     print(f"wrote {len(paths)} artifacts to {out_dir}")
+    steps = cfl_steps(problem)
+    print(f"steps: {steps}, dt = {problem.T / max(steps, 1):.6g}", file=sys.stderr)
+    print(f"energy drift: {energy.max_relative_drift():.3e}", file=sys.stderr)
+    try:
+        front = f"{sweep.report(fronts).speed / problem.speed().c:.4f}"
+    except NoFront as exc:
+        front = f"not detected ({exc})"
+    print(f"front speed / c: {front}", file=sys.stderr)
+    print(f"max |P-E|/E: {diag.power_error(sps):.4f}", file=sys.stderr)
     return EXIT_PASS
 
 
@@ -185,7 +196,8 @@ def cmd_verify(args) -> int:
     suites = [args.suite] if args.suite else list(cfg.suites)
     print(f"seed = {seed}")
     out_dir = os.path.join(cfg.base_dir, cfg.output)
-    os.makedirs(out_dir, exist_ok=True)
+    if not _output_dir(out_dir):
+        return EXIT_CONFIG
     try:
         config_consts = resolve_material(cfg)
     except (OSError, InvalidParameter, ValueError) as exc:
@@ -218,10 +230,12 @@ def cmd_decay_report(args) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    shells = _shells(problem)[1]
     try:
-        flux = _stream(problem)[1]
+        _, _, snap_energy, (surface,) = stream(problem, [shells.sample])
     except NonFinite as exc:
         return _numerical_failure(exc)
+    flux = shells.flux(snap_energy.t, surface)
     speed = problem.speed()
     length = max(problem.grid.extent())
     lams = [m * speed.c / length for m in (0.5, 1.0, 2.0)] if args.lambda_sweep else [problem.lam]

@@ -292,6 +292,19 @@ def surface_shells(ws: Workspace, geom: SupportGeometry, r_grid: np.ndarray) -> 
     return SurfaceShells(ws=ws, r_grid=r_grid, shell=shell, faces=faces, radii=radii, areas=areas)
 
 
+# Fraction of its peak that E(r, t) must carry to enter the P = E comparison.
+_POWER_FLOOR = 1e-2
+
+
+def power_error(sps: SurfacePowerSeries) -> float:
+    """Worst relative |P − E| where E carries at least ``_POWER_FLOOR`` of its peak."""
+    ref = float(np.max(np.abs(sps.E_vol)))
+    sel = np.abs(sps.E_vol) > _POWER_FLOOR * ref
+    if not sel.any():
+        return 0.0
+    return float(np.max(np.abs(sps.P[sel] - sps.E_vol[sel]) / np.abs(sps.E_vol[sel])))
+
+
 @dataclass
 class DecayReport:
     t: float

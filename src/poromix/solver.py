@@ -330,6 +330,15 @@ def stable_timestep(grid: Grid, speed: SpeedParams, cfl: float) -> float:
     return cfl * min(grid.h) / (speed.c * math.sqrt(grid.dim))
 
 
+def cfl_steps(problem: ProblemSpec) -> int:
+    """The fewest steps no longer than the CFL time step that land exactly on T
+    (none for T = 0): ``stream``'s default step count."""
+    if problem.T == 0.0:
+        return 0
+    base = stable_timestep(problem.grid, problem.speed(), problem.cfl)
+    return max(1, math.ceil(problem.T / base - 1e-12))
+
+
 def initialize(problem: ProblemSpec) -> StateField:
     """Sample the initial data at the grid nodes (t = 0); absent fields are zero."""
     grid = problem.grid
@@ -536,24 +545,21 @@ def stream(
     reduced state lives in a step slot: it is valid only until the step
     after next, so a reducer must copy what it keeps of it
     (``StateField.copy`` keeps it whole).  Deterministic for fixed inputs.
-    The step count is chosen so the run lands exactly on T; an explicit
-    ``n_steps`` overrides the CFL default (the caller then owns stability).
+    The default step count, ``cfl_steps(problem)``, lands the run exactly on
+    T; an explicit ``n_steps`` overrides it (the caller then owns stability).
 
     Returns (final state, energy series, the snapshots' energy series, one
     list of results per reducer).  Whenever the loop ends, also by an
     exception, the workspace drops its buffers and step slots, so a later
     run leaves the returned state unchanged.
     """
-    speed = problem.speed()
+    problem.speed()  # an inadmissible material fails here, also with an explicit n_steps
     ws = problem.workspace
     state = initialize(problem)
     state.U.reshape(-1)[ws.pin_at] = ws.pin_to
     state.V.reshape(-1)[ws.pin_at] = 0.0
-    if problem.T == 0.0:
-        n_steps = 0
-    elif n_steps is None:
-        base = stable_timestep(problem.grid, speed, problem.cfl)
-        n_steps = max(1, math.ceil(problem.T / base - 1e-12))
+    if n_steps is None or problem.T == 0.0:
+        n_steps = cfl_steps(problem)
     dt_eff = problem.T / max(n_steps, 1)
     energy_every, snapshot_every = problem.energy_every, problem.snapshot_every
     # rows t, kinetic_u, kinetic_phi, strain; one column per recorded step

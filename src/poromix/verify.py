@@ -428,19 +428,6 @@ def _pulse_problem(consts: MaterialConstants, n: int, cadence: int = 2):
     return replace(problem, T=steps * dt, snapshot_every=cadence), geom, steps
 
 
-# Fraction of its peak that E(r, t) must carry to enter the P = E comparison.
-_POWER_FLOOR = 1e-2
-
-
-def _power_error(sps) -> float:
-    """Worst relative |P − E| where E carries at least ``_POWER_FLOOR`` of its peak."""
-    ref = float(np.max(np.abs(sps.E_vol)))
-    sel = np.abs(sps.E_vol) > _POWER_FLOOR * ref
-    if not sel.any():
-        return 0.0
-    return float(np.max(np.abs(sps.P[sel] - sps.E_vol[sel]) / np.abs(sps.E_vol[sel])))
-
-
 def _worst_bound_ratio(sps, speed, tol_h: float) -> float:
     """The largest ``decay_report`` bound ratio over the times where P(0, t) is not
     negligible; 0 if no time has enough usable radii."""
@@ -476,7 +463,7 @@ def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
     p_ref = max(float(sps.P[0, -1]), 1e-300)
     worst_neg = float(np.min(sps.P)) / p_ref
     mono = float(np.max(np.diff(sps.P, axis=0))) / p_ref
-    err_base = _power_error(sps)
+    err_base = diag.power_error(sps)
     # Discrete radial differential inequality (lambda/c)|P| + dP/dr <= tol,
     # with forward differences between consecutive distinct interface radii.
     dr = np.diff(sps.r_grid)[:, None]
@@ -488,7 +475,7 @@ def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
     mults = (0.5, 1.0, 2.0)
     ratios = [_worst_bound_ratio(flux.weighted(m * speed.c / length), speed, tol_h) for m in mults]
     del flux, sps, lhs
-    err_fine = _power_error(run(801, 4)[1].weighted(1.0))
+    err_fine = diag.power_error(run(801, 4)[1].weighted(1.0))
 
     rep.checks += [
         CheckResult("power_nonnegative", "P(r,t) >= -1e-9 * P(0,T)",

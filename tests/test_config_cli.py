@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import poromix as pm
-from poromix import cli, config, solver, verify
+from poromix import cli, config, diagnostics, solver, verify
 from poromix.config import build_problem, canonical_text, load_config, save_config
 from poromix.errors import InvalidParameter, NonFinite, ParseError, SchemaError
 
@@ -501,6 +501,31 @@ class TestSimulateCommand:
         path = write(tmp_path, "nonsense.key = 1\n")
         assert cli.main(["simulate", "--config", str(path)]) == 2
 
+    def test_command_line_out_is_relative_to_the_working_directory(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        # a config's output path is next to the config; an --out path is the caller's
+        (tmp_path / "cfgs").mkdir()
+        (tmp_path / "work").mkdir()
+        path = write(tmp_path / "cfgs", PULSE + "output = from_config\n")
+        monkeypatch.chdir(tmp_path / "work")
+        assert cli.main(["simulate", "--config", str(path), "--out", "from_cli"]) == 0
+        assert (tmp_path / "work" / "from_cli" / "manifest.txt").exists()
+        assert cli.main(["simulate", "--config", str(path)]) == 0
+        assert (tmp_path / "cfgs" / "from_config" / "manifest.txt").exists()
+        assert sorted(p.name for p in (tmp_path / "cfgs").iterdir()) == ["from_config", "run.cfg"]
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_output_path_that_is_a_file_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                          command):
+        (tmp_path / "afile").write_text("not a directory")
+        path = write(tmp_path, PULSE + "output = afile\n")
+        monkeypatch.setattr(solver, "step", None)  # no step may be taken
+        argv = ["--out", str(tmp_path / "afile")] if command == "simulate" else [
+            "--suite", "uniqueness"]
+        assert cli.main([command, "--config", str(path), *argv]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert (tmp_path / "afile").read_text() == "not a directory"
+
     def test_numeric_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # the snapshots reach the disk as they are taken, so a run that fails
         # after writing some must leave neither them nor a manifest behind
@@ -587,7 +612,8 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", str(write(tmp_path, text)), "--out",
                          str(out)]) == 0
         err = capsys.readouterr().err.splitlines()
-        assert [ln.split(":")[0] for ln in err] == [f"{name} not written" for name in left_out]
+        assert [ln.split(":")[0] for ln in err] == [f"{name} not written" for name in left_out] + [
+            "steps", "energy drift", "front speed / c", "max |P-E|/E"]
         for name, reason in left_out.items():
             assert reason in next(ln for ln in err if ln.startswith(name))
         listed = (out / "manifest.txt").read_text()
@@ -738,9 +764,10 @@ class TestDecayReportCommand:
         assert "lambda=" in out
         assert rc in (0, 1)
 
-    def test_lambda_sweep(self, tmp_path, capsys):
+    def test_lambda_sweep(self, tmp_path, monkeypatch, capsys):
         text = PULSE.replace("width=0.08", "width=0.03").replace("T = 0.05", "T = 0.08")
         path = write(tmp_path, text)
+        monkeypatch.setattr(diagnostics, "identity_sampler", None)  # the report needs only P(r, t)
         rc = cli.main(["decay-report", "--config", str(path), "--lambda-sweep"])
         out = capsys.readouterr().out
         assert out.count("lambda=") == 3
