@@ -5,14 +5,20 @@ Prints one CSV row per seed and check (``seed,name,measured,target,tol,passed``,
 floats as ``%.17g``), leaving out the wall-time ``runtime_*`` checks so that
 the rows of two checkouts diff clean.  Then prints, per check, its min and
 max over the seeds and the seeds where it failed.  Exits 1 if any check
-failed.
+failed.  With ``--against OLD.csv``, the rows of an earlier sweep, it then
+prints every (seed, check) in both whose value moved by more than 1e-12
+relative (absolute where both values are below 1e-12 in magnitude), with the
+old and new value and their ratio.
 
     PYTHONPATH=src python scripts/seed_sweep.py --suite all --seeds 0-9
+    PYTHONPATH=src python scripts/seed_sweep.py --against old.csv > new.csv
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import math
 
 from poromix.config import SUITES
 from poromix.verify import run_suite
@@ -26,13 +32,35 @@ def seed_range(text: str) -> range:
     return range(first, last + 1)
 
 
+MOVED = 1e-12  # relative; absolute below this magnitude
+
+
+def moved(old: float, new: float) -> bool:
+    scale = max(abs(old), abs(new))
+    return abs(new - old) > (MOVED * abs(old) if scale >= MOVED else MOVED)
+
+
+def old_values(path: str) -> dict[tuple[int, str], float]:
+    """(seed, name) -> measured of the CSV rows of an earlier sweep (up to its summary)."""
+    values = {}
+    with open(path, newline="") as f:
+        for row in list(csv.reader(f))[1:]:
+            if not row:  # the blank line before the summary
+                break
+            values[int(row[0]), row[1]] = float(row[2])
+    return values
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--suite", choices=SUITES + ("all",), default="all")
     ap.add_argument("--seeds", type=seed_range, default=seed_range("0-9"), metavar="A-B")
+    ap.add_argument("--against", metavar="OLD.csv",
+                    help="an earlier sweep's output; list the values that moved since")
     args = ap.parse_args()
+    old = old_values(args.against) if args.against else None
 
-    values, failed = {}, {}
+    values, failed, rows = {}, {}, {}
     print("seed,name,measured,target,tol,passed")
     for seed in args.seeds:
         for c in run_suite(args.suite, seed=seed).checks:
@@ -40,6 +68,7 @@ def main() -> int:
                 continue
             print(f"{seed},{c.name},{c.measured:.17g},{c.target:.17g},{c.tol:.17g},{int(c.passed)}")
             values.setdefault(c.name, []).append(c.measured)
+            rows[seed, c.name] = c.measured
             failed.setdefault(c.name, [])
             if not c.passed:
                 failed[c.name].append(seed)
@@ -47,6 +76,14 @@ def main() -> int:
     for name, measured in values.items():
         seeds = " ".join(map(str, failed[name])) or "-"
         print(f"{name}: min {min(measured):.6g} max {max(measured):.6g} failed at seeds {seeds}")
+    if old is not None:
+        changed = [(key, old[key], new) for key, new in rows.items()
+                   if key in old and moved(old[key], new)]
+        print(f"\nmoved against {args.against}: {len(changed)} of {len(old.keys() & rows.keys())}")
+        print("seed,name,old,new,ratio")
+        for (seed, name), was, new in changed:
+            ratio = new / was if was else math.nan
+            print(f"{seed},{name},{was:.17g},{new:.17g},{ratio:.17g}")
     return 1 if any(failed.values()) else 0
 
 

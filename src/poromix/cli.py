@@ -18,6 +18,7 @@ import argparse
 import glob
 import os
 import sys
+from dataclasses import replace
 
 from . import diagnostics as diag
 from . import io as pio
@@ -230,6 +231,8 @@ def cmd_decay_report(args) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # the report reads only the snapshots' series: record no other energy split
+    problem = replace(problem, energy_every=problem.snapshot_every)
     shells = _shells(problem)[1]
     try:
         _, _, snap_energy, (surface,) = stream(problem, [shells.sample])

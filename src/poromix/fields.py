@@ -121,6 +121,54 @@ def jet_form(form: QuadraticForm, h: tuple[float, ...]) -> np.ndarray:
     return (P.T @ form.matrix @ P) * np.repeat([1.0] + [0.5 / hj for hj in h], STATE_ROWS)
 
 
+def line_stencil(Q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D force F = −KU of the jet form Q, as blocks of −K on differences of U.
+
+    K is the stiffness of the energy Σ w W with trapezoid weights w: it
+    couples nodes at most 2 apart, so node i with three nodes on each side
+    takes F_i = −Σ_d A_d U₍ᵢ₊d₎, d = −2…2.  With Q's 8 × 8 blocks Q₀₀, Q₀₁,
+    Q₁₀, Q₁₁ on the raw jet (U, δU), A₀ = hQ₀₀ + Q₁₁, A₁ = −A₋₁ = hQ₀₁ − ½Q₁₀
+    and A₋₂ = A₂ = −½Q₁₁, so F_i = −(hQ₀₀ Uᵢ + A₁ δUᵢ + A₂ δ²Uᵢ) with δ²Uᵢ =
+    δU₍ᵢ₊₁₎ − δU₍ᵢ₋₁₎.  The three end nodes on either side couple to the five
+    end nodes; their rows are the sum over the nodes j whose jet reaches them
+    of Jⱼᵀ diag(wⱼ, wⱼ/(2h)) Q Jⱼ, with Jⱼ the node-j jet row of the one-sided
+    or central difference, taken on the window (U₀, U₁ − U₀, …, U₄ − U₃).
+    A constant field has exactly zero differences, so a rigid translation,
+    which Q₀₀ and Q₁₀ take to zero, meets only hQ₀₀ and the end rows' U₀
+    columns.  These keep Q's exact pairing of the u¹ and u² columns, and the
+    force on it is zero to roundoff of Q₀₀ and Q₁₀, not of the O(1/h) Q₁₁.
+
+    Returns (interior, ends): the 8 × 24 matrix −[hQ₀₀, A₁, A₂] on the
+    stacked (U, δU, δ²U) of a node, and a (2, 24, 40) array of the rows of −K
+    for the nodes 0-2 and for the last three nodes, each on its end window of
+    differences, indexed (row, node) in the order of ``U[:, :3]`` and
+    ``U[:, :5]``.
+    """
+    R = STATE_ROWS
+    Q00, Q01, Q10, Q11 = Q[:R, :R], Q[:R, R:], Q[R:, :R], Q[R:, R:]
+    interior = -np.hstack([h * Q00, h * Q01 - 0.5 * Q10, -0.5 * Q11])
+    eye = np.eye(R)
+    central = np.array([-1.0, 0.0, 1.0])
+    # The window's U₀ … U₄ from (U₀, U₁ − U₀, …, U₄ − U₃): Uⱼ = Σ_{k≤j} ΔUₖ.
+    from_diffs = np.kron(np.tril(np.ones((5, 5))), eye)
+
+    def end_rows(jets, at):
+        # jets: (node, weight, δ coefficients on the window's five nodes) per term.  On
+        # the right the jet rows take the differences, exactly: U₀ enters as (1, 0),
+        # since every δ row sums to 0, so the U₀ columns are sums of Q's first columns.
+        K = np.zeros((5 * R, 5 * R))
+        for node, w, coef in jets:
+            J = np.vstack([np.kron(np.eye(5)[node], eye), np.kron(coef, eye)])
+            K += J.T @ (np.repeat([w, w / (2.0 * h)], R)[:, None] * Q) @ (J @ from_diffs)
+        # (node, row) indices -> (row, node), keeping the three force nodes ``at``
+        return -K.reshape(5, R, 5, R)[at].transpose(1, 0, 3, 2).reshape(3 * R, 5 * R)
+
+    inner = [(i, h, np.r_[np.zeros(i - 1), central, np.zeros(3 - i)]) for i in (1, 2, 3)]
+    first = end_rows([(0, 0.5 * h, np.r_[_FIRST_ROW[0], 0.0, 0.0])] + inner, slice(0, 3))
+    last = end_rows([(4, 0.5 * h, np.r_[0.0, 0.0, _LAST_ROW[0]])] + inner, slice(2, 5))
+    return interior, np.stack([first, last])
+
+
 def stored_energy(Y: np.ndarray, QY: np.ndarray) -> np.ndarray:
     """Nodal stored-energy density W = ½ Y·QY."""
     return 0.5 * np.einsum("bc...,bc...->...", Y, QY)

@@ -11,9 +11,9 @@ conditions pin static nodal values.  Besides the initial data, these static
 boundary values are the only applied data, and the :class:`Workspace`
 evaluates them once.  The state is stacked as U = (u¹, u², φ¹, φ²) with
 V = U̇; the force comes from the raw differences and the jet form Q of
-:mod:`poromix.fields`.  ``stream`` is the one run loop: it records the
-energy split (strain energy −½ U·F) on its cadences and reduces each
-snapshot while it is live.
+:mod:`poromix.fields`, on a line from the stencil of Q's blocks.
+``stream`` is the one run loop: it records the energy split (strain energy
+−½ U·F) on its cadences and reduces each snapshot while it is live.
 Balance laws integrated per constituent α (no body force or body
 supply)::
 
@@ -42,6 +42,7 @@ from .fields import (
     U2_ROWS,
     difference,
     jet_form,
+    line_stencil,
     subtract_adjoint,
 )
 from .materials import MaterialConstants, SpeedParams
@@ -387,6 +388,10 @@ class Workspace:
         self.Q = jet_form(k.form, grid.h)
         # Force weights of the jet blocks: −w on (QY)₀ and w/(2hⱼ) on (QY)ⱼ.
         self.jet_w = np.stack([-self.w] + [self.w * (0.5 / hj) for hj in grid.h])[:, None]
+        # The same force on a line as blocks of −K on differences of U (None in 2-D and
+        # on lines of fewer than 6 nodes, where ``acceleration`` takes the jet path).
+        self.stencil = (line_stencil(self.Q, grid.h[0])
+                        if grid.dim == 1 and grid.n[0] >= 6 else None)
         row_shape = (STATE_ROWS,) + (1,) * grid.dim
         # Densities ρ and micro-inertia factors χ per state row (χ = 1 on u rows).
         rho = np.array([k.rho1] * 3 + [k.rho2] * 3 + [k.rho1, k.rho2]).reshape(row_shape)
@@ -424,15 +429,17 @@ class Workspace:
         self.pin_to = self.pin_values.reshape(-1)[self.pin_at]
         self.any_pinned = self.pin_at.size > 0
         # Buffers Y, QY ((1 + dim, 8, *grid)), F = (QY)₀, where ``acceleration`` assembles
-        # the internal force, and scratch; allocated on first use, dropped by ``stream``.
-        self._buffers: tuple[np.ndarray, ...] | None = None
+        # the internal force, scratch and, with a stencil, the ``_LineForce`` that writes
+        # F; allocated on first use, dropped by ``stream``.
+        self._buffers: tuple | None = None
         # Step slots (UV, U = UV[0], V = UV[1], a); ``step`` allocates, ``stream`` drops them.
         self._slots: tuple[tuple[np.ndarray, ...], ...] | None = None
 
-    def _eval_buffers(self) -> tuple[np.ndarray, ...]:
+    def _eval_buffers(self) -> tuple:
         if self._buffers is None:
             Y, QY = (np.empty((1 + self.grid.dim, STATE_ROWS) + self.grid.shape) for _ in range(2))
-            self._buffers = (Y, QY, QY[0], np.empty(Y.shape[1:]))
+            line = None if self.stencil is None else _LineForce(self.stencil, QY[0])
+            self._buffers = (Y, QY, QY[0], np.empty(Y.shape[1:]), line)
         return self._buffers
 
     def _raw_stress(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -461,21 +468,69 @@ class Workspace:
         return float(np.sum(self.w * np.sum(self.inertia * a.U * b.V, axis=0)))
 
 
+class _LineForce:
+    """F = −KU on a line, from the blocks of ``Workspace.stencil``, into F.
+
+    Holds (U, δU, δ²U) as one (3, 8, n) array, and makes every view that a
+    force reads or writes once: U is copied in first, so none depends on U.
+    """
+
+    def __init__(self, stencil: tuple[np.ndarray, np.ndarray], F: np.ndarray):
+        self.interior, self.ends = stencil
+        n, step = F.shape[1], F.itemsize
+
+        def first_and_last(A, width):  # A's first and last ``width`` columns, as one view
+            return np.ndarray((2, STATE_ROWS, width), A.dtype, A,
+                              strides=((n - width) * step, n * step, step))
+
+        # zeros: the two flat end entries of δU are never written, but δ²U reads them
+        self.diffs = np.zeros((3,) + F.shape)
+        self.U, flat = self.diffs[0], self.diffs.reshape(3, -1)
+        # one contiguous subtraction per difference, as in ``difference``: a row's first
+        # and last columns take values across rows, which the GEMM never reads
+        self.deltas = [(flat[k, 2:], flat[k, :-2], flat[k + 1, 1:-1]) for k in (0, 1)]
+        self.jets = self.diffs.reshape(3 * STATE_ROWS, n)[:, 3:-3]
+        self.F_interior = F[:, 3:-3]
+        # both end windows as (U₀, U₁ − U₀, …, U₄ − U₃), and the force of the end nodes
+        windows, end_diffs = first_and_last(self.U, 5), np.empty((2, STATE_ROWS, 5))
+        self.window_next, self.window_prev = windows[..., 1:], windows[..., :-1]
+        self.window_first, self.end_steps = windows[..., 0], end_diffs[..., 1:]
+        self.end_first, self.end_columns = end_diffs[..., 0], end_diffs.reshape(2, -1, 1)
+        self.end_force = np.empty((2, 3 * STATE_ROWS, 1))
+        self.F_ends = first_and_last(F, 3)
+
+    def __call__(self, U: np.ndarray) -> None:
+        np.copyto(self.U, U)
+        for a, b, out in self.deltas:
+            np.subtract(a, b, out=out)
+        np.matmul(self.interior, self.jets, out=self.F_interior)
+        np.subtract(self.window_next, self.window_prev, out=self.end_steps)
+        np.copyto(self.end_first, self.window_first)
+        np.matmul(self.ends, self.end_columns, out=self.end_force)
+        np.copyto(self.F_ends, self.end_force.reshape(self.F_ends.shape))
+
+
 def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
     """Stacked accelerations Ü of the configuration U.
 
     The force is the exact gradient of the discrete energy Σ w W:
     F = −w(QY)₀ − Σⱼ δⱼᵀ(w/(2hⱼ) (QY)ⱼ), plus the static load ``ws.load``.
-    The internal part is assembled in the workspace's F buffer, where it
-    stays until the next evaluation; ``stream`` takes each recorded
-    state's strain energy −½ U·F from it.  The result is written into the
-    step slot that holds U; only a U from outside the slots gets a fresh array.
+    On a line it is the same F = −KU from the workspace's stencil: one
+    GEMM of the interior blocks on (U, δU, δ²U), and one batched matmul on
+    the differences of the five end nodes at each end.  The internal part is
+    assembled in the workspace's F buffer, where it stays until the next
+    evaluation; ``stream`` takes each recorded state's strain energy −½ U·F
+    from it.  The result is written into the step slot that holds U; only
+    a U from outside the slots gets a fresh array.
     """
-    _, QY = ws._raw_stress(U)
-    np.multiply(QY, ws.jet_w, out=QY)
-    F = QY[0]  # the workspace's F buffer, now −w(QY)₀
-    for j in range(1, len(QY)):
-        subtract_adjoint(F, QY[j], j)
+    _, _, F, _, line = ws._eval_buffers()
+    if line is None:
+        _, QY = ws._raw_stress(U)
+        np.multiply(QY, ws.jet_w, out=QY)  # F = QY[0] is now −w(QY)₀
+        for j in range(1, len(QY)):
+            subtract_adjoint(F, QY[j], j)
+    else:
+        line(U)
     # the load is added into the returned array, never into F
     a = next((a for _, slot_U, _, a in ws._slots or () if slot_U is U), None)
     a = np.empty(U.shape) if a is None else a
@@ -574,7 +629,7 @@ def stream(
             on_energy, on_snapshot = k % energy_every == 0, k % snapshot_every == 0
             if not (on_energy or on_snapshot):
                 continue
-            _, _, F, kin = ws._eval_buffers()  # F: the internal force of this state
+            F, kin = ws._eval_buffers()[2:4]  # F: the internal force of this state
             np.multiply(ws.half_mass, np.square(state.V, out=kin), out=kin)
             split = (state.t, kin[:PHI1_ROW].sum(), kin[PHI1_ROW:].sum(),
                      -0.5 * np.vdot(state.U, F))

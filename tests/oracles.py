@@ -256,9 +256,9 @@ def gradient_adjoint(q: np.ndarray, ax: int, h: float) -> np.ndarray:
     return out
 
 
-def acceleration_jet(ws, consts, U: np.ndarray) -> np.ndarray:
-    """Stacked accelerations by the jet formula, with Q = Pᵀ𝒜P built afresh from
-    the workspace's material ``consts``."""
+def internal_force_jet(ws, consts, U: np.ndarray) -> np.ndarray:
+    """The internal force by the jet formula, with Q = Pᵀ𝒜P built afresh from the
+    workspace's material ``consts``."""
     from poromix.fields import jet_map
 
     P = jet_map(ws.grid.dim)
@@ -268,11 +268,29 @@ def acceleration_jet(ws, consts, U: np.ndarray) -> np.ndarray:
     F = -ws.w * QY[0]
     for j, hj in enumerate(ws.grid.h):
         F -= gradient_adjoint(ws.w * QY[1 + j], 1 + j, hj)
+    return F
+
+
+def acceleration_jet(ws, consts, U: np.ndarray) -> np.ndarray:
+    """Stacked accelerations by the jet formula (:func:`internal_force_jet`)."""
+    F = internal_force_jet(ws, consts, U)
     if ws.load is not None:
         F += ws.load
     a = F / ws.mass
     a[ws.pinned] = 0.0
     return a
+
+
+def stiffness_jet(ws, consts) -> np.ndarray:
+    """K of F = −KU, probed one unit state at a time from the jet formula:
+    K[c, i, c', j] couples row c of node i to row c' of node j (1-D grids)."""
+    shape = (8,) + ws.grid.shape
+    K = np.empty(shape + shape)
+    for at in np.ndindex(shape):
+        unit = np.zeros(shape)
+        unit[at] = 1.0
+        K[(Ellipsis,) + at] = -internal_force_jet(ws, consts, unit)
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +333,18 @@ def subtract_adjoint_allocating(F: np.ndarray, q: np.ndarray, ax: int) -> np.nda
 
 
 def internal_force_allocating(ws, U: np.ndarray) -> np.ndarray:
-    """F = −w(QY)₀ − Σⱼ δⱼᵀ(w/(2hⱼ) (QY)ⱼ) on the raw jet, as fresh arrays."""
+    """F = −w(QY)₀ − Σⱼ δⱼᵀ(w/(2hⱼ) (QY)ⱼ) on the raw jet, as fresh arrays; on a
+    line with a stencil, its blocks on (U, δU, δ²U) and on the end windows' differences."""
+    if ws.stencil is not None:
+        interior, ends = ws.stencil
+        F = np.empty(U.shape)
+        d1 = U[:, 2:] - U[:, :-2]  # δU of the nodes 1 … n − 2
+        Z = np.concatenate([U[:, 3:-3], d1[:, 2:-2], d1[:, 3:-1] - d1[:, 1:-3]])
+        F[:, 3:-3] = interior @ Z
+        windows = np.stack([U[:, :5], U[:, -5:]])
+        diffs = np.concatenate([windows[..., :1], windows[..., 1:] - windows[..., :-1]], axis=2)
+        F[:, :3], F[:, -3:] = (ends @ diffs.reshape(2, 40, 1)).reshape(2, -1, 3)
+        return F
     Y = np.stack([U] + [difference_allocating(U, 1 + j) for j in range(ws.grid.dim)])
     QY = (ws.Q @ Y.reshape(len(ws.Q), -1)).reshape(Y.shape) * ws.jet_w
     F = QY[0]

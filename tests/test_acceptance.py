@@ -161,8 +161,8 @@ def test_criterion_10_rigid_decomposition(equipartition_report):
 SIMULATION_GOLDEN = {
     "identities": {
         "energy_conservation": 4.9908291185533439e-05,
-        "energy_drift_refinement": 3.9948518510976156,
-        "order_res_energy_balance": 1.9801679575600706,
+        "energy_drift_refinement": 3.9948518511530806,
+        "order_res_energy_balance": 1.9801679575562299,
         "order_res_virial": 1.9721576544812938,
         "order_res_two_time": 2.9410453174478624e-17,
     },
@@ -185,11 +185,11 @@ SIMULATION_GOLDEN = {
         "influence_quiet_zone": 1.7722835611101484e-24,
     },
     "equipartition": {
-        "equipartition_gap_dirichlet": 1.214424756784194e-05,
+        "equipartition_gap_dirichlet": 1.2144247567920565e-05,
         "equipartition_decay_exponent": -0.95088126296013509,
         "equipartition_rigid_exact": 7.3546085062476262e-16,
         "equipartition_rigid_exact_2d": 7.9657364337008684e-16,
-        "equipartition_free_offset": 2.373820150345707e-05,
+        "equipartition_free_offset": 2.3738201503578924e-05,
         "rigid_normalization": 1.5130290924018507e-15,
     },
     "uniqueness": {

@@ -51,7 +51,12 @@ def test_example_simulates_and_summarizes(tmp_path, monkeypatch, capsys, name):
     assert re.fullmatch(r"steps: (\d+), dt = \S+", err[0]).group(1) == str(len(steps))
 
 
-def test_decay_example_reports_three_rates(tmp_path, capsys):
+def test_decay_example_reports_three_rates(tmp_path, monkeypatch, capsys):
+    # the report reads only the snapshots' energies, so it records the split on their cadence
     path = small_copy(tmp_path, "decay_study.cfg")
+    cadences, stream = [], cli.stream
+    monkeypatch.setattr(cli, "stream", lambda problem, *a: cadences.append(
+        (problem.energy_every, problem.snapshot_every)) or stream(problem, *a))
     assert cli.main(["decay-report", "--config", str(path), "--lambda-sweep"]) == 0
     assert capsys.readouterr().out.count("lambda=") == 3
+    assert cadences == [(2, 2)]

@@ -49,3 +49,29 @@ def test_seed_sweep_skips_runtimes_and_exits_1_on_failure(monkeypatch, capsys):
     assert "runtime_fake" not in rows + summary
     assert rows.splitlines()[2] == "3,fake,0.30000000000000004,0,0,0"
     assert summary.splitlines() == ["fake: min 0.2 max 0.5 failed at seeds 3 5"]
+
+
+def test_seed_sweep_lists_the_values_that_moved_against_an_old_sweep(monkeypatch, capsys,
+                                                                   tmp_path):
+    new = {"drift": 2.0 * (1 + 3e-12), "steady": 2.0 * (1 + 5e-13), "tiny": 4e-13,
+           "was_zero": 0.5, "failing": 1.0}
+
+    def fake_suite(name, seed):
+        report = verify.VerifyReport(suite=name)
+        report.checks += [verify.CheckResult(check, "", value, 0.0, 0.0, check != "failing")
+                          for check, value in new.items()]
+        return report
+
+    old = tmp_path / "old.csv"
+    old.write_text("seed,name,measured,target,tol,passed\n"
+                   "7,drift,2,0,0,1\n7,steady,2,0,0,1\n7,tiny,-5e-13,0,0,1\n"
+                   "7,was_zero,0,0,0,1\n7,failing,1,0,0,1\n7,gone,1,0,0,1\n"
+                   "\ndrift: min 2 max 2 failed at seeds -\n")
+    monkeypatch.setattr(verify, "run_suite", fake_suite)
+    assert run_script(monkeypatch, "seed_sweep.py", "--suite", "decay", "--seeds", "7-7",
+                      "--against", str(old)) == 1  # the failing check sets the exit code
+    moved = capsys.readouterr().out.split("\n\n")[2].splitlines()
+    assert moved[:2] == [f"moved against {old}: 2 of 5", "seed,name,old,new,ratio"]
+    assert [row.split(",")[:2] for row in moved[2:]] == [["7", "drift"], ["7", "was_zero"]]
+    ratio = float(moved[2].split(",")[4])
+    assert ratio == pytest.approx(1 + 3e-12, rel=1e-13) and moved[3].endswith(",0.5,nan")

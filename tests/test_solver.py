@@ -631,6 +631,63 @@ class TestForceKernel:
                                    atol=1e-13 * np.max(np.abs(want)))
 
 
+class TestLineStencil:
+    """On a line the force is −KU from blocks of K derived from the jet form."""
+
+    @pytest.mark.parametrize("kind", BOUNDARY_CASES)  # the traction and flux kinds carry a load
+    def test_stencil_force_matches_the_jet_path(self, rng, random_consts, kind):
+        ws = buffer_case_problem(random_consts, kind, 1).workspace
+        assert ws.stencil is not None
+        assert (ws.load is not None) == (kind in ("prescribed_traction", "prescribed_flux"))
+        U = rng.standard_normal((8,) + ws.grid.shape)
+        for got, want in ((internal_force(ws, U), oracles.internal_force_jet(ws, random_consts, U)),
+                          (acceleration(ws, U), oracles.acceleration_jet(ws, random_consts, U))):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_short_lines(self, rng, random_consts, n):
+        # below 6 nodes the end windows overlap and the jet path runs; at 6 no node is interior
+        ws = small_problem(random_consts, n=n).workspace
+        assert (ws.stencil is None) == (n < 6)
+        U = rng.standard_normal((8, n))
+        want = oracles.internal_force_jet(ws, random_consts, U)
+        np.testing.assert_allclose(internal_force(ws, U), want, rtol=0.0,
+                                   atol=1e-15 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n", [6, 17])
+    def test_blocks_are_the_probed_stiffness(self, random_consts, n):
+        ws = small_problem(random_consts, n=n).workspace
+        K = oracles.stiffness_jet(ws, random_consts)  # (8, n, 8, n)
+        tol = 1e-13 * np.max(np.abs(K))
+        interior, (first, last) = ws.stencil
+        B0, B1, B2 = np.split(-interior, 3, axis=1)  # hQ₀₀, A₁, A₂ on (U, δU, δ²U)
+        A = {-2: B2, -1: -B1, 0: B0 - 2.0 * B2, 1: B1, 2: B2}
+        for i in range(3, n - 3):
+            for d in range(-2, 3):
+                np.testing.assert_allclose(A[d], K[:, i, :, i + d], rtol=0.0, atol=tol)
+            assert not K[:, i, :, :i - 2].any() and not K[:, i, :, i + 3:].any()
+        # the end rows act on (U₀, U₁ − U₀, …, U₄ − U₃): back to U by the cumulative sums
+        to_diffs = np.eye(5) - np.eye(5, k=-1)
+        for rows, at, window in ((first, slice(0, 3), slice(0, 5)),
+                                 (last, slice(n - 3, n), slice(n - 5, n))):
+            on_U = (rows.reshape(24, 8, 5) @ to_diffs).reshape(8, 3, 8, 5)
+            np.testing.assert_allclose(on_U, -K[:, at, :, window], rtol=0.0, atol=tol)
+            outside = np.ones(n, bool)
+            outside[window] = False
+            assert not K[:, at, :, outside].any()
+
+    def test_rigid_translation_is_force_free_to_roundoff_of_the_row_sums(self, rng,
+                                                                        random_consts):
+        # the jet path rounds at the scale of Q's ∂ blocks, O(1/h); the stencil sees a
+        # constant field only through hQ₀₀ and the end rows' sums, O(1)
+        ws = small_problem(random_consts, n=201).workspace
+        t = rng.standard_normal(3)
+        U = np.zeros((8, 201))
+        U[:6] = np.r_[t, t][:, None]
+        scale = np.max(np.abs(ws.Q[:, :8])) * np.max(np.abs(t))  # Q₀₀ and Q₁₀
+        assert np.max(np.abs(internal_force(ws, U))) <= 1e-15 * scale
+
+
 class TestEvaluationBuffers:
     """The workspace buffers reproduce the allocating formulas bit for bit."""
 
@@ -760,13 +817,10 @@ class TestRecording:
                 assert (series.kinetic_u[j], series.kinetic_phi[j], series.strain[j]) == expected
         assert energy.strain[-1] > 0.0
 
-    @pytest.mark.parametrize("energy_every, snapshot_every", [(1, 1), (2, 3)])
-    def test_one_stress_per_step_and_one_energy_per_recorded_step(
-            self, rng, random_consts, monkeypatch, energy_every, snapshot_every):
-        # 1-D: one difference and one adjoint kernel call per force evaluation
-        prob = rough_problem(random_consts, "prescribed_traction", 1, rng,
-                         energy_every=energy_every, snapshot_every=snapshot_every)
-        counts = {"jet": 0, "force": 0}
+    @staticmethod
+    def count_force_calls(monkeypatch, prob, steps):
+        """Calls of ``acceleration`` and of the jet kernels in one ``stream`` of ``steps``."""
+        counts = {"accel": 0, "jet": 0, "force": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -774,16 +828,31 @@ class TestRecording:
                 return fn(*args, **kwargs)
             return wrapper
 
+        monkeypatch.setattr(solver, "acceleration", counted("accel", solver.acceleration))
         monkeypatch.setattr(solver, "difference", counted("jet", solver.difference))
         monkeypatch.setattr(solver, "subtract_adjoint", counted("force", solver.subtract_adjoint))
+        return counts, pm.stream(prob, n_steps=steps)
+
+    @pytest.mark.parametrize("energy_every, snapshot_every", [(1, 1), (2, 3)])
+    def test_one_stress_per_step_and_one_energy_per_recorded_step(
+            self, rng, random_consts, monkeypatch, energy_every, snapshot_every):
+        # 1-D: one force evaluation per step, by the stencil, which calls no jet kernel
+        prob = rough_problem(random_consts, "prescribed_traction", 1, rng,
+                             energy_every=energy_every, snapshot_every=snapshot_every)
         steps = 13
-        _, energy, snap_energy, _ = pm.stream(prob, n_steps=steps)
-        assert counts == {"jet": steps + 1, "force": steps + 1}
+        counts, (_, energy, snap_energy, _) = self.count_force_calls(monkeypatch, prob, steps)
+        assert counts == {"accel": steps + 1, "jet": 0, "force": 0}
         # one split per step of each cadence, each at its own step's time
         dt = prob.T / steps
         for series, every in ((energy, energy_every), (snap_energy, snapshot_every)):
             np.testing.assert_allclose(series.t, dt * np.arange(0, steps + 1, every),
                                        rtol=1e-12, atol=0.0)
+
+    def test_two_dimensional_force_calls_each_jet_kernel_once_per_axis(self, rng, random_consts,
+                                                                       monkeypatch):
+        prob = rough_problem(random_consts, "prescribed_traction", 2, rng)
+        counts = self.count_force_calls(monkeypatch, prob, 5)[0]
+        assert counts == {"accel": 6, "jet": 12, "force": 12}
 
     def test_snapshot_energies_equal_the_series_at_shared_times(self, rng, random_consts):
         prob = rough_problem(random_consts, "prescribed_traction", 2, rng,
