@@ -40,6 +40,7 @@ from .solver import (
     ProblemSpec,
     StateField,
     Workspace,
+    boundary_data,
     initialize,
     rigid_fit,
 )
@@ -78,15 +79,15 @@ def support_geometry(problem: ProblemSpec) -> SupportGeometry:
     """Detect the data support and the node distances to it.
 
     A node belongs to the support when any initial field or any prescribed
-    boundary value (the workspace's ``boundary_mag``) exceeds
+    boundary value (its magnitude from ``boundary_data``) exceeds
     ``_SUPPORT_THRESHOLD`` times the peak data magnitude there.  With
     all-zero data the lexicographically first boundary node is designated
-    (deterministic fallback so the geometry stays usable).
+    (deterministic fallback so the geometry stays usable).  Builds no workspace.
     """
     grid = problem.grid
     state0 = initialize(problem)
     data_mag = np.max(np.concatenate([np.abs(state0.U), np.abs(state0.V)]), axis=0)
-    total_mag = np.maximum(data_mag, problem.workspace.boundary_mag)
+    total_mag = np.maximum(data_mag, boundary_data(problem, grid.positions())[2])
     peak = float(np.max(total_mag))
     mask = total_mag > _SUPPORT_THRESHOLD * peak if peak > 0.0 else np.zeros(grid.shape, dtype=bool)
     if not mask.any():

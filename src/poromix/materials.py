@@ -14,7 +14,8 @@ and φᵅ the volume-fraction changes::
 This module holds the constants.  Each :class:`MaterialConstants` derives
 its law once, on first use: ``form`` (𝒜 with its eigen-bounds), ``speed``
 (the bounding signal speed c = sqrt(ξ_M / m) used by the spatial-behaviour
-diagnostics) and ``stress_matrix`` (the literal stress map Σ).  Slot layout
+diagnostics), ``stress_matrix`` (the literal stress map Σ) and
+``coupled_stress_bound`` (the pencil of Σ against 𝒜 on the coupled block).  Slot layout
 is frozen in ``SLOT_LABELS``; (i, j) pairs flatten row-major, so the pair
 Γ = (i, j) occupies slot 3i + j of its block.
 
@@ -32,7 +33,7 @@ maximum, the full-matrix minimum is structurally zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -208,6 +209,11 @@ class MaterialConstants:
         sig.setflags(write=False)
         return sig
 
+    @cached_property
+    def coupled_stress_bound(self) -> np.ndarray:
+        """``_coupled_stress_bound`` of the constants, computed once; gated as ``form``."""
+        return _coupled_stress_bound(self)
+
 
 @dataclass(frozen=True)
 class SymmetryReport:
@@ -255,15 +261,14 @@ class QuadraticForm:
     """The symmetric 29×29 matrix 𝒜 with its realizable eigen-bounds.
 
     ``matrix`` is block diagonal for an assembled material: 𝒜₁ on slots
-    0..19 (e, g, φ¹, φ²), 𝒜₂ on slots 20..28 (d, ∇φ¹, ∇φ²).  ``xi_min`` and
-    ``xi_max`` are worked out from it: the extreme eigenvalues of 𝒜 on the
-    realizable (symmetric-e) subspace.  A ``(..., 29, 29)`` stack gives
-    ``(...)`` bounds.
+    0..19 (e, g, φ¹, φ²), 𝒜₂ on slots 20..28 (d, ∇φ¹, ∇φ²).  Its shape and
+    exact symmetry are checked on construction.  ``xi_min`` and ``xi_max``
+    are worked out from it on first use, by one eigensolve: the extreme
+    eigenvalues of 𝒜 on the realizable (symmetric-e) subspace.  A
+    ``(..., 29, 29)`` stack gives ``(...)`` bounds.
     """
 
     matrix: np.ndarray
-    xi_min: float = field(init=False)
-    xi_max: float = field(init=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -272,11 +277,16 @@ class QuadraticForm:
         if not np.array_equal(m, m.mT):
             raise SymmetryViolation("assembled quadratic form is not exactly symmetric")
         m.setflags(write=False)
-        restricted = _SYM_BASIS.T @ m @ _SYM_BASIS
-        eigs = np.linalg.eigvalsh(0.5 * (restricted + restricted.mT))
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "xi_min", _unbatched(eigs[..., 0]))
-        object.__setattr__(self, "xi_max", _unbatched(eigs[..., -1]))
+
+    @cached_property
+    def _bounds(self) -> tuple[float, float]:
+        restricted = _SYM_BASIS.T @ self.matrix @ _SYM_BASIS
+        eigs = np.linalg.eigvalsh(0.5 * (restricted + restricted.mT))
+        return _unbatched(eigs[..., 0]), _unbatched(eigs[..., -1])
+
+    xi_min = property(lambda self: self._bounds[0])
+    xi_max = property(lambda self: self._bounds[1])
 
 
 def symmetric_subspace_basis() -> np.ndarray:
@@ -419,7 +429,7 @@ def worst_stress_energy_ratio(consts: MaterialConstants) -> float:
     consts.speed  # the admissibility gate
     form = consts.form
     kappa_a2 = np.linalg.eigvalsh(form.matrix[..., 20:, 20:])[..., -1]
-    return _unbatched(np.maximum(_coupled_stress_bound(consts), kappa_a2) / form.xi_max)
+    return _unbatched(np.maximum(consts.coupled_stress_bound, kappa_a2) / form.xi_max)
 
 
 def _sym4_full(t: np.ndarray) -> np.ndarray:
@@ -445,7 +455,8 @@ def _delta4() -> np.ndarray:
     return np.einsum("ir,js->ijrs", eye, eye)
 
 
-# The constant parts of a draw and the per-block unit steps of a certification.
+# The constant parts of a draw and the per-block unit steps of a certification:
+# the fields of ``identity_material``, so a step of s raises both bounds by s.
 _DRAW_A, _DRAW_C = _iso4(0.4, 0.4), 0.4 * _delta4()
 _CERTIFY_STEPS = dict(A=_iso4(0.0, 0.5), C=_delta4(), zeta=1.0, mu=1.0,
                       alpha=np.eye(3), gamma=np.eye(3), a=np.eye(3))
@@ -460,8 +471,7 @@ def _material(**given) -> MaterialConstants:
 
 def identity_material() -> MaterialConstants:
     """Admissible material whose quadratic form is the identity on realizable strains."""
-    return _material(A=_iso4(0.0, 0.5), C=_delta4(), zeta=1.0, mu=1.0,
-                     alpha=np.eye(3), gamma=np.eye(3), a=np.eye(3))
+    return _material(**_CERTIFY_STEPS)
 
 
 def decoupled_material() -> MaterialConstants:
@@ -534,17 +544,23 @@ def certify_material(consts: MaterialConstants) -> MaterialConstants:
     until ξ_M dominates the exact operator bound of the literal stress map.  That
     certifies |S(E)|² ≤ 2 ξ_M W(E) for every state, hence the c-bounded signal speed
     the decay and influence suites assume.  The block enters the stress map once per
-    component, so raising it never degrades the certified inequality.
+    component, so raising it never degrades the certified inequality.  It costs one
+    eigensolve of the drawn form, as the steps raise both bounds by s, and one pencil,
+    whose ``coupled_stress_bound`` the certified constants carry.
     """
     floor = 0.08
-    low, s = consts.form.xi_min < floor, floor - np.asarray(consts.form.xi_min)
+    form = consts.form
+    low, s = form.xi_min < floor, floor - np.asarray(form.xi_min)
+    xi_max = np.where(low, form.xi_max + s, form.xi_max)
     consts = replace(consts, **{name: _shift(getattr(consts, name), s, low, step)
                                 for name, step in _CERTIFY_STEPS.items()})
     # Raising the relative-displacement block lifts xi_max without touching
     # any acoustic branch (it is a pure value channel).
-    kappa = _coupled_stress_bound(consts)
+    kappa = consts.coupled_stress_bound
     s2 = kappa - np.linalg.eigvalsh(consts.a)[..., -1]
-    return replace(consts, a=_shift(consts.a, s2, (consts.form.xi_max < kappa) & (s2 > 0.0), _CERTIFY_STEPS["a"]))
+    certified = replace(consts, a=_shift(consts.a, s2, (xi_max < kappa) & (s2 > 0.0), _CERTIFY_STEPS["a"]))
+    certified.__dict__["coupled_stress_bound"] = kappa  # Σ₁ and 𝒜₁ read nothing of a
+    return certified
 
 
 def random_material(seed: int | np.random.Generator = 0) -> MaterialConstants:

@@ -363,6 +363,34 @@ def initialize(problem: ProblemSpec) -> StateField:
 _FAMILY_ROWS = {"u": (U1_ROWS, U2_ROWS), "phi": (PHI1_ROW, PHI2_ROW)}
 
 
+def boundary_data(problem: ProblemSpec, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``Workspace.pin_values``, ``load`` and ``boundary_mag`` of ``problem`` at its
+    node positions ``x``; a vector side value counts in ``boundary_mag`` with its
+    largest component."""
+    grid = problem.grid
+    pin_values = np.zeros((STATE_ROWS,) + grid.shape)
+    load = np.zeros(pin_values.shape)
+    magnitude = np.zeros(grid.shape)
+    loaded = False
+    for axis, end in grid.sides():
+        sl = grid.side_slicer(axis, end)
+        for family, rows_ab in _FAMILY_ROWS.items():
+            side = problem.boundary.side(family, axis, end)
+            if side.value is None:
+                continue
+            for row, val in zip(rows_ab, side.value(x[(slice(None),) + sl])):
+                at = (row,) + sl
+                if side.kind == "dirichlet":
+                    pin_values[at] = val
+                else:
+                    load[at] += grid.side_weights(axis) * np.asarray(val)
+                    loaded = True
+                mag = np.abs(np.broadcast_to(val, load[at].shape))
+                mag = mag.reshape((-1,) + magnitude[sl].shape).max(axis=0)
+                magnitude[sl] = np.maximum(magnitude[sl], mag)
+    return pin_values, load if loaded else None, magnitude
+
+
 class Workspace:
     """The per-problem context shared by the solver and the diagnostics.
 
@@ -372,9 +400,10 @@ class Workspace:
     static boundary data, evaluated once: the pinned values ``pin_values``,
     the ``load`` of the prescribed tractions/fluxes times the surface weights
     (None when no natural side carries values) and the per-node magnitude of
-    all side values, ``boundary_mag``.  It also holds the evaluation buffers
-    and the two step slots that ``step`` alternates between; ``stream``
-    drops both when its loop ends.  Reach it through ``ProblemSpec.workspace``.
+    all side values, ``boundary_mag`` (``boundary_data``).  It also holds the
+    evaluation buffers and the two step slots that ``step`` alternates between;
+    ``stream`` drops both when its loop ends.  Reach it through
+    ``ProblemSpec.workspace``.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -401,28 +430,7 @@ class Workspace:
         self.mask_u = problem.boundary.dirichlet_mask("u", grid)
         self.mask_phi = problem.boundary.dirichlet_mask("phi", grid)
         self.pinned = np.stack([self.mask_u] * 6 + [self.mask_phi] * 2)
-        self.pin_values = np.zeros(self.pinned.shape)
-        load = np.zeros(self.pinned.shape)
-        self.boundary_mag = np.zeros(grid.shape)
-        loaded = False
-        for axis, end in grid.sides():
-            sl = grid.side_slicer(axis, end)
-            for family, rows_ab in _FAMILY_ROWS.items():
-                side = problem.boundary.side(family, axis, end)
-                if side.value is None:
-                    continue
-                for row, val in zip(rows_ab, side.value(self.x[(slice(None),) + sl])):
-                    at = (row,) + sl
-                    if side.kind == "dirichlet":
-                        self.pin_values[at] = val
-                    else:
-                        load[at] += grid.side_weights(axis) * np.asarray(val)
-                        loaded = True
-                    # per side node; a vector value counts with its largest component
-                    mag = np.abs(np.broadcast_to(val, load[at].shape))
-                    mag = mag.reshape((-1,) + self.boundary_mag[sl].shape).max(axis=0)
-                    self.boundary_mag[sl] = np.maximum(self.boundary_mag[sl], mag)
-        self.load = load if loaded else None
+        self.pin_values, self.load, self.boundary_mag = boundary_data(problem, self.x)
         self.half_mass = 0.5 * self.w * self.inertia
         # The pinned entries as flat indices of an (8, *grid) array, and their values.
         self.pin_at = np.flatnonzero(self.pinned)
@@ -631,8 +639,9 @@ def stream(
                 continue
             F, kin = ws._eval_buffers()[2:4]  # F: the internal force of this state
             np.multiply(ws.half_mass, np.square(state.V, out=kin), out=kin)
-            split = (state.t, kin[:PHI1_ROW].sum(), kin[PHI1_ROW:].sum(),
-                     -0.5 * np.vdot(state.U, F))
+            # np.add.reduce is ndarray.sum without its Python wrapper, bit for bit
+            split = (state.t, np.add.reduce(kin[:PHI1_ROW], axis=None),
+                     np.add.reduce(kin[PHI1_ROW:], axis=None), -0.5 * np.vdot(state.U, F))
             if on_energy:
                 energy[:, k // energy_every] = split
             if on_snapshot:

@@ -200,16 +200,43 @@ SIMULATION_GOLDEN = {
 _ROUNDOFF = 1e-12
 
 
-@pytest.mark.parametrize("suite", sorted(SIMULATION_GOLDEN))
-def test_simulation_check_values_are_unchanged(suite, request):
-    report = request.getfixturevalue(f"{suite}_report")
-    values = {c.name: c.measured for c in report.checks if not c.name.startswith("runtime_")}
-    assert values.keys() == SIMULATION_GOLDEN[suite].keys()
-    for name, golden in SIMULATION_GOLDEN[suite].items():
-        if abs(golden) >= _ROUNDOFF:
-            assert values[name] == pytest.approx(golden, rel=1e-12, abs=0.0), name
+# The same for the constitutive suite at SEED, plus the largest operator
+# stress-energy ratio of its sweep, which the stress_energy_bound detail reports.
+CONSTITUTIVE_GOLDEN = {
+    "eigen_envelope": 0.0,
+    "power_identity_static": 2.0322952215997334e-15,
+    "power_identity_rate": 1.4948224408805583e-15,
+    "dual_constitutive_forms": 1.6933444172376679e-15,
+    "stress_energy_bound": 0.9447649537742401,
+    "traction_bound": 0.7071323291193103,
+    "operator_bound": 1.0,
+}
+
+
+def _assert_pinned(values: dict[str, float], golden: dict[str, float]) -> None:
+    assert values.keys() == golden.keys()
+    for name, pinned in golden.items():
+        if abs(pinned) >= _ROUNDOFF:
+            assert values[name] == pytest.approx(pinned, rel=1e-12, abs=0.0), name
         else:
             assert abs(values[name]) <= _ROUNDOFF, name
+
+
+def _check_values(report) -> dict[str, float]:
+    return {c.name: c.measured for c in report.checks if not c.name.startswith("runtime_")}
+
+
+@pytest.mark.parametrize("suite", sorted(SIMULATION_GOLDEN))
+def test_simulation_check_values_are_unchanged(suite, request):
+    _assert_pinned(_check_values(request.getfixturevalue(f"{suite}_report")),
+                   SIMULATION_GOLDEN[suite])
+
+
+def test_constitutive_check_values_are_unchanged(constitutive_report):
+    values = _check_values(constitutive_report)
+    detail = next(c.detail for c in constitutive_report.checks if c.name == "stress_energy_bound")
+    values["operator_bound"] = float(detail.removeprefix("operator bound "))
+    _assert_pinned(values, CONSTITUTIVE_GOLDEN)
 
 
 # The runs of each suite that record snapshots, and the most nodes of one of them:

@@ -11,6 +11,7 @@ import pytest
 
 import poromix as pm
 from poromix import diagnostics as diag
+from poromix import verify
 from poromix.errors import (
     Degenerate,
     InsufficientSnapshots,
@@ -157,8 +158,10 @@ class TestSupportGeometry:
         # with no initial data, the loaded x1 end, not the fallback node 0, is the support
         bc = natural_bc()
         bc.phi["x1"] = pm.SideCondition("natural", lambda xb: (0.3, 0.0))
-        geom = diag.support_geometry(problem_1d(random_consts, boundary=bc))
+        prob = problem_1d(random_consts, boundary=bc)
+        geom = diag.support_geometry(prob)
         assert geom.mask[-1] and geom.mask.sum() == 1
+        assert "workspace" not in vars(prob)  # the side values are read without one
 
     def test_two_blob_distance_matches_pairwise_oracle(self, random_consts):
         prob = problem_1d(
@@ -196,7 +199,6 @@ class TestSupportGeometry:
 
     def test_2d_memory_scales_with_the_grid(self):
         prob = pulse_problem_2d()
-        prob.workspace  # built once per problem; not part of the geometry's cost
         tracemalloc.start()
         try:
             geom = diag.support_geometry(prob)
@@ -205,6 +207,19 @@ class TestSupportGeometry:
             tracemalloc.stop()
         assert geom.mask.sum() > 2000  # the all-pairs form needed ~450 MB here
         assert peak < 32e6
+
+    @pytest.mark.parametrize("run", ["front", "pulse"])
+    def test_a_verify_run_builds_one_workspace(self, monkeypatch, run):
+        # the geometry is taken on the T = 0 problem, which then builds no workspace
+        built, init = [], Workspace.__init__
+        monkeypatch.setattr(Workspace, "__init__",
+                            lambda ws, problem: built.append(problem.T) or init(ws, problem))
+        if run == "front":
+            verify._front_run(pm.decoupled_material(), 101)
+        else:
+            problem, _, steps = verify._pulse_problem(pm.random_material(2), 101)
+            pm.stream(problem, n_steps=steps)
+        assert len(built) == 1 and built[0] > 0.0
 
     def test_mask_nodes_have_zero_distance(self, pulse_run):
         geom = pulse_run.geom

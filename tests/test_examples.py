@@ -49,6 +49,10 @@ def test_example_simulates_and_summarizes(tmp_path, monkeypatch, capsys, name):
         "steps", "energy drift", "front speed / c", "max |P-E|/E"]
     # the summary's step count is the number of steps the solver took
     assert re.fullmatch(r"steps: (\d+), dt = \S+", err[0]).group(1) == str(len(steps))
+    # the flux error names the snapshot spacing its trapezoid integrates over
+    every = re.search(r"^record\.snapshot_every = (\d+)$", (EXAMPLES / name).read_text(), re.M)
+    assert re.fullmatch(r"max \|P-E\|/E: \S+ \(flux over snapshots (\d+) steps apart\)",
+                        err[-1]).group(1) == every.group(1)
 
 
 def test_decay_example_reports_three_rates(tmp_path, monkeypatch, capsys):

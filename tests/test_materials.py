@@ -381,6 +381,52 @@ SWEEP_GOLDEN = {
 SWEEP_END_STATE = 123729014746426331670029127717936174267
 
 
+def count_spectra(monkeypatch) -> collections.Counter:
+    """Count ``eigvalsh`` calls by matrix size, and Cholesky factorizations (one per
+    coupled pencil), from here on."""
+    calls = collections.Counter()
+    for name in ("eigvalsh", "cholesky"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name, a.shape[-1]] += 1
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestCertification:
+    def test_a_sweep_chunk_costs_two_form_eigensolves_and_one_pencil(self, monkeypatch):
+        calls = count_spectra(monkeypatch)
+        law, states = verify._sweep_chunk(np.random.default_rng(0), verify._SWEEP_CHUNK)
+        assert (calls["eigvalsh", 26], calls["cholesky", 17], calls["eigvalsh", 17]) == (1, 1, 1)
+        verify._sweep_maxima(law, states)
+        assert (calls["eigvalsh", 26], calls["cholesky", 17], calls["eigvalsh", 17]) == (2, 1, 1)
+
+    def test_carried_coupled_bound_is_a_fresh_pencil_bit_for_bit(self):
+        chunk = verify._sweep_chunk(np.random.default_rng(0), verify._SWEEP_CHUNK)[0]
+        for law in [pm.random_material(seed) for seed in range(40)] + [chunk]:
+            assert "coupled_stress_bound" in vars(law)  # carried, not computed on this law
+            fresh = pm.materials._coupled_stress_bound(law)
+            assert np.asarray(law.coupled_stress_bound).tobytes() == np.asarray(fresh).tobytes()
+
+    def test_certify_steps_are_the_identity_on_realizable_strains(self):
+        q = symmetric_subspace_basis()
+        restricted = q.T @ pm.identity_material().form.matrix @ q
+        np.testing.assert_allclose(restricted, np.eye(26), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_shifted_bounds_are_the_drawn_bounds_plus_the_step(self, seed):
+        drawn = pm.MaterialConstants(**pm.materials.draw_material(np.random.default_rng(seed)))
+        s = 0.08 - drawn.form.xi_min  # certify_material's floor
+        shifted = dataclasses.replace(drawn, **{
+            name: getattr(drawn, name) + s * step
+            for name, step in pm.materials._CERTIFY_STEPS.items()})
+        assert shifted.form.xi_min == pytest.approx(drawn.form.xi_min + s, rel=1e-13, abs=0.0)
+        assert shifted.form.xi_max == pytest.approx(drawn.form.xi_max + s, rel=1e-13, abs=0.0)
+        # the certification's comparison of ξ_M against the pencil does not flip
+        kappa = shifted.coupled_stress_bound
+        assert (shifted.form.xi_max < kappa) == (drawn.form.xi_max + s < kappa)
+
+
 class TestConstitutiveSweep:
     def test_stacks_are_the_random_material_sequence(self):
         rng, ref = np.random.default_rng(0), np.random.default_rng(0)
