@@ -8,7 +8,8 @@ max over the seeds and the seeds where it failed.  Exits 1 if any check
 failed.  With ``--against OLD.csv``, the rows of an earlier sweep, it then
 prints every (seed, check) in both whose value moved by more than 1e-12
 relative (absolute where both values are below 1e-12 in magnitude), with the
-old and new value and their ratio.
+old and new value and their ratio, and then every (seed, check) found in only
+one of the two sweeps, with the sweep it is in.
 
     PYTHONPATH=src python scripts/seed_sweep.py --suite all --seeds 0-9
     PYTHONPATH=src python scripts/seed_sweep.py --against old.csv > new.csv
@@ -84,6 +85,12 @@ def main() -> int:
         for (seed, name), was, new in changed:
             ratio = new / was if was else math.nan
             print(f"{seed},{name},{was:.17g},{new:.17g},{ratio:.17g}")
+        only = sorted([(key, "old") for key in old.keys() - rows.keys()]
+                      + [(key, "new") for key in rows.keys() - old.keys()])
+        print(f"\nin one sweep only against {args.against}: {len(only)}")
+        print("seed,name,sweep")
+        for (seed, name), sweep in only:
+            print(f"{seed},{name},{sweep}")
     return 1 if any(failed.values()) else 0
 
 

@@ -242,8 +242,7 @@ def cmd_decay_report(args) -> int:
         return _numerical_failure(exc)
     flux = shells.flux(snap_energy.t, surface)
     speed = problem.speed()
-    length = max(problem.grid.extent())
-    lams = [m * speed.c / length for m in (0.5, 1.0, 2.0)] if args.lambda_sweep else [problem.lam]
+    lams = diag.lambda_sweep(problem).values() if args.lambda_sweep else [problem.lam]
     ok = True
     for lam in lams:
         sps = flux.weighted(lam)

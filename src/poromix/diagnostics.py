@@ -15,9 +15,9 @@ reduction of one recorded state (``SurfaceShells.sample``,
 to each snapshot as it is taken, and an assembly from the resulting series
 (``SurfaceShells.flux``, ``FrontSweep.report``,
 ``IdentityResiduals.from_samples``), so peak memory is O(grid), not grid ×
-snapshot count.  A streamed state is valid only until the step after next,
-so only the t = 0 state, which the two-time identity pairs with every later
-one, is copied (``identity_sampler``).
+snapshot count.  The run advances one state in place, so only the t = 0
+state, which the two-time identity pairs with every later one, is copied
+(``identity_sampler``).
 """
 
 from __future__ import annotations
@@ -304,6 +304,12 @@ def power_error(sps: SurfacePowerSeries) -> float:
     if not sel.any():
         return 0.0
     return float(np.max(np.abs(sps.P[sel] - sps.E_vol[sel]) / np.abs(sps.E_vol[sel])))
+
+
+def lambda_sweep(problem: ProblemSpec) -> dict[float, float]:
+    """The decay sweep: λ = m·c/L for each multiple m, L the grid's largest extent."""
+    length = max(problem.grid.extent())
+    return {m: m * problem.speed().c / length for m in (0.5, 1.0, 2.0)}
 
 
 @dataclass
@@ -620,7 +626,7 @@ def identity_sample(ws: Workspace, state0: StateField,
 
 def identity_sampler(ws: Workspace) -> Callable[[StateField], tuple[float, float, float, float]]:
     """A streamed run's ``identity_sample`` reducer: it pairs every state with
-    the first one it is given, which it copies (a live state does not last)."""
+    the first one it is given, which it copies (the run advances the state in place)."""
     state0 = None
 
     def sample(state: StateField) -> tuple[float, float, float, float]:

@@ -13,7 +13,7 @@ evaluates them once.  The state is stacked as U = (u¹, u², φ¹, φ²) with
 V = U̇; the force comes from the raw differences and the jet form Q of
 :mod:`poromix.fields`, on a line from the stencil of Q's blocks.
 ``stream`` is the one run loop: it records the energy split (strain energy
-−½ U·F) on its cadences and reduces each snapshot while it is live.
+−½ U·F) on its cadences and reduces each snapshot as it is taken.
 Balance laws integrated per constituent α (no body force or body
 supply)::
 
@@ -364,9 +364,9 @@ _FAMILY_ROWS = {"u": (U1_ROWS, U2_ROWS), "phi": (PHI1_ROW, PHI2_ROW)}
 
 
 def boundary_data(problem: ProblemSpec, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``Workspace.pin_values``, ``load`` and ``boundary_mag`` of ``problem`` at its
-    node positions ``x``; a vector side value counts in ``boundary_mag`` with its
-    largest component."""
+    """``Workspace.pin_values`` and ``load`` of ``problem`` at its node positions
+    ``x``, and the per-node magnitude of all side values; a vector side value
+    counts in the magnitude with its largest component."""
     grid = problem.grid
     pin_values = np.zeros((STATE_ROWS,) + grid.shape)
     load = np.zeros(pin_values.shape)
@@ -397,13 +397,12 @@ class Workspace:
     Holds the node positions and weights, the jet form Q = Pᵀ𝒜P (𝒜 is the
     material's ``consts.form``) on the raw jet (U, δ₁U, …), the force
     weights of its blocks, the row inertias of the stacked state and the
-    static boundary data, evaluated once: the pinned values ``pin_values``,
-    the ``load`` of the prescribed tractions/fluxes times the surface weights
-    (None when no natural side carries values) and the per-node magnitude of
-    all side values, ``boundary_mag`` (``boundary_data``).  It also holds the
-    evaluation buffers and the two step slots that ``step`` alternates between;
-    ``stream`` drops both when its loop ends.  Reach it through
-    ``ProblemSpec.workspace``.
+    static boundary data, evaluated once (``boundary_data``): the pinned
+    values ``pin_values`` and the ``load`` of the prescribed tractions/fluxes
+    times the surface weights (None when no natural side carries values).
+    It also holds the evaluation buffers, among them the acceleration that
+    ``acceleration`` writes; ``stream`` drops them when its loop ends.  Reach
+    it through ``ProblemSpec.workspace``.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -427,27 +426,24 @@ class Workspace:
         chi = np.array([1.0] * 6 + [k.chi1, k.chi2]).reshape(row_shape)
         self.inertia = rho * chi
         self.mass = self.w * self.inertia
-        self.mask_u = problem.boundary.dirichlet_mask("u", grid)
-        self.mask_phi = problem.boundary.dirichlet_mask("phi", grid)
-        self.pinned = np.stack([self.mask_u] * 6 + [self.mask_phi] * 2)
-        self.pin_values, self.load, self.boundary_mag = boundary_data(problem, self.x)
+        mask_u, mask_phi = (problem.boundary.dirichlet_mask(f, grid) for f in ("u", "phi"))
+        self.pinned = np.stack([mask_u] * 6 + [mask_phi] * 2)
+        self.pin_values, self.load, _ = boundary_data(problem, self.x)
         self.half_mass = 0.5 * self.w * self.inertia
         # The pinned entries as flat indices of an (8, *grid) array, and their values.
         self.pin_at = np.flatnonzero(self.pinned)
         self.pin_to = self.pin_values.reshape(-1)[self.pin_at]
         self.any_pinned = self.pin_at.size > 0
         # Buffers Y, QY ((1 + dim, 8, *grid)), F = (QY)₀, where ``acceleration`` assembles
-        # the internal force, scratch and, with a stencil, the ``_LineForce`` that writes
-        # F; allocated on first use, dropped by ``stream``.
+        # the internal force, scratch, the acceleration a and, with a stencil, the
+        # ``_LineForce`` that writes F; allocated on first use, dropped by ``stream``.
         self._buffers: tuple | None = None
-        # Step slots (UV, U = UV[0], V = UV[1], a); ``step`` allocates, ``stream`` drops them.
-        self._slots: tuple[tuple[np.ndarray, ...], ...] | None = None
 
     def _eval_buffers(self) -> tuple:
         if self._buffers is None:
             Y, QY = (np.empty((1 + self.grid.dim, STATE_ROWS) + self.grid.shape) for _ in range(2))
             line = None if self.stencil is None else _LineForce(self.stencil, QY[0])
-            self._buffers = (Y, QY, QY[0], np.empty(Y.shape[1:]), line)
+            self._buffers = (Y, QY, QY[0], np.empty(Y.shape[1:]), np.empty(Y.shape[1:]), line)
         return self._buffers
 
     def _raw_stress(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -528,10 +524,10 @@ def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
     the differences of the five end nodes at each end.  The internal part is
     assembled in the workspace's F buffer, where it stays until the next
     evaluation; ``stream`` takes each recorded state's strain energy −½ U·F
-    from it.  The result is written into the step slot that holds U; only
-    a U from outside the slots gets a fresh array.
+    from it.  The result is the workspace's acceleration buffer, which the
+    next evaluation overwrites: copy it to keep it.
     """
-    _, _, F, _, line = ws._eval_buffers()
+    _, _, F, _, a, line = ws._eval_buffers()
     if line is None:
         _, QY = ws._raw_stress(U)
         np.multiply(QY, ws.jet_w, out=QY)  # F = QY[0] is now −w(QY)₀
@@ -540,8 +536,6 @@ def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
     else:
         line(U)
     # the load is added into the returned array, never into F
-    a = next((a for _, slot_U, _, a in ws._slots or () if slot_U is U), None)
-    a = np.empty(U.shape) if a is None else a
     np.divide(F if ws.load is None else np.add(ws.load, F, out=a), ws.mass, out=a)
     if ws.any_pinned:
         a.reshape(-1)[ws.pin_at] = 0.0
@@ -555,38 +549,37 @@ def step(
     accel_cache: np.ndarray,
     step_index: int | None = None,
 ) -> tuple[StateField, np.ndarray]:
-    """One kick-drift-kick update; returns the new state and its acceleration.
+    """One kick-drift-kick update of ``state`` in place: t, U and V advance by dt.
 
-    ``accel_cache`` is the acceleration of ``state``.  The last evaluation is
-    the new state's force, so the workspace's F buffer holds its internal
-    force on return.  The new U, V and acceleration go to the workspace's
-    step slot that does not hold ``state`` (only the first step allocates),
-    so they stay valid until the step after next; copy them to keep them.
+    ``accel_cache`` is the acceleration of ``state``.  Returns ``state`` and
+    its new acceleration, the workspace's acceleration buffer (see
+    ``acceleration``).  The last evaluation is the new state's force, so
+    the workspace's F buffer holds its internal force on return.  No step
+    allocates a grid-sized array.
 
     Raises:
+        InvalidParameter: if U or V is not C-contiguous, as ``initialize`` makes them.
         NonFinite: if any updated value is not finite (instability signal).
     """
     ws = problem.workspace
-    if ws._slots is None:
-        shape = (STATE_ROWS,) + problem.grid.shape
-        # one array per slot, so that a returned state keeps only its own slot alive
-        ws._slots = tuple((UV, *UV, np.empty(shape))
-                          for UV in (np.empty((2,) + shape), np.empty((2,) + shape)))
-    UV, U, V, _ = ws._slots[state.U is ws._slots[0][1]]  # the slot not holding state
+    U, V, scratch = state.U, state.V, ws._eval_buffers()[3]
+    if not (U.flags.c_contiguous and V.flags.c_contiguous):  # the pins write through flat views
+        raise InvalidParameter("step advances U and V in place: both must be C-contiguous")
     half = 0.5 * dt
-    np.add(np.multiply(accel_cache, half, out=V), state.V, out=V)  # kick
-    np.add(np.multiply(V, dt, out=U), state.U, out=U)  # drift
+    V += np.multiply(accel_cache, half, out=scratch)  # kick
+    U += np.multiply(V, dt, out=scratch)  # drift
     if ws.any_pinned:
         U.reshape(-1)[ws.pin_at] = ws.pin_to
-    t_new = state.t + dt
+    state.t += dt
     a_new = acceleration(ws, U)
-    V += np.multiply(a_new, half, out=ws._eval_buffers()[3])
+    V += np.multiply(a_new, half, out=scratch)
     if ws.any_pinned:
         V.reshape(-1)[ws.pin_at] = 0.0
-    # |UV|² overflows only far beyond any stable state; then each value is checked
-    if not (math.isfinite(np.vdot(UV, UV)) or np.isfinite(UV).all()):
-        raise NonFinite(f"non-finite value at t = {t_new:.6g}", step=step_index)
-    return StateField(t=t_new, U=U, V=V), a_new
+    # |U|² + |V|² overflows only far beyond any stable state; then each value is checked
+    if not (math.isfinite(np.vdot(U, U) + np.vdot(V, V))
+            or (np.isfinite(U).all() and np.isfinite(V).all())):
+        raise NonFinite(f"non-finite value at t = {state.t:.6g}", step=step_index)
+    return state, a_new
 
 
 def stream(
@@ -594,7 +587,7 @@ def stream(
     reducers: Sequence[Callable[[StateField], object]] = (),
     n_steps: int | None = None,
 ) -> tuple[StateField, EnergySeries, EnergySeries, list[list]]:
-    """The run loop: integrate the problem to T, reducing each snapshot while it is live.
+    """The run loop: integrate the problem to T, reducing each snapshot as it is taken.
 
     Step 0 is the t = 0 state, projected onto the Dirichlet data as ``step``
     projects every later one (U takes the pinned values, V = 0 there).  A
@@ -604,17 +597,16 @@ def stream(
     energy is quadratic, Σ w W = ½ UᵀKU with F = −KU, so the strain energy
     is exactly −½ U·F.  Every ``energy_every`` steps the split joins the
     energy series; every ``snapshot_every`` steps (a snapshot) it joins the
-    snapshots' series and the state goes through each reducer in turn.  A
-    reduced state lives in a step slot: it is valid only until the step
-    after next, so a reducer must copy what it keeps of it
-    (``StateField.copy`` keeps it whole).  Deterministic for fixed inputs.
+    snapshots' series and the state goes through each reducer in turn.  The
+    run's one state, the arrays ``initialize`` returns, advances in place,
+    so a reducer copies what it keeps (``StateField.copy`` keeps it whole).
+    Deterministic for fixed inputs.
     The default step count, ``cfl_steps(problem)``, lands the run exactly on
     T; an explicit ``n_steps`` overrides it (the caller then owns stability).
 
     Returns (final state, energy series, the snapshots' energy series, one
     list of results per reducer).  Whenever the loop ends, also by an
-    exception, the workspace drops its buffers and step slots, so a later
-    run leaves the returned state unchanged.
+    exception, the workspace drops its buffers.
     """
     problem.speed()  # an inadmissible material fails here, also with an explicit n_steps
     ws = problem.workspace
@@ -649,7 +641,7 @@ def stream(
                 for reduce, out in zip(reducers, reduced):
                     out.append(reduce(state))
     finally:
-        ws._buffers = ws._slots = None
+        ws._buffers = None
     return state, EnergySeries(*energy), EnergySeries(*snapshot_energy), reduced
 
 

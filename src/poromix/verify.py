@@ -471,9 +471,8 @@ def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
     sel = sps.P[0] > 1e-8 * p_ref
     viol = float(np.max(lhs[:, sel])) / ((sps.lam / speed.c) * p_ref)
     # Decay envelopes for the lambda sweep, from the same snapshot pass.
-    length = problem.grid.extent()[0]
-    mults = (0.5, 1.0, 2.0)
-    ratios = [_worst_bound_ratio(flux.weighted(m * speed.c / length), speed, tol_h) for m in mults]
+    ratios = {mult: _worst_bound_ratio(flux.weighted(lam), speed, tol_h)
+              for mult, lam in diag.lambda_sweep(problem).items()}
     del flux, sps, lhs
     err_fine = diag.power_error(run(801, 4)[1].weighted(1.0))
 
@@ -492,7 +491,7 @@ def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
     rep.checks += [CheckResult(f"decay_bound_lam_{mult:g}",
                                "P(r,t) <= P(0,t) exp(-lambda r / c) (1 + tol_h) on 0 <= r <= ct",
                                ratio, 1.0, tol_h, 0.0 < ratio <= 1.0)
-                   for mult, ratio in zip(mults, ratios)]
+                   for mult, ratio in ratios.items()]
     return rep
 
 

@@ -770,4 +770,6 @@ class TestDecayReportCommand:
         monkeypatch.setattr(diagnostics, "identity_sampler", None)  # the report needs only P(r, t)
         rc = cli.main(["decay-report", "--config", str(path), "--lambda-sweep"])
         out = capsys.readouterr().out
-        assert out.count("lambda=") == 3
+        # multiples of c/L, with L = 1 the extent of the unit line
+        c = pm.random_material(5).speed.c
+        assert re.findall(r"lambda=(\S+):", out) == [f"{m * c:.6g}" for m in (0.5, 1.0, 2.0)]

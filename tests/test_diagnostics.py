@@ -633,7 +633,7 @@ class TestIdentityResiduals:
 
 
 class TestStreamedReductions:
-    """Each reduction of a live state equals the same reduction of its copy, applied
+    """Each reduction of a streamed state equals the same reduction of its copy, applied
     after the run, bit for bit, and reducing leaves the run unchanged."""
 
     @pytest.mark.parametrize("loaded", [False, True])

@@ -426,6 +426,20 @@ class TestCertification:
         kappa = shifted.coupled_stress_bound
         assert (shifted.form.xi_max < kappa) == (drawn.form.xi_max + s < kappa)
 
+    def test_the_shifted_xi_max_decides_whether_a_is_raised(self):
+        # every block a twentieth of its step, with the zero-floored a, except one large
+        # fraction-gradient modulus: ξ_m = 0, so the certification shifts every block by
+        # s = 0.08, and κ of the shifted law falls between the drawn and the shifted ξ_M
+        given = {name: 0.05 * np.asarray(step) for name, step in pm.materials._CERTIFY_STEPS.items()}
+        drawn = pm.materials._material(**given | {"alpha": np.diag([0.0, 0.0, 0.3])})
+        assert (drawn.form.xi_min, drawn.form.xi_max) == (0.0, pytest.approx(0.3, rel=1e-15))
+        certified = pm.materials.certify_material(drawn)
+        kappa = certified.coupled_stress_bound
+        assert drawn.form.xi_max < kappa <= certified.form.xi_max
+        # the shifted ξ_M already dominates κ: a takes the shift and is not raised further
+        np.testing.assert_array_equal(certified.a, drawn.a + 0.08 * np.eye(3))
+        assert certified.form.xi_max == pytest.approx(0.38, rel=1e-14)
+
 
 class TestConstitutiveSweep:
     def test_stacks_are_the_random_material_sequence(self):

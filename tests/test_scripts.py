@@ -54,7 +54,7 @@ def test_seed_sweep_skips_runtimes_and_exits_1_on_failure(monkeypatch, capsys):
 def test_seed_sweep_lists_the_values_that_moved_against_an_old_sweep(monkeypatch, capsys,
                                                                    tmp_path):
     new = {"drift": 2.0 * (1 + 3e-12), "steady": 2.0 * (1 + 5e-13), "tiny": 4e-13,
-           "was_zero": 0.5, "failing": 1.0}
+           "was_zero": 0.5, "failing": 1.0, "added": 3.0}
 
     def fake_suite(name, seed):
         report = verify.VerifyReport(suite=name)
@@ -70,8 +70,12 @@ def test_seed_sweep_lists_the_values_that_moved_against_an_old_sweep(monkeypatch
     monkeypatch.setattr(verify, "run_suite", fake_suite)
     assert run_script(monkeypatch, "seed_sweep.py", "--suite", "decay", "--seeds", "7-7",
                       "--against", str(old)) == 1  # the failing check sets the exit code
-    moved = capsys.readouterr().out.split("\n\n")[2].splitlines()
+    blocks = capsys.readouterr().out.split("\n\n")
+    moved = blocks[2].splitlines()
     assert moved[:2] == [f"moved against {old}: 2 of 5", "seed,name,old,new,ratio"]
     assert [row.split(",")[:2] for row in moved[2:]] == [["7", "drift"], ["7", "was_zero"]]
     ratio = float(moved[2].split(",")[4])
     assert ratio == pytest.approx(1 + 3e-12, rel=1e-13) and moved[3].endswith(",0.5,nan")
+    # a check that one sweep lacks is listed with the sweep that has it
+    assert blocks[3].splitlines() == [f"in one sweep only against {old}: 2", "seed,name,sweep",
+                                      "7,added,new", "7,gone,old"]
