@@ -199,6 +199,9 @@ def _parse_profile(text: str, lineno: int, errors: list[str]) -> InitProfile | N
             if not _PROFILES[kind][key][1](params[key]):
                 errors.append(f"line {lineno}: {tok!r} out of range for {kind}")
                 return None
+    if kind == "rigid" and not isinstance(STATE_FIELDS[_TARGETS[target][0]][1], slice):
+        errors.append(f"line {lineno}: profile 'rigid' needs a vector field, not {target!r}")
+        return None
     return InitProfile(kind=kind, field=target, params=tuple(sorted(params.items())))
 
 
@@ -434,27 +437,13 @@ def build_initial_data(cfg: RunConfig) -> InitialData:
     return InitialData(**fields)
 
 
-def _constant(groups):
-    """Side data ``values(x)``: one constant value group per constituent."""
-    arrays = [np.asarray(g, dtype=float) for g in groups]
-    lead = (3,) if len(arrays[0]) == 3 else ()
-
-    def values(x):
-        shape = lead + x.shape[1:]
-        return tuple(np.broadcast_to(a.reshape(lead + (1,) * (x.ndim - 1)), shape)
-                     for a in arrays)
-
-    return values
-
-
 def build_problem(cfg: RunConfig, consts: MaterialConstants | None = None) -> ProblemSpec:
     """Materialize the ProblemSpec described by a configuration."""
     consts = consts if consts is not None else resolve_material(cfg)
     grid = Grid(n=cfg.n, h=cfg.h, origin=cfg.origin)
 
     def sides(table) -> dict[str, SideCondition]:
-        return {side: SideCondition(_BOUNDARY_KINDS[kind][0],
-                                    _constant(params) if params else None)
+        return {side: SideCondition(_BOUNDARY_KINDS[kind][0], params or None)
                 for side, kind, params in table}
 
     return ProblemSpec(

@@ -40,7 +40,6 @@ from .solver import (
     ProblemSpec,
     StateField,
     Workspace,
-    boundary_data,
     initialize,
     rigid_fit,
 )
@@ -78,16 +77,22 @@ _SUPPORT_THRESHOLD = 1e-14
 def support_geometry(problem: ProblemSpec) -> SupportGeometry:
     """Detect the data support and the node distances to it.
 
-    A node belongs to the support when any initial field or any prescribed
-    boundary value (its magnitude from ``boundary_data``) exceeds
-    ``_SUPPORT_THRESHOLD`` times the peak data magnitude there.  With
-    all-zero data the lexicographically first boundary node is designated
+    A node belongs to the support when the magnitude of the data there, the
+    largest absolute initial value and the largest absolute component of
+    the value groups of every side through the node, exceeds
+    ``_SUPPORT_THRESHOLD`` times the peak data magnitude.  With all-zero
+    data the lexicographically first boundary node is designated
     (deterministic fallback so the geometry stays usable).  Builds no workspace.
     """
     grid = problem.grid
     state0 = initialize(problem)
-    data_mag = np.max(np.concatenate([np.abs(state0.U), np.abs(state0.V)]), axis=0)
-    total_mag = np.maximum(data_mag, boundary_data(problem, grid.positions())[2])
+    total_mag = np.max(np.concatenate([np.abs(state0.U), np.abs(state0.V)]), axis=0)
+    for axis, end in grid.sides():
+        sl = grid.side_slicer(axis, end)
+        for family in ("u", "phi"):
+            values = problem.boundary.side(family, axis, end).values
+            if values is not None:
+                total_mag[sl] = np.maximum(total_mag[sl], np.max(np.abs(values)))
     peak = float(np.max(total_mag))
     mask = total_mag > _SUPPORT_THRESHOLD * peak if peak > 0.0 else np.zeros(grid.shape, dtype=bool)
     if not mask.any():
@@ -495,12 +500,12 @@ def equipartition_report(series: EnergySeries, problem: ProblemSpec) -> Equipart
     offset, expo = 0.0, None
     if free:
         k = problem.consts
-        ws = problem.workspace
+        w, x = problem.grid.weights(), problem.grid.positions()
         state0 = initialize(problem)
-        r1, r2 = (rigid_fit(v, problem.grid)[0].field(ws.x) for v in (state0.v1, state0.v2))
+        r1, r2 = (rigid_fit(v, problem.grid)[0].field(x) for v in (state0.v1, state0.v2))
         offset = 0.5 * float(
-            np.sum(ws.w * (k.rho1 * np.einsum("i...,i...->...", r1, r1)
-                           + k.rho2 * np.einsum("i...,i...->...", r2, r2)))
+            np.sum(w * (k.rho1 * np.einsum("i...,i...->...", r1, r1)
+                        + k.rho2 * np.einsum("i...,i...->...", r2, r2)))
         )
     else:
         lo = cs.t[-1] / 20.0

@@ -140,13 +140,13 @@ class SideCondition:
     """Boundary condition on one grid side for one field family.
 
     kind "dirichlet": values pinned; kind "natural": traction/flux prescribed.
-    ``value(x)`` of the side's node positions gives the static data, one value
-    per constituent; None is homogeneous (0).  The :class:`Workspace`
-    evaluates it once.
+    ``values`` holds the static data, constant along the side: one group per
+    constituent, three components on the u family and one on the φ family;
+    None is homogeneous (0).
     """
 
     kind: str
-    value: Callable | None = None
+    values: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in ("dirichlet", "natural"):
@@ -359,50 +359,50 @@ def initialize(problem: ProblemSpec) -> StateField:
     return state
 
 
-# State rows each boundary family acts on: (constituent 1, constituent 2).
-_FAMILY_ROWS = {"u": (U1_ROWS, U2_ROWS), "phi": (PHI1_ROW, PHI2_ROW)}
+# State rows each boundary family acts on: (constituent 1, constituent 2), as slices.
+_FAMILY_ROWS = {"u": (U1_ROWS, U2_ROWS),
+                "phi": (slice(PHI1_ROW, PHI1_ROW + 1), slice(PHI2_ROW, PHI2_ROW + 1))}
 
 
-def boundary_data(problem: ProblemSpec, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``Workspace.pin_values`` and ``load`` of ``problem`` at its node positions
-    ``x``, and the per-node magnitude of all side values; a vector side value
-    counts in the magnitude with its largest component."""
+def boundary_data(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray | None]:
+    """``Workspace.pin_values`` and ``load`` of ``problem``: each side's groups
+    pinned on its Dirichlet nodes in side order, and times the surface weights
+    summed into the load (None when no natural side carries values)."""
     grid = problem.grid
     pin_values = np.zeros((STATE_ROWS,) + grid.shape)
     load = np.zeros(pin_values.shape)
-    magnitude = np.zeros(grid.shape)
     loaded = False
     for axis, end in grid.sides():
         sl = grid.side_slicer(axis, end)
         for family, rows_ab in _FAMILY_ROWS.items():
             side = problem.boundary.side(family, axis, end)
-            if side.value is None:
+            if side.values is None:
                 continue
-            for row, val in zip(rows_ab, side.value(x[(slice(None),) + sl])):
+            for row, group in zip(rows_ab, side.values):
                 at = (row,) + sl
+                val = np.reshape(group, (-1,) + (1,) * (grid.dim - 1))  # one column per row
                 if side.kind == "dirichlet":
                     pin_values[at] = val
                 else:
-                    load[at] += grid.side_weights(axis) * np.asarray(val)
+                    load[at] += grid.side_weights(axis) * val
                     loaded = True
-                mag = np.abs(np.broadcast_to(val, load[at].shape))
-                mag = mag.reshape((-1,) + magnitude[sl].shape).max(axis=0)
-                magnitude[sl] = np.maximum(magnitude[sl], mag)
-    return pin_values, load if loaded else None, magnitude
+    return pin_values, load if loaded else None
 
 
 class Workspace:
-    """The per-problem context shared by the solver and the diagnostics.
+    """The per-problem context shared by the solver and the diagnostics, built whole once.
 
-    Holds the node positions and weights, the jet form Q = Pᵀ𝒜P (𝒜 is the
-    material's ``consts.form``) on the raw jet (U, δ₁U, …), the force
-    weights of its blocks, the row inertias of the stacked state and the
-    static boundary data, evaluated once (``boundary_data``): the pinned
-    values ``pin_values`` and the ``load`` of the prescribed tractions/fluxes
-    times the surface weights (None when no natural side carries values).
-    It also holds the evaluation buffers, among them the acceleration that
-    ``acceleration`` writes; ``stream`` drops them when its loop ends.  Reach
-    it through ``ProblemSpec.workspace``.
+    Holds the node weights, the jet form Q = Pᵀ𝒜P (𝒜 is the material's
+    ``consts.form``) on the raw jet (U, δ₁U, …), the force weights of its
+    blocks, the row inertias of the stacked state and the static boundary
+    data (``boundary_data``): the pinned values ``pin_values`` and the
+    ``load`` of the prescribed tractions/fluxes times the surface weights
+    (None when no natural side carries values).  It also holds the
+    evaluation buffers, for as long as its problem lives: the jet ``Y`` and
+    the stresses ``QY`` ((1 + dim, 8, *grid)), the internal force ``F`` =
+    (QY)₀ that ``acceleration`` assembles, ``scratch``, the acceleration
+    ``a`` and, with a stencil, the ``_LineForce`` ``line`` that writes F.
+    Reach it through ``ProblemSpec.workspace``.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -411,7 +411,6 @@ class Workspace:
         # no reference back to the problem, which caches its workspace: without
         # that cycle a finished run's workspace is freed with its problem
         self.grid = grid
-        self.x = grid.positions()
         self.w = grid.weights()
         self.Q = jet_form(k.form, grid.h)
         # Force weights of the jet blocks: −w on (QY)₀ and w/(2hⱼ) on (QY)ⱼ.
@@ -428,27 +427,20 @@ class Workspace:
         self.mass = self.w * self.inertia
         mask_u, mask_phi = (problem.boundary.dirichlet_mask(f, grid) for f in ("u", "phi"))
         self.pinned = np.stack([mask_u] * 6 + [mask_phi] * 2)
-        self.pin_values, self.load, _ = boundary_data(problem, self.x)
+        self.pin_values, self.load = boundary_data(problem)
         self.half_mass = 0.5 * self.w * self.inertia
         # The pinned entries as flat indices of an (8, *grid) array, and their values.
         self.pin_at = np.flatnonzero(self.pinned)
         self.pin_to = self.pin_values.reshape(-1)[self.pin_at]
         self.any_pinned = self.pin_at.size > 0
-        # Buffers Y, QY ((1 + dim, 8, *grid)), F = (QY)₀, where ``acceleration`` assembles
-        # the internal force, scratch, the acceleration a and, with a stencil, the
-        # ``_LineForce`` that writes F; allocated on first use, dropped by ``stream``.
-        self._buffers: tuple | None = None
-
-    def _eval_buffers(self) -> tuple:
-        if self._buffers is None:
-            Y, QY = (np.empty((1 + self.grid.dim, STATE_ROWS) + self.grid.shape) for _ in range(2))
-            line = None if self.stencil is None else _LineForce(self.stencil, QY[0])
-            self._buffers = (Y, QY, QY[0], np.empty(Y.shape[1:]), np.empty(Y.shape[1:]), line)
-        return self._buffers
+        self.Y, self.QY = (np.empty((1 + grid.dim, STATE_ROWS) + grid.shape) for _ in range(2))
+        self.F = self.QY[0]
+        self.line = None if self.stencil is None else _LineForce(self.stencil, self.F)
+        self.scratch, self.a = np.empty(self.F.shape), np.empty(self.F.shape)
 
     def _raw_stress(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The raw jet (U, δ₁U, …) and the stresses QY, in the workspace's buffers."""
-        Y, QY = self._eval_buffers()[:2]
+        Y, QY = self.Y, self.QY
         Y[0] = U
         for j in range(1, len(Y)):
             difference(U, j, out=Y[j])
@@ -522,19 +514,19 @@ def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
     On a line it is the same F = −KU from the workspace's stencil: one
     GEMM of the interior blocks on (U, δU, δ²U), and one batched matmul on
     the differences of the five end nodes at each end.  The internal part is
-    assembled in the workspace's F buffer, where it stays until the next
-    evaluation; ``stream`` takes each recorded state's strain energy −½ U·F
-    from it.  The result is the workspace's acceleration buffer, which the
-    next evaluation overwrites: copy it to keep it.
+    assembled in ``ws.F``, where it stays until the next evaluation;
+    ``stream`` takes each recorded state's strain energy −½ U·F from it.
+    The result is ``ws.a``, which the next evaluation overwrites: copy it to
+    keep it.
     """
-    _, _, F, _, a, line = ws._eval_buffers()
-    if line is None:
+    F, a = ws.F, ws.a
+    if ws.line is None:
         _, QY = ws._raw_stress(U)
         np.multiply(QY, ws.jet_w, out=QY)  # F = QY[0] is now −w(QY)₀
         for j in range(1, len(QY)):
             subtract_adjoint(F, QY[j], j)
     else:
-        line(U)
+        ws.line(U)
     # the load is added into the returned array, never into F
     np.divide(F if ws.load is None else np.add(ws.load, F, out=a), ws.mass, out=a)
     if ws.any_pinned:
@@ -542,44 +534,38 @@ def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
     return a
 
 
-def step(
-    state: StateField,
-    problem: ProblemSpec,
-    dt: float,
-    accel_cache: np.ndarray,
-    step_index: int | None = None,
-) -> tuple[StateField, np.ndarray]:
+def step(state: StateField, problem: ProblemSpec, dt: float,
+         step_index: int | None = None) -> StateField:
     """One kick-drift-kick update of ``state`` in place: t, U and V advance by dt.
 
-    ``accel_cache`` is the acceleration of ``state``.  Returns ``state`` and
-    its new acceleration, the workspace's acceleration buffer (see
-    ``acceleration``).  The last evaluation is the new state's force, so
-    the workspace's F buffer holds its internal force on return.  No step
-    allocates a grid-sized array.
+    The first kick reads ``ws.a``, the workspace's acceleration, as that of
+    ``state``: ``stream`` evaluates it before its first step, and each step
+    leaves the new state's there (see ``acceleration``).  The last evaluation
+    is the new state's force, so ``ws.F`` holds its internal force on return.
+    Returns ``state``.  No step allocates a grid-sized array.
 
     Raises:
         InvalidParameter: if U or V is not C-contiguous, as ``initialize`` makes them.
         NonFinite: if any updated value is not finite (instability signal).
     """
     ws = problem.workspace
-    U, V, scratch = state.U, state.V, ws._eval_buffers()[3]
+    U, V, scratch = state.U, state.V, ws.scratch
     if not (U.flags.c_contiguous and V.flags.c_contiguous):  # the pins write through flat views
         raise InvalidParameter("step advances U and V in place: both must be C-contiguous")
     half = 0.5 * dt
-    V += np.multiply(accel_cache, half, out=scratch)  # kick
+    V += np.multiply(ws.a, half, out=scratch)  # kick
     U += np.multiply(V, dt, out=scratch)  # drift
     if ws.any_pinned:
         U.reshape(-1)[ws.pin_at] = ws.pin_to
     state.t += dt
-    a_new = acceleration(ws, U)
-    V += np.multiply(a_new, half, out=scratch)
+    V += np.multiply(acceleration(ws, U), half, out=scratch)
     if ws.any_pinned:
         V.reshape(-1)[ws.pin_at] = 0.0
     # |U|² + |V|² overflows only far beyond any stable state; then each value is checked
     if not (math.isfinite(np.vdot(U, U) + np.vdot(V, V))
             or (np.isfinite(U).all() and np.isfinite(V).all())):
         raise NonFinite(f"non-finite value at t = {state.t:.6g}", step=step_index)
-    return state, a_new
+    return state
 
 
 def stream(
@@ -593,24 +579,26 @@ def stream(
     projects every later one (U takes the pinned values, V = 0 there).  A
     step k on either cadence, ``problem.energy_every`` or
     ``problem.snapshot_every``, has its energy split sampled once from the
-    internal force F its own evaluation left in the workspace: the stored
-    energy is quadratic, Σ w W = ½ UᵀKU with F = −KU, so the strain energy
-    is exactly −½ U·F.  Every ``energy_every`` steps the split joins the
-    energy series; every ``snapshot_every`` steps (a snapshot) it joins the
-    snapshots' series and the state goes through each reducer in turn.  The
-    run's one state, the arrays ``initialize`` returns, advances in place,
-    so a reducer copies what it keeps (``StateField.copy`` keeps it whole).
-    Deterministic for fixed inputs.
+    internal force ``ws.F`` its own evaluation left in the workspace: the
+    stored energy is quadratic, Σ w W = ½ UᵀKU with F = −KU, so the strain
+    energy is exactly −½ U·F.  Every ``energy_every`` steps the split joins
+    the energy series; every ``snapshot_every`` steps (a snapshot) it joins
+    the snapshots' series and the state goes through each reducer in turn.
+    The run's one state, the arrays ``initialize`` returns, advances in
+    place, so a reducer copies what it keeps (``StateField.copy`` keeps it
+    whole).  Every run of a problem evaluates in the buffers of its one
+    workspace.  Deterministic for fixed inputs.
     The default step count, ``cfl_steps(problem)``, lands the run exactly on
     T; an explicit ``n_steps`` overrides it (the caller then owns stability).
 
     Returns (final state, energy series, the snapshots' energy series, one
-    list of results per reducer).  Whenever the loop ends, also by an
-    exception, the workspace drops its buffers.
+    list of results per reducer).
     """
     problem.speed()  # an inadmissible material fails here, also with an explicit n_steps
-    ws = problem.workspace
+    # initialize first: its temporaries are freed before ``problem.workspace`` builds the
+    # workspace's buffers, if nothing has built them yet
     state = initialize(problem)
+    ws = problem.workspace
     state.U.reshape(-1)[ws.pin_at] = ws.pin_to
     state.V.reshape(-1)[ws.pin_at] = 0.0
     if n_steps is None or problem.T == 0.0:
@@ -621,27 +609,24 @@ def stream(
     energy = np.empty((4, n_steps // energy_every + 1))
     snapshot_energy = np.empty((4, n_steps // snapshot_every + 1))
     reduced = [[] for _ in reducers]
-    try:
-        cache = acceleration(ws, state.U)
-        for k in range(n_steps + 1):
-            if k > 0:
-                state, cache = step(state, problem, dt_eff, accel_cache=cache, step_index=k)
-            on_energy, on_snapshot = k % energy_every == 0, k % snapshot_every == 0
-            if not (on_energy or on_snapshot):
-                continue
-            F, kin = ws._eval_buffers()[2:4]  # F: the internal force of this state
-            np.multiply(ws.half_mass, np.square(state.V, out=kin), out=kin)
-            # np.add.reduce is ndarray.sum without its Python wrapper, bit for bit
-            split = (state.t, np.add.reduce(kin[:PHI1_ROW], axis=None),
-                     np.add.reduce(kin[PHI1_ROW:], axis=None), -0.5 * np.vdot(state.U, F))
-            if on_energy:
-                energy[:, k // energy_every] = split
-            if on_snapshot:
-                snapshot_energy[:, k // snapshot_every] = split
-                for reduce, out in zip(reducers, reduced):
-                    out.append(reduce(state))
-    finally:
-        ws._buffers = None
+    kin = ws.scratch
+    acceleration(ws, state.U)
+    for k in range(n_steps + 1):
+        if k > 0:
+            step(state, problem, dt_eff, step_index=k)
+        on_energy, on_snapshot = k % energy_every == 0, k % snapshot_every == 0
+        if not (on_energy or on_snapshot):
+            continue
+        np.multiply(ws.half_mass, np.square(state.V, out=kin), out=kin)
+        # np.add.reduce is ndarray.sum without its Python wrapper, bit for bit
+        split = (state.t, np.add.reduce(kin[:PHI1_ROW], axis=None),
+                 np.add.reduce(kin[PHI1_ROW:], axis=None), -0.5 * np.vdot(state.U, ws.F))
+        if on_energy:
+            energy[:, k // energy_every] = split
+        if on_snapshot:
+            snapshot_energy[:, k // snapshot_every] = split
+            for reduce, out in zip(reducers, reduced):
+                out.append(reduce(state))
     return state, EnergySeries(*energy), EnergySeries(*snapshot_energy), reduced
 
 

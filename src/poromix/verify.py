@@ -455,10 +455,10 @@ def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
         problem, geom, steps = _pulse_problem(consts, n, cadence)
         shells = diag.surface_shells(problem.workspace, geom, diag.default_r_grid(geom, count=28))
         _, _, snap_energy, (surface,) = stream(problem, [shells.sample], n_steps=steps)
-        return problem, shells.flux(snap_energy.t, surface)
+        # not the problem: its workspace's buffers would outlive the run
+        return problem.speed(), diag.lambda_sweep(problem), shells.flux(snap_energy.t, surface)
 
-    problem, flux = run(401, 2)
-    speed = problem.speed()
+    speed, sweep, flux = run(401, 2)
     sps = flux.weighted(1.0)
     p_ref = max(float(sps.P[0, -1]), 1e-300)
     worst_neg = float(np.min(sps.P)) / p_ref
@@ -472,9 +472,9 @@ def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
     viol = float(np.max(lhs[:, sel])) / ((sps.lam / speed.c) * p_ref)
     # Decay envelopes for the lambda sweep, from the same snapshot pass.
     ratios = {mult: _worst_bound_ratio(flux.weighted(lam), speed, tol_h)
-              for mult, lam in diag.lambda_sweep(problem).items()}
+              for mult, lam in sweep.items()}
     del flux, sps, lhs
-    err_fine = diag.power_error(run(801, 4)[1].weighted(1.0))
+    err_fine = diag.power_error(run(801, 4)[2].weighted(1.0))
 
     rep.checks += [
         CheckResult("power_nonnegative", "P(r,t) >= -1e-9 * P(0,T)",
@@ -722,6 +722,7 @@ def suite_uniqueness(seed: int = 0) -> VerifyReport:
 
     pulse = replace(problem, T=0.05, energy_every=1,
                     initial=InitialData(u1=gaussian_pulse([0.5], 0.05, 1.0, component=0)))
+    del problem, final  # the null run's state and workspace buffers
 
     def run_bytes():
         final, series, _, _ = stream(pulse)

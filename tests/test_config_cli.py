@@ -211,6 +211,9 @@ SCHEMA_ERRORS = [
     ("init = zero field=w\n", ["line 1: unknown field target 'w'"]),
     ("init = gaussian_pulse width=abc\n", ["line 1: cannot parse numbers in 'width=abc'"]),
     ("init = zero width=1\n", ["line 1: profile 'zero' does not take 'width'"]),
+    ("init = rigid field=phi1 translation=0.1\n",
+     ["line 1: profile 'rigid' needs a vector field, not 'phi1'"]),
+    ("init = rigid field=phi2_dot\n", ["line 1: profile 'rigid' needs a vector field, not 'phi2_dot'"]),
     ("boundary.u.x0 = traction_free 1\n", ["line 1: traction_free takes no parameters"]),
     ("boundary.u.x0 = clamped\n", [f"line 1: {_BOUNDARY_KIND}"]),
     ("boundary.u.x0 = prescribed_flux 1 2\n",
@@ -338,6 +341,39 @@ class TestConfigTables:
             if f.default is not MISSING or f.default_factory is not MISSING:
                 default = f.default if f.default is not MISSING else f.default_factory()
                 assert getattr(prob, f.name) != default, f.name
+
+    def test_boundary_data_matches_a_hand_built_oracle(self, tmp_path):
+        # all five boundary kinds on zero initial data; the y1 side carries no data
+        text = ("grid.dim = 2\ngrid.n = 9 7\ngrid.h = 0.125 0.2\ngrid.origin = -0.5 0.25\n"
+                "boundary.u.x0 = dirichlet_zero\n"
+                "boundary.u.x1 = prescribed_traction 0.1,0,0 0,0,0.2\n"
+                "boundary.u.y0 = prescribed_value 0.01,0,0 0,0.02,0\n"
+                "boundary.u.y1 = traction_free\n"
+                "boundary.phi.x0 = prescribed_flux 0.3 0.4\n"
+                "boundary.phi.x1 = prescribed_value 0.05 0.06\n"
+                "boundary.phi.y0 = traction_free\n"
+                "boundary.phi.y1 = dirichlet_zero\n")
+        prob = build_problem(load_config(write(tmp_path, text)))
+        (nx, ny), (hx, hy) = prob.grid.n, prob.grid.h
+        # each group on its Dirichlet side, written in side order x0, x1, y0, y1, so the
+        # y0 values win the corners they share with x0 and x1; dirichlet_zero writes nothing
+        pins = np.zeros((8, nx, ny))
+        pins[6, -1, :], pins[7, -1, :] = 0.05, 0.06
+        pins[0:3, :, 0] = np.array([0.01, 0.0, 0.0])[:, None]
+        pins[3:6, :, 0] = np.array([0.0, 0.02, 0.0])[:, None]
+        # group × h of the other axis × trapezoid weight, summed over the natural sides
+        trap_y = hy * np.r_[0.5, np.ones(ny - 2), 0.5]
+        load = np.zeros((8, nx, ny))
+        load[0:3, -1, :] = np.array([0.1, 0.0, 0.0])[:, None] * trap_y
+        load[3:6, -1, :] = np.array([0.0, 0.0, 0.2])[:, None] * trap_y
+        load[6, 0, :], load[7, 0, :] = 0.3 * trap_y, 0.4 * trap_y
+        ws = prob.workspace
+        np.testing.assert_array_equal(ws.pin_values, pins)
+        np.testing.assert_array_equal(ws.load, load)
+        # the support: every node of a side that carries data (x0, x1, y0)
+        support = np.zeros((nx, ny), dtype=bool)
+        support[0, :] = support[-1, :] = support[:, 0] = True
+        np.testing.assert_array_equal(diagnostics.support_geometry(prob).mask, support)
 
     def test_readme_names_the_tables(self):
         section = readme_run_configuration()
@@ -535,11 +571,11 @@ class TestSimulateCommand:
         (snaps / "notes.txt").write_text("kept")
         on_disk, step = [], solver.step
 
-        def boom(state, problem, dt, accel_cache, step_index=None):
+        def boom(*args, step_index=None, **kwargs):
             if step_index == 11:  # after the snapshots of steps 0, 5 and 10
                 on_disk.append(sorted(p.name for p in snaps.glob("snap_*.bin")))
                 raise NonFinite("blew up", step=step_index)
-            return step(state, problem, dt, accel_cache, step_index)
+            return step(*args, step_index=step_index, **kwargs)
 
         monkeypatch.setattr(solver, "step", boom)
         assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 3
@@ -656,10 +692,10 @@ class TestVerifyCommand:
     def test_numerical_failure_names_the_step(self, tmp_path, monkeypatch, capsys, argv, text):
         step = solver.step
 
-        def boom(state, problem, dt, accel_cache, step_index=None):
+        def boom(*args, step_index=None, **kwargs):
             if step_index == 3:
                 raise NonFinite("blew up", step=step_index)
-            return step(state, problem, dt, accel_cache, step_index)
+            return step(*args, step_index=step_index, **kwargs)
 
         monkeypatch.setattr(solver, "step", boom)
         path = write(tmp_path, text)

@@ -157,7 +157,7 @@ class TestSupportGeometry:
     def test_prescribed_flux_side_is_the_support(self, random_consts):
         # with no initial data, the loaded x1 end, not the fallback node 0, is the support
         bc = natural_bc()
-        bc.phi["x1"] = pm.SideCondition("natural", lambda xb: (0.3, 0.0))
+        bc.phi["x1"] = pm.SideCondition("natural", (0.3, 0.0))
         prob = problem_1d(random_consts, boundary=bc)
         geom = diag.support_geometry(prob)
         assert geom.mask[-1] and geom.mask.sum() == 1
@@ -176,13 +176,8 @@ class TestSupportGeometry:
 
     def test_anisotropic_2d_distance_matches_pairwise_oracle(self, monkeypatch, random_consts):
         grid = pm.Grid(n=(23, 17), h=(0.05, 0.03))
-
-        def wall(x):  # nonzero displacement pinned on the y1 side
-            shape = x.shape[1:]
-            return np.full((3,) + shape, 0.2), np.zeros((3,) + shape)
-
-        bc = natural_bc(dim=2)
-        bc.u["y1"] = pm.SideCondition("dirichlet", value=wall)
+        bc = natural_bc(dim=2)  # nonzero displacement pinned on the y1 side
+        bc.u["y1"] = pm.SideCondition("dirichlet", ((0.2, 0.2, 0.2), (0.0, 0.0, 0.0)))
         prob = pm.ProblemSpec(
             grid=grid, consts=random_consts, boundary=bc, T=0.1,
             initial=pm.InitialData(
@@ -589,11 +584,9 @@ class TestIdentityResiduals:
 
     def test_nonzero_dirichlet_data_are_refused(self, random_consts):
         # their reaction work is not in the identities, so residuals would mislead
-        def pinned(x):
-            return np.array([0.1, 0.0, 0.0]), np.zeros(3)
-
         bc = pm.BoundaryPartition(
-            u={"x0": pm.SideCondition("dirichlet", pinned), "x1": pm.SideCondition("dirichlet")},
+            u={"x0": pm.SideCondition("dirichlet", ((0.1, 0.0, 0.0), (0.0, 0.0, 0.0))),
+               "x1": pm.SideCondition("dirichlet")},
             phi=natural_bc().phi)
         prob = problem_1d(random_consts, T=0.05, boundary=bc,
                           initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.05, 1.0,
@@ -607,11 +600,10 @@ class TestIdentityResiduals:
         # two-time load term res_two_time stalled near 2e-4 of max E
         bc = natural_bc()
         if kind == "prescribed_traction":
-            bc.u["x1"] = pm.SideCondition("natural", lambda xb: (np.array([0.1, 0.0, 0.05]),
-                                                                 np.array([0.0, 0.2, 0.0])))
+            bc.u["x1"] = pm.SideCondition("natural", ((0.1, 0.0, 0.05), (0.0, 0.2, 0.0)))
         else:
             bc.u["x0"] = pm.SideCondition("dirichlet")
-            bc.phi["x0"] = pm.SideCondition("natural", lambda xb: (0.3, -0.4))
+            bc.phi["x0"] = pm.SideCondition("natural", (0.3, -0.4))
         initial = pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.08, 1.0, component=0),
                                  phi1=pm.gaussian_pulse([0.4], 0.08, 0.5))
         rel = []
@@ -640,7 +632,7 @@ class TestStreamedReductions:
     def test_streamed_equal_collected_bit_for_bit(self, loaded):
         bc = natural_bc(dim=2)
         if loaded:  # a static traction: the load pairings are nonzero
-            bc.u["x1"] = pm.SideCondition("natural", lambda xb: (0.2 + 0 * xb, 0.1 * xb))
+            bc.u["x1"] = pm.SideCondition("natural", ((0.2, 0.2, 0.2), (0.1, 0.05, 0.0)))
         prob = replace(pulse_problem_2d(), grid=pm.Grid((33, 33)), boundary=bc, T=0.05,
                        snapshot_every=3)
         ws = prob.workspace

@@ -304,7 +304,6 @@ class TestStepBasics:
             with pytest.raises(NonFinite) as exc:
                 pm.stream(prob, n_steps=500)  # dt = 0.2, far above the stable step
         assert exc.value.step is not None
-        assert prob.workspace._buffers is None
 
     def test_dirichlet_nodes_pinned(self, random_consts):
         bc = pm.BoundaryPartition.uniform("dirichlet", "dirichlet", dim=1)
@@ -317,14 +316,8 @@ class TestStepBasics:
 
     def test_prescribed_static_dirichlet_value(self, random_consts):
         val = np.array([0.25, -0.5, 0.125])
-
-        def left(xb):
-            shape = xb.shape[1:]
-            v = np.broadcast_to(val.reshape((3,) + (1,) * len(shape)), (3,) + shape)
-            return v, 0.5 * v
-
         bc = pm.BoundaryPartition(
-            u={"x0": pm.SideCondition("dirichlet", value=left),
+            u={"x0": pm.SideCondition("dirichlet", (val, 0.5 * val)),
                "x1": pm.SideCondition("natural")},
             phi={"x0": pm.SideCondition("natural"), "x1": pm.SideCondition("natural")},
         )
@@ -464,8 +457,8 @@ class TestAccuracy:
             u1 = state.u1.copy()  # step advances the state in place
             speed = prob.speed()
             dt = 0.5 * prob.grid.h[0] / speed.c
-            new, _ = pm.step(state, prob, dt,
-                             solver.acceleration(prob.workspace, state.U))
+            solver.acceleration(prob.workspace, state.U)  # the first kick reads it
+            new = pm.step(state, prob, dt)
             xs = prob.grid.axes()[0]
             exact = oracles.continuum_accel_1d(random_consts, red, profiles, xs)
             interior = slice(4, n - 4)
@@ -588,19 +581,19 @@ def buffer_case_problem(consts, kind: str, dim: int) -> pm.ProblemSpec:
         u = {k: pm.SideCondition("dirichlet") for k in keys}
         phi = dict(u)
     elif kind == "prescribed_value":
-        u["x0"] = pm.SideCondition("dirichlet", lambda xb: (0.1 + 0.2 * xb, -0.3 * xb))
-        phi["x1"] = pm.SideCondition("dirichlet", lambda xb: (0.2 + xb[0], 0.1 - xb[0]))
+        u["x0"] = pm.SideCondition("dirichlet", ((0.1, 0.2, -0.05), (-0.3, 0.0, 0.15)))
+        phi["x1"] = pm.SideCondition("dirichlet", (1.2, -0.9))
     elif kind == "prescribed_traction":
-        u["x1"] = pm.SideCondition("natural", lambda xb: (1.3 * np.cos(xb), 0.5 * xb))
+        u["x1"] = pm.SideCondition("natural", ((0.7, 1.1, 1.3), (0.5, 0.25, 0.0)))
     elif kind == "prescribed_flux":
-        phi["x0"] = pm.SideCondition("natural", lambda xb: (0.3 + xb[0], -0.1 * xb[1]))
+        phi["x0"] = pm.SideCondition("natural", (0.3, -0.05))
     return small_problem(consts, n=17, dim=dim, boundary=pm.BoundaryPartition(u=u, phi=phi))
 
 
 def internal_force(ws, U):
     """F = −KU, as ``acceleration`` leaves it in the workspace's F buffer."""
     acceleration(ws, U)
-    return ws._eval_buffers()[2].copy()
+    return ws.F.copy()
 
 
 class TestForceKernel:
@@ -705,8 +698,8 @@ class TestEvaluationBuffers:
         np.testing.assert_array_equal(a, oracles.acceleration_allocating(ws, U))
         # step advances U, V and a in place, so the oracle gets copies
         U1, V1, a1 = oracles.step_allocating(ws, U.copy(), V.copy(), 0.01, a.copy())
-        new, a_new = pm.step(pm.StateField(t=0.3, U=U, V=V), prob, 0.01, accel_cache=a)
-        for got, want in ((new.U, U1), (new.V, V1), (a_new, a1)):
+        new = pm.step(pm.StateField(t=0.3, U=U, V=V), prob, 0.01)
+        for got, want in ((new.U, U1), (new.V, V1), (ws.a, a1)):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -720,9 +713,9 @@ class TestEvaluationBuffers:
         want = U.copy(), V.copy(), a.copy()
         for k in range(1, 5):
             want = oracles.step_allocating(ws, *want[:2], dt, want[2])
-            got, a_new = pm.step(state, prob, dt, accel_cache=a)
-            # the same state object and arrays, advanced; the acceleration buffer again
-            assert got is state and got.U is U and got.V is V and a_new is a
+            got = pm.step(state, prob, dt)
+            # the same state object and arrays, advanced; the new acceleration in ws.a, still a
+            assert got is state and got.U is U and got.V is V and ws.a is a
             assert got.t == k * dt
             for array, expected in zip((U, V, a), want):
                 np.testing.assert_array_equal(array, expected)
@@ -734,7 +727,7 @@ class TestEvaluationBuffers:
         state = pm.StateField(t=0.0, U=rows[0, :, :-3], V=rows[1, :, :-3])
         kept = rows.copy()
         with pytest.raises(InvalidParameter, match="C-contiguous"):
-            pm.step(state, prob, 1e-3, accel_cache=acceleration(prob.workspace, state.U))
+            pm.step(state, prob, 1e-3)
         assert state.t == 0.0 and np.array_equal(rows, kept)
 
     @pytest.mark.parametrize("walls", ["natural", "dirichlet"])
@@ -747,12 +740,12 @@ class TestEvaluationBuffers:
                                                                           component=0)))
         ws = prob.workspace
         state = pm.initialize(prob)
-        a = acceleration(ws, state.U)
+        acceleration(ws, state.U)
         for _ in range(3):
-            state, a = pm.step(state, prob, 1e-3, accel_cache=a)
+            pm.step(state, prob, 1e-3)
         tracemalloc.start()
         try:
-            state, a = pm.step(state, prob, 1e-3, accel_cache=a)
+            pm.step(state, prob, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -782,10 +775,38 @@ class TestEvaluationBuffers:
         # be U.nbytes
         assert len(peaks) == 5 and max(peaks) <= 0.3 * final.U.nbytes
 
-    def test_stream_drops_the_buffers(self, random_consts):
-        prob = small_problem(random_consts, n=16, T=0.01)
-        pm.stream(prob)
-        assert prob.workspace._buffers is None
+    def test_two_streams_of_one_problem_share_its_buffers(self, random_consts, monkeypatch):
+        import tracemalloc
+
+        prob = small_problem(random_consts, n=401, T=0.01,
+                             initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0,
+                                                                          component=0)))
+        ws = prob.workspace
+        buffers = (ws.Y, ws.QY, ws.F, ws.scratch, ws.a, ws.line)
+        results, peaks = [], []
+        step, accel = solver.step, solver.acceleration
+
+        def measured(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                return step(*args, **kwargs)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        def recorded(*args):
+            results.append(accel(*args))
+            return results[-1]
+
+        monkeypatch.setattr(solver, "step", measured)
+        monkeypatch.setattr(solver, "acceleration", recorded)
+        finals = [pm.stream(prob, n_steps=4)[0] for _ in range(2)]
+        assert finals[0] is not finals[1]  # each run has its own state
+        after = (ws.Y, ws.QY, ws.F, ws.scratch, ws.a, ws.line)
+        assert all(now is then for now, then in zip(after, buffers))
+        assert all(a is ws.a for a in results) and len(results) == 10
+        # a step's own objects only (measured 2,848 B); one (8, *grid) array would be U.nbytes
+        assert len(peaks) == 8 and max(peaks) <= 0.3 * finals[0].U.nbytes
 
     def test_reducers_see_each_snapshot_in_order_and_leave_the_run_unchanged(self,
                                                                              random_consts):
@@ -945,25 +966,23 @@ class TestRunLoop:
         # the run has one state, advanced in place from step 0 on
         assert all(state is again[0] for state in live)
 
-    def test_workspace_drops_its_buffers_when_a_reducer_raises(self, rng, random_consts):
+    def test_a_reducer_that_raises_ends_the_run(self, rng, random_consts):
         prob = rough_problem(random_consts, "prescribed_flux", 2, rng, snapshot_every=1)
-        ws, seen = prob.workspace, []
+        seen = []
 
         def reducer(state):
             if len(seen) == 2:
-                assert ws._buffers is not None
                 raise RuntimeError("reducer failed")
             seen.append(state.t)
 
         with pytest.raises(RuntimeError, match="reducer"):
             pm.stream(prob, [reducer], n_steps=6)
         assert len(seen) == 2
-        assert ws._buffers is None
 
 
 class TestInitialDirichletProjection:
     def test_recorded_initial_state_satisfies_dirichlet_data(self, random_consts):
-        u = {"x0": pm.SideCondition("dirichlet", lambda xb: (0.1 + 0 * xb, 0 * xb)),
+        u = {"x0": pm.SideCondition("dirichlet", ((0.1, 0.1, 0.1), (0.0, 0.0, 0.0))),
              "x1": pm.SideCondition("natural")}
         phi = {"x0": pm.SideCondition("dirichlet"), "x1": pm.SideCondition("natural")}
         prob = small_problem(random_consts, n=32, T=0.01, snapshot_every=1,
