@@ -28,7 +28,9 @@ relations, the three antisymmetric directions of the e-block are exact null
 vectors of 𝒜 (the slots exist but no realizable strain populates them).  The
 elastic moduli ξ_m, ξ_M are therefore the extreme eigenvalues of 𝒜 restricted
 to the 26-dimensional realizable subspace; ξ_M coincides with the full-matrix
-maximum, the full-matrix minimum is structurally zero.
+maximum, the full-matrix minimum is structurally zero.  As 𝒜 is block
+diagonal, they are the extremes of two smaller eigensolves: of 𝒜₁ on its 17
+realizable slots and of 𝒜₂.
 """
 
 from __future__ import annotations
@@ -258,14 +260,15 @@ def validate_symmetries(consts: MaterialConstants) -> SymmetryReport:
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """The symmetric 29×29 matrix 𝒜 with its realizable eigen-bounds.
+    """The symmetric 29×29 matrix 𝒜 = blockdiag(𝒜₁, 𝒜₂) with its realizable eigen-bounds.
 
-    ``matrix`` is block diagonal for an assembled material: 𝒜₁ on slots
-    0..19 (e, g, φ¹, φ²), 𝒜₂ on slots 20..28 (d, ∇φ¹, ∇φ²).  Its shape and
-    exact symmetry are checked on construction.  ``xi_min`` and ``xi_max``
-    are worked out from it on first use, by one eigensolve: the extreme
-    eigenvalues of 𝒜 on the realizable (symmetric-e) subspace.  A
-    ``(..., 29, 29)`` stack gives ``(...)`` bounds.
+    𝒜₁ sits on slots 0..19 (e, g, φ¹, φ²), 𝒜₂ on slots 20..28 (d, ∇φ¹, ∇φ²).
+    Shape, exact symmetry and zero coupling blocks are checked on construction.
+    The bounds are worked out from the two diagonal blocks on first use, by one
+    eigensolve each: ``a1_bounds``, the extreme eigenvalues of 𝒜₁ on its 17
+    realizable (symmetric-e) slots, and ``a2_bounds``, those of 𝒜₂.  ``xi_min``
+    and ``xi_max`` are the extremes of the two, the extreme eigenvalues of 𝒜 on
+    the realizable subspace.  A ``(..., 29, 29)`` stack gives ``(...)`` bounds.
     """
 
     matrix: np.ndarray
@@ -276,14 +279,27 @@ class QuadraticForm:
             raise InvalidParameter(f"quadratic form must be 29×29, got {m.shape}")
         if not np.array_equal(m, m.mT):
             raise SymmetryViolation("assembled quadratic form is not exactly symmetric")
+        if np.any(m[..., :20, 20:]):
+            raise InvalidParameter("quadratic form couples its two diagonal blocks")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @cached_property
+    def a1_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The least and largest eigenvalue of 𝒜₁ on its 17 realizable slots."""
+        eigs = np.linalg.eigvalsh(_restricted_a1(self.matrix))
+        return eigs[..., 0], eigs[..., -1]
+
+    @cached_property
+    def a2_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The least and largest eigenvalue of 𝒜₂."""
+        eigs = np.linalg.eigvalsh(self.matrix[..., 20:, 20:])
+        return eigs[..., 0], eigs[..., -1]
+
+    @cached_property
     def _bounds(self) -> tuple[float, float]:
-        restricted = _SYM_BASIS.T @ self.matrix @ _SYM_BASIS
-        eigs = np.linalg.eigvalsh(0.5 * (restricted + restricted.mT))
-        return _unbatched(eigs[..., 0]), _unbatched(eigs[..., -1])
+        (min1, max1), (min2, max2) = self.a1_bounds, self.a2_bounds
+        return _unbatched(np.minimum(min1, min2)), _unbatched(np.maximum(max1, max2))
 
     xi_min = property(lambda self: self._bounds[0])
     xi_max = property(lambda self: self._bounds[1])
@@ -306,7 +322,14 @@ def symmetric_subspace_basis() -> np.ndarray:
     return q
 
 
-_SYM_BASIS = symmetric_subspace_basis()
+# The realizable slots of 𝒜₁: the first 17 columns of the basis span its 20 slots.
+_SYM_BASIS_1 = symmetric_subspace_basis()[:20, :17]
+
+
+def _restricted_a1(matrix: np.ndarray) -> np.ndarray:
+    """𝒜₁ of the 29×29 ``matrix`` on its 17 realizable slots, exactly symmetric."""
+    restricted = _SYM_BASIS_1.T @ matrix[..., :20, :20] @ _SYM_BASIS_1
+    return 0.5 * (restricted + restricted.mT)
 
 
 def _blocks(consts: MaterialConstants) -> list[np.ndarray]:
@@ -408,10 +431,8 @@ def _coupled_stress_bound(consts: MaterialConstants) -> np.ndarray:
     realizable slots of 𝒜₁ (e symmetric, g, φ¹, φ²); 𝒜₁ must be definite there.
     """
     sig1 = consts.stress_matrix[..., :20, :20]
-    q1 = _SYM_BASIS[:20, :17]
-    b1 = q1.T @ (sig1.mT @ sig1) @ q1
-    b2 = q1.T @ consts.form.matrix[..., :20, :20] @ q1
-    inv_ell = np.linalg.inv(np.linalg.cholesky(0.5 * (b2 + b2.mT)))
+    b1 = _SYM_BASIS_1.T @ (sig1.mT @ sig1) @ _SYM_BASIS_1
+    inv_ell = np.linalg.inv(np.linalg.cholesky(_restricted_a1(consts.form.matrix)))
     pencil = inv_ell @ (0.5 * (b1 + b1.mT)) @ inv_ell.mT
     return np.linalg.eigvalsh(0.5 * (pencil + pencil.mT))[..., -1]
 
@@ -420,16 +441,17 @@ def worst_stress_energy_ratio(consts: MaterialConstants) -> float:
     """Exact operator bound sup_E |S(E)|² / (2 ξ_M W(E)) over realizable E.
 
     Computed as a generalized eigenproblem of ΣᵀΣ against 𝒜 on the realizable
-    subspace (the two diagonal blocks decouple).  A value ≤ 1 certifies the
-    stress-energy inequality |S|² ≤ 2 ξ_M W for every state of this material.
+    subspace.  The two diagonal blocks decouple, and Σ₂ = 𝒜₂, so the bound is
+    the larger of ``coupled_stress_bound`` and 𝒜₂'s largest eigenvalue, which
+    the form holds, over ξ_M: no eigensolve of its own.  A value ≤ 1 certifies
+    the stress-energy inequality |S|² ≤ 2 ξ_M W for every state of this material.
 
     Raises:
         NotPositiveDefinite: if the material is inadmissible.
     """
     consts.speed  # the admissibility gate
     form = consts.form
-    kappa_a2 = np.linalg.eigvalsh(form.matrix[..., 20:, 20:])[..., -1]
-    return _unbatched(np.maximum(consts.coupled_stress_bound, kappa_a2) / form.xi_max)
+    return _unbatched(np.maximum(consts.coupled_stress_bound, form.a2_bounds[1]) / form.xi_max)
 
 
 def _sym4_full(t: np.ndarray) -> np.ndarray:
@@ -544,13 +566,18 @@ def certify_material(consts: MaterialConstants) -> MaterialConstants:
     until ξ_M dominates the exact operator bound of the literal stress map.  That
     certifies |S(E)|² ≤ 2 ξ_M W(E) for every state, hence the c-bounded signal speed
     the decay and influence suites assume.  The block enters the stress map once per
-    component, so raising it never degrades the certified inequality.  It costs one
-    eigensolve of the drawn form, as the steps raise both bounds by s, and one pencil,
-    whose ``coupled_stress_bound`` the certified constants carry.
+    component, so raising it never degrades the certified inequality.
+
+    It costs the drawn form's two block eigensolves, one pencil and a solve of the
+    certified 𝒜₂: the steps raise every bound by s, and raising ``a`` touches only
+    𝒜₂.  The certified constants, whose 𝒜 is assembled behind the symmetry gate,
+    carry the pencil and their form the shifted 𝒜₁ bounds, so their ξ_m, ξ_M, c and
+    ``worst_stress_energy_ratio`` need no further solve.
     """
     floor = 0.08
     form = consts.form
     low, s = form.xi_min < floor, floor - np.asarray(form.xi_min)
+    a1_bounds = tuple(np.where(low, bound + s, bound) for bound in form.a1_bounds)
     xi_max = np.where(low, form.xi_max + s, form.xi_max)
     consts = replace(consts, **{name: _shift(getattr(consts, name), s, low, step)
                                 for name, step in _CERTIFY_STEPS.items()})
@@ -559,7 +586,11 @@ def certify_material(consts: MaterialConstants) -> MaterialConstants:
     kappa = consts.coupled_stress_bound
     s2 = kappa - np.linalg.eigvalsh(consts.a)[..., -1]
     certified = replace(consts, a=_shift(consts.a, s2, (xi_max < kappa) & (s2 > 0.0), _CERTIFY_STEPS["a"]))
-    certified.__dict__["coupled_stress_bound"] = kappa  # Σ₁ and 𝒜₁ read nothing of a
+    # Σ₁ and 𝒜₁ read nothing of a: the pencil and the 𝒜₁ bounds carry over
+    certified.__dict__["coupled_stress_bound"] = kappa
+    form = certified.form  # the symmetry gate, on 𝒜 assembled from the certified constants
+    form.__dict__["a1_bounds"] = a1_bounds
+    form.a2_bounds  # a may have been raised: one solve of 𝒜₂
     return certified
 
 

@@ -158,7 +158,11 @@ class BoundaryPartition:
     """Per-side conditions for the displacement and volume-fraction families.
 
     One partition applies to both constituents of a family.  A node covered
-    by any Dirichlet side is pinned (Dirichlet wins at junctions).
+    by any Dirichlet side is pinned (Dirichlet wins at junctions).  A node on
+    two Dirichlet sides takes the values of the later of them, in x0, x1, y0,
+    y1 order, that carries values; a Dirichlet side with ``values`` None
+    (``dirichlet_zero`` in a config) writes nothing, so a corner it shares
+    with a valued side takes that side's values.
     """
 
     u: dict[str, SideCondition]
@@ -337,7 +341,8 @@ def cfl_steps(problem: ProblemSpec) -> int:
     if problem.T == 0.0:
         return 0
     base = stable_timestep(problem.grid, problem.speed(), problem.cfl)
-    return max(1, math.ceil(problem.T / base - 1e-12))
+    # a relative guard: T = N·base that rounds a few ulps above N still takes N steps
+    return max(1, math.ceil(problem.T / base * (1.0 - 1e-12)))
 
 
 def initialize(problem: ProblemSpec) -> StateField:

@@ -42,6 +42,32 @@ def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int =
     return np.sort(np.diag(a))
 
 
+def realizable_basis_loops() -> np.ndarray:
+    """Orthonormal 29×26 basis of the realizable strains (e symmetric), slot by slot."""
+    q = np.zeros((29, 26))
+    cols = [[(3 * i + i, 1.0)] for i in range(3)]
+    cols += [[(3 * i + j, np.sqrt(0.5)), (3 * j + i, np.sqrt(0.5))]
+             for i in range(3) for j in range(i + 1, 3)]
+    cols += [[(slot, 1.0)] for slot in range(9, 29)]
+    for col, entries in enumerate(cols):
+        for slot, value in entries:
+            q[slot, col] = value
+    return q
+
+
+def realizable_form_bounds(matrix: np.ndarray):
+    """ξ_m, ξ_M and 𝒜₂'s largest eigenvalue of 29×29 forms, over any batch axes,
+    without splitting 𝒜 into its blocks: the extremes of one eigensolve of the whole
+    form on its 26 realizable slots, and the largest of a second with the 𝒜₁ slots
+    zeroed (𝒜₂'s largest wherever that is positive)."""
+    q = realizable_basis_loops()
+    restricted = q.T @ matrix @ q
+    eigs = np.linalg.eigvalsh(0.5 * (restricted + restricted.mT))
+    only_a2 = np.zeros_like(restricted)
+    only_a2[..., 17:, 17:] = restricted[..., 17:, 17:]
+    return eigs[..., 0], eigs[..., -1], np.linalg.eigvalsh(only_a2)[..., -1]
+
+
 # ---------------------------------------------------------------------------
 # Loop-based kinematics, energy, stress, magnitudes.
 # ---------------------------------------------------------------------------

@@ -55,6 +55,17 @@ class TestGridAndTimestep:
         with pytest.raises(InvalidParameter):
             pm.stable_timestep(grid, sp, 1.5)
 
+    @pytest.mark.parametrize("ulps", [0, 1, 2, 4])
+    def test_t_a_few_ulps_past_n_steps_takes_n_steps(self, ulps):
+        # one ulp of T / base at 20,000 steps (3.6e-12) exceeds an absolute 1e-12 guard
+        problem = small_problem(pm.identity_material(), n=11, cfl=0.5)
+        base = pm.stable_timestep(problem.grid, problem.speed(), problem.cfl)
+        T = 20_000 * base
+        for _ in range(ulps):
+            T = math.nextafter(T, math.inf)
+        assert solver.cfl_steps(replace(problem, T=T)) == 20_000
+        assert solver.cfl_steps(replace(problem, T=20_000 * base * (1.0 + 1e-9))) == 20_001
+
     def test_grid_validation(self):
         with pytest.raises(InvalidParameter):
             pm.Grid(n=(3,), h=(0.1,))
