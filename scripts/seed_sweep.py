@@ -8,8 +8,9 @@ max over the seeds and the seeds where it failed.  Exits 1 if any check
 failed.  With ``--against OLD.csv``, the rows of an earlier sweep, it then
 prints every (seed, check) in both whose value moved by more than 1e-12
 relative (absolute where both values are below 1e-12 in magnitude), with the
-old and new value and their ratio, and then every (seed, check) found in only
-one of the two sweeps, with the sweep it is in.
+old and new value and their ratio, then every (seed, check) in both whose
+pass flag differs, and then every (seed, check) found in only one of the two
+sweeps, with the sweep it is in.
 
     PYTHONPATH=src python scripts/seed_sweep.py --suite all --seeds 0-9
     PYTHONPATH=src python scripts/seed_sweep.py --against old.csv > new.csv
@@ -41,14 +42,15 @@ def moved(old: float, new: float) -> bool:
     return abs(new - old) > (MOVED * abs(old) if scale >= MOVED else MOVED)
 
 
-def old_values(path: str) -> dict[tuple[int, str], float]:
-    """(seed, name) -> measured of the CSV rows of an earlier sweep (up to its summary)."""
+def old_values(path: str) -> dict[tuple[int, str], tuple[float, bool]]:
+    """(seed, name) -> (measured, passed) of the CSV rows of an earlier sweep (up
+    to its summary)."""
     values = {}
     with open(path, newline="") as f:
         for row in list(csv.reader(f))[1:]:
             if not row:  # the blank line before the summary
                 break
-            values[int(row[0]), row[1]] = float(row[2])
+            values[int(row[0]), row[1]] = float(row[2]), row[5] == "1"
     return values
 
 
@@ -57,7 +59,8 @@ def main() -> int:
     ap.add_argument("--suite", choices=SUITES + ("all",), default="all")
     ap.add_argument("--seeds", type=seed_range, default=seed_range("0-9"), metavar="A-B")
     ap.add_argument("--against", metavar="OLD.csv",
-                    help="an earlier sweep's output; list the values that moved since")
+                    help="an earlier sweep's output; list the values that moved and "
+                         "the pass flags that flipped since")
     args = ap.parse_args()
     old = old_values(args.against) if args.against else None
 
@@ -69,7 +72,7 @@ def main() -> int:
                 continue
             print(f"{seed},{c.name},{c.measured:.17g},{c.target:.17g},{c.tol:.17g},{int(c.passed)}")
             values.setdefault(c.name, []).append(c.measured)
-            rows[seed, c.name] = c.measured
+            rows[seed, c.name] = c.measured, c.passed
             failed.setdefault(c.name, [])
             if not c.passed:
                 failed[c.name].append(seed)
@@ -78,13 +81,19 @@ def main() -> int:
         seeds = " ".join(map(str, failed[name])) or "-"
         print(f"{name}: min {min(measured):.6g} max {max(measured):.6g} failed at seeds {seeds}")
     if old is not None:
-        changed = [(key, old[key], new) for key, new in rows.items()
-                   if key in old and moved(old[key], new)]
-        print(f"\nmoved against {args.against}: {len(changed)} of {len(old.keys() & rows.keys())}")
+        both = [key for key in rows if key in old]
+        changed = [(key, old[key][0], rows[key][0]) for key in both
+                   if moved(old[key][0], rows[key][0])]
+        print(f"\nmoved against {args.against}: {len(changed)} of {len(both)}")
         print("seed,name,old,new,ratio")
         for (seed, name), was, new in changed:
             ratio = new / was if was else math.nan
             print(f"{seed},{name},{was:.17g},{new:.17g},{ratio:.17g}")
+        flipped = [key for key in both if old[key][1] != rows[key][1]]
+        print(f"\nflipped against {args.against}: {len(flipped)} of {len(both)}")
+        print("seed,name,old,new")
+        for seed, name in flipped:
+            print(f"{seed},{name},{int(old[seed, name][1])},{int(rows[seed, name][1])}")
         only = sorted([(key, "old") for key in old.keys() - rows.keys()]
                       + [(key, "new") for key in rows.keys() - old.keys()])
         print(f"\nin one sweep only against {args.against}: {len(only)}")

@@ -321,9 +321,13 @@ def lambda_sweep(problem: ProblemSpec) -> dict[float, float]:
 class DecayReport:
     t: float
     slope: float
-    bound_ok: bool
     max_bound_ratio: float
     radii: np.ndarray
+
+    @property
+    def bound_ok(self) -> bool:
+        """Every usable radius within the envelope (False on a NaN ratio)."""
+        return self.max_bound_ratio <= 1.0
 
 
 def decay_report(sps: SurfacePowerSeries, speed, t: float, tol_h: float = 0.05) -> DecayReport:
@@ -348,13 +352,7 @@ def decay_report(sps: SurfacePowerSeries, speed, t: float, tol_h: float = 0.05) 
     slope = float(np.polyfit(radii, np.log(p_t[usable]), 1)[0])
     bound = p0 * np.exp(-sps.lam * radii / speed.c) * (1.0 + tol_h)
     ratios = p_t[usable] / np.maximum(bound, 1e-300)
-    return DecayReport(
-        t=t_eff,
-        slope=slope,
-        bound_ok=bool(np.all(ratios <= 1.0)),
-        max_bound_ratio=float(np.max(ratios)),
-        radii=radii,
-    )
+    return DecayReport(t=t_eff, slope=slope, max_bound_ratio=float(np.max(ratios)), radii=radii)
 
 
 @dataclass
@@ -478,6 +476,11 @@ class EquipartitionReport:
     gap_final: float
     predicted_offset: float
     fit_exponent: float | None
+
+    @property
+    def offset_error(self) -> float:
+        """|gap_final − predicted_offset| / E0: how far the final gap is from its limit."""
+        return abs(self.gap_final - self.predicted_offset) / self.E0
 
 
 # Log-spaced time bins of the gap envelope that equipartition_report fits.

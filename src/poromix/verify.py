@@ -1,14 +1,16 @@
 """Verification suites: run simulations and check the theory's claims.
 
 Each suite returns a :class:`VerifyReport` whose checks carry a measured
-value, its bound/target, the tolerance, and a pass flag.  Tolerances are
-fixed here, not calibrated at runtime.  Suites are deterministic for a
-fixed seed, and each runs its simulations one after another in the
-calling thread.
+value, its target, the tolerance and the comparison that decides it; the
+pass flag is derived from them.  Tolerances are fixed here, not calibrated
+at runtime.  Suites are deterministic for a fixed seed, and each runs its
+simulations one after another in the calling thread.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
 from itertools import starmap
@@ -51,24 +53,38 @@ from .solver import (
     stream,
 )
 
+# The comparisons a check may test its measured value with.  Each is False on a NaN.
+_COMPARE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
+
+
 @dataclass(frozen=True)
 class CheckResult:
-    """One verified claim: measured value against its bound at a tolerance."""
+    """One verified claim: ``measured compare bound``, where the bound is
+    target + tol, or target − tol for ``">="``.  ``passed`` applies that one
+    comparison, so a NaN fails every check."""
 
     name: str
     claim: str
     measured: float
     target: float
-    tol: float
-    passed: bool
+    tol: float = 0.0
+    compare: str = "<="
     detail: str = ""
+
+    @property
+    def bound(self) -> float:
+        return self.target - self.tol if self.compare == ">=" else self.target + self.tol
+
+    @property
+    def passed(self) -> bool:
+        return bool(_COMPARE[self.compare](self.measured, self.bound))
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        out = (
-            f"[{status}] {self.name}: measured {self.measured:.6g} "
-            f"vs target {self.target:.6g} (tol {self.tol:.3g}) :: {self.claim}"
-        )
+        sign = "-" if self.compare == ">=" else "+"
+        bound = f"{self.target:.6g}" + (f" {sign} {self.tol:.3g}" if self.tol else "")
+        out = (f"[{status}] {self.name}: measured {self.measured:.6g} {self.compare} {bound}"
+               f" :: {self.claim}")
         return out + (f" [{self.detail}]" if self.detail else "")
 
 
@@ -82,9 +98,6 @@ class VerifyReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def extend(self, other: "VerifyReport") -> None:
-        self.checks.extend(other.checks)
 
     def to_text(self) -> str:
         lines = [c.line() for c in self.checks]
@@ -260,55 +273,51 @@ def suite_constitutive(seed: int = 0,
     worst = np.max(list(starmap(_sweep_maxima, _sweep_chunks(rng))), axis=0)
     env, worst_static, worst_rate, worst_dual, worst_ok, worst_okok, worst_operator = (
         float(v) for v in worst)
-    worst_env = max(0.0, env)
+    worst_env = float(np.maximum(0.0, env))  # not max(): max(0.0, nan) is 0.0
     elapsed = time.perf_counter() - t0
     rep = VerifyReport(suite="constitutive")
     rep.checks += [
         CheckResult("eigen_envelope", "xi_min|E|^2 <= 2W <= xi_max|E|^2",
-                    worst_env, 0.0, 1e-9, worst_env <= 1e-9),
+                    worst_env, 0.0, 1e-9),
         CheckResult("power_identity_static", "2W equals the stress power pairing",
-                    worst_static, 0.0, 1e-10, worst_static <= 1e-10),
+                    worst_static, 0.0, 1e-10),
         CheckResult("power_identity_rate", "dW/dt equals the stress power pairing",
-                    worst_rate, 0.0, 1e-10, worst_rate <= 1e-10),
+                    worst_rate, 0.0, 1e-10),
         CheckResult("dual_constitutive_forms", "strain-measure and gradient forms agree",
-                    worst_dual, 0.0, 1e-12, worst_dual <= 1e-12),
+                    worst_dual, 0.0, 1e-12),
         CheckResult("stress_energy_bound", "|S|^2 <= 2 xi_max W (state-sampled max ratio)",
-                    worst_ok, 1.0, 1e-9, worst_ok <= 1.0 + 1e-9,
-                    detail=f"operator bound {worst_operator:.12g}"),
-        CheckResult("traction_bound", "sum(s.s + h^2) <= |S|^2",
-                    worst_okok, 1.0, 1e-12, worst_okok <= 1.0 + 1e-12),
+                    worst_ok, 1.0, 1e-9, detail=f"operator bound {worst_operator:.12g}"),
+        CheckResult("traction_bound", "sum(s.s + h^2) <= |S|^2", worst_okok, 1.0, 1e-12),
         CheckResult("runtime_constitutive", "constitutive sweep wall time (s)",
-                    elapsed, 10.0, 0.0, elapsed < 10.0),
+                    elapsed, 10.0, compare="<"),
     ]
     if worst_ok > 1.0 + 1e-9:
         rep.checks.append(CheckResult(
             "stress_energy_violation_log",
             "ratio above 1+1e-9 logged verbatim for the bookkeeping question",
-            worst_ok, 1.0, 1e-9, False,
-            detail=f"max |S|^2/(2 xi_max W) = {worst_ok!r}",
-        ))
+            worst_ok, 1.0, 1e-9, detail=f"max |S|^2/(2 xi_max W) = {worst_ok!r}"))
     if extra_consts is not None:
         sym_ok = validate_symmetries(extra_consts).ok
         try:
             pt = _point_sample(extra_consts, _draw_states(rng, _SWEEP_STATES))
         except (SymmetryViolation, NotPositiveDefinite) as exc:
-            worst_x = ratio_x = float("nan")
-            x_ok, error = False, f"{type(exc).__name__}: {exc}"
+            worst_x = ratio_x = math.nan
+            error = f"{type(exc).__name__}: {exc}"
         else:
-            worst_x = max(float(np.max(r)) for r in _identity_residuals(pt))
-            ratio_x = pt["operator"]
-            x_ok, error = True, ""
+            # np.max, not max(): a NaN residual stays NaN
+            worst_x = float(np.max([np.max(r) for r in _identity_residuals(pt)]))
+            ratio_x, error = pt["operator"], ""
+        logged = f"logged: ratio above 1+1e-9 = {ratio_x!r}" if ratio_x > 1.0 + 1e-9 else ""
         rep.checks += [
             CheckResult("config_material_symmetries", "configured material relations hold",
-                        0.0 if sym_ok else 1.0, 0.0, 0.0, sym_ok),
+                        0.0 if sym_ok else 1.0, 0.0),
             CheckResult("config_material_identities",
                         "power identities and dual forms on the configured material",
-                        worst_x, 0.0, 1e-10, x_ok and worst_x <= 1e-10, detail=error),
+                        worst_x, 0.0, 1e-10, detail=error),
+            # reported, not bounded: any ratio passes but NaN, the inadmissible material's
             CheckResult("config_material_ok_ratio",
                         "operator stress-energy ratio of the configured material (reported)",
-                        ratio_x, 1.0, 1e-9, x_ok,
-                        detail=error or (("logged: ratio above 1+1e-9 = " + repr(ratio_x))
-                                         if ratio_x > 1.0 + 1e-9 else "")),
+                        ratio_x, math.inf, detail=error or logged),
         ]
     return rep
 
@@ -344,12 +353,11 @@ def suite_identities(seed: int = 0) -> VerifyReport:
     elapsed = time.perf_counter() - t0
     rep.checks += [
         CheckResult("energy_conservation", "relative energy drift over 2000 steps",
-                    drift_base, 1e-4, 0.0, drift_base <= 1e-4),
+                    drift_base, 1e-4),
         CheckResult("energy_drift_refinement", "drift shrinks >= 3x under (h,dt)/2",
-                    drift_base / max(drift_fine, 1e-300), 3.0, 0.0,
-                    drift_base >= 3.0 * drift_fine),
+                    drift_base / max(drift_fine, 1e-300), 3.0, compare=">="),
         CheckResult("runtime_conservation", "conservation runs wall time (s)",
-                    elapsed, 30.0, 0.0, elapsed < 30.0),
+                    elapsed, 30.0, compare="<"),
     ]
     rep.checks += _residual_orders(seed)
     return rep
@@ -386,22 +394,19 @@ def _residual_orders(seed: int) -> list[CheckResult]:
     for i, name in enumerate(names):
         r = [levels[lv][i] for lv in range(3)]
         scale = max(levels[lv][3] for lv in range(3))
-        if max(r) <= 1e-13 * scale:
+        detail = f"residuals {r[0]:.3e} -> {r[1]:.3e} -> {r[2]:.3e}"
+        roundoff = CheckResult(
+            f"order_{name}", "identity residual converges (roundoff-limited)",
+            float(np.max(r)) / scale, 0.0, 1e-13, detail=detail)  # np.max keeps a NaN
+        if roundoff.passed:
             # Residual is roundoff-limited at every level; the identity holds
             # exactly in the discrete system, which is stronger than any order.
-            checks.append(CheckResult(
-                f"order_{name}", "identity residual converges (roundoff-limited)",
-                max(r) / scale, 0.0, 1e-13, True,
-                detail=f"residuals {r[0]:.3e} -> {r[1]:.3e} -> {r[2]:.3e}",
-            ))
+            checks.append(roundoff)
             continue
         orders = [np.log2(r[j] / max(r[j + 1], 1e-300)) for j in range(2)]
-        measured = float(np.mean(orders))
         checks.append(CheckResult(
             f"order_{name}", "identity residual converges at order >= 1.5",
-            measured, 1.5, 0.0, measured >= 1.5,
-            detail=f"residuals {r[0]:.3e} -> {r[1]:.3e} -> {r[2]:.3e}",
-        ))
+            float(np.mean(orders)), 1.5, compare=">=", detail=detail))
     return checks
 
 
@@ -430,16 +435,16 @@ def _pulse_problem(consts: MaterialConstants, n: int, cadence: int = 2):
 
 def _worst_bound_ratio(sps, speed, tol_h: float) -> float:
     """The largest ``decay_report`` bound ratio over the times where P(0, t) is not
-    negligible; 0 if no time has enough usable radii."""
+    negligible; NaN if no time has enough usable radii."""
     p0 = sps.P[0]
-    worst = 0.0
+    ratios = []
     for j in np.where(p0 > 1e-8 * max(np.max(p0), 1e-300))[0]:
         try:
             drep = diag.decay_report(sps, speed, t=float(sps.t_grid[j]), tol_h=tol_h)
         except Degenerate:
             continue
-        worst = max(worst, drep.max_bound_ratio)
-    return worst
+        ratios.append(drep.max_bound_ratio)
+    return float(np.max(ratios)) if ratios else math.nan
 
 
 def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
@@ -478,19 +483,18 @@ def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
 
     rep.checks += [
         CheckResult("power_nonnegative", "P(r,t) >= -1e-9 * P(0,T)",
-                    worst_neg, 0.0, 1e-9, worst_neg >= -1e-9),
+                    worst_neg, 0.0, 1e-9, compare=">="),
         CheckResult("power_monotone", "P non-increasing in r (discretization tolerance)",
-                    mono, 0.0, 1e-6, mono <= 1e-6),
+                    mono, 0.0, 1e-6),
         CheckResult("power_equals_energy", "P(r,t) = E(r,t) within 3% relative",
-                    err_base, 0.03, 0.0, err_base <= 0.03),
+                    err_base, 0.03),
         CheckResult("power_equals_energy_refined", "P = E error improves under refinement",
-                    err_fine, err_base, 0.0, err_fine < err_base),
+                    err_fine, err_base, compare="<"),
         CheckResult("radial_inequality", "(lambda/c)|P| + dP/dr <= tol_h at interior radii",
-                    viol, tol_h, 0.0, viol <= tol_h),
+                    viol, tol_h),
     ]
-    rep.checks += [CheckResult(f"decay_bound_lam_{mult:g}",
-                               "P(r,t) <= P(0,t) exp(-lambda r / c) (1 + tol_h) on 0 <= r <= ct",
-                               ratio, 1.0, tol_h, 0.0 < ratio <= 1.0)
+    claim = "P(r,t) <= P(0,t) exp(-lambda r / c) (1 + tol_h) on 0 <= r <= ct"
+    rep.checks += [CheckResult(f"decay_bound_lam_{mult:g}", claim, ratio, 1.0)
                    for mult, ratio in ratios.items()]
     return rep
 
@@ -586,20 +590,18 @@ def suite_influence(seed: int = 0) -> VerifyReport:
         _front_run(cpl, 401, fast_mode=False),
     ]
     labels = ("decoupled_base", "decoupled_refined", "coupled_base", "coupled_refined")
-    tols = (1.05, 1.02, 1.05, 1.02)
-    for (measured, c, *_), label, tol in zip(results, labels, tols):
-        rep.checks.append(CheckResult(
-            f"front_speed_{label}", "measured front speed <= c * tol",
-            measured / c, tol, 0.0, measured <= c * tol))
+    factors = (1.05, 1.02, 1.05, 1.02)
+    rep.checks += [CheckResult(f"front_speed_{label}", f"measured front speed <= {factor:g} c",
+                               measured / c, factor)
+                   for (measured, c, *_), label, factor in zip(results, labels, factors)]
     _, _, v_analytic, v_peak, leak = results[1]
     rep.checks.append(CheckResult(
         "pulse_speed_vs_analytic", "decoupled pulse-peak speed within 2% of the mode speed",
-        abs(v_peak - v_analytic) / v_analytic, 0.02, 0.0,
-        abs(v_peak - v_analytic) <= 0.02 * v_analytic))
+        abs(v_peak - v_analytic) / v_analytic, 0.02))
     # Quiet zone beyond r = c t at the final time.
     rep.checks.append(CheckResult(
         "influence_quiet_zone", "state magnitude beyond r = c t is <= 1e-8 of peak",
-        leak, 0.0, 1e-8, leak <= 1e-8))
+        leak, 0.0, 1e-8))
     return rep
 
 
@@ -668,29 +670,22 @@ def suite_equipartition(seed: int = 0) -> VerifyReport:
     elapsed = time.perf_counter() - t0
     rep.checks += [
         CheckResult("equipartition_gap_dirichlet", "|Kc - Sc| / E0 at T = 50 transits",
-                    abs(rep_i.gap_final) / rep_i.E0, 5e-2, 0.0,
-                    abs(rep_i.gap_final) <= 5e-2 * rep_i.E0),
+                    rep_i.offset_error, 5e-2),
         CheckResult("equipartition_decay_exponent", "gap envelope decays like t^p, p <= -0.8",
-                    rep_i.fit_exponent, -0.8, 0.0, rep_i.fit_exponent <= -0.8),
+                    rep_i.fit_exponent, -0.8),
         CheckResult("equipartition_rigid_exact", "pure rigid drift: gap equals the offset",
-                    abs(rep_pure.gap_final - rep_pure.predicted_offset) / rep_pure.E0,
-                    0.0, 1e-9,
-                    abs(rep_pure.gap_final - rep_pure.predicted_offset) <= 1e-9 * rep_pure.E0),
+                    rep_pure.offset_error, 0.0, 1e-9),
         CheckResult("equipartition_rigid_exact_2d",
                     "pure rigid drift with in-plane rotation (2-D): gap equals the offset",
-                    abs(rep_rot.gap_final - rep_rot.predicted_offset) / rep_rot.E0,
-                    0.0, 1e-9,
-                    abs(rep_rot.gap_final - rep_rot.predicted_offset) <= 1e-9 * rep_rot.E0),
+                    rep_rot.offset_error, 0.0, 1e-9),
         CheckResult("equipartition_free_offset", "|gap(T) - rigid kinetic offset| <= 5e-2 E0",
-                    abs(rep_mixed.gap_final - rep_mixed.predicted_offset) / rep_mixed.E0,
-                    5e-2, 0.0,
-                    abs(rep_mixed.gap_final - rep_mixed.predicted_offset) <= 5e-2 * rep_mixed.E0),
+                    rep_mixed.offset_error, 5e-2),
         CheckResult("runtime_equipartition", "equipartition suite wall time (s)",
-                    elapsed, 300.0, 0.0, elapsed < 300.0),
+                    elapsed, 300.0, compare="<"),
     ]
 
     rng = np.random.default_rng(seed + 6)
-    worst = 0.0
+    worst = 0.0  # raised by np.maximum: max(worst, nan) would drop a NaN
     for k in range(100):
         if k % 2 == 0:
             grid = Grid(n=rng.integers(16, 64), h=rng.uniform(0.01, 0.1))
@@ -698,10 +693,10 @@ def suite_equipartition(seed: int = 0) -> VerifyReport:
             grid = Grid(n=(rng.integers(8, 20), rng.integers(8, 20)),
                         h=(rng.uniform(0.02, 0.1), rng.uniform(0.02, 0.1)))
         for _ in range(4):
-            worst = max(worst, rigid_fit(rng.standard_normal((3,) + grid.shape), grid)[2])
+            worst = np.maximum(worst, rigid_fit(rng.standard_normal((3,) + grid.shape), grid)[2])
     rep.checks.append(CheckResult(
         "rigid_normalization", "residual momenta/moments below 1e-10 of scale",
-        worst, 0.0, 1e-10, worst <= 1e-10))
+        worst, 0.0, 1e-10))
     return rep
 
 
@@ -718,7 +713,7 @@ def suite_uniqueness(seed: int = 0) -> VerifyReport:
     final, _, _, _ = stream(problem, n_steps=1000)
     rep.checks.append(CheckResult(
         "null_data_null_solution", "max |state| after 1000 steps from null data",
-        final.max_abs(), 0.0, 0.0, final.max_abs() == 0.0))
+        final.max_abs(), 0.0))
 
     pulse = replace(problem, T=0.05, energy_every=1,
                     initial=InitialData(u1=gaussian_pulse([0.5], 0.05, 1.0, component=0)))
@@ -732,7 +727,7 @@ def suite_uniqueness(seed: int = 0) -> VerifyReport:
     same = run_bytes() == run_bytes()
     rep.checks.append(CheckResult(
         "determinism", "identical configurations produce bit-identical output",
-        1.0 if same else 0.0, 1.0, 0.0, same))
+        1.0 if same else 0.0, 1.0, compare=">="))
     return rep
 
 
@@ -745,7 +740,8 @@ def run_suite(name: str, seed: int = 0, tol_h: float = 0.05,
     if name == "all":
         merged = VerifyReport(suite="all")
         for sub in SUITES:
-            merged.extend(run_suite(sub, seed=seed, tol_h=tol_h, config_consts=config_consts))
+            merged.checks += run_suite(sub, seed=seed, tol_h=tol_h,
+                                       config_consts=config_consts).checks
         return merged
     if name not in SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}")

@@ -393,6 +393,13 @@ class TestDecayReport:
         rep = diag.decay_report(sps, sp, t=2.0, tol_h=0.0)
         assert rep.bound_ok  # P(r,t) <= P(0,t) for a decreasing profile
 
+    def test_bound_ok_reads_the_largest_ratio(self):
+        sps = self.make_synthetic(1.0, lam=0.0)  # P grows with r
+        rep = diag.decay_report(sps, pm.SpeedParams(m_inertia=1.0, c=10.0), t=2.0, tol_h=0.0)
+        assert rep.max_bound_ratio > 1.0 and not rep.bound_ok
+        for ratio, ok in ((1.0, True), (np.nextafter(1.0, 2.0), False), (np.nan, False)):
+            assert replace(rep, max_bound_ratio=ratio).bound_ok == ok
+
     def test_degenerate_on_too_few_radii(self):
         sps = self.make_synthetic(-2.0)
         sp = pm.SpeedParams(m_inertia=1.0, c=0.01)  # ct excludes radii

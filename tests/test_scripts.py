@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import runpy
 import sys
 from pathlib import Path
@@ -38,8 +39,9 @@ def test_seed_sweep_skips_runtimes_and_exits_1_on_failure(monkeypatch, capsys):
     def fake_suite(name, seed):
         report = verify.VerifyReport(suite=name)
         report.checks += [
-            verify.CheckResult("runtime_fake", "wall time (s)", 0.5, 1.0, 0.0, True),
-            verify.CheckResult("fake", "seed is even", 0.1 * seed, 0.0, 0.0, seed % 2 == 0),
+            verify.CheckResult("runtime_fake", "wall time (s)", 0.5, 1.0, compare="<"),
+            # fails at the odd seeds, where the bound is 0
+            verify.CheckResult("fake", "seed is even", 0.1 * seed, 0.0 if seed % 2 else 1.0),
         ]
         return report
 
@@ -58,13 +60,14 @@ def test_seed_sweep_lists_the_values_that_moved_against_an_old_sweep(monkeypatch
 
     def fake_suite(name, seed):
         report = verify.VerifyReport(suite=name)
-        report.checks += [verify.CheckResult(check, "", value, 0.0, 0.0, check != "failing")
+        report.checks += [verify.CheckResult(check, "", value,
+                                             0.0 if check == "failing" else math.inf)
                           for check, value in new.items()]
         return report
 
     old = tmp_path / "old.csv"
     old.write_text("seed,name,measured,target,tol,passed\n"
-                   "7,drift,2,0,0,1\n7,steady,2,0,0,1\n7,tiny,-5e-13,0,0,1\n"
+                   "7,drift,2,0,0,1\n7,steady,2,0,0,1\n7,tiny,-5e-13,0,0,0\n"
                    "7,was_zero,0,0,0,1\n7,failing,1,0,0,1\n7,gone,1,0,0,1\n"
                    "\ndrift: min 2 max 2 failed at seeds -\n")
     monkeypatch.setattr(verify, "run_suite", fake_suite)
@@ -76,6 +79,9 @@ def test_seed_sweep_lists_the_values_that_moved_against_an_old_sweep(monkeypatch
     assert [row.split(",")[:2] for row in moved[2:]] == [["7", "drift"], ["7", "was_zero"]]
     ratio = float(moved[2].split(",")[4])
     assert ratio == pytest.approx(1 + 3e-12, rel=1e-13) and moved[3].endswith(",0.5,nan")
+    # a flipped pass flag is listed whether or not its value moved
+    assert blocks[3].splitlines() == [f"flipped against {old}: 2 of 5", "seed,name,old,new",
+                                      "7,tiny,0,1", "7,failing,1,0"]
     # a check that one sweep lacks is listed with the sweep that has it
-    assert blocks[3].splitlines() == [f"in one sweep only against {old}: 2", "seed,name,sweep",
+    assert blocks[4].splitlines() == [f"in one sweep only against {old}: 2", "seed,name,sweep",
                                       "7,added,new", "7,gone,old"]
