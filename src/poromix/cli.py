@@ -131,11 +131,11 @@ def cmd_simulate(args) -> int:
         paths.append(p_snap)
 
     geom, shells = _shells(problem)
-    sweep = diag.front_sweep(geom)
-    reducers = [write, shells.sample, diag.identity_sampler(problem.workspace),
+    sweep, identities = diag.front_sweep(geom), diag.IdentitySeries(problem)
+    reducers = [write, shells.sample, identities,
                 lambda state: sweep.sample(state.t, state.magnitude())]
     try:
-        _, energy, snap_energy, (_, surface, pairings, fronts) = stream(problem, reducers)
+        _, energy, (_, surface, _, fronts) = stream(problem, reducers)
     except NonFinite as exc:
         _clear_run(out_dir, snap_dir)
         return _numerical_failure(exc)
@@ -144,7 +144,7 @@ def cmd_simulate(args) -> int:
     paths.append(p_energy)
 
     p_power = os.path.join(out_dir, "power.csv")
-    sps = shells.flux(snap_energy.t, surface).weighted(problem.lam)
+    sps = shells.flux(surface).weighted(problem.lam)
     pio.write_power_csv(p_power, sps)
     paths.append(p_power)
 
@@ -157,7 +157,7 @@ def cmd_simulate(args) -> int:
         pio.write_cesaro_csv(p_ces, cs)
         paths.append(p_ces)
     try:
-        ir = diag.IdentityResiduals.from_samples(problem, snap_energy, pairings)
+        ir = identities.residuals()
     except (InsufficientSnapshots, InvalidParameter) as exc:
         print(f"residuals.csv not written: {exc}", file=sys.stderr)
     else:
@@ -233,14 +233,14 @@ def cmd_decay_report(args) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    # the report reads only the snapshots' series: record no other energy split
+    # the report reads no energy split: record it no more often than the snapshots
     problem = replace(problem, energy_every=problem.snapshot_every)
     shells = _shells(problem)[1]
     try:
-        _, _, snap_energy, (surface,) = stream(problem, [shells.sample])
+        _, _, (surface,) = stream(problem, [shells.sample])
     except NonFinite as exc:
         return _numerical_failure(exc)
-    flux = shells.flux(snap_energy.t, surface)
+    flux = shells.flux(surface)
     speed = problem.speed()
     lams = diag.lambda_sweep(problem).values() if args.lambda_sweep else [problem.lam]
     ok = True

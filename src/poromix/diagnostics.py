@@ -11,19 +11,18 @@ recorded cadence.
 
 The surface power, the front speed and the identity residuals split into a
 reduction of one recorded state (``SurfaceShells.sample``,
-``FrontSweep.sample``, ``identity_sample``), which ``solver.stream`` applies
+``FrontSweep.sample``, ``IdentitySeries``), which ``solver.stream`` applies
 to each snapshot as it is taken, and an assembly from the resulting series
-(``SurfaceShells.flux``, ``FrontSweep.report``,
-``IdentityResiduals.from_samples``), so peak memory is O(grid), not grid ×
-snapshot count.  The run advances one state in place, so only the t = 0
-state, which the two-time identity pairs with every later one, is copied
-(``identity_sampler``).
+(``SurfaceShells.flux``, ``FrontSweep.report``, ``IdentitySeries.residuals``),
+so peak memory is O(grid), not grid × snapshot count.  The run advances one
+state in place, so only the t = 0 state, which the two-time identity pairs
+with every later one, is copied.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -236,9 +235,10 @@ class SurfaceShells:
     radii: np.ndarray
     areas: np.ndarray
 
-    def sample(self, state: StateField) -> np.ndarray:
-        """The flux through every S_r and the energy outside it, of one state, as
-        the two rows of one array (a streamed run keeps one per snapshot).
+    def sample(self, state: StateField) -> tuple[float, np.ndarray]:
+        """(t, rows) of one state: the flux through every S_r and the energy
+        outside it, as the two rows of one array (a streamed run keeps one per
+        snapshot).
 
         The energy outside every S_r is one bincount over the shell index
         plus a reverse cumulative sum; a face's flux averages the two nodal
@@ -256,16 +256,17 @@ class SurfaceShells:
             face_flux.append(0.25 * np.einsum("c...,c...->...", s_lo + s_hi, v_lo + v_hi).ravel())
         flux = np.bincount(self.radii, weights=self.areas * np.concatenate(face_flux)[self.faces],
                            minlength=nr)
-        return np.stack([flux, np.cumsum(per_shell[::-1])[::-1][1:]])
+        return state.t, np.stack([flux, np.cumsum(per_shell[::-1])[::-1][1:]])
 
-    def flux(self, t_grid, samples: list[np.ndarray]) -> SurfaceFlux:
-        """The :class:`SurfaceFlux` of the states sampled at the times ``t_grid``.
+    def flux(self, samples: list[tuple[float, np.ndarray]]) -> SurfaceFlux:
+        """The :class:`SurfaceFlux` of the sampled states, from their samples.
 
         Its ``weighted(λ)`` is the time-weighted P(r, t) with its volume
         energy E(r, t), so a λ sweep samples each state once.
         """
-        flux, energy = np.stack(samples, axis=-1)
-        return SurfaceFlux(r_grid=self.r_grid, t_grid=np.asarray(t_grid, dtype=float),
+        t_grid, rows = zip(*samples)
+        flux, energy = np.stack(rows, axis=-1)
+        return SurfaceFlux(r_grid=self.r_grid, t_grid=np.array(t_grid, dtype=float),
                            flux=flux, energy=energy)
 
 
@@ -322,7 +323,6 @@ class DecayReport:
     t: float
     slope: float
     max_bound_ratio: float
-    radii: np.ndarray
 
     @property
     def bound_ok(self) -> bool:
@@ -352,7 +352,7 @@ def decay_report(sps: SurfacePowerSeries, speed, t: float, tol_h: float = 0.05) 
     slope = float(np.polyfit(radii, np.log(p_t[usable]), 1)[0])
     bound = p0 * np.exp(-sps.lam * radii / speed.c) * (1.0 + tol_h)
     ratios = p_t[usable] / np.maximum(bound, 1e-300)
-    return DecayReport(t=t_eff, slope=slope, max_bound_ratio=float(np.max(ratios)), radii=radii)
+    return DecayReport(t=t_eff, slope=slope, max_bound_ratio=float(np.max(ratios)))
 
 
 @dataclass
@@ -453,7 +453,7 @@ class CesaroSeries:
 
 
 def cesaro_means(series: EnergySeries) -> CesaroSeries:
-    """Cesàro means of a recorded energy series (either series of ``solver.stream``).
+    """Cesàro means of a recorded energy series (``solver.stream``'s).
 
     Raises:
         UndefinedAtZero: if fewer than two samples (nothing beyond t = 0).
@@ -471,8 +471,6 @@ def cesaro_means(series: EnergySeries) -> CesaroSeries:
 class EquipartitionReport:
     case: str  # "dirichlet" (pinned walls) or "free" (all-traction boundary)
     E0: float
-    gap_t: np.ndarray
-    gap: np.ndarray
     gap_final: float
     predicted_offset: float
     fit_exponent: float | None
@@ -527,8 +525,6 @@ def equipartition_report(series: EnergySeries, problem: ProblemSpec) -> Equipart
     return EquipartitionReport(
         case="free" if free else "dirichlet",
         E0=float(series.total[0]),
-        gap_t=cs.t,
-        gap=cs.gap,
         gap_final=float(cs.gap[-1]),
         predicted_offset=offset,
         fit_exponent=expo,
@@ -556,13 +552,42 @@ class IdentityResiduals:
     res_two_time: np.ndarray
     scale: float
 
-    @staticmethod
-    def from_samples(problem: ProblemSpec, energy: EnergySeries,
-                     samples: list[tuple[float, float, float, float]]) -> "IdentityResiduals":
-        """The residuals from the snapshots' energy series and their ``identity_sample``s.
 
-        λ is the problem's ``lam``.  The energies are the ones recorded with
-        the snapshots, so no stress is evaluated here.  Requires a uniformly recorded cadence (the two-time identity pairs
+class IdentitySeries:
+    """A streamed run's reducer for :class:`IdentityResiduals`: it samples each
+    state it is given, in time order, and assembles the residuals after the run.
+
+    Each sample is one row (t, K_u, K_φ, W, Q, load·V, load·U, cross) of one
+    growing float array: the ``Workspace.energy_split`` (off the force that
+    ``stream`` leaves, so no stress is evaluated), the virial pairing Q =
+    ``pair_product(state, state)``, the rates of work and of virial work of
+    the static load (0 without one) and cross = ⟨state0, state⟩ + ⟨state,
+    state0⟩, the two-time pairing with the first state, which it copies.
+    λ is the problem's ``lam``.
+    """
+
+    def __init__(self, problem: ProblemSpec):
+        self.ws, self.lam = problem.workspace, problem.lam
+        self.state0: StateField | None = None
+        self.samples = array("d")
+
+    def __call__(self, state: StateField) -> None:
+        ws = self.ws
+        if self.state0 is None:
+            self.state0 = state.copy()
+        rate_v = rate_u = 0.0
+        if ws.load is not None:
+            rate_v = float(np.sum(ws.load * state.V))
+            rate_u = float(np.sum(ws.load * state.U))
+        self.samples.extend(ws.energy_split(state))
+        self.samples.extend((ws.pair_product(state, state), rate_v, rate_u,
+                             ws.pair_product(self.state0, state)
+                             + ws.pair_product(state, self.state0)))
+
+    def residuals(self) -> IdentityResiduals:
+        """The residuals of the sampled states.
+
+        Requires a uniformly recorded cadence (the two-time identity pairs
         states at t−s and t+s).  The applied load is the workspace's static
         ``load`` of the prescribed tractions/fluxes; it enters all three
         identities, through its rate of work load·V, its virial rate load·U
@@ -572,26 +597,27 @@ class IdentityResiduals:
         boundary traction, and without it the residuals are wrong.
 
         Raises:
-            InsufficientSnapshots: fewer than 3 recorded states.
+            InsufficientSnapshots: fewer than 3 sampled states, or a
+                non-uniform cadence.
             InvalidParameter: nonzero prescribed Dirichlet values.
         """
-        if len(samples) < 3:
+        rows = np.array(self.samples).reshape(-1, 8)  # one per sampled state
+        if len(rows) < 3:
             raise InsufficientSnapshots("need at least 3 snapshots")
-        if problem.workspace.pin_values.any():
+        if self.ws.pin_to.any():
             raise InvalidParameter("identity residuals need zero Dirichlet data: the reaction "
                                    "work of nonzero prescribed values is not evaluated")
-        times = energy.t
+        times, kinetic_u, kinetic_phi, strain, qpair, rate_v, rate_u, cross = rows.T
         steps = np.diff(times)
-        if steps.size and (np.max(steps) - np.min(steps)) > 1e-9 * max(np.max(steps), 1e-300):
+        if (np.max(steps) - np.min(steps)) > 1e-9 * max(np.max(steps), 1e-300):
             raise InsufficientSnapshots("two-time identity needs a uniform cadence")
         n = len(times)
-        total = energy.total
-        two_k = 2.0 * (energy.kinetic_u + energy.kinetic_phi)
-        two_w = 2.0 * energy.strain
-        qpair, rate_v, rate_u, cross = (np.array(col) for col in zip(*samples))
+        total = kinetic_u + kinetic_phi + strain
+        two_k = 2.0 * (kinetic_u + kinetic_phi)
+        two_w = 2.0 * strain
 
-        decay = np.exp(-problem.lam * times)
-        lhs16 = decay * total + problem.lam * _cumtrapz(decay * total, times)
+        decay = np.exp(-self.lam * times)
+        lhs16 = decay * total + self.lam * _cumtrapz(decay * total, times)
         rhs16 = total[0] + _cumtrapz(decay * rate_v, times)
         res16 = np.abs(lhs16 - rhs16)
 
@@ -613,34 +639,3 @@ class IdentityResiduals:
             res_two_time=res23,
             scale=scale,
         )
-
-
-def identity_sample(ws: Workspace, state0: StateField,
-                    state: StateField) -> tuple[float, float, float, float]:
-    """One recorded state's pairings in the identities: (Q, load·V, load·U, cross).
-
-    Q is the virial pairing ``pair_product(state, state)``, load·V and
-    load·U are the rates of work and of virial work of the static load (0
-    without one), and cross = ⟨state0, state⟩ + ⟨state, state0⟩ is the
-    two-time pairing with the t = 0 state.
-    """
-    rate_v = rate_u = 0.0
-    if ws.load is not None:
-        rate_v = float(np.sum(ws.load * state.V))
-        rate_u = float(np.sum(ws.load * state.U))
-    return (ws.pair_product(state, state), rate_v, rate_u,
-            ws.pair_product(state0, state) + ws.pair_product(state, state0))
-
-
-def identity_sampler(ws: Workspace) -> Callable[[StateField], tuple[float, float, float, float]]:
-    """A streamed run's ``identity_sample`` reducer: it pairs every state with
-    the first one it is given, which it copies (the run advances the state in place)."""
-    state0 = None
-
-    def sample(state: StateField) -> tuple[float, float, float, float]:
-        nonlocal state0
-        if state0 is None:
-            state0 = state.copy()
-        return identity_sample(ws, state0, state)
-
-    return sample

@@ -13,7 +13,8 @@ evaluates them once.  The state is stacked as U = (u¹, u², φ¹, φ²) with
 V = U̇; the force comes from the raw differences and the jet form Q of
 :mod:`poromix.fields`, on a line from the stencil of Q's blocks.
 ``stream`` is the one run loop: it records the energy split (strain energy
-−½ U·F) on its cadences and reduces each snapshot as it is taken.
+−½ U·F, ``Workspace.energy_split``) on its cadence and reduces each snapshot
+as it is taken.
 Balance laws integrated per constituent α (no body force or body
 supply)::
 
@@ -370,9 +371,9 @@ _FAMILY_ROWS = {"u": (U1_ROWS, U2_ROWS),
 
 
 def boundary_data(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray | None]:
-    """``Workspace.pin_values`` and ``load`` of ``problem``: each side's groups
-    pinned on its Dirichlet nodes in side order, and times the surface weights
-    summed into the load (None when no natural side carries values)."""
+    """The pinned values and the ``Workspace.load`` of ``problem``: each side's
+    groups pinned on its Dirichlet nodes in side order, and times the surface
+    weights summed into the load (None when no natural side carries values)."""
     grid = problem.grid
     pin_values = np.zeros((STATE_ROWS,) + grid.shape)
     load = np.zeros(pin_values.shape)
@@ -400,14 +401,15 @@ class Workspace:
     Holds the node weights, the jet form Q = Pᵀ𝒜P (𝒜 is the material's
     ``consts.form``) on the raw jet (U, δ₁U, …), the force weights of its
     blocks, the row inertias of the stacked state and the static boundary
-    data (``boundary_data``): the pinned values ``pin_values`` and the
-    ``load`` of the prescribed tractions/fluxes times the surface weights
-    (None when no natural side carries values).  It also holds the
-    evaluation buffers, for as long as its problem lives: the jet ``Y`` and
-    the stresses ``QY`` ((1 + dim, 8, *grid)), the internal force ``F`` =
-    (QY)₀ that ``acceleration`` assembles, ``scratch``, the acceleration
-    ``a`` and, with a stencil, the ``_LineForce`` ``line`` that writes F.
-    Reach it through ``ProblemSpec.workspace``.
+    data (``boundary_data``): the pinned entries ``pin_at`` and their values
+    ``pin_to``, and the ``load`` of the prescribed tractions/fluxes times
+    the surface weights (None when no natural side carries values).  It
+    also holds the evaluation buffers, for as long as its problem lives:
+    the jet ``Y`` and the stresses ``QY`` ((1 + dim, 8, *grid)), which
+    ``stress`` and the 2-D force share, the internal force ``F`` that
+    ``acceleration`` assembles in a buffer of its own, ``scratch``, the
+    acceleration ``a`` and, with a stencil, the ``_LineForce`` ``line``
+    that writes F.  Reach it through ``ProblemSpec.workspace``.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -431,17 +433,15 @@ class Workspace:
         self.inertia = rho * chi
         self.mass = self.w * self.inertia
         mask_u, mask_phi = (problem.boundary.dirichlet_mask(f, grid) for f in ("u", "phi"))
-        self.pinned = np.stack([mask_u] * 6 + [mask_phi] * 2)
-        self.pin_values, self.load = boundary_data(problem)
+        pin_values, self.load = boundary_data(problem)
         self.half_mass = 0.5 * self.w * self.inertia
         # The pinned entries as flat indices of an (8, *grid) array, and their values.
-        self.pin_at = np.flatnonzero(self.pinned)
-        self.pin_to = self.pin_values.reshape(-1)[self.pin_at]
+        self.pin_at = np.flatnonzero(np.stack([mask_u] * 6 + [mask_phi] * 2))
+        self.pin_to = pin_values.reshape(-1)[self.pin_at]
         self.any_pinned = self.pin_at.size > 0
         self.Y, self.QY = (np.empty((1 + grid.dim, STATE_ROWS) + grid.shape) for _ in range(2))
-        self.F = self.QY[0]
+        self.F, self.scratch, self.a = (np.empty((STATE_ROWS,) + grid.shape) for _ in range(3))
         self.line = None if self.stencil is None else _LineForce(self.stencil, self.F)
-        self.scratch, self.a = np.empty(self.F.shape), np.empty(self.F.shape)
 
     def _raw_stress(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The raw jet (U, δ₁U, …) and the stresses QY, in the workspace's buffers."""
@@ -457,12 +457,27 @@ class Workspace:
 
         Both are the workspace's buffers, filled in place: they stay valid
         only until the next ``stress`` or ``acceleration``.  Copy them to
-        keep them longer.
+        keep them longer.  The force ``F`` is a buffer of its own, which
+        ``stress`` leaves intact.
         """
         Y, QY = self._raw_stress(U)
         for j, hj in enumerate(self.grid.h):
             Y[1 + j] /= 2.0 * hj
         return Y, QY
+
+    def energy_split(self, state: StateField) -> tuple[float, float, float, float]:
+        """The energy split (t, kinetic_u, kinetic_phi, strain) of ``state``.
+
+        ``F`` must hold the state's internal force, as ``stream`` leaves it
+        for each state it records or reduces.  The stored energy is
+        quadratic, Σ w W = ½ UᵀKU with F = −KU, so the strain energy is
+        exactly −½ U·F and no stress is evaluated.
+        """
+        kin = self.scratch
+        np.multiply(self.half_mass, np.square(state.V, out=kin), out=kin)
+        # np.add.reduce is ndarray.sum without its Python wrapper, bit for bit
+        return (state.t, np.add.reduce(kin[:PHI1_ROW], axis=None),
+                np.add.reduce(kin[PHI1_ROW:], axis=None), -0.5 * np.vdot(state.U, self.F))
 
     def pair_product(self, a: StateField, b: StateField) -> float:
         """∫ Σ_α [ρ uₐ·u̇_b + ρχ φₐφ̇_b] dv; with a = b the virial pairing Q(t)."""
@@ -519,15 +534,16 @@ def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
     On a line it is the same F = −KU from the workspace's stencil: one
     GEMM of the interior blocks on (U, δU, δ²U), and one batched matmul on
     the differences of the five end nodes at each end.  The internal part is
-    assembled in ``ws.F``, where it stays until the next evaluation;
-    ``stream`` takes each recorded state's strain energy −½ U·F from it.
-    The result is ``ws.a``, which the next evaluation overwrites: copy it to
-    keep it.
+    assembled in ``ws.F``, where it stays until the next ``acceleration``
+    (``stress`` leaves it intact); ``Workspace.energy_split`` reads each
+    recorded state's strain energy −½ U·F from it.  The result is ``ws.a``,
+    which the next evaluation overwrites: copy it to keep it.
     """
     F, a = ws.F, ws.a
     if ws.line is None:
         _, QY = ws._raw_stress(U)
-        np.multiply(QY, ws.jet_w, out=QY)  # F = QY[0] is now −w(QY)₀
+        np.multiply(QY[0], ws.jet_w[0], out=F)  # −w(QY)₀
+        np.multiply(QY[1:], ws.jet_w[1:], out=QY[1:])
         for j in range(1, len(QY)):
             subtract_adjoint(F, QY[j], j)
     else:
@@ -577,27 +593,25 @@ def stream(
     problem: ProblemSpec,
     reducers: Sequence[Callable[[StateField], object]] = (),
     n_steps: int | None = None,
-) -> tuple[StateField, EnergySeries, EnergySeries, list[list]]:
+) -> tuple[StateField, EnergySeries, list[list]]:
     """The run loop: integrate the problem to T, reducing each snapshot as it is taken.
 
     Step 0 is the t = 0 state, projected onto the Dirichlet data as ``step``
-    projects every later one (U takes the pinned values, V = 0 there).  A
-    step k on either cadence, ``problem.energy_every`` or
-    ``problem.snapshot_every``, has its energy split sampled once from the
-    internal force ``ws.F`` its own evaluation left in the workspace: the
-    stored energy is quadratic, Σ w W = ½ UᵀKU with F = −KU, so the strain
-    energy is exactly −½ U·F.  Every ``energy_every`` steps the split joins
-    the energy series; every ``snapshot_every`` steps (a snapshot) it joins
-    the snapshots' series and the state goes through each reducer in turn.
+    projects every later one (U takes the pinned values, V = 0 there).
+    Every ``problem.energy_every`` steps the state's
+    ``Workspace.energy_split`` joins the energy series; every
+    ``problem.snapshot_every`` steps (a snapshot) the state goes through
+    each reducer in turn.  Each step's own evaluation leaves the state's
+    internal force in ``ws.F``, so a reducer may take the split as well.
     The run's one state, the arrays ``initialize`` returns, advances in
     place, so a reducer copies what it keeps (``StateField.copy`` keeps it
     whole).  Every run of a problem evaluates in the buffers of its one
     workspace.  Deterministic for fixed inputs.
     The default step count, ``cfl_steps(problem)``, lands the run exactly on
-    T; an explicit ``n_steps`` overrides it (the caller then owns stability).
+    T; an explicit ``n_steps`` overrides it (the caller then owns
+    stability), except at T = 0, where no step is taken.
 
-    Returns (final state, energy series, the snapshots' energy series, one
-    list of results per reducer).
+    Returns (final state, energy series, one list of results per reducer).
     """
     problem.speed()  # an inadmissible material fails here, also with an explicit n_steps
     # initialize first: its temporaries are freed before ``problem.workspace`` builds the
@@ -612,27 +626,17 @@ def stream(
     energy_every, snapshot_every = problem.energy_every, problem.snapshot_every
     # rows t, kinetic_u, kinetic_phi, strain; one column per recorded step
     energy = np.empty((4, n_steps // energy_every + 1))
-    snapshot_energy = np.empty((4, n_steps // snapshot_every + 1))
     reduced = [[] for _ in reducers]
-    kin = ws.scratch
     acceleration(ws, state.U)
     for k in range(n_steps + 1):
         if k > 0:
             step(state, problem, dt_eff, step_index=k)
-        on_energy, on_snapshot = k % energy_every == 0, k % snapshot_every == 0
-        if not (on_energy or on_snapshot):
-            continue
-        np.multiply(ws.half_mass, np.square(state.V, out=kin), out=kin)
-        # np.add.reduce is ndarray.sum without its Python wrapper, bit for bit
-        split = (state.t, np.add.reduce(kin[:PHI1_ROW], axis=None),
-                 np.add.reduce(kin[PHI1_ROW:], axis=None), -0.5 * np.vdot(state.U, ws.F))
-        if on_energy:
-            energy[:, k // energy_every] = split
-        if on_snapshot:
-            snapshot_energy[:, k // snapshot_every] = split
+        if k % energy_every == 0:
+            energy[:, k // energy_every] = ws.energy_split(state)
+        if k % snapshot_every == 0:
             for reduce, out in zip(reducers, reduced):
                 out.append(reduce(state))
-    return state, EnergySeries(*energy), EnergySeries(*snapshot_energy), reduced
+    return state, EnergySeries(*energy), reduced
 
 
 # ---------------------------------------------------------------------------

@@ -340,7 +340,7 @@ def _drift_run(seed: int, n: int, steps: int) -> float:
     )
     problem = _scenario(consts, n, initial, energy_every=10)
     dt = stable_timestep(problem.grid, consts.speed, problem.cfl)
-    _, energy, _, _ = stream(replace(problem, T=steps * dt), n_steps=steps)
+    _, energy, _ = stream(replace(problem, T=steps * dt))
     return energy.max_relative_drift()
 
 
@@ -378,9 +378,9 @@ def _residual_orders(seed: int) -> list[CheckResult]:
             phi2=gaussian_pulse([0.55], 0.07, 0.5),
         )
         problem = _scenario(consts, n0 * 2**level + 1, initial, T=T, snapshot_every=2)
-        _, _, snap_energy, (pairings,) = stream(
-            problem, [diag.identity_sampler(problem.workspace)], n_steps=base_steps * 2**level)
-        ir = diag.IdentityResiduals.from_samples(problem, snap_energy, pairings)
+        identities = diag.IdentitySeries(problem)
+        stream(problem, [identities], n_steps=base_steps * 2**level)
+        ir = identities.residuals()
         return (
             float(np.max(ir.res_energy_balance)),
             float(np.max(ir.res_virial)),
@@ -416,8 +416,8 @@ def _residual_orders(seed: int) -> list[CheckResult]:
 
 
 def _pulse_problem(consts: MaterialConstants, n: int, cadence: int = 2):
-    """(problem, support geometry, step count) of the decay suite's centred pulse,
-    recorded every ``cadence`` steps until it has crossed 0.85 of the box."""
+    """(problem, support geometry) of the decay suite's centred pulse, recorded
+    every ``cadence`` steps until it has crossed 0.85 of the box."""
     width = 0.02
     initial = InitialData(
         u1=gaussian_pulse([0.5], width, 1.0, component=0),
@@ -430,7 +430,7 @@ def _pulse_problem(consts: MaterialConstants, n: int, cadence: int = 2):
     t_total = 0.85 * geom.L / speed.c
     dt = stable_timestep(problem.grid, speed, problem.cfl)
     steps = int(np.ceil(t_total / (cadence * dt))) * cadence
-    return replace(problem, T=steps * dt, snapshot_every=cadence), geom, steps
+    return replace(problem, T=steps * dt, snapshot_every=cadence), geom
 
 
 def _worst_bound_ratio(sps, speed, tol_h: float) -> float:
@@ -457,11 +457,11 @@ def suite_decay(seed: int = 0, tol_h: float = 0.05) -> VerifyReport:
     consts = random_material(seed + 2)
 
     def run(n, cadence):
-        problem, geom, steps = _pulse_problem(consts, n, cadence)
+        problem, geom = _pulse_problem(consts, n, cadence)
         shells = diag.surface_shells(problem.workspace, geom, diag.default_r_grid(geom, count=28))
-        _, _, snap_energy, (surface,) = stream(problem, [shells.sample], n_steps=steps)
+        _, _, (surface,) = stream(problem, [shells.sample])
         # not the problem: its workspace's buffers would outlive the run
-        return problem.speed(), diag.lambda_sweep(problem), shells.flux(snap_energy.t, surface)
+        return problem.speed(), diag.lambda_sweep(problem), shells.flux(surface)
 
     speed, sweep, flux = run(401, 2)
     sps = flux.weighted(1.0)
@@ -571,7 +571,7 @@ def _front_run(consts: MaterialConstants, n: int, fast_mode: bool = True):
         return (sweep.sample(state.t, magnitude), quiet_max,
                 _peak_position(state, grid) if fast_mode else None)
 
-    _, _, _, (reduced,) = stream(problem, [reduce])
+    _, _, (reduced,) = stream(problem, [reduce])
     fronts, quiet_max, positions = zip(*reduced)
     front = sweep.report(list(fronts))
     v_peak = _peak_speed(positions) if fast_mode else None
@@ -620,7 +620,7 @@ def _equipartition_case_i(seed: int):
     )
     problem = _scenario(consts, 201, initial, ("dirichlet", "dirichlet"),
                         T=50.0 / consts.speed.c, energy_every=4)
-    _, series, _, _ = stream(problem)
+    _, series, _ = stream(problem)
     return diag.equipartition_report(series, problem)
 
 
@@ -655,7 +655,7 @@ def _equipartition_case_ii(seed: int, scenario: str):
         )
         transits = 50.0
     problem = _scenario(consts, n, extra, T=transits / consts.speed.c, energy_every=4)
-    _, series, _, _ = stream(problem)
+    _, series, _ = stream(problem)
     return diag.equipartition_report(series, problem)
 
 
@@ -710,7 +710,7 @@ def suite_uniqueness(seed: int = 0) -> VerifyReport:
     rep = VerifyReport(suite="uniqueness")
     consts = random_material(seed + 7)
     problem = _scenario(consts, 201, InitialData(), ("dirichlet", "natural"), T=1.0)
-    final, _, _, _ = stream(problem, n_steps=1000)
+    final, _, _ = stream(problem, n_steps=1000)
     rep.checks.append(CheckResult(
         "null_data_null_solution", "max |state| after 1000 steps from null data",
         final.max_abs(), 0.0))
@@ -720,7 +720,7 @@ def suite_uniqueness(seed: int = 0) -> VerifyReport:
     del problem, final  # the null run's state and workspace buffers
 
     def run_bytes():
-        final, series, _, _ = stream(pulse)
+        final, series, _ = stream(pulse)
         blob = series.t.tobytes() + series.total.tobytes() + final.u1.tobytes()
         return blob
 

@@ -303,7 +303,7 @@ def acceleration_jet(ws, consts, U: np.ndarray) -> np.ndarray:
     if ws.load is not None:
         F += ws.load
     a = F / ws.mass
-    a[ws.pinned] = 0.0
+    a.reshape(-1)[ws.pin_at] = 0.0
     return a
 
 
@@ -384,7 +384,7 @@ def acceleration_allocating(ws, U: np.ndarray) -> np.ndarray:
     if ws.load is not None:
         F = ws.load + F
     a = F / ws.mass
-    a[ws.pinned] = 0.0
+    a.reshape(-1)[ws.pin_at] = 0.0
     return a
 
 
@@ -393,10 +393,10 @@ def step_allocating(ws, U: np.ndarray, V: np.ndarray, dt: float, a: np.ndarray):
     half = 0.5 * dt
     V = V + half * a
     U = U + dt * V
-    np.copyto(U, ws.pin_values, where=ws.pinned)
+    U.reshape(-1)[ws.pin_at] = ws.pin_to
     a_new = acceleration_allocating(ws, U)
     V += half * a_new
-    V[ws.pinned] = 0.0
+    V.reshape(-1)[ws.pin_at] = 0.0
     return U, V, a_new
 
 

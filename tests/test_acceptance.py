@@ -240,7 +240,8 @@ def test_suite_peak_memory_does_not_grow_with_the_snapshot_count(suite, monkeypa
         def run(problem, *args, **kwargs):
             out = stream(replace(problem, snapshot_every=problem.snapshot_every * factor),
                          *args, **kwargs)
-            snapshots[factor] = snapshots.get(factor, 0) + len(out[2].t)
+            # every run of these suites has a reducer, which sees each snapshot once
+            snapshots[factor] = snapshots.get(factor, 0) + len(out[2][0])
             return out
         return run
 

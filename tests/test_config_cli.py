@@ -367,8 +367,13 @@ class TestConfigTables:
         load[0:3, -1, :] = np.array([0.1, 0.0, 0.0])[:, None] * trap_y
         load[3:6, -1, :] = np.array([0.0, 0.0, 0.2])[:, None] * trap_y
         load[6, 0, :], load[7, 0, :] = 0.3 * trap_y, 0.4 * trap_y
+        # u pinned on x0 and y0, φ on x1 and y1
+        pinned = np.zeros((8, nx, ny), dtype=bool)
+        pinned[:6, 0, :] = pinned[:6, :, 0] = pinned[6:, -1, :] = pinned[6:, :, -1] = True
         ws = prob.workspace
-        np.testing.assert_array_equal(ws.pin_values, pins)
+        np.testing.assert_array_equal(ws.pin_at, np.flatnonzero(pinned))
+        np.testing.assert_array_equal(ws.pin_to, pins[pinned])
+        assert not pins[~pinned].any()
         np.testing.assert_array_equal(ws.load, load)
         # the support: every node of a side that carries data (x0, x1, y0)
         support = np.zeros((nx, ny), dtype=bool)
@@ -803,7 +808,7 @@ class TestDecayReportCommand:
     def test_lambda_sweep(self, tmp_path, monkeypatch, capsys):
         text = PULSE.replace("width=0.08", "width=0.03").replace("T = 0.05", "T = 0.08")
         path = write(tmp_path, text)
-        monkeypatch.setattr(diagnostics, "identity_sampler", None)  # the report needs only P(r, t)
+        monkeypatch.setattr(diagnostics, "IdentitySeries", None)  # the report needs only P(r, t)
         rc = cli.main(["decay-report", "--config", str(path), "--lambda-sweep"])
         out = capsys.readouterr().out
         # multiples of c/L, with L = 1 the extent of the unit line

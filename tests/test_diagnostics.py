@@ -20,7 +20,7 @@ from poromix.errors import (
     UndefinedAtZero,
 )
 from poromix.fields import stored_energy
-from poromix.solver import RigidMotion, Workspace
+from poromix.solver import RigidMotion, Workspace, acceleration
 
 from . import oracles
 
@@ -56,7 +56,7 @@ def front_problem_2d():
 def surface_flux(ws, geom, r_grid, states):
     """The surface flux of copied snapshots, each sampled after the run."""
     shells = diag.surface_shells(ws, geom, r_grid)
-    return shells.flux([s.t for s in states], [shells.sample(s) for s in states])
+    return shells.flux([shells.sample(s) for s in states])
 
 
 def front_report(geom, states):
@@ -65,7 +65,7 @@ def front_report(geom, states):
     return sweep.report([sweep.sample(s.t, s.magnitude()) for s in states])
 
 
-PulseRun = namedtuple("PulseRun", "prob geom speed energy snap_energy states pairings")
+PulseRun = namedtuple("PulseRun", "prob geom speed energy states identities")
 
 
 @pytest.fixture(scope="module")
@@ -82,9 +82,9 @@ def pulse_run():
     speed = prob.speed()
     t_total = 0.8 * geom.L / speed.c
     prob = replace(prob, T=t_total, energy_every=2, snapshot_every=2)
-    _, energy, snap_energy, (states, pairings) = pm.stream(
-        prob, [pm.StateField.copy, diag.identity_sampler(prob.workspace)])
-    return PulseRun(prob, geom, speed, energy, snap_energy, states, pairings)
+    identities = diag.IdentitySeries(prob)
+    _, energy, (states, _) = pm.stream(prob, [pm.StateField.copy, identities])
+    return PulseRun(prob, geom, speed, energy, states, identities)
 
 
 class TestTotalEnergy:
@@ -212,8 +212,7 @@ class TestSupportGeometry:
         if run == "front":
             verify._front_run(pm.decoupled_material(), 101)
         else:
-            problem, _, steps = verify._pulse_problem(pm.random_material(2), 101)
-            pm.stream(problem, n_steps=steps)
+            pm.stream(verify._pulse_problem(pm.random_material(2), 101)[0])
         assert len(built) == 1 and built[0] > 0.0
 
     def test_mask_nodes_have_zero_distance(self, pulse_run):
@@ -227,8 +226,8 @@ class TestSurfacePower:
         prob = replace(problem_1d(random_consts, T=0.05), snapshot_every=2)
         geom = diag.support_geometry(prob)
         shells = diag.surface_shells(prob.workspace, geom, np.array([0.0, 0.1, 0.2]))
-        _, _, snap_energy, (surface,) = pm.stream(prob, [shells.sample])
-        sps = shells.flux(snap_energy.t, surface).weighted(1.0)
+        _, _, (surface,) = pm.stream(prob, [shells.sample])
+        sps = shells.flux(surface).weighted(1.0)
         assert np.all(sps.P == 0.0) and np.all(sps.E_vol == 0.0)
 
     def test_radii_beyond_L_carry_no_power(self, pulse_run):
@@ -282,9 +281,9 @@ class TestSurfacePower:
                               T=0.8 * geom.L / speed.c, cfl=0.4, energy_every=2, snapshot_every=2)
         shells = diag.surface_shells(prob.workspace, geom, diag.default_r_grid(geom, count=16))
         sweep = diag.front_sweep(geom)
-        _, _, snap_energy, (surface, fronts) = pm.stream(
+        _, _, (surface, fronts) = pm.stream(
             prob, [shells.sample, lambda s: sweep.sample(s.t, s.magnitude())])
-        sps = shells.flux(snap_energy.t, surface).weighted(1.0)
+        sps = shells.flux(surface).weighted(1.0)
         p_ref = sps.P[0, -1]
         assert np.min(sps.P) >= -1e-9 * p_ref
         assert np.max(np.diff(sps.P, axis=0)) <= 1e-9 * p_ref
@@ -301,7 +300,7 @@ class TestSurfacePower:
         else:
             prob = pulse_problem_2d()
             geom = diag.support_geometry(prob)
-            states = pm.stream(replace(prob, snapshot_every=4), [pm.StateField.copy])[3][0]
+            states = pm.stream(replace(prob, snapshot_every=4), [pm.StateField.copy])[2][0]
         r_grid = np.concatenate([diag.default_r_grid(geom), [geom.L, 2.0 * geom.L]])
         shell = np.searchsorted(r_grid, geom.dist)
         crossed = max(np.abs(np.diff(shell, axis=a)).max() for a in range(prob.grid.dim))
@@ -321,14 +320,14 @@ class TestSurfacePower:
         stress = Workspace.stress
         monkeypatch.setattr(Workspace, "stress",
                             lambda self, U: calls.append(1) or stress(self, U))
-        _, _, snap_energy, (surface, pairings) = pm.stream(
-            prob, [shells.sample, diag.identity_sampler(prob.workspace)])
-        flux = shells.flux(snap_energy.t, surface)
+        identities = diag.IdentitySeries(prob)
+        _, _, (surface, _) = pm.stream(prob, [shells.sample, identities])
+        flux = shells.flux(surface)
         for lam in (0.5, 1.0, 2.0):
             flux.weighted(lam)
-        assert len(calls) == len(snap_energy.t) == len(pulse_run.states)
-        diag.IdentityResiduals.from_samples(prob, snap_energy, pairings)
-        assert len(calls) == len(snap_energy.t)  # the recorded energies are read, not recomputed
+        assert len(calls) == len(surface) == len(pulse_run.states)
+        identities.residuals()
+        assert len(calls) == len(surface)  # the sampled energies are read off F, not recomputed
 
     @pytest.mark.parametrize("r_grid", [[0.0, 0.2, 0.1], [0.0, 0.1, 0.1]])
     def test_r_grid_must_increase(self, pulse_run, r_grid):
@@ -418,7 +417,7 @@ class TestFrontSpeed:
     def test_zero_data_raises(self, random_consts):
         prob = replace(problem_1d(random_consts, T=0.05), snapshot_every=2)
         sweep = diag.front_sweep(diag.support_geometry(prob))
-        fronts = pm.stream(prob, [lambda s: sweep.sample(s.t, s.magnitude())])[3][0]
+        fronts = pm.stream(prob, [lambda s: sweep.sample(s.t, s.magnitude())])[2][0]
         with pytest.raises(NoFront):
             sweep.report(fronts)
 
@@ -435,7 +434,7 @@ class TestFrontSpeed:
             geom, states = pulse_run.geom, pulse_run.states
         else:  # many nodes share a distance
             prob, geom = front_problem_2d()
-            states = pm.stream(prob, [pm.StateField.copy])[3][0]
+            states = pm.stream(prob, [pm.StateField.copy])[2][0]
         rep = front_report(geom, states)
         times, r_front, peak = oracles.front_masks(states, geom)
         assert len(times) >= 5
@@ -509,8 +508,9 @@ class TestCesaroMeans:
         e0 = energy.total[0]
         assert np.max(np.abs(cs.Kc + cs.Sc - e0)) <= 5e-3 * e0
 
-    def test_means_of_the_snapshot_series(self, pulse_run):
-        cs = diag.cesaro_means(pulse_run.snap_energy)
+    def test_means_of_the_snapshot_cadence(self, pulse_run):
+        # the pulse run records its energy with each snapshot
+        cs = diag.cesaro_means(pulse_run.energy)
         assert len(cs.t) == len(pulse_run.states) - 1
 
 
@@ -566,8 +566,9 @@ class TestEquipartitionReport:
 
 def streamed_residuals(prob):
     """The identity residuals of one run, its snapshots paired as they are taken."""
-    _, _, snap_energy, (pairings,) = pm.stream(prob, [diag.identity_sampler(prob.workspace)])
-    return diag.IdentityResiduals.from_samples(prob, snap_energy, pairings)
+    identities = diag.IdentitySeries(prob)
+    pm.stream(prob, [identities])
+    return identities.residuals()
 
 
 class TestIdentityResiduals:
@@ -579,8 +580,7 @@ class TestIdentityResiduals:
         assert np.all(ir.res_two_time == 0.0)
 
     def test_initial_time_reduces_to_stored_energy_equality(self, pulse_run):
-        prob, *_, snap_energy, _, pairings = pulse_run
-        ir = diag.IdentityResiduals.from_samples(prob, snap_energy, pairings)
+        ir = pulse_run.identities.residuals()
         assert ir.res_energy_balance[0] <= 1e-12 * ir.scale
         assert ir.res_virial[0] == 0.0
 
@@ -588,6 +588,18 @@ class TestIdentityResiduals:
         prob = problem_1d(random_consts, T=0.01)
         with pytest.raises(InsufficientSnapshots):
             streamed_residuals(replace(prob, snapshot_every=10**6))
+
+    def test_a_non_uniform_cadence_is_refused(self, random_consts):
+        # the two-time identity pairs the states at t − s and t + s
+        prob = problem_1d(random_consts, T=0.05, initial=pm.InitialData(
+            u1=pm.gaussian_pulse([0.5], 0.05, 1.0, component=0)))
+        identities, state = diag.IdentitySeries(prob), pm.initialize(prob)
+        acceleration(prob.workspace, state.U)
+        for t in (0.0, 0.01, 0.03):
+            state.t = t
+            identities(state)
+        with pytest.raises(InsufficientSnapshots, match="uniform"):
+            identities.residuals()
 
     def test_nonzero_dirichlet_data_are_refused(self, random_consts):
         # their reaction work is not in the identities, so residuals would mislead
@@ -624,8 +636,7 @@ class TestIdentityResiduals:
         assert np.all(orders >= 1.5), orders
 
     def test_residuals_small_on_resolved_run(self, pulse_run):
-        prob, *_, snap_energy, _, pairings = pulse_run
-        ir = diag.IdentityResiduals.from_samples(prob, snap_energy, pairings)
+        ir = pulse_run.identities.residuals()
         assert np.max(ir.res_energy_balance) <= 5e-2 * ir.scale
         assert np.max(ir.res_virial) <= 5e-2 * ir.scale
         assert np.max(ir.res_two_time) <= 1e-12 * ir.scale
@@ -645,17 +656,19 @@ class TestStreamedReductions:
         ws = prob.workspace
         geom = diag.support_geometry(prob)
         r_grid = diag.default_r_grid(geom)
-        _, want_energy, want_snap_energy, (states,) = pm.stream(prob, [pm.StateField.copy])
+        _, want_energy, (states,) = pm.stream(prob, [pm.StateField.copy])
         want_flux = surface_flux(ws, geom, r_grid, states)
-        want_ir = diag.IdentityResiduals.from_samples(
-            prob, want_snap_energy, [diag.identity_sample(ws, states[0], s) for s in states])
+        collected = diag.IdentitySeries(prob)
+        for s in states:  # each copy's force, as the run leaves it in the workspace
+            acceleration(ws, s.U)
+            collected(s)
+        want_ir = collected.residuals()
 
-        shells = diag.surface_shells(ws, geom, r_grid)
-        _, energy, snap_energy, (surface, pairings) = pm.stream(
-            prob, [shells.sample, diag.identity_sampler(ws)])
+        shells, identities = diag.surface_shells(ws, geom, r_grid), diag.IdentitySeries(prob)
+        _, energy, (surface, _) = pm.stream(prob, [shells.sample, identities])
         assert len(surface) == len(states) >= 5
-        flux = shells.flux(snap_energy.t, surface)
-        ir = diag.IdentityResiduals.from_samples(prob, snap_energy, pairings)
+        flux = shells.flux(surface)
+        ir = identities.residuals()
         for got, want in ((flux.t_grid, want_flux.t_grid), (flux.flux, want_flux.flux),
                           (flux.energy, want_flux.energy), (ir.t, want_ir.t),
                           (ir.res_energy_balance, want_ir.res_energy_balance),
@@ -663,15 +676,40 @@ class TestStreamedReductions:
                           (ir.res_two_time, want_ir.res_two_time)):
             np.testing.assert_array_equal(got, want)
         assert ir.scale == want_ir.scale
-        for series, want in ((energy, want_energy), (snap_energy, want_snap_energy)):
-            np.testing.assert_array_equal(series.total, want.total)
-        assert np.any(np.array(pairings)[:, 1:3] != 0.0) == loaded
+        np.testing.assert_array_equal(energy.total, want_energy.total)
+        samples = np.array(identities.samples).reshape(-1, 8)
+        np.testing.assert_array_equal(samples, np.array(collected.samples).reshape(-1, 8))
+        assert np.any(samples[:, 5:7] != 0.0) == loaded  # the load pairings
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_reducer_after_the_surface_sample_reads_the_state_force(self, rng, dim):
+        # ``stress`` fills Y and QY only, so ws.F keeps the state's force for every reducer
+        if dim == 1:
+            prob = problem_1d(pm.random_material(1), n=41, initial=pm.InitialData(
+                u1=pm.gaussian_pulse([0.5], 0.08, 1.0, component=0)))
+        else:
+            prob = replace(pulse_problem_2d(), grid=pm.Grid((33, 33)))
+        prob = replace(prob, T=0.05, energy_every=1, snapshot_every=2)
+        ws = prob.workspace
+        assert (ws.line is None) == (dim == 2)  # the line stencil, or the jet path
+        geom = diag.support_geometry(prob)
+        shells = diag.surface_shells(ws, geom, diag.default_r_grid(geom))
+        _, energy, (_, read) = pm.stream(
+            prob, [shells.sample, lambda s: (s.t, -0.5 * np.vdot(s.U, ws.F))])
+        times, strain = np.array(read).T
+        assert len(times) >= 4 and energy.strain[-1] > 0.0
+        np.testing.assert_array_equal(times, energy.t[::2])
+        np.testing.assert_array_equal(strain, energy.strain[::2])
+        force = ws.F.copy()
+        ws.stress(rng.standard_normal(force.shape))
+        np.testing.assert_array_equal(ws.F, force)
+        assert not np.shares_memory(ws.F, ws.QY)
 
     def test_streamed_front_equals_the_front_of_copies_bit_for_bit(self):
         prob, geom = front_problem_2d()
-        want = front_report(geom, pm.stream(prob, [pm.StateField.copy])[3][0])
+        want = front_report(geom, pm.stream(prob, [pm.StateField.copy])[2][0])
         sweep = diag.front_sweep(geom)
-        _, _, _, (samples,) = pm.stream(prob, [lambda s: sweep.sample(s.t, s.magnitude())])
+        _, _, (samples,) = pm.stream(prob, [lambda s: sweep.sample(s.t, s.magnitude())])
         got = sweep.report(samples)
         assert len(got.times) >= 5
         np.testing.assert_array_equal(got.times, want.times)

@@ -56,7 +56,7 @@ def test_example_simulates_and_summarizes(tmp_path, monkeypatch, capsys, name):
 
 
 def test_decay_example_reports_three_rates(tmp_path, monkeypatch, capsys):
-    # the report reads only the snapshots' energies, so it records the split on their cadence
+    # the report reads no energy split, so it records one no more often than the snapshots
     path = small_copy(tmp_path, "decay_study.cfg")
     cadences, stream = [], cli.stream
     monkeypatch.setattr(cli, "stream", lambda problem, *a: cadences.append(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import poromix as pm
+from poromix import diagnostics
 from poromix import io as pio
 from poromix import solver
 from poromix.errors import InvalidParameter, NonFinite
@@ -382,8 +383,8 @@ class TestStepBasics:
         prob = small_problem(
             random_consts, n=16, T=0.0, snapshot_every=1,
             initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0, component=0)))
-        final, energy, snap_energy, (states,) = pm.stream(prob, [pm.StateField.copy])
-        assert len(states) == len(snap_energy.t) == len(energy.t) == 1
+        final, energy, (states,) = pm.stream(prob, [pm.StateField.copy])
+        assert len(states) == len(energy.t) == 1
         assert final.t == 0.0
 
     def test_2d_energy_oscillation_bounded(self, random_consts):
@@ -489,7 +490,7 @@ class TestAccuracy:
             initial, v_mode = _fast_mode_initial(consts, 0.03, 0.35)
             prob = small_problem(consts, n=n, T=0.25 / v_mode, initial=initial, cfl=0.5,
                                  energy_every=10**9, snapshot_every=4)
-            positions = pm.stream(prob, [lambda s: _peak_position(s, prob.grid)])[3][0]
+            positions = pm.stream(prob, [lambda s: _peak_position(s, prob.grid)])[2][0]
             speeds[n] = _peak_speed(positions)
         assert abs(speeds[401] - v_expected) <= 0.02 * v_expected
         assert v_mode <= prob.speed().c
@@ -825,16 +826,16 @@ class TestEvaluationBuffers:
         prob = small_problem(random_consts, n=32, T=0.01, energy_every=2, snapshot_every=3,
                              initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.1, 1.0,
                                                                           component=0)))
-        final, energy, snap_energy, _ = pm.stream(prob, n_steps=13)
+        final, energy, _ = pm.stream(prob, n_steps=13)
         got = pm.stream(prob, [pm.StateField.copy, lambda s: s.t, lambda s: s.U.sum()],
                         n_steps=13)
         assert got[0].t == final.t and np.array_equal(got[0].U, final.U)
-        for series, want in zip(got[1:3], (energy, snap_energy)):
-            for part in ("t", "kinetic_u", "kinetic_phi", "strain"):
-                np.testing.assert_array_equal(getattr(series, part), getattr(want, part))
-        states, times, sums = got[3]
+        for part in ("t", "kinetic_u", "kinetic_phi", "strain"):
+            np.testing.assert_array_equal(getattr(got[1], part), getattr(energy, part))
+        states, times, sums = got[2]
         assert len(states) == 5  # steps 0, 3, 6, 9 and 12
-        assert times == list(snap_energy.t) == [s.t for s in states]
+        assert times == [s.t for s in states]
+        assert times[::2] == list(energy.t[::3])  # steps 0, 6 and 12 are on both cadences
         assert sums == [s.U.sum() for s in states]
 
 
@@ -856,13 +857,12 @@ class TestRecording:
     @pytest.mark.parametrize("kind", BOUNDARY_CASES)
     def test_recorded_energies_match_allocating_oracle(self, rng, random_consts, kind, dim):
         prob = rough_problem(random_consts, kind, dim, rng, energy_every=1, snapshot_every=1)
-        _, energy, snap_energy, (states,) = pm.stream(prob, [pm.StateField.copy], n_steps=6)
+        _, energy, (states,) = pm.stream(prob, [pm.StateField.copy], n_steps=6)
         ws = prob.workspace
-        assert len(states) == len(energy.t) == len(snap_energy.t) == 7
+        assert len(states) == len(energy.t) == 7
         for j, state in enumerate(states):
             expected = oracles.energy_allocating(ws, state.U, state.V)
-            for series in (energy, snap_energy):
-                assert (series.kinetic_u[j], series.kinetic_phi[j], series.strain[j]) == expected
+            assert (energy.kinetic_u[j], energy.kinetic_phi[j], energy.strain[j]) == expected
         assert energy.strain[-1] > 0.0
 
     @staticmethod
@@ -888,13 +888,11 @@ class TestRecording:
         prob = rough_problem(random_consts, "prescribed_traction", 1, rng,
                              energy_every=energy_every, snapshot_every=snapshot_every)
         steps = 13
-        counts, (_, energy, snap_energy, _) = self.count_force_calls(monkeypatch, prob, steps)
+        counts, (_, energy, _) = self.count_force_calls(monkeypatch, prob, steps)
         assert counts == {"accel": steps + 1, "jet": 0, "force": 0}
-        # one split per step of each cadence, each at its own step's time
-        dt = prob.T / steps
-        for series, every in ((energy, energy_every), (snap_energy, snapshot_every)):
-            np.testing.assert_allclose(series.t, dt * np.arange(0, steps + 1, every),
-                                       rtol=1e-12, atol=0.0)
+        # one split per step of the energy cadence, each at its own step's time
+        np.testing.assert_allclose(energy.t, prob.T / steps * np.arange(0, steps + 1, energy_every),
+                                   rtol=1e-12, atol=0.0)
 
     def test_two_dimensional_force_calls_each_jet_kernel_once_per_axis(self, rng, random_consts,
                                                                        monkeypatch):
@@ -902,16 +900,22 @@ class TestRecording:
         counts = self.count_force_calls(monkeypatch, prob, 5)[0]
         assert counts == {"accel": 6, "jet": 12, "force": 12}
 
-    def test_snapshot_energies_equal_the_series_at_shared_times(self, rng, random_consts):
-        prob = rough_problem(random_consts, "prescribed_traction", 2, rng,
-                         energy_every=2, snapshot_every=3)
-        _, energy, snap_energy, _ = pm.stream(prob, n_steps=13)
-        shared = np.intersect1d(energy.t, snap_energy.t)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_identity_sample_energies_equal_the_series_at_shared_steps(self, rng, random_consts,
+                                                                       dim):
+        # the identity series samples its own split, after a reducer that evaluates stresses
+        prob = rough_problem(random_consts, "prescribed_traction", dim, rng,
+                             energy_every=2, snapshot_every=3)
+        ws = prob.workspace
+        identities = diagnostics.IdentitySeries(prob)
+        _, energy, _ = pm.stream(prob, [lambda s: ws.stress(s.U), identities], n_steps=13)
+        assert (ws.stencil is None) == (dim == 2)  # the line force, or the jet path
+        samples = np.array(identities.samples).reshape(-1, 8)
+        assert len(samples) == 5  # steps 0, 3, 6, 9 and 12
+        series = np.array([energy.t, energy.kinetic_u, energy.kinetic_phi, energy.strain]).T
+        shared = np.intersect1d(energy.t, samples[:, 0])
         assert len(shared) == 3  # steps 0, 6 and 12
-        for t in shared:
-            i, j = np.flatnonzero(energy.t == t)[0], np.flatnonzero(snap_energy.t == t)[0]
-            for part in ("kinetic_u", "kinetic_phi", "strain"):
-                assert getattr(energy, part)[i] == getattr(snap_energy, part)[j]
+        np.testing.assert_array_equal(samples[::2, :4], series[::3])
 
     def test_steps_go_through_the_module_step_and_acceleration(self, rng, random_consts,
                                                                 monkeypatch):
@@ -950,11 +954,11 @@ class TestRunLoop:
     def test_records_each_cadence_and_returns_the_last_step(self, rng, random_consts):
         prob = rough_problem(random_consts, "prescribed_traction", 1, rng,
                              energy_every=3, snapshot_every=5)
-        final, energy, snap_energy, (times,) = pm.stream(prob, [lambda s: s.t], n_steps=7)
+        final, energy, (times,) = pm.stream(prob, [lambda s: s.t], n_steps=7)
         dt = prob.T / 7
         assert np.allclose(energy.t / dt, [0, 3, 6], rtol=0.0, atol=1e-9)
         assert np.allclose(np.array(times) / dt, [0, 5], rtol=0.0, atol=1e-9)
-        assert times == list(snap_energy.t)
+        assert times[0] == energy.t[0] == 0.0
         assert final.t == pytest.approx(prob.T, rel=1e-12)  # step 7 is on neither cadence
 
     @pytest.mark.parametrize("kind", ["traction_free", "prescribed_value"])
@@ -963,12 +967,11 @@ class TestRunLoop:
         drawn = pm.initialize(prob)  # drawn once, so that both runs start alike
         prob = replace(prob, initial=pm.InitialData(
             **{name: lambda x, v=getattr(drawn, name): v for name in STATE_FIELDS}))
-        final, energy, _, (kept,) = pm.stream(prob, [pm.StateField.copy], n_steps=6)
+        final, energy, (kept,) = pm.stream(prob, [pm.StateField.copy], n_steps=6)
         again = pm.stream(prob, [lambda s: s, pm.StateField.copy], n_steps=6)
-        live, at_reduction = again[3]
-        for series in again[1:3]:  # the same energy split, at every step of both cadences
-            for part in ("t", "kinetic_u", "kinetic_phi", "strain"):
-                np.testing.assert_array_equal(getattr(series, part), getattr(energy, part))
+        live, at_reduction = again[2]
+        for part in ("t", "kinetic_u", "kinetic_phi", "strain"):  # the same split at every step
+            np.testing.assert_array_equal(getattr(again[1], part), getattr(energy, part))
         for copied, reduced in zip(kept, at_reduction):  # the copies, bit for bit
             assert copied.t == reduced.t
             np.testing.assert_array_equal(copied.U, reduced.U)
@@ -1000,10 +1003,11 @@ class TestInitialDirichletProjection:
                              boundary=pm.BoundaryPartition(u=u, phi=phi),
                              initial=pm.InitialData(v1=lambda x: np.ones((3,) + x.shape[1:]),
                                                     phi1=lambda x: 1.0 + x[0]))
-        states = pm.stream(prob, [pm.StateField.copy])[3][0]
+        states = pm.stream(prob, [pm.StateField.copy])[2][0]
         ws = prob.workspace
+        assert ws.pin_to.any()
         for s in states:
-            np.testing.assert_array_equal(s.U[ws.pinned], ws.pin_values[ws.pinned])
-            assert not s.V[ws.pinned].any()
+            np.testing.assert_array_equal(s.U.reshape(-1)[ws.pin_at], ws.pin_to)
+            assert not s.V.reshape(-1)[ws.pin_at].any()
         # the raw sample keeps the initial data; only the integrated state is projected
-        assert pm.initialize(prob).V[ws.pinned].any()
+        assert pm.initialize(prob).V.reshape(-1)[ws.pin_at].any()

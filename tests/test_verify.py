@@ -88,16 +88,16 @@ def test_a_decay_suite_without_a_usable_time_fails_its_envelopes(monkeypatch):
 
 def test_a_nan_residual_at_one_level_fails_its_order_check(monkeypatch):
     # NaN at the middle level only, where max() over the three levels would drop it
-    from_samples, calls = diag.IdentityResiduals.from_samples, []
+    residuals, calls = diag.IdentitySeries.residuals, []
 
     def with_nan(*args):
-        ir = from_samples(*args)
+        ir = residuals(*args)
         calls.append(None)
         if len(calls) == 2:
             ir.res_two_time[:] = math.nan
         return ir
 
-    monkeypatch.setattr(diag.IdentityResiduals, "from_samples", with_nan)
+    monkeypatch.setattr(diag.IdentitySeries, "residuals", with_nan)
     checks = {c.name: c for c in verify._residual_orders(0)}
     assert not checks["order_res_two_time"].passed
     assert checks["order_res_energy_balance"].passed and checks["order_res_virial"].passed
@@ -105,8 +105,8 @@ def test_a_nan_residual_at_one_level_fails_its_order_check(monkeypatch):
 
 def test_a_nan_rigid_residual_fails_the_normalization(monkeypatch):
     def case(*args):  # an exact report, so only the rigid-fit loop decides
-        return diag.EquipartitionReport(case="free", E0=1.0, gap_t=None, gap=None,
-                                        gap_final=0.0, predicted_offset=0.0, fit_exponent=-1.0)
+        return diag.EquipartitionReport(case="free", E0=1.0, gap_final=0.0,
+                                        predicted_offset=0.0, fit_exponent=-1.0)
 
     rigid_fit, calls = verify.rigid_fit, []
 
