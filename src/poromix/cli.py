@@ -233,8 +233,8 @@ def cmd_decay_report(args) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    # the report reads no energy split: record it no more often than the snapshots
-    problem = replace(problem, energy_every=problem.snapshot_every)
+    # the report reads no energy split: record it only at t = 0 and T
+    problem = replace(problem, energy_every=max(cfl_steps(problem), 1))
     shells = _shells(problem)[1]
     try:
         _, _, (surface,) = stream(problem, [shells.sample])

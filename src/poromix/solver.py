@@ -104,16 +104,18 @@ class Grid:
             x[a] = mesh[a]
         return x
 
-    def weights(self) -> np.ndarray:
-        """Trapezoid quadrature node weights (volume measure)."""
-        w = np.ones(self.shape)
-        for a in range(self.dim):
+    def _trapezoid(self, axes) -> np.ndarray:
+        """The outer product of the trapezoid weights h·(½, 1, …, 1, ½) of ``axes``."""
+        w = np.ones(())
+        for a in axes:
             tw = np.ones(self.n[a])
             tw[0] = tw[-1] = 0.5
-            shape = [1] * self.dim
-            shape[a] = self.n[a]
-            w = w * (self.h[a] * tw).reshape(shape)
+            w = np.multiply.outer(w, self.h[a] * tw)
         return w
+
+    def weights(self) -> np.ndarray:
+        """Trapezoid quadrature node weights (volume measure)."""
+        return self._trapezoid(range(self.dim))
 
     def extent(self) -> tuple[float, ...]:
         return tuple((self.n[a] - 1) * self.h[a] for a in range(self.dim))
@@ -128,12 +130,7 @@ class Grid:
 
     def side_weights(self, axis: int) -> np.ndarray:
         """Boundary (surface) quadrature weights over the transverse axes."""
-        if self.dim == 1:
-            return np.ones(())
-        other = 1 - axis
-        tw = np.ones(self.n[other])
-        tw[0] = tw[-1] = 0.5
-        return self.h[other] * tw
+        return self._trapezoid(a for a in range(self.dim) if a != axis)
 
 
 @dataclass(frozen=True)
@@ -408,8 +405,9 @@ class Workspace:
     the jet ``Y`` and the stresses ``QY`` ((1 + dim, 8, *grid)), which
     ``stress`` and the 2-D force share, the internal force ``F`` that
     ``acceleration`` assembles in a buffer of its own, ``scratch``, the
-    acceleration ``a`` and, with a stencil, the ``_LineForce`` ``line``
-    that writes F.  Reach it through ``ProblemSpec.workspace``.
+    acceleration ``a`` and, on a line of six or more nodes, the
+    ``_LineForce`` ``line`` that writes F from the stencil of Q's blocks.
+    Reach it through ``ProblemSpec.workspace``.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -422,10 +420,6 @@ class Workspace:
         self.Q = jet_form(k.form, grid.h)
         # Force weights of the jet blocks: −w on (QY)₀ and w/(2hⱼ) on (QY)ⱼ.
         self.jet_w = np.stack([-self.w] + [self.w * (0.5 / hj) for hj in grid.h])[:, None]
-        # The same force on a line as blocks of −K on differences of U (None in 2-D and
-        # on lines of fewer than 6 nodes, where ``acceleration`` takes the jet path).
-        self.stencil = (line_stencil(self.Q, grid.h[0])
-                        if grid.dim == 1 and grid.n[0] >= 6 else None)
         row_shape = (STATE_ROWS,) + (1,) * grid.dim
         # Densities ρ and micro-inertia factors χ per state row (χ = 1 on u rows).
         rho = np.array([k.rho1] * 3 + [k.rho2] * 3 + [k.rho1, k.rho2]).reshape(row_shape)
@@ -434,14 +428,16 @@ class Workspace:
         self.mass = self.w * self.inertia
         mask_u, mask_phi = (problem.boundary.dirichlet_mask(f, grid) for f in ("u", "phi"))
         pin_values, self.load = boundary_data(problem)
-        self.half_mass = 0.5 * self.w * self.inertia
         # The pinned entries as flat indices of an (8, *grid) array, and their values.
         self.pin_at = np.flatnonzero(np.stack([mask_u] * 6 + [mask_phi] * 2))
         self.pin_to = pin_values.reshape(-1)[self.pin_at]
         self.any_pinned = self.pin_at.size > 0
         self.Y, self.QY = (np.empty((1 + grid.dim, STATE_ROWS) + grid.shape) for _ in range(2))
         self.F, self.scratch, self.a = (np.empty((STATE_ROWS,) + grid.shape) for _ in range(3))
-        self.line = None if self.stencil is None else _LineForce(self.stencil, self.F)
+        # The same force on a line as blocks of −K on differences of U (None in 2-D and
+        # on lines of fewer than 6 nodes, where ``acceleration`` takes the jet path).
+        self.line = (_LineForce(line_stencil(self.Q, grid.h[0]), self.F)
+                     if grid.dim == 1 and grid.n[0] >= 6 else None)
 
     def _raw_stress(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The raw jet (U, δ₁U, …) and the stresses QY, in the workspace's buffers."""
@@ -474,10 +470,12 @@ class Workspace:
         exactly −½ U·F and no stress is evaluated.
         """
         kin = self.scratch
-        np.multiply(self.half_mass, np.square(state.V, out=kin), out=kin)
-        # np.add.reduce is ndarray.sum without its Python wrapper, bit for bit
-        return (state.t, np.add.reduce(kin[:PHI1_ROW], axis=None),
-                np.add.reduce(kin[PHI1_ROW:], axis=None), -0.5 * np.vdot(state.U, self.F))
+        np.multiply(self.mass, np.square(state.V, out=kin), out=kin)
+        # np.add.reduce is ndarray.sum without its Python wrapper, bit for bit; halving
+        # the sums is exact, so this equals summing ½ m V² term by term
+        return (state.t, 0.5 * np.add.reduce(kin[:PHI1_ROW], axis=None),
+                0.5 * np.add.reduce(kin[PHI1_ROW:], axis=None),
+                -0.5 * np.vdot(state.U, self.F))
 
     def pair_product(self, a: StateField, b: StateField) -> float:
         """∫ Σ_α [ρ uₐ·u̇_b + ρχ φₐφ̇_b] dv; with a = b the virial pairing Q(t)."""
@@ -485,7 +483,7 @@ class Workspace:
 
 
 class _LineForce:
-    """F = −KU on a line, from the blocks of ``Workspace.stencil``, into F.
+    """F = −KU on a line, from the blocks ``fields.line_stencil`` makes of Q, into F.
 
     Holds (U, δU, δ²U) as one (3, 8, n) array, and makes every view that a
     force reads or writes once: U is copied in first, so none depends on U.
@@ -531,7 +529,7 @@ def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
 
     The force is the exact gradient of the discrete energy Σ w W:
     F = −w(QY)₀ − Σⱼ δⱼᵀ(w/(2hⱼ) (QY)ⱼ), plus the static load ``ws.load``.
-    On a line it is the same F = −KU from the workspace's stencil: one
+    On a line it is the same F = −KU from the stencil of ``ws.line``: one
     GEMM of the interior blocks on (U, δU, δ²U), and one batched matmul on
     the differences of the five end nodes at each end.  The internal part is
     assembled in ``ws.F``, where it stays until the next ``acceleration``

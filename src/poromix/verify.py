@@ -275,6 +275,8 @@ def suite_constitutive(seed: int = 0,
         float(v) for v in worst)
     worst_env = float(np.maximum(0.0, env))  # not max(): max(0.0, nan) is 0.0
     elapsed = time.perf_counter() - t0
+    # a violation is logged verbatim, for the bookkeeping question
+    violation = f"; max |S|^2/(2 xi_max W) = {worst_ok!r}" if worst_ok > 1.0 + 1e-9 else ""
     rep = VerifyReport(suite="constitutive")
     rep.checks += [
         CheckResult("eigen_envelope", "xi_min|E|^2 <= 2W <= xi_max|E|^2",
@@ -286,16 +288,12 @@ def suite_constitutive(seed: int = 0,
         CheckResult("dual_constitutive_forms", "strain-measure and gradient forms agree",
                     worst_dual, 0.0, 1e-12),
         CheckResult("stress_energy_bound", "|S|^2 <= 2 xi_max W (state-sampled max ratio)",
-                    worst_ok, 1.0, 1e-9, detail=f"operator bound {worst_operator:.12g}"),
+                    worst_ok, 1.0, 1e-9,
+                    detail=f"operator bound {worst_operator:.12g}{violation}"),
         CheckResult("traction_bound", "sum(s.s + h^2) <= |S|^2", worst_okok, 1.0, 1e-12),
         CheckResult("runtime_constitutive", "constitutive sweep wall time (s)",
                     elapsed, 10.0, compare="<"),
     ]
-    if worst_ok > 1.0 + 1e-9:
-        rep.checks.append(CheckResult(
-            "stress_energy_violation_log",
-            "ratio above 1+1e-9 logged verbatim for the bookkeeping question",
-            worst_ok, 1.0, 1e-9, detail=f"max |S|^2/(2 xi_max W) = {worst_ok!r}"))
     if extra_consts is not None:
         sym_ok = validate_symmetries(extra_consts).ok
         try:

@@ -361,8 +361,8 @@ def subtract_adjoint_allocating(F: np.ndarray, q: np.ndarray, ax: int) -> np.nda
 def internal_force_allocating(ws, U: np.ndarray) -> np.ndarray:
     """F = −w(QY)₀ − Σⱼ δⱼᵀ(w/(2hⱼ) (QY)ⱼ) on the raw jet, as fresh arrays; on a
     line with a stencil, its blocks on (U, δU, δ²U) and on the end windows' differences."""
-    if ws.stencil is not None:
-        interior, ends = ws.stencil
+    if ws.line is not None:
+        interior, ends = ws.line.interior, ws.line.ends
         F = np.empty(U.shape)
         d1 = U[:, 2:] - U[:, :-2]  # δU of the nodes 1 … n − 2
         Z = np.concatenate([U[:, 3:-3], d1[:, 2:-2], d1[:, 3:-1] - d1[:, 1:-3]])

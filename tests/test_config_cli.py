@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import os
 import re
 import subprocess
@@ -459,30 +460,41 @@ class TestMaterialCheckCommand:
             np.sqrt(eigs[-1] / printed["m"]), rel=1e-10)
 
 
-def simulate_imports(tmp_path, text: str, module: str) -> bool:
-    """Whether ``poromix simulate`` on the config ``text`` imports ``module``, in a fresh process."""
-    path = write(tmp_path, text)
+def command_imports(argv: list[str], modules: list[str]) -> list[bool]:
+    """Whether ``poromix ARGV``, in a fresh process, imports each of ``modules``."""
     script = ("import sys\nfrom poromix import cli\n"
-              f"code = cli.main(['simulate', '--config', {str(path)!r}, "
-              f"'--out', {str(tmp_path / 'out')!r}])\n"
-              f"print(code, {module!r} in sys.modules)\n")
+              f"code = cli.main({argv!r})\n"
+              f"print(code, *[m in sys.modules for m in {modules!r}])\n")
     src = str(Path(pm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
-    printed = done.stdout.split()[-2:]
+    printed = done.stdout.split()[-1 - len(modules):]
     assert printed[:1] == ["0"], done.stderr
-    return printed[1] == "True"
+    return [flag == "True" for flag in printed[1:]]
 
 
 class TestPackageNamespace:
-    def test_every_listed_name_resolves(self):
-        # the lazy export table is kept by hand, so a name its module dropped
-        # would be listed and fail only when first used
-        names = sorted(set(pm.__all__) | set(dir(pm)))
-        assert "stream" in names and not {"run", "simulate"} & set(names)
-        for name in names:
-            getattr(pm, name)
+    def test_the_package_holds_the_materials_and_solver_names(self):
+        # plain imports: a name its module dropped fails at ``import poromix``
+        public = {name: obj for name, obj in vars(pm).items()
+                  if not name.startswith("_") and not inspect.ismodule(obj)}
+        assert len(public) == 23 and "__getattr__" not in vars(pm)
+        for name, obj in public.items():
+            assert obj.__module__ in ("poromix.materials", "poromix.solver")
+            assert getattr(sys.modules[obj.__module__], name) is obj
+        assert "stream" in public and not {"run", "simulate", "PointState"} & set(public)
+
+    @pytest.mark.parametrize("command", ["simulate", "decay-report", "material-check"])
+    def test_commands_other_than_verify_leave_it_unimported(self, tmp_path, command):
+        # every module a run imports is compiled in a checkout without bytecode:
+        # the verification suites are about a fifth of the package, and only
+        # they need the point-state algebra
+        text = PULSE.replace("width=0.08", "width=0.03").replace("T = 0.05", "T = 0.08")
+        argv = (["material-check", "random:1"] if command == "material-check"
+                else [command, "--config", str(write(tmp_path, text))])
+        assert command_imports(argv, ["poromix.verify", "poromix.pointwise"]) == [
+            False, False]
 
 
 class TestSimulateCommand:
@@ -529,14 +541,8 @@ class TestSimulateCommand:
             "grid.n = 101", "grid.n = 17 17").replace("center=0.5", "center=0.5,0.5") + (
             "boundary.u.y0 = traction_free\nboundary.u.y1 = traction_free\n"
             "boundary.phi.y0 = traction_free\nboundary.phi.y1 = traction_free\n")
-        assert simulate_imports(tmp_path, text, "numpy.ma") is False
-
-    @pytest.mark.parametrize("module", ["poromix.verify", "poromix.pointwise"])
-    def test_simulate_leaves_verify_unimported(self, tmp_path, module):
-        # every module a run imports is compiled in a checkout without bytecode:
-        # the verification suites are about a fifth of the package, and the
-        # point-state algebra is reached only through the lazy package namespace
-        assert simulate_imports(tmp_path, PULSE, module) is False
+        argv = ["simulate", "--config", str(write(tmp_path, text)), "--out", str(tmp_path / "out")]
+        assert command_imports(argv, ["numpy.ma"]) == [False]
 
     def test_config_error_exit_code(self, tmp_path):
         path = write(tmp_path, "nonsense.key = 1\n")

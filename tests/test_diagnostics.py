@@ -174,7 +174,12 @@ class TestSupportGeometry:
         brute = oracles.pairwise_distance(prob.grid, geom.mask)
         np.testing.assert_allclose(geom.dist, brute, atol=1e-12)
 
-    def test_anisotropic_2d_distance_matches_pairwise_oracle(self, monkeypatch, random_consts):
+    # one min-plus chunk; 4 column blocks (5, 5, 5, 2) of one line each; one column
+    # block of 17 in 6 line chunks (4, …, 4, 3)
+    @pytest.mark.parametrize("chunk", [diag._MINPLUS_CHUNK, 100, 4 * 17 * 17])
+    def test_anisotropic_2d_distance_matches_pairwise_oracle(self, monkeypatch, random_consts,
+                                                            chunk):
+        monkeypatch.setattr(diag, "_MINPLUS_CHUNK", chunk)
         grid = pm.Grid(n=(23, 17), h=(0.05, 0.03))
         bc = natural_bc(dim=2)  # nonzero displacement pinned on the y1 side
         bc.u["y1"] = pm.SideCondition("dirichlet", ((0.2, 0.2, 0.2), (0.0, 0.0, 0.0)))

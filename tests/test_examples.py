@@ -56,11 +56,11 @@ def test_example_simulates_and_summarizes(tmp_path, monkeypatch, capsys, name):
 
 
 def test_decay_example_reports_three_rates(tmp_path, monkeypatch, capsys):
-    # the report reads no energy split, so it records one no more often than the snapshots
+    # the report reads no energy split, so it records one only at t = 0 and T
     path = small_copy(tmp_path, "decay_study.cfg")
-    cadences, stream = [], cli.stream
-    monkeypatch.setattr(cli, "stream", lambda problem, *a: cadences.append(
-        (problem.energy_every, problem.snapshot_every)) or stream(problem, *a))
+    splits, energy_split = [], solver.Workspace.energy_split
+    monkeypatch.setattr(solver.Workspace, "energy_split",
+                        lambda ws, state: splits.append(state.t) or energy_split(ws, state))
     assert cli.main(["decay-report", "--config", str(path), "--lambda-sweep"]) == 0
     assert capsys.readouterr().out.count("lambda=") == 3
-    assert cadences == [(2, 2)]
+    assert len(splits) == 2 and splits[0] == 0.0

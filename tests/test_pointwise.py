@@ -13,9 +13,16 @@ import poromix as pm
 from poromix.errors import BadNormal
 from poromix.materials import _delta4, stress_component_matrix
 from poromix.pointwise import (
+    GeneralizedStress,
     PointState,
     StrainVector,
+    generalized_stress,
+    internal_energy_density,
+    power_identity_residuals,
     reduced_generalized_stress,
+    strain_vector,
+    stress_magnitude,
+    traction,
 )
 
 from . import oracles
@@ -25,7 +32,7 @@ from .test_materials import zero_material
 
 class TestStrainVector:
     def test_zero_state(self):
-        ev = pm.strain_vector(zero_point_state())
+        ev = strain_vector(zero_point_state())
         assert np.all(ev.vec == 0.0)
 
     def test_spin_kills_symmetric_part(self):
@@ -34,14 +41,14 @@ class TestStrainVector:
             grad_u1=spin, grad_u2=np.zeros((3, 3)), u1=np.zeros(3), u2=np.zeros(3),
             phi1=0.0, phi2=0.0, grad_phi1=np.zeros(3), grad_phi2=np.zeros(3),
         )
-        ev = pm.strain_vector(ps)
+        ev = strain_vector(ps)
         assert np.all(ev.e == 0.0)
         assert np.any(ev.g != 0.0)
 
     def test_random_against_loop_oracle(self, rng):
         for _ in range(20):
             ps = random_point_state(rng)
-            ev = pm.strain_vector(ps)
+            ev = strain_vector(ps)
             ora = oracles.strain_loops(ps)
             np.testing.assert_allclose(ev.e, ora["e"], atol=1e-15)
             np.testing.assert_allclose(ev.g, ora["g"], atol=1e-15)
@@ -49,7 +56,7 @@ class TestStrainVector:
             assert ev.phi1 == ps.phi1 and ev.phi2 == ps.phi2
 
     def test_e_block_is_symmetric(self, rng):
-        ev = pm.strain_vector(random_point_state(rng))
+        ev = strain_vector(random_point_state(rng))
         np.testing.assert_array_equal(ev.e, ev.e.T)
 
 
@@ -64,62 +71,62 @@ class TestMagnitudes:
         assert np.linalg.norm(StrainVector(vec).vec, axis=-1) == 1.0
 
     def test_random_against_loop_oracle(self, rng):
-        ev = pm.strain_vector(random_point_state(rng))
+        ev = strain_vector(random_point_state(rng))
         assert np.linalg.norm(ev.vec, axis=-1) == pytest.approx(
             oracles.strain_magnitude_loops(ev), rel=1e-13)
 
     def test_stress_magnitude_oracle(self, rng, random_consts):
-        ev = pm.strain_vector(random_point_state(rng))
-        s = pm.generalized_stress(random_consts, ev)
-        assert pm.stress_magnitude(s) == pytest.approx(
+        ev = strain_vector(random_point_state(rng))
+        s = generalized_stress(random_consts, ev)
+        assert stress_magnitude(s) == pytest.approx(
             oracles.stress_magnitude_loops(s), rel=1e-13)
 
     def test_stress_magnitude_unit_component(self):
         vec = np.zeros(29)
         vec[19] = 1.0
-        s = pm.GeneralizedStress(vec)
+        s = GeneralizedStress(vec)
         assert s.g2 == 1.0
-        assert pm.stress_magnitude(s) == 1.0
+        assert stress_magnitude(s) == 1.0
 
 
 class TestEnergyDensity:
     def test_zero(self, random_consts):
-        assert pm.internal_energy_density(random_consts, StrainVector(np.zeros(29))) == 0.0
+        assert internal_energy_density(random_consts, StrainVector(np.zeros(29))) == 0.0
 
     def test_identity_matrix_norm_two(self, identity_consts):
         # 𝒜 is the identity on realizable strains: W = |E|²/2 for |E|² = 2.
         vec = np.zeros(29)
         vec[1] = vec[3] = np.sqrt(0.5)
         vec[22] = 1.0
-        assert pm.internal_energy_density(identity_consts, StrainVector(vec)) == pytest.approx(1.0)
+        assert internal_energy_density(identity_consts, StrainVector(vec)) == pytest.approx(1.0)
 
     def test_random_matches_term_sum(self, rng, random_consts):
         for _ in range(50):
-            ev = pm.strain_vector(random_point_state(rng))
-            w = pm.internal_energy_density(random_consts, ev)
+            ev = strain_vector(random_point_state(rng))
+            w = internal_energy_density(random_consts, ev)
             assert w == pytest.approx(
                 oracles.energy_density_loops(random_consts, ev), rel=1e-12, abs=1e-12)
 
 
 class TestGeneralizedStress:
     def test_zero_strain_zero_stress(self, random_consts):
-        s = pm.generalized_stress(random_consts, StrainVector(np.zeros(29)))
-        assert pm.stress_magnitude(s) == 0.0
+        s = generalized_stress(random_consts, StrainVector(np.zeros(29)))
+        assert stress_magnitude(s) == 0.0
 
     def test_single_constituent_reduction(self, rng):
         # All couplings zero and slot-identity A: S1_ji reduces to e_ij.  That
         # A breaks A_ijrs = A_jirs, so this probes the raw builder of Σ.
         consts = zero_material(A=_delta4())
         ps = random_point_state(rng)
-        ev = pm.strain_vector(ps)
-        s = pm.GeneralizedStress(ev.vec @ stress_component_matrix(consts).T)
+        ev = strain_vector(ps)
+        s = GeneralizedStress(ev.vec @ stress_component_matrix(consts).T)
         np.testing.assert_allclose(s.S1, ev.e, atol=1e-14)
         assert np.all(s.S2 == 0.0) and s.g1 == 0.0 and s.g2 == 0.0
 
     def test_matches_loop_oracle(self, rng, random_consts):
         for _ in range(10):
-            ev = pm.strain_vector(random_point_state(rng))
-            s = pm.generalized_stress(random_consts, ev)
+            ev = strain_vector(random_point_state(rng))
+            s = generalized_stress(random_consts, ev)
             ora = oracles.stress_loops(random_consts, ev)
             np.testing.assert_allclose(s.S1, ora["S1"], atol=1e-12)
             np.testing.assert_allclose(s.S2, ora["S2"], atol=1e-12)
@@ -133,8 +140,8 @@ class TestGeneralizedStress:
         red = pm.reduced_constants(random_consts)
         for _ in range(100):
             ps = random_point_state(rng)
-            ev = pm.strain_vector(ps)
-            lit = pm.generalized_stress(random_consts, ev)
+            ev = strain_vector(ps)
+            lit = generalized_stress(random_consts, ev)
             alt = reduced_generalized_stress(random_consts, red, ps)
             np.testing.assert_allclose(lit.vec, alt.vec, atol=1e-12)
 
@@ -142,43 +149,43 @@ class TestGeneralizedStress:
     def test_linearity(self, a, b):
         rng = np.random.default_rng(7)
         consts = pm.random_material(3)
-        e1 = pm.strain_vector(random_point_state(rng))
-        e2 = pm.strain_vector(random_point_state(rng))
+        e1 = strain_vector(random_point_state(rng))
+        e2 = strain_vector(random_point_state(rng))
         combo = StrainVector(a * e1.vec + b * e2.vec)
-        s_combo = pm.generalized_stress(consts, combo)
-        s1 = pm.generalized_stress(consts, e1)
-        s2 = pm.generalized_stress(consts, e2)
+        s_combo = generalized_stress(consts, combo)
+        s1 = generalized_stress(consts, e1)
+        s2 = generalized_stress(consts, e2)
         np.testing.assert_allclose(s_combo.S1, a * s1.S1 + b * s2.S1, atol=1e-10)
         np.testing.assert_allclose(s_combo.p, a * s1.p + b * s2.p, atol=1e-10)
 
 
 class TestTraction:
     def test_zero_stress(self, random_consts):
-        s = pm.generalized_stress(random_consts, StrainVector(np.zeros(29)))
-        tr = pm.traction(s, np.array([1.0, 0.0, 0.0]))
+        s = generalized_stress(random_consts, StrainVector(np.zeros(29)))
+        tr = traction(s, np.array([1.0, 0.0, 0.0]))
         assert np.all(tr.s1 == 0.0) and tr.h1 == 0.0
 
     def test_axis_normal_picks_row(self, rng, random_consts):
-        ev = pm.strain_vector(random_point_state(rng))
-        s = pm.generalized_stress(random_consts, ev)
-        tr = pm.traction(s, np.array([1.0, 0.0, 0.0]))
+        ev = strain_vector(random_point_state(rng))
+        s = generalized_stress(random_consts, ev)
+        tr = traction(s, np.array([1.0, 0.0, 0.0]))
         np.testing.assert_array_equal(tr.s1, s.S1[:, 0])
         assert tr.h2 == s.h2[0]
 
     def test_bad_normal(self, random_consts):
-        s = pm.generalized_stress(random_consts, StrainVector(np.zeros(29)))
+        s = generalized_stress(random_consts, StrainVector(np.zeros(29)))
         with pytest.raises(BadNormal):
-            pm.traction(s, np.array([1.0, 1.0, 0.0]))
+            traction(s, np.array([1.0, 1.0, 0.0]))
 
     def test_traction_bound_random_normals(self, rng, random_consts):
         for _ in range(200):
-            ev = pm.strain_vector(random_point_state(rng))
-            s = pm.generalized_stress(random_consts, ev)
+            ev = strain_vector(random_point_state(rng))
+            s = generalized_stress(random_consts, ev)
             n = rng.standard_normal(3)
             n /= np.linalg.norm(n)
-            tr = pm.traction(s, n)
+            tr = traction(s, n)
             lhs = tr.s1 @ tr.s1 + tr.s2 @ tr.s2 + tr.h1**2 + tr.h2**2
-            assert lhs <= pm.stress_magnitude(s) ** 2 * (1.0 + 1e-12)
+            assert lhs <= stress_magnitude(s) ** 2 * (1.0 + 1e-12)
 
 
 class TestStressEnergyBound:
@@ -186,31 +193,31 @@ class TestStressEnergyBound:
         xi_max = random_consts.form.xi_max
         worst = 0.0
         for _ in range(10_000):
-            ev = pm.strain_vector(random_point_state(rng))
+            ev = strain_vector(random_point_state(rng))
             two_w = float(ev.vec @ random_consts.form.matrix @ ev.vec)
             if two_w <= 0.0:
                 continue
-            s = pm.generalized_stress(random_consts, ev)
-            worst = max(worst, pm.stress_magnitude(s) ** 2 / (xi_max * two_w))
+            s = generalized_stress(random_consts, ev)
+            worst = max(worst, stress_magnitude(s) ** 2 / (xi_max * two_w))
         assert worst <= 1.0 + 1e-9, f"max |S|^2/(2 xi_M W) ratio {worst!r}"
 
 
 class TestPowerIdentities:
     def test_zero_state(self, random_consts):
         z = zero_point_state()
-        assert pm.power_identity_residuals(random_consts, z, z) == (0.0, 0.0)
+        assert power_identity_residuals(random_consts, z, z) == (0.0, 0.0)
 
     def test_same_state_rate_reduces_to_static(self, rng, random_consts):
         ps = random_point_state(rng)
-        r_static, r_rate = pm.power_identity_residuals(random_consts, ps, ps)
+        r_static, r_rate = power_identity_residuals(random_consts, ps, ps)
         assert r_static <= 1e-12 * 100
         assert r_rate == pytest.approx(r_static, abs=1e-10)
 
     def test_random_pairs(self, rng, random_consts):
         for _ in range(100):
             ps, qs = random_point_state(rng), random_point_state(rng)
-            scale = 1.0 + np.linalg.norm(pm.strain_vector(ps).vec, axis=-1) ** 2
-            r_static, r_rate = pm.power_identity_residuals(random_consts, ps, qs)
+            scale = 1.0 + np.linalg.norm(strain_vector(ps).vec, axis=-1) ** 2
+            r_static, r_rate = power_identity_residuals(random_consts, ps, qs)
             assert r_static <= 1e-10 * scale
             assert r_rate <= 1e-10 * scale
 
@@ -226,17 +233,17 @@ def _traction_parts(tr) -> np.ndarray:
 
 # Each entry maps (consts, red, state, rate, normal) to an array.
 BATCHED = {
-    "strain_vector": lambda k, r, ps, qs, n: pm.strain_vector(ps).vec,
-    "internal_energy_density": lambda k, r, ps, qs, n: pm.internal_energy_density(
-        k, pm.strain_vector(ps)),
-    "generalized_stress": lambda k, r, ps, qs, n: pm.generalized_stress(
-        k, pm.strain_vector(ps)).vec,
+    "strain_vector": lambda k, r, ps, qs, n: strain_vector(ps).vec,
+    "internal_energy_density": lambda k, r, ps, qs, n: internal_energy_density(
+        k, strain_vector(ps)),
+    "generalized_stress": lambda k, r, ps, qs, n: generalized_stress(
+        k, strain_vector(ps)).vec,
     "reduced_generalized_stress": lambda k, r, ps, qs, n: reduced_generalized_stress(
         k, r, ps).vec,
-    "traction": lambda k, r, ps, qs, n: _traction_parts(pm.traction(
-        pm.generalized_stress(k, pm.strain_vector(ps)), n)),
+    "traction": lambda k, r, ps, qs, n: _traction_parts(traction(
+        generalized_stress(k, strain_vector(ps)), n)),
     "power_identity_residuals": lambda k, r, ps, qs, n: np.stack(
-        pm.power_identity_residuals(k, ps, qs), axis=-1),
+        power_identity_residuals(k, ps, qs), axis=-1),
 }
 
 

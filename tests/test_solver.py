@@ -645,7 +645,7 @@ class TestLineStencil:
     @pytest.mark.parametrize("kind", BOUNDARY_CASES)  # the traction and flux kinds carry a load
     def test_stencil_force_matches_the_jet_path(self, rng, random_consts, kind):
         ws = buffer_case_problem(random_consts, kind, 1).workspace
-        assert ws.stencil is not None
+        assert ws.line is not None
         assert (ws.load is not None) == (kind in ("prescribed_traction", "prescribed_flux"))
         U = rng.standard_normal((8,) + ws.grid.shape)
         for got, want in ((internal_force(ws, U), oracles.internal_force_jet(ws, random_consts, U)),
@@ -656,7 +656,7 @@ class TestLineStencil:
     def test_short_lines(self, rng, random_consts, n):
         # below 6 nodes the end windows overlap and the jet path runs; at 6 no node is interior
         ws = small_problem(random_consts, n=n).workspace
-        assert (ws.stencil is None) == (n < 6)
+        assert (ws.line is None) == (n < 6)
         U = rng.standard_normal((8, n))
         want = oracles.internal_force_jet(ws, random_consts, U)
         np.testing.assert_allclose(internal_force(ws, U), want, rtol=0.0,
@@ -667,7 +667,7 @@ class TestLineStencil:
         ws = small_problem(random_consts, n=n).workspace
         K = oracles.stiffness_jet(ws, random_consts)  # (8, n, 8, n)
         tol = 1e-13 * np.max(np.abs(K))
-        interior, (first, last) = ws.stencil
+        interior, (first, last) = ws.line.interior, ws.line.ends
         B0, B1, B2 = np.split(-interior, 3, axis=1)  # hQ₀₀, A₁, A₂ on (U, δU, δ²U)
         A = {-2: B2, -1: -B1, 0: B0 - 2.0 * B2, 1: B1, 2: B2}
         for i in range(3, n - 3):
@@ -909,7 +909,7 @@ class TestRecording:
         ws = prob.workspace
         identities = diagnostics.IdentitySeries(prob)
         _, energy, _ = pm.stream(prob, [lambda s: ws.stress(s.U), identities], n_steps=13)
-        assert (ws.stencil is None) == (dim == 2)  # the line force, or the jet path
+        assert (ws.line is None) == (dim == 2)  # the line force, or the jet path
         samples = np.array(identities.samples).reshape(-1, 8)
         assert len(samples) == 5  # steps 0, 3, 6, 9 and 12
         series = np.array([energy.t, energy.kinetic_u, energy.kinetic_phi, energy.strain]).T

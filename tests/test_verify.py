@@ -72,6 +72,25 @@ def test_a_nan_sweep_maximum_fails_its_check(monkeypatch, slot):
     assert math.isnan(report.checks[slot].measured)
 
 
+def test_a_stress_energy_violation_is_logged_in_its_bound_check(monkeypatch):
+    sweep_maxima, calls = verify._sweep_maxima, []
+
+    def violated(law, states):
+        maxima = sweep_maxima(law, states)
+        calls.append(None)
+        if len(calls) == 3:
+            maxima[4] = 1.0 + 1e-6
+        return maxima
+
+    checks = len(verify.suite_constitutive(0).checks)
+    monkeypatch.setattr(verify, "_sweep_maxima", violated)
+    report = verify.suite_constitutive(0)
+    assert len(report.checks) == checks
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["stress_energy_bound"]
+    assert failed[0].detail.endswith(f"; max |S|^2/(2 xi_max W) = {1.0 + 1e-6!r}")
+
+
 def test_a_decay_suite_without_a_usable_time_fails_its_envelopes(monkeypatch):
     def degenerate(*args, **kwargs):
         raise Degenerate("no usable radii")
