@@ -125,49 +125,36 @@ def cmd_simulate(args) -> int:
     _clear_run(out_dir, snap_dir)
     paths = []
 
-    def write(state):  # the paths hold only the snapshots until the run ends
-        p_snap = os.path.join(snap_dir, f"snap_{len(paths):06d}.bin")
-        pio.write_snapshot(p_snap, state)
-        paths.append(p_snap)
+    def artifact(name, write, value):
+        """Write ``value`` to ``name`` under the output directory and list it for the manifest."""
+        path = os.path.join(out_dir, name)
+        write(path, value)
+        paths.append(path)
+
+    def snapshot(state):  # the paths hold only the snapshots until the run ends
+        artifact(os.path.join("snapshots", f"snap_{len(paths):06d}.bin"), pio.write_snapshot, state)
 
     geom, shells = _shells(problem)
     sweep, identities = diag.front_sweep(geom), diag.IdentitySeries(problem)
-    reducers = [write, shells.sample, identities,
+    reducers = [snapshot, shells.sample, identities,
                 lambda state: sweep.sample(state.t, state.magnitude())]
     try:
         _, energy, (_, surface, _, fronts) = stream(problem, reducers)
     except NonFinite as exc:
         _clear_run(out_dir, snap_dir)
         return _numerical_failure(exc)
-    p_energy = os.path.join(out_dir, "energy.csv")
-    pio.write_energy_csv(p_energy, energy)
-    paths.append(p_energy)
-
-    p_power = os.path.join(out_dir, "power.csv")
+    artifact("energy.csv", pio.write_energy_csv, energy)
     sps = shells.flux(surface).weighted(problem.lam)
-    pio.write_power_csv(p_power, sps)
-    paths.append(p_power)
-
+    artifact("power.csv", pio.write_power_csv, sps)
     try:
-        cs = diag.cesaro_means(energy)
+        artifact("cesaro.csv", pio.write_cesaro_csv, diag.cesaro_means(energy))
     except UndefinedAtZero as exc:
         print(f"cesaro.csv not written: {exc}", file=sys.stderr)
-    else:
-        p_ces = os.path.join(out_dir, "cesaro.csv")
-        pio.write_cesaro_csv(p_ces, cs)
-        paths.append(p_ces)
     try:
-        ir = identities.residuals()
+        artifact("residuals.csv", pio.write_residuals_csv, identities.residuals())
     except (InsufficientSnapshots, InvalidParameter) as exc:
         print(f"residuals.csv not written: {exc}", file=sys.stderr)
-    else:
-        p_res = os.path.join(out_dir, "residuals.csv")
-        pio.write_residuals_csv(p_res, ir)
-        paths.append(p_res)
-
-    canon = os.path.join(out_dir, "config.canonical")
-    save_config(cfg, canon)
-    paths.append(canon)
+    artifact("config.canonical", lambda path, value: save_config(value, path), cfg)
     entries = {os.path.relpath(p, out_dir): pio.file_sha256(p) for p in paths}
     entries["config"] = pio.file_sha256(args.config)
     kind, mat_path = parse_material_spec(cfg.material)

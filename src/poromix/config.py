@@ -166,74 +166,78 @@ class RunConfig:
     base_dir: str = "."
 
 
-def _parse_profile(text: str, lineno: int, errors: list[str]) -> InitProfile | None:
+def _parse_numeric(key: str, val: str):
+    """The value of a numeric key; ValueError if it does not parse or is out of range."""
+    _, parse, admissible = _NUMERIC_KEYS[key]
+    try:
+        value = parse(val)
+    except ValueError:
+        raise ValueError(f"bad value for {key!r}: {val!r}") from None
+    if not admissible(value):
+        raise ValueError(f"{key!r} out of range: {val!r}")
+    return value
+
+
+def _parse_profile(text: str) -> InitProfile:
+    """One ``init =`` value; ValueError says what is wrong with it."""
     parts = text.split()
     if not parts:
-        errors.append(f"line {lineno}: empty init profile")
-        return None
-    kind = parts[0]
+        raise ValueError("empty init profile")
+    kind, *tokens = parts
     if kind not in _PROFILES:
-        errors.append(f"line {lineno}: unknown profile {kind!r} (known: {tuple(_PROFILES)})")
-        return None
-    params = {}
-    target = "u1"
-    for tok in parts[1:]:
+        raise ValueError(f"unknown profile {kind!r} (known: {tuple(_PROFILES)})")
+    params = {}  # the field target too, under "field", until the tokens are read
+    for tok in tokens:
         if "=" not in tok:
-            errors.append(f"line {lineno}: profile parameter {tok!r} is not key=value")
-            return None
+            raise ValueError(f"profile parameter {tok!r} is not key=value")
         key, val = tok.split("=", 1)
+        if key in params:
+            raise ValueError(f"duplicate profile parameter {key!r}")
         if key == "field":
             if val not in _TARGETS:
-                errors.append(f"line {lineno}: unknown field target {val!r}")
-                return None
-            target = val
-        else:
-            try:
-                params[key] = _nonempty(_reals(val))
-            except ValueError:
-                errors.append(f"line {lineno}: cannot parse numbers in {tok!r}")
-                return None
-            if key not in _PROFILES[kind]:
-                errors.append(f"line {lineno}: profile {kind!r} does not take {key!r}")
-                return None
-            if not _PROFILES[kind][key][1](params[key]):
-                errors.append(f"line {lineno}: {tok!r} out of range for {kind}")
-                return None
-    if kind == "rigid" and not isinstance(STATE_FIELDS[_TARGETS[target][0]][1], slice):
-        errors.append(f"line {lineno}: profile 'rigid' needs a vector field, not {target!r}")
-        return None
+                raise ValueError(f"unknown field target {val!r}")
+            params[key] = val
+            continue
+        try:
+            params[key] = _nonempty(_reals(val))
+        except ValueError:
+            raise ValueError(f"cannot parse numbers in {tok!r}") from None
+        if key not in _PROFILES[kind]:
+            raise ValueError(f"profile {kind!r} does not take {key!r}")
+        if not _PROFILES[kind][key][1](params[key]):
+            raise ValueError(f"{tok!r} out of range for {kind}")
+    target = params.pop("field", "u1")
+    if not isinstance(STATE_FIELDS[_TARGETS[target][0]][1], slice):
+        if kind == "rigid":
+            raise ValueError(f"profile 'rigid' needs a vector field, not {target!r}")
+        if "component" in params:
+            raise ValueError(f"'component' applies to vector fields, not {target!r}")
     return InitProfile(kind=kind, field=target, params=tuple(sorted(params.items())))
 
 
-def _parse_boundary(val: str, family: str, lineno: int, errors: list[str]):
-    """Parse one boundary spec into (kind, params) with params a tuple of tuples."""
+def _parse_boundary(val: str, family: str):
+    """One boundary spec as (kind, params), params a tuple of tuples; else ValueError."""
     kind, *groups = val.split() or [""]
     if kind not in _BOUNDARY_KINDS:
-        errors.append(f"line {lineno}: boundary kind must be one of {tuple(_BOUNDARY_KINDS)}")
-        return None
+        raise ValueError(f"boundary kind must be one of {tuple(_BOUNDARY_KINDS)}")
     families = _BOUNDARY_KINDS[kind][1]
     if not families:
         if groups:
-            errors.append(f"line {lineno}: {kind} takes no parameters")
-            return None
+            raise ValueError(f"{kind} takes no parameters")
         return (kind, ())
     if family not in families:
-        errors.append(f"line {lineno}: {kind} applies to the {families[0]} family")
-        return None
+        raise ValueError(f"{kind} applies to the {families[0]} family")
     want = 3 if family == "u" else 1
     if len(groups) != 2:
-        errors.append(f"line {lineno}: {kind} needs two constant value groups")
-        return None
+        raise ValueError(f"{kind} needs two constant value groups")
     params = []
     for tok in groups:
         try:
             g = _reals(tok)
         except ValueError:
-            errors.append(f"line {lineno}: cannot parse numbers in {tok!r}")
-            return None
+            raise ValueError(f"cannot parse numbers in {tok!r}") from None
         if len(g) != want:
-            errors.append(f"line {lineno}: each value group needs {want} component(s)")
-            return None
+            raise ValueError(f"each value group needs {want} component(s)")
         params.append(g)
     return (kind, tuple(params))
 
@@ -245,8 +249,11 @@ def load_config(path) -> RunConfig:
         ParseError: unreadable line structure.
         SchemaError: unknown keys or invalid values (with line references).
     """
-    base_dir = os.path.dirname(os.path.abspath(path))
-    entries: list[tuple[int, str, str]] = []
+    errors: list[str] = []
+    cfg = RunConfig(base_dir=os.path.dirname(os.path.abspath(path)))
+    seen: set[str] = set()
+    init: list[tuple[int, str, InitProfile]] = []  # (line number, text, profile)
+    boundary: dict[str, dict[str, tuple]] = {"u": {}, "phi": {}}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -255,66 +262,37 @@ def load_config(path) -> RunConfig:
             if "=" not in line:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value'")
             key, val = (s.strip() for s in line.split("=", 1))
-            entries.append((lineno, key, val))
-
-    errors: list[str] = []
-    cfg = RunConfig(base_dir=base_dir)
-    seen: set[str] = set()
-    init: list[tuple[int, str, InitProfile]] = []  # (line number, text, profile)
-    boundary: dict[str, dict[str, tuple]] = {"u": {}, "phi": {}}
-
-    for lineno, key, val in entries:
-        if key != "init":  # repeated init lines accumulate; any other key is set once
-            if key in seen:
-                errors.append(f"line {lineno}: duplicate key {key!r}")
-                continue
-            seen.add(key)
-        bad_value = f"line {lineno}: bad value for {key!r}: {val!r}"
-        if key in _NUMERIC_KEYS:
-            attr, parse, admissible = _NUMERIC_KEYS[key]
             try:
-                v = parse(val)
-            except ValueError:
-                errors.append(bad_value)
-                continue
-            if admissible(v):
-                cfg = replace(cfg, **{attr: v})
-            else:
-                errors.append(f"line {lineno}: {key!r} out of range: {val!r}")
-        elif key == "material":
-            try:
-                parse_material_spec(val)
-                cfg = replace(cfg, material=val)
-            except InvalidParameter as exc:
+                if key in seen:
+                    raise ValueError(f"duplicate key {key!r}")
+                if key != "init":  # repeated init lines accumulate; any other key is set once
+                    seen.add(key)
+                if key in _NUMERIC_KEYS:
+                    cfg = replace(cfg, **{_NUMERIC_KEYS[key][0]: _parse_numeric(key, val)})
+                elif key == "material":
+                    parse_material_spec(val)
+                    cfg = replace(cfg, material=val)
+                elif key == "output":
+                    if not val:
+                        raise ValueError(f"bad value for {key!r}: ''")
+                    cfg = replace(cfg, output=val)
+                elif key == "init":
+                    init.append((lineno, val, _parse_profile(val)))
+                elif key.startswith(("boundary.u.", "boundary.phi.")) and key.count(".") == 2:
+                    _, family, side = key.split(".")
+                    boundary[family][side] = _parse_boundary(val, family)
+                elif key == "verify.suites":
+                    suites, known = tuple(val.split()), SUITES + ("all",)
+                    unknown = [s for s in suites if s not in known]
+                    if not suites:
+                        raise ValueError(f"bad value for {key!r}: ''")
+                    if unknown:
+                        raise ValueError(f"unknown suite(s) {unknown} (known: {known})")
+                    cfg = replace(cfg, suites=suites)
+                else:
+                    raise ValueError(f"unknown key {key!r}")
+            except ValueError as exc:  # InvalidParameter from parse_material_spec too
                 errors.append(f"line {lineno}: {exc}")
-        elif key == "output":
-            if val:
-                cfg = replace(cfg, output=val)
-            else:
-                errors.append(bad_value)
-        elif key == "init":
-            prof = _parse_profile(val, lineno, errors)
-            if prof is not None:
-                init.append((lineno, val, prof))
-        elif key.startswith("boundary."):
-            parts = key.split(".")
-            if len(parts) != 3 or parts[1] not in boundary:
-                errors.append(f"line {lineno}: unknown key {key!r}")
-                continue
-            spec = _parse_boundary(val, parts[1], lineno, errors)
-            if spec is not None:
-                boundary[parts[1]][parts[2]] = spec
-        elif key == "verify.suites":
-            suites, known = tuple(val.split()), SUITES + ("all",)
-            unknown = [s for s in suites if s not in known]
-            if not suites:
-                errors.append(bad_value)
-            elif unknown:
-                errors.append(f"line {lineno}: unknown suite(s) {unknown} (known: {known})")
-            else:
-                cfg = replace(cfg, suites=suites)
-        else:
-            errors.append(f"line {lineno}: unknown key {key!r}")
 
     for key in ("grid.n", "grid.h", "grid.origin"):
         count = len(getattr(cfg, _NUMERIC_KEYS[key][0]))
@@ -322,7 +300,7 @@ def load_config(path) -> RunConfig:
             errors.append(f"{key} has {count} entries for dim={cfg.dim}")
     for lineno, text, prof in init:  # a center has at most one value per grid dimension
         if len(dict(prof.params).get("center", ())) > cfg.dim:
-            tok = [t for t in text.split() if t.startswith("center=")][-1]
+            tok = next(t for t in text.split() if t.startswith("center="))
             errors.append(f"line {lineno}: {tok!r} out of range for {prof.kind}")
     valid_sides = {f"{AXIS_NAMES[a]}{e}" for a in range(cfg.dim) for e in (0, 1)}
     for table in boundary.values():

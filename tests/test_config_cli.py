@@ -215,6 +215,13 @@ SCHEMA_ERRORS = [
     ("init = rigid field=phi1 translation=0.1\n",
      ["line 1: profile 'rigid' needs a vector field, not 'phi1'"]),
     ("init = rigid field=phi2_dot\n", ["line 1: profile 'rigid' needs a vector field, not 'phi2_dot'"]),
+    ("init = gaussian_pulse field=phi1 component=2\n",
+     ["line 1: 'component' applies to vector fields, not 'phi1'"]),
+    ("init = plane_wave field=phi2_dot component=0\n",
+     ["line 1: 'component' applies to vector fields, not 'phi2_dot'"]),
+    ("init = gaussian_pulse field=u1 width=0.1 width=0.3\n",
+     ["line 1: duplicate profile parameter 'width'"]),
+    ("init = zero field=u1 field=phi1\n", ["line 1: duplicate profile parameter 'field'"]),
     ("boundary.u.x0 = traction_free 1\n", ["line 1: traction_free takes no parameters"]),
     ("boundary.u.x0 = clamped\n", [f"line 1: {_BOUNDARY_KIND}"]),
     ("boundary.u.x0 = prescribed_flux 1 2\n",
@@ -716,9 +723,7 @@ class TestVerifyCommand:
 
 class TestSerialSuites:
     def test_suites_start_no_thread(self, monkeypatch):
-        # the suites run in the calling thread, whatever the environment says
-        monkeypatch.setenv("POROMIX_THREADS", "4")
-
+        # the suites run in the calling thread
         def refuse(thread):
             raise AssertionError(f"a suite started thread {thread.name}")
 
