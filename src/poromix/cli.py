@@ -112,6 +112,7 @@ def cmd_simulate(args) -> int:
         cfg = load_config(args.config)
         problem = build_problem(cfg, resolve_material(cfg))
         problem.speed()
+        steps = cfl_steps(problem)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -162,7 +163,6 @@ def cmd_simulate(args) -> int:
         entries["material"] = pio.file_sha256(os.path.join(cfg.base_dir, mat_path))
     pio.write_manifest(os.path.join(out_dir, "manifest.txt"), entries)
     print(f"wrote {len(paths)} artifacts to {out_dir}")
-    steps = cfl_steps(problem)
     print(f"steps: {steps}, dt = {problem.T / max(steps, 1):.6g}", file=sys.stderr)
     print(f"energy drift: {energy.max_relative_drift():.3e}", file=sys.stderr)
     try:
@@ -217,11 +217,11 @@ def cmd_decay_report(args) -> int:
         cfg = load_config(args.config)
         problem = build_problem(cfg, resolve_material(cfg))
         problem.speed()
+        # the report reads no energy split: record it only at t = 0 and T
+        problem = replace(problem, energy_every=max(cfl_steps(problem), 1))
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    # the report reads no energy split: record it only at t = 0 and T
-    problem = replace(problem, energy_every=max(cfl_steps(problem), 1))
     shells = _shells(problem)[1]
     try:
         _, _, (surface,) = stream(problem, [shells.sample])

@@ -167,17 +167,10 @@ class MaterialConstants:
     def form(self) -> "QuadraticForm":
         """𝒜 with its realizable eigen-bounds, computed once.
 
-        The relations need only hold to ``SYMMETRY_TOL``, so the form is built
-        from ½(𝒜 + 𝒜ᵀ), which is 𝒜 itself, bit for bit, when 𝒜 is symmetric.
-
         Raises:
             SymmetryViolation: if a required symmetry relation fails.
         """
-        report = validate_symmetries(self)
-        if not report.ok:
-            raise SymmetryViolation(str(report))
-        matrix = quadratic_form_matrix(self)
-        return QuadraticForm(0.5 * (matrix + matrix.mT))
+        return _gated_form(self, quadratic_form_matrix(self))
 
     @cached_property
     def speed(self) -> "SpeedParams":
@@ -214,7 +207,16 @@ class MaterialConstants:
     @cached_property
     def coupled_stress_bound(self) -> np.ndarray:
         """``_coupled_stress_bound`` of the constants, computed once; gated as ``form``."""
-        return _coupled_stress_bound(self)
+        return _coupled_stress_bound(self.stress_matrix, self.form.matrix)
+
+
+def _gated_form(consts: MaterialConstants, matrix: np.ndarray) -> "QuadraticForm":
+    """The form of 𝒜 = ``matrix`` of ``consts``, behind their symmetry gate.  The relations need
+    only hold to ``SYMMETRY_TOL``, so it is ½(𝒜 + 𝒜ᵀ), 𝒜 itself bit for bit if symmetric."""
+    report = validate_symmetries(consts)
+    if not report.ok:
+        raise SymmetryViolation(str(report))
+    return QuadraticForm(0.5 * (matrix + matrix.mT))
 
 
 @dataclass(frozen=True)
@@ -424,15 +426,13 @@ def stress_component_matrix(consts: MaterialConstants) -> np.ndarray:
                                  [-D.mT, -M.mT, -zeta, -tau], [-E.mT, -N.mT, -tau, -mu]]), consts)
 
 
-def _coupled_stress_bound(consts: MaterialConstants) -> np.ndarray:
-    """sup |Σ₁E₁|² / (E₁·𝒜₁E₁) over realizable strains of the coupled block.
-
-    The largest eigenvalue of the pencil (ΣᵀΣ, 𝒜) restricted to the 17
-    realizable slots of 𝒜₁ (e symmetric, g, φ¹, φ²); 𝒜₁ must be definite there.
-    """
-    sig1 = consts.stress_matrix[..., :20, :20]
+def _coupled_stress_bound(sigma: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """sup |Σ₁E₁|² / (E₁·𝒜₁E₁) over realizable E₁, for the Σ₁ and 𝒜₁ of ``sigma``, ``matrix``:
+    the largest eigenvalue of the pencil (ΣᵀΣ, 𝒜) restricted to the 17 realizable slots
+    of 𝒜₁ (e symmetric, g, φ¹, φ²); 𝒜₁ must be definite there."""
+    sig1 = sigma[..., :20, :20]
     b1 = _SYM_BASIS_1.T @ (sig1.mT @ sig1) @ _SYM_BASIS_1
-    inv_ell = np.linalg.inv(np.linalg.cholesky(_restricted_a1(consts.form.matrix)))
+    inv_ell = np.linalg.inv(np.linalg.cholesky(_restricted_a1(matrix)))
     pencil = inv_ell @ (0.5 * (b1 + b1.mT)) @ inv_ell.mT
     return np.linalg.eigvalsh(0.5 * (pencil + pencil.mT))[..., -1]
 
@@ -496,6 +496,12 @@ def identity_material() -> MaterialConstants:
     return _material(**_CERTIFY_STEPS)
 
 
+@cache
+def _step_form() -> np.ndarray:
+    """𝒜 of the certify steps, read-only: shifting the constants by s·step adds s times it."""
+    return identity_material().form.matrix
+
+
 def decoupled_material() -> MaterialConstants:
     """Nearly decoupled isotropic mixture for plane-wave oracle runs.
 
@@ -555,7 +561,9 @@ def draw_material(rng: np.random.Generator) -> dict:
 def _shift(t, s, where, step):
     """t + s·step for the materials selected by ``where``, t for the others."""
     s = np.reshape(s, np.shape(s) + (1,) * (np.ndim(t) - np.ndim(s)))
-    return np.where(np.reshape(where, np.shape(s)), t + s * step, t)
+    out = np.asarray(t + s * step)
+    np.copyto(out, t, where=~np.reshape(where, np.shape(s)))
+    return out
 
 
 def certify_material(consts: MaterialConstants) -> MaterialConstants:
@@ -568,12 +576,11 @@ def certify_material(consts: MaterialConstants) -> MaterialConstants:
     the decay and influence suites assume.  The block enters the stress map once per
     component, so raising it never degrades the certified inequality.
 
-    It costs the drawn form's two block eigensolves, one pencil and a solve of the
-    certified 𝒜₂: the steps raise every bound by s, and raising ``a`` touches only
-    𝒜₂.  The certified constants, whose 𝒜 is assembled behind the symmetry gate,
-    carry the pencil and their form the shifted 𝒜₁ bounds, so their ξ_m, ξ_M, c and
-    ``worst_stress_energy_ratio`` need no further solve.
-    """
+    It costs one assembly of 𝒜 (drawn) and of Σ (shifted), the drawn form's two block
+    eigensolves, one pencil and a solve of the certified 𝒜₂: the steps raise every
+    bound by s and shift 𝒜 by s·``_step_form()``, and ``a`` fills one block of 𝒜₂ = Σ₂.
+    So the certified law carries 𝒜, Σ, the pencil and the 𝒜₁ bounds, bit for bit a
+    fresh derivation (a draw's 𝒜 is exactly symmetric), behind its own symmetry gate."""
     floor = 0.08
     form = consts.form
     low, s = form.xi_min < floor, floor - np.asarray(form.xi_min)
@@ -581,16 +588,18 @@ def certify_material(consts: MaterialConstants) -> MaterialConstants:
     xi_max = np.where(low, form.xi_max + s, form.xi_max)
     consts = replace(consts, **{name: _shift(getattr(consts, name), s, low, step)
                                 for name, step in _CERTIFY_STEPS.items()})
+    matrix, sigma = _shift(form.matrix, s, low, _step_form()), stress_component_matrix(consts)
     # Raising the relative-displacement block lifts xi_max without touching
     # any acoustic branch (it is a pure value channel).
-    kappa = consts.coupled_stress_bound
+    kappa = _coupled_stress_bound(sigma, matrix)
     s2 = kappa - np.linalg.eigvalsh(consts.a)[..., -1]
     certified = replace(consts, a=_shift(consts.a, s2, (xi_max < kappa) & (s2 > 0.0), _CERTIFY_STEPS["a"]))
-    # Σ₁ and 𝒜₁ read nothing of a: the pencil and the 𝒜₁ bounds carry over
-    certified.__dict__["coupled_stress_bound"] = kappa
-    form = certified.form  # the symmetry gate, on 𝒜 assembled from the certified constants
+    matrix[..., D_BLOCK, D_BLOCK] = sigma[..., D_BLOCK, D_BLOCK] = certified.a  # 𝒜₂'s a block
+    sigma.setflags(write=False)
+    form = _gated_form(certified, matrix)
     form.__dict__["a1_bounds"] = a1_bounds
     form.a2_bounds  # a may have been raised: one solve of 𝒜₂
+    certified.__dict__.update(form=form, stress_matrix=sigma, coupled_stress_bound=kappa)
     return certified
 
 

@@ -156,9 +156,14 @@ def strain_vector(ps: PointState) -> StrainVector:
     return StrainVector(vec)
 
 
+def form_image(consts: MaterialConstants, E: StrainVector) -> np.ndarray:
+    """𝒜E, with 𝒜 = ``consts.form``: the energy gradient, W = ½ E·𝒜E."""
+    return _matmul(E.vec, consts.form.matrix)
+
+
 def internal_energy_density(consts: MaterialConstants, E: StrainVector):
     """W = ½ E·𝒜E, with 𝒜 = ``consts.form``."""
-    return 0.5 * _dot(_matmul(E.vec, consts.form.matrix), E.vec)
+    return 0.5 * _dot(form_image(consts, E), E.vec)
 
 
 def generalized_stress(consts: MaterialConstants, E: StrainVector) -> GeneralizedStress:
@@ -178,21 +183,14 @@ def reduced_generalized_stress(consts: MaterialConstants, red, ps: PointState) -
     cross-check used by the constitutive suite.
     """
     G1, G2 = ps.grad_u1, ps.grad_u2
-    phi1 = np.asarray(ps.phi1, dtype=float)
-    phi2 = np.asarray(ps.phi2, dtype=float)
+    phi1, phi2 = (np.asarray(phi, dtype=float) for phi in (ps.phi1, ps.phi2))
     d = np.subtract(ps.u1, ps.u2)
-    s1 = (
-        np.einsum("...ijrs,...rs->...ij", red.a, G1)
-        + np.einsum("...ijrs,...rs->...ij", red.b, G2)
-        + red.tau * phi1[..., None, None]
-        + red.sigma * phi2[..., None, None]
-    )
-    s2 = (
-        np.einsum("...rsij,...rs->...ij", red.b, G1)
-        + np.einsum("...ijrs,...rs->...ij", red.d, G2)
-        + consts.M * phi1[..., None, None]
-        + consts.N * phi2[..., None, None]
-    )
+    # S¹ and S² flattened: a, b, d act as 9 × 9 matrices on the flattened gradients
+    f1, f2, tau, sigma, M, N = (np.reshape(x, np.shape(x)[:-2] + (9,)) for x in (
+        G1, G2, red.tau, red.sigma, consts.M, consts.N))
+    a4, b4, d4 = (np.reshape(t, t.shape[:-4] + (9, 9)) for t in (red.a, red.b, red.d))
+    s1 = _matmul(f1, a4.mT) + _matmul(f2, b4.mT) + tau * phi1[..., None] + sigma * phi2[..., None]
+    s2 = _matmul(f1, b4) + _matmul(f2, d4.mT) + M * phi1[..., None] + N * phi2[..., None]
     g1 = -_ddot(red.tau, G1) - _ddot(consts.M, G2) - consts.zeta * phi1 - consts.tau * phi2
     g2 = -_ddot(red.sigma, G1) - _ddot(consts.N, G2) - consts.tau * phi1 - consts.mu * phi2
     gp1, gp2 = ps.grad_phi1, ps.grad_phi2
@@ -239,6 +237,13 @@ def _stress_power(S: GeneralizedStress, E_like: StrainVector, G1: np.ndarray, G2
     )
 
 
+def power_residual(S: GeneralizedStress, AE: np.ndarray, E_like: StrainVector, G1, G2):
+    """|E'·𝒜E − Σ_α[S:∇u' + p·d' + h·∇φ' − gφ']| of a state's S = ΣE and AE = 𝒜E for a
+    strain E' with displacement gradients G1, G2: the static identity's residual for
+    E' = E, the rate identity's for E' = Ė."""
+    return np.abs(_dot(AE, E_like.vec) - _stress_power(S, E_like, G1, G2))
+
+
 def power_identity_residuals(consts: MaterialConstants, ps: PointState, ps_dot: PointState):
     """Residuals (r_static, r_rate) of the static and rate power identities.
 
@@ -247,9 +252,6 @@ def power_identity_residuals(consts: MaterialConstants, ps: PointState, ps_dot: 
     the rate form identifying dW/dt through the quadratic-form representation.
     """
     E = strain_vector(ps)
-    E_dot = strain_vector(ps_dot)
-    S = generalized_stress(consts, E)
-    AE = _matmul(E.vec, consts.form.matrix)
-    r_static = np.abs(_dot(AE, E.vec) - _stress_power(S, E, ps.grad_u1, ps.grad_u2))
-    r_rate = np.abs(_dot(AE, E_dot.vec) - _stress_power(S, E_dot, ps_dot.grad_u1, ps_dot.grad_u2))
-    return r_static, r_rate
+    S, AE = generalized_stress(consts, E), form_image(consts, E)
+    return (power_residual(S, AE, E, ps.grad_u1, ps.grad_u2),
+            power_residual(S, AE, strain_vector(ps_dot), ps_dot.grad_u1, ps_dot.grad_u2))

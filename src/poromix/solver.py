@@ -335,12 +335,16 @@ def stable_timestep(grid: Grid, speed: SpeedParams, cfl: float) -> float:
 
 def cfl_steps(problem: ProblemSpec) -> int:
     """The fewest steps no longer than the CFL time step that land exactly on T
-    (none for T = 0): ``stream``'s default step count."""
+    (none for T = 0): ``stream``'s default step count; InvalidParameter if they are
+    more than numpy can index."""
     if problem.T == 0.0:
         return 0
     base = stable_timestep(problem.grid, problem.speed(), problem.cfl)
     # a relative guard: T = N·base that rounds a few ulps above N still takes N steps
-    return max(1, math.ceil(problem.T / base * (1.0 - 1e-12)))
+    steps = problem.T / base * (1.0 - 1e-12) if base > 0.0 else math.inf
+    if steps > np.iinfo(np.intp).max:
+        raise InvalidParameter(f"T / dt = {steps:.3g} steps, more than numpy can index")
+    return max(1, math.ceil(steps))
 
 
 def initialize(problem: ProblemSpec) -> StateField:

@@ -467,15 +467,19 @@ class TestMaterialCheckCommand:
             np.sqrt(eigs[-1] / printed["m"]), rel=1e-10)
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a fresh process that imports this checkout's poromix."""
+    src = str(Path(pm.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def command_imports(argv: list[str], modules: list[str]) -> list[bool]:
     """Whether ``poromix ARGV``, in a fresh process, imports each of ``modules``."""
     script = ("import sys\nfrom poromix import cli\n"
               f"code = cli.main({argv!r})\n"
               f"print(code, *[m in sys.modules for m in {modules!r}])\n")
-    src = str(Path(pm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=child_env(), timeout=120)
     printed = done.stdout.split()[-1 - len(modules):]
     assert printed[:1] == ["0"], done.stderr
     return [flag == "True" for flag in printed[1:]]
@@ -554,6 +558,18 @@ class TestSimulateCommand:
     def test_config_error_exit_code(self, tmp_path):
         path = write(tmp_path, "nonsense.key = 1\n")
         assert cli.main(["simulate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "decay-report"])
+    def test_a_step_count_numpy_cannot_index_is_a_config_error(self, tmp_path, command):
+        # T / dt = 2e300 steps: simulate died in its energy array after making the output
+        # directory, and decay-report stepped for ever; a fresh process with a timeout
+        # makes a hang fail without stalling the suite
+        path = write(tmp_path, "grid.n = 8\ngrid.h = 1e-300\nT = 1.0\n")
+        done = subprocess.run([sys.executable, "-m", "poromix.cli", command, "--config", str(path)],
+                              capture_output=True, text=True, env=child_env(), timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("config error: ") and "numpy can index" in done.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]  # no output directory
 
     def test_command_line_out_is_relative_to_the_working_directory(self, tmp_path, monkeypatch,
                                                                     capsys):

@@ -25,7 +25,7 @@ from poromix.materials import (
     _delta4,
     _iso4,
 )
-from poromix.pointwise import strain_vector
+from poromix.pointwise import PointState, power_identity_residuals, strain_vector
 
 from .conftest import random_point_state
 from . import oracles
@@ -422,7 +422,34 @@ def count_spectra(monkeypatch) -> collections.Counter:
     return calls
 
 
+def count_assemblies(monkeypatch) -> collections.Counter:
+    """Count assemblies of 𝒜 and of Σ, from here on."""
+    calls = collections.Counter()
+    for name in ("quadratic_form_matrix", "stress_component_matrix"):
+        def counted(consts, _fn=getattr(pm.materials, name), _name=name):
+            calls[_name] += 1
+            return _fn(consts)
+        monkeypatch.setattr(pm.materials, name, counted)
+    return calls
+
+
 class TestCertification:
+    def test_a_sweep_chunk_assembles_its_form_and_stress_map_once(self, monkeypatch):
+        # 𝒜 of the drawn law and Σ of the shifted one; the certified law carries both
+        pm.random_material(0)  # one-time: 𝒜 of the certify steps
+        calls = count_assemblies(monkeypatch)
+        law, states = verify._sweep_chunk(np.random.default_rng(0), verify._SWEEP_CHUNK)
+        verify._sweep_maxima(law, states)
+        assert calls == {"quadratic_form_matrix": 1, "stress_component_matrix": 1}
+
+    def test_carried_form_and_stress_map_are_a_fresh_assembly_bit_for_bit(self):
+        chunk = verify._sweep_chunk(np.random.default_rng(0), verify._SWEEP_CHUNK)[0]
+        for law in [pm.random_material(seed) for seed in range(40)] + [chunk]:
+            assert {"form", "stress_matrix"} <= vars(law).keys()  # carried by certify
+            fresh = dataclasses.replace(law)
+            assert law.form.matrix.tobytes() == fresh.form.matrix.tobytes()
+            assert law.stress_matrix.tobytes() == fresh.stress_matrix.tobytes()
+
     def test_a_sweep_chunk_costs_two_solves_of_each_block_and_one_pencil(self, monkeypatch):
         # the drawn 𝒜₁ and the pencil at 17, the drawn and the certified 𝒜₂ at 9, and a
         # at 3; no solve of the whole 26-slot form, and none in the checks
@@ -448,7 +475,7 @@ class TestCertification:
         chunk = verify._sweep_chunk(np.random.default_rng(0), verify._SWEEP_CHUNK)[0]
         for law in [pm.random_material(seed) for seed in range(40)] + [chunk]:
             assert "coupled_stress_bound" in vars(law)  # carried, not computed on this law
-            fresh = pm.materials._coupled_stress_bound(law)
+            fresh = dataclasses.replace(law).coupled_stress_bound
             assert np.asarray(law.coupled_stress_bound).tobytes() == np.asarray(fresh).tobytes()
 
     def test_certify_steps_are_the_identity_on_realizable_strains(self):
@@ -527,6 +554,15 @@ class TestConstitutiveSweep:
             assert values[name] == pytest.approx(golden, rel=1e-14, abs=0.0), name
         bound = next(c for c in report.checks if c.name == "stress_energy_bound")
         assert bound.detail == "operator bound 1"
+
+    def test_point_sample_residuals_are_the_power_identities_bit_for_bit(self):
+        law, states = verify._sweep_chunk(np.random.default_rng(0), verify._SWEEP_CHUNK)
+        pt = verify._point_sample(law, states)
+        parts = states[:-1]  # each state's rate is the next state along axis 1
+        want = power_identity_residuals(law, PointState(*parts),
+                                        PointState(*(np.roll(p, -1, axis=1) for p in parts)))
+        for got, ref in zip((pt["static"], pt["rate"]), want, strict=True):
+            assert got.tobytes() == ref.tobytes()
 
     def test_peak_memory_is_bounded(self):
         # One chunk of the sweep, reduced to its maxima, is held at once: measured
