@@ -24,18 +24,8 @@ from . import diagnostics as diag
 from . import io as pio
 from .config import (SUITES, build_problem, load_config, material_from_spec,
                      parse_material_spec, resolve_material, save_config)
-from .errors import (
-    InsufficientSnapshots,
-    InvalidParameter,
-    NoFront,
-    NonFinite,
-    NotPositiveDefinite,
-    ParseError,
-    PoromixError,
-    SchemaError,
-    SymmetryViolation,
-    UndefinedAtZero,
-)
+from .errors import (InsufficientSnapshots, InvalidParameter, NoFront, NonFinite,
+                     NotPositiveDefinite, PoromixError, SymmetryViolation, UndefinedAtZero)
 from .solver import cfl_steps, stream
 
 EXIT_PASS = 0
@@ -43,15 +33,17 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# A configured material that fails the symmetry or admissibility checks is a
-# config error, like a malformed file.
-_CONFIG_ERRORS = (OSError, ParseError, SchemaError, InvalidParameter,
-                  SymmetryViolation, NotPositiveDefinite)
+# Each command's config phase reads and checks all it needs, and makes its output
+# directory last; an error there is a config error (exit 2).  A file that cannot be
+# read raises OSError; a bad value raises ValueError, as every package error on one,
+# a file's decode error and numpy's LinAlgError derive from it.  So a configured
+# material that fails the symmetry or admissibility checks is a config error too.
+_CONFIG_ERRORS = (OSError, ValueError)
 
 
-def _numerical_failure(exc: NonFinite) -> int:
-    print(f"numerical failure: {exc} (step {exc.step})", file=sys.stderr)
-    return EXIT_NUMERIC
+def _config_error(exc: Exception) -> int:
+    print(f"config error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def cmd_material_check(args) -> int:
@@ -60,7 +52,7 @@ def cmd_material_check(args) -> int:
         spec = f"file:{spec}"
     try:
         consts = material_from_spec(spec)
-    except (OSError, InvalidParameter, ValueError) as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -82,16 +74,6 @@ def cmd_material_check(args) -> int:
     return EXIT_PASS
 
 
-def _output_dir(path: str) -> bool:
-    """Make the output directory ``path``; False, after reporting, if it cannot be made."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        print(f"config error: cannot make output directory: {exc}", file=sys.stderr)
-        return False
-    return True
-
-
 def _shells(problem):
     """The support geometry and the surface shells of the default r-grid."""
     geom = diag.support_geometry(problem)
@@ -107,20 +89,23 @@ def _clear_run(out_dir: str, snap_dir: str) -> None:
         os.remove(stale)
 
 
+def _run_problem(args):
+    """The config phase of simulate and decay-report: (config, problem, CFL step count)."""
+    cfg = load_config(args.config)
+    problem = build_problem(cfg, resolve_material(cfg))
+    problem.speed()  # the admissibility gate, which cfl_steps skips at T = 0
+    return cfg, problem, cfl_steps(problem)
+
+
 def cmd_simulate(args) -> int:
     try:
-        cfg = load_config(args.config)
-        problem = build_problem(cfg, resolve_material(cfg))
-        problem.speed()
-        steps = cfl_steps(problem)
+        cfg, problem, steps = _run_problem(args)
+        # a command-line path is the caller's; a config's is next to the config
+        out_dir = args.out or os.path.join(cfg.base_dir, cfg.output)
+        snap_dir = os.path.join(out_dir, "snapshots")
+        os.makedirs(snap_dir, exist_ok=True)
     except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    # a command-line path is the caller's; a config's is next to the config
-    out_dir = args.out or os.path.join(cfg.base_dir, cfg.output)
-    snap_dir = os.path.join(out_dir, "snapshots")
-    if not _output_dir(snap_dir):
-        return EXIT_CONFIG
+        return _config_error(exc)
     # the snapshots reach the disk as they are taken, so a run that fails
     # leaves neither a manifest nor snapshots: it must not look finished
     _clear_run(out_dir, snap_dir)
@@ -141,9 +126,9 @@ def cmd_simulate(args) -> int:
                 lambda state: sweep.sample(state.t, state.magnitude())]
     try:
         _, energy, (_, surface, _, fronts) = stream(problem, reducers)
-    except NonFinite as exc:
+    except NonFinite:
         _clear_run(out_dir, snap_dir)
-        return _numerical_failure(exc)
+        raise
     artifact("energy.csv", pio.write_energy_csv, energy)
     sps = shells.flux(surface).weighted(problem.lam)
     artifact("power.csv", pio.write_power_csv, sps)
@@ -179,61 +164,49 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     try:
         cfg = load_config(args.config)
-    except (OSError, ParseError, SchemaError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    seed = args.seed if args.seed is not None else cfg.seed
-    suites = [args.suite] if args.suite else list(cfg.suites)
-    print(f"seed = {seed}")
-    out_dir = os.path.join(cfg.base_dir, cfg.output)
-    if not _output_dir(out_dir):
-        return EXIT_CONFIG
-    try:
+        # ungated: the constitutive suite reports a bad material as FAIL checks
         config_consts = resolve_material(cfg)
-    except (OSError, InvalidParameter, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        out_dir = os.path.join(cfg.base_dir, cfg.output)
+        os.makedirs(out_dir, exist_ok=True)
+    except _CONFIG_ERRORS as exc:
+        return _config_error(exc)
+    seed = args.seed if args.seed is not None else cfg.seed
+    print(f"seed = {seed}")
     from .verify import run_suite  # not at the top: simulate and decay-report never need it
 
     all_pass = True
-    try:
-        for name in suites:
-            report = run_suite(name, seed=seed, tol_h=cfg.tol_h, config_consts=config_consts)
-            print(report.to_text())
-            base = os.path.join(out_dir, f"verify_{name}")
-            with open(base + ".txt", "w", newline="\n") as fh:
-                fh.write(report.to_text() + "\n")
-            with open(base + ".csv", "w", newline="\n") as fh:
-                for row in report.to_csv_rows():
-                    fh.write(",".join(row) + "\n")
-            all_pass = all_pass and report.passed
-    except NonFinite as exc:
-        return _numerical_failure(exc)
+    for name in [args.suite] if args.suite else cfg.suites:
+        report = run_suite(name, seed=seed, tol_h=cfg.tol_h, config_consts=config_consts)
+        print(report.to_text())
+        base = os.path.join(out_dir, f"verify_{name}")
+        with open(base + ".txt", "w", newline="\n") as fh:
+            fh.write(report.to_text() + "\n")
+        with open(base + ".csv", "w", newline="\n") as fh:
+            for row in report.to_csv_rows():
+                fh.write(",".join(row) + "\n")
+        all_pass = all_pass and report.passed
     return EXIT_PASS if all_pass else EXIT_CHECK_FAILED
 
 
 def cmd_decay_report(args) -> int:
     try:
-        cfg = load_config(args.config)
-        problem = build_problem(cfg, resolve_material(cfg))
-        problem.speed()
-        # the report reads no energy split: record it only at t = 0 and T
-        problem = replace(problem, energy_every=max(cfl_steps(problem), 1))
+        cfg, problem, steps = _run_problem(args)
     except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _config_error(exc)
+    # the report reads no energy split: record it only at t = 0 and T
+    problem = replace(problem, energy_every=max(steps, 1))
     shells = _shells(problem)[1]
-    try:
-        _, _, (surface,) = stream(problem, [shells.sample])
-    except NonFinite as exc:
-        return _numerical_failure(exc)
+    _, _, (surface,) = stream(problem, [shells.sample])
     flux = shells.flux(surface)
+    t_final = float(flux.t_grid[-1])  # the last snapshot's time
+    if steps % problem.snapshot_every:  # counted: the summed t may miss T by ulps
+        print(f"decay report at the last snapshot, t = {t_final:.6g}, before T = {problem.T:.6g}",
+              file=sys.stderr)
     speed = problem.speed()
     lams = diag.lambda_sweep(problem).values() if args.lambda_sweep else [problem.lam]
     ok = True
     for lam in lams:
         sps = flux.weighted(lam)
-        t_final = float(sps.t_grid[-1])
         try:
             drep = diag.decay_report(sps, speed, t=t_final, tol_h=cfg.tol_h)
             print(
@@ -285,7 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NonFinite as exc:
+        print(f"numerical failure: {exc} (step {exc.step})", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

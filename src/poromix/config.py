@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameter, ParseError, SchemaError
+from .errors import InvalidParameter, SchemaError
 from .fields import STATE_FIELDS
 from .materials import (
     MaterialConstants,
@@ -246,21 +246,24 @@ def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file.
 
     Raises:
-        ParseError: unreadable line structure.
-        SchemaError: unknown keys or invalid values (with line references).
+        OSError: if the file cannot be read.
+        UnicodeDecodeError: if it is not UTF-8 text.
+        SchemaError: lines without ``=``, unknown keys or invalid values, each
+            with its line number.
     """
     errors: list[str] = []
     cfg = RunConfig(base_dir=os.path.dirname(os.path.abspath(path)))
     seen: set[str] = set()
     init: list[tuple[int, str, InitProfile]] = []  # (line number, text, profile)
     boundary: dict[str, dict[str, tuple]] = {"u": {}, "phi": {}}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value'")
+                errors.append(f"line {lineno}: expected 'key = value'")
+                continue
             key, val = (s.strip() for s in line.split("=", 1))
             try:
                 if key in seen:
@@ -344,7 +347,7 @@ def canonical_text(cfg: RunConfig) -> str:
 
 
 def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(canonical_text(cfg))
 
 

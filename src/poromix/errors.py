@@ -55,10 +55,6 @@ class UndefinedAtZero(PoromixError, ValueError):
     """A running time average was requested at t = 0."""
 
 
-class ParseError(PoromixError, ValueError):
-    """A structured text file could not be tokenized."""
-
-
 class SchemaError(PoromixError, ValueError):
     """A configuration file parsed but failed schema validation.
 

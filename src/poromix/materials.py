@@ -181,9 +181,13 @@ class MaterialConstants:
 
         Raises:
             SymmetryViolation: as ``form``.
-            NotPositiveDefinite: unless ξ_m > ``ADMISSIBILITY_MARGIN``.
+            NotPositiveDefinite: unless ξ_m > ``ADMISSIBILITY_MARGIN``, or if some
+                entry of 𝒜 overflows (before any eigensolve, which would not converge).
         """
         form = self.form
+        if not np.isfinite(form.matrix).all():
+            raise NotPositiveDefinite("the quadratic form has non-finite entries: "
+                                      "the constants overflow float64")
         if np.any(form.xi_min <= ADMISSIBILITY_MARGIN):
             raise NotPositiveDefinite(
                 f"stored energy is not positive definite on the realizable subspace "
@@ -216,7 +220,9 @@ def _gated_form(consts: MaterialConstants, matrix: np.ndarray) -> "QuadraticForm
     report = validate_symmetries(consts)
     if not report.ok:
         raise SymmetryViolation(str(report))
-    return QuadraticForm(0.5 * (matrix + matrix.mT))
+    with np.errstate(over="ignore"):  # ``speed`` refuses an overflow
+        matrix = 0.5 * (matrix + matrix.mT)
+    return QuadraticForm(matrix)
 
 
 @dataclass(frozen=True)
@@ -621,7 +627,7 @@ def save_material(consts: MaterialConstants, path) -> None:
     for key in MATERIAL_KEYS:
         value = getattr(consts, key)
         lines.append(f"{key} = {value if isinstance(value, float) else value.tolist()!r}")
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -641,7 +647,7 @@ def load_material(path) -> MaterialConstants:
     pending_key = None
     pending_val: list[str] = []
     depth = 0
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].rstrip()
             if not line.strip() and pending_key is None:

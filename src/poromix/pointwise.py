@@ -1,15 +1,15 @@
 """Pointwise kinematics and constitutive algebra.
 
 Maps material point states (displacement gradients, fields, fraction
-gradients) to the 29-component strain vector, the stored energy, the
-generalized stress vector and surface tractions, and exposes the power
-identities the diagnostics rely on.  Every function works on a single point
-or on points stacked along leading batch axes: a :class:`PointState` whose
-fields carry a batch shape ``(...)`` gives strains and stresses of shape
-``(..., 29)`` and scalars of shape ``(...)``.  The law may carry a batch
-shape of its own (a stack of materials, see ``materials``); it broadcasts
-against the state's, so a law of shape ``(k, 1)`` pairs material i with the
-states ``[i, :]`` of a ``(k, s)`` batch.
+gradients) to the 29-component strain vector, the energy gradient 𝒜E, the
+generalized stress vector and surface tractions, and gives the residual of
+the static and rate power identities the constitutive suite checks.  Every
+function works on a single point or on points stacked along leading batch
+axes: a :class:`PointState` whose fields carry a batch shape ``(...)`` gives
+strains and stresses of shape ``(..., 29)`` and scalars of shape ``(...)``.
+The law may carry a batch shape of its own (a stack of materials, see
+``materials``); it broadcasts against the state's, so a law of shape
+``(k, 1)`` pairs material i with the states ``[i, :]`` of a ``(k, s)`` batch.
 
 Stress tensors are stored "flux first": ``S1[i, j]`` holds the component
 conventionally written S¹_ji, i.e. the force component i transported in
@@ -161,11 +161,6 @@ def form_image(consts: MaterialConstants, E: StrainVector) -> np.ndarray:
     return _matmul(E.vec, consts.form.matrix)
 
 
-def internal_energy_density(consts: MaterialConstants, E: StrainVector):
-    """W = ½ E·𝒜E, with 𝒜 = ``consts.form``."""
-    return 0.5 * _dot(form_image(consts, E), E.vec)
-
-
 def generalized_stress(consts: MaterialConstants, E: StrainVector) -> GeneralizedStress:
     """Evaluate the constitutive law S = Σ E, with Σ = ``consts.stress_matrix``.
 
@@ -243,15 +238,3 @@ def power_residual(S: GeneralizedStress, AE: np.ndarray, E_like: StrainVector, G
     E' = E, the rate identity's for E' = Ė."""
     return np.abs(_dot(AE, E_like.vec) - _stress_power(S, E_like, G1, G2))
 
-
-def power_identity_residuals(consts: MaterialConstants, ps: PointState, ps_dot: PointState):
-    """Residuals (r_static, r_rate) of the static and rate power identities.
-
-    r_static = |2W − Σ_α[S:∇u + p·d + h·∇φ − gφ]| on ``ps``;
-    r_rate   = |E(ps_dot)·𝒜E(ps) − Σ_α[S:∇u̇ + p·ḋ + h·∇φ̇ − gφ̇]|,
-    the rate form identifying dW/dt through the quadratic-form representation.
-    """
-    E = strain_vector(ps)
-    S, AE = generalized_stress(consts, E), form_image(consts, E)
-    return (power_residual(S, AE, E, ps.grad_u1, ps.grad_u2),
-            power_residual(S, AE, strain_vector(ps_dot), ps_dot.grad_u1, ps_dot.grad_u2))

@@ -204,6 +204,34 @@ def symmetry_violations_loops(k, tol: float = 1e-12) -> set:
 
 
 # ---------------------------------------------------------------------------
+# The stored energy and both power identities of material points, through the
+# pointwise law (only tests evaluate these whole).
+# ---------------------------------------------------------------------------
+
+
+def internal_energy_density(consts, E):
+    """W = ½ E·𝒜E, with 𝒜 = ``consts.form``, for a (..., 29) ``StrainVector``."""
+    from poromix.pointwise import form_image
+
+    return 0.5 * np.einsum("...i,...i->...", form_image(consts, E), E.vec)
+
+
+def power_identity_residuals(consts, ps, ps_dot):
+    """Residuals (r_static, r_rate) of the static and rate power identities.
+
+    r_static = |2W − Σ_α[S:∇u + p·d + h·∇φ − gφ]| on ``ps``;
+    r_rate   = |E(ps_dot)·𝒜E(ps) − Σ_α[S:∇u̇ + p·ḋ + h·∇φ̇ − gφ̇]|,
+    the rate form identifying dW/dt through the quadratic-form representation.
+    """
+    from poromix.pointwise import form_image, generalized_stress, power_residual, strain_vector
+
+    E = strain_vector(ps)
+    S, AE = generalized_stress(consts, E), form_image(consts, E)
+    return (power_residual(S, AE, E, ps.grad_u1, ps.grad_u2),
+            power_residual(S, AE, strain_vector(ps_dot), ps_dot.grad_u1, ps_dot.grad_u2))
+
+
+# ---------------------------------------------------------------------------
 # Stored energy of a grid state, node by node through the pointwise law.
 # ---------------------------------------------------------------------------
 
@@ -227,7 +255,7 @@ def point_state_at(U: np.ndarray, grads: list[np.ndarray], node: tuple):
 def stored_energy_pointwise(consts, U: np.ndarray, h) -> np.ndarray:
     """Nodal W: stencil derivatives per node, then the pointwise strain map and
     W = ½E·𝒜E, one node at a time (no jet form involved)."""
-    from poromix.pointwise import internal_energy_density, strain_vector
+    from poromix.pointwise import strain_vector
 
     grads = [central_gradient(U, 1 + j, hj) for j, hj in enumerate(h)]
     out = np.zeros(U.shape[1:])

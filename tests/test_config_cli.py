@@ -17,7 +17,7 @@ import pytest
 import poromix as pm
 from poromix import cli, config, diagnostics, solver, verify
 from poromix.config import build_problem, canonical_text, load_config, save_config
-from poromix.errors import InvalidParameter, NonFinite, ParseError, SchemaError
+from poromix.errors import InvalidParameter, NonFinite, SchemaError
 
 MINIMAL = "grid.n = 64\n"
 
@@ -83,8 +83,11 @@ class TestConfigSchema:
         assert len(exc.value.errors) == 3
 
     def test_parse_error_on_missing_equals(self, tmp_path):
-        with pytest.raises(ParseError):
-            load_config(write(tmp_path, "just a line\n"))
+        # a line without '=' is one more bad line: the error lists it with the others
+        with pytest.raises(SchemaError) as exc:
+            load_config(write(tmp_path, "just a line\nwibble = 3\n"))
+        assert exc.value.errors == ["line 1: expected 'key = value'",
+                                    "line 2: unknown key 'wibble'"]
 
     def test_boundary_side_validity_per_dim(self, tmp_path):
         path = write(tmp_path, "grid.dim = 1\ngrid.n = 32\nboundary.u.y0 = traction_free\n")
@@ -691,6 +694,42 @@ class TestSimulateCommand:
             assert (out / name).exists() == (name not in left_out) == (name in listed)
 
 
+# the arguments of each command with a config phase; verify's suite is never reached
+PHASE_ARGS = {"simulate": [], "decay-report": [], "verify": ["--suite", "uniqueness"]}
+
+
+class TestConfigPhase:
+    """Bad input exits 2 with ``config error: …`` before the command writes anything."""
+
+    @staticmethod
+    def assert_refused(tmp_path, capsys, command, path):
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert cli.main([command, "--config", str(path), *PHASE_ARGS[command]]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before  # no output directory
+
+    @pytest.mark.parametrize("command", PHASE_ARGS)
+    def test_a_config_that_is_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"grid.n = 32\noutput = caf\xe9\n")
+        self.assert_refused(tmp_path, capsys, command, path)
+
+    @pytest.mark.parametrize("command", PHASE_ARGS)
+    def test_a_material_file_that_is_not_utf8(self, tmp_path, capsys, command):
+        (tmp_path / "mat.txt").write_bytes(b"# caf\xe9\nzeta = 1.0\n")
+        path = write(tmp_path, "material = file:mat.txt\ngrid.n = 32\n")
+        self.assert_refused(tmp_path, capsys, command, path)
+
+    def test_verify_with_a_missing_material_file(self, tmp_path, capsys):
+        path = write(tmp_path, "material = file:absent.txt\ngrid.n = 32\n")
+        self.assert_refused(tmp_path, capsys, "verify", path)
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_a_nul_byte_in_the_output_path(self, tmp_path, capsys, command):
+        path = write(tmp_path, "grid.n = 32\noutput = a\0b\n")
+        self.assert_refused(tmp_path, capsys, command, path)
+
+
 class TestVerifyCommand:
     def test_uniqueness_suite_passes(self, tmp_path, capsys):
         path = write(tmp_path, "grid.n = 32\noutput = vout\n")
@@ -756,8 +795,10 @@ def bad_material(tmp_path, kind: str) -> str:
         D = np.zeros((3, 3))
         D[0, 1] = 0.3
         consts = replace(consts, D=D)
-    else:
+    elif kind == "indefinite":
         consts = replace(consts, zeta=-5.0)
+    elif kind == "overflow":  # every constant finite, but (A + A^T)/2 overflows
+        consts = replace(consts, zeta=1.7e308, mu=1.7e308, tau=1.7e308)
     pm.save_material(consts, tmp_path / "mat.txt")
     return "file:mat.txt"
 
@@ -795,6 +836,23 @@ class TestBadConfiguredMaterial:
             assert line.startswith("[FAIL]") and error in line
         assert "suite constitutive: FAIL" in out
 
+
+    def test_an_overflowing_form_fails_the_admissibility_gate(self, tmp_path, capsys):
+        # refused before any eigensolve, which would not converge on it
+        path = write(tmp_path, f"material = {bad_material(tmp_path, 'overflow')}\noutput = vout\n")
+        cause = "non-finite entries"
+        assert cli.main(["material-check", str(tmp_path / "mat.txt")]) == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("admissibility: FAIL (") and cause in last
+        for command in ("simulate", "decay-report"):
+            assert cli.main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and cause in err
+        assert cli.main(["verify", "--config", str(path), "--suite", "constitutive"]) == 1
+        out = capsys.readouterr().out
+        for name in ("config_material_identities", "config_material_ok_ratio"):
+            line = next(ln for ln in out.splitlines() if f"] {name}:" in ln)
+            assert line.startswith("[FAIL]") and "NotPositiveDefinite" in line
 
     @pytest.mark.parametrize("value", ["'x'", "[1.0]"])
     def test_non_numeric_material_value_is_config_error(self, tmp_path, capsys, value):
@@ -841,3 +899,12 @@ class TestDecayReportCommand:
         # multiples of c/L, with L = 1 the extent of the unit line
         c = pm.random_material(5).speed.c
         assert re.findall(r"lambda=(\S+):", out) == [f"{m * c:.6g}" for m in (0.5, 1.0, 2.0)]
+
+    def test_a_report_before_t_says_so(self, tmp_path, capsys):
+        # T = 0.08 takes 36 steps: with a snapshot every 5 steps the last is at step 35
+        early = "decay report at the last snapshot, t = 0.0777778, before T = 0.08\n"
+        for every, err in ((5, early), (4, "")):
+            text = PULSE.replace("T = 0.05", "T = 0.08").replace(
+                "snapshot_every = 5", f"snapshot_every = {every}")
+            cli.main(["decay-report", "--config", str(write(tmp_path, text))])
+            assert capsys.readouterr().err == err

@@ -25,10 +25,11 @@ from poromix.materials import (
     _delta4,
     _iso4,
 )
-from poromix.pointwise import PointState, power_identity_residuals, strain_vector
+from poromix.pointwise import PointState, strain_vector
 
 from .conftest import random_point_state
 from . import oracles
+from .oracles import power_identity_residuals
 
 
 def zero_material(**overrides) -> pm.MaterialConstants:

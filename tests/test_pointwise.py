@@ -17,8 +17,6 @@ from poromix.pointwise import (
     PointState,
     StrainVector,
     generalized_stress,
-    internal_energy_density,
-    power_identity_residuals,
     reduced_generalized_stress,
     strain_vector,
     stress_magnitude,
@@ -27,6 +25,7 @@ from poromix.pointwise import (
 
 from . import oracles
 from .conftest import random_point_state, stack_law, zero_point_state
+from .oracles import internal_energy_density, power_identity_residuals
 from .test_materials import zero_material
 
 
