@@ -8,7 +8,8 @@ max over the seeds and the seeds where it failed.  Exits 1 if any check
 failed.  With ``--against OLD.csv``, the rows of an earlier sweep, it then
 prints every (seed, check) in both whose value moved by more than 1e-12
 relative (absolute where both values are below 1e-12 in magnitude), with the
-old and new value and their ratio, then every (seed, check) in both whose
+old and new value and their ratio, after a count that names the largest
+relative move with its seed and check, then every (seed, check) in both whose
 pass flag differs, and then every (seed, check) found in only one of the two
 sweeps, with the sweep it is in.
 
@@ -40,6 +41,11 @@ MOVED = 1e-12  # relative; absolute below this magnitude
 def moved(old: float, new: float) -> bool:
     scale = max(abs(old), abs(new))
     return abs(new - old) > (MOVED * abs(old) if scale >= MOVED else MOVED)
+
+
+def relative_move(old: float, new: float) -> float:
+    """|new − old| / |old|; inf from 0."""
+    return abs(new - old) / abs(old) if old else math.inf
 
 
 def old_values(path: str) -> dict[tuple[int, str], tuple[float, bool]]:
@@ -84,7 +90,11 @@ def main() -> int:
         both = [key for key in rows if key in old]
         changed = [(key, old[key][0], rows[key][0]) for key in both
                    if moved(old[key][0], rows[key][0])]
-        print(f"\nmoved against {args.against}: {len(changed)} of {len(both)}")
+        largest = ""
+        if changed:
+            (seed, name), was, new = max(changed, key=lambda c: relative_move(*c[1:]))
+            largest = f", the largest {relative_move(was, new):.2g} relative at seed {seed} {name}"
+        print(f"\nmoved against {args.against}: {len(changed)} of {len(both)}{largest}")
         print("seed,name,old,new,ratio")
         for (seed, name), was, new in changed:
             ratio = new / was if was else math.nan

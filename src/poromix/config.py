@@ -38,6 +38,7 @@ from .materials import (
     identity_material,
     load_material,
     random_material,
+    read_lines,
 )
 from .solver import (
     AXIS_NAMES,
@@ -247,7 +248,7 @@ def load_config(path) -> RunConfig:
 
     Raises:
         OSError: if the file cannot be read.
-        UnicodeDecodeError: if it is not UTF-8 text.
+        InvalidParameter: if it is not UTF-8 text (``materials.read_lines``).
         SchemaError: lines without ``=``, unknown keys or invalid values, each
             with its line number.
     """
@@ -256,46 +257,45 @@ def load_config(path) -> RunConfig:
     seen: set[str] = set()
     init: list[tuple[int, str, InitProfile]] = []  # (line number, text, profile)
     boundary: dict[str, dict[str, tuple]] = {"u": {}, "phi": {}}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                errors.append(f"line {lineno}: expected 'key = value'")
-                continue
-            key, val = (s.strip() for s in line.split("=", 1))
-            try:
-                if key in seen:
-                    raise ValueError(f"duplicate key {key!r}")
-                if key != "init":  # repeated init lines accumulate; any other key is set once
-                    seen.add(key)
-                if key in _NUMERIC_KEYS:
-                    cfg = replace(cfg, **{_NUMERIC_KEYS[key][0]: _parse_numeric(key, val)})
-                elif key == "material":
-                    parse_material_spec(val)
-                    cfg = replace(cfg, material=val)
-                elif key == "output":
-                    if not val:
-                        raise ValueError(f"bad value for {key!r}: ''")
-                    cfg = replace(cfg, output=val)
-                elif key == "init":
-                    init.append((lineno, val, _parse_profile(val)))
-                elif key.startswith(("boundary.u.", "boundary.phi.")) and key.count(".") == 2:
-                    _, family, side = key.split(".")
-                    boundary[family][side] = _parse_boundary(val, family)
-                elif key == "verify.suites":
-                    suites, known = tuple(val.split()), SUITES + ("all",)
-                    unknown = [s for s in suites if s not in known]
-                    if not suites:
-                        raise ValueError(f"bad value for {key!r}: ''")
-                    if unknown:
-                        raise ValueError(f"unknown suite(s) {unknown} (known: {known})")
-                    cfg = replace(cfg, suites=suites)
-                else:
-                    raise ValueError(f"unknown key {key!r}")
-            except ValueError as exc:  # InvalidParameter from parse_material_spec too
-                errors.append(f"line {lineno}: {exc}")
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            errors.append(f"line {lineno}: expected 'key = value'")
+            continue
+        key, val = (s.strip() for s in line.split("=", 1))
+        try:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            if key != "init":  # repeated init lines accumulate; any other key is set once
+                seen.add(key)
+            if key in _NUMERIC_KEYS:
+                cfg = replace(cfg, **{_NUMERIC_KEYS[key][0]: _parse_numeric(key, val)})
+            elif key == "material":
+                parse_material_spec(val)
+                cfg = replace(cfg, material=val)
+            elif key == "output":
+                if not val:
+                    raise ValueError(f"bad value for {key!r}: ''")
+                cfg = replace(cfg, output=val)
+            elif key == "init":
+                init.append((lineno, val, _parse_profile(val)))
+            elif key.startswith(("boundary.u.", "boundary.phi.")) and key.count(".") == 2:
+                _, family, side = key.split(".")
+                boundary[family][side] = _parse_boundary(val, family)
+            elif key == "verify.suites":
+                suites, known = tuple(val.split()), SUITES + ("all",)
+                unknown = [s for s in suites if s not in known]
+                if not suites:
+                    raise ValueError(f"bad value for {key!r}: ''")
+                if unknown:
+                    raise ValueError(f"unknown suite(s) {unknown} (known: {known})")
+                cfg = replace(cfg, suites=suites)
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:  # InvalidParameter from parse_material_spec too
+            errors.append(f"line {lineno}: {exc}")
 
     for key in ("grid.n", "grid.h", "grid.origin"):
         count = len(getattr(cfg, _NUMERIC_KEYS[key][0]))

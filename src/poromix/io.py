@@ -55,7 +55,8 @@ def write_residuals_csv(path, ir: IdentityResiduals) -> None:
 
 def write_snapshot(path, state: StateField) -> None:
     """Flat binary blocks, one per named field in ``STATE_FIELDS`` order, each
-    preceded by a self-describing text header."""
+    preceded by a self-describing text header.  Each block is written from
+    the field's own buffer, copied only if it is not contiguous little-endian."""
     with open(path, "wb") as fh:
         for name in STATE_FIELDS:
             arr = np.ascontiguousarray(getattr(state, name), dtype="<f8")
@@ -66,7 +67,7 @@ def write_snapshot(path, state: StateField) -> None:
                 f"dtype float64\n\n"
             )
             fh.write(header.encode("ascii"))
-            fh.write(arr.tobytes())
+            fh.write(arr)
 
 
 def read_snapshot(path) -> StateField:

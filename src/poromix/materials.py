@@ -35,6 +35,7 @@ realizable slots and of 𝒜₂.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
@@ -631,6 +632,24 @@ def save_material(consts: MaterialConstants, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def read_lines(path) -> list[str]:
+    """The lines of the UTF-8 text file at ``path``, as ``open`` reads them.
+
+    Raises:
+        OSError: if the file cannot be read.
+        InvalidParameter: ``<path>: line N: not UTF-8 text``, N the line of
+            the first byte that is not UTF-8.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        # the bytes before the error are UTF-8: the line breaks among them, as open reads them
+        line = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).read().count("\n") + 1
+        raise InvalidParameter(f"{path}: line {line}: not UTF-8 text") from None
+
+
 def load_material(path) -> MaterialConstants:
     """Read a material file written by :func:`save_material` (or by hand).
 
@@ -639,7 +658,9 @@ def load_material(path) -> MaterialConstants:
     balance.
 
     Raises:
-        InvalidParameter: on unknown/missing/duplicate keys or bad shapes.
+        OSError: if the file cannot be read.
+        InvalidParameter: on text that is not UTF-8 (``read_lines``),
+            unknown/missing/duplicate keys or bad shapes.
     """
     import ast
 
@@ -647,28 +668,27 @@ def load_material(path) -> MaterialConstants:
     pending_key = None
     pending_val: list[str] = []
     depth = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].rstrip()
-            if not line.strip() and pending_key is None:
-                continue
-            if pending_key is None:
-                if "=" not in line:
-                    raise InvalidParameter(f"{path}:{lineno}: expected 'key = value'")
-                key, val = line.split("=", 1)
-                key = key.strip()
-                if key not in MATERIAL_KEYS:
-                    raise InvalidParameter(f"{path}:{lineno}: unknown key {key!r}")
-                if key in entries:
-                    raise InvalidParameter(f"{path}:{lineno}: duplicate key {key!r}")
-                pending_key, pending_val = key, [val]
-                depth = val.count("[") - val.count("]")
-            else:
-                pending_val.append(line)
-                depth += line.count("[") - line.count("]")
-            if depth == 0:
-                entries[pending_key] = " ".join(pending_val)
-                pending_key = None
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip() and pending_key is None:
+            continue
+        if pending_key is None:
+            if "=" not in line:
+                raise InvalidParameter(f"{path}:{lineno}: expected 'key = value'")
+            key, val = line.split("=", 1)
+            key = key.strip()
+            if key not in MATERIAL_KEYS:
+                raise InvalidParameter(f"{path}:{lineno}: unknown key {key!r}")
+            if key in entries:
+                raise InvalidParameter(f"{path}:{lineno}: duplicate key {key!r}")
+            pending_key, pending_val = key, [val]
+            depth = val.count("[") - val.count("]")
+        else:
+            pending_val.append(line)
+            depth += line.count("[") - line.count("]")
+        if depth == 0:
+            entries[pending_key] = " ".join(pending_val)
+            pending_key = None
     if pending_key is not None:
         raise InvalidParameter(f"{path}: unbalanced brackets in value of {pending_key!r}")
     missing = [k for k in MATERIAL_KEYS if k not in entries]

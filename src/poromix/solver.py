@@ -347,12 +347,24 @@ def cfl_steps(problem: ProblemSpec) -> int:
     return max(1, math.ceil(steps))
 
 
+def _aligned(shape: tuple[int, ...], fill=np.empty, phase: int = 0) -> np.ndarray:
+    """A float array of ``shape`` from ``fill`` (``np.empty``, or ``np.zeros``, which
+    leaves the pages a run never writes untouched) whose data starts ``phase``
+    bytes past a 64-byte boundary: on AVX-512 hosts numpy writes into an output
+    off that boundary at about half speed, so every grid-sized array a step
+    writes comes from here."""
+    size = math.prod(shape)
+    raw = fill(size + 7)  # numpy's data is 8-aligned at least: 7 doubles of slack suffice
+    start = (phase - raw.ctypes.data) % 64 // 8
+    return raw[start:start + size].reshape(shape)
+
+
 def initialize(problem: ProblemSpec) -> StateField:
     """Sample the initial data at the grid nodes (t = 0); absent fields are zero."""
     grid = problem.grid
     x = grid.positions()
-    state = StateField(t=0.0, U=np.zeros((STATE_ROWS,) + grid.shape),
-                       V=np.zeros((STATE_ROWS,) + grid.shape))
+    shape = (STATE_ROWS,) + grid.shape
+    state = StateField(t=0.0, U=_aligned(shape, np.zeros), V=_aligned(shape, np.zeros))
     for name, (array, rows) in STATE_FIELDS.items():
         fn = getattr(problem.initial, name)
         if fn is None:
@@ -401,11 +413,13 @@ class Workspace:
 
     Holds the node weights, the jet form Q = Pᵀ𝒜P (𝒜 is the material's
     ``consts.form``) on the raw jet (U, δ₁U, …), the force weights of its
-    blocks, the row inertias of the stacked state and the static boundary
-    data (``boundary_data``): the pinned entries ``pin_at`` and their values
-    ``pin_to``, and the ``load`` of the prescribed tractions/fluxes times
-    the surface weights (None when no natural side carries values).  It
-    also holds the evaluation buffers, for as long as its problem lives:
+    blocks, the row inertias of the stacked state, the reciprocal node
+    masses ``inv_mass`` (1/(w ρχ)), the kinetic row weights
+    ``kinetic_rows`` and the static boundary data (``boundary_data``): the
+    pinned entries ``pin_at`` and their values ``pin_to``, and the ``load``
+    of the prescribed tractions/fluxes times the surface weights (None when
+    no natural side carries values).  It also holds the evaluation buffers,
+    64-byte aligned (``_aligned``), for as long as its problem lives:
     the jet ``Y`` and the stresses ``QY`` ((1 + dim, 8, *grid)), which
     ``stress`` and the 2-D force share, the internal force ``F`` that
     ``acceleration`` assembles in a buffer of its own, ``scratch``, the
@@ -429,15 +443,23 @@ class Workspace:
         rho = np.array([k.rho1] * 3 + [k.rho2] * 3 + [k.rho1, k.rho2]).reshape(row_shape)
         chi = np.array([1.0] * 6 + [k.chi1, k.chi2]).reshape(row_shape)
         self.inertia = rho * chi
-        self.mass = self.w * self.inertia
+        # The reciprocal node masses 1/(wρχ), the step's one mass array, inverted in
+        # place: a grid-sized temporary freed here moves where glibc places later
+        # arrays, and with it the peak RSS of a verify run (by up to 0.2 MB)
+        self.inv_mass = self.w * self.inertia
+        np.divide(1.0, self.inv_mass, out=self.inv_mass)
+        # ½ρχ of the u rows and of the φ rows, for the kinetic split ½ Σ ρχ w V²: with
+        # these and w no second grid-sized mass array is kept
+        u_rows = np.arange(STATE_ROWS) < PHI1_ROW
+        self.kinetic_rows = 0.5 * np.stack([u_rows, ~u_rows]) * self.inertia.reshape(-1)
         mask_u, mask_phi = (problem.boundary.dirichlet_mask(f, grid) for f in ("u", "phi"))
         pin_values, self.load = boundary_data(problem)
         # The pinned entries as flat indices of an (8, *grid) array, and their values.
         self.pin_at = np.flatnonzero(np.stack([mask_u] * 6 + [mask_phi] * 2))
         self.pin_to = pin_values.reshape(-1)[self.pin_at]
         self.any_pinned = self.pin_at.size > 0
-        self.Y, self.QY = (np.empty((1 + grid.dim, STATE_ROWS) + grid.shape) for _ in range(2))
-        self.F, self.scratch, self.a = (np.empty((STATE_ROWS,) + grid.shape) for _ in range(3))
+        self.Y, self.QY = (_aligned((1 + grid.dim, STATE_ROWS) + grid.shape) for _ in range(2))
+        self.F, self.scratch, self.a = (_aligned((STATE_ROWS,) + grid.shape) for _ in range(3))
         # The same force on a line as blocks of −K on differences of U (None in 2-D and
         # on lines of fewer than 6 nodes, where ``acceleration`` takes the jet path).
         self.line = (_LineForce(line_stencil(self.Q, grid.h[0]), self.F)
@@ -469,17 +491,15 @@ class Workspace:
         """The energy split (t, kinetic_u, kinetic_phi, strain) of ``state``.
 
         ``F`` must hold the state's internal force, as ``stream`` leaves it
-        for each state it records or reduces.  The stored energy is
+        for each state it records or reduces.  The kinetic energies
+        ½ Σ ρχ w V² over the u rows and over the φ rows are the
+        ``kinetic_rows`` times the node sums (V∘V)w.  The stored energy is
         quadratic, Σ w W = ½ UᵀKU with F = −KU, so the strain energy is
         exactly −½ U·F and no stress is evaluated.
         """
-        kin = self.scratch
-        np.multiply(self.mass, np.square(state.V, out=kin), out=kin)
-        # np.add.reduce is ndarray.sum without its Python wrapper, bit for bit; halving
-        # the sums is exact, so this equals summing ½ m V² term by term
-        return (state.t, 0.5 * np.add.reduce(kin[:PHI1_ROW], axis=None),
-                0.5 * np.add.reduce(kin[PHI1_ROW:], axis=None),
-                -0.5 * np.vdot(state.U, self.F))
+        squares = np.square(state.V, out=self.scratch).reshape(STATE_ROWS, -1)
+        kinetic_u, kinetic_phi = self.kinetic_rows @ (squares @ self.w.reshape(-1))
+        return state.t, kinetic_u, kinetic_phi, -0.5 * np.vdot(state.U, self.F)
 
     def pair_product(self, a: StateField, b: StateField) -> float:
         """∫ Σ_α [ρ uₐ·u̇_b + ρχ φₐφ̇_b] dv; with a = b the virial pairing Q(t)."""
@@ -501,8 +521,10 @@ class _LineForce:
             return np.ndarray((2, STATE_ROWS, width), A.dtype, A,
                               strides=((n - width) * step, n * step, step))
 
-        # zeros: the two flat end entries of δU are never written, but δ²U reads them
-        self.diffs = np.zeros((3,) + F.shape)
+        # zeros: the two flat end entries of δU are never written, but δ²U reads them.
+        # Each (8, n) block spans a multiple of 64 bytes, so at phase 56 the δ outputs
+        # (a block's second entry on) start on a 64-byte boundary
+        self.diffs = _aligned((3,) + F.shape, np.zeros, phase=56)
         self.U, flat = self.diffs[0], self.diffs.reshape(3, -1)
         # one contiguous subtraction per difference, as in ``difference``: a row's first
         # and last columns take values across rows, which the GEMM never reads
@@ -538,8 +560,9 @@ def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
     the differences of the five end nodes at each end.  The internal part is
     assembled in ``ws.F``, where it stays until the next ``acceleration``
     (``stress`` leaves it intact); ``Workspace.energy_split`` reads each
-    recorded state's strain energy −½ U·F from it.  The result is ``ws.a``,
-    which the next evaluation overwrites: copy it to keep it.
+    recorded state's strain energy −½ U·F from it.  The result, the force
+    times the reciprocal mass ``ws.inv_mass`` (0 at the pinned entries), is
+    ``ws.a``, which the next evaluation overwrites: copy it to keep it.
     """
     F, a = ws.F, ws.a
     if ws.line is None:
@@ -551,7 +574,7 @@ def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
     else:
         ws.line(U)
     # the load is added into the returned array, never into F
-    np.divide(F if ws.load is None else np.add(ws.load, F, out=a), ws.mass, out=a)
+    np.multiply(F if ws.load is None else np.add(ws.load, F, out=a), ws.inv_mass, out=a)
     if ws.any_pinned:
         a.reshape(-1)[ws.pin_at] = 0.0
     return a

@@ -330,7 +330,7 @@ def acceleration_jet(ws, consts, U: np.ndarray) -> np.ndarray:
     F = internal_force_jet(ws, consts, U)
     if ws.load is not None:
         F += ws.load
-    a = F / ws.mass
+    a = F / (ws.w * ws.inertia)
     a.reshape(-1)[ws.pin_at] = 0.0
     return a
 
@@ -408,10 +408,11 @@ def internal_force_allocating(ws, U: np.ndarray) -> np.ndarray:
 
 
 def acceleration_allocating(ws, U: np.ndarray) -> np.ndarray:
+    """The force (plus the load) times the reciprocal mass, 0 at the pinned entries."""
     F = internal_force_allocating(ws, U)
     if ws.load is not None:
         F = ws.load + F
-    a = F / ws.mass
+    a = F * (1.0 / (ws.w * ws.inertia))
     a.reshape(-1)[ws.pin_at] = 0.0
     return a
 
@@ -429,9 +430,13 @@ def step_allocating(ws, U: np.ndarray, V: np.ndarray, dt: float, a: np.ndarray):
 
 
 def energy_allocating(ws, U: np.ndarray, V: np.ndarray) -> tuple[float, float, float]:
-    """(kinetic_u, kinetic_phi, strain) of one state; strain = −½ U·F."""
-    kin = 0.5 * ws.w * ws.inertia * V**2
-    return (float(np.sum(kin[:6])), float(np.sum(kin[6:])),
+    """(kinetic_u, kinetic_phi, strain) of one state: ½ρχ of the u rows and of
+    the φ rows times the node sums (V∘V)w, and −½ U·F."""
+    half_inertia = 0.5 * ws.inertia.reshape(-1)
+    weights = np.array([np.where(np.arange(8) < 6, half_inertia, 0.0),
+                        np.where(np.arange(8) < 6, 0.0, half_inertia)])
+    kinetic_u, kinetic_phi = weights @ ((V * V).reshape(8, -1) @ ws.w.reshape(-1))
+    return (float(kinetic_u), float(kinetic_phi),
             -0.5 * float(np.vdot(U, internal_force_allocating(ws, U))))
 
 

@@ -160,8 +160,8 @@ def test_criterion_10_rigid_decomposition(equipartition_report):
 # roundoff size are pinned only to be below _ROUNDOFF in magnitude.
 SIMULATION_GOLDEN = {
     "identities": {
-        "energy_conservation": 4.9908291185359906e-05,
-        "energy_drift_refinement": 3.9948518510282596,
+        "energy_conservation": 4.990829118553347e-05,
+        "energy_drift_refinement": 3.9948518510421525,
         "order_res_energy_balance": 1.980167957556462,
         "order_res_virial": 1.9721576544816983,
         "order_res_two_time": 2.9410453174478624e-17,
@@ -185,11 +185,11 @@ SIMULATION_GOLDEN = {
         "influence_quiet_zone": 1.7722835611101484e-24,
     },
     "equipartition": {
-        "equipartition_gap_dirichlet": 1.2144247566112166e-05,
+        "equipartition_gap_dirichlet": 1.214424756658392e-05,
         "equipartition_decay_exponent": -0.95088126295933,
         "equipartition_rigid_exact": 7.3546085062476262e-16,
         "equipartition_rigid_exact_2d": 7.9657364337008684e-16,
-        "equipartition_free_offset": 2.373820150406634e-05,
+        "equipartition_free_offset": 2.373820150382264e-05,
         "rigid_normalization": 1.5130290924018507e-15,
     },
     "uniqueness": {

@@ -702,23 +702,30 @@ class TestConfigPhase:
     """Bad input exits 2 with ``config error: …`` before the command writes anything."""
 
     @staticmethod
-    def assert_refused(tmp_path, capsys, command, path):
+    def assert_refused(tmp_path, capsys, command, path) -> str:
+        """The stderr of a refused run."""
         before = sorted(p.name for p in tmp_path.iterdir())
         assert cli.main([command, "--config", str(path), *PHASE_ARGS[command]]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == before  # no output directory
+        return err
 
     @pytest.mark.parametrize("command", PHASE_ARGS)
     def test_a_config_that_is_not_utf8(self, tmp_path, capsys, command):
+        # a CR LF and a lone CR end a line each, as for the other config errors
         path = tmp_path / "run.cfg"
-        path.write_bytes(b"grid.n = 32\noutput = caf\xe9\n")
-        self.assert_refused(tmp_path, capsys, command, path)
+        path.write_bytes(b"grid.n = 32\r\n# note\routput = caf\xe9\n")
+        err = self.assert_refused(tmp_path, capsys, command, path)
+        assert err == f"config error: {path}: line 3: not UTF-8 text\n"
 
     @pytest.mark.parametrize("command", PHASE_ARGS)
     def test_a_material_file_that_is_not_utf8(self, tmp_path, capsys, command):
-        (tmp_path / "mat.txt").write_bytes(b"# caf\xe9\nzeta = 1.0\n")
+        # the material file is named, not the config that names it
+        (tmp_path / "mat.txt").write_bytes(b"zeta = 1.0\n# caf\xe9\n")
         path = write(tmp_path, "material = file:mat.txt\ngrid.n = 32\n")
-        self.assert_refused(tmp_path, capsys, command, path)
+        err = self.assert_refused(tmp_path, capsys, command, path)
+        assert err == f"config error: {tmp_path / 'mat.txt'}: line 2: not UTF-8 text\n"
 
     def test_verify_with_a_missing_material_file(self, tmp_path, capsys):
         path = write(tmp_path, "material = file:absent.txt\ngrid.n = 32\n")

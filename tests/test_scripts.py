@@ -75,7 +75,8 @@ def test_seed_sweep_lists_the_values_that_moved_against_an_old_sweep(monkeypatch
                       "--against", str(old)) == 1  # the failing check sets the exit code
     blocks = capsys.readouterr().out.split("\n\n")
     moved = blocks[2].splitlines()
-    assert moved[:2] == [f"moved against {old}: 2 of 5", "seed,name,old,new,ratio"]
+    assert moved[:2] == [f"moved against {old}: 2 of 5, the largest inf relative at seed 7 "
+                         "was_zero", "seed,name,old,new,ratio"]
     assert [row.split(",")[:2] for row in moved[2:]] == [["7", "drift"], ["7", "was_zero"]]
     ratio = float(moved[2].split(",")[4])
     assert ratio == pytest.approx(1 + 3e-12, rel=1e-13) and moved[3].endswith(",0.5,nan")
@@ -85,3 +86,37 @@ def test_seed_sweep_lists_the_values_that_moved_against_an_old_sweep(monkeypatch
     # a check that one sweep lacks is listed with the sweep that has it
     assert blocks[4].splitlines() == [f"in one sweep only against {old}: 2", "seed,name,sweep",
                                       "7,added,new", "7,gone,old"]
+
+
+def test_seed_sweep_names_the_largest_relative_move(monkeypatch, capsys, tmp_path):
+    # "big" moves furthest in absolute terms, "gap" at seed 2 furthest relative to its size
+    def fake_suite(name, seed):
+        report = verify.VerifyReport(suite=name)
+        report.checks += [verify.CheckResult("gap", "", 1e-5 * (1 + (3e-11, 5e-11)[seed - 1]),
+                                             math.inf),
+                          verify.CheckResult("big", "", 1e3 * (1 + 2e-11), math.inf)]
+        return report
+
+    old = tmp_path / "old.csv"
+    old.write_text("seed,name,measured,target,tol,passed\n"
+                   "1,gap,1e-05,0,0,1\n1,big,1000,0,0,1\n2,gap,1e-05,0,0,1\n2,big,1000,0,0,1\n")
+    monkeypatch.setattr(verify, "run_suite", fake_suite)
+    assert run_script(monkeypatch, "seed_sweep.py", "--suite", "decay", "--seeds", "1-2",
+                      "--against", str(old)) == 0
+    moved = capsys.readouterr().out.split("\n\n")[2].splitlines()
+    assert moved[0] == f"moved against {old}: 4 of 4, the largest 5e-11 relative at seed 2 gap"
+
+
+def test_seed_sweep_names_no_largest_move_when_nothing_moved(monkeypatch, capsys, tmp_path):
+    def fake_suite(name, seed):
+        report = verify.VerifyReport(suite=name)
+        report.checks.append(verify.CheckResult("steady", "", 2.0, math.inf))
+        return report
+
+    old = tmp_path / "old.csv"
+    old.write_text("seed,name,measured,target,tol,passed\n0,steady,2,0,0,1\n")
+    monkeypatch.setattr(verify, "run_suite", fake_suite)
+    assert run_script(monkeypatch, "seed_sweep.py", "--suite", "decay", "--seeds", "0-0",
+                      "--against", str(old)) == 0
+    moved = capsys.readouterr().out.split("\n\n")[2].splitlines()
+    assert moved[0] == f"moved against {old}: 0 of 1"

@@ -839,6 +839,57 @@ class TestEvaluationBuffers:
         assert sums == [s.U.sum() for s in states]
 
 
+class TestStoreAlignment:
+    """Every grid-sized array a step writes starts on a 64-byte boundary."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 17), (1, 18), (1, 801), (2, 17)])
+    def test_written_buffers_start_on_64_byte_boundaries(self, random_consts, dim, n):
+        prob = small_problem(random_consts, n=n, dim=dim)
+        state, ws = pm.initialize(prob), prob.workspace
+        written = [state.U, state.V, ws.F, ws.a, ws.scratch, *ws.Y, *ws.QY]
+        if dim == 1:  # the δ outputs of the line force, one entry into their rows
+            written += [out for _, _, out in ws.line.deltas]
+        assert [array.ctypes.data % 64 for array in written] == [0] * len(written)
+
+    def test_energy_split_does_not_depend_on_alignment(self, rng, random_consts):
+        prob = rough_problem(random_consts, "traction_free", 1, rng)
+        state = pm.stream(prob, n_steps=3)[0]
+        ws, shape = prob.workspace, state.U.shape
+        off = pm.StateField(t=state.t, U=solver._aligned(shape, phase=8),
+                            V=solver._aligned(shape, phase=8))
+        off.U[...], off.V[...] = state.U, state.V
+        assert off.U.ctypes.data % 64 == 8 and off.V.ctypes.data % 64 == 8
+        assert ws.energy_split(off) == ws.energy_split(state)
+
+
+class TestReciprocalMass:
+    """``acceleration`` times ``inv_mass`` and the factored kinetic split stay within
+    roundoff of F/m and of Σ ½mV²."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", BOUNDARY_CASES)
+    def test_acceleration_is_within_2_ulp_of_force_over_mass(self, rng, random_consts,
+                                                             kind, dim):
+        prob = buffer_case_problem(random_consts, kind, dim)
+        ws = prob.workspace
+        a = acceleration(ws, rng.standard_normal((8,) + prob.grid.shape))
+        quotient = (ws.F if ws.load is None else ws.load + ws.F) / (ws.w * ws.inertia)
+        quotient.reshape(-1)[ws.pin_at] = 0.0
+        np.testing.assert_array_max_ulp(a, quotient, maxulp=2)
+
+    @pytest.mark.parametrize("dim,n", [(1, 17), (1, 801), (2, 17)])
+    def test_kinetic_split_is_within_1e_15_of_the_sum_of_half_m_v2(self, rng, random_consts,
+                                                                   dim, n):
+        ws = small_problem(random_consts, n=n, dim=dim).workspace
+        state = pm.StateField(t=0.0, U=np.zeros((8,) + ws.grid.shape),
+                              V=rng.standard_normal((8,) + ws.grid.shape))
+        ws.F[...] = 0.0
+        _, kin_u, kin_phi, _ = ws.energy_split(state)
+        terms = 0.5 * ws.w * ws.inertia * state.V**2
+        for got, rows in ((kin_u, terms[:6]), (kin_phi, terms[6:])):
+            assert got == pytest.approx(math.fsum(rows.reshape(-1)), rel=1e-15, abs=0.0)
+
+
 def rough_problem(consts, kind: str, dim: int, rng, **cadence) -> pm.ProblemSpec:
     """A buffer-case problem with random initial data and a short T."""
     def noise(lead):
