@@ -593,8 +593,8 @@ class IdentitySeries:
         identities, through its rate of work load·V, its virial rate load·U
         and the two-time term ∫₀ᵗ load·(U(t+s) − U(t−s)) ds.  Homogeneous
         conditions contribute exactly zero.  Nonzero Dirichlet data are
-        refused: their reaction work U·R would need the one-sided discrete
-        boundary traction, and without it the residuals are wrong.
+        refused: the virial and two-time identities lack the terms of the
+        reaction −(F + load) at the pinned entries (F is ``ws.F``).
 
         Raises:
             InsufficientSnapshots: fewer than 3 sampled states, or a
@@ -605,8 +605,8 @@ class IdentitySeries:
         if len(rows) < 3:
             raise InsufficientSnapshots("need at least 3 snapshots")
         if self.ws.pin_to.any():
-            raise InvalidParameter("identity residuals need zero Dirichlet data: the reaction "
-                                   "work of nonzero prescribed values is not evaluated")
+            raise InvalidParameter("identity residuals need zero Dirichlet data: the virial and "
+                                   "two-time identities lack the reaction terms of nonzero values")
         times, kinetic_u, kinetic_phi, strain, qpair, rate_v, rate_u, cross = rows.T
         steps = np.diff(times)
         if (np.max(steps) - np.min(steps)) > 1e-9 * max(np.max(steps), 1e-300):

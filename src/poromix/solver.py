@@ -182,13 +182,6 @@ class BoundaryPartition:
             raise InvalidParameter(f"missing boundary condition {family}.{key}")
         return table[key]
 
-    def dirichlet_mask(self, family: str, grid: Grid) -> np.ndarray:
-        mask = np.zeros(grid.shape, dtype=bool)
-        for axis, end in grid.sides():
-            if self.side(family, axis, end).kind == "dirichlet":
-                mask[grid.side_slicer(axis, end)] = True
-        return mask
-
     def meas_sigma1_zero(self, grid: Grid) -> bool:
         """True when no displacement Dirichlet side exists (all-traction boundary)."""
         return all(self.side("u", a, e).kind != "dirichlet" for a, e in grid.sides())
@@ -383,18 +376,23 @@ _FAMILY_ROWS = {"u": (U1_ROWS, U2_ROWS),
                 "phi": (slice(PHI1_ROW, PHI1_ROW + 1), slice(PHI2_ROW, PHI2_ROW + 1))}
 
 
-def boundary_data(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray | None]:
-    """The pinned values and the ``Workspace.load`` of ``problem``: each side's
-    groups pinned on its Dirichlet nodes in side order, and times the surface
-    weights summed into the load (None when no natural side carries values)."""
+def boundary_data(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(``pin_at``, ``pin_to``, ``load``) of ``problem``, from one walk over the sides:
+    the flat indices in an (8, *grid) array of every entry on a Dirichlet side of its
+    family, their values (each valued side's groups in side order; +0.0 for a −0.0,
+    the bits a drift by V = 0 leaves), and the natural sides' groups times the surface
+    weights, summed (None when no natural side carries values)."""
     grid = problem.grid
-    pin_values = np.zeros((STATE_ROWS,) + grid.shape)
-    load = np.zeros(pin_values.shape)
+    shape = (STATE_ROWS,) + grid.shape
+    pinned, pin_values, load = np.zeros(shape, dtype=bool), np.zeros(shape), np.zeros(shape)
     loaded = False
     for axis, end in grid.sides():
         sl = grid.side_slicer(axis, end)
         for family, rows_ab in _FAMILY_ROWS.items():
             side = problem.boundary.side(family, axis, end)
+            if side.kind == "dirichlet":
+                for row in rows_ab:
+                    pinned[(row,) + sl] = True
             if side.values is None:
                 continue
             for row, group in zip(rows_ab, side.values):
@@ -405,7 +403,8 @@ def boundary_data(problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray | None]:
                 else:
                     load[at] += grid.side_weights(axis) * val
                     loaded = True
-    return pin_values, load if loaded else None
+    pin_at = np.flatnonzero(pinned)
+    return pin_at, pin_values.reshape(-1)[pin_at] + 0.0, load if loaded else None
 
 
 class Workspace:
@@ -414,18 +413,18 @@ class Workspace:
     Holds the node weights, the jet form Q = Pᵀ𝒜P (𝒜 is the material's
     ``consts.form``) on the raw jet (U, δ₁U, …), the force weights of its
     blocks, the row inertias of the stacked state, the reciprocal node
-    masses ``inv_mass`` (1/(w ρχ)), the kinetic row weights
-    ``kinetic_rows`` and the static boundary data (``boundary_data``): the
-    pinned entries ``pin_at`` and their values ``pin_to``, and the ``load``
-    of the prescribed tractions/fluxes times the surface weights (None when
-    no natural side carries values).  It also holds the evaluation buffers,
-    64-byte aligned (``_aligned``), for as long as its problem lives:
-    the jet ``Y`` and the stresses ``QY`` ((1 + dim, 8, *grid)), which
-    ``stress`` and the 2-D force share, the internal force ``F`` that
-    ``acceleration`` assembles in a buffer of its own, ``scratch``, the
-    acceleration ``a`` and, on a line of six or more nodes, the
-    ``_LineForce`` ``line`` that writes F from the stencil of Q's blocks.
-    Reach it through ``ProblemSpec.workspace``.
+    masses ``inv_mass`` (1/(w ρχ), 0 at the pinned entries), the kinetic row
+    weights ``kinetic_rows`` and the static boundary data
+    (``boundary_data``): the pinned entries ``pin_at`` and their values
+    ``pin_to``, and the ``load`` of the prescribed tractions/fluxes times
+    the surface weights (None when no natural side carries values).  It
+    also holds the evaluation buffers, 64-byte aligned (``_aligned``), for
+    as long as its problem lives: the jet ``Y`` and the stresses ``QY``
+    ((1 + dim, 8, *grid)), which ``stress`` and the 2-D force share, the
+    internal force ``F`` that ``acceleration`` assembles in a buffer of its
+    own, ``scratch``, the acceleration ``a`` and, on a line of six or more
+    nodes, the ``_LineForce`` ``line`` that writes F from the stencil of
+    Q's blocks.  Reach it through ``ProblemSpec.workspace``.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -452,12 +451,10 @@ class Workspace:
         # these and w no second grid-sized mass array is kept
         u_rows = np.arange(STATE_ROWS) < PHI1_ROW
         self.kinetic_rows = 0.5 * np.stack([u_rows, ~u_rows]) * self.inertia.reshape(-1)
-        mask_u, mask_phi = (problem.boundary.dirichlet_mask(f, grid) for f in ("u", "phi"))
-        pin_values, self.load = boundary_data(problem)
-        # The pinned entries as flat indices of an (8, *grid) array, and their values.
-        self.pin_at = np.flatnonzero(np.stack([mask_u] * 6 + [mask_phi] * 2))
-        self.pin_to = pin_values.reshape(-1)[self.pin_at]
-        self.any_pinned = self.pin_at.size > 0
+        self.pin_at, self.pin_to, self.load = boundary_data(problem)
+        # zero reciprocal mass at the pinned entries: their acceleration is exactly 0,
+        # so a state on the Dirichlet data stays on it
+        self.inv_mass.reshape(-1)[self.pin_at] = 0.0
         self.Y, self.QY = (_aligned((1 + grid.dim, STATE_ROWS) + grid.shape) for _ in range(2))
         self.F, self.scratch, self.a = (_aligned((STATE_ROWS,) + grid.shape) for _ in range(3))
         # The same force on a line as blocks of −K on differences of U (None in 2-D and
@@ -561,8 +558,8 @@ def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
     assembled in ``ws.F``, where it stays until the next ``acceleration``
     (``stress`` leaves it intact); ``Workspace.energy_split`` reads each
     recorded state's strain energy −½ U·F from it.  The result, the force
-    times the reciprocal mass ``ws.inv_mass`` (0 at the pinned entries), is
-    ``ws.a``, which the next evaluation overwrites: copy it to keep it.
+    times the reciprocal mass ``ws.inv_mass`` (so ±0 at the pinned entries),
+    is ``ws.a``, which the next evaluation overwrites: copy it to keep it.
     """
     F, a = ws.F, ws.a
     if ws.line is None:
@@ -575,8 +572,6 @@ def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
         ws.line(U)
     # the load is added into the returned array, never into F
     np.multiply(F if ws.load is None else np.add(ws.load, F, out=a), ws.inv_mass, out=a)
-    if ws.any_pinned:
-        a.reshape(-1)[ws.pin_at] = 0.0
     return a
 
 
@@ -588,25 +583,20 @@ def step(state: StateField, problem: ProblemSpec, dt: float,
     ``state``: ``stream`` evaluates it before its first step, and each step
     leaves the new state's there (see ``acceleration``).  The last evaluation
     is the new state's force, so ``ws.F`` holds its internal force on return.
+    A pinned entry has zero reciprocal mass, so a state on the Dirichlet data,
+    as ``stream`` projects it, stays there.  U and V may be strided views.
     Returns ``state``.  No step allocates a grid-sized array.
 
     Raises:
-        InvalidParameter: if U or V is not C-contiguous, as ``initialize`` makes them.
         NonFinite: if any updated value is not finite (instability signal).
     """
     ws = problem.workspace
     U, V, scratch = state.U, state.V, ws.scratch
-    if not (U.flags.c_contiguous and V.flags.c_contiguous):  # the pins write through flat views
-        raise InvalidParameter("step advances U and V in place: both must be C-contiguous")
     half = 0.5 * dt
     V += np.multiply(ws.a, half, out=scratch)  # kick
     U += np.multiply(V, dt, out=scratch)  # drift
-    if ws.any_pinned:
-        U.reshape(-1)[ws.pin_at] = ws.pin_to
     state.t += dt
     V += np.multiply(acceleration(ws, U), half, out=scratch)
-    if ws.any_pinned:
-        V.reshape(-1)[ws.pin_at] = 0.0
     # |U|² + |V|² overflows only far beyond any stable state; then each value is checked
     if not (math.isfinite(np.vdot(U, U) + np.vdot(V, V))
             or (np.isfinite(U).all() and np.isfinite(V).all())):
@@ -621,8 +611,8 @@ def stream(
 ) -> tuple[StateField, EnergySeries, list[list]]:
     """The run loop: integrate the problem to T, reducing each snapshot as it is taken.
 
-    Step 0 is the t = 0 state, projected onto the Dirichlet data as ``step``
-    projects every later one (U takes the pinned values, V = 0 there).
+    Step 0 is the t = 0 state, projected onto the Dirichlet data (U takes
+    the pinned values, V = 0 there), where every ``step`` keeps it.
     Every ``problem.energy_every`` steps the state's
     ``Workspace.energy_split`` joins the energy series; every
     ``problem.snapshot_every`` steps (a snapshot) the state goes through

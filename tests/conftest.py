@@ -50,3 +50,15 @@ def stack_law(materials) -> pm.MaterialConstants:
     """The materials as one law of batch shape (k, 1), for states of batch shape (k, s)."""
     return pm.MaterialConstants(**{key: np.stack([getattr(m, key) for m in materials])[:, None]
                                    for key in pm.materials.MATERIAL_KEYS})
+
+
+def assert_golden(values: dict[str, float], golden: dict[str, float], rel: float,
+                  floor: float = 0.0) -> None:
+    """Fail once, listing every (name, pinned, got) that moved: a pinned value of
+    magnitude ``floor`` or more must hold to ``rel`` relative, a smaller one only
+    stay below ``floor`` in magnitude."""
+    assert values.keys() == golden.keys()
+    moved = [(name, pinned, values[name]) for name, pinned in golden.items()
+             if not (abs(values[name] - pinned) <= rel * abs(pinned) if abs(pinned) >= floor
+                     else abs(values[name]) <= floor)]
+    assert not moved, "moved (name, pinned, got):\n" + "\n".join(map(repr, moved))

@@ -23,6 +23,8 @@ import pytest
 
 from poromix import verify
 
+from .conftest import assert_golden
+
 SEED = 0
 
 
@@ -200,23 +202,26 @@ SIMULATION_GOLDEN = {
 _ROUNDOFF = 1e-12
 
 
-def _assert_pinned(values: dict[str, float], golden: dict[str, float]) -> None:
-    assert values.keys() == golden.keys()
-    for name, pinned in golden.items():
-        if abs(pinned) >= _ROUNDOFF:
-            assert values[name] == pytest.approx(pinned, rel=1e-12, abs=0.0), name
-        else:
-            assert abs(values[name]) <= _ROUNDOFF, name
-
-
 def _check_values(report) -> dict[str, float]:
     return {c.name: c.measured for c in report.checks if not c.name.startswith("runtime_")}
 
 
 @pytest.mark.parametrize("suite", sorted(SIMULATION_GOLDEN))
 def test_simulation_check_values_are_unchanged(suite, request):
-    _assert_pinned(_check_values(request.getfixturevalue(f"{suite}_report")),
-                   SIMULATION_GOLDEN[suite])
+    assert_golden(_check_values(request.getfixturevalue(f"{suite}_report")),
+                  SIMULATION_GOLDEN[suite], rel=1e-12, floor=_ROUNDOFF)
+
+
+def test_every_moved_check_value_is_listed_at_once():
+    golden = SIMULATION_GOLDEN["identities"]
+    values = dict(golden, energy_conservation=5e-05, order_res_virial=2.0,
+                  order_res_two_time=2e-12, energy_drift_refinement=3.9948518510421525 * (1 + 9e-13))
+    with pytest.raises(AssertionError) as failure:
+        assert_golden(values, golden, rel=1e-12, floor=_ROUNDOFF)
+    listed = str(failure.value)
+    for name in ("energy_conservation", "order_res_virial", "order_res_two_time"):
+        assert repr((name, golden[name], values[name])) in listed
+    assert "energy_drift_refinement" not in listed and "order_res_energy_balance" not in listed
 
 
 # The runs of each suite that record snapshots, and the most nodes of one of them:

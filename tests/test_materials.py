@@ -27,7 +27,7 @@ from poromix.materials import (
 )
 from poromix.pointwise import PointState, strain_vector
 
-from .conftest import random_point_state
+from .conftest import assert_golden, random_point_state
 from . import oracles
 from .oracles import power_identity_residuals
 
@@ -550,9 +550,7 @@ class TestConstitutiveSweep:
     def test_check_values_are_unchanged(self, seed):
         report = verify.suite_constitutive(seed)
         values = {c.name: c.measured for c in report.checks if not c.name.startswith("runtime_")}
-        assert values.keys() == SWEEP_GOLDEN[seed].keys()
-        for name, golden in SWEEP_GOLDEN[seed].items():
-            assert values[name] == pytest.approx(golden, rel=1e-14, abs=0.0), name
+        assert_golden(values, SWEEP_GOLDEN[seed], rel=1e-14)
         bound = next(c for c in report.checks if c.name == "stress_energy_bound")
         assert bound.detail == "operator bound 1"
 

@@ -265,13 +265,15 @@ class TestForceIsEnergyGradient:
         a = acceleration(ws, U)
         eps = 1e-6
         k = random_consts
-        mask_u, mask_phi = (prob.boundary.dirichlet_mask(family, grid) for family in ("u", "phi"))
+        pinned = np.zeros((8,) + shape, dtype=bool)
+        pinned.reshape(-1)[ws.pin_at] = True
         idx = list(np.ndindex(shape))
         for trial in range(16):
             node = idx[rng.integers(0, len(idx))]
             i = int(rng.integers(0, 3))
-            for row, masked, inertia in ((i, mask_u, k.rho1), (6, mask_phi, k.rho1 * k.chi1)):
-                if masked[node]:
+            for row, inertia in ((i, k.rho1), (6, k.rho1 * k.chi1)):
+                if pinned[(row,) + node]:
+                    assert a[(row,) + node] == 0.0
                     continue
                 up, um = U.copy(), U.copy()
                 up[(row,) + node] += eps
@@ -602,6 +604,16 @@ def buffer_case_problem(consts, kind: str, dim: int) -> pm.ProblemSpec:
     return small_problem(consts, n=17, dim=dim, boundary=pm.BoundaryPartition(u=u, phi=phi))
 
 
+def dirichlet_state(rng, ws) -> tuple[np.ndarray, np.ndarray]:
+    """A random (U, V) on the Dirichlet data: U = ``pin_to`` and V = 0 at ``pin_at``,
+    as ``stream`` projects its initial state."""
+    shape = (8,) + ws.grid.shape
+    U, V = rng.standard_normal(shape), rng.standard_normal(shape)
+    U.reshape(-1)[ws.pin_at] = ws.pin_to
+    V.reshape(-1)[ws.pin_at] = 0.0
+    return U, V
+
+
 def internal_force(ws, U):
     """F = −KU, as ``acceleration`` leaves it in the workspace's F buffer."""
     acceleration(ws, U)
@@ -704,8 +716,7 @@ class TestEvaluationBuffers:
     def test_force_and_step_match_allocating_oracle(self, rng, random_consts, kind, dim):
         prob = buffer_case_problem(random_consts, kind, dim)
         ws = prob.workspace
-        shape = (8,) + prob.grid.shape
-        U, V = rng.standard_normal(shape), rng.standard_normal(shape)
+        U, V = dirichlet_state(rng, ws)
         a = acceleration(ws, U)
         np.testing.assert_array_equal(a, oracles.acceleration_allocating(ws, U))
         # step advances U, V and a in place, so the oracle gets copies
@@ -718,8 +729,8 @@ class TestEvaluationBuffers:
     @pytest.mark.parametrize("kind", BOUNDARY_CASES)
     def test_step_advances_its_own_state(self, rng, random_consts, kind, dim):
         prob = buffer_case_problem(random_consts, kind, dim)
-        ws, shape, dt = prob.workspace, (8,) + prob.grid.shape, 1e-3
-        U, V = rng.standard_normal(shape), rng.standard_normal(shape)
+        ws, dt = prob.workspace, 1e-3
+        U, V = dirichlet_state(rng, ws)
         state = pm.StateField(t=0.0, U=U, V=V)
         a = acceleration(ws, U)
         want = U.copy(), V.copy(), a.copy()
@@ -732,15 +743,30 @@ class TestEvaluationBuffers:
             for array, expected in zip((U, V, a), want):
                 np.testing.assert_array_equal(array, expected)
 
-    def test_step_refuses_a_strided_state(self, rng, random_consts):
-        # pinning a copy of a strided U would leave the pinned nodes of the state free
-        prob = buffer_case_problem(random_consts, "dirichlet_zero", 1)
-        rows = rng.standard_normal((2, 8, prob.grid.n[0] + 3))
-        state = pm.StateField(t=0.0, U=rows[0, :, :-3], V=rows[1, :, :-3])
-        kept = rows.copy()
-        with pytest.raises(InvalidParameter, match="C-contiguous"):
-            pm.step(state, prob, 1e-3)
-        assert state.t == 0.0 and np.array_equal(rows, kept)
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["dirichlet_zero", "prescribed_value"])
+    def test_a_strided_state_steps_like_a_contiguous_one(self, rng, random_consts, kind, dim):
+        prob = buffer_case_problem(random_consts, kind, dim)
+        ws = prob.workspace
+        U, V = dirichlet_state(rng, ws)
+        # U and V as views into padded arrays, strided along every grid axis
+        padded = rng.standard_normal((2, 8) + tuple(n + 3 for n in prob.grid.shape))
+        inside = (slice(None), slice(None)) + (slice(0, -3),) * dim
+        views, outside = padded[inside], np.ones(padded.shape, dtype=bool)
+        views[0], views[1] = U, V
+        outside[inside] = False
+        kept = padded[outside]
+        assert not views[0].flags.c_contiguous
+        states = [pm.StateField(t=0.0, U=U, V=V), pm.StateField(t=0.0, U=views[0], V=views[1])]
+        for state in states:
+            acceleration(ws, state.U)
+            for k in range(1, 4):
+                pm.step(state, prob, 1e-3, step_index=k)
+        contiguous, strided = states
+        assert strided.t == contiguous.t
+        for got, want in ((strided.U, contiguous.U), (strided.V, contiguous.V)):
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        np.testing.assert_array_equal(padded[outside], kept)  # the padding is left as it was
 
     @pytest.mark.parametrize("walls", ["natural", "dirichlet"])
     def test_steady_state_step_allocates_no_grid_sized_array(self, random_consts, walls):
@@ -1046,19 +1072,32 @@ class TestRunLoop:
 
 
 class TestInitialDirichletProjection:
-    def test_recorded_initial_state_satisfies_dirichlet_data(self, random_consts):
-        u = {"x0": pm.SideCondition("dirichlet", ((0.1, 0.1, 0.1), (0.0, 0.0, 0.0))),
-             "x1": pm.SideCondition("natural")}
-        phi = {"x0": pm.SideCondition("dirichlet"), "x1": pm.SideCondition("natural")}
-        prob = small_problem(random_consts, n=32, T=0.01, snapshot_every=1,
-                             boundary=pm.BoundaryPartition(u=u, phi=phi),
-                             initial=pm.InitialData(v1=lambda x: np.ones((3,) + x.shape[1:]),
-                                                    phi1=lambda x: 1.0 + x[0]))
-        states = pm.stream(prob, [pm.StateField.copy])[2][0]
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", BOUNDARY_CASES)
+    def test_recorded_states_keep_the_pinned_bits(self, rng, random_consts, kind, dim):
+        prob = rough_problem(random_consts, kind, dim, rng, snapshot_every=1)
+        states = pm.stream(prob, [pm.StateField.copy], n_steps=6)[2][0]
         ws = prob.workspace
-        assert ws.pin_to.any()
+        assert (ws.pin_at.size > 0) == (kind in ("dirichlet_zero", "prescribed_value"))
+        assert ws.pin_to.any() == (kind == "prescribed_value")
+        free = np.ones(ws.inv_mass.shape, dtype=bool)
+        free.reshape(-1)[ws.pin_at] = False
+        assert not ws.inv_mass.reshape(-1)[ws.pin_at].any() and (ws.inv_mass[free] > 0.0).all()
+        assert len(states) == 7
         for s in states:
-            np.testing.assert_array_equal(s.U.reshape(-1)[ws.pin_at], ws.pin_to)
-            assert not s.V.reshape(-1)[ws.pin_at].any()
+            assert s.U.reshape(-1)[ws.pin_at].tobytes() == ws.pin_to.tobytes()
+            assert s.V.reshape(-1)[ws.pin_at].tobytes() == bytes(8 * ws.pin_at.size)  # +0.0
         # the raw sample keeps the initial data; only the integrated state is projected
-        assert pm.initialize(prob).V.reshape(-1)[ws.pin_at].any()
+        assert pm.initialize(prob).V.reshape(-1)[ws.pin_at].all()
+
+    def test_a_prescribed_negative_zero_is_held_as_positive_zero(self, random_consts):
+        # a drift by V = 0 turns −0.0 into +0.0, so the pins start with the bits it leaves
+        u = {"x0": pm.SideCondition("dirichlet", ((-0.0, 0.1, -0.0), (0.0, -0.0, -0.2))),
+             "x1": pm.SideCondition("natural")}
+        phi = {"x0": pm.SideCondition("natural"), "x1": pm.SideCondition("dirichlet", (-0.0, 0.5))}
+        prob = small_problem(random_consts, n=17, T=0.002, snapshot_every=1,
+                             boundary=pm.BoundaryPartition(u=u, phi=phi))
+        ws = prob.workspace
+        np.testing.assert_array_equal(np.signbit(ws.pin_to), ws.pin_to < 0.0)
+        for s in pm.stream(prob, [pm.StateField.copy], n_steps=3)[2][0]:
+            assert s.U.reshape(-1)[ws.pin_at].tobytes() == ws.pin_to.tobytes()
