@@ -16,11 +16,15 @@ to each snapshot as it is taken, and an assembly from the resulting series
 (``SurfaceShells.flux``, ``FrontSweep.report``, ``IdentitySeries.residuals``),
 so peak memory is O(grid), not grid × snapshot count.  The run advances one
 state in place, so only the t = 0 state, which the two-time identity pairs
-with every later one, is copied.
+with every later one, is copied.  The reductions evaluate in the
+workspace's evaluation scratch (``Workspace.Y``, ``QY`` and ``scratch``),
+valid only until the next workspace call that writes it, so a snapshot's
+reduction allocates no (8, *grid) temporary either.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -33,7 +37,6 @@ from .errors import (
     NoFront,
     UndefinedAtZero,
 )
-from .fields import stored_energy
 from .solver import (
     EnergySeries,
     ProblemSpec,
@@ -244,17 +247,42 @@ class SurfaceShells:
         plus a reverse cumulative sum; a face's flux averages the two nodal
         values of (QY)ⱼ·V = Σ_α [S^α[:, j]·u̇^α + h^α_j φ̇^α].  One
         ``Workspace.stress`` call, so O(grid) whatever the number of radii.
+        It evaluates in the workspace's evaluation scratch, ``Y``, ``QY``
+        and ``scratch``, which it leaves overwritten, in the arithmetic
+        order of the formulas: it allocates no (8, *grid) temporary, and its
+        rows are bit-identical to theirs.
         """
-        ws, nr = self.ws, len(self.r_grid)
+        ws, nr, grid = self.ws, len(self.r_grid), self.ws.grid
         Y, QY = ws.stress(state.U)
-        eps = 0.5 * np.sum(ws.inertia * state.V**2, axis=0) + stored_energy(Y, QY)
-        per_shell = np.bincount(self.shell.ravel(), weights=(ws.w * eps).ravel(), minlength=nr + 1)
-        face_flux = []
-        for axis in range(ws.grid.dim):
-            s_lo, s_hi = _axis_faces(QY[1 + axis], 1 + axis)
-            v_lo, v_hi = _axis_faces(state.V, 1 + axis)
-            face_flux.append(0.25 * np.einsum("c...,c...->...", s_lo + s_hi, v_lo + v_hi).ravel())
-        flux = np.bincount(self.radii, weights=self.areas * np.concatenate(face_flux)[self.faces],
+        # ε = ½ Σ ρχ V² + ½ Y·QY node by node, in the workspace's scratch and, once the
+        # stored energy is taken, in Y's rows
+        eps = np.einsum("bc...,bc...->...", Y, QY, out=ws.scratch[0])
+        np.multiply(eps, 0.5, out=eps)
+        kinetic = ws.inertia_times(np.square(state.V, out=Y[0]), out=Y[0])
+        kinetic = np.sum(kinetic, axis=0, out=Y[1, 0])
+        np.add(np.multiply(kinetic, 0.5, out=kinetic), eps, out=eps)
+        per_shell = np.bincount(self.shell.ravel(), weights=np.multiply(ws.w, eps, out=eps).ravel(),
+                                minlength=nr + 1)
+        # each face's (QY)ⱼ and V summed over its two nodes, by one shifted add of the
+        # flattened rows into Y's rows; the sums that wrap across rows are never read
+        flux_all, start = ws.scratch.reshape(-1), 0
+        for axis in range(grid.dim):
+            shift = math.prod(grid.shape[axis + 1:])  # the flat stride of the axis
+            sums = []
+            for total, field in ((Y[0], QY[1 + axis]), (Y[1], state.V)):
+                flat = field.reshape(-1)
+                np.add(flat[:-shift], flat[shift:], out=total.reshape(-1)[:-shift])
+                sums.append(_axis_faces(total, 1 + axis)[0])
+            face = flux_all[start:start + sums[0][0].size].reshape(sums[0].shape[1:])
+            np.einsum("c...,c...->...", *sums, out=face)
+            np.multiply(face, 0.25, out=face)
+            start += face.size
+        # each (face, radius) entry's area times its face flux, in the scratch after those
+        entries = flux_all[start:start + len(self.faces)]
+        if entries.size < len(self.faces):  # radii denser than the grid: more than fit
+            entries = np.empty(len(self.faces))
+        np.take(flux_all[:start], self.faces, out=entries, mode="clip")
+        flux = np.bincount(self.radii, weights=np.multiply(self.areas, entries, out=entries),
                            minlength=nr)
         return state.t, np.stack([flux, np.cumsum(per_shell[::-1])[::-1][1:]])
 
@@ -563,7 +591,9 @@ class IdentitySeries:
     ``pair_product(state, state)``, the rates of work and of virial work of
     the static load (0 without one) and cross = ⟨state0, state⟩ + ⟨state,
     state0⟩, the two-time pairing with the first state, which it copies.
-    λ is the problem's ``lam``.
+    λ is the problem's ``lam``.  A sample evaluates in the workspace's
+    ``scratch`` and ``Y``, which it leaves overwritten, and allocates no
+    (8, *grid) temporary after the first.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -577,8 +607,8 @@ class IdentitySeries:
             self.state0 = state.copy()
         rate_v = rate_u = 0.0
         if ws.load is not None:
-            rate_v = float(np.sum(ws.load * state.V))
-            rate_u = float(np.sum(ws.load * state.U))
+            rate_v = float(np.sum(np.multiply(ws.load, state.V, out=ws.scratch)))
+            rate_u = float(np.sum(np.multiply(ws.load, state.U, out=ws.scratch)))
         self.samples.extend(ws.energy_split(state))
         self.samples.extend((ws.pair_product(state, state), rate_v, rate_u,
                              ws.pair_product(self.state0, state)

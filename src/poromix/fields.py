@@ -52,9 +52,8 @@ STATE_FIELDS = {
 }
 
 
-# One-sided end rows of δ, and the same rows transposed and negated for F −= δᵀq.
+# One-sided end rows of δ.
 _FIRST_ROW, _LAST_ROW = np.array([[-3.0, 4.0, -1.0]]), np.array([[1.0, -4.0, 3.0]])
-_FIRST_COL, _LAST_COL = -_FIRST_ROW.T, -_LAST_ROW.T
 
 
 def difference(U: np.ndarray, ax: int, out: np.ndarray) -> np.ndarray:
@@ -62,14 +61,20 @@ def difference(U: np.ndarray, ax: int, out: np.ndarray) -> np.ndarray:
 
     One contiguous subtraction of the flattened array, shifted by two strides
     of the axis, fills every interior node; the shift wraps across rows only
-    at the end nodes, which the one-sided rows then overwrite.
+    at the end nodes, which the one-sided rows then overwrite: one strided
+    (rows, 3)·(3,) product per end along the last axis, one matmul per end
+    along any other.
     """
     U = np.ascontiguousarray(U)
     n, s = U.shape[ax], math.prod(U.shape[ax + 1:])  # s: the flat stride of the axis
     u, d, flat_u = U.reshape(-1, n, s), out.reshape(-1, n, s), U.reshape(-1)
     np.subtract(flat_u[2 * s:], flat_u[:-2 * s], out=out.reshape(-1)[s:-s])
-    np.matmul(_FIRST_ROW, u[:, :3], out=d[:, :1])
-    np.matmul(_LAST_ROW, u[:, -3:], out=d[:, -1:])
+    if s == 1:
+        np.vecdot(u[:, :3, 0], _FIRST_ROW[0], out=d[:, 0, 0])
+        np.vecdot(u[:, -3:, 0], _LAST_ROW[0], out=d[:, -1, 0])
+    else:
+        np.matmul(_FIRST_ROW, u[:, :3], out=d[:, :1])
+        np.matmul(_LAST_ROW, u[:, -3:], out=d[:, -1:])
     return out
 
 
@@ -78,13 +83,20 @@ def subtract_adjoint(F: np.ndarray, q: np.ndarray, ax: int) -> np.ndarray:
 
     sum(δf·q) == sum(f·δᵀq) to roundoff for every f, q, so the assembled
     semi-discrete operator is exactly symmetric.  ``q`` (C-contiguous, like
-    F) is scratch: the end-row terms go first, then q's end rows are zeroed,
-    so the two contiguous shifted updates add only the interior terms.
+    F) is scratch.  The end-row terms go first: node k from either end
+    takes (3, −4, 1)ₖ times q's end row, negated at the last end, added one
+    node at a time in place.  4q is exact and 0.75·4q rounds 3q, so each
+    product is rounded once and no temporary is made.  Then q's end rows
+    are zeroed, so the two contiguous shifted updates add only the interior
+    terms.
     """
     n, s = F.shape[ax], math.prod(F.shape[ax + 1:])
     f, r = F.reshape(-1, n, s), q.reshape(-1, n, s)
-    f[:, :3] += np.matmul(_FIRST_COL, r[:, :1])
-    f[:, -3:] += np.matmul(_LAST_COL, r[:, -1:])
+    np.negative(r[:, -1], out=r[:, -1])
+    for f_end, q_end in ((f[:, :3], r[:, 0]), (f[:, :-4:-1], r[:, -1])):
+        np.add(f_end[:, 2], q_end, out=f_end[:, 2])
+        np.subtract(f_end[:, 1], np.multiply(q_end, 4.0, out=q_end), out=f_end[:, 1])
+        np.add(f_end[:, 0], np.multiply(q_end, 0.75, out=q_end), out=f_end[:, 0])
     r[:, ::n - 1] = 0.0  # the first and the last row
     flat_f, flat_q = F.reshape(-1), q.reshape(-1)
     flat_f[s:] -= flat_q[:-s]

@@ -10,8 +10,9 @@ stencils plus the static load of prescribed tractions and fluxes); Dirichlet
 conditions pin static nodal values.  Besides the initial data, these static
 boundary values are the only applied data, and the :class:`Workspace`
 evaluates them once.  The state is stacked as U = (u¹, u², φ¹, φ²) with
-V = U̇; the force comes from the raw differences and the jet form Q of
-:mod:`poromix.fields`, on a line from the stencil of Q's blocks.
+V = U̇; the force comes from the raw differences and the two blocks of the
+jet form Q of :mod:`poromix.fields` that the law decouples, on a line of six
+or more nodes from the stencil of Q's blocks.
 ``stream`` is the one run loop: it records the energy split (strain energy
 −½ U·F, ``Workspace.energy_split``) on its cadence and reduces each snapshot
 as it is taken.
@@ -411,20 +412,25 @@ class Workspace:
     """The per-problem context shared by the solver and the diagnostics, built whole once.
 
     Holds the node weights, the jet form Q = Pᵀ𝒜P (𝒜 is the material's
-    ``consts.form``) on the raw jet (U, δ₁U, …), the force weights of its
-    blocks, the row inertias of the stacked state, the reciprocal node
-    masses ``inv_mass`` (1/(w ρχ), 0 at the pinned entries), the kinetic row
-    weights ``kinetic_rows`` and the static boundary data
-    (``boundary_data``): the pinned entries ``pin_at`` and their values
-    ``pin_to``, and the ``load`` of the prescribed tractions/fluxes times
-    the surface weights (None when no natural side carries values).  It
-    also holds the evaluation buffers, 64-byte aligned (``_aligned``), for
-    as long as its problem lives: the jet ``Y`` and the stresses ``QY``
-    ((1 + dim, 8, *grid)), which ``stress`` and the 2-D force share, the
-    internal force ``F`` that ``acceleration`` assembles in a buffer of its
-    own, ``scratch``, the acceleration ``a`` and, on a line of six or more
-    nodes, the ``_LineForce`` ``line`` that writes F from the stencil of
-    Q's blocks.  Reach it through ``ProblemSpec.workspace``.
+    ``consts.form``) on the raw jet (U, δ₁U, …), the row inertias of the
+    stacked state, the reciprocal node masses ``inv_mass`` (1/(w ρχ), 0 at
+    the pinned entries), the kinetic row weights ``kinetic_rows`` and the
+    static boundary data (``boundary_data``): the pinned entries ``pin_at``
+    and their values ``pin_to``, and the ``load`` of the prescribed
+    tractions/fluxes times the surface weights (None when no natural side
+    carries values).  It also holds the evaluation buffers, 64-byte aligned
+    (``_aligned``), for as long as its problem lives: the internal force
+    ``F`` that ``acceleration`` assembles in a buffer of its own, the
+    acceleration ``a``, and the evaluation scratch ``Y``, ``QY`` ((1 + dim,
+    8, *grid)) and ``scratch`` ((8, *grid)).  What the scratch holds is
+    valid only until the next workspace call that writes it: ``stress``,
+    ``acceleration`` (whose ``_JetForce`` keeps its two block jets and
+    their stresses in ``Y`` and ``QY``), ``pair_product``,
+    ``energy_split`` (``scratch`` only) and
+    ``diagnostics.SurfaceShells.sample``.  ``force`` writes F: on a line
+    of six or more nodes the ``_LineForce`` ``line`` (None otherwise),
+    from the stencil of Q's blocks, else the ``_JetForce``.  Reach the
+    workspace through ``ProblemSpec.workspace``.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -435,8 +441,6 @@ class Workspace:
         self.grid = grid
         self.w = grid.weights()
         self.Q = jet_form(k.form, grid.h)
-        # Force weights of the jet blocks: −w on (QY)₀ and w/(2hⱼ) on (QY)ⱼ.
-        self.jet_w = np.stack([-self.w] + [self.w * (0.5 / hj) for hj in grid.h])[:, None]
         row_shape = (STATE_ROWS,) + (1,) * grid.dim
         # Densities ρ and micro-inertia factors χ per state row (χ = 1 on u rows).
         rho = np.array([k.rho1] * 3 + [k.rho2] * 3 + [k.rho1, k.rho2]).reshape(row_shape)
@@ -457,29 +461,28 @@ class Workspace:
         self.inv_mass.reshape(-1)[self.pin_at] = 0.0
         self.Y, self.QY = (_aligned((1 + grid.dim, STATE_ROWS) + grid.shape) for _ in range(2))
         self.F, self.scratch, self.a = (_aligned((STATE_ROWS,) + grid.shape) for _ in range(3))
-        # The same force on a line as blocks of −K on differences of U (None in 2-D and
-        # on lines of fewer than 6 nodes, where ``acceleration`` takes the jet path).
+        # the force on a line as blocks of −K on differences of U (None in 2-D and on
+        # lines of fewer than 6 nodes), else from the two blocks of Q on the jet
         self.line = (_LineForce(line_stencil(self.Q, grid.h[0]), self.F)
                      if grid.dim == 1 and grid.n[0] >= 6 else None)
+        self.force = (self.line if self.line is not None
+                      else _JetForce(self.Q, grid, self.Y, self.QY, self.F))
 
-    def _raw_stress(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The raw jet (U, δ₁U, …) and the stresses QY, in the workspace's buffers."""
+    def stress(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The jet Y of a stacked state and the generalized stresses QY.
+
+        Both are the workspace's buffers ``Y`` and ``QY``, filled in place
+        from the whole of Q on the raw jet (U, δ₁U, …): they stay valid only
+        until the next call that uses them, ``stress``, ``acceleration``,
+        ``pair_product`` or ``diagnostics.SurfaceShells.sample``.  Copy them
+        to keep them longer.  The force ``F`` is a buffer of its own, which
+        ``stress`` leaves intact.
+        """
         Y, QY = self.Y, self.QY
         Y[0] = U
         for j in range(1, len(Y)):
             difference(U, j, out=Y[j])
         np.matmul(self.Q, Y.reshape(len(self.Q), -1), out=QY.reshape(len(self.Q), -1))
-        return Y, QY
-
-    def stress(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The jet Y of a stacked state and the generalized stresses QY.
-
-        Both are the workspace's buffers, filled in place: they stay valid
-        only until the next ``stress`` or ``acceleration``.  Copy them to
-        keep them longer.  The force ``F`` is a buffer of its own, which
-        ``stress`` leaves intact.
-        """
-        Y, QY = self._raw_stress(U)
         for j, hj in enumerate(self.grid.h):
             Y[1 + j] /= 2.0 * hj
         return Y, QY
@@ -498,9 +501,23 @@ class Workspace:
         kinetic_u, kinetic_phi = self.kinetic_rows @ (squares @ self.w.reshape(-1))
         return state.t, kinetic_u, kinetic_phi, -0.5 * np.vdot(state.U, self.F)
 
+    def inertia_times(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """ρχ ∘ X of an (8, *grid) array into ``out``, one row at a time: with a scalar
+        per row numpy stages nothing through its ufunc buffer, as it does to broadcast
+        ``inertia`` whole (a 64 KiB buffer at 33² and 64²)."""
+        for row, rho_chi in enumerate(self.inertia.reshape(-1)):
+            np.multiply(rho_chi, X[row], out=out[row])
+        return out
+
     def pair_product(self, a: StateField, b: StateField) -> float:
-        """∫ Σ_α [ρ uₐ·u̇_b + ρχ φₐφ̇_b] dv; with a = b the virial pairing Q(t)."""
-        return float(np.sum(self.w * np.sum(self.inertia * a.U * b.V, axis=0)))
+        """∫ Σ_α [ρ uₐ·u̇_b + ρχ φₐφ̇_b] dv; with a = b the virial pairing Q(t).
+
+        Evaluated in ``scratch`` and in the first rows of ``Y``, which it overwrites.
+        """
+        terms = self.inertia_times(a.U, out=self.scratch)
+        np.multiply(terms, b.V, out=terms)
+        nodes = np.sum(terms, axis=0, out=self.Y[0, 0])
+        return float(np.sum(np.multiply(self.w, nodes, out=nodes)))
 
 
 class _LineForce:
@@ -547,29 +564,105 @@ class _LineForce:
         np.copyto(self.F_ends, self.end_force.reshape(self.F_ends.shape))
 
 
+class _JetForce:
+    """F = −KU from the two blocks of the jet form Q that the law decouples, into F.
+
+    𝒜 = blockdiag(𝒜₁, 𝒜₂), so Q couples the jet rows (U_φ, δⱼu) only to each
+    other (through e, g and φ) and (δⱼφ, U_u) only to each other (through d
+    and ∇φ): each block is a GEMM on its own rows of the jet, and the exact
+    zeros between them are never multiplied.  The jet memory ``Y`` holds
+    the rows U_φ, δ₁u, …, δ_d u, δ_d φ, …, δ₁φ, U_u, the first block then
+    the second, and ``QY`` their stresses in the same order.  So δ_d U, the
+    differences along the last axis, is one run of rows in state order,
+    which one ``difference`` fills and one ``subtract_adjoint`` reads; along
+    the first axis of a 2-D grid each block takes one call.
+
+    The block rows carry the force weights of an interior node, −h₁⋯h_d on
+    the U rows and h₁⋯h_d/(2hⱼ) on the δⱼ rows.  A node on a grid side
+    weighs ½ of that per side.  In 2-D the nodes on the first axis's sides
+    are the first and the last n₁ columns of each block's (rows, nodes)
+    product, which the block's matrix halved gives; the stresses of the
+    nodes on the last axis's sides, every n_d-th entry, are halved in place.
+    """
+
+    def __init__(self, Q: np.ndarray, grid: Grid, Y: np.ndarray, QY: np.ndarray, F: np.ndarray):
+        R, dim, shape = STATE_ROWS, grid.dim, grid.shape
+        u, phi = slice(0, PHI1_ROW), slice(PHI1_ROW, R)
+        n_u, n_phi = PHI1_ROW, R - PHI1_ROW
+        # the jet row (8b + state row of (U, δ₁U, …)) that each memory row holds
+        order = ([*range(R)[phi]] + [R * (1 + j) + r for j in range(dim) for r in range(R)[u]]
+                 + [R * (1 + j) + r for j in reversed(range(dim)) for r in range(R)[phi]]
+                 + [*range(R)[u]])
+        split = n_phi + n_u * dim  # the first block's rows
+        cell = math.prod(grid.h)
+        row_w = np.repeat([-cell] + [cell * (0.5 / hj) for hj in grid.h], R)
+        # each block's matrix on the node columns of its product: in 2-D the first and the
+        # last n₁ columns, the sides of the first axis, take it halved
+        jet, stresses = Y.reshape(len(Q), -1), QY.reshape(len(Q), -1)
+        side, nodes = (shape[-1] if dim == 2 else 0), jet.shape[1]
+        columns = [(slice(side, nodes - side), 1.0)]
+        if side:
+            columns += [(slice(0, side), 0.5), (slice(nodes - side, nodes), 0.5)]
+        self.gemms = []
+        for at in (slice(0, split), slice(split, None)):
+            rows = order[at]
+            block = Q[np.ix_(rows, rows)] * row_w[rows, None]
+            self.gemms += [(block * factor, jet[at, cols], stresses[at, cols])
+                           for cols, factor in columns]
+        # the stresses of the nodes on the two sides of the last axis, as flat strided views
+        flat = QY.reshape(-1)
+        self.sides = [flat[::shape[-1]], flat[shape[-1] - 1::shape[-1]]]
+        jet, stresses = Y.reshape((-1,) + shape), QY.reshape((-1,) + shape)
+        self.leads = [(jet[:n_phi], phi), (jet[-n_u:], u)]
+        self.lead_stresses = [(F[phi], stresses[:n_phi]), (F[u], stresses[-n_u:])]
+        # (rows of U and of F, axis, memory rows of δ) of each difference and its adjoint
+        runs = []
+        for j in range(dim):
+            u_at, phi_at = order.index(R * (1 + j)), order.index(R * (1 + j) + PHI1_ROW)
+            if phi_at == u_at + n_u:  # the last axis: δⱼU is one run, in state order
+                runs.append((slice(None), 1 + j, slice(u_at, u_at + R)))
+            else:
+                runs += [(u, 1 + j, slice(u_at, u_at + n_u)),
+                         (phi, 1 + j, slice(phi_at, phi_at + n_phi))]
+        self.deltas = [(rows, ax, jet[at]) for rows, ax, at in runs]
+        self.adjoints = [(F[rows], stresses[at], ax) for rows, ax, at in runs]
+
+    def __call__(self, U: np.ndarray) -> None:
+        for lead, rows in self.leads:
+            np.copyto(lead, U[rows])
+        for rows, ax, out in self.deltas:
+            difference(U[rows], ax, out=out)
+        for block, jet, stresses in self.gemms:
+            np.matmul(block, jet, out=stresses)
+        for side in self.sides:
+            np.multiply(side, 0.5, out=side)
+        for F_rows, stresses in self.lead_stresses:
+            np.copyto(F_rows, stresses)
+        for F_rows, stresses, ax in self.adjoints:
+            subtract_adjoint(F_rows, stresses, ax)
+
+
 def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:
     """Stacked accelerations Ü of the configuration U.
 
     The force is the exact gradient of the discrete energy Σ w W:
     F = −w(QY)₀ − Σⱼ δⱼᵀ(w/(2hⱼ) (QY)ⱼ), plus the static load ``ws.load``.
-    On a line it is the same F = −KU from the stencil of ``ws.line``: one
-    GEMM of the interior blocks on (U, δU, δ²U), and one batched matmul on
-    the differences of the five end nodes at each end.  The internal part is
-    assembled in ``ws.F``, where it stays until the next ``acceleration``
-    (``stress`` leaves it intact); ``Workspace.energy_split`` reads each
-    recorded state's strain energy −½ U·F from it.  The result, the force
-    times the reciprocal mass ``ws.inv_mass`` (so ±0 at the pinned entries),
-    is ``ws.a``, which the next evaluation overwrites: copy it to keep it.
+    ``ws.force`` assembles it.  In 2-D and on lines of fewer than six nodes
+    that is the ``_JetForce``: a GEMM for each block of Q that the
+    centrosymmetric law decouples (in 2-D one more for each side of the
+    first axis), in the memory of ``ws.Y`` and ``ws.QY``, which it
+    overwrites.  On a line of six or more it is the same F = −KU from the
+    stencil of ``ws.line``: one GEMM of the interior blocks on (U, δU, δ²U),
+    and one batched matmul on the differences of the five end nodes at each
+    end.  The internal part is assembled in ``ws.F``, where it stays until
+    the next ``acceleration`` (``stress`` leaves it intact);
+    ``Workspace.energy_split`` reads each recorded state's strain energy
+    −½ U·F from it.  The result, the force times the reciprocal mass
+    ``ws.inv_mass`` (so ±0 at the pinned entries), is ``ws.a``, which the
+    next evaluation overwrites: copy it to keep it.
     """
     F, a = ws.F, ws.a
-    if ws.line is None:
-        _, QY = ws._raw_stress(U)
-        np.multiply(QY[0], ws.jet_w[0], out=F)  # −w(QY)₀
-        np.multiply(QY[1:], ws.jet_w[1:], out=QY[1:])
-        for j in range(1, len(QY)):
-            subtract_adjoint(F, QY[j], j)
-    else:
-        ws.line(U)
+    ws.force(U)
     # the load is added into the returned array, never into F
     np.multiply(F if ws.load is None else np.add(ws.load, F, out=a), ws.inv_mass, out=a)
     return a

@@ -7,6 +7,8 @@ routes to the same quantity.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -386,30 +388,71 @@ def subtract_adjoint_allocating(F: np.ndarray, q: np.ndarray, ax: int) -> np.nda
     return F
 
 
-def internal_force_allocating(ws, U: np.ndarray) -> np.ndarray:
-    """F = −w(QY)₀ − Σⱼ δⱼᵀ(w/(2hⱼ) (QY)ⱼ) on the raw jet, as fresh arrays; on a
-    line with a stencil, its blocks on (U, δU, δ²U) and on the end windows' differences."""
-    if ws.line is not None:
-        interior, ends = ws.line.interior, ws.line.ends
-        F = np.empty(U.shape)
-        d1 = U[:, 2:] - U[:, :-2]  # δU of the nodes 1 … n − 2
-        Z = np.concatenate([U[:, 3:-3], d1[:, 2:-2], d1[:, 3:-1] - d1[:, 1:-3]])
-        F[:, 3:-3] = interior @ Z
-        windows = np.stack([U[:, :5], U[:, -5:]])
-        diffs = np.concatenate([windows[..., :1], windows[..., 1:] - windows[..., :-1]], axis=2)
-        F[:, :3], F[:, -3:] = (ends @ diffs.reshape(2, 40, 1)).reshape(2, -1, 3)
-        return F
-    Y = np.stack([U] + [difference_allocating(U, 1 + j) for j in range(ws.grid.dim)])
-    QY = (ws.Q @ Y.reshape(len(ws.Q), -1)).reshape(Y.shape) * ws.jet_w
-    F = QY[0]
-    for j in range(ws.grid.dim):
-        F = subtract_adjoint_allocating(F, QY[1 + j], 1 + j)
+def _line_force_allocating(ws, U: np.ndarray) -> np.ndarray:
+    """The line stencil's F: its blocks on (U, δU, δ²U) and on the end windows' differences."""
+    interior, ends = ws.line.interior, ws.line.ends
+    F = np.empty(U.shape)
+    d1 = U[:, 2:] - U[:, :-2]  # δU of the nodes 1 … n − 2
+    Z = np.concatenate([U[:, 3:-3], d1[:, 2:-2], d1[:, 3:-1] - d1[:, 1:-3]])
+    F[:, 3:-3] = interior @ Z
+    windows = np.stack([U[:, :5], U[:, -5:]])
+    diffs = np.concatenate([windows[..., :1], windows[..., 1:] - windows[..., :-1]], axis=2)
+    F[:, :3], F[:, -3:] = (ends @ diffs.reshape(2, 40, 1)).reshape(2, -1, 3)
     return F
+
+
+def _adjoint_sum(QY: np.ndarray) -> np.ndarray:
+    """(QY)₀ − Σⱼ δⱼᵀ(QY)ⱼ of weighted stresses, as fresh arrays."""
+    F = QY[0]
+    for j in range(1, len(QY)):
+        F = subtract_adjoint_allocating(F, QY[j], j)
+    return F
+
+
+def internal_force_allocating(ws, U: np.ndarray) -> np.ndarray:
+    """F = −w(QY)₀ − Σⱼ δⱼᵀ(w/(2hⱼ) (QY)ⱼ) with the whole of Q on the raw jet, as
+    fresh arrays, its weights −w and w/(2hⱼ) built here from ``ws.w`` and the
+    grid spacing; on a line with a stencil, the stencil's F."""
+    if ws.line is not None:
+        return _line_force_allocating(ws, U)
+    Y = np.stack([U] + [difference_allocating(U, 1 + j) for j in range(ws.grid.dim)])
+    weights = np.stack([-ws.w] + [ws.w * (0.5 / hj) for hj in ws.grid.h])[:, None]
+    return _adjoint_sum((ws.Q @ Y.reshape(len(ws.Q), -1)).reshape(Y.shape) * weights)
+
+
+def force_allocating(ws, U: np.ndarray) -> np.ndarray:
+    """F in the operation order of ``acceleration``, as fresh arrays: on a line with a
+    stencil, the stencil's; else one GEMM per block of Q that the law decouples, on
+    the jet rows (U_φ, δ₁u, …, δ_d u) and (δ_d φ, …, δ₁φ, U_u) in that order, its rows
+    times the weight of an interior node, −h₁⋯h_d on U and h₁⋯h_d/(2hⱼ) on δⱼ, and
+    halved on the node columns of the first axis's sides in 2-D; then the stresses
+    of the last axis's sides halved."""
+    if ws.line is not None:
+        return _line_force_allocating(ws, U)
+    dim, shape = ws.grid.dim, ws.grid.shape
+    Y = np.stack([U] + [difference_allocating(U, 1 + j) for j in range(dim)]).reshape(len(ws.Q), -1)
+    cell = math.prod(ws.grid.h)
+    row_w = np.repeat([-cell] + [cell * (0.5 / hj) for hj in ws.grid.h], 8)
+    blocks = ([6, 7] + [8 * (1 + j) + r for j in range(dim) for r in range(6)],
+              [8 * (1 + j) + r for j in reversed(range(dim)) for r in (6, 7)] + list(range(6)))
+    n1 = shape[-1] if dim == 2 else 0
+    columns = [(slice(n1, Y.shape[1] - n1), 1.0)]
+    if n1:
+        columns += [(slice(0, n1), 0.5), (slice(Y.shape[1] - n1, None), 0.5)]
+    QY = np.zeros(Y.shape)
+    for rows in blocks:
+        block, jet = ws.Q[np.ix_(rows, rows)] * row_w[rows, None], Y[rows]
+        for cols, factor in columns:
+            QY[rows, cols] = (block * factor) @ jet[:, cols]
+    QY = QY.reshape((1 + dim, 8) + shape)
+    last = np.ones(shape[-1])
+    last[[0, -1]] = 0.5
+    return _adjoint_sum(QY * last)
 
 
 def acceleration_allocating(ws, U: np.ndarray) -> np.ndarray:
     """The force (plus the load) times the reciprocal mass, 0 at the pinned entries."""
-    F = internal_force_allocating(ws, U)
+    F = force_allocating(ws, U)
     if ws.load is not None:
         F = ws.load + F
     a = F * (1.0 / (ws.w * ws.inertia))
@@ -437,7 +480,7 @@ def energy_allocating(ws, U: np.ndarray, V: np.ndarray) -> tuple[float, float, f
                         np.where(np.arange(8) < 6, 0.0, half_inertia)])
     kinetic_u, kinetic_phi = weights @ ((V * V).reshape(8, -1) @ ws.w.reshape(-1))
     return (float(kinetic_u), float(kinetic_phi),
-            -0.5 * float(np.vdot(U, internal_force_allocating(ws, U))))
+            -0.5 * float(np.vdot(U, force_allocating(ws, U))))
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,21 @@ class TestSurfacePower:
             assert np.all(new[ref == 0.0] == 0.0)
         assert np.all(P[-2:] == 0.0) and np.all(E_vol[-2:] == 0.0)
 
+    def test_radii_denser_than_the_grid_match_the_oracle(self):
+        # more (face, radius) entries than the workspace's scratch holds
+        prob = problem_1d(pm.random_material(1), n=9, T=0.05, snapshot_every=2,
+                          initial=pm.InitialData(u1=pm.gaussian_pulse([0.5], 0.02, 1.0,
+                                                                      component=0)))
+        geom = diag.support_geometry(prob)
+        r_grid = np.linspace(0.0, geom.L, 200)
+        assert len(diag.surface_shells(prob.workspace, geom, r_grid).faces) > 72
+        states = pm.stream(prob, [pm.StateField.copy])[2][0]
+        sps = surface_flux(prob.workspace, geom, r_grid, states).weighted(prob.lam)
+        P, E_vol = oracles.surface_power_masks(prob.workspace, states, geom, r_grid, prob.lam)
+        for new, ref in ((sps.P, P), (sps.E_vol, E_vol)):
+            scale = np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.all(np.abs(new - ref) <= 1e-12 * scale)
+
     def test_lambda_sweep_evaluates_each_snapshot_once(self, pulse_run, monkeypatch):
         prob, geom = pulse_run.prob, pulse_run.geom
         shells = diag.surface_shells(prob.workspace, geom, diag.default_r_grid(geom, count=20))
@@ -709,6 +724,28 @@ class TestStreamedReductions:
         ws.stress(rng.standard_normal(force.shape))
         np.testing.assert_array_equal(ws.F, force)
         assert not np.shares_memory(ws.F, ws.QY)
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_snapshot_reducers_allocate_less_than_one_grid_array(self, loaded):
+        # both evaluate in the workspace's scratch and jet rows; one (8, *grid) array, or
+        # numpy's 64 KiB buffer for a broadcast operand, would fail this at 33²
+        bc = natural_bc(dim=2)
+        if loaded:  # a static traction: the identity series pairs it with U and V
+            bc.u["x1"] = pm.SideCondition("natural", ((0.2, 0.2, 0.2), (0.1, 0.05, 0.0)))
+        prob = replace(pulse_problem_2d(), grid=pm.Grid((33, 33)), boundary=bc)
+        ws, state = prob.workspace, pm.initialize(prob)
+        acceleration(ws, state.U)
+        geom = diag.support_geometry(prob)
+        shells = diag.surface_shells(ws, geom, diag.default_r_grid(geom))
+        for reduce in (shells.sample, diag.IdentitySeries(prob)):
+            reduce(state)  # the identity series copies its first state
+            tracemalloc.start()
+            try:
+                reduce(state)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < state.U[0].nbytes  # measured 2,899 and 1,232 B against 8,712
 
     def test_streamed_front_equals_the_front_of_copies_bit_for_bit(self):
         prob, geom = front_problem_2d()

@@ -13,7 +13,7 @@ from poromix import diagnostics
 from poromix import io as pio
 from poromix import solver
 from poromix.errors import InvalidParameter, NonFinite
-from poromix.fields import STATE_FIELDS, difference, jet_map, subtract_adjoint
+from poromix.fields import STATE_FIELDS, difference, jet_form, jet_map, subtract_adjoint
 from poromix.materials import pair_slot
 from poromix.pointwise import generalized_stress, strain_vector
 from poromix.solver import acceleration
@@ -226,6 +226,18 @@ class TestStencils:
             rhs = float(np.sum(f * transpose_difference(q, ax)))
             assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
+    @pytest.mark.parametrize("shape", [(8, 4), (8, 5), (8, 17), (6, 4, 5), (2, 5, 4),
+                                       (8, 17, 17), (6, 33, 20)])
+    def test_kernels_match_the_allocating_formulas_bit_for_bit(self, rng, shape):
+        # along the last axis each end row is one strided product, and the adjoint adds its
+        # end terms in place; both round as the allocating formulas do, on every axis
+        for ax in range(1, len(shape)):
+            U, F, q = rng.standard_normal((3,) + shape)
+            np.testing.assert_array_equal(difference(U, ax, np.empty(shape)),
+                                          oracles.difference_allocating(U, ax))
+            want = oracles.subtract_adjoint_allocating(F, q, ax)
+            np.testing.assert_array_equal(subtract_adjoint(F, q, ax), want)
+
     def test_non_contiguous_input_is_differenced_like_its_copy(self, rng):
         U = rng.standard_normal((8, 9, 14))[:, :, ::2]
         for ax in (1, 2):
@@ -302,6 +314,20 @@ class TestJetForm:
             expected = np.array(blocks)
             scale = 1.0 + np.max(np.abs(expected))
             np.testing.assert_allclose(QY[at], expected, rtol=0.0, atol=1e-12 * scale)
+
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_the_law_decouples_two_blocks_of_the_jet(self, dim):
+        # 𝒜 = blockdiag(𝒜₁, 𝒜₂): the jet rows (U_φ, δⱼu) meet only 𝒜₁ (e, g, φ) and
+        # (U_u, δⱼφ) only 𝒜₂ (d, ∇φ), so the force's two block GEMMs drop exact zeros
+        u, phi = range(6), range(6, 8)
+        first = [*phi] + [8 * (1 + j) + r for j in range(dim) for r in u]
+        second = [*u] + [8 * (1 + j) + r for j in range(dim) for r in phi]
+        assert sorted(first + second) == list(range(8 * (1 + dim)))
+        materials = [pm.random_material(seed) for seed in range(20)]
+        for consts in materials + [pm.decoupled_material(), pm.identity_material()]:
+            Q = jet_form(consts.form, (0.1, 0.07)[:dim])
+            assert not Q[np.ix_(first, second)].any() and not Q[np.ix_(second, first)].any()
 
 
 class TestStepBasics:
@@ -586,7 +612,7 @@ BOUNDARY_CASES = ["traction_free", "dirichlet_zero", "prescribed_value", "prescr
                   "prescribed_flux"]
 
 
-def buffer_case_problem(consts, kind: str, dim: int) -> pm.ProblemSpec:
+def buffer_case_problem(consts, kind: str, dim: int, n: int = 17) -> pm.ProblemSpec:
     """A small problem exercising one boundary kind of the force assembly."""
     keys = [f"{axis}{end}" for axis in "xy"[:dim] for end in (0, 1)]
     u = {k: pm.SideCondition("natural") for k in keys}
@@ -601,7 +627,7 @@ def buffer_case_problem(consts, kind: str, dim: int) -> pm.ProblemSpec:
         u["x1"] = pm.SideCondition("natural", ((0.7, 1.1, 1.3), (0.5, 0.25, 0.0)))
     elif kind == "prescribed_flux":
         phi["x0"] = pm.SideCondition("natural", (0.3, -0.05))
-    return small_problem(consts, n=17, dim=dim, boundary=pm.BoundaryPartition(u=u, phi=phi))
+    return small_problem(consts, n=n, dim=dim, boundary=pm.BoundaryPartition(u=u, phi=phi))
 
 
 def dirichlet_state(rng, ws) -> tuple[np.ndarray, np.ndarray]:
@@ -649,6 +675,22 @@ class TestForceKernel:
         want = oracles.acceleration_jet(ws, random_consts, U)
         np.testing.assert_allclose(acceleration(ws, U), want, rtol=0.0,
                                    atol=1e-13 * np.max(np.abs(want)))
+
+
+    @pytest.mark.parametrize("n,dim", [(17, 2), (13, 2), (5, 1)])
+    @pytest.mark.parametrize("kind", BOUNDARY_CASES)
+    def test_jet_path_matches_the_whole_jet_form(self, rng, random_consts, kind, n, dim):
+        # the two block GEMMs, with the weights folded into their rows, against the whole
+        # of Q times −w and w/(2hⱼ): they differ in rounding only (h = 1/12 folds inexactly)
+        ws = buffer_case_problem(random_consts, kind, dim, n=n).workspace
+        assert ws.line is None
+        U, _ = dirichlet_state(rng, ws)
+        a = acceleration(ws, U)
+        want = oracles.internal_force_allocating(ws, U)
+        np.testing.assert_allclose(ws.F, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+        want = (want if ws.load is None else ws.load + want) / (ws.w * ws.inertia)
+        want.reshape(-1)[ws.pin_at] = 0.0
+        np.testing.assert_allclose(a, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
 
 
 class TestLineStencil:
@@ -787,9 +829,28 @@ class TestEvaluationBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # numpy's 64 KiB buffer for the broadcast jet-weight multiply (0.25 U.nbytes
-        # at 64²) and the kernels' end-row temporaries: measured 0.2548-0.2551
-        assert peak <= 0.26 * state.U.nbytes
+        # numpy's buffers for the first axis's end-row updates, a line of nodes each, and
+        # small objects: measured 0.043 (0.256 with the broadcast jet-weight multiply)
+        assert peak <= 0.06 * state.U.nbytes
+
+    @pytest.mark.parametrize("walls", ["natural", "dirichlet"])
+    def test_two_dimensional_force_allocates_less_than_one_grid_array(self, rng, random_consts,
+                                                                      walls):
+        import tracemalloc
+
+        prob = small_problem(random_consts, n=33, dim=2,
+                             boundary=pm.BoundaryPartition.uniform(walls, walls, dim=2))
+        ws = prob.workspace
+        U = rng.standard_normal((8,) + prob.grid.shape)
+        for _ in range(3):
+            acceleration(ws, U)
+        tracemalloc.start()
+        try:
+            acceleration(ws, U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < U[0].nbytes  # measured 6,776 B against 8,712
 
     def test_stream_steps_allocate_no_grid_sized_array(self, random_consts, monkeypatch):
         import tracemalloc
@@ -971,11 +1032,12 @@ class TestRecording:
         np.testing.assert_allclose(energy.t, prob.T / steps * np.arange(0, steps + 1, energy_every),
                                    rtol=1e-12, atol=0.0)
 
-    def test_two_dimensional_force_calls_each_jet_kernel_once_per_axis(self, rng, random_consts,
-                                                                       monkeypatch):
+    def test_two_dimensional_force_calls_each_jet_kernel_once_per_run_of_rows(
+            self, rng, random_consts, monkeypatch):
+        # along x once for each block's rows, along y once for δ_yU, one run of the jet
         prob = rough_problem(random_consts, "prescribed_traction", 2, rng)
         counts = self.count_force_calls(monkeypatch, prob, 5)[0]
-        assert counts == {"accel": 6, "jet": 12, "force": 12}
+        assert counts == {"accel": 6, "jet": 18, "force": 18}
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_identity_sample_energies_equal_the_series_at_shared_steps(self, rng, random_consts,
