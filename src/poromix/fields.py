@@ -84,19 +84,19 @@ def subtract_adjoint(F: np.ndarray, q: np.ndarray, ax: int) -> np.ndarray:
     sum(δf·q) == sum(f·δᵀq) to roundoff for every f, q, so the assembled
     semi-discrete operator is exactly symmetric.  ``q`` (C-contiguous, like
     F) is scratch.  The end-row terms go first: node k from either end
-    takes (3, −4, 1)ₖ times q's end row, negated at the last end, added one
-    node at a time in place.  4q is exact and 0.75·4q rounds 3q, so each
-    product is rounded once and no temporary is made.  Then q's end rows
-    are zeroed, so the two contiguous shifted updates add only the interior
-    terms.
+    takes (3, −4, 1)ₖ times q's end row, with the opposite sign at the last
+    end, added one node at a time in place.  4q is exact and 0.75·4q rounds
+    3q, so each product is rounded once and no temporary is made.  Then q's
+    end rows are zeroed, so the two contiguous shifted updates add only the
+    interior terms.
     """
     n, s = F.shape[ax], math.prod(F.shape[ax + 1:])
     f, r = F.reshape(-1, n, s), q.reshape(-1, n, s)
-    np.negative(r[:, -1], out=r[:, -1])
-    for f_end, q_end in ((f[:, :3], r[:, 0]), (f[:, :-4:-1], r[:, -1])):
-        np.add(f_end[:, 2], q_end, out=f_end[:, 2])
-        np.subtract(f_end[:, 1], np.multiply(q_end, 4.0, out=q_end), out=f_end[:, 1])
-        np.add(f_end[:, 0], np.multiply(q_end, 0.75, out=q_end), out=f_end[:, 0])
+    for f_end, q_end, add, subtract in ((f[:, :3], r[:, 0], np.add, np.subtract),
+                                        (f[:, :-4:-1], r[:, -1], np.subtract, np.add)):
+        add(f_end[:, 2], q_end, out=f_end[:, 2])
+        subtract(f_end[:, 1], np.multiply(q_end, 4.0, out=q_end), out=f_end[:, 1])
+        add(f_end[:, 0], np.multiply(q_end, 0.75, out=q_end), out=f_end[:, 0])
     r[:, ::n - 1] = 0.0  # the first and the last row
     flat_f, flat_q = F.reshape(-1), q.reshape(-1)
     flat_f[s:] -= flat_q[:-s]
