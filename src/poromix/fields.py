@@ -52,8 +52,23 @@ STATE_FIELDS = {
 }
 
 
-# One-sided end rows of δ.
+# One-sided end rows of δ, and the end blocks of δᵀ on the four end nodes: inside,
+# (δᵀq)₀ = −3q₀ − q₁, (δᵀq)₁ = 4q₀ − q₂ and (δᵀq)₂ = −q₀ + q₁ − q₃, mirrored with the
+# opposite sign at the last end.
 _FIRST_ROW, _LAST_ROW = np.array([[-3.0, 4.0, -1.0]]), np.array([[1.0, -4.0, 3.0]])
+_FIRST_T = np.array([[-3.0, -1.0, 0.0, 0.0], [4.0, 0.0, -1.0, 0.0], [-1.0, 1.0, 0.0, -1.0]])
+_LAST_T = -_FIRST_T[::-1, ::-1]
+
+
+def _difference_matrix(n: int) -> np.ndarray:
+    """δ along an axis of n nodes as a dense n × n matrix."""
+    D = np.eye(n, k=1) - np.eye(n, k=-1)
+    D[0, :3], D[-1, -3:] = _FIRST_ROW[0], _LAST_ROW[0]
+    return D
+
+
+# δᵀ whole on the axes whose end blocks overlap
+_SHORT_T = {n: _difference_matrix(n).T for n in (4, 5)}
 
 
 def difference(U: np.ndarray, ax: int, out: np.ndarray) -> np.ndarray:
@@ -78,30 +93,33 @@ def difference(U: np.ndarray, ax: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def subtract_adjoint(F: np.ndarray, q: np.ndarray, ax: int) -> np.ndarray:
-    """F −= δᵀq along axis ``ax`` in place, the exact transpose of :func:`difference`.
+def transposed_difference(q: np.ndarray, ax: int, out: np.ndarray) -> np.ndarray:
+    """δᵀq along axis ``ax``, the exact transpose of :func:`difference`, written into
+    ``out`` (C-contiguous, like q, and not overlapping it).
 
     sum(δf·q) == sum(f·δᵀq) to roundoff for every f, q, so the assembled
-    semi-discrete operator is exactly symmetric.  ``q`` (C-contiguous, like
-    F) is scratch.  The end-row terms go first: node k from either end
-    takes (3, −4, 1)ₖ times q's end row, with the opposite sign at the last
-    end, added one node at a time in place.  4q is exact and 0.75·4q rounds
-    3q, so each product is rounded once and no temporary is made.  Then q's
-    end rows are zeroed, so the two contiguous shifted updates add only the
-    interior terms.
+    semi-discrete operator is exactly symmetric.  Inside, (δᵀq)ᵢ = q₍ᵢ₋₁₎ −
+    q₍ᵢ₊₁₎: one contiguous subtraction of the flattened array, shifted by two
+    strides of the axis, as in ``difference``.  The three end nodes at
+    either end then take one product of δᵀ's end block with q's four end
+    nodes: one strided (rows, 4)·(4, 3) product along the last axis, one
+    matmul along any other.  On an axis of fewer than 6 nodes the end blocks
+    overlap, and the whole of δᵀ is one product.  No temporary is made.
     """
-    n, s = F.shape[ax], math.prod(F.shape[ax + 1:])
-    f, r = F.reshape(-1, n, s), q.reshape(-1, n, s)
-    for f_end, q_end, add, subtract in ((f[:, :3], r[:, 0], np.add, np.subtract),
-                                        (f[:, :-4:-1], r[:, -1], np.subtract, np.add)):
-        add(f_end[:, 2], q_end, out=f_end[:, 2])
-        subtract(f_end[:, 1], np.multiply(q_end, 4.0, out=q_end), out=f_end[:, 1])
-        add(f_end[:, 0], np.multiply(q_end, 0.75, out=q_end), out=f_end[:, 0])
-    r[:, ::n - 1] = 0.0  # the first and the last row
-    flat_f, flat_q = F.reshape(-1), q.reshape(-1)
-    flat_f[s:] -= flat_q[:-s]
-    flat_f[:-s] += flat_q[s:]
-    return F
+    n, s = q.shape[ax], math.prod(q.shape[ax + 1:])
+    r, d = q.reshape(-1, n, s), out.reshape(-1, n, s)
+    if n < 6:
+        blocks = [(slice(None), _SHORT_T[n], slice(None))]
+    else:
+        flat = q.reshape(-1)
+        np.subtract(flat[:-2 * s], flat[2 * s:], out=out.reshape(-1)[s:-s])
+        blocks = [(slice(0, 4), _FIRST_T, slice(0, 3)), (slice(n - 4, n), _LAST_T, slice(n - 3, n))]
+    for nodes, block, to in blocks:
+        if s == 1:
+            np.matmul(r[:, nodes, 0], block.T, out=d[:, to, 0])
+        else:
+            np.matmul(block, r[:, nodes], out=d[:, to])
+    return out
 
 
 def jet_map(dim: int) -> np.ndarray:

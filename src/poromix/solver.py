@@ -45,7 +45,7 @@ from .fields import (
     difference,
     jet_form,
     line_stencil,
-    subtract_adjoint,
+    transposed_difference,
 )
 from .materials import MaterialConstants, SpeedParams
 
@@ -574,8 +574,10 @@ class _JetForce:
     the rows U_φ, δ₁u, …, δ_d u, δ_d φ, …, δ₁φ, U_u, the first block then
     the second, and ``QY`` their stresses in the same order.  So δ_d U, the
     differences along the last axis, is one run of rows in state order,
-    which one ``difference`` fills and one ``subtract_adjoint`` reads; along
-    the first axis of a 2-D grid each block takes one call.
+    which one ``difference`` fills and one ``transposed_difference`` reads;
+    along the first axis of a 2-D grid each block takes one call.  Once the
+    GEMMs have read the jet, ``Y`` holds each run's δᵀ of the stresses in
+    turn, which is subtracted from F.
 
     The block rows carry the force weights of an interior node, −h₁⋯h_d on
     the U rows and h₁⋯h_d/(2hⱼ) on the δⱼ rows.  A node on a grid side
@@ -625,7 +627,8 @@ class _JetForce:
                 runs += [(u, 1 + j, slice(u_at, u_at + n_u)),
                          (phi, 1 + j, slice(phi_at, phi_at + n_phi))]
         self.deltas = [(rows, ax, jet[at]) for rows, ax, at in runs]
-        self.adjoints = [(F[rows], stresses[at], ax) for rows, ax, at in runs]
+        self.adjoints = [(F[rows], stresses[at], ax, jet[:at.stop - at.start])
+                         for rows, ax, at in runs]
 
     def __call__(self, U: np.ndarray) -> None:
         for lead, rows in self.leads:
@@ -638,8 +641,8 @@ class _JetForce:
             np.multiply(side, 0.5, out=side)
         for F_rows, stresses in self.lead_stresses:
             np.copyto(F_rows, stresses)
-        for F_rows, stresses, ax in self.adjoints:
-            subtract_adjoint(F_rows, stresses, ax)
+        for F_rows, stresses, ax, adjoint in self.adjoints:
+            np.subtract(F_rows, transposed_difference(stresses, ax, out=adjoint), out=F_rows)
 
 
 def acceleration(ws: Workspace, U: np.ndarray) -> np.ndarray:

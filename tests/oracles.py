@@ -388,6 +388,34 @@ def subtract_adjoint_allocating(F: np.ndarray, q: np.ndarray, ax: int) -> np.nda
     return F
 
 
+_FIRST_T = np.array([[-3.0, -1.0, 0.0, 0.0], [4.0, 0.0, -1.0, 0.0], [-1.0, 1.0, 0.0, -1.0]])
+_LAST_T = np.array([[1.0, 0.0, -1.0, 1.0], [0.0, 1.0, 0.0, -4.0], [0.0, 0.0, 1.0, 3.0]])
+
+
+def transposed_difference_allocating(q: np.ndarray, ax: int) -> np.ndarray:
+    """δᵀq as a fresh array: q₍ᵢ₋₁₎ − q₍ᵢ₊₁₎ inside, and δᵀ's end blocks on the four end
+    nodes by the same products as the kernel (the whole δᵀ below 6 nodes)."""
+    nd, n = q.ndim, q.shape[ax]
+    s = int(np.prod(q.shape[ax + 1:]))
+    g = np.empty_like(q)
+    g[_idx(nd, ax, slice(1, -1))] = q[_idx(nd, ax, slice(0, -2))] - q[_idx(nd, ax, slice(2, None))]
+    rows = q.reshape(-1, n, s)
+    if n < 6:
+        D = np.eye(n, k=1) - np.eye(n, k=-1)
+        D[0, :3], D[-1, -3:] = _FIRST_ROW[0], _LAST_ROW[0]
+        blocks = [(slice(None), D.T, slice(None))]
+    else:
+        blocks = [(slice(0, 4), _FIRST_T, slice(0, 3)), (slice(n - 4, n), _LAST_T, slice(n - 3, n))]
+    for nodes, block, to in blocks:
+        if s == 1:
+            ends = (rows[:, nodes, 0] @ block.T)[..., None]
+        else:
+            ends = block @ rows[:, nodes]
+        at = _idx(nd, ax, to)
+        g[at] = ends.reshape(g[at].shape)
+    return g
+
+
 def _line_force_allocating(ws, U: np.ndarray) -> np.ndarray:
     """The line stencil's F: its blocks on (U, δU, δ²U) and on the end windows' differences."""
     interior, ends = ws.line.interior, ws.line.ends
@@ -426,7 +454,8 @@ def force_allocating(ws, U: np.ndarray) -> np.ndarray:
     the jet rows (U_φ, δ₁u, …, δ_d u) and (δ_d φ, …, δ₁φ, U_u) in that order, its rows
     times the weight of an interior node, −h₁⋯h_d on U and h₁⋯h_d/(2hⱼ) on δⱼ, and
     halved on the node columns of the first axis's sides in 2-D; then the stresses
-    of the last axis's sides halved."""
+    of the last axis's sides halved, and F = (QY)₀ − Σⱼ δⱼᵀ(QY)ⱼ by the kernel's
+    δᵀ, one axis at a time."""
     if ws.line is not None:
         return _line_force_allocating(ws, U)
     dim, shape = ws.grid.dim, ws.grid.shape
@@ -447,7 +476,11 @@ def force_allocating(ws, U: np.ndarray) -> np.ndarray:
     QY = QY.reshape((1 + dim, 8) + shape)
     last = np.ones(shape[-1])
     last[[0, -1]] = 0.5
-    return _adjoint_sum(QY * last)
+    QY = QY * last
+    F = QY[0]
+    for j in range(1, len(QY)):
+        F = F - transposed_difference_allocating(QY[j], j)
+    return F
 
 
 def acceleration_allocating(ws, U: np.ndarray) -> np.ndarray:
